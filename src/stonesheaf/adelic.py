@@ -19,17 +19,20 @@ Every operation canonicalizes, so equality of ring elements is syntactic.
 The augmented complex places the ring of locally constant functions in
 degree -1 and the product of flag-size-(i+1) rings in degree i; its
 exactness is witnessed constructively by `exactness_witness`, which peels
-one cone level at a time.
+one cone level at a time.  The equivariant rings of `weyl` run the same
+recursions with group-ring leaves in place of rationals.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .linalg import Rat, rat, ZERO, ONE
+from .linalg import LinMap, Rat, VectQ, ZERO, ONE, kernel_basis, rat
 from .space import Finite, SpaceExpr, Sum, cb_rank, ClopenSet, SpaceMismatch
 
 Flag = tuple[int, ...]
@@ -80,19 +83,65 @@ def flags_of_size(rank: int, size: int) -> list[Flag]:
 # constructible data
 #
 # data(space, flag):
-#   Finite(n), flag () or (0,): tuple of n rationals
+#   Finite(n), flag () or (0,): tuple of n leaves
 #   Sum(l, r): pair (left data, right data); a side whose rank is below the
 #       top of the flag holds the zero-ring marker None
-#   Cone(Y), flag whose top is the rank: a single rational
-#   Cone(Y), otherwise: ("cone", {copy: data}, tail scalar)
+#   Cone(Y), flag whose top is the rank: a single leaf
+#   Cone(Y), otherwise: ("cone", {copy: data}, tail leaf)
+#
+# A leaf is a rational in the scalar rings (`CFun`) and a group-ring vector
+# in the equivariant ones (`weyl.EqCFun`).  The recursions below serve both.
+# Where they need more than the shape of the data they take a leaf algebra
+# `L` and the component structure `cs` it follows: `RationalLeaves` with
+# cs None here, `weyl.GroupRingLeaves` for group-ring leaves.
+
+
+class RationalLeaves:
+    """Rational leaves: no structure to follow and no germ spreading."""
+
+    def sum_parts(self, cs):
+        """The structures of the two summands."""
+        return None, None
+
+    def cone_parts(self, cs):
+        """The structures of the exceptional copies, and of the tail."""
+        return _NO_COPIES, None
+
+    def spread(self, cs, b, a, leaf):
+        """A leaf of level a carried down to level b < a."""
+        return leaf
+
+    def zero(self, cs, flag):
+        return ZERO
+
+    def size(self, cs, flag):
+        """The number of rational coordinates of a leaf."""
+        return 1
+
+    def read(self, values, pos, size):
+        return values[pos]
+
+    def write(self, out, leaf):
+        out.append(leaf)
+
+    def element(self, space, flag, cs, data):
+        return CFun(space, flag, data)
+
+    def section(self, space, cs, exc, leaf):
+        """Degree-0 witness data of a cone: a locally constant function."""
+        return _canon(self, space, (), cs, ("cone", exc, leaf))
+
+
+_NO_COPIES = MappingProxyType({})
+RATIONAL = RationalLeaves()
 
 
 def _is_zero_ring(space, flag) -> bool:
     return bool(flag) and flag[0] > cb_rank(space)
 
 
-def const_data(space: SpaceExpr, flag: Flag, c: Rat):
-    """The element c * unit."""
+def const_data(space: SpaceExpr, flag: Flag, c):
+    """The element with every leaf equal to c (c times the unit)."""
     if _is_zero_ring(space, flag):
         return None
     if isinstance(space, Finite):
@@ -104,57 +153,72 @@ def const_data(space: SpaceExpr, flag: Flag, c: Rat):
     return ("cone", {}, c)
 
 
-def _canon(space, flag, data):
+def _canon(L, space, flag, cs, data):
+    """The normal form: an exceptional copy equal to the tail is dropped,
+    unless its structure differs from the tail's."""
     if data is None:
         return None
     if isinstance(space, Finite):
         return tuple(data)
     if isinstance(space, Sum):
-        return (_canon(space.left, flag, data[0]), _canon(space.right, flag, data[1]))
+        lcs, rcs = L.sum_parts(cs)
+        return (_canon(L, space.left, flag, lcs, data[0]),
+                _canon(L, space.right, flag, rcs, data[1]))
     if flag and flag[0] == cb_rank(space):
         return data
     _, exc, tail = data
+    exc_cs, tail_cs = L.cone_parts(cs)
     default = const_data(space.base, flag, tail)
     cleaned = {}
     for k, v in exc.items():
-        vc = _canon(space.base, flag, v)
-        if vc != default:
+        sub_cs = exc_cs.get(k, tail_cs)
+        vc = _canon(L, space.base, flag, sub_cs, v)
+        if vc != default or sub_cs != tail_cs:
             cleaned[k] = vc
     return ("cone", cleaned, tail)
 
 
-def _zip_data(space, flag, x, y, op):
+def _zip_leaves(space, flag, x, y, op):
+    """op on matching leaves of x and y (not in normal form)."""
     if x is None:
         return None
     if isinstance(space, Finite):
         return tuple(op(a, b) for a, b in zip(x, y, strict=True))
     if isinstance(space, Sum):
-        return (_zip_data(space.left, flag, x[0], y[0], op),
-                _zip_data(space.right, flag, x[1], y[1], op))
+        return (_zip_leaves(space.left, flag, x[0], y[0], op),
+                _zip_leaves(space.right, flag, x[1], y[1], op))
     if flag and flag[0] == cb_rank(space):
         return op(x, y)
     _, ex, tx = x
     _, ey, ty = y
-    keys = set(ex) | set(ey)
     exc = {}
-    for k in keys:
-        xv = ex.get(k, const_data(space.base, flag, tx))
-        yv = ey.get(k, const_data(space.base, flag, ty))
-        exc[k] = _zip_data(space.base, flag, xv, yv, op)
-    return _canon(space, flag, ("cone", exc, op(tx, ty)))
+    for k in set(ex) | set(ey):
+        xv = ex[k] if k in ex else const_data(space.base, flag, tx)
+        yv = ey[k] if k in ey else const_data(space.base, flag, ty)
+        exc[k] = _zip_leaves(space.base, flag, xv, yv, op)
+    return ("cone", exc, op(tx, ty))
 
 
-def _map_data(space, flag, x, op):
+def _map_leaves(space, flag, x, op):
+    """op on every leaf of x (not in normal form)."""
     if x is None:
         return None
     if isinstance(space, Finite):
         return tuple(op(a) for a in x)
     if isinstance(space, Sum):
-        return (_map_data(space.left, flag, x[0], op), _map_data(space.right, flag, x[1], op))
+        return (_map_leaves(space.left, flag, x[0], op), _map_leaves(space.right, flag, x[1], op))
     if flag and flag[0] == cb_rank(space):
         return op(x)
     _, exc, tail = x
-    return _canon(space, flag, ("cone", {k: _map_data(space.base, flag, v, op) for k, v in exc.items()}, op(tail)))
+    return ("cone", {k: _map_leaves(space.base, flag, v, op) for k, v in exc.items()}, op(tail))
+
+
+def _zip_data(L, space, flag, cs, x, y, op):
+    return _canon(L, space, flag, cs, _zip_leaves(space, flag, x, y, op))
+
+
+def _map_data(L, space, flag, cs, x, op):
+    return _canon(L, space, flag, cs, _map_leaves(space, flag, x, op))
 
 
 @dataclass(frozen=True)
@@ -186,19 +250,24 @@ class CFun:
 
     def add(self, other: "CFun") -> "CFun":
         self._check_same(other)
-        return CFun(self.space, self.flag, _zip_data(self.space, self.flag, self.data, other.data, lambda a, b: a + b))
+        return self._zip(other, operator.add)
 
     def sub(self, other: "CFun") -> "CFun":
         self._check_same(other)
-        return CFun(self.space, self.flag, _zip_data(self.space, self.flag, self.data, other.data, lambda a, b: a - b))
+        return self._zip(other, operator.sub)
 
     def mul(self, other: "CFun") -> "CFun":
         self._check_same(other)
-        return CFun(self.space, self.flag, _zip_data(self.space, self.flag, self.data, other.data, lambda a, b: a * b))
+        return self._zip(other, operator.mul)
+
+    def _zip(self, other: "CFun", op) -> "CFun":
+        return CFun(self.space, self.flag,
+                    _zip_data(RATIONAL, self.space, self.flag, None, self.data, other.data, op))
 
     def scale(self, c) -> "CFun":
         c = rat(c)
-        return CFun(self.space, self.flag, _map_data(self.space, self.flag, self.data, lambda a: c * a))
+        return CFun(self.space, self.flag,
+                    _map_data(RATIONAL, self.space, self.flag, None, self.data, lambda a: c * a))
 
     def neg(self) -> "CFun":
         return self.scale(-1)
@@ -219,7 +288,7 @@ class CFun:
 def indicator(space: SpaceExpr, flag: Flag, u: ClopenSet) -> CFun:
     """The idempotent supported on the clopen set u, as a ring element."""
     check_flag(space, flag)
-    return CFun(space, flag, _indicator_data(space, flag, u))
+    return CFun(space, flag, _canon(RATIONAL, space, flag, None, _indicator_data(space, flag, u)))
 
 
 def _indicator_data(space, flag, u):
@@ -233,8 +302,7 @@ def _indicator_data(space, flag, u):
     if flag and flag[0] == cb_rank(space):
         return ONE if u.apex else ZERO
     exc = {k: _indicator_data(space.base, flag, w) for k, w in u.exc}
-    tail = ONE if u.apex else ZERO
-    return _canon(space, flag, ("cone", exc, tail))
+    return ("cone", exc, ONE if u.apex else ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +318,35 @@ def dmap(b: int, f: CFun) -> CFun:
     """
     new_flag = insert_height(f.flag, b)
     check_flag(f.space, new_flag)
-    return CFun(f.space, new_flag, _dmap_data(f.space, f.flag, b, f.data))
+    return CFun(f.space, new_flag, _dmap_data(RATIONAL, f.space, f.flag, None, b, f.data))
 
 
-def _dmap_data(space, flag, b, data):
-    new_flag = insert_height(flag, b)
-    if _is_zero_ring(space, new_flag):
-        return None
-    if data is None:
+def _dmap_data(L, space, flag, cs, b, data):
+    return _canon(L, space, insert_height(flag, b), cs, _dmap_leaves(L, space, flag, cs, b, data))
+
+
+def _dmap_leaves(L, space, flag, cs, b, data):
+    if data is None or _is_zero_ring(space, insert_height(flag, b)):
         return None
     if isinstance(space, Finite):
         return tuple(data)
     if isinstance(space, Sum):
-        return (_dmap_data(space.left, flag, b, data[0]),
-                _dmap_data(space.right, flag, b, data[1]))
+        lcs, rcs = L.sum_parts(cs)
+        return (_dmap_leaves(L, space.left, flag, lcs, b, data[0]),
+                _dmap_leaves(L, space.right, flag, rcs, b, data[1]))
     r = cb_rank(space)
     if b == r:
         # germ at the apex of a constructible family: the tail value
-        if flag and flag[0] == r:
-            raise FlagError("height already present")
-        _, _exc, tail = data
-        return tail
+        return data[2]
+    lower = bool(flag) and b < flag[-1]
     if flag and flag[0] == r:
-        # scalar germ data: inserting a lower height spreads the constant
-        return data
+        # germ data: inserting a lower height spreads the germ down to it
+        return L.spread(cs, b, flag[-1], data) if lower else data
     _, exc, tail = data
-    return _canon(space, new_flag,
-                  ("cone", {k: _dmap_data(space.base, flag, b, v) for k, v in exc.items()}, tail))
+    exc_cs, tail_cs = L.cone_parts(cs)
+    return ("cone", {k: _dmap_leaves(L, space.base, flag, exc_cs.get(k, tail_cs), b, v)
+                     for k, v in exc.items()},
+            L.spread(cs, b, flag[-1], tail) if lower else tail)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +406,7 @@ class AdelicComplex:
         if not self.is_cocycle(cochain, degree):
             raise ValueError("input cochain is not a cocycle")
         data = {A: f.data for A, f in cochain.items()}
-        wdata = _witness(self.space, degree, data)
+        wdata = _witness(RATIONAL, self.space, None, degree, data)
         wflags = self.flags(degree - 1)
         witness = {A: CFun(self.space, A, wdata[A]) for A in wflags}
         check = self.differential(witness, degree - 1)
@@ -345,7 +415,7 @@ class AdelicComplex:
         return witness
 
 
-def _witness(space, degree, data):
+def _witness(L, space, cs, degree, data):
     """Witness recursion on raw data dictionaries (flag -> data).
 
     The complex of a cone is assembled from the per-copy complexes of the
@@ -360,51 +430,50 @@ def _witness(space, degree, data):
             return {}
         return {(): tuple(data[(0,)])}
     if isinstance(space, Sum):
+        parts = tuple(zip((space.left, space.right), L.sum_parts(cs)))
         halves = []
-        for side, part in ((0, space.left), (1, space.right)):
+        for side, (part, pcs) in enumerate(parts):
             pdata = {A: data[A][side] for A in data if not _is_zero_ring(part, A)}
-            halves.append(_witness(part, degree, pdata) if (degree == 0 or pdata) else {})
+            halves.append(_witness(L, part, pcs, degree, pdata) if (degree == 0 or pdata) else {})
         out = {}
         for A in (flags_of_size(r, degree) if degree >= 1 else [()]):
-            parts = []
-            for side, part in ((0, space.left), (1, space.right)):
+            pair = []
+            for (part, pcs), half in zip(parts, halves):
                 if _is_zero_ring(part, A):
-                    parts.append(None)
+                    pair.append(None)
+                elif A in half:
+                    pair.append(half[A])
                 else:
-                    parts.append(halves[side].get(A, const_data(part, A, ZERO)))
-            out[A] = (parts[0], parts[1])
+                    # a summand without cochains of this degree: zero witness
+                    pair.append(const_data(part, A, L.zero(pcs, A)))
+            out[A] = tuple(pair)
         return out
+    exc_cs, tail_cs = L.cone_parts(cs)
     base = space.base
     copies_flags = [A for A in data if A and A[0] != r]
     exc_keys = set()
     for A in copies_flags:
         exc_keys |= set(data[A][1])
-    if degree == 0:
-        v = data[(r,)]
-        out_exc = {}
-        for k in sorted(exc_keys):
-            sub = {A: _cone_slice(base, A, data[A], k) for A in copies_flags}
-            out_exc[k] = _witness(base, 0, sub)[()]
-        return {(): _canon(space, (), ("cone", out_exc, v))}
     witness_exc = {}
     for k in sorted(exc_keys):
         sub = {A: _cone_slice(base, A, data[A], k) for A in copies_flags}
-        witness_exc[k] = _witness(base, degree, sub)
+        witness_exc[k] = _witness(L, base, exc_cs.get(k, tail_cs), degree, sub)
+    if degree == 0:
+        return {(): L.section(space, cs, {k: w[()] for k, w in witness_exc.items()}, data[(r,)])}
     out = {}
     for A in flags_of_size(r, degree):
         if A[0] == r:
-            out[A] = ZERO
+            out[A] = L.zero(cs, A)
         else:
-            tail = data[(r,) + A]
-            exc = {k: witness_exc[k][A] for k in witness_exc}
-            out[A] = _canon(space, A, ("cone", exc, tail))
+            exc = {k: w[A] for k, w in witness_exc.items()}
+            out[A] = _canon(L, space, A, cs, ("cone", exc, data[(r,) + A]))
     return out
 
 
 def _cone_slice(base, flag, data, k):
     """The copy-k component of cone data over a flag not containing the rank."""
     _, exc, tail = data
-    return exc.get(k, const_data(base, flag, tail))
+    return exc[k] if k in exc else const_data(base, flag, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +486,8 @@ def random_rat(rng: random.Random) -> Rat:
 
 def random_cfun(space: SpaceExpr, flag: Flag, rng: random.Random, exc_bound: int = 2) -> CFun:
     check_flag(space, flag)
-    return CFun(space, flag, _canon(space, flag, _random_data(space, flag, rng, exc_bound)))
+    data = _random_data(space, flag, rng, exc_bound)
+    return CFun(space, flag, _canon(RATIONAL, space, flag, None, data))
 
 
 def _random_data(space, flag, rng, exc_bound):
@@ -436,92 +506,113 @@ def _random_data(space, flag, rng, exc_bound):
 
 
 # ---------------------------------------------------------------------------
-# flattening constructible cochains to coordinates (for sampling cocycles)
+# sampling cocycles through the coordinates of bounded-exception cochains
+#
+# The coordinates of data with at most exc_bound exceptional copies per cone:
+# a leaf's coordinates in order, and for a cone the tail leaf followed by the
+# copies 0 .. exc_bound-1 (each a tail copy's data).
 
 
-def _enumerate_slots(space, flag, exc_bound):
-    """Coordinate slots of the bounded-exception subspace of a splicing ring."""
+def _slots(L, space, flag, cs, exc_bound) -> int:
+    """The number of coordinates of the bounded-exception data."""
     if _is_zero_ring(space, flag):
-        return []
+        return 0
     if isinstance(space, Finite):
-        return [("fin", i) for i in range(space.n)]
+        return space.n * L.size(cs, flag)
     if isinstance(space, Sum):
-        return ([("L",) + s for s in _enumerate_slots(space.left, flag, exc_bound)] +
-                [("R",) + s for s in _enumerate_slots(space.right, flag, exc_bound)])
+        lcs, rcs = L.sum_parts(cs)
+        return (_slots(L, space.left, flag, lcs, exc_bound)
+                + _slots(L, space.right, flag, rcs, exc_bound))
     if flag and flag[0] == cb_rank(space):
-        return [("germ",)]
-    slots = [("tail",)]
-    for k in range(exc_bound):
-        slots.extend(("copy", k) + s for s in _enumerate_slots(space.base, flag, exc_bound))
-    return slots
+        return L.size(cs, flag)
+    _exc_cs, tail_cs = L.cone_parts(cs)
+    return L.size(cs, flag) + exc_bound * _slots(L, space.base, flag, tail_cs, exc_bound)
 
 
-def _data_from_coords(space, flag, exc_bound, values, pos):
+def _data_from_coords(L, space, flag, cs, exc_bound, values, pos):
+    """Data (not in normal form) read from values at pos, and the next pos."""
     if _is_zero_ring(space, flag):
         return None, pos
-    if isinstance(space, Finite):
-        out = tuple(values[pos + i] for i in range(space.n))
-        return out, pos + space.n
     if isinstance(space, Sum):
-        l, pos = _data_from_coords(space.left, flag, exc_bound, values, pos)
-        r, pos = _data_from_coords(space.right, flag, exc_bound, values, pos)
-        return (l, r), pos
+        lcs, rcs = L.sum_parts(cs)
+        left, pos = _data_from_coords(L, space.left, flag, lcs, exc_bound, values, pos)
+        right, pos = _data_from_coords(L, space.right, flag, rcs, exc_bound, values, pos)
+        return (left, right), pos
+    size = L.size(cs, flag)
+    if isinstance(space, Finite):
+        out = tuple(L.read(values, pos + i * size, size) for i in range(space.n))
+        return out, pos + space.n * size
     if flag and flag[0] == cb_rank(space):
-        return values[pos], pos + 1
-    tail = values[pos]
-    pos += 1
+        return L.read(values, pos, size), pos + size
+    tail = L.read(values, pos, size)
+    pos += size
+    _exc_cs, tail_cs = L.cone_parts(cs)
     exc = {}
     for k in range(exc_bound):
-        exc[k], pos = _data_from_coords(space.base, flag, exc_bound, values, pos)
-    return _canon(space, flag, ("cone", exc, tail)), pos
+        exc[k], pos = _data_from_coords(L, space.base, flag, tail_cs, exc_bound, values, pos)
+    return ("cone", exc, tail), pos
 
 
-def _coords_from_data(space, flag, exc_bound, data, out):
+def _coords_from_data(L, space, flag, exc_bound, data, out):
     if data is None:
         return
     if isinstance(space, Finite):
-        out.extend(data)
+        for leaf in data:
+            L.write(out, leaf)
         return
     if isinstance(space, Sum):
-        _coords_from_data(space.left, flag, exc_bound, data[0], out)
-        _coords_from_data(space.right, flag, exc_bound, data[1], out)
+        _coords_from_data(L, space.left, flag, exc_bound, data[0], out)
+        _coords_from_data(L, space.right, flag, exc_bound, data[1], out)
         return
     if flag and flag[0] == cb_rank(space):
-        out.append(data)
+        L.write(out, data)
         return
     _, exc, tail = data
     if any(k >= exc_bound for k in exc):
         raise ValueError("exception support exceeds the chosen bound")
-    out.append(tail)
+    L.write(out, tail)
     for k in range(exc_bound):
-        _coords_from_data(space.base, flag, exc_bound, exc.get(k, const_data(space.base, flag, tail)), out)
+        _coords_from_data(L, space.base, flag, exc_bound,
+                          exc[k] if k in exc else const_data(space.base, flag, tail), out)
 
 
-def cochain_coordinates(cx: AdelicComplex, degree: int, exc_bound: int = 2):
-    """Dimension bookkeeping for the bounded-exception cochain space."""
-    dims = []
-    for A in cx.flags(degree):
-        dims.append(len(_enumerate_slots(cx.space, A, exc_bound)))
-    return dims
+def _sample_cocycle(cx, L, cs, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
+    """A random cocycle of cx with at most exc_bound exceptions per cone.
 
+    The differential on the bounded-exception cochains is probed on their
+    coordinate basis and its kernel computed exactly; the sample combines
+    the kernel basis with one kernel_draw(rng) per basis vector.  In the top
+    degree every cochain is a cocycle, with one free_draw(rng) per
+    coordinate.
+    """
+    space, flags = cx.space, cx.flags(degree)
 
-def cochain_from_coords(cx: AdelicComplex, degree: int, values, exc_bound: int = 2) -> dict:
-    out = {}
-    pos = 0
-    for A in cx.flags(degree):
-        data, pos2 = _data_from_coords(cx.space, A, exc_bound, values, pos)
-        n = len(_enumerate_slots(cx.space, A, exc_bound))
-        assert pos2 - pos == n
-        pos = pos2
-        out[A] = CFun(cx.space, A, data)
-    return out
+    def decode(values):
+        out, pos = {}, 0
+        for A in flags:
+            data, pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
+            out[A] = L.element(space, A, cs, _canon(L, space, A, cs, data))
+        return out
 
-
-def coords_from_cochain(cx: AdelicComplex, degree: int, cochain: dict, exc_bound: int = 2):
-    out: list[Rat] = []
-    for A in cx.flags(degree):
-        _coords_from_data(cx.space, A, exc_bound, cochain[A].data, out)
-    return tuple(out)
+    n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
+    if degree >= cx.rank:
+        return decode(tuple(free_draw(rng) for _ in range(n)))
+    targets = cx.flags(degree + 1)
+    cols = []
+    for i in range(n):
+        image = cx.differential(decode(tuple(ONE if j == i else ZERO for j in range(n))), degree)
+        flat = []
+        for B in targets:
+            # dmap never enlarges exception support
+            _coords_from_data(L, space, B, exc_bound, image[B].data, flat)
+        cols.append(tuple(flat))
+    m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
+    basis = kernel_basis(LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
+    values = [ZERO] * n
+    for b in basis:
+        c = kernel_draw(rng)
+        values = [v + c * x for v, x in zip(values, b)]
+    return decode(tuple(values))
 
 
 def random_cocycle(cx: AdelicComplex, degree: int, rng: random.Random, exc_bound: int = 2) -> dict:
@@ -531,30 +622,7 @@ def random_cocycle(cx: AdelicComplex, degree: int, rng: random.Random, exc_bound
     subspace is computed exactly; a random rational combination of its basis
     is returned.  This samples cocycles independently of the witness search.
     """
-    from .linalg import LinMap, VectQ, kernel_basis
-
-    dims = cochain_coordinates(cx, degree, exc_bound)
-    n = sum(dims)
-    if degree >= cx.rank:
-        values = tuple(random_rat(rng) for _ in range(n))
-        return cochain_from_coords(cx, degree, values, exc_bound)
-    target_bound = exc_bound  # dmap never enlarges exception support
-    src = VectQ.make(n, "c")
-    cols = []
-    for i in range(n):
-        basis_vals = tuple(ONE if j == i else ZERO for j in range(n))
-        coch = cochain_from_coords(cx, degree, basis_vals, exc_bound)
-        img = cx.differential(coch, degree)
-        cols.append(coords_from_cochain(cx, degree + 1, img, target_bound))
-    m = sum(len(_enumerate_slots(cx.space, A, target_bound)) for A in cx.flags(degree + 1))
-    tgt = VectQ.make(m, "d")
-    mat = LinMap.from_cols(src, tgt, cols)
-    basis = kernel_basis(mat)
-    values = [ZERO] * n
-    for b in basis:
-        c = random_rat(rng)
-        values = [v + c * x for v, x in zip(values, b)]
-    return cochain_from_coords(cx, degree, tuple(values), exc_bound)
+    return _sample_cocycle(cx, RATIONAL, None, degree, rng, exc_bound, random_rat, random_rat)
 
 
 def build_complex(space: SpaceExpr) -> AdelicComplex:

@@ -27,21 +27,7 @@ from .weyl import (
 # the dihedral block of O(2)
 #
 # O(2) is presented as pairs (eps, q) with eps in {1,-1} and q a rational
-# angle modulo 1; (1, q) is a rotation and (-1, q) a reflection, with
-# (e1, q1) * (e2, q2) = (e1 e2, q2 + e2 q1)... fixed below so that
-# conjugation acts on reflection offsets by double rotation.
-
-
-def o2_mul(a, b):
-    e1, q1 = a
-    e2, q2 = b
-    q = (q1 + q2) if e1 == 1 else (q1 - q2)
-    return (e1 * e2, q % 1)
-
-
-def o2_inv(a):
-    e, q = a
-    return (e, (-q) % 1) if e == 1 else (e, q)
+# angle modulo 1; (1, q) is a rotation and (-1, q) a reflection.
 
 
 @dataclass(frozen=True)

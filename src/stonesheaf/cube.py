@@ -23,7 +23,8 @@ from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, direct_sum_space
 from .space import (
     Finite, SpaceExpr, Sum, cb_rank, Point, validate_point, height)
 from .adelic import (
-    CFun, Flag, check_flag, insert_height, flags_of_size, sign_pos, all_flags)
+    CFun, Flag, RATIONAL, _canon, check_flag, insert_height, flags_of_size,
+    sign_pos, all_flags)
 from .sheaf import (
     CSheaf, Section, SheafMap, constant, make_cone_sheaf, make_sum_sheaf,
     make_cone_map, make_fin_map, make_sum_map, sec_space, sec_from_coords,
@@ -140,8 +141,7 @@ def _stc(space, flag, data):
     exc_out = {}
     for k, sub in exc:
         exc_out[k] = _stc(space.base, flag, sub)
-    from .adelic import _canon
-    return _canon(space, flag, ("cone", exc_out, tail_scalar))
+    return _canon(RATIONAL, space, flag, None, ("cone", exc_out, tail_scalar))
 
 
 def cfun_to_section(f: CFun) -> Section:
@@ -187,11 +187,6 @@ def restrict_open(F: CSheaf, level: int) -> OpenSheaf:
                                         restrict_open(F.data[1], level)))
     exc = tuple((k, restrict_open(G, level)) for k, G in F.data[1])
     return OpenSheaf(space, level, ("cone", exc, restrict_open(F.tail, level)))
-
-
-def open_copy(O: OpenSheaf, k: int) -> OpenSheaf:
-    _, exc, tail = O.data
-    return dict(exc).get(k, tail)
 
 
 def pushforward_open(O: OpenSheaf) -> CSheaf:

@@ -27,13 +27,13 @@ from .linalg import (
     LinMap, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso)
 from .space import (
-    Cone, Finite, Sum, cb_rank, Point, ClopenSet, apex_point, fin_point,
-    copy_point, validate_point)
+    Cone, Finite, Sum, cb_rank, Point, apex_point, fin_point, copy_point,
+    validate_point)
 from .adelic import CFun
 from .sheaf import (
     CSheaf, Section, SheafMap, align_pair, align_map, canonical, compose,
     direct_sum, identity_map, cokernel, make_cone_map, make_cone_sheaf,
-    make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf, mask_section,
+    make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
     sec_canonical, sec_functor, sec_space, stalk, stalk_map, zero_map,
     zero_sheaf, _quotient)
 
@@ -62,10 +62,6 @@ class GammaModule:
             raise ValueError("scalar lives over a different space")
         return sec_canonical(Section(self.record,
                                      _scale_by_locconst(self.record, f.data, s.data)))
-
-    def e_slice(self, U: ClopenSet, s: Section) -> Section:
-        """The idempotent slice of an element: restriction to U, zero outside."""
-        return mask_section(self.record, s, U)
 
     def isolated_stalk(self, x: Point) -> VectQ:
         return stalk(self.record, x)
@@ -367,13 +363,6 @@ def make_ses(incl: SheafMap, proj: SheafMap) -> SES:
     if not ses_is_exact(s):
         raise ValueError("sequence is not stalkwise exact")
     return s
-
-
-def maps_equal_on_probes(f: SheafMap, g: SheafMap, space) -> bool:
-    for x in _probe_points(space, [f, g]):
-        if stalk_map(f, x) != stalk_map(g, x):
-            return False
-    return True
 
 
 def is_split(s: SES):

@@ -74,10 +74,6 @@ def vec_add(u: Sequence[Rat], v: Sequence[Rat]) -> tuple[Rat, ...]:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Sequence[Rat], v: Sequence[Rat]) -> tuple[Rat, ...]:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: Rat, v: Sequence[Rat]) -> tuple[Rat, ...]:
     return tuple(c * a for a in v)
 
@@ -169,31 +165,6 @@ def direct_sum_space(spaces: Sequence[VectQ], tags: Sequence[str] | None = None)
     return VectQ.labelled(labels)
 
 
-def block_diag(maps: Sequence[LinMap], source: VectQ, target: VectQ) -> LinMap:
-    """Block-diagonal map between pre-built direct sums (order as given)."""
-    rows = []
-    col_off = 0
-    row_offsets = []
-    r = 0
-    for m in maps:
-        row_offsets.append(r)
-        r += m.target.dim
-    total_rows = target.dim
-    total_cols = source.dim
-    mat = [[ZERO] * total_cols for _ in range(total_rows)]
-    c = 0
-    r = 0
-    for m in maps:
-        for i in range(m.target.dim):
-            for j in range(m.source.dim):
-                mat[r + i][c + j] = m.matrix[i][j]
-        r += m.target.dim
-        c += m.source.dim
-    if r != total_rows or c != total_cols:
-        raise DimensionError("block sizes do not fill the direct sum")
-    return LinMap(source, target, tuple(tuple(row) for row in mat))
-
-
 def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
     """Reduced row echelon form (exact Gaussian elimination) and pivot columns."""
     rows = [list(r) for r in rows]
@@ -270,14 +241,6 @@ def solve(m: LinMap, v: Sequence[Rat]):
             return None
         x[p] = red[r_idx][n]
     return tuple(x)
-
-
-def is_injective(m: LinMap) -> bool:
-    return rank(m) == m.source.dim
-
-
-def is_surjective(m: LinMap) -> bool:
-    return rank(m) == m.target.dim
 
 
 def is_iso(m: LinMap) -> bool:

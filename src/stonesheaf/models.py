@@ -68,12 +68,6 @@ def _sec_ambient(T: CSheaf):
     return ("sec", T)
 
 
-def _ambient_el(ambient) -> VectQ:
-    if isinstance(ambient, tuple) and ambient[0] == "sec":
-        return sec_space(ambient[1])
-    return el_space(ambient)
-
-
 def zero_mod(space: SpaceExpr, flag: Flag) -> CMod:
     return CMod(space, flag, ("zero",))
 
@@ -138,10 +132,6 @@ def _localize_section(T, flag, M, data):
         raise AssertionError("uniform image left the stored uniform part")
     out.extend(w)
     return tuple(out)
-
-
-def _basis_coords(V, apexv):
-    return tuple(apexv)
 
 
 def _apply_pi_sigma(T, flag, generic, apexv):

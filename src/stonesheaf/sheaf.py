@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    LinMap, Rat, VectQ, ZERO, ONE, rat, direct_sum_space, kernel_basis,
-    image_basis, rref, solve, vec_add, vec_scale)
+    LinMap, Rat, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
+    image_basis, rref, solve)
 from .space import (
     Cone, Finite, SpaceExpr, Sum, cb_rank, Point, ClopenSet, validate_point,
     SpaceMismatch, enumerate_finite, set_is_finite, cone_member_set)
@@ -166,14 +166,6 @@ class Section:
     data: object
 
 
-def zero_section(F: CSheaf) -> Section:
-    if isinstance(F.space, Finite):
-        return Section(F, tuple(sp.zero_vec() for sp in F.data))
-    if isinstance(F.space, Sum):
-        return Section(F, (zero_section(F.data[0]).data, zero_section(F.data[1]).data))
-    return Section(F, ("sec", (), F.apex.zero_vec()))
-
-
 def sec_dim(F: CSheaf) -> int:
     if isinstance(F.space, Finite):
         return sum(sp.dim for sp in F.data)
@@ -253,14 +245,6 @@ def germ_section(F: CSheaf, apexv) -> Section:
     return sec_from_coords(F.tail, coords)
 
 
-def section_of_copy(F: CSheaf, k: int, apexv) -> Section:
-    """The value of the spread section on copy k; only copies carrying the
-    tail sheaf have a default, genuinely exceptional ones need explicit data."""
-    if F.copy_sheaf(k) != F.tail:
-        raise ValueError("section must list genuinely exceptional copies")
-    return germ_section(F, apexv)
-
-
 def sec_canonical(s: Section) -> Section:
     F = s.sheaf
     if isinstance(F.space, Finite):
@@ -278,35 +262,6 @@ def sec_canonical(s: Section) -> Section:
         if k in stored or subs.data != default.data:
             cleaned.append((k, subs.data))
     return Section(F, ("sec", tuple(cleaned), tuple(apexv)))
-
-
-def sec_add(s: Section, t: Section) -> Section:
-    if s.sheaf != t.sheaf:
-        raise SpaceMismatch("sections of different sheaves")
-    return Section(s.sheaf, _sec_zip(s.sheaf, s.data, t.data, vec_add))
-
-
-def sec_scale(c, s: Section) -> Section:
-    c = rat(c)
-    return Section(s.sheaf, _sec_map_values(s.sheaf, s.data, lambda v: vec_scale(c, v)))
-
-
-def _sec_zip(F, a, b, op):
-    if isinstance(F.space, Finite):
-        return tuple(op(x, y) for x, y in zip(a, b, strict=True))
-    if isinstance(F.space, Sum):
-        return (_sec_zip(F.data[0], a[0], b[0], op), _sec_zip(F.data[1], a[1], b[1], op))
-    _, exca, va = a
-    _, excb, vb = b
-    da, db = dict(exca), dict(excb)
-    keys = set(da) | set(db)
-    out = []
-    for k in sorted(keys):
-        G = F.copy_sheaf(k)
-        xa = da.get(k, _copy_default(F, k, va))
-        xb = db.get(k, _copy_default(F, k, vb))
-        out.append((k, _sec_zip(G, xa, xb, op)))
-    return ("sec", tuple(out), op(va, vb))
 
 
 def sec_reencode(T_old: CSheaf, T_new: CSheaf, data):
@@ -341,15 +296,6 @@ def _copy_default(F, k, apexv):
     if canonical(rec) != canonical(F.tail):
         raise ValueError("section must list genuinely exceptional copies")
     return sec_reencode(F.tail, rec, base)
-
-
-def _sec_map_values(F, data, op):
-    if isinstance(F.space, Finite):
-        return tuple(op(v) for v in data)
-    if isinstance(F.space, Sum):
-        return (_sec_map_values(F.data[0], data[0], op), _sec_map_values(F.data[1], data[1], op))
-    _, exc, v = data
-    return ("sec", tuple((k, _sec_map_values(F.copy_sheaf(k), sub, op)) for k, sub in exc), op(v))
 
 
 def sec_eval(F: CSheaf, s: Section, x: Point):
@@ -1029,10 +975,6 @@ def extend_section(F: CSheaf, U: ClopenSet, s: Section) -> Section:
     closed sets are handled by passing a clopen representative containing
     them.  Sections over these spaces always extend (softness).
     """
-    return mask_section(F, s, U)
-
-
-def restrict_section(F: CSheaf, s: Section, U: ClopenSet) -> Section:
     return mask_section(F, s, U)
 
 

@@ -420,10 +420,6 @@ def is_empty(s: SpaceExpr, u: ClopenSet) -> bool:
     return u == empty_set(s)
 
 
-def is_full(s: SpaceExpr, u: ClopenSet) -> bool:
-    return u == full_set(s)
-
-
 def set_is_finite(s: SpaceExpr, u: ClopenSet) -> bool:
     if isinstance(s, Finite):
         return True

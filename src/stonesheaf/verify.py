@@ -88,7 +88,8 @@ def check_ring_sections(seed: int = 2, samples: int = 10):
                 prod = ring_section_mul(space, A, sf, sg)
                 if section_to_cfun(space, A, prod) != f * g:
                     return False, f"section product mismatch on {expr} flag {A}"
-                back = cfun_to_section(f * g)
+                if cfun_to_section(f * g) != prod:
+                    return False, f"section of the product mismatch on {expr} flag {A}"
                 checked += 1
     return True, f"{checked} ring/section comparisons, exact equality"
 
@@ -436,23 +437,22 @@ CRITERIA = [
 ]
 
 
+# reduced sample counts for `run_all(fast=True)`
+FAST = {
+    check_adelic_exactness: {"samples": 20},
+    check_reconstruction: {"samples": 15},
+    check_dimension_one: {"samples": 15},
+    check_equivariance_suite: {"stalk_samples": 100, "sheaf_samples": 10, "cocycles": 10},
+    check_degeneration: {"samples": 5},
+}
+
+
 def run_all(seed: int = 1, fast: bool = False):
     """Run every acceptance criterion; prints one line per criterion."""
     results = []
     for name, fn in CRITERIA:
-        kwargs = {}
-        if fast:
-            if fn is check_adelic_exactness:
-                kwargs = {"samples": 20}
-            elif fn is check_equivariance_suite:
-                kwargs = {"stalk_samples": 100, "sheaf_samples": 10, "cocycles": 10}
-            elif fn is check_reconstruction:
-                kwargs = {"samples": 15}
-            elif fn is check_dimension_one:
-                kwargs = {"samples": 15}
-            elif fn is check_degeneration:
-                kwargs = {"samples": 5}
-        passed, details = fn(seed, **kwargs) if kwargs else fn(seed)
+        kwargs = FAST.get(fn, {}) if fast else {}
+        passed, details = fn(seed, **kwargs)
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {name}: {details}")
         results.append(passed)

@@ -11,9 +11,12 @@ differentials to square to zero, and checked at build time), and the
 generator construction extends stalk elements consistently.
 
 The equivariant splicing rings keep the cube combinatorics of the scalar
-case with group-ring leaves; exactness witnesses peel cone levels exactly
-as before.  With trivial groups everything collapses bitwise onto the
-scalar complex.
+case with group-ring leaves: they run the recursions of `adelic` (normal
+forms, ring operations, cube maps, exactness witnesses, cocycle sampling)
+with `GroupRingLeaves`, which follows the component structure into
+summands and copies and spreads a leaf down a level through the germ
+component `germ_component(hom_between(...))`.  With trivial groups
+everything collapses bitwise onto the scalar complex.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (
-    LinMap, VectQ, ZERO, ONE, rat, kernel_basis, rank as map_rank)
+from .linalg import LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, validate_point)
 from .adelic import (
-    CFun, Flag, check_flag, flags_of_size, insert_height, sign_pos)
+    CFun, Flag, _canon, _dmap_data, _map_data, _map_leaves, _sample_cocycle,
+    _witness, _zip_data, check_flag, const_data, flags_of_size, insert_height,
+    sign_pos)
 from .sheaf import (
     CSheaf, Section, SheafMap, germ_section, make_cone_map, make_cone_sheaf,
     make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
@@ -771,174 +775,108 @@ class EqCFun:
     data: object
 
 
-def _eq_leaf_group(space, flag, cs) -> FinGroup:
+def _leaf_group(cs, flag) -> FinGroup:
     return level_group(cs, flag[-1] if flag else 0)
 
 
-def eq_const(space, flag, cs, leaf_value):
-    """The element with the given group-ring value uniformly."""
-    if flag and flag[0] > cb_rank(space):
-        return None
-    if isinstance(space, Finite):
-        return tuple(leaf_value for _ in range(space.n))
-    if isinstance(space, Sum):
-        return (eq_const(space.left, flag, cs.data[1], leaf_value),
-                eq_const(space.right, flag, cs.data[2], leaf_value))
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    if flag and flag[0] == cb_rank(space):
-        return leaf_value
-    return ("cone", {}, leaf_value)
+class GroupRingLeaves:
+    """Group-ring leaves for the splicing-ring recursions of `adelic`: a leaf
+    lies in the group ring of the group at the flag's lowest level, and a
+    leaf of level a spreads down to level b through the germ component of
+    the structure homomorphism from b up to a."""
+
+    def sum_parts(self, cs):
+        return cs.data[1], cs.data[2]
+
+    def cone_parts(self, cs):
+        exc_cs, tail_cs, _g, _u = cs.cone_parts()
+        return exc_cs, tail_cs
+
+    def spread(self, cs, b, a, leaf):
+        return tuple(germ_component(hom_between(cs, b, a)).apply(leaf))
+
+    def zero(self, cs, flag):
+        return (ZERO,) * self.size(cs, flag)
+
+    def size(self, cs, flag):
+        return _leaf_group(cs, flag).order
+
+    def read(self, values, pos, size):
+        return tuple(values[pos:pos + size])
+
+    def write(self, out, leaf):
+        out.extend(leaf)
+
+    def element(self, space, flag, cs, data):
+        return EqCFun(space, flag, cs, data)
+
+    def section(self, space, cs, exc, leaf):
+        """Degree-0 witness data of a cone: a section of the group-ring sheaf."""
+        return ("sec", tuple(sorted(exc.items())), tuple(leaf))
+
+
+GROUP_RING = GroupRingLeaves()
+
+
+def _gr_add(a, b):
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def _gr_neg(a):
+    return tuple(-p for p in a)
 
 
 def eq_unit(space, flag, cs) -> EqCFun:
     check_flag(space, flag)
-    G = _eq_leaf_group(space, flag, cs)
-    return EqCFun(space, flag, cs, eq_const(space, flag, cs, gr_unit(G)))
+    return EqCFun(space, flag, cs, const_data(space, flag, gr_unit(_leaf_group(cs, flag))))
 
 
 def eq_zero(space, flag, cs) -> EqCFun:
     check_flag(space, flag)
-    G = _eq_leaf_group(space, flag, cs)
-    z = (ZERO,) * G.order
-    return EqCFun(space, flag, cs, eq_const(space, flag, cs, z))
-
-
-def _eq_canon(space, flag, cs, data):
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple(data)
-    if isinstance(space, Sum):
-        return (_eq_canon(space.left, flag, cs.data[1], data[0]),
-                _eq_canon(space.right, flag, cs.data[2], data[1]))
-    if flag and flag[0] == cb_rank(space):
-        return data
-    _, exc, tail = data
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    cleaned = {}
-    for k, v in exc.items():
-        sub_cs = exc_cs.get(k, tail_cs)
-        default = eq_const(space.base, flag, sub_cs, tail) if sub_cs == tail_cs else None
-        vv = _eq_canon(space.base, flag, sub_cs, v)
-        if default is None or vv != default:
-            cleaned[k] = vv
-    return ("cone", cleaned, tail)
-
-
-def _eq_zip(space, flag, cs, x, y, op):
-    if x is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple(op(a, b) for a, b in zip(x, y, strict=True))
-    if isinstance(space, Sum):
-        return (_eq_zip(space.left, flag, cs.data[1], x[0], y[0], op),
-                _eq_zip(space.right, flag, cs.data[2], x[1], y[1], op))
-    if flag and flag[0] == cb_rank(space):
-        return op(x, y)
-    _, ex, tx = x
-    _, ey, ty = y
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    keys = set(ex) | set(ey)
-    out = {}
-    for k in keys:
-        sub_cs = exc_cs.get(k, tail_cs)
-        xv = ex.get(k, eq_const(space.base, flag, sub_cs, tx))
-        yv = ey.get(k, eq_const(space.base, flag, sub_cs, ty))
-        out[k] = _eq_zip(space.base, flag, sub_cs, xv, yv, op)
-    return _eq_canon(space, flag, cs, ("cone", out, op(tx, ty)))
+    return EqCFun(space, flag, cs, const_data(space, flag, GROUP_RING.zero(cs, flag)))
 
 
 def eq_add(f: EqCFun, g: EqCFun) -> EqCFun:
-    op = lambda a, b: tuple(p + q for p, q in zip(a, b))
-    return EqCFun(f.space, f.flag, f.cs, _eq_zip(f.space, f.flag, f.cs, f.data, g.data, op))
-
-
-def eq_sub(f: EqCFun, g: EqCFun) -> EqCFun:
-    op = lambda a, b: tuple(p - q for p, q in zip(a, b))
-    return EqCFun(f.space, f.flag, f.cs, _eq_zip(f.space, f.flag, f.cs, f.data, g.data, op))
+    return EqCFun(f.space, f.flag, f.cs,
+                  _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, _gr_add))
 
 
 def eq_mul(f: EqCFun, g: EqCFun) -> EqCFun:
     """Stalkwise convolution product."""
-    G = _eq_leaf_group(f.space, f.flag, f.cs)
+    G = _leaf_group(f.cs, f.flag)
     op = lambda a, b: gr_mul(G, a, b)
-    return EqCFun(f.space, f.flag, f.cs, _eq_zip(f.space, f.flag, f.cs, f.data, g.data, op))
+    return EqCFun(f.space, f.flag, f.cs,
+                  _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, op))
 
 
 def eq_is_zero(f: EqCFun) -> bool:
     return f.data == eq_zero(f.space, f.flag, f.cs).data
 
 
-def _eq_dmap_data(space, flag, cs, b, data):
-    new_flag = insert_height(flag, b)
-    if new_flag and new_flag[0] > cb_rank(space):
-        return None
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple(data)
-    if isinstance(space, Sum):
-        return (_eq_dmap_data(space.left, flag, cs.data[1], b, data[0]),
-                _eq_dmap_data(space.right, flag, cs.data[2], b, data[1]))
-    r = cb_rank(space)
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    if b == r:
-        _, _exc, tail = data
-        return tail
-    if flag and flag[0] == r:
-        # scalar germ leaf; a new minimum spreads through the germ component
-        if b < flag[-1]:
-            hom = hom_between(cs, b, flag[-1])
-            return tuple(germ_component(hom).apply(data))
-        return data
-    _, exc, tail = data
-    if b < (flag[-1] if flag else 0):
-        new_tail = tuple(germ_component(hom_between(cs, b, flag[-1])).apply(tail))
-    elif not flag:
-        # from sections: the level-b leaf of a locally constant family
-        new_tail = tail
-    else:
-        new_tail = tail
-    out = {k: _eq_dmap_data(space.base, flag, exc_cs.get(k, tail_cs), b, v)
-           for k, v in exc.items()}
-    return _eq_canon(space, new_flag, cs, ("cone", out, new_tail))
-
-
 def eq_dmap(b: int, f: EqCFun) -> EqCFun:
     new_flag = insert_height(f.flag, b)
     check_flag(f.space, new_flag)
     return EqCFun(f.space, new_flag, f.cs,
-                  _eq_dmap_data(f.space, f.flag, f.cs, b, f.data))
+                  _dmap_data(GROUP_RING, f.space, f.flag, f.cs, b, f.data))
 
 
-def eq_aug_component(cs: ComponentStructure, E: EquivCSheaf, sec: Section, a: int) -> EqCFun:
-    """The flag-(a,) component of the augmentation of a group-ring section."""
-    data = _eq_aug(cs, group_ring_sheaf(cs).sheaf if E is None else E.sheaf, sec.data, a)
-    return EqCFun(cs.space, (a,), cs, data)
-
-
-def _eq_aug(cs, sheaf, data, a):
+def _eq_aug(cs, data, a):
+    """The flag-(a,) component of the augmentation of group-ring section data
+    (not in normal form)."""
     space = cs.space
     if a > cb_rank(space):
         return None
     if isinstance(space, Finite):
         return tuple(data)
     if isinstance(space, Sum):
-        return (_eq_aug(cs.data[1], sheaf.data[0], data[0], a),
-                _eq_aug(cs.data[2], sheaf.data[1], data[1], a))
+        return (_eq_aug(cs.data[1], data[0], a), _eq_aug(cs.data[2], data[1], a))
     r = cb_rank(space)
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
+    exc_cs, tail_cs, _g, _u = cs.cone_parts()
     _, exc, apexv = data
     if a == r:
         return tuple(apexv)
-    from .sheaf import _copy_default
-    out = {}
-    for k, sub in exc:
-        sub_cs = exc_cs.get(k, tail_cs)
-        out[k] = _eq_aug(sub_cs, sheaf.copy_sheaf(k), sub, a)
-    hom = chain_within(cs, a) if a < r else None
-    tail_leaf = tuple(germ_component(hom_between(cs, a, r)).apply(apexv))
-    return _eq_canon(space, (a,), cs, ("cone", out, tail_leaf))
+    return ("cone", {k: _eq_aug(exc_cs.get(k, tail_cs), sub, a) for k, sub in exc},
+            GROUP_RING.spread(cs, a, r, apexv))
 
 
 @dataclass(frozen=True)
@@ -965,15 +903,16 @@ class EqAdelicComplex:
             return [()]
         return flags_of_size(self.rank, degree + 1)
 
-    def ring_sheaf_equiv(self) -> EquivCSheaf:
-        return group_ring_sheaf(self.cs)
-
     def zero_cochain(self, degree: int) -> dict:
         return {A: eq_zero(self.space, A, self.cs) for A in self.flags(degree)}
 
     def augmentation(self, sec: Section) -> dict:
-        return {(a,): eq_aug_component(self.cs, None, sec, a)
-                for a in range(self.rank + 1)}
+        out = {}
+        for a in range(self.rank + 1):
+            data = _eq_aug(self.cs, sec.data, a)
+            out[(a,)] = EqCFun(self.space, (a,), self.cs,
+                               _canon(GROUP_RING, self.space, (a,), self.cs, data))
+        return out
 
     def differential(self, cochain: dict, degree: int) -> dict:
         if degree == -1:
@@ -985,8 +924,8 @@ class EqAdelicComplex:
                 A = tuple(a for a in B if a != b)
                 term = eq_dmap(b, cochain[A])
                 if sign_pos(A, b) % 2 == 1:
-                    term = EqCFun(term.space, term.flag, term.cs,
-                                  _eq_scale(term.space, term.flag, term.cs, term.data, -1))
+                    term = EqCFun(term.space, term.flag, term.cs, _map_data(
+                        GROUP_RING, term.space, term.flag, term.cs, term.data, _gr_neg))
                 acc = eq_add(acc, term)
             out[B] = acc
         return out
@@ -1000,7 +939,7 @@ class EqAdelicComplex:
         if not self.is_cocycle(cochain, degree):
             raise ValueError("input is not a cocycle")
         data = {A: f.data for A, f in cochain.items()}
-        wdata = _eq_witness(self.space, self.cs, degree, data)
+        wdata = _witness(GROUP_RING, self.space, self.cs, degree, data)
         if degree == 0:
             E = group_ring_sheaf(self.cs)
             w = {(): Section(E.sheaf, wdata[()])}
@@ -1023,91 +962,6 @@ def _uniform_levels(cs) -> bool:
     return not exc and _uniform_levels(tail_cs)
 
 
-def _eq_scale(space, flag, cs, data, c):
-    c = rat(c)
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple(tuple(c * x for x in v) for v in data)
-    if isinstance(space, Sum):
-        return (_eq_scale(space.left, flag, cs.data[1], data[0], c),
-                _eq_scale(space.right, flag, cs.data[2], data[1], c))
-    if flag and flag[0] == cb_rank(space):
-        return tuple(c * x for x in data)
-    _, exc, tail = data
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    return ("cone", {k: _eq_scale(space.base, flag, exc_cs.get(k, tail_cs), v, c)
-                     for k, v in exc.items()},
-            tuple(c * x for x in tail))
-
-
-def _eq_cone_slice(base, flag, tail_cs, data, k):
-    _, exc, tail = data
-    if k in exc:
-        return exc[k]
-    return eq_const(base, flag, tail_cs, tail)
-
-
-def _eq_witness(space, cs, degree, data):
-    """Equivariant witness recursion; the same cone-peeling as the scalar
-    case with group-ring leaves."""
-    r = cb_rank(space)
-    if isinstance(space, Finite):
-        if degree != 0:
-            return {}
-        return {(): tuple(data[(0,)])}
-    if isinstance(space, Sum):
-        halves = []
-        for side, part, pcs in ((0, space.left, cs.data[1]), (1, space.right, cs.data[2])):
-            pdata = {A: data[A][side] for A in data
-                     if not (A and A[0] > cb_rank(part))}
-            halves.append(_eq_witness(part, pcs, degree, pdata) if (degree == 0 or pdata) else {})
-        out = {}
-        for A in (flags_of_size(r, degree) if degree >= 1 else [()]):
-            parts = []
-            for side, part, pcs in ((0, space.left, cs.data[1]), (1, space.right, cs.data[2])):
-                if A and A[0] > cb_rank(part):
-                    parts.append(None)
-                else:
-                    default = (zero_grp_section_data(part, pcs) if degree == 0
-                               else eq_zero(part, A, pcs).data)
-                    parts.append(halves[side].get(A, default))
-            out[A] = (parts[0], parts[1])
-        return out
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    copies_flags = [A for A in data if A and A[0] != r]
-    exc_keys = set()
-    for A in copies_flags:
-        exc_keys |= set(data[A][1])
-    if degree == 0:
-        v = data[(r,)]
-        out_exc = []
-        for k in sorted(exc_keys):
-            sub = {A: _eq_cone_slice(space.base, A, tail_cs, data[A], k) for A in copies_flags}
-            out_exc.append((k, _eq_witness(space.base, tail_cs, 0, sub)[()]))
-        return {(): ("sec", tuple(out_exc), tuple(v))}
-    witness_exc = {}
-    for k in sorted(exc_keys):
-        sub = {A: _eq_cone_slice(space.base, A, tail_cs, data[A], k) for A in copies_flags}
-        witness_exc[k] = _eq_witness(space.base, tail_cs, degree, sub)
-    out = {}
-    for A in flags_of_size(r, degree):
-        if A[0] == r:
-            G = level_group(cs, A[-1] if len(A) > 1 else r)
-            out[A] = (ZERO,) * G.order
-        else:
-            tail = data[(r,) + A]
-            exc = {k: witness_exc[k][A] for k in witness_exc}
-            out[A] = _eq_canon(space, A, cs, ("cone", exc, tail))
-    return out
-
-
-def zero_grp_section_data(space, cs):
-    sheaf = _gr_sheaf(cs)
-    from .sheaf import zero_section
-    return zero_section(sheaf).data
-
-
 def equivariant_adelic(space: SpaceExpr, cs: ComponentStructure) -> EqAdelicComplex:
     return EqAdelicComplex(space, cs)
 
@@ -1118,148 +972,23 @@ def equivariant_adelic(space: SpaceExpr, cs: ComponentStructure) -> EqAdelicComp
 
 def eq_to_plain(f: EqCFun) -> CFun:
     """Strip one-dimensional group-ring leaves (trivial structures only)."""
-    return CFun(f.space, f.flag, _strip(f.space, f.flag, f.cs, f.data))
-
-
-def _strip(space, flag, cs, data):
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple(v[0] for v in data)
-    if isinstance(space, Sum):
-        return (_strip(space.left, flag, cs.data[1], data[0]),
-                _strip(space.right, flag, cs.data[2], data[1]))
-    if flag and flag[0] == cb_rank(space):
-        return data[0]
-    _, exc, tail = data
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    return ("cone", {k: _strip(space.base, flag, exc_cs.get(k, tail_cs), v)
-                     for k, v in exc.items()}, tail[0])
+    return CFun(f.space, f.flag, _map_leaves(f.space, f.flag, f.data, lambda v: v[0]))
 
 
 def plain_to_eq(f: CFun, cs: ComponentStructure) -> EqCFun:
-    return EqCFun(f.space, f.flag, cs, _wrap(f.space, f.flag, cs, f.data))
-
-
-def _wrap(space, flag, cs, data):
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple((v,) for v in data)
-    if isinstance(space, Sum):
-        return (_wrap(space.left, flag, cs.data[1], data[0]),
-                _wrap(space.right, flag, cs.data[2], data[1]))
-    if flag and flag[0] == cb_rank(space):
-        return (data,)
-    _, exc, tail = data
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    return ("cone", {k: _wrap(space.base, flag, exc_cs.get(k, tail_cs), v)
-                     for k, v in exc.items()}, (tail,))
+    return EqCFun(f.space, f.flag, cs, _map_leaves(f.space, f.flag, f.data, lambda v: (v,)))
 
 
 # ---------------------------------------------------------------------------
 # random equivariant cochains (seeded)
 
 
-def _eq_slots(space, flag, cs, exc_bound) -> int:
-    if flag and flag[0] > cb_rank(space):
-        return 0
-    if isinstance(space, Finite):
-        return sum(g.order for g in cs.data[1])
-    if isinstance(space, Sum):
-        return (_eq_slots(space.left, flag, cs.data[1], exc_bound) +
-                _eq_slots(space.right, flag, cs.data[2], exc_bound))
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    if flag and flag[0] == cb_rank(space):
-        G = level_group(cs, flag[-1]) if len(flag) > 1 else apex_group
-        return G.order
-    G = level_group(cs, flag[-1] if flag else 0)
-    return G.order + exc_bound * _eq_slots(space.base, flag, tail_cs, exc_bound)
-
-
-def _eq_from_coords(space, flag, cs, exc_bound, values, pos):
-    if flag and flag[0] > cb_rank(space):
-        return None, pos
-    if isinstance(space, Finite):
-        out = []
-        for g in cs.data[1]:
-            out.append(tuple(values[pos:pos + g.order]))
-            pos += g.order
-        return tuple(out), pos
-    if isinstance(space, Sum):
-        l, pos = _eq_from_coords(space.left, flag, cs.data[1], exc_bound, values, pos)
-        r, pos = _eq_from_coords(space.right, flag, cs.data[2], exc_bound, values, pos)
-        return (l, r), pos
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    if flag and flag[0] == cb_rank(space):
-        G = level_group(cs, flag[-1]) if len(flag) > 1 else apex_group
-        out = tuple(values[pos:pos + G.order])
-        return out, pos + G.order
-    G = level_group(cs, flag[-1] if flag else 0)
-    tail = tuple(values[pos:pos + G.order])
-    pos += G.order
-    exc = {}
-    for k in range(exc_bound):
-        exc[k], pos = _eq_from_coords(space.base, flag, tail_cs, exc_bound, values, pos)
-    return _eq_canon(space, flag, cs, ("cone", exc, tail)), pos
-
-
-def _eq_to_coords(space, flag, cs, exc_bound, data, out):
-    if data is None:
-        return
-    if isinstance(space, Finite):
-        for v in data:
-            out.extend(v)
-        return
-    if isinstance(space, Sum):
-        _eq_to_coords(space.left, flag, cs.data[1], exc_bound, data[0], out)
-        _eq_to_coords(space.right, flag, cs.data[2], exc_bound, data[1], out)
-        return
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    if flag and flag[0] == cb_rank(space):
-        out.extend(data)
-        return
-    _, exc, tail = data
-    if any(k >= exc_bound for k in exc):
-        raise ValueError("exception support exceeds the bound")
-    out.extend(tail)
-    for k in range(exc_bound):
-        _eq_to_coords(space.base, flag, tail_cs, exc_bound,
-                      exc.get(k, eq_const(space.base, flag, tail_cs, tail)), out)
-
-
 def eq_random_cocycle(cx: EqAdelicComplex, degree: int, rng: random.Random,
                       exc_bound: int = 2) -> dict:
     """A random constructible equivariant cocycle via an exact kernel basis."""
-    n = sum(_eq_slots(cx.space, A, cx.cs, exc_bound) for A in cx.flags(degree))
-
-    def decode(values):
-        out = {}
-        pos = 0
-        for A in cx.flags(degree):
-            d, pos = _eq_from_coords(cx.space, A, cx.cs, exc_bound, values, pos)
-            out[A] = EqCFun(cx.space, A, cx.cs, d)
-        return out
-
-    if degree >= cx.rank:
-        return decode(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)))
-    m = sum(_eq_slots(cx.space, A, cx.cs, exc_bound) for A in cx.flags(degree + 1))
-    src = VectQ.make(n, "c")
-    tgt = VectQ.make(m, "d")
-    cols = []
-    for i in range(n):
-        vec = tuple(ONE if j == i else ZERO for j in range(n))
-        img = cx.differential(decode(vec), degree)
-        flat = []
-        for A in cx.flags(degree + 1):
-            _eq_to_coords(cx.space, A, cx.cs, exc_bound, img[A].data, flat)
-        cols.append(tuple(flat))
-    basis = kernel_basis(LinMap.from_cols(src, tgt, cols))
-    values = [ZERO] * n
-    for b in basis:
-        c = Fraction(rng.randint(-3, 3))
-        values = [v + c * x for v, x in zip(values, b)]
-    return decode(tuple(values))
+    return _sample_cocycle(cx, GROUP_RING, cx.cs, degree, rng, exc_bound,
+                           lambda r: Fraction(r.randint(-4, 4)),
+                           lambda r: Fraction(r.randint(-3, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,47 @@
+"""No helper that nothing calls.
+
+Every top-level function and non-dunder method of `src/stonesheaf/*.py`
+must be referenced: its name must occur as a whole word somewhere in the
+Python files of `src/` or `tests/` outside its own `def` line.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORD = re.compile(r"\w+")
+
+
+def definitions():
+    """(path, def line, qualified name) of every checked definition."""
+    for path in sorted((ROOT / "src" / "stonesheaf").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path, node.lineno, node.name
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not (
+                            sub.name.startswith("__") and sub.name.endswith("__")):
+                        yield path, sub.lineno, f"{node.name}.{sub.name}"
+
+
+def unreferenced() -> list[str]:
+    words = Counter()
+    lines = {}
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            lines[path] = path.read_text().splitlines()
+            for line in lines[path]:
+                words.update(WORD.findall(line))
+    dead = []
+    for path, lineno, name in definitions():
+        short = name.rpartition(".")[2]
+        if words[short] == WORD.findall(lines[path][lineno - 1]).count(short):
+            dead.append(name)
+    return dead
+
+
+def test_every_function_and_method_is_referenced():
+    assert unreferenced() == []
