@@ -3,7 +3,9 @@
 Every command prints one JSON document (sorted keys, schema-tagged) so
 reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
-zero exactly when all requested checks pass.
+zero exactly when all requested checks pass, one when a check fails, and
+two when the input is malformed (a space or point that does not parse, or a
+count that is out of range).
 """
 
 from __future__ import annotations
@@ -33,6 +35,20 @@ def _seed(args) -> int:
     return int(os.environ.get("STONESHEAF_SEED", "1"))
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return n
+
+
+def _non_negative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return n
+
+
 def _emit(doc, status=0):
     doc = dict(doc)
     doc["schema"] = SCHEMA
@@ -41,21 +57,13 @@ def _emit(doc, status=0):
 
 
 def cmd_space(args):
-    try:
-        s = parse_space(args.expr)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s = parse_space(args.expr)
     from .space import top_stratum, height, parse_point
     doc = {"expr": str(s), "rank": cb_rank(s),
            "top_stratum": [str(p) for p in top_stratum(s)],
            "sample_points": [str(p) for p in list(iter_points(s, 2))[:12]]}
     if args.point is not None:
-        try:
-            p = parse_point(s, args.point)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        p = parse_point(s, args.point)
         doc["point"] = {"address": str(p), "height": height(s, p)}
     return _emit(doc)
 
@@ -222,8 +230,8 @@ def main(argv=None):
     p = sub.add_parser("adelic", help="the adelic complex and its exactness")
     p.add_argument("--space", required=True)
     p.add_argument("--check-exactness", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--exc-bound", type=int, default=2)
+    p.add_argument("--samples", type=_positive, default=100)
+    p.add_argument("--exc-bound", type=_non_negative, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_adelic)
 
@@ -236,21 +244,21 @@ def main(argv=None):
 
     p = sub.add_parser("model", help="standard-model round trips")
     p.add_argument("--space", required=True)
-    p.add_argument("--roundtrips", type=int, default=25)
+    p.add_argument("--roundtrips", type=_positive, default=25)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_model)
 
     p = sub.add_parser("equiv", help="equivariant checks on the dihedral block")
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--nmax", type=_positive, default=6)
+    p.add_argument("--samples", type=_positive, default=50)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trivial-check", action="store_true")
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("catalog", help="example blocks and lattice tables")
     p.add_argument("what", choices=["o2", "sublattices", "t2"])
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--nmax", type=_positive, default=8)
+    p.add_argument("--n", type=_positive, default=6)
     p.add_argument("--ncircles", type=int, default=5)
     p.add_argument("--nonsplit", action="store_true")
     p.set_defaults(fn=cmd_catalog)
@@ -261,7 +269,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_verify_all)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ point and no tolerance anywhere in the package.  Vector spaces carry ordered
 opaque basis labels so that stalks can be named after points or group
 elements; two spaces are equal exactly when their dimensions and label lists
 agree.  Matrices are stored dense as tuples of tuples (rows = target
-coordinates), which is plenty for the small spaces that arise here.
+coordinates), which is plenty for the small spaces that arise here.  The
+representation matrices of the equivariant layer are mostly zeros, so
+`LinMap.apply` and `LinMap.then` multiply only nonzero entries; the sums
+are exact, so skipping zeros changes no result.
 """
 
 from __future__ import annotations
@@ -126,7 +129,16 @@ class LinMap:
     def apply(self, v: Sequence[Rat]) -> tuple[Rat, ...]:
         if len(v) != self.source.dim:
             raise DimensionError("vector does not lie in the source space")
-        return tuple(sum((row[j] * v[j] for j in range(self.source.dim)), ZERO) for row in self.matrix)
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for row in self.matrix:
+            acc = ZERO
+            for j, x in nonzero:
+                a = row[j]
+                if a:
+                    acc += a * x
+            out.append(acc)
+        return tuple(out)
 
     def col(self, j: int) -> tuple[Rat, ...]:
         return tuple(row[j] for row in self.matrix)
@@ -135,10 +147,29 @@ class LinMap:
         return [self.col(j) for j in range(self.source.dim)]
 
     def then(self, other: "LinMap") -> "LinMap":
-        """self followed by other (other ∘ self)."""
+        """self followed by other (other ∘ self).
+
+        >>> Q2 = VectQ.make(2)
+        >>> shear = LinMap.from_rows(Q2, Q2, [[1, 1], [0, 1]])
+        >>> swap = LinMap.from_rows(Q2, Q2, [[0, 1], [1, 0]])
+        >>> [[int(x) for x in row] for row in shear.then(swap).matrix]
+        [[0, 1], [1, 1]]
+        >>> v = (Fraction(2), Fraction(5))
+        >>> shear.then(swap).apply(v) == swap.apply(shear.apply(v))
+        True
+        """
         if other.source != self.target:
             raise DimensionError("composition mismatch")
-        return LinMap.from_cols(self.source, other.target, [other.apply(c) for c in self.cols()])
+        right = [[(j, x) for j, x in enumerate(row) if x] for row in self.matrix]
+        rows = []
+        for left_row in other.matrix:
+            acc = [ZERO] * self.source.dim
+            for k, a in enumerate(left_row):
+                if a:
+                    for j, x in right[k]:
+                        acc[j] += a * x
+            rows.append(tuple(acc))
+        return LinMap(self.source, other.target, tuple(rows))
 
     def add(self, other: "LinMap") -> "LinMap":
         if (self.source, self.target) != (other.source, other.target):

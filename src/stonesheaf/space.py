@@ -9,10 +9,11 @@ A space expression is built from three constructors:
 `Cone(Finite(1))` is the one-point compactification of a countable discrete
 set.  Every expression denotes a compact, Hausdorff, totally disconnected
 space whose Cantor-Bendixson process terminates after finitely many steps;
-the rank is computed structurally.  Points are identified by address paths,
-and clopen sets are kept in a canonical normal form (finitely many
-exceptional copies plus an all-or-nothing tail governed by apex membership)
-so that set equality is syntactic equality.
+each node stores its rank, computed structurally when the node is built.
+Points are identified by address paths, and clopen sets are kept in a
+canonical normal form (finitely many exceptional copies plus an
+all-or-nothing tail governed by apex membership) so that set equality is
+syntactic equality.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class Finite:
     n: int
+    rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("Finite requires a positive number of points")
+        object.__setattr__(self, "rank", 0)
 
     def __str__(self):
         return f"Finite({self.n})"
@@ -54,6 +57,10 @@ class Finite:
 class Sum:
     left: "SpaceExpr"
     right: "SpaceExpr"
+    rank: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rank", max(self.left.rank, self.right.rank))
 
     def __str__(self):
         return f"Sum({self.left},{self.right})"
@@ -62,6 +69,10 @@ class Sum:
 @dataclass(frozen=True)
 class Cone:
     base: "SpaceExpr"
+    rank: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rank", self.base.rank + 1)
 
     def __str__(self):
         return f"Cone({self.base})"
@@ -73,6 +84,8 @@ SpaceExpr = Finite | Sum | Cone
 def cb_rank(s: SpaceExpr) -> int:
     """Cantor-Bendixson rank: steps of deleting isolated points to empty.
 
+    Each node stores its rank when it is built, from its children's ranks.
+
     >>> cb_rank(Finite(5))
     0
     >>> cb_rank(Cone(Finite(1)))
@@ -80,11 +93,7 @@ def cb_rank(s: SpaceExpr) -> int:
     >>> cb_rank(Cone(Cone(Finite(1))))
     2
     """
-    if isinstance(s, Finite):
-        return 0
-    if isinstance(s, Sum):
-        return max(cb_rank(s.left), cb_rank(s.right))
-    return cb_rank(s.base) + 1
+    return s.rank
 
 
 def parse_space(text: str) -> SpaceExpr:
@@ -126,6 +135,8 @@ def parse_space(text: str) -> SpaceExpr:
                     if start == pos:
                         raise ParseError("expected an integer", pos)
                     n = int(text[start:pos])
+                    if n < 1:
+                        raise ParseError("expected a positive integer", start)
                     expect(")")
                     return Finite(n)
                 if name == "Cone":

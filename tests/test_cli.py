@@ -41,6 +41,49 @@ def test_adelic_command_witnesses(capsys):
     assert doc["status"] == "pass" and doc["witnessed_cocycles"] == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["adelic", "--space", "Cone(", "--check-exactness"],
+    ["adelic", "--space", "Finite(0)"],
+    ["sheaf", "--space", "Finite(0)"],
+    ["sheaf", "--space", "Cone(Finite(1)"],
+    ["model", "--space", "Sum(Finite(1))"],
+    ["space", "--expr", "Cone(Finite(1))", "--point", "(x,Apex)"],
+])
+def test_malformed_space_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "position" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["adelic", "--space", "Cone(Finite(1))", "--check-exactness", "--samples", "-1"],
+    ["adelic", "--space", "Cone(Finite(1))", "--check-exactness", "--samples", "0"],
+    ["adelic", "--space", "Cone(Finite(1))", "--check-exactness", "--exc-bound", "-1"],
+    ["model", "--space", "Cone(Finite(1))", "--roundtrips", "-1"],
+    ["model", "--space", "Cone(Finite(1))", "--roundtrips", "0"],
+    ["equiv", "--samples", "0"],
+    ["equiv", "--nmax", "0"],
+    ["catalog", "sublattices", "--n", "0"],
+    ["catalog", "o2", "--nmax", "-3"],
+])
+def test_out_of_range_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "integer" in captured.err
+
+
+def test_adelic_exc_bound_zero_still_witnesses(capsys):
+    code, out = run_cli(capsys, ["adelic", "--space", "Cone(Cone(Finite(1)))",
+                                 "--check-exactness", "--samples", "2",
+                                 "--exc-bound", "0", "--seed", "4"])
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["witnessed_cocycles"] == 6
+
+
 def test_adelic_reproducible_from_seed(capsys):
     _c, out1 = run_cli(capsys, ["adelic", "--space", "Cone(Finite(1))",
                                 "--check-exactness", "--samples", "4", "--seed", "3"])
@@ -119,6 +162,19 @@ def test_structure_round_trip():
     _s, _l, cs = o2_dihedral_block(4)
     doc = ser.structure_to_json(cs)
     assert ser.structure_from_json(json.loads(ser.dumps(doc))) == cs
+
+
+def test_clopen_round_trip():
+    from stonesheaf.space import complement, empty_set, full_set, iter_points, join, nbhd_basis
+    for expr in ["Finite(3)", "Cone(Finite(2))", "Cone(Sum(Finite(2),Cone(Finite(1))))",
+                 "Sum(Cone(Cone(Finite(1))),Finite(1))"]:
+        s = parse_space(expr)
+        sets = [empty_set(s), full_set(s)]
+        for p in iter_points(s, 2):
+            u = nbhd_basis(s, p, 1)
+            sets += [u, complement(s, u), join(s, u, complement(s, sets[-1]))]
+        for u in sets:
+            assert ser.clopen_from_json(json.loads(ser.dumps(ser.clopen_to_json(u)))) == u
 
 
 def test_lattice_and_label_round_trip():

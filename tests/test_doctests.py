@@ -1,11 +1,12 @@
 import doctest
+import importlib
+import pkgutil
 
-import stonesheaf.adelic
-import stonesheaf.catalog
-import stonesheaf.space
+import stonesheaf
 
 
 def test_doctests():
-    for mod in (stonesheaf.space, stonesheaf.adelic, stonesheaf.catalog):
+    for info in pkgutil.iter_modules(stonesheaf.__path__):
+        mod = importlib.import_module(f"stonesheaf.{info.name}")
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__

@@ -1,0 +1,101 @@
+"""`LinMap.apply` and `LinMap.then` against sympy's exact matrix products.
+
+sympy is a test-only oracle: the package itself has no dependencies.  The
+matrices are random rationals with about 70% zeros, like the representation
+matrices of the equivariant layer, plus the empty and all-zero shapes.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from stonesheaf.linalg import DimensionError, LinMap, VectQ  # noqa: E402
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    if rng.random() < 0.7:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+
+
+def random_map(rng, source: VectQ, target: VectQ) -> LinMap:
+    return LinMap.from_rows(source, target,
+                            [[random_rational(rng) for _ in range(source.dim)]
+                             for _ in range(target.dim)])
+
+
+def to_sympy(m: LinMap):
+    return sympy.Matrix(m.target.dim, m.source.dim,
+                        lambda i, j: sympy.Rational(m.matrix[i][j].numerator,
+                                                    m.matrix[i][j].denominator))
+
+
+def from_sympy(mat) -> tuple:
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in mat.row(i))
+                 for i in range(mat.rows))
+
+
+def assert_exact(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_then_matches_sympy(seed):
+    rng = random.Random(seed)
+    shapes = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(6)]
+    for a, b, c in shapes + [(0, 4, 3), (3, 0, 4), (4, 3, 0)]:
+        A, B, C = VectQ.make(a, "a"), VectQ.make(b, "b"), VectQ.make(c, "c")
+        f, g = random_map(rng, A, B), random_map(rng, B, C)
+        gf = f.then(g)
+        assert (gf.source, gf.target) == (A, C)
+        assert gf.matrix == from_sympy(to_sympy(g) * to_sympy(f))
+        for row in gf.matrix:
+            assert_exact(row)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_matches_sympy(seed):
+    rng = random.Random(100 + seed)
+    for n, m in SHAPES:
+        S, T = VectQ.make(n, "s"), VectQ.make(m, "t")
+        f = random_map(rng, S, T)
+        v = tuple(random_rational(rng) for _ in range(n))
+        col = sympy.Matrix(n, 1, lambda i, _j: sympy.Rational(v[i].numerator,
+                                                              v[i].denominator))
+        out = f.apply(v)
+        assert out == tuple(row[0] for row in from_sympy(to_sympy(f) * col))
+        assert_exact(out)
+
+
+def test_all_zero_products():
+    S, T, U = VectQ.make(3), VectQ.make(4, "t"), VectQ.make(2, "u")
+    z = LinMap.zero(S, T)
+    assert z.apply((Fraction(1), Fraction(-2), Fraction(3))) == (Fraction(0),) * 4
+    assert z.then(LinMap.zero(T, U)).is_zero()
+    assert LinMap.identity(S).then(z) == z
+    rng = random.Random(7)
+    assert z.then(random_map(rng, T, U)) == LinMap.zero(S, U)
+    assert random_map(rng, U, S).then(z) == LinMap.zero(U, T)
+    assert_exact(LinMap.zero(S, T).apply((Fraction(0),) * 3))
+
+
+def test_integer_entries_come_out_as_fractions():
+    Q2 = VectQ.make(2)
+    m = LinMap(Q2, Q2, ((1, 0), (2, 3)))
+    assert_exact(m.apply((1, 1)))
+    for row in m.then(m).matrix:
+        assert_exact(row)
+
+
+def test_mismatched_shapes_raise():
+    Q2, Q3 = VectQ.make(2), VectQ.make(3)
+    with pytest.raises(DimensionError):
+        LinMap.identity(Q2).then(LinMap.identity(Q3))
+    with pytest.raises(DimensionError):
+        LinMap.identity(Q2).apply((Fraction(1),) * 3)

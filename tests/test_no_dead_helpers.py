@@ -2,7 +2,8 @@
 
 Every top-level function and non-dunder method of `src/stonesheaf/*.py`
 must be referenced: its name must occur as a whole word somewhere in the
-Python files of `src/` or `tests/` outside its own `def` line.
+Python files of `src/` or `tests/` outside its own definition, so a helper
+whose only caller is its own recursion counts as unreferenced.
 """
 
 import ast
@@ -15,16 +16,16 @@ WORD = re.compile(r"\w+")
 
 
 def definitions():
-    """(path, def line, qualified name) of every checked definition."""
+    """(path, first line, last line, qualified name) of every checked definition."""
     for path in sorted((ROOT / "src" / "stonesheaf").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
-                yield path, node.lineno, node.name
+                yield path, node.lineno, node.end_lineno, node.name
             elif isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not (
                             sub.name.startswith("__") and sub.name.endswith("__")):
-                        yield path, sub.lineno, f"{node.name}.{sub.name}"
+                        yield path, sub.lineno, sub.end_lineno, f"{node.name}.{sub.name}"
 
 
 def unreferenced() -> list[str]:
@@ -36,9 +37,10 @@ def unreferenced() -> list[str]:
             for line in lines[path]:
                 words.update(WORD.findall(line))
     dead = []
-    for path, lineno, name in definitions():
+    for path, first, last, name in definitions():
         short = name.rpartition(".")[2]
-        if words[short] == WORD.findall(lines[path][lineno - 1]).count(short):
+        own = sum(WORD.findall(line).count(short) for line in lines[path][first - 1:last])
+        if words[short] == own:
             dead.append(name)
     return dead
 
