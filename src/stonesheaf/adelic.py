@@ -20,7 +20,9 @@ The augmented complex places the ring of locally constant functions in
 degree -1 and the product of flag-size-(i+1) rings in degree i; its
 exactness is witnessed constructively by `exactness_witness`, which peels
 one cone level at a time.  The equivariant rings of `weyl` run the same
-recursions with group-ring leaves in place of rationals.
+recursions with group-ring leaves in place of rationals, and
+`weyl.EqAdelicComplex` is this complex with those leaves: `AdelicComplex`
+reads its leaf algebra and component structure from class attributes.
 """
 
 from __future__ import annotations
@@ -99,6 +101,9 @@ def flags_of_size(rank: int, size: int) -> list[Flag]:
 class RationalLeaves:
     """Rational leaves: no structure to follow and no germ spreading."""
 
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+
     def sum_parts(self, cs):
         """The structures of the two summands."""
         return None, None
@@ -126,6 +131,11 @@ class RationalLeaves:
 
     def element(self, space, flag, cs, data):
         return CFun(space, flag, data)
+
+    def augment(self, space, cs, data, a):
+        """The flag-(a,) component of the augmentation of degree -1 data
+        (not in normal form)."""
+        return _dmap_leaves(self, space, (), cs, a, data)
 
     def section(self, space, cs, exc, leaf):
         """Degree-0 witness data of a cone: a locally constant function."""
@@ -269,9 +279,6 @@ class CFun:
         return CFun(self.space, self.flag,
                     _map_data(RATIONAL, self.space, self.flag, None, self.data, lambda a: c * a))
 
-    def neg(self) -> "CFun":
-        return self.scale(-1)
-
     def is_zero(self) -> bool:
         return self == CFun.zero(self.space, self.flag)
 
@@ -353,16 +360,38 @@ def _dmap_leaves(L, space, flag, cs, b, data):
 # the augmented complex
 
 
+def _differential(L, space, cs, degree, data):
+    """d on raw cochain data (flag -> data) from the given degree; degree -1
+    is the augmentation.  Each target flag is canonicalized once."""
+    out = {}
+    for B in flags_of_size(cb_rank(space), degree + 2):
+        if degree == -1:
+            out[B] = _canon(L, space, B, cs, L.augment(space, cs, data[()], B[0]))
+            continue
+        acc = None
+        for b in B:
+            A = tuple(a for a in B if a != b)
+            term = _dmap_leaves(L, space, A, cs, b, data[A])
+            op = L.sub if sign_pos(A, b) % 2 == 1 else L.add
+            acc = term if acc is None else _zip_leaves(space, B, acc, term, op)
+        out[B] = _canon(L, space, B, cs, acc)
+    return out
+
+
 @dataclass(frozen=True)
 class AdelicComplex:
     """The augmented adelic cochain complex of a presented space.
 
     Degree -1 holds the locally constant functions; degree i holds one
     constructible splicing ring per flag with i+1 heights.  Cochains are
-    dictionaries mapping flags to ring elements ('()' in degree -1).
+    dictionaries mapping flags to ring elements ('()' in degree -1).  The
+    class attributes `leaves` and `cs` name the leaf algebra and the
+    component structure it follows; `weyl.EqAdelicComplex` replaces them.
     """
 
     space: SpaceExpr
+    cs = None
+    leaves = RATIONAL
 
     @property
     def rank(self) -> int:
@@ -377,42 +406,38 @@ class AdelicComplex:
         return flags_of_size(self.rank, degree + 1)
 
     def zero_cochain(self, degree: int) -> dict:
-        return {A: CFun.zero(self.space, A) for A in self.flags(degree)}
+        """The zero cochain (of a degree >= 0 when the leaves are group rings)."""
+        L, space, cs = self.leaves, self.space, self.cs
+        return {A: L.element(space, A, cs, const_data(space, A, L.zero(cs, A)))
+                for A in self.flags(degree)}
 
     def differential(self, cochain: dict, degree: int) -> dict:
         """Apply d from the given degree; degree -1 is the augmentation."""
-        out = {}
-        for B in self.flags(degree + 1):
-            acc = CFun.zero(self.space, B)
-            for b in B:
-                A = tuple(a for a in B if a != b)
-                if A not in cochain and degree == -1:
-                    A = ()
-                term = dmap(b, cochain[A])
-                if sign_pos(A, b) % 2 == 1:
-                    term = term.neg()
-                acc = acc.add(term)
-            out[B] = acc
-        return out
+        L = self.leaves
+        image = _differential(L, self.space, self.cs, degree, _raw(cochain))
+        return {B: L.element(self.space, B, self.cs, d) for B, d in image.items()}
 
     def is_cocycle(self, cochain: dict, degree: int) -> bool:
-        if degree >= self.rank:
-            return True
-        return all(v.is_zero() for v in self.differential(cochain, degree).values())
+        L, space, cs = self.leaves, self.space, self.cs
+        return all(d == const_data(space, B, L.zero(cs, B))
+                   for B, d in _differential(L, space, cs, degree, _raw(cochain)).items())
 
     def exactness_witness(self, cochain: dict, degree: int) -> dict:
-        """A preimage of a cocycle under d (a locally constant function when
-        degree is 0).  Raises ValueError when the input is not a cocycle."""
+        """A preimage of a cocycle under d (degree -1 data when degree is 0).
+        Raises ValueError when the input is not a cocycle."""
         if not self.is_cocycle(cochain, degree):
             raise ValueError("input cochain is not a cocycle")
-        data = {A: f.data for A, f in cochain.items()}
-        wdata = _witness(RATIONAL, self.space, None, degree, data)
-        wflags = self.flags(degree - 1)
-        witness = {A: CFun(self.space, A, wdata[A]) for A in wflags}
-        check = self.differential(witness, degree - 1)
-        if any(check[A] != cochain[A] for A in self.flags(degree)):
+        L, space, cs = self.leaves, self.space, self.cs
+        data = _raw(cochain)
+        wdata = _witness(L, space, cs, degree, data)
+        check = _differential(L, space, cs, degree - 1, wdata)
+        if any(check[A] != data[A] for A in self.flags(degree)):
             raise AssertionError("witness construction failed to hit the cocycle")
-        return witness
+        return {A: L.element(space, A, cs, w) for A, w in wdata.items()}
+
+
+def _raw(cochain: dict) -> dict:
+    return {A: f.data for A, f in cochain.items()}
 
 
 def _witness(L, space, cs, degree, data):
@@ -576,7 +601,7 @@ def _coords_from_data(L, space, flag, exc_bound, data, out):
                           exc[k] if k in exc else const_data(space.base, flag, tail), out)
 
 
-def _sample_cocycle(cx, L, cs, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
+def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     """A random cocycle of cx with at most exc_bound exceptions per cone.
 
     The differential on the bounded-exception cochains is probed on their
@@ -585,34 +610,36 @@ def _sample_cocycle(cx, L, cs, degree, rng, exc_bound, free_draw, kernel_draw) -
     degree every cochain is a cocycle, with one free_draw(rng) per
     coordinate.
     """
-    space, flags = cx.space, cx.flags(degree)
+    L, cs, space, flags = cx.leaves, cx.cs, cx.space, cx.flags(degree)
 
     def decode(values):
         out, pos = {}, 0
         for A in flags:
-            data, pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
-            out[A] = L.element(space, A, cs, _canon(L, space, A, cs, data))
+            out[A], pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
         return out
 
     n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
-    if degree >= cx.rank:
-        return decode(tuple(free_draw(rng) for _ in range(n)))
-    targets = cx.flags(degree + 1)
-    cols = []
-    for i in range(n):
-        image = cx.differential(decode(tuple(ONE if j == i else ZERO for j in range(n))), degree)
-        flat = []
-        for B in targets:
-            # dmap never enlarges exception support
-            _coords_from_data(L, space, B, exc_bound, image[B].data, flat)
-        cols.append(tuple(flat))
-    m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
-    basis = kernel_basis(LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
-    values = [ZERO] * n
-    for b in basis:
-        c = kernel_draw(rng)
-        values = [v + c * x for v, x in zip(values, b)]
-    return decode(tuple(values))
+    if degree < cx.rank:
+        targets = cx.flags(degree + 1)
+        cols = []
+        for i in range(n):
+            image = _differential(L, space, cs, degree,
+                                  decode(tuple(ONE if j == i else ZERO for j in range(n))))
+            flat = []
+            for B in targets:
+                # dmap never enlarges exception support
+                _coords_from_data(L, space, B, exc_bound, image[B], flat)
+            cols.append(tuple(flat))
+        m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
+        basis = kernel_basis(LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
+        values = [ZERO] * n
+        for b in basis:
+            c = kernel_draw(rng)
+            values = [v + c * x for v, x in zip(values, b)]
+    else:
+        values = [free_draw(rng) for _ in range(n)]
+    return {A: L.element(space, A, cs, _canon(L, space, A, cs, data))
+            for A, data in decode(tuple(values)).items()}
 
 
 def random_cocycle(cx: AdelicComplex, degree: int, rng: random.Random, exc_bound: int = 2) -> dict:
@@ -622,7 +649,7 @@ def random_cocycle(cx: AdelicComplex, degree: int, rng: random.Random, exc_bound
     subspace is computed exactly; a random rational combination of its basis
     is returned.  This samples cocycles independently of the witness search.
     """
-    return _sample_cocycle(cx, RATIONAL, None, degree, rng, exc_bound, random_rat, random_rat)
+    return _sample_cocycle(cx, degree, rng, exc_bound, random_rat, random_rat)
 
 
 def build_complex(space: SpaceExpr) -> AdelicComplex:

@@ -68,6 +68,22 @@ def cmd_space(args):
     return _emit(doc)
 
 
+def _witness_samples(cx, sample, samples: int) -> tuple[int, bool]:
+    """Witness `samples` cocycles sample(degree) in each degree of cx: the
+    number witnessed, and whether every sample was a cocycle."""
+    witnessed, ok = 0, True
+    for deg in range(0, cx.rank + 1):
+        for _ in range(samples):
+            z = sample(deg)
+            try:
+                cx.exactness_witness(z, deg)
+            except ValueError:
+                ok = False
+                continue
+            witnessed += 1
+    return witnessed, ok
+
+
 def cmd_adelic(args):
     s = parse_space(args.space)
     cx = build_complex(s)
@@ -77,16 +93,8 @@ def cmd_adelic(args):
                                for d in cx.degrees()}}
     ok = True
     if args.check_exactness:
-        witnessed = 0
-        for deg in range(0, cx.rank + 1):
-            for _ in range(args.samples):
-                z = random_cocycle(cx, deg, rng, exc_bound=args.exc_bound)
-                if not cx.is_cocycle(z, deg):
-                    ok = False
-                    continue
-                cx.exactness_witness(z, deg)
-                witnessed += 1
-        doc["witnessed_cocycles"] = witnessed
+        doc["witnessed_cocycles"], ok = _witness_samples(
+            cx, lambda deg: random_cocycle(cx, deg, rng, exc_bound=args.exc_bound), args.samples)
         doc["status"] = "pass" if ok else "fail"
     return _emit(doc, 0 if ok else 1)
 
@@ -151,16 +159,8 @@ def cmd_equiv(args):
     space, labels, cs = o2_dihedral_block(args.nmax)
     rng = random.Random(_seed(args))
     cx = equivariant_adelic(space, cs)
-    witnessed = 0
-    ok = True
-    for deg in range(0, cx.rank + 1):
-        for _ in range(args.samples):
-            z = eq_random_cocycle(cx, deg, rng)
-            if not cx.is_cocycle(z, deg):
-                ok = False
-                continue
-            cx.exactness_witness(z, deg)
-            witnessed += 1
+    witnessed, ok = _witness_samples(cx, lambda deg: eq_random_cocycle(cx, deg, rng),
+                                     args.samples)
     doc = {"block": "dihedral O(2)", "seed": _seed(args),
            "witnessed_cocycles": witnessed, "status": "pass" if ok else "fail"}
     if args.trivial_check:
@@ -239,7 +239,7 @@ def main(argv=None):
     p.add_argument("--space", required=True)
     p.add_argument("--resolution", action="store_true",
                    help="include the symbolic (non-constructible) injective resolution")
-    p.add_argument("--const-dim", type=int, default=1)
+    p.add_argument("--const-dim", type=_non_negative, default=1)
     p.set_defaults(fn=cmd_sheaf)
 
     p = sub.add_parser("model", help="standard-model round trips")
@@ -259,7 +259,7 @@ def main(argv=None):
     p.add_argument("what", choices=["o2", "sublattices", "t2"])
     p.add_argument("--nmax", type=_positive, default=8)
     p.add_argument("--n", type=_positive, default=6)
-    p.add_argument("--ncircles", type=int, default=5)
+    p.add_argument("--ncircles", type=_positive, default=5)
     p.add_argument("--nonsplit", action="store_true")
     p.set_defaults(fn=cmd_catalog)
 

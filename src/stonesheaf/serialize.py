@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from .linalg import LinMap, VectQ
 from .space import (
-    ClopenSet, ConeSet, FinSet, Finite, Point, SpaceExpr, Sum, SumSet,
+    ClopenSet, ConeSet, FinSet, Finite, Point, SpaceExpr, Sum, SumSet, cb_rank,
     parse_space)
 from .adelic import CFun
-from .sheaf import CSheaf, make_cone_sheaf, make_fin_sheaf, make_sum_sheaf
+from .sheaf import CSheaf, SheafMap, make_cone_sheaf, make_fin_sheaf, make_sum_sheaf
 from .weyl import (
     ComponentStructure, FinGroup, GrpHom, cone_structure, fin_structure,
     sum_structure)
@@ -124,49 +124,51 @@ def clopen_from_json(d, path="$") -> ClopenSet:
 
 def cfun_to_json(f: CFun):
     return {"schema": SCHEMA, "space": space_to_json(f.space),
-            "flag": list(f.flag), "data": _cdata_to_json(f.space, f.flag, f.data)}
-
-
-def _cdata_to_json(space, flag, data):
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return vec_to_json(data)
-    if isinstance(space, Sum):
-        return [_cdata_to_json(space.left, flag, data[0]),
-                _cdata_to_json(space.right, flag, data[1])]
-    from .space import cb_rank
-    if flag and flag[0] == cb_rank(space):
-        return rat_to_json(data)
-    _, exc, tail = data
-    return {"tail": rat_to_json(tail),
-            "exc": [[k, _cdata_to_json(space.base, flag, v)]
-                    for k, v in sorted(exc.items())]}
+            "flag": list(f.flag), "data": _data_to_json(f.space, f.flag, f.data, rat_to_json)}
 
 
 def cfun_from_json(d, path="$") -> CFun:
     try:
         space = space_from_json(d["space"], path + ".space")
         flag = tuple(d["flag"])
-        return CFun(space, flag, _cdata_from_json(space, flag, d["data"], path + ".data"))
+        return CFun(space, flag, _data_from_json(space, flag, d["data"], path + ".data",
+                                                 rat_from_json))
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed ring element: {exc}", path)
 
 
-def _cdata_from_json(space, flag, data, path):
+def _data_to_json(space, flag, data, leaf):
+    """Ring-element data with each leaf written by `leaf` (`rat_to_json` for
+    rational leaves, `vec_to_json` for group-ring ones)."""
     if data is None:
         return None
     if isinstance(space, Finite):
-        return vec_from_json(data, path)
+        return [leaf(x) for x in data]
     if isinstance(space, Sum):
-        return (_cdata_from_json(space.left, flag, data[0], path + "[0]"),
-                _cdata_from_json(space.right, flag, data[1], path + "[1]"))
-    from .space import cb_rank
+        return [_data_to_json(space.left, flag, data[0], leaf),
+                _data_to_json(space.right, flag, data[1], leaf)]
     if flag and flag[0] == cb_rank(space):
-        return rat_from_json(data, path)
-    exc = {int(k): _cdata_from_json(space.base, flag, v, f"{path}.exc[{k}]")
+        return leaf(data)
+    _, exc, tail = data
+    return {"tail": leaf(tail),
+            "exc": [[k, _data_to_json(space.base, flag, v, leaf)] for k, v in sorted(exc.items())]}
+
+
+def _data_from_json(space, flag, data, path, leaf):
+    """The inverse of `_data_to_json`, given the matching `*_from_json` leaf
+    reader."""
+    if data is None:
+        return None
+    if isinstance(space, Finite):
+        return tuple(leaf(x, f"{path}[{i}]") for i, x in enumerate(data))
+    if isinstance(space, Sum):
+        return (_data_from_json(space.left, flag, data[0], path + "[0]", leaf),
+                _data_from_json(space.right, flag, data[1], path + "[1]", leaf))
+    if flag and flag[0] == cb_rank(space):
+        return leaf(data, path)
+    exc = {int(k): _data_from_json(space.base, flag, v, f"{path}.exc[{k}]", leaf)
            for k, v in data["exc"]}
-    return ("cone", exc, rat_from_json(data["tail"], path + ".tail"))
+    return ("cone", exc, leaf(data["tail"], path + ".tail"))
 
 
 def vectq_to_json(v: VectQ):
@@ -445,7 +447,6 @@ def _reps_from_json(d, path):
 
 
 def section_to_json(s) -> dict:
-    from .sheaf import Section
     return {"schema": SCHEMA, "sheaf": csheaf_to_json(s.sheaf),
             "data": _section_data_to_json(s.sheaf, s.data)}
 
@@ -484,25 +485,7 @@ def _section_data_from_json(F, d, path):
 def eqcfun_to_json(f) -> dict:
     return {"schema": SCHEMA, "space": space_to_json(f.space),
             "flag": list(f.flag), "structure": structure_to_json(f.cs),
-            "data": _eqdata_to_json(f.space, f.flag, f.cs, f.data)}
-
-
-def _eqdata_to_json(space, flag, cs, data):
-    from .space import cb_rank
-    if data is None:
-        return None
-    if isinstance(space, Finite):
-        return [vec_to_json(v) for v in data]
-    if isinstance(space, Sum):
-        return [_eqdata_to_json(space.left, flag, cs.data[1], data[0]),
-                _eqdata_to_json(space.right, flag, cs.data[2], data[1])]
-    if flag and flag[0] == cb_rank(space):
-        return vec_to_json(data)
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    _, exc, tail = data
-    return {"tail": vec_to_json(tail),
-            "exc": [[k, _eqdata_to_json(space.base, flag, exc_cs.get(k, tail_cs), v)]
-                    for k, v in sorted(exc.items())]}
+            "data": _data_to_json(f.space, f.flag, f.data, vec_to_json)}
 
 
 def eqcfun_from_json(d, path="$"):
@@ -512,27 +495,9 @@ def eqcfun_from_json(d, path="$"):
         flag = tuple(d["flag"])
         cs = structure_from_json(d["structure"], path + ".structure")
         return EqCFun(space, flag, cs,
-                      _eqdata_from_json(space, flag, cs, d["data"], path + ".data"))
+                      _data_from_json(space, flag, d["data"], path + ".data", vec_from_json))
     except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed equivariant ring element: {exc}", path)
-
-
-def _eqdata_from_json(space, flag, cs, d, path):
-    from .space import cb_rank
-    if d is None:
-        return None
-    if isinstance(space, Finite):
-        return tuple(vec_from_json(v, f"{path}[{i}]") for i, v in enumerate(d))
-    if isinstance(space, Sum):
-        return (_eqdata_from_json(space.left, flag, cs.data[1], d[0], path + "[0]"),
-                _eqdata_from_json(space.right, flag, cs.data[2], d[1], path + "[1]"))
-    if flag and flag[0] == cb_rank(space):
-        return vec_from_json(d, path)
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    exc = {int(k): _eqdata_from_json(space.base, flag, exc_cs.get(int(k), tail_cs),
-                                     v, f"{path}.exc[{k}]")
-           for k, v in d["exc"]}
-    return ("cone", exc, vec_from_json(d["tail"], path + ".tail"))
 
 
 def cmod_to_json(M) -> dict:

@@ -15,8 +15,11 @@ case with group-ring leaves: they run the recursions of `adelic` (normal
 forms, ring operations, cube maps, exactness witnesses, cocycle sampling)
 with `GroupRingLeaves`, which follows the component structure into
 summands and copies and spreads a leaf down a level through the germ
-component `germ_component(hom_between(...))`.  With trivial groups
-everything collapses bitwise onto the scalar complex.
+component `germ_component(hom_between(...))`.  `EqAdelicComplex` is the
+complex of `adelic` with these leaves; only its component structure and
+the augmentation of group-ring sections (`GroupRingLeaves.augment`) are
+its own.  With trivial groups everything collapses bitwise onto the
+scalar complex.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from .linalg import LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, validate_point)
 from .adelic import (
-    CFun, Flag, _canon, _dmap_data, _map_data, _map_leaves, _sample_cocycle,
-    _witness, _zip_data, check_flag, const_data, flags_of_size, insert_height,
-    sign_pos)
+    AdelicComplex, CFun, Flag, _dmap_data, _map_leaves, _sample_cocycle, _zip_data,
+    check_flag, const_data, insert_height)
 from .sheaf import (
     CSheaf, Section, SheafMap, germ_section, make_cone_map, make_cone_sheaf,
     make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
@@ -783,7 +785,16 @@ class GroupRingLeaves:
     """Group-ring leaves for the splicing-ring recursions of `adelic`: a leaf
     lies in the group ring of the group at the flag's lowest level, and a
     leaf of level a spreads down to level b through the germ component of
-    the structure homomorphism from b up to a."""
+    the structure homomorphism from b up to a.  Degree -1 data is a section
+    of the sheaf of group rings."""
+
+    @staticmethod
+    def add(a, b):
+        return tuple(p + q for p, q in zip(a, b))
+
+    @staticmethod
+    def sub(a, b):
+        return tuple(p - q for p, q in zip(a, b))
 
     def sum_parts(self, cs):
         return cs.data[1], cs.data[2]
@@ -808,7 +819,28 @@ class GroupRingLeaves:
         out.extend(leaf)
 
     def element(self, space, flag, cs, data):
+        if not flag:
+            return Section(group_ring_sheaf(cs).sheaf, data)
         return EqCFun(space, flag, cs, data)
+
+    def augment(self, space, cs, data, a):
+        """The flag-(a,) component of the augmentation of group-ring section
+        data (not in normal form)."""
+        r = cb_rank(space)
+        if a > r:
+            return None
+        if isinstance(space, Finite):
+            return tuple(data)
+        if isinstance(space, Sum):
+            return (self.augment(space.left, cs.data[1], data[0], a),
+                    self.augment(space.right, cs.data[2], data[1], a))
+        exc_cs, tail_cs = self.cone_parts(cs)
+        _, exc, apexv = data
+        if a == r:
+            return tuple(apexv)
+        return ("cone", {k: self.augment(space.base, exc_cs.get(k, tail_cs), sub, a)
+                         for k, sub in exc},
+                self.spread(cs, a, r, apexv))
 
     def section(self, space, cs, exc, leaf):
         """Degree-0 witness data of a cone: a section of the group-ring sheaf."""
@@ -816,14 +848,6 @@ class GroupRingLeaves:
 
 
 GROUP_RING = GroupRingLeaves()
-
-
-def _gr_add(a, b):
-    return tuple(p + q for p, q in zip(a, b))
-
-
-def _gr_neg(a):
-    return tuple(-p for p in a)
 
 
 def eq_unit(space, flag, cs) -> EqCFun:
@@ -838,7 +862,7 @@ def eq_zero(space, flag, cs) -> EqCFun:
 
 def eq_add(f: EqCFun, g: EqCFun) -> EqCFun:
     return EqCFun(f.space, f.flag, f.cs,
-                  _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, _gr_add))
+                  _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, GROUP_RING.add))
 
 
 def eq_mul(f: EqCFun, g: EqCFun) -> EqCFun:
@@ -849,10 +873,6 @@ def eq_mul(f: EqCFun, g: EqCFun) -> EqCFun:
                   _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, op))
 
 
-def eq_is_zero(f: EqCFun) -> bool:
-    return f.data == eq_zero(f.space, f.flag, f.cs).data
-
-
 def eq_dmap(b: int, f: EqCFun) -> EqCFun:
     new_flag = insert_height(f.flag, b)
     check_flag(f.space, new_flag)
@@ -860,97 +880,22 @@ def eq_dmap(b: int, f: EqCFun) -> EqCFun:
                   _dmap_data(GROUP_RING, f.space, f.flag, f.cs, b, f.data))
 
 
-def _eq_aug(cs, data, a):
-    """The flag-(a,) component of the augmentation of group-ring section data
-    (not in normal form)."""
-    space = cs.space
-    if a > cb_rank(space):
-        return None
-    if isinstance(space, Finite):
-        return tuple(data)
-    if isinstance(space, Sum):
-        return (_eq_aug(cs.data[1], data[0], a), _eq_aug(cs.data[2], data[1], a))
-    r = cb_rank(space)
-    exc_cs, tail_cs, _g, _u = cs.cone_parts()
-    _, exc, apexv = data
-    if a == r:
-        return tuple(apexv)
-    return ("cone", {k: _eq_aug(exc_cs.get(k, tail_cs), sub, a) for k, sub in exc},
-            GROUP_RING.spread(cs, a, r, apexv))
-
-
 @dataclass(frozen=True)
-class EqAdelicComplex:
-    """The equivariant adelic complex: cube combinatorics of the scalar
-    case with group-ring leaves; degree -1 holds sections of the sheaf of
-    group rings."""
+class EqAdelicComplex(AdelicComplex):
+    """The equivariant adelic complex: the scalar complex with group-ring
+    leaves; degree -1 holds sections of the sheaf of group rings."""
 
-    space: SpaceExpr
-    cs: ComponentStructure
+    cs: ComponentStructure = field()   # no default from the scalar `cs = None`
+    leaves = GROUP_RING
+    # own entries: perfbench/spans.py wraps each class's methods by name from its __dict__
+    differential = AdelicComplex.differential
+    exactness_witness = AdelicComplex.exactness_witness
 
     def __post_init__(self):
         if not _uniform_levels(self.cs):
             raise GroupError("equivariant complexes need level-uniform structures")
         if not validate_structure_levels(self.cs):
             raise GroupError("germ components do not compose along the levels")
-
-    @property
-    def rank(self):
-        return cb_rank(self.space)
-
-    def flags(self, degree: int):
-        if degree == -1:
-            return [()]
-        return flags_of_size(self.rank, degree + 1)
-
-    def zero_cochain(self, degree: int) -> dict:
-        return {A: eq_zero(self.space, A, self.cs) for A in self.flags(degree)}
-
-    def augmentation(self, sec: Section) -> dict:
-        out = {}
-        for a in range(self.rank + 1):
-            data = _eq_aug(self.cs, sec.data, a)
-            out[(a,)] = EqCFun(self.space, (a,), self.cs,
-                               _canon(GROUP_RING, self.space, (a,), self.cs, data))
-        return out
-
-    def differential(self, cochain: dict, degree: int) -> dict:
-        if degree == -1:
-            return self.augmentation(cochain[()])
-        out = {}
-        for B in self.flags(degree + 1):
-            acc = eq_zero(self.space, B, self.cs)
-            for b in B:
-                A = tuple(a for a in B if a != b)
-                term = eq_dmap(b, cochain[A])
-                if sign_pos(A, b) % 2 == 1:
-                    term = EqCFun(term.space, term.flag, term.cs, _map_data(
-                        GROUP_RING, term.space, term.flag, term.cs, term.data, _gr_neg))
-                acc = eq_add(acc, term)
-            out[B] = acc
-        return out
-
-    def is_cocycle(self, cochain: dict, degree: int) -> bool:
-        if degree >= self.rank:
-            return True
-        return all(eq_is_zero(v) for v in self.differential(cochain, degree).values())
-
-    def exactness_witness(self, cochain: dict, degree: int):
-        if not self.is_cocycle(cochain, degree):
-            raise ValueError("input is not a cocycle")
-        data = {A: f.data for A, f in cochain.items()}
-        wdata = _witness(GROUP_RING, self.space, self.cs, degree, data)
-        if degree == 0:
-            E = group_ring_sheaf(self.cs)
-            w = {(): Section(E.sheaf, wdata[()])}
-        else:
-            w = {A: EqCFun(self.space, A, self.cs, wdata[A])
-                 for A in self.flags(degree - 1)}
-        check = self.differential(w, degree - 1)
-        for A in self.flags(degree):
-            if check[A].data != cochain[A].data:
-                raise AssertionError("equivariant witness failed to hit the cocycle")
-        return w
 
 
 def _uniform_levels(cs) -> bool:
@@ -986,7 +931,7 @@ def plain_to_eq(f: CFun, cs: ComponentStructure) -> EqCFun:
 def eq_random_cocycle(cx: EqAdelicComplex, degree: int, rng: random.Random,
                       exc_bound: int = 2) -> dict:
     """A random constructible equivariant cocycle via an exact kernel basis."""
-    return _sample_cocycle(cx, GROUP_RING, cx.cs, degree, rng, exc_bound,
+    return _sample_cocycle(cx, degree, rng, exc_bound,
                            lambda r: Fraction(r.randint(-4, 4)),
                            lambda r: Fraction(r.randint(-3, 3)))
 

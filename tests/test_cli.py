@@ -66,6 +66,8 @@ def test_malformed_space_exits_2(capsys, argv):
     ["equiv", "--nmax", "0"],
     ["catalog", "sublattices", "--n", "0"],
     ["catalog", "o2", "--nmax", "-3"],
+    ["catalog", "t2", "--ncircles", "0"],
+    ["sheaf", "--space", "Cone(Finite(1))", "--resolution", "--const-dim", "-1"],
 ])
 def test_out_of_range_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -148,6 +150,14 @@ def test_cfun_round_trip():
         f = random_cfun(space, flag, rng)
         doc = ser.cfun_to_json(f)
         assert ser.cfun_from_json(json.loads(ser.dumps(doc))) == f
+
+
+def test_serialize_annotations_resolve():
+    import inspect
+    import typing
+    for _name, fn in inspect.getmembers(ser, inspect.isfunction):
+        if fn.__module__ == ser.__name__:
+            typing.get_type_hints(fn)
 
 
 def test_csheaf_round_trip():
