@@ -29,7 +29,7 @@ from .sheaf import (
     CSheaf, Section, SheafMap, constant, make_cone_sheaf, make_sum_sheaf,
     make_cone_map, make_fin_map, make_sum_map, sec_space, sec_from_coords,
     sec_to_coords, sec_dim, zero_sheaf, zero_map, stalk, stalk_map,
-    sec_canonical)
+    sec_canonical, _tensor_sec)
 
 
 def _is_zero_flag(space, flag) -> bool:
@@ -276,26 +276,6 @@ def stalkwise_cube_check(space: SpaceExpr, x: Point) -> dict:
 
 def ring_section_mul(space: SpaceExpr, flag: Flag, s: Section, t: Section) -> Section:
     """Pointwise product of sections of a ring sheaf (stalks are at most one
-    dimensional, so values multiply coordinatewise)."""
+    dimensional, so their tensor product is the coordinatewise product)."""
     F = _ring_sheaf(space, flag)
-    return sec_canonical(Section(F, _rsm(space, flag, F, s.data, t.data)))
-
-
-def _rsm(space, flag, F, a, b):
-    if isinstance(space, Finite):
-        return tuple(tuple(x * y for x, y in zip(u, v)) for u, v in zip(a, b, strict=True))
-    if isinstance(space, Sum):
-        return (_rsm(space.left, flag, F.data[0], a[0], b[0]),
-                _rsm(space.right, flag, F.data[1], a[1], b[1]))
-    _, exca, va = a
-    _, excb, vb = b
-    da, db = dict(exca), dict(excb)
-    keys = set(da) | set(db)
-    from .sheaf import _copy_default
-    out = []
-    for k in sorted(keys):
-        xa = da.get(k, _copy_default(F, k, va))
-        xb = db.get(k, _copy_default(F, k, vb))
-        out.append((k, _rsm(space.base, flag, F.copy_sheaf(k), xa, xb)))
-    prod_apex = tuple(x * y for x, y in zip(va, vb))
-    return ("sec", tuple(out), prod_apex)
+    return sec_canonical(Section(F, _tensor_sec(F, F, s.data, t.data)))

@@ -26,16 +26,14 @@ from fractions import Fraction
 from .linalg import (
     LinMap, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso)
-from .space import (
-    Cone, Finite, Sum, cb_rank, Point, apex_point, fin_point, copy_point,
-    validate_point)
+from .space import Cone, Finite, Sum, cb_rank, Point
 from .adelic import CFun
 from .sheaf import (
-    CSheaf, Section, SheafMap, align_pair, align_map, canonical, compose,
-    direct_sum, identity_map, cokernel, make_cone_map, make_cone_sheaf,
-    make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
-    sec_canonical, sec_functor, sec_space, stalk, stalk_map, zero_map,
-    zero_sheaf, _quotient)
+    CSheaf, GermSquareError, Section, SheafMap, align_pair, align_map,
+    apex_squares, canonical, check_sheaf_map, compose, direct_sum, cokernel,
+    make_cone_map, make_cone_sheaf, make_fin_sheaf, make_sum_map,
+    make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
+    zero_map, zero_sheaf, _componentwise, _probe_points, _quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +64,11 @@ class GammaModule:
     def isolated_stalk(self, x: Point) -> VectQ:
         return stalk(self.record, x)
 
-    def germ_stalk_dim(self, x: Point, probe: int = None) -> int:
+    def germ_stalk_dim(self, x: Point) -> int:
         """Dimension of the stabilized slice colim over the neighbourhood
-        basis at x, computed at a stabilization threshold."""
-        validate_point(self.space, x)
-        return _germ_slice_dim(self.record, x.addr)
+        basis at x: once the stored copies are excluded, what remains at an
+        apex is the apex-coupled part, so it is the stalk's dimension."""
+        return stalk(self.record, x).dim
 
 
 def _scale_by_locconst(F, fdata, sdata):
@@ -95,18 +93,6 @@ def _scale_by_locconst(F, fdata, sdata):
     return ("sec", tuple(out), tuple(ftail * c for c in apexv))
 
 
-def _germ_slice_dim(F, addr):
-    if isinstance(F.space, Finite):
-        return F.data[addr[1]].dim
-    if isinstance(F.space, Sum):
-        return _germ_slice_dim(F.data[0] if addr[0] == "L" else F.data[1], addr[1])
-    if addr[0] == "apex":
-        # slices over the shrinking basis stabilize once the stored copies
-        # are excluded: what remains is the apex-coupled part
-        return F.apex.dim
-    return _germ_slice_dim(F.copy_sheaf(addr[1]), addr[2])
-
-
 def gamma(F: CSheaf) -> GammaModule:
     """Global sections of a sheaf as a constructible module."""
     return GammaModule(canonical(F))
@@ -125,9 +111,6 @@ def _rebuild(R: CSheaf) -> CSheaf:
         return make_sum_sheaf(space, _rebuild(R.data[0]), _rebuild(R.data[1]))
     tail = _rebuild(R.tail)
     exc = {k: _rebuild(G) for k, G in R.data[1]}
-    apex_dim = _germ_slice_dim(R, ("apex",))
-    if apex_dim != R.apex.dim:
-        raise AssertionError("germ extraction disagrees with the stored apex stalk")
     germ = LinMap(R.apex, sec_space(tail), R.germ.matrix)
     return make_cone_sheaf(space, exc, tail, R.apex, germ)
 
@@ -135,26 +118,15 @@ def _rebuild(R: CSheaf) -> CSheaf:
 def counit_map(F: CSheaf) -> SheafMap:
     """The canonical comparison recon_e(gamma(F)) -> F; an isomorphism."""
     G = recon_e(gamma(F))
-    return _canonical_identification(G, F)
+    f = _componentwise(G, F, [], lambda _a, b: LinMap.identity(b))
+    if not check_sheaf_map(f):
+        raise GermSquareError("apex square does not commute")
+    return f
 
 
 def unit_iso(M: GammaModule) -> bool:
     """Whether the canonical map M -> gamma(recon_e(M)) is an isomorphism."""
     return gamma(recon_e(M)).record == M.record
-
-
-def _canonical_identification(G: CSheaf, F: CSheaf) -> SheafMap:
-    if G == F:
-        return identity_map(F)
-    if isinstance(F.space, Finite):
-        return make_fin_map(G, F, [LinMap.identity(sp) for sp in F.data])
-    if isinstance(F.space, Sum):
-        return make_sum_map(G, F, _canonical_identification(G.data[0], F.data[0]),
-                            _canonical_identification(G.data[1], F.data[1]))
-    exc = {k: _canonical_identification(G.copy_sheaf(k), F.copy_sheaf(k))
-           for k in set(G.stored_keys()) | set(F.stored_keys())}
-    return make_cone_map(G, F, exc, _canonical_identification(G.tail, F.tail),
-                         LinMap.identity(F.apex))
 
 
 def is_isomorphism(f: SheafMap) -> bool:
@@ -182,74 +154,26 @@ def _require_rank1(space):
 
 def _hom_parametrization(F: CSheaf, G: CSheaf):
     """Free matrix entries of a candidate map F -> G plus a builder from
-    parameter vectors to sheaf maps (apex squares not yet imposed)."""
-    len_so_far = [0]
+    parameter vectors to sheaf maps (apex squares not yet imposed); the
+    builder reads each stalk's matrix row by row, in the componentwise
+    visiting order."""
+    def build(vec):
+        it = iter(vec)
+        return _componentwise(F, G, [], lambda a, b: LinMap.from_rows(
+            a, b, [[next(it) for _ in range(a.dim)] for _ in range(b.dim)]))
 
-    def visit(F_, G_):
-        if isinstance(F_.space, Finite):
-            off = len_so_far[0]
-            len_so_far[0] += sum(a.dim * b.dim for a, b in zip(F_.data, G_.data))
-            return ("fin", F_, G_, off)
-        if isinstance(F_.space, Sum):
-            return ("sum", F_, G_, visit(F_.data[0], G_.data[0]), visit(F_.data[1], G_.data[1]))
-        plan_exc = []
-        for k in sorted(set(F_.stored_keys()) | set(G_.stored_keys())):
-            plan_exc.append((k, visit(F_.copy_sheaf(k), G_.copy_sheaf(k))))
-        plan_tail = visit(F_.tail, G_.tail)
-        off = len_so_far[0]
-        len_so_far[0] += F_.apex.dim * G_.apex.dim
-        return ("cone", F_, G_, tuple(plan_exc), plan_tail, off)
+    sizes = []
 
-    plan = visit(F, G)
-    total = len_so_far[0]
-
-    def build_from(plan_, vec):
-        kind = plan_[0]
-        if kind == "fin":
-            _, F_, G_, off = plan_
-            maps = []
-            p = off
-            for a, b in zip(F_.data, G_.data):
-                rows = [tuple(vec[p + i * a.dim + j] for j in range(a.dim)) for i in range(b.dim)]
-                maps.append(LinMap.from_rows(a, b, rows))
-                p += a.dim * b.dim
-            return make_fin_map(F_, G_, maps)
-        if kind == "sum":
-            _, F_, G_, pl, pr = plan_
-            return make_sum_map(F_, G_, build_from(pl, vec), build_from(pr, vec))
-        _, F_, G_, plan_exc, plan_tail, off = plan_
-        exc = {k: build_from(p_, vec) for k, p_ in plan_exc}
-        tail = build_from(plan_tail, vec)
-        rows = [tuple(vec[off + i * F_.apex.dim + j] for j in range(F_.apex.dim))
-                for i in range(G_.apex.dim)]
-        apexm = LinMap.from_rows(F_.apex, G_.apex, rows)
-        return make_cone_map(F_, G_, exc, tail, apexm, check=False)
-
-    return total, lambda vec: build_from(plan, vec)
+    def size(a, b):
+        sizes.append(a.dim * b.dim)
+        return LinMap.zero(a, b)
+    _componentwise(F, G, [], size)
+    return sum(sizes), build
 
 
 def _germ_residual(f: SheafMap):
     """Flattened apex-square defects of a candidate map (linear in f)."""
-    out = []
-
-    def visit(f_):
-        F_, G_ = f_.source, f_.target
-        if isinstance(F_.space, Finite):
-            return
-        if isinstance(F_.space, Sum):
-            visit(f_.data[0])
-            visit(f_.data[1])
-            return
-        lhs = F_.germ.then(sec_functor(f_.tail_map))
-        rhs = f_.apex_map.then(G_.germ)
-        for row in lhs.sub(rhs).matrix:
-            out.extend(row)
-        for _, m in f_.data[1]:
-            visit(m)
-        visit(f_.tail_map)
-
-    visit(f)
-    return tuple(out)
+    return tuple(x for lhs, rhs in apex_squares(f) for row in lhs.sub(rhs).matrix for x in row)
 
 
 def hom_basis(F: CSheaf, G: CSheaf) -> list[SheafMap]:
@@ -276,13 +200,15 @@ def hom_basis(F: CSheaf, G: CSheaf) -> list[SheafMap]:
 
 def random_hom(F: CSheaf, G: CSheaf, rng: random.Random) -> SheafMap:
     """A random sheaf map (a rational combination of a Hom basis)."""
-    from .sheaf import map_add, map_scale
     basis = hom_basis(F, G)
-    Fa, Ga = align_pair(F, G)
-    out = zero_map(Fa, Ga)
-    for b in basis:
-        out = map_add(out, map_scale(Fraction(rng.randint(-3, 3)), b))
-    return out
+    coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
+
+    def combine(a, b, *ms):
+        out = LinMap.zero(a, b)
+        for c, m in zip(coeffs, ms):
+            out = out.add(m.scale(c))
+        return out
+    return _componentwise(*align_pair(F, G), basis, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -307,39 +233,6 @@ class SES:
     @property
     def quo(self):
         return self.proj.target
-
-
-def _probe_points(space, sheaves_and_maps):
-    """Every stored stalk plus one generic tail copy per cone level."""
-    keys = set()
-    for obj in sheaves_and_maps:
-        if isinstance(obj, CSheaf) and isinstance(obj.space, Cone):
-            keys |= set(obj.stored_keys())
-        if isinstance(obj, SheafMap) and isinstance(obj.source.space, Cone):
-            keys |= set(dict(obj.data[1]))
-            keys |= set(obj.source.stored_keys()) | set(obj.target.stored_keys())
-    if isinstance(space, Finite):
-        return [fin_point(i) for i in range(space.n)]
-    if isinstance(space, Sum):
-        from .space import left_point, right_point
-        lefts = _probe_points(space.left, [_part(o, 0) for o in sheaves_and_maps])
-        rights = _probe_points(space.right, [_part(o, 1) for o in sheaves_and_maps])
-        return [left_point(p) for p in lefts] + [right_point(p) for p in rights]
-    generic = (max(keys) + 1) if keys else 0
-    out = [apex_point()]
-    for k in sorted(keys) + [generic]:
-        subs = []
-        for obj in sheaves_and_maps:
-            if isinstance(obj, CSheaf):
-                subs.append(obj.copy_sheaf(k))
-            else:
-                subs.append(obj.copy_map(k))
-        out.extend(copy_point(k, q) for q in _probe_points(space.base, subs))
-    return out
-
-
-def _part(obj, side):
-    return obj.data[side]
 
 
 def ses_is_exact(s: SES) -> bool:
@@ -472,7 +365,7 @@ def ext1(A: CSheaf, B: CSheaf):
         h = h_build(tuple(vec))
         comp = A2.germ.then(sec_functor(h))
         cob_cols.append(tuple(x for row in comp.matrix for x in row))
-    span = row_space_basis(cob_cols, n_t)
+    span = row_space_basis(cob_cols)
     amb = VectQ.make(n_t, "t")
     classes, proj = _quotient(amb, span, "x")
     reps = []
@@ -546,15 +439,10 @@ def injective_hull_step(B: CSheaf):
                         check=False)
     emb = SheafMap(B, i_wall.target,
                    ("conemap", emb.data[1], emb.data[2], emb.data[3]))
-    if not check_map_valid(emb):
+    if not check_sheaf_map(emb):
         raise AssertionError("hull embedding fails the apex square")
     Q, proj = cokernel(emb)
     return emb, proj
-
-
-def check_map_valid(f: SheafMap) -> bool:
-    from .sheaf import check_sheaf_map
-    return check_sheaf_map(f)
 
 
 def skyscraper_apex(space, V: VectQ) -> CSheaf:

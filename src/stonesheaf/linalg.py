@@ -241,7 +241,7 @@ def kernel_basis(m: LinMap) -> list[tuple[Rat, ...]]:
     return basis
 
 
-def row_space_basis(vectors: Iterable[Sequence[Rat]], dim: int) -> list[tuple[Rat, ...]]:
+def row_space_basis(vectors: Iterable[Sequence[Rat]]) -> list[tuple[Rat, ...]]:
     """Canonical (rref echelon) basis of the span of the given vectors."""
     rows = [list(v) for v in vectors if not is_zero_vec(v)]
     if not rows:
@@ -252,7 +252,7 @@ def row_space_basis(vectors: Iterable[Sequence[Rat]], dim: int) -> list[tuple[Ra
 
 def image_basis(m: LinMap) -> list[tuple[Rat, ...]]:
     """Canonical basis of im(m), as vectors in the target space."""
-    return row_space_basis(m.cols(), m.target.dim)
+    return row_space_basis(m.cols())
 
 
 def rank(m: LinMap) -> int:

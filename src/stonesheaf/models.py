@@ -279,11 +279,11 @@ def to_standard(F: CSheaf) -> DiagMod:
         for b in range(r + 1):
             if b in A or len(A) == r + 1:
                 continue
-            edges[(A, b)] = _sheaf_edge(F, A, b, vertices[A], vertices[insert_height(A, b)])
+            edges[(A, b)] = _sheaf_edge(b, vertices[A], vertices[insert_height(A, b)])
     return DiagMod(F.space, vertices, edges)
 
 
-def _sheaf_edge(F, A, b, MA, MB) -> LinMap:
+def _sheaf_edge(b, MA, MB) -> LinMap:
     """The edge map of a sheaf diagram; structurally the localization."""
     N, struct = loc_extend(MA, b)
     ident = _mod_identification(N, MB)

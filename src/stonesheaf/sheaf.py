@@ -15,6 +15,14 @@ space, because a section may deviate from the tail on any finite set of
 copies; individual sections are finite records.  The fixed-format subspace
 with deviations only at the stored exceptional copies is the "finite-data"
 section space `sec_space`, which is what germ maps land in.
+
+Every map that is given stalk by stalk (zero, identity, composite, and in
+`homalg` the counit, the Hom parametrization and random combinations) is
+built by one recursion, `_componentwise`.  It visits the components in a
+fixed order: the stalks of a finite space by index, the left part of a sum
+before the right, and at a cone the copies by increasing key, then the tail,
+then the apex.  `apex_squares` is the one walk over the apex squares that
+such a map must satisfy.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from .linalg import (
     image_basis, rref, solve)
 from .space import (
     Cone, Finite, SpaceExpr, Sum, cb_rank, Point, ClopenSet, validate_point,
-    SpaceMismatch, enumerate_finite, set_is_finite, cone_member_set)
+    SpaceMismatch, enumerate_finite, set_is_finite, cone_member_set,
+    apex_point, copy_point, fin_point, left_point, right_point)
 
 
 # ---------------------------------------------------------------------------
@@ -405,63 +414,41 @@ def make_sum_map(F: CSheaf, G: CSheaf, left: SheafMap, right: SheafMap) -> Sheaf
     return SheafMap(F, G, (left, right))
 
 
-def zero_map(F: CSheaf, G: CSheaf) -> SheafMap:
+def _componentwise(F: CSheaf, G: CSheaf, maps, stalk) -> SheafMap:
+    """The map F -> G whose component at every finite stalk and every apex is
+    `stalk(src, tgt, *components of maps there)`; see the module docstring
+    for the visiting order.  Apex squares are not checked."""
     if isinstance(F.space, Finite):
-        return make_fin_map(F, G, [LinMap.zero(F.data[i], G.data[i]) for i in range(F.space.n)])
+        return make_fin_map(F, G, [stalk(a, b, *(m.data[i] for m in maps))
+                                   for i, (a, b) in enumerate(zip(F.data, G.data))])
     if isinstance(F.space, Sum):
-        return make_sum_map(F, G, zero_map(F.data[0], G.data[0]), zero_map(F.data[1], G.data[1]))
-    exc = {k: zero_map(F.copy_sheaf(k), G.copy_sheaf(k))
-           for k in set(F.stored_keys()) | set(G.stored_keys())}
-    return make_cone_map(F, G, exc, zero_map(F.tail, G.tail),
-                         LinMap.zero(F.apex, G.apex))
+        left, right = (_componentwise(F.data[i], G.data[i], [m.data[i] for m in maps], stalk)
+                       for i in (0, 1))
+        return make_sum_map(F, G, left, right)
+    keys = set(F.stored_keys()) | set(G.stored_keys())
+    for m in maps:
+        keys |= {k for k, _ in m.data[1]}
+    exc = {k: _componentwise(F.copy_sheaf(k), G.copy_sheaf(k), [m.copy_map(k) for m in maps],
+                             stalk)
+           for k in sorted(keys)}
+    tail = _componentwise(F.tail, G.tail, [m.tail_map for m in maps], stalk)
+    apex = stalk(F.apex, G.apex, *(m.apex_map for m in maps))
+    return make_cone_map(F, G, exc, tail, apex, check=False)
+
+
+def zero_map(F: CSheaf, G: CSheaf) -> SheafMap:
+    return _componentwise(F, G, [], LinMap.zero)
 
 
 def identity_map(F: CSheaf) -> SheafMap:
-    if isinstance(F.space, Finite):
-        return make_fin_map(F, F, [LinMap.identity(sp) for sp in F.data])
-    if isinstance(F.space, Sum):
-        return make_sum_map(F, F, identity_map(F.data[0]), identity_map(F.data[1]))
-    exc = {k: identity_map(G) for k, G in F.data[1]}
-    return make_cone_map(F, F, exc, identity_map(F.tail), LinMap.identity(F.apex))
+    return _componentwise(F, F, [], lambda a, _b: LinMap.identity(a))
 
 
 def compose(f: SheafMap, g: SheafMap) -> SheafMap:
     """f followed by g."""
     if f.target != g.source:
         raise SpaceMismatch("composition mismatch")
-    F, H = f.source, g.target
-    if isinstance(F.space, Finite):
-        return make_fin_map(F, H, [a.then(b) for a, b in zip(f.data, g.data, strict=True)])
-    if isinstance(F.space, Sum):
-        return make_sum_map(F, H, compose(f.data[0], g.data[0]), compose(f.data[1], g.data[1]))
-    keys = set(dict(f.data[1])) | set(dict(g.data[1])) | set(F.stored_keys()) | set(H.stored_keys())
-    exc = {k: compose(f.copy_map(k), g.copy_map(k)) for k in keys}
-    return make_cone_map(F, H, exc, compose(f.tail_map, g.tail_map),
-                         f.apex_map.then(g.apex_map), check=False)
-
-
-def map_add(f: SheafMap, g: SheafMap) -> SheafMap:
-    if f.source != g.source or f.target != g.target:
-        raise SpaceMismatch("sum mismatch")
-    F, G = f.source, f.target
-    if isinstance(F.space, Finite):
-        return make_fin_map(F, G, [a.add(b) for a, b in zip(f.data, g.data, strict=True)])
-    if isinstance(F.space, Sum):
-        return make_sum_map(F, G, map_add(f.data[0], g.data[0]), map_add(f.data[1], g.data[1]))
-    keys = set(dict(f.data[1])) | set(dict(g.data[1]))
-    exc = {k: map_add(f.copy_map(k), g.copy_map(k)) for k in keys}
-    return make_cone_map(F, G, exc, map_add(f.tail_map, g.tail_map),
-                         f.apex_map.add(g.apex_map), check=False)
-
-
-def map_scale(c, f: SheafMap) -> SheafMap:
-    F, G = f.source, f.target
-    if isinstance(F.space, Finite):
-        return make_fin_map(F, G, [m.scale(c) for m in f.data])
-    if isinstance(F.space, Sum):
-        return make_sum_map(F, G, map_scale(c, f.data[0]), map_scale(c, f.data[1]))
-    exc = {k: map_scale(c, m) for k, m in f.data[1]}
-    return make_cone_map(F, G, exc, map_scale(c, f.tail_map), f.apex_map.scale(c), check=False)
+    return _componentwise(f.source, g.target, [f, g], lambda _a, _b, x, y: x.then(y))
 
 
 def sec_functor(f: SheafMap) -> LinMap:
@@ -514,15 +501,49 @@ def _stalk_map(f, addr):
     return _stalk_map(f.copy_map(addr[1]), addr[2])
 
 
-def check_sheaf_map(f: SheafMap) -> bool:
-    """Validate all apex squares (used for maps assembled with check=False)."""
+def apex_squares(f: SheafMap):
+    """Yield (germ then sections of the tail map, apex map then germ) at every
+    cone of f: the cone itself, then its copies, then its tail."""
     F = f.source
     if isinstance(F.space, Finite):
-        return True
+        return
     if isinstance(F.space, Sum):
-        return check_sheaf_map(f.data[0]) and check_sheaf_map(f.data[1])
-    ok = F.germ.then(sec_functor(f.tail_map)) == f.apex_map.then(f.target.germ)
-    return ok and all(check_sheaf_map(m) for _, m in f.data[1]) and check_sheaf_map(f.tail_map)
+        yield from apex_squares(f.data[0])
+        yield from apex_squares(f.data[1])
+        return
+    yield F.germ.then(sec_functor(f.tail_map)), f.apex_map.then(f.target.germ)
+    for _, m in f.data[1]:
+        yield from apex_squares(m)
+    yield from apex_squares(f.tail_map)
+
+
+def check_sheaf_map(f: SheafMap) -> bool:
+    """Validate all apex squares (used for maps assembled with check=False)."""
+    return all(lhs == rhs for lhs, rhs in apex_squares(f))
+
+
+def _probe_points(space, sheaves_and_maps):
+    """Every stored stalk plus one generic tail copy per cone level."""
+    if isinstance(space, Finite):
+        return [fin_point(i) for i in range(space.n)]
+    if isinstance(space, Sum):
+        lefts = _probe_points(space.left, [o.data[0] for o in sheaves_and_maps])
+        rights = _probe_points(space.right, [o.data[1] for o in sheaves_and_maps])
+        return [left_point(p) for p in lefts] + [right_point(p) for p in rights]
+    keys = set()
+    for obj in sheaves_and_maps:
+        if isinstance(obj, CSheaf):
+            keys |= set(obj.stored_keys())
+        else:
+            keys |= {k for k, _ in obj.data[1]}
+            keys |= set(obj.source.stored_keys()) | set(obj.target.stored_keys())
+    generic = (max(keys) + 1) if keys else 0
+    out = [apex_point()]
+    for k in sorted(keys) + [generic]:
+        subs = [obj.copy_sheaf(k) if isinstance(obj, CSheaf) else obj.copy_map(k)
+                for obj in sheaves_and_maps]
+        out.extend(copy_point(k, q) for q in _probe_points(space.base, subs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +879,8 @@ def tensor(F: CSheaf, G: CSheaf) -> CSheaf:
         si = germ_section(F, F.apex.basis_vec(i))
         for j in range(G.apex.dim):
             tj = germ_section(G, G.apex.basis_vec(j))
-            cols.append(sec_to_coords(tail, tensor_section(F.tail, G.tail, si, tj)))
+            prod = _tensor_sec(F.tail, G.tail, si.data, tj.data)
+            cols.append(sec_to_coords(tail, Section(tail, prod)))
     germ = LinMap.from_cols(apex, sec_space(tail), cols)
     exc = {k: tensor(F.copy_sheaf(k), G.copy_sheaf(k)) for k in F.stored_keys()}
     return make_cone_sheaf(F.space, exc, tail, apex, germ)
@@ -873,26 +895,22 @@ def _tensor_vec(a, b):
     return tuple(x * y for x in a for y in b)
 
 
-def tensor_section(F: CSheaf, G: CSheaf, s: Section, t: Section) -> Section:
-    """The pointwise tensor of sections, a section of the tensor sheaf."""
-    T = tensor(F, G)
-    return Section(T, _tensor_sec(F, G, T, s.data, t.data))
-
-
-def _tensor_sec(F, G, T, a, b):
+def _tensor_sec(F, G, a, b):
+    """The pointwise tensor of two section records of F and G, which must
+    share their key tree."""
     if isinstance(F.space, Finite):
         return tuple(_tensor_vec(x, y) for x, y in zip(a, b, strict=True))
     if isinstance(F.space, Sum):
-        return (_tensor_sec(F.data[0], G.data[0], T.data[0], a[0], b[0]),
-                _tensor_sec(F.data[1], G.data[1], T.data[1], a[1], b[1]))
+        return (_tensor_sec(F.data[0], G.data[0], a[0], b[0]),
+                _tensor_sec(F.data[1], G.data[1], a[1], b[1]))
     _, exca, va = a
     _, excb, vb = b
-    keys = set(dict(exca)) | set(dict(excb))
+    da, db = dict(exca), dict(excb)
     out = []
-    for k in sorted(keys):
-        xa = dict(exca).get(k, _copy_default(F, k, va))
-        xb = dict(excb).get(k, _copy_default(G, k, vb))
-        out.append((k, _tensor_sec(F.copy_sheaf(k), G.copy_sheaf(k), T.copy_sheaf(k), xa, xb)))
+    for k in sorted(set(da) | set(db)):
+        xa = da[k] if k in da else _copy_default(F, k, va)
+        xb = db[k] if k in db else _copy_default(G, k, vb)
+        out.append((k, _tensor_sec(F.copy_sheaf(k), G.copy_sheaf(k), xa, xb)))
     return ("sec", tuple(out), _tensor_vec(va, vb))
 
 

@@ -185,7 +185,7 @@ def check_dimension_one(seed: int = 5, samples: int = 100):
     dim = ext1_dim(sky, floor)
     if dim != 1:
         return False, f"dim Ext^1(sky, floor) = {dim}"
-    oracle = _yoneda_oracle_dim(space, sky, floor)
+    oracle = _yoneda_oracle_dim(sky, floor)
     if oracle != 1:
         return False, f"splitness oracle found dimension {oracle}"
     if ext1_dim(sky, sky) != 0:
@@ -241,7 +241,7 @@ def _module_zero(F):
     return rec(M)
 
 
-def _yoneda_oracle_dim(space, A, B) -> int:
+def _yoneda_oracle_dim(A, B) -> int:
     """Independent check of the extension-group dimension through the
     splitness decision procedure: the twist line is one-dimensional here, so
     the dimension is 0 or 1 according to whether a unit twist splits."""

@@ -38,7 +38,8 @@ from .adelic import (
 from .sheaf import (
     CSheaf, Section, SheafMap, germ_section, make_cone_map, make_cone_sheaf,
     make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
-    sec_from_coords, sec_space, sec_to_coords, stalk, stalk_map, zero_map)
+    sec_from_coords, sec_space, sec_to_coords, stalk, stalk_map, zero_map,
+    _probe_points)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def _hom_to_top(cs, yaddr):
     return _hom_to_top(tail_cs, yaddr[2]).compose(up)
 
 
-def check_transitivity(cs: ComponentStructure, probes: int = 0) -> bool:
+def check_transitivity(cs: ComponentStructure) -> bool:
     """i_z^x = i_y^x ∘ i_z^y on representable triples (z near y near x)."""
     return _trans_rec(cs)
 
@@ -1027,7 +1028,6 @@ def _spread_map(GT: CSheaf, MT: CSheaf, cs, reps, spread: Section) -> SheafMap:
         for p in range(GT.space.n):
             grp = cs.data[1][p]
             rep = reps[1][p]
-            from .space import fin_point
             xval = sec_to_coords(MT, spread)
             val = eval_map(MT, fin_point(p)).apply(xval)
             cols = [rep[g].apply(val) for g in grp.elements()]
@@ -1042,35 +1042,10 @@ def _spread_map(GT: CSheaf, MT: CSheaf, cs, reps, spread: Section) -> SheafMap:
     raise ValueError("generator spreading is for rank <= 1")
 
 
-def generator_probe_points(E: EquivCSheaf):
-    """The stored stalks of an equivariant sheaf plus one representative
-    generic copy per cone (each generic copy is covered by the shifted copy
-    of the same construction)."""
-    space = E.sheaf.space
-    if isinstance(space, Finite):
-        return [fin_point(i) for i in range(space.n)]
-    if isinstance(space, Sum):
-        from .space import left_point, right_point
-        exc_l = EquivCSheaf(E.sheaf.data[0], E.cs.data[1], E.reps[1])
-        exc_r = EquivCSheaf(E.sheaf.data[1], E.cs.data[2], E.reps[2])
-        return ([left_point(p) for p in generator_probe_points(exc_l)] +
-                [right_point(p) for p in generator_probe_points(exc_r)])
-    exc_cs, tail_cs, _g, _u = E.cs.cone_parts()
-    _, excreps, tail_reps, _a = E.reps
-    keys = sorted(set(E.sheaf.stored_keys()))
-    generic = (max(keys) + 1) if keys else 0
-    out = [apex_point()]
-    for k in keys + [generic]:
-        sub = EquivCSheaf(E.sheaf.copy_sheaf(k), exc_cs.get(k, tail_cs),
-                          dict(excreps).get(k, tail_reps))
-        out.extend(copy_point(k, q) for q in generator_probe_points(sub))
-    return out
-
-
 def generator_images_cover(E: EquivCSheaf, maps) -> bool:
     """Stalkwise joint surjectivity at every stored stalk and one generic
     representative copy per cone level."""
-    for x in generator_probe_points(E):
+    for x in _probe_points(E.sheaf.space, [E.sheaf]):
         target = stalk(E.sheaf, x)
         if target.dim == 0:
             continue

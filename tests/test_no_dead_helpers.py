@@ -1,9 +1,12 @@
-"""No helper that nothing calls.
+"""No helper that nothing calls, and no parameter that nothing reads.
 
 Every top-level function and non-dunder method of `src/stonesheaf/*.py`
 must be referenced: its name must occur as a whole word somewhere in the
 Python files of `src/` or `tests/` outside its own definition, so a helper
 whose only caller is its own recursion counts as unreferenced.
+
+Every parameter with a default value, in any function of
+`src/stonesheaf/*.py`, must be read somewhere in its function's body.
 """
 
 import ast
@@ -47,3 +50,27 @@ def unreferenced() -> list[str]:
 
 def test_every_function_and_method_is_referenced():
     assert unreferenced() == []
+
+
+def unread_defaults() -> list[str]:
+    """`function.parameter` for every parameter with a default value that its
+    function's body (nested functions included) never reads."""
+    unread = []
+    for path in sorted((ROOT / "src" / "stonesheaf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{name}.{a.arg}" for a in defaulted if a.arg not in read]
+    return unread
+
+
+def test_every_defaulted_parameter_is_read():
+    assert unread_defaults() == []

@@ -291,3 +291,30 @@ def test_sections_over_a_union():
     assert isinstance(mod, SumSections)
     assert isinstance(mod.left, SectionModule)
     assert mod.right.dim == sum(F.data[1].data[i].dim for i in range(2))
+
+
+def test_tensor_over_rank2_spreads_pointwise_products():
+    # a stored copy that is genuinely exceptional must not be spread from
+    # the apex; the germ of F ⊗ G sends e_i ⊗ e_j to the pointwise tensor of
+    # the germ sections of e_i and e_j
+    from stonesheaf.sheaf import _probe_points, germ_section
+    from stonesheaf.space import parse_space
+    for expr in ["Cone(Cone(Finite(1)))", "Cone(Sum(Finite(2),Cone(Finite(1))))"]:
+        space = parse_space(expr)
+        for seed in range(30):
+            rng = random.Random(seed)
+            F = random_csheaf(space, rng, 2, 1)
+            G = random_csheaf(space, rng, 2, 1)
+            T = tensor(F, G)
+            for x in _probe_points(space, [F, G, T]):
+                assert stalk(T, x).dim == stalk(F, x).dim * stalk(G, x).dim
+            points = _probe_points(space.base, [F.tail, G.tail, T.tail])
+            for i in range(F.apex.dim):
+                s = germ_section(F, F.apex.basis_vec(i))
+                for j in range(G.apex.dim):
+                    u = germ_section(G, G.apex.basis_vec(j))
+                    t = germ_section(T, T.apex.basis_vec(i * G.apex.dim + j))
+                    for y in points:
+                        want = tuple(a * b for a in sec_eval(F.tail, s, y)
+                                     for b in sec_eval(G.tail, u, y))
+                        assert sec_eval(T.tail, t, y) == want
