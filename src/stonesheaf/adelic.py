@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import LinMap, Rat, VectQ, ZERO, ONE, kernel_basis, rat
+from .linalg import Rat, ZERO, ONE, rat, rref
 from .space import Finite, SpaceExpr, Sum, cb_rank, ClopenSet, SpaceMismatch
 
 Flag = tuple[int, ...]
@@ -604,10 +604,13 @@ def _coords_from_data(L, space, flag, exc_bound, data, out):
 def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     """A random cocycle of cx with at most exc_bound exceptions per cone.
 
-    The differential on the bounded-exception cochains is probed on their
-    coordinate basis and its kernel computed exactly; the sample combines
-    the kernel basis with one kernel_draw(rng) per basis vector.  In the top
-    degree every cochain is a cocycle, with one free_draw(rng) per
+    The differential on the bounded-exception cochains is probed column by
+    column on their coordinate basis, and its kernel is read off one exact
+    RREF of the probed matrix: each free coordinate, in increasing order,
+    takes one kernel_draw(rng), and each pivot coordinate takes minus the
+    sum of its row's nonzero entries times those draws.  That is the
+    canonical kernel basis combined with one draw per basis vector.  In the
+    top degree every cochain is a cocycle, with one free_draw(rng) per
     coordinate.
     """
     L, cs, space, flags = cx.leaves, cx.cs, cx.space, cx.flags(degree)
@@ -621,7 +624,8 @@ def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
     if degree < cx.rank:
         targets = cx.flags(degree + 1)
-        cols = []
+        m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
+        rows = [[] for _ in range(m)]
         for i in range(n):
             image = _differential(L, space, cs, degree,
                                   decode(tuple(ONE if j == i else ZERO for j in range(n))))
@@ -629,13 +633,19 @@ def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
             for B in targets:
                 # dmap never enlarges exception support
                 _coords_from_data(L, space, B, exc_bound, image[B], flat)
-            cols.append(tuple(flat))
-        m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
-        basis = kernel_basis(LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
+            for row, x in zip(rows, flat, strict=True):
+                row.append(x)
+        red, pivots = rref(rows)
         values = [ZERO] * n
-        for b in basis:
-            c = kernel_draw(rng)
-            values = [v + c * x for v, x in zip(values, b)]
+        pivot_set = set(pivots)
+        for f in range(n):
+            if f not in pivot_set:
+                values[f] = kernel_draw(rng)
+        # a pivot row is zero at every other pivot column
+        for row, p in zip(red, pivots):
+            for j in range(p + 1, n):
+                if row[j]:
+                    values[p] -= row[j] * values[j]
     else:
         values = [free_draw(rng) for _ in range(n)]
     return {A: L.element(space, A, cs, _canon(L, space, A, cs, data))

@@ -11,6 +11,7 @@ count that is out of range).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -216,7 +217,9 @@ def cmd_verify_all(args):
     return 0 if ok else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(prog="stonesheaf",
                                  description="constructible sheaves over scattered Stone spaces")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -267,8 +270,11 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fast", action="store_true")
     p.set_defaults(fn=cmd_verify_all)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -7,8 +7,10 @@ elements; two spaces are equal exactly when their dimensions and label lists
 agree.  Matrices are stored dense as tuples of tuples (rows = target
 coordinates), which is plenty for the small spaces that arise here.  The
 representation matrices of the equivariant layer are mostly zeros, so
-`LinMap.apply` and `LinMap.then` multiply only nonzero entries; the sums
-are exact, so skipping zeros changes no result.
+`LinMap.apply` and `LinMap.then` multiply only nonzero entries, and `rref`
+updates the other rows only at the pivot row's nonzero entries (the probed
+adelic differentials it reduces are mostly zeros too); the arithmetic is
+exact, so skipping zeros changes no result.
 """
 
 from __future__ import annotations
@@ -197,7 +199,17 @@ def direct_sum_space(spaces: Sequence[VectQ], tags: Sequence[str] | None = None)
 
 
 def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
-    """Reduced row echelon form (exact Gaussian elimination) and pivot columns."""
+    """Reduced row echelon form (exact Gaussian elimination) and pivot columns.
+
+    Each pivot row's nonzero entries are collected once and every other row
+    is updated in place at those columns only; a pivot of 1 divides nothing.
+    The arithmetic is exact, so skipping zeros changes no entry.
+
+    >>> red, pivots = rref([[Fraction(0), Fraction(2), Fraction(4)],
+    ...                     [Fraction(1), Fraction(1), Fraction(0)]])
+    >>> [[str(x) for x in row] for row in red], pivots
+    ([['1', '0', '-2'], ['0', '1', '2']], [0, 1])
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -213,12 +225,17 @@ def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            prow[c:] = [x / pv for x in prow[c:]]
+        # entries left of c are zero in every row from r down
+        nonzero = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                for j, y in nonzero:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == len(rows):

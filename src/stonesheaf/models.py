@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .linalg import (
     LinMap, VectQ, ZERO, ONE, coords_in_span, direct_sum_space, image_basis,
     is_iso, kernel_basis, pullback, solve, invert)
-from .space import Cone, Finite, SpaceExpr, Sum, cb_rank
+from .space import Finite, SpaceExpr, Sum, cb_rank
 from .adelic import Flag, check_flag, insert_height, all_flags, flags_of_size
 from .sheaf import (
     CSheaf, canonical, germ_section, make_cone_sheaf, make_fin_sheaf,

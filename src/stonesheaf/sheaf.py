@@ -35,7 +35,7 @@ from .linalg import (
     LinMap, Rat, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
     image_basis, rref, solve)
 from .space import (
-    Cone, Finite, SpaceExpr, Sum, cb_rank, Point, ClopenSet, validate_point,
+    Cone, Finite, SpaceExpr, Sum, Point, ClopenSet, validate_point,
     SpaceMismatch, enumerate_finite, set_is_finite, cone_member_set,
     apex_point, copy_point, fin_point, left_point, right_point)
 

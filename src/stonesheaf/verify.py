@@ -16,7 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .linalg import LinMap, VectQ, rank as map_rank
+from .linalg import LinMap, VectQ
 from .space import Finite, parse_space, cb_rank, iter_points, apex_point
 from .adelic import build_complex, random_cocycle, all_flags, random_cfun
 from .sheaf import (

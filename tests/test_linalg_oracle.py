@@ -1,8 +1,12 @@
-"""`LinMap.apply` and `LinMap.then` against sympy's exact matrix products.
+"""`LinMap.apply`, `LinMap.then`, `rref` and `kernel_basis` against sympy.
 
 sympy is a test-only oracle: the package itself has no dependencies.  The
-matrices are random rationals with about 70% zeros, like the representation
-matrices of the equivariant layer, plus the empty and all-zero shapes.
+products are checked on random rationals with about 70% zeros, like the
+representation matrices of the equivariant layer, plus the empty and
+all-zero shapes.  The eliminations are checked against `Matrix.rref` and
+`Matrix.nullspace` on sparse ±1 matrices (the scalar adelic differential),
+sparse ±1/2 matrices (group-ring leaves on the dihedral block) and dense
+random rationals, plus the empty, all-zero and already-reduced shapes.
 """
 
 import random
@@ -12,7 +16,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from stonesheaf.linalg import DimensionError, LinMap, VectQ  # noqa: E402
+from stonesheaf.linalg import DimensionError, LinMap, VectQ, kernel_basis, rref  # noqa: E402
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -99,3 +103,66 @@ def test_mismatched_shapes_raise():
         LinMap.identity(Q2).then(LinMap.identity(Q3))
     with pytest.raises(DimensionError):
         LinMap.identity(Q2).apply((Fraction(1),) * 3)
+
+
+def sparse_entries(rng, values, n_rows, n_cols) -> list[list[Fraction]]:
+    return [[rng.choice(values) if rng.random() < 0.2 else Fraction(0) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+
+
+def dense_entries(rng, n_rows, n_cols) -> list[list[Fraction]]:
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+
+
+def elimination_inputs(seed: int) -> list[list[list[Fraction]]]:
+    rng = random.Random(200 + seed)
+    out = []
+    for _ in range(4):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 14)
+        out.append(sparse_entries(rng, [Fraction(1), Fraction(-1)], n_rows, n_cols))
+        out.append(sparse_entries(rng, [Fraction(1, 2), Fraction(-1, 2)], n_rows, n_cols))
+        out.append(dense_entries(rng, rng.randint(1, 6), rng.randint(1, 7)))
+    return out
+
+
+EDGE_INPUTS = [
+    [],                                                     # 0 x 0
+    [[Fraction(0)] * 0 for _ in range(3)],                  # 3 x 0
+    [[Fraction(0)] * 4 for _ in range(3)],                  # all zero
+    [[Fraction(x) for x in row] for row in                  # already reduced
+     [[1, 2, 0, Fraction(-1, 3)], [0, 0, 1, 5], [0, 0, 0, 0]]],
+    [[Fraction(x) for x in row] for row in [[0, 3, 6], [0, 1, 2]]],
+]
+
+
+def sympy_rows(rows, n_cols):
+    return sympy.Matrix(len(rows), n_cols,
+                        lambda i, j: sympy.Rational(rows[i][j].numerator, rows[i][j].denominator))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rref_and_kernel_basis_match_sympy(seed):
+    inputs = elimination_inputs(seed) + EDGE_INPUTS
+    for rows in inputs:
+        n_cols = len(rows[0]) if rows else 0
+        mat = sympy_rows(rows, n_cols)
+        red, pivots = rref(rows)
+        want_red, want_pivots = mat.rref()
+        assert pivots == list(want_pivots)
+        assert tuple(map(tuple, red)) == from_sympy(want_red)
+        for row in red:
+            assert_exact(row)
+        m = LinMap(VectQ.make(n_cols, "s"), VectQ.make(len(rows), "t"), tuple(map(tuple, rows)))
+        basis = kernel_basis(m)
+        assert basis == [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in mat.nullspace()]
+        for v in basis:
+            assert_exact(v)
+
+
+def test_rref_of_zero_rows_and_columns():
+    assert rref([]) == ([], [])
+    for n in range(4):
+        m = LinMap.zero(VectQ.make(n, "s"), VectQ.make(0, "t"))
+        assert kernel_basis(m) == [VectQ.make(n).basis_vec(i) for i in range(n)]
+    assert kernel_basis(LinMap.zero(VectQ.make(0, "s"), VectQ.make(3, "t"))) == []

@@ -7,6 +7,10 @@ whose only caller is its own recursion counts as unreferenced.
 
 Every parameter with a default value, in any function of
 `src/stonesheaf/*.py`, must be read somewhere in its function's body.
+
+Every name bound by a top-level import of `src/stonesheaf/*.py` must be
+loaded somewhere in its module; `__init__.py`, whose imports are the
+package's re-exports, and `__future__` imports are exempt.
 """
 
 import ast
@@ -74,3 +78,28 @@ def unread_defaults() -> list[str]:
 
 def test_every_defaulted_parameter_is_read():
     assert unread_defaults() == []
+
+
+def unused_imports() -> list[str]:
+    """`module.name` for every name a top-level import binds in a module of
+    `src/stonesheaf` (except `__init__.py`) that the module never loads."""
+    unused = []
+    for path in sorted((ROOT / "src" / "stonesheaf").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.stem}.{bound}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []
