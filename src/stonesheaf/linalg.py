@@ -228,6 +228,7 @@ def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
         prow = rows[r]
         pv = prow[c]
         if pv != 1:
+            pv = Fraction(pv)  # exact for int entries too
             prow[c:] = [x / pv for x in prow[c:]]
         # entries left of c are zero in every row from r down
         nonzero = [(j, prow[j]) for j in range(c, ncols) if prow[j]]

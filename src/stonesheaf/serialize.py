@@ -2,23 +2,35 @@
 
 One textual format for everything, with a schema version field on
 top-level documents; round trips are exact (rationals travel as "p/q"
-strings).  Deserialization failures raise `SerializeError` carrying the
-path to the offending component.
+strings).  Every deserialization failure raises `SerializeError` carrying
+the path to the offending component (`_reading`).
+
+Sheaves, sheaf maps, sections, component structures and equivariant stalk
+actions mirror the space grammar and share one codec, `_tree_to_json` and
+`_tree_from_json`, with one `_Tree` spec each.  Outside it stay ring-element
+data (`_data_*`: bare pairs at sums, bare leaves at the germ flag) and, not
+read against a space, module payloads, clopen sets and point addresses.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
+from operator import attrgetter
 
 from .linalg import LinMap, VectQ
 from .space import (
-    ClopenSet, ConeSet, FinSet, Finite, Point, SpaceExpr, Sum, SumSet, cb_rank,
+    ClopenSet, ConeSet, FinSet, Finite, ParseError, Point, SpaceExpr, Sum, SumSet, cb_rank,
     parse_space)
 from .adelic import CFun
-from .sheaf import CSheaf, SheafMap, make_cone_sheaf, make_fin_sheaf, make_sum_sheaf
+from .sheaf import (
+    CSheaf, Section, SheafMap, make_cone_map, make_cone_sheaf, make_fin_map, make_fin_sheaf,
+    make_sum_map, make_sum_sheaf)
+from .homalg import make_ses
+from .models import CMod, DiagMod
 from .weyl import (
-    ComponentStructure, FinGroup, GrpHom, cone_structure, fin_structure,
+    ComponentStructure, EqCFun, FinGroup, GrpHom, cone_structure, fin_structure, make_equiv,
     sum_structure)
 from .catalog import Lattice2, SubgroupLabel
 
@@ -29,6 +41,22 @@ class SerializeError(ValueError):
     def __init__(self, message, path="$"):
         self.path = path
         super().__init__(f"{message} (at {path})")
+
+
+class _reading:
+    """Turn a malformed document into a `SerializeError` at `path`; a nested one passes as is."""
+    __slots__ = ("what", "path")
+
+    def __init__(self, what, path):
+        self.what, self.path = what, path
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, _kind, exc, _tb):
+        if isinstance(exc, (KeyError, TypeError, IndexError, ValueError)) and \
+                not isinstance(exc, SerializeError):
+            raise SerializeError(f"malformed {self.what}: {exc}", self.path)
 
 
 def dumps(obj) -> str:
@@ -61,7 +89,6 @@ def space_to_json(s: SpaceExpr) -> str:
 
 
 def space_from_json(text, path="$") -> SpaceExpr:
-    from .space import ParseError
     try:
         return parse_space(text)
     except ParseError as exc:
@@ -84,10 +111,8 @@ def _addr_to_json(addr):
 
 
 def point_from_json(d, path="$") -> Point:
-    try:
+    with _reading("point", path):
         return Point(_addr_from_json(d["addr"]), d.get("label"))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SerializeError(f"malformed point: {exc}", path)
 
 
 def _addr_from_json(a):
@@ -110,7 +135,7 @@ def clopen_to_json(u: ClopenSet):
 
 
 def clopen_from_json(d, path="$") -> ClopenSet:
-    try:
+    with _reading("clopen set", path):
         if "fin" in d:
             return FinSet(frozenset(d["fin"]))
         if "left" in d:
@@ -118,8 +143,6 @@ def clopen_from_json(d, path="$") -> ClopenSet:
                           clopen_from_json(d["right"], path + ".right"))
         return ConeSet(tuple((int(k), clopen_from_json(w, f"{path}.exc[{k}]"))
                              for k, w in d["exc"]), bool(d["apex"]))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed clopen set: {exc}", path)
 
 
 def cfun_to_json(f: CFun):
@@ -128,13 +151,11 @@ def cfun_to_json(f: CFun):
 
 
 def cfun_from_json(d, path="$") -> CFun:
-    try:
+    with _reading("ring element", path):
         space = space_from_json(d["space"], path + ".space")
         flag = tuple(d["flag"])
         return CFun(space, flag, _data_from_json(space, flag, d["data"], path + ".data",
                                                  rat_from_json))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed ring element: {exc}", path)
 
 
 def _data_to_json(space, flag, data, leaf):
@@ -160,10 +181,13 @@ def _data_from_json(space, flag, data, path, leaf):
     if data is None:
         return None
     if isinstance(space, Finite):
+        if len(data) != space.n:
+            raise ValueError(f"{len(data)} leaves over {space}")
         return tuple(leaf(x, f"{path}[{i}]") for i, x in enumerate(data))
     if isinstance(space, Sum):
-        return (_data_from_json(space.left, flag, data[0], path + "[0]", leaf),
-                _data_from_json(space.right, flag, data[1], path + "[1]", leaf))
+        left, right = data
+        return (_data_from_json(space.left, flag, left, path + "[0]", leaf),
+                _data_from_json(space.right, flag, right, path + "[1]", leaf))
     if flag and flag[0] == cb_rank(space):
         return leaf(data, path)
     exc = {int(k): _data_from_json(space.base, flag, v, f"{path}.exc[{k}]", leaf)
@@ -176,10 +200,8 @@ def vectq_to_json(v: VectQ):
 
 
 def vectq_from_json(d, path="$") -> VectQ:
-    try:
+    with _reading("space", path):
         return VectQ(int(d["dim"]), tuple(d["labels"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"malformed space: {exc}", path)
 
 
 def linmap_to_json(m: LinMap):
@@ -188,54 +210,11 @@ def linmap_to_json(m: LinMap):
 
 
 def linmap_from_json(d, path="$") -> LinMap:
-    try:
+    with _reading("linear map", path):
         return LinMap(vectq_from_json(d["source"], path + ".source"),
                       vectq_from_json(d["target"], path + ".target"),
                       tuple(vec_from_json(r, f"{path}.matrix[{i}]")
                             for i, r in enumerate(d["matrix"])))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed linear map: {exc}", path)
-
-
-def csheaf_to_json(F: CSheaf):
-    return {"schema": SCHEMA, "space": space_to_json(F.space),
-            "data": _sheaf_data_to_json(F)}
-
-
-def _sheaf_data_to_json(F: CSheaf):
-    if isinstance(F.space, Finite):
-        return {"stalks": [vectq_to_json(v) for v in F.data]}
-    if isinstance(F.space, Sum):
-        return {"left": _sheaf_data_to_json(F.data[0]),
-                "right": _sheaf_data_to_json(F.data[1])}
-    return {"exc": [[k, _sheaf_data_to_json(G)] for k, G in F.data[1]],
-            "tail": _sheaf_data_to_json(F.tail),
-            "apex": vectq_to_json(F.apex),
-            "germ": linmap_to_json(F.germ)}
-
-
-def csheaf_from_json(d, path="$") -> CSheaf:
-    try:
-        space = space_from_json(d["space"], path + ".space")
-        return _sheaf_data_from_json(space, d["data"], path + ".data")
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed sheaf: {exc}", path)
-
-
-def _sheaf_data_from_json(space, d, path):
-    if isinstance(space, Finite):
-        return make_fin_sheaf(space, [vectq_from_json(v, f"{path}.stalks[{i}]")
-                                      for i, v in enumerate(d["stalks"])])
-    if isinstance(space, Sum):
-        return make_sum_sheaf(space,
-                              _sheaf_data_from_json(space.left, d["left"], path + ".left"),
-                              _sheaf_data_from_json(space.right, d["right"], path + ".right"))
-    exc = {int(k): _sheaf_data_from_json(space.base, g, f"{path}.exc[{k}]")
-           for k, g in d["exc"]}
-    tail = _sheaf_data_from_json(space.base, d["tail"], path + ".tail")
-    apex = vectq_from_json(d["apex"], path + ".apex")
-    germ = linmap_from_json(d["germ"], path + ".germ")
-    return make_cone_sheaf(space, exc, tail, apex, germ)
 
 
 def group_to_json(G: FinGroup):
@@ -243,10 +222,8 @@ def group_to_json(G: FinGroup):
 
 
 def group_from_json(d, path="$") -> FinGroup:
-    try:
+    with _reading("group", path):
         return FinGroup(tuple(tuple(r) for r in d["table"]), d.get("name", "G"))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed group: {exc}", path)
 
 
 def hom_to_json(h: GrpHom):
@@ -255,52 +232,123 @@ def hom_to_json(h: GrpHom):
 
 
 def hom_from_json(d, path="$") -> GrpHom:
-    try:
+    with _reading("homomorphism", path):
         return GrpHom(group_from_json(d["source"], path + ".source"),
                       group_from_json(d["target"], path + ".target"),
                       tuple(d["values"]))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed homomorphism: {exc}", path)
+
+
+# ---------------------------------------------------------------------------
+# one codec for every type whose data mirrors the space grammar
+
+
+# The spec of one such type; the codec branches on nothing else.  `data(node)`
+# holds a finite node's items or a sum's halves (after a tag if `tagged`), or a
+# cone's `(tag, exc pairs, tail, *fields)`; `fin` and `fields` are (key, write,
+# read) of the item list (key None: a bare list) and of each other cone field.
+# A node is read against `ctx` (a space, a section's sheaf, or a map's source
+# and target) with grammar node `space(ctx)`, children read against
+# `halves(ctx)`, `copy(ctx, k)` and `tail(ctx)` (None: no tail), and builders
+# `make_*(ctx, ...)`.
+_Tree = namedtuple("_Tree", "data tagged fin fields space halves copy tail "
+                            "make_fin make_sum make_cone")
+
+
+def _tree_to_json(t, space, node):
+    data = t.data(node)
+    if isinstance(space, Finite):
+        key, write, _read = t.fin
+        items = [write(x) for x in (data[1] if t.tagged else data)]
+        return items if key is None else {key: items}
+    if isinstance(space, Sum):
+        return {"left": _tree_to_json(t, space.left, data[t.tagged]),
+                "right": _tree_to_json(t, space.right, data[t.tagged + 1])}
+    out = {"exc": [[k, _tree_to_json(t, space.base, sub)] for k, sub in data[1]]}
+    if t.tail is not None:
+        out["tail"] = _tree_to_json(t, space.base, data[2])
+    for (key, write, _read), value in zip(t.fields, data[len(data) - len(t.fields):]):
+        out[key] = write(value)
+    return out
+
+
+def _tree_from_json(t, ctx, d, path):
+    space = t.space(ctx)
+    if isinstance(space, Finite):
+        key, _write, read = t.fin
+        if key is not None:
+            d, path = d[key], f"{path}.{key}"
+        return t.make_fin(ctx, [read(x, f"{path}[{i}]") for i, x in enumerate(d)])
+    if isinstance(space, Sum):
+        left, right = t.halves(ctx)
+        return t.make_sum(ctx, _tree_from_json(t, left, d["left"], path + ".left"),
+                          _tree_from_json(t, right, d["right"], path + ".right"))
+    exc = tuple((int(k), _tree_from_json(t, t.copy(ctx, int(k)), sub, f"{path}.exc[{k}]"))
+                for k, sub in d["exc"])
+    tail = None if t.tail is None else _tree_from_json(t, t.tail(ctx), d["tail"], path + ".tail")
+    return t.make_cone(ctx, exc, tail,
+                       [read(d[key], f"{path}.{key}") for key, _write, read in t.fields])
+
+
+def _sized(vecs, stalks) -> tuple:
+    lengths, dims = [len(v) for v in vecs], [V.dim for V in stalks]
+    if lengths != dims:
+        raise ValueError(f"vectors of lengths {lengths} in stalks of dimensions {dims}")
+    return tuple(vecs)
+
+
+_DATA = attrgetter("data")
+_LINMAPS = (lambda maps: [linmap_to_json(m) for m in maps],
+            lambda d, path: tuple(linmap_from_json(m, f"{path}[{i}]") for i, m in enumerate(d)))
+_BY_SPACE = (lambda s: s, lambda s: (s.left, s.right), lambda s, _k: s.base, lambda s: s.base)
+_SHEAF = _Tree(
+    _DATA, 0, ("stalks", vectq_to_json, vectq_from_json),
+    (("apex", vectq_to_json, vectq_from_json), ("germ", linmap_to_json, linmap_from_json)),
+    *_BY_SPACE, make_fin_sheaf, make_sum_sheaf,
+    lambda space, exc, tail, f: make_cone_sheaf(space, dict(exc), tail, *f))
+_MAP = _Tree(
+    _DATA, 0, ("stalk_maps", linmap_to_json, linmap_from_json),
+    (("apex", linmap_to_json, linmap_from_json),),
+    lambda st: st[0].space, lambda st: tuple(zip(st[0].data, st[1].data)),
+    lambda st, k: (st[0].copy_sheaf(k), st[1].copy_sheaf(k)), lambda st: (st[0].tail, st[1].tail),
+    lambda st, maps: make_fin_map(*st, maps), lambda st, l, r: make_sum_map(*st, l, r),
+    lambda st, exc, tail, f: make_cone_map(*st, dict(exc), tail, *f, check=False))
+_STRUCTURE = _Tree(
+    _DATA, 1, ("groups", group_to_json, group_from_json),
+    (("apex_group", group_to_json, group_from_json), ("up", hom_to_json, hom_from_json)),
+    *_BY_SPACE, fin_structure, sum_structure,
+    lambda space, exc, tail, f: cone_structure(space, dict(exc), tail, *f))
+_REPS = _Tree(
+    lambda reps: reps, 1, ("fin", *_LINMAPS), (("apex", *_LINMAPS),), *_BY_SPACE,
+    lambda _s, mats: ("fin", tuple(mats)), lambda _s, l, r: ("sum", l, r),
+    lambda _s, exc, tail, f: ("cone", exc, tail, *f))
+_SECTION = _Tree(
+    lambda data: data, 0, (None, vec_to_json, vec_from_json),
+    (("apex", vec_to_json, vec_from_json),),
+    lambda F: F.space, lambda F: F.data, CSheaf.copy_sheaf, None,
+    lambda F, vecs: _sized(vecs, F.data), lambda _F, l, r: (l, r),
+    lambda F, exc, _tail, f: ("sec", exc, *_sized(f, [F.apex])))
+
+
+def csheaf_to_json(F: CSheaf):
+    return {"schema": SCHEMA, "space": space_to_json(F.space),
+            "data": _tree_to_json(_SHEAF, F.space, F)}
+
+
+def csheaf_from_json(d, path="$") -> CSheaf:
+    with _reading("sheaf", path):
+        space = space_from_json(d["space"], path + ".space")
+        return _tree_from_json(_SHEAF, space, d["data"], path + ".data")
 
 
 def structure_to_json(cs: ComponentStructure):
     return {"schema": SCHEMA, "space": space_to_json(cs.space),
-            "data": _cs_data_to_json(cs)}
-
-
-def _cs_data_to_json(cs):
-    if cs.data[0] == "fin":
-        return {"groups": [group_to_json(g) for g in cs.data[1]]}
-    if cs.data[0] == "sum":
-        return {"left": _cs_data_to_json(cs.data[1]), "right": _cs_data_to_json(cs.data[2])}
-    exc, tail, apexg, up = cs.cone_parts()
-    return {"exc": [[k, _cs_data_to_json(v)] for k, v in sorted(exc.items())],
-            "tail": _cs_data_to_json(tail), "apex_group": group_to_json(apexg),
-            "up": hom_to_json(up)}
+            "data": _tree_to_json(_STRUCTURE, cs.space, cs)}
 
 
 def structure_from_json(d, path="$") -> ComponentStructure:
-    try:
+    with _reading("component structure", path):
         space = space_from_json(d["space"], path + ".space")
-        return _cs_data_from_json(space, d["data"], path + ".data")
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed component structure: {exc}", path)
-
-
-def _cs_data_from_json(space, d, path):
-    if isinstance(space, Finite):
-        return fin_structure(space, [group_from_json(g, f"{path}.groups[{i}]")
-                                     for i, g in enumerate(d["groups"])])
-    if isinstance(space, Sum):
-        return sum_structure(space,
-                             _cs_data_from_json(space.left, d["left"], path + ".left"),
-                             _cs_data_from_json(space.right, d["right"], path + ".right"))
-    exc = {int(k): _cs_data_from_json(space.base, v, f"{path}.exc[{k}]")
-           for k, v in d["exc"]}
-    tail = _cs_data_from_json(space.base, d["tail"], path + ".tail")
-    apexg = group_from_json(d["apex_group"], path + ".apex_group")
-    up = hom_from_json(d["up"], path + ".up")
-    return cone_structure(space, exc, tail, apexg, up)
+        return _tree_from_json(_STRUCTURE, space, d["data"], path + ".data")
 
 
 def lattice_to_json(L: Lattice2):
@@ -310,12 +358,10 @@ def lattice_to_json(L: Lattice2):
 
 
 def lattice_from_json(d, path="$") -> Lattice2:
-    try:
+    with _reading("lattice", path):
         if d["kind"] == "full":
             return Lattice2("full", a=d["a"], b=d["b"], d=d["d"])
         return Lattice2("line", vec=tuple(d["vec"]), mult=d["mult"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"malformed lattice: {exc}", path)
 
 
 def label_to_json(s: SubgroupLabel):
@@ -324,12 +370,10 @@ def label_to_json(s: SubgroupLabel):
 
 
 def label_from_json(d, path="$") -> SubgroupLabel:
-    try:
+    with _reading("subgroup label", path):
         lat = d.get("lattice")
         return SubgroupLabel(d["kind"], None if lat is None else
                              lattice_from_json(lat, path + ".lattice"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"malformed subgroup label: {exc}", path)
 
 
 def loads_document(text: str, path="$"):
@@ -347,45 +391,15 @@ def sheafmap_to_json(f: SheafMap):
             "source": csheaf_to_json(f.source)["data"],
             "target": csheaf_to_json(f.target)["data"],
             "space": space_to_json(f.source.space),
-            "data": _map_data_to_json(f)}
-
-
-def _map_data_to_json(f: SheafMap):
-    if isinstance(f.source.space, Finite):
-        return {"stalk_maps": [linmap_to_json(m) for m in f.data]}
-    if isinstance(f.source.space, Sum):
-        return {"left": _map_data_to_json(f.data[0]),
-                "right": _map_data_to_json(f.data[1])}
-    return {"exc": [[k, _map_data_to_json(m)] for k, m in f.data[1]],
-            "tail": _map_data_to_json(f.tail_map),
-            "apex": linmap_to_json(f.apex_map)}
+            "data": _tree_to_json(_MAP, f.source.space, f)}
 
 
 def sheafmap_from_json(d, path="$") -> SheafMap:
-    try:
+    with _reading("sheaf map", path):
         space = space_from_json(d["space"], path + ".space")
-        src = _sheaf_data_from_json(space, d["source"], path + ".source")
-        tgt = _sheaf_data_from_json(space, d["target"], path + ".target")
-        return _map_data_from_json(src, tgt, d["data"], path + ".data")
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed sheaf map: {exc}", path)
-
-
-def _map_data_from_json(src, tgt, d, path):
-    from .sheaf import make_cone_map, make_fin_map, make_sum_map
-    if isinstance(src.space, Finite):
-        return make_fin_map(src, tgt, [linmap_from_json(m, f"{path}[{i}]")
-                                       for i, m in enumerate(d["stalk_maps"])])
-    if isinstance(src.space, Sum):
-        return make_sum_map(src, tgt,
-                            _map_data_from_json(src.data[0], tgt.data[0], d["left"], path + ".left"),
-                            _map_data_from_json(src.data[1], tgt.data[1], d["right"], path + ".right"))
-    exc = {int(k): _map_data_from_json(src.copy_sheaf(int(k)), tgt.copy_sheaf(int(k)),
-                                       m, f"{path}.exc[{k}]")
-           for k, m in d["exc"]}
-    tail = _map_data_from_json(src.tail, tgt.tail, d["tail"], path + ".tail")
-    apex = linmap_from_json(d["apex"], path + ".apex")
-    return make_cone_map(src, tgt, exc, tail, apex, check=False)
+        src = _tree_from_json(_SHEAF, space, d["source"], path + ".source")
+        tgt = _tree_from_json(_SHEAF, space, d["target"], path + ".target")
+        return _tree_from_json(_MAP, (src, tgt), d["data"], path + ".data")
 
 
 def ses_to_json(s) -> dict:
@@ -395,12 +409,9 @@ def ses_to_json(s) -> dict:
 
 
 def ses_from_json(d, path="$"):
-    from .homalg import make_ses
-    try:
+    with _reading("exact sequence", path):
         return make_ses(sheafmap_from_json(d["incl"], path + ".incl"),
                         sheafmap_from_json(d["proj"], path + ".proj"))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed exact sequence: {exc}", path)
 
 
 def equiv_to_json(E) -> dict:
@@ -409,77 +420,25 @@ def equiv_to_json(E) -> dict:
     return {"schema": SCHEMA,
             "sheaf": csheaf_to_json(E.sheaf),
             "structure": structure_to_json(E.cs),
-            "reps": _reps_to_json(E.reps)}
-
-
-def _reps_to_json(reps):
-    if reps[0] == "fin":
-        return {"fin": [[linmap_to_json(m) for m in mats] for mats in reps[1]]}
-    if reps[0] == "sum":
-        return {"left": _reps_to_json(reps[1]), "right": _reps_to_json(reps[2])}
-    return {"exc": [[k, _reps_to_json(r)] for k, r in reps[1]],
-            "tail": _reps_to_json(reps[2]),
-            "apex": [linmap_to_json(m) for m in reps[3]]}
+            "reps": _tree_to_json(_REPS, E.sheaf.space, E.reps)}
 
 
 def equiv_from_json(d, path="$"):
-    from .weyl import make_equiv
-    try:
-        sheaf = csheaf_from_json(d["sheaf"], path + ".sheaf")
+    with _reading("equivariant sheaf", path):
+        F = csheaf_from_json(d["sheaf"], path + ".sheaf")
         cs = structure_from_json(d["structure"], path + ".structure")
-        return make_equiv(sheaf, cs, _reps_from_json(d["reps"], path + ".reps"))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed equivariant sheaf: {exc}", path)
-
-
-def _reps_from_json(d, path):
-    if "fin" in d:
-        return ("fin", tuple(tuple(linmap_from_json(m, f"{path}[{i}][{j}]")
-                                   for j, m in enumerate(mats))
-                             for i, mats in enumerate(d["fin"])))
-    if "left" in d:
-        return ("sum", _reps_from_json(d["left"], path + ".left"),
-                _reps_from_json(d["right"], path + ".right"))
-    exc = tuple((int(k), _reps_from_json(r, f"{path}.exc[{k}]")) for k, r in d["exc"])
-    tail = _reps_from_json(d["tail"], path + ".tail")
-    apex = tuple(linmap_from_json(m, f"{path}.apex[{i}]") for i, m in enumerate(d["apex"]))
-    return ("cone", exc, tail, apex)
+        return make_equiv(F, cs, _tree_from_json(_REPS, F.space, d["reps"], path + ".reps"))
 
 
 def section_to_json(s) -> dict:
     return {"schema": SCHEMA, "sheaf": csheaf_to_json(s.sheaf),
-            "data": _section_data_to_json(s.sheaf, s.data)}
-
-
-def _section_data_to_json(F, data):
-    if isinstance(F.space, Finite):
-        return [vec_to_json(v) for v in data]
-    if isinstance(F.space, Sum):
-        return {"left": _section_data_to_json(F.data[0], data[0]),
-                "right": _section_data_to_json(F.data[1], data[1])}
-    _, exc, apexv = data
-    return {"exc": [[k, _section_data_to_json(F.copy_sheaf(k), sub)] for k, sub in exc],
-            "apex": vec_to_json(apexv)}
+            "data": _tree_to_json(_SECTION, s.sheaf.space, s.data)}
 
 
 def section_from_json(d, path="$"):
-    from .sheaf import Section
-    try:
+    with _reading("section", path):
         F = csheaf_from_json(d["sheaf"], path + ".sheaf")
-        return Section(F, _section_data_from_json(F, d["data"], path + ".data"))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed section: {exc}", path)
-
-
-def _section_data_from_json(F, d, path):
-    if isinstance(F.space, Finite):
-        return tuple(vec_from_json(v, f"{path}[{i}]") for i, v in enumerate(d))
-    if isinstance(F.space, Sum):
-        return (_section_data_from_json(F.data[0], d["left"], path + ".left"),
-                _section_data_from_json(F.data[1], d["right"], path + ".right"))
-    exc = tuple((int(k), _section_data_from_json(F.copy_sheaf(int(k)), sub, f"{path}.exc[{k}]"))
-                for k, sub in d["exc"])
-    return ("sec", exc, vec_from_json(d["apex"], path + ".apex"))
+        return Section(F, _tree_from_json(_SECTION, F, d["data"], path + ".data"))
 
 
 def eqcfun_to_json(f) -> dict:
@@ -489,15 +448,12 @@ def eqcfun_to_json(f) -> dict:
 
 
 def eqcfun_from_json(d, path="$"):
-    from .weyl import EqCFun
-    try:
+    with _reading("equivariant ring element", path):
         space = space_from_json(d["space"], path + ".space")
         flag = tuple(d["flag"])
         cs = structure_from_json(d["structure"], path + ".structure")
         return EqCFun(space, flag, cs,
                       _data_from_json(space, flag, d["data"], path + ".data", vec_from_json))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed equivariant ring element: {exc}", path)
 
 
 def cmod_to_json(M) -> dict:
@@ -528,13 +484,10 @@ def _cmod_payload_to_json(p):
 
 
 def cmod_from_json(d, path="$"):
-    from .models import CMod
-    try:
+    with _reading("module", path):
         space = space_from_json(d["space"], path + ".space")
         flag = tuple(d["flag"])
         return CMod(space, flag, _cmod_payload_from_json(d["payload"], path + ".payload"))
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed module: {exc}", path)
 
 
 def _cmod_payload_from_json(d, path):
@@ -569,13 +522,10 @@ def diagmod_to_json(D) -> dict:
 
 
 def diagmod_from_json(d, path="$"):
-    from .models import DiagMod
-    try:
+    with _reading("diagram", path):
         space = space_from_json(d["space"], path + ".space")
         vertices = {tuple(A): cmod_from_json(M, f"{path}.vertices[{A}]")
                     for A, M in d["vertices"]}
         edges = {(tuple(A), b): linmap_from_json(e, f"{path}.edges[{A},{b}]")
                  for A, b, e in d["edges"]}
         return DiagMod(space, vertices, edges)
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed diagram: {exc}", path)

@@ -97,6 +97,16 @@ def test_integer_entries_come_out_as_fractions():
         assert_exact(row)
 
 
+def test_integer_entries_eliminate_exactly():
+    Q2 = VectQ.make(2)
+    basis = kernel_basis(LinMap(Q2, Q2, ((2, 4), (1, 2))))
+    red, pivots = rref([[2, 1]])
+    assert basis == [(Fraction(-2), Fraction(1))]
+    assert red == [[Fraction(1), Fraction(1, 2)]] and pivots == [0]
+    for row in basis + red:
+        assert not any(isinstance(x, float) for x in row)
+
+
 def test_mismatched_shapes_raise():
     Q2, Q3 = VectQ.make(2), VectQ.make(3)
     with pytest.raises(DimensionError):
