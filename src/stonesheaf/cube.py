@@ -8,6 +8,10 @@ stalkwise complexes of the cube are exact with an explicit degeneracy
 pattern: the stalk at a point of height a vanishes unless the flag starts
 at or below a, and adding any unused height at or below a changes nothing.
 
+`sheaf_cube` builds each ring sheaf once per cube, and each unit map of the
+cube walks the two ring sheaves already built at its ends; the stalkwise
+check reads its complex off that one cube.
+
 `restrict_open`/`pushforward_open` give the underlying adjoint calculus for
 the opens formed by the points of height at most a fixed level: restriction
 drops the higher strata, the pushforward re-attaches apex stalks as the
@@ -27,9 +31,8 @@ from .adelic import (
     sign_pos, all_flags)
 from .sheaf import (
     CSheaf, Section, SheafMap, constant, make_cone_sheaf, make_sum_sheaf,
-    make_cone_map, make_fin_map, make_sum_map, sec_space, sec_from_coords,
-    sec_to_coords, sec_dim, zero_sheaf, zero_map, stalk, stalk_map,
-    sec_canonical, _tensor_sec)
+    make_cone_map, make_fin_map, make_sum_map, sec_space, sec_dim, zero_sheaf,
+    zero_map, stalk, stalk_map, sec_canonical, _tensor_sec)
 
 
 def _is_zero_flag(space, flag) -> bool:
@@ -60,59 +63,47 @@ def _ring_sheaf(space, flag):
         tail = zero_sheaf(space.base)
         return make_cone_sheaf(space, {}, tail, Q, LinMap.zero(Q, sec_space(tail)))
     tail = _ring_sheaf(space.base, flag)
-    coords = sec_to_coords(tail, ring_unit_section(space.base, flag))
-    germ = LinMap.from_cols(Q, sec_space(tail), [coords])
-    return make_cone_sheaf(space, {}, tail, Q, germ)
-
-
-def ring_unit_section(space: SpaceExpr, flag: Flag) -> Section:
-    """The unit of the ring of sections of the flag's ring sheaf."""
-    F = _ring_sheaf(space, flag)
-    return sec_from_coords(F, (ONE,) * sec_dim(F))
+    # the germ spreads 1 to the unit section of the tail, all of whose
+    # finite-data coordinates are 1 (a ring sheaf stores no copies)
+    S = sec_space(tail)
+    return make_cone_sheaf(space, {}, tail, Q, LinMap.from_cols(Q, S, [(ONE,) * S.dim]))
 
 
 def ring_cube_map(space: SpaceExpr, flag: Flag, b: int) -> SheafMap:
     """The unit map of ring sheaves inserting one height into a flag."""
     new_flag = insert_height(flag, b)
     check_flag(space, new_flag)
-    return _ring_cube_map(space, flag, b)
+    return _ring_cube_map(_ring_sheaf(space, flag), _ring_sheaf(space, new_flag), flag, b)
 
 
-def _ring_cube_map(space, flag, b):
-    F = _ring_sheaf(space, flag)
-    G = _ring_sheaf(space, insert_height(flag, b))
+def _ring_cube_map(F, G, flag, b):
+    """The unit map from the built ring sheaf F of `flag` to the built ring
+    sheaf G of `flag` with b inserted, walking F and G."""
+    space = F.space
     if _is_zero_flag(space, insert_height(flag, b)):
         return zero_map(F, G)
     if isinstance(space, Finite):
         return make_fin_map(F, G, [LinMap.identity(sp) for sp in F.data])
     if isinstance(space, Sum):
-        return make_sum_map(F, G, _ring_cube_map(space.left, flag, b),
-                            _ring_cube_map(space.right, flag, b))
+        return make_sum_map(F, G, _ring_cube_map(F.data[0], G.data[0], flag, b),
+                            _ring_cube_map(F.data[1], G.data[1], flag, b))
     r = cb_rank(space)
-    if b == r:
+    if b == r or (flag and flag[0] == r):
         tailmap = zero_map(F.tail, G.tail)
-        return make_cone_map(F, G, {}, tailmap, LinMap.identity(F.apex))
-    if flag and flag[0] == r:
-        return make_cone_map(F, G, {}, zero_map(F.tail, G.tail), LinMap.identity(F.apex))
-    return make_cone_map(F, G, {}, _ring_cube_map(space.base, flag, b),
-                         LinMap.identity(F.apex))
+    else:
+        tailmap = _ring_cube_map(F.tail, G.tail, flag, b)
+    return make_cone_map(F, G, {}, tailmap, LinMap.identity(F.apex))
 
 
 def sheaf_cube(space: SpaceExpr) -> dict:
-    """All ring sheaves indexed by nonempty flags, plus the constant sheaf at
-    the empty flag; `edges` maps (flag, b) to the unit sheaf map."""
+    """All ring sheaves indexed by flags, the empty flag's being the constant
+    sheaf; `edges` maps (flag, b) to the unit sheaf map.  Each sheaf is built
+    once, and the edges walk the built sheaves."""
     r = cb_rank(space)
-    sheaves = {(): constant(space, 1)}
-    for A in all_flags(r):
-        sheaves[A] = ring_sheaf(space, A)
-    edges = {}
-    for A in [()] + all_flags(r):
-        for b in range(r + 1):
-            if b in A:
-                continue
-            if len(A) == r + 1:
-                continue
-            edges[(A, b)] = ring_cube_map(space, A, b)
+    flags = [()] + all_flags(r)
+    sheaves = {A: _ring_sheaf(space, A) for A in flags}
+    edges = {(A, b): _ring_cube_map(sheaves[A], sheaves[insert_height(A, b)], A, b)
+             for A in flags for b in range(r + 1) if b not in A}
     return {"sheaves": sheaves, "edges": edges}
 
 
@@ -215,21 +206,22 @@ def pushforward_open(O: OpenSheaf) -> CSheaf:
 def cube_stalk_complex(space: SpaceExpr, x: Point) -> FDComplex:
     """The augmented complex of cube stalks at a point, with signs."""
     validate_point(space, x)
+    return _cube_stalk_complex(space, sheaf_cube(space), x)
+
+
+def _cube_stalk_complex(space, cube, x):
     r = cb_rank(space)
-    cube = sheaf_cube(space)
     sheaves, edges = cube["sheaves"], cube["edges"]
     spaces = {}
     stalks = {A: stalk(sheaves[A], x) for A in sheaves}
     flag_lists = {-1: [()]}
     for i in range(r + 1):
         flag_lists[i] = flags_of_size(r, i + 1)
-    offsets = {}
     for i in range(-1, r + 1):
         spaces[i] = direct_sum_space([stalks[A] for A in flag_lists[i]],
                                      [str(A) for A in flag_lists[i]])
     diffs = {}
     for i in range(-1, r):
-        rows = []
         src, tgt = spaces[i], spaces[i + 1]
         mat = [[ZERO] * src.dim for _ in range(tgt.dim)]
         col_off = {}
@@ -258,7 +250,6 @@ def stalkwise_cube_check(space: SpaceExpr, x: Point) -> dict:
     """Stalk dimensions of every cube sheaf at x, the degeneracy pattern,
     and exactness of the augmented stalk complex."""
     h = height(space, x)
-    r = cb_rank(space)
     report = {"point": str(x), "height": h, "stalk_dims": {}, "degeneracy_ok": True}
     cube = sheaf_cube(space)
     for A, F in cube["sheaves"].items():
@@ -267,8 +258,7 @@ def stalkwise_cube_check(space: SpaceExpr, x: Point) -> dict:
         expected = 1 if (not A or A[0] <= h) else 0
         if d != expected:
             report["degeneracy_ok"] = False
-    cx = cube_stalk_complex(space, x)
-    hd = cx.homology_dims()
+    hd = _cube_stalk_complex(space, cube, x).homology_dims()
     report["homology"] = hd
     report["exact"] = all(v == 0 for v in hd.values())
     return report

@@ -11,10 +11,15 @@ representation matrices of the equivariant layer are mostly zeros, so
 updates the other rows only at the pivot row's nonzero entries (the probed
 adelic differentials it reduces are mostly zeros too); the arithmetic is
 exact, so skipping zeros changes no result.
+
+Entries are coerced once: `rat` returns a `Fraction` as it is, and only
+other inputs are converted.  `VectQ.make` interns its spaces, so every call
+with the same dimension and prefix returns one shared (frozen) instance.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,7 +32,7 @@ ONE = Fraction(1)
 
 def rat(x) -> Rat:
     """Coerce an int, string like '2/3', or Fraction to an exact rational."""
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class DimensionError(ValueError):
@@ -58,6 +63,7 @@ class VectQ:
             raise DimensionError("duplicate basis labels")
 
     @staticmethod
+    @functools.cache
     def make(dim: int, prefix: str = "e") -> "VectQ":
         return VectQ(dim, tuple(f"{prefix}{i}" for i in range(dim)))
 

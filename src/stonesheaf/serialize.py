@@ -23,15 +23,15 @@ from .linalg import LinMap, VectQ
 from .space import (
     ClopenSet, ConeSet, FinSet, Finite, ParseError, Point, SpaceExpr, Sum, SumSet, cb_rank,
     parse_space)
-from .adelic import CFun
+from .adelic import RATIONAL, CFun
 from .sheaf import (
     CSheaf, Section, SheafMap, make_cone_map, make_cone_sheaf, make_fin_map, make_fin_sheaf,
     make_sum_map, make_sum_sheaf)
 from .homalg import make_ses
 from .models import CMod, DiagMod
 from .weyl import (
-    ComponentStructure, EqCFun, FinGroup, GrpHom, cone_structure, fin_structure, make_equiv,
-    sum_structure)
+    GROUP_RING, ComponentStructure, EqCFun, FinGroup, GrpHom, cone_structure, fin_structure,
+    make_equiv, sum_structure)
 from .catalog import Lattice2, SubgroupLabel
 
 SCHEMA = "stonesheaf/1"
@@ -155,7 +155,7 @@ def cfun_from_json(d, path="$") -> CFun:
         space = space_from_json(d["space"], path + ".space")
         flag = tuple(d["flag"])
         return CFun(space, flag, _data_from_json(space, flag, d["data"], path + ".data",
-                                                 rat_from_json))
+                                                 _rational_leaf, RATIONAL, None))
 
 
 def _data_to_json(space, flag, data, leaf):
@@ -175,24 +175,43 @@ def _data_to_json(space, flag, data, leaf):
             "exc": [[k, _data_to_json(space.base, flag, v, leaf)] for k, v in sorted(exc.items())]}
 
 
-def _data_from_json(space, flag, data, path, leaf):
-    """The inverse of `_data_to_json`, given the matching `*_from_json` leaf
-    reader."""
+def _data_from_json(space, flag, data, path, leaf, L, cs):
+    """The inverse of `_data_to_json`, given the matching leaf reader
+    `leaf(x, path, size)` and the leaf type `L` of the engine over the
+    structure `cs` at this position, which gives each leaf's `size`."""
     if data is None:
         return None
     if isinstance(space, Finite):
         if len(data) != space.n:
             raise ValueError(f"{len(data)} leaves over {space}")
-        return tuple(leaf(x, f"{path}[{i}]") for i, x in enumerate(data))
+        size = L.size(cs, flag)
+        return tuple(leaf(x, f"{path}[{i}]", size) for i, x in enumerate(data))
     if isinstance(space, Sum):
         left, right = data
-        return (_data_from_json(space.left, flag, left, path + "[0]", leaf),
-                _data_from_json(space.right, flag, right, path + "[1]", leaf))
+        lcs, rcs = L.sum_parts(cs)
+        return (_data_from_json(space.left, flag, left, path + "[0]", leaf, L, lcs),
+                _data_from_json(space.right, flag, right, path + "[1]", leaf, L, rcs))
     if flag and flag[0] == cb_rank(space):
-        return leaf(data, path)
-    exc = {int(k): _data_from_json(space.base, flag, v, f"{path}.exc[{k}]", leaf)
-           for k, v in data["exc"]}
-    return ("cone", exc, leaf(data["tail"], path + ".tail"))
+        return leaf(data, path, L.size(cs, flag))
+    exc_cs, tail_cs = L.cone_parts(cs)
+    exc = {}
+    for k, v in data["exc"]:
+        key = int(k)
+        exc[key] = _data_from_json(space.base, flag, v, f"{path}.exc[{k}]", leaf, L,
+                                   exc_cs.get(key, tail_cs))
+    return ("cone", exc, leaf(data["tail"], path + ".tail", L.size(cs, flag)))
+
+
+def _rational_leaf(x, path, _size):
+    return rat_from_json(x, path)
+
+
+def _group_ring_leaf(x, path, order):
+    v = vec_from_json(x, path)
+    if len(v) != order:
+        raise SerializeError(f"group-ring leaf of length {len(v)} in a group of order {order}",
+                             path)
+    return v
 
 
 def vectq_to_json(v: VectQ):
@@ -453,7 +472,8 @@ def eqcfun_from_json(d, path="$"):
         flag = tuple(d["flag"])
         cs = structure_from_json(d["structure"], path + ".structure")
         return EqCFun(space, flag, cs,
-                      _data_from_json(space, flag, d["data"], path + ".data", vec_from_json))
+                      _data_from_json(space, flag, d["data"], path + ".data", _group_ring_leaf,
+                                      GROUP_RING, cs))
 
 
 def cmod_to_json(M) -> dict:

@@ -16,7 +16,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from stonesheaf.linalg import DimensionError, LinMap, VectQ, kernel_basis, rref  # noqa: E402
+from stonesheaf.linalg import (  # noqa: E402
+    DimensionError, LinMap, VectQ, kernel_basis, rat, rref)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -105,6 +106,26 @@ def test_integer_entries_eliminate_exactly():
     assert red == [[Fraction(1), Fraction(1, 2)]] and pivots == [0]
     for row in basis + red:
         assert not any(isinstance(x, float) for x in row)
+
+
+def test_rat_passes_fractions_through_and_coerces_the_rest():
+    f = Fraction(-3, 7)
+    assert rat(f) is f
+    for x, want in [(5, Fraction(5)), ("2/3", Fraction(2, 3)), ("-4", Fraction(-4)),
+                    (True, Fraction(1)), (False, Fraction(0))]:
+        got = rat(x)
+        assert type(got) is Fraction and got == want
+    assert_exact(LinMap.from_cols(VectQ.make(2), VectQ.make(1), [[f], ["1/2"]]).matrix[0])
+
+
+def test_vectq_make_interns():
+    for d, p in [(0, "e"), (1, "e"), (3, "s"), (4, "lim")]:
+        assert VectQ.make(d, p) is VectQ.make(d, p)
+        assert VectQ.make(d, p) == VectQ(d, tuple(f"{p}{i}" for i in range(d)))
+    assert VectQ.make(2, "s") != VectQ.make(2)
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            VectQ.make(-1)
 
 
 def test_mismatched_shapes_raise():
