@@ -31,7 +31,7 @@ from .homalg import make_ses
 from .models import CMod, DiagMod
 from .weyl import (
     GROUP_RING, ComponentStructure, EqCFun, FinGroup, GrpHom, cone_structure, fin_structure,
-    make_equiv, sum_structure)
+    make_equiv, require_uniform_levels, sum_structure)
 from .catalog import Lattice2, SubgroupLabel
 
 SCHEMA = "stonesheaf/1"
@@ -471,6 +471,7 @@ def eqcfun_from_json(d, path="$"):
         space = space_from_json(d["space"], path + ".space")
         flag = tuple(d["flag"])
         cs = structure_from_json(d["structure"], path + ".structure")
+        require_uniform_levels(cs, "equivariant ring elements")
         return EqCFun(space, flag, cs,
                       _data_from_json(space, flag, d["data"], path + ".data", _group_ring_leaf,
                                       GROUP_RING, cs))

@@ -24,12 +24,13 @@ scalar complex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
+from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, validate_point)
 from .adelic import (
@@ -52,21 +53,32 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class FinGroup:
-    """A finite group as a multiplication table on indices 0..n-1."""
+    """A finite group as a multiplication table on indices 0..n-1.
+
+    Validation finds the identity and every inverse, and the group keeps
+    them (`identity`, `inverses`), so `inv` is a lookup; like the name they
+    take no part in equality, hashing or the repr."""
 
     table: tuple
     name: str = field(default="G", compare=False)
+    identity: int = field(init=False, compare=False, repr=False)
+    inverses: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.table)
         for row in self.table:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise GroupError("malformed multiplication table")
-        if self.identity is None:
+        e = next((e for e in range(n)
+                  if all(self.table[e][g] == g == self.table[g][e] for g in range(n))), None)
+        if e is None:
             raise GroupError("no identity element")
-        for g in range(n):
-            if self.inv(g) is None:
-                raise GroupError("missing inverse")
+        inverses = tuple(next((b for b in range(n) if self.table[a][b] == e), None)
+                         for a in range(n))
+        if None in inverses:
+            raise GroupError("missing inverse")
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "inverses", inverses)
         for a, b, c in itertools.product(range(n), repeat=3):
             if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                 raise GroupError("multiplication is not associative")
@@ -75,24 +87,23 @@ class FinGroup:
     def order(self) -> int:
         return len(self.table)
 
-    @property
-    def identity(self):
-        for e in range(self.order):
-            if all(self.table[e][g] == g == self.table[g][e] for g in range(self.order)):
-                return e
-        return None
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int):
-        for b in range(self.order):
-            if self.mul(a, b) == self.identity:
-                return b
-        return None
+    def inv(self, a: int) -> int:
+        return self.inverses[a]
 
     def elements(self):
         return range(self.order)
+
+    @functools.cached_property
+    def sign_characters(self) -> tuple:
+        """All homomorphisms into {1, -1} (the rational one-dimensional
+        characters), found on first use and then kept."""
+        return tuple(bits for bits in itertools.product((1, -1), repeat=self.order)
+                     if bits[self.identity] == 1
+                     and all(bits[self.mul(a, b)] == bits[a] * bits[b]
+                             for a in self.elements() for b in self.elements()))
 
 
 def trivial_group() -> FinGroup:
@@ -180,6 +191,15 @@ class ComponentStructure:
     space: SpaceExpr
     data: tuple  # Finite: ("fin", groups) | ("sum", l, r)
     #            | ("cone", exc, tail_cs, apex_group, up_hom)
+
+    @functools.cached_property
+    def kept(self) -> dict:
+        """What is built from this structure object once and then kept with
+        it: the group-ring sheaf (`group_ring_sheaf`) and the germ component
+        of each level pair (`level_germ`).  It belongs to the object and is
+        never looked up by equality, since equal structures may name their
+        groups differently."""
+        return {}
 
     def group_at(self, x: Point) -> FinGroup:
         validate_point(self.space, x)
@@ -587,12 +607,17 @@ def validate_structure_levels(cs: ComponentStructure) -> bool:
     for a in range(r, 1, -1):
         for c in range(1, a):
             for b in range(0, c):
-                lhs = germ_component(hom_between(cs, b, a))
-                rhs = germ_component(hom_between(cs, c, a)).then(
-                    germ_component(hom_between(cs, b, c)))
-                if lhs != rhs:
+                if level_germ(cs, b, a) != level_germ(cs, c, a).then(level_germ(cs, b, c)):
                     return False
     return True
+
+
+def level_germ(cs: ComponentStructure, b: int, a: int) -> LinMap:
+    """`germ_component(hom_between(cs, b, a))`, built once per structure object."""
+    kept = cs.kept
+    if (b, a) not in kept:
+        kept[(b, a)] = germ_component(hom_between(cs, b, a))
+    return kept[(b, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +626,13 @@ def validate_structure_levels(cs: ComponentStructure) -> bool:
 
 def group_ring_sheaf(cs: ComponentStructure) -> EquivCSheaf:
     """The sheaf of group rings of a component structure, with the
-    left-regular actions and kernel-averaged germ components."""
-    sheaf = _gr_sheaf(cs)
-    reps = _gr_reps(cs, sheaf)
-    return make_equiv(sheaf, cs, reps)
+    left-regular actions and kernel-averaged germ components; built and
+    checked once per structure object, which then keeps it."""
+    kept = cs.kept
+    if "ring" not in kept:
+        sheaf = _gr_sheaf(cs)
+        kept["ring"] = make_equiv(sheaf, cs, _gr_reps(cs, sheaf))
+    return kept["ring"]
 
 
 def _gr_sheaf(cs) -> CSheaf:
@@ -616,26 +644,22 @@ def _gr_sheaf(cs) -> CSheaf:
     exc, tail_cs, apex_group, up = cs.cone_parts()
     tail = _gr_sheaf(tail_cs)
     V = group_ring_space(apex_group)
-    cols = []
-    for w in apex_group.elements():
-        s = _gr_spread(tail_cs, up, V.basis_vec(w))
-        cols.append(sec_to_coords(tail, s))
+    down = germ_component(up)
+    cols = [sec_to_coords(tail, Section(tail, _gr_spread(tail_cs, down.apply(V.basis_vec(w)))))
+            for w in apex_group.elements()]
     germ = LinMap.from_cols(V, sec_space(tail), cols)
     exc_sheaves = {k: _gr_sheaf(sub) for k, sub in exc.items()}
     return make_cone_sheaf(space, exc_sheaves, tail, V, germ)
 
 
-def _gr_spread(cs, hom_up: GrpHom, value) -> Section:
-    """The pure-tail section spreading a group-ring element through the
-    germ component of the homomorphism from this structure's top group."""
-    sheaf = _gr_sheaf(cs)
-    v = germ_component(hom_up).apply(value)
+def _gr_spread(cs, v) -> tuple:
+    """The data of the pure-tail section with the value v, an element of the
+    group ring of this structure's top group, at every top-level point."""
     if cs.data[0] == "fin":
-        return Section(sheaf, tuple(v for _ in range(cs.space.n)))
+        return (v,) * cs.space.n
     if cs.data[0] == "sum":
-        return Section(sheaf, (_gr_spread(cs.data[1], hom_up, value).data,
-                               _gr_spread(cs.data[2], hom_up, value).data))
-    return Section(sheaf, ("sec", (), tuple(v)))
+        return (_gr_spread(cs.data[1], v), _gr_spread(cs.data[2], v))
+    return ("sec", (), v)
 
 
 def _gr_reps(cs, sheaf):
@@ -719,12 +743,28 @@ def _probe_bound(f) -> int:
 
 
 def average_stalk(G: FinGroup, rep_src, rep_tgt, m: LinMap) -> LinMap:
-    """The averaged intertwiner (1/|G|) sum of g m g^{-1}."""
-    acc = LinMap.zero(m.source, m.target)
+    """The averaged intertwiner (1/|G|) Σ_g ρ_t(g) m ρ_s(g⁻¹).
+
+    One pass with one accumulator: for every g, each product t·x·s of
+    nonzero entries, t in row i of ρ_t(g), x in m and s in ρ_s(g⁻¹), is
+    added into entry (i, j), and one `LinMap` is built at the end.  The
+    inverses come from the group's stored table."""
+    if any((r.source, r.target) != (m.source, m.source) for r in rep_src) or \
+            any((r.source, r.target) != (m.target, m.target) for r in rep_tgt):
+        raise DimensionError("representations do not act on the map's source and target")
+    mrows = [[(l, x) for l, x in enumerate(row) if x] for row in m.matrix]
+    acc = [[ZERO] * m.source.dim for _ in range(m.target.dim)]
     for g in G.elements():
-        gi = G.inv(g)
-        acc = acc.add(rep_src[gi].then(m).then(rep_tgt[g]))
-    return acc.scale(Fraction(1, G.order))
+        srows = [[(j, s) for j, s in enumerate(row) if s] for row in rep_src[G.inv(g)].matrix]
+        for out, row in zip(acc, rep_tgt[g].matrix):
+            for k, t in enumerate(row):
+                if t:
+                    for l, x in mrows[k]:
+                        tx = t * x
+                        for j, s in srows[l]:
+                            out[j] += tx * s
+    c = Fraction(1, G.order)
+    return LinMap(m.source, m.target, tuple(tuple(c * a for a in out) for out in acc))
 
 
 def average(f: SheafMap, src: EquivCSheaf, tgt: EquivCSheaf) -> SheafMap:
@@ -805,7 +845,7 @@ class GroupRingLeaves:
         return exc_cs, tail_cs
 
     def spread(self, cs, b, a, leaf):
-        return tuple(germ_component(hom_between(cs, b, a)).apply(leaf))
+        return level_germ(cs, b, a).apply(leaf)
 
     def zero(self, cs, flag):
         return (ZERO,) * self.size(cs, flag)
@@ -853,11 +893,13 @@ GROUP_RING = GroupRingLeaves()
 
 def eq_unit(space, flag, cs) -> EqCFun:
     check_flag(space, flag)
+    require_uniform_levels(cs, "equivariant ring elements")
     return EqCFun(space, flag, cs, const_data(space, flag, gr_unit(_leaf_group(cs, flag))))
 
 
 def eq_zero(space, flag, cs) -> EqCFun:
     check_flag(space, flag)
+    require_uniform_levels(cs, "equivariant ring elements")
     return EqCFun(space, flag, cs, const_data(space, flag, GROUP_RING.zero(cs, flag)))
 
 
@@ -893,10 +935,16 @@ class EqAdelicComplex(AdelicComplex):
     exactness_witness = AdelicComplex.exactness_witness
 
     def __post_init__(self):
-        if not _uniform_levels(self.cs):
-            raise GroupError("equivariant complexes need level-uniform structures")
+        require_uniform_levels(self.cs, "equivariant complexes")
         if not validate_structure_levels(self.cs):
             raise GroupError("germ components do not compose along the levels")
+
+
+def require_uniform_levels(cs: ComponentStructure, what: str):
+    """Raise `GroupError` unless every level of `cs` carries one group: the
+    leaves of the equivariant rings are sized by their level's group."""
+    if not _uniform_levels(cs):
+        raise GroupError(f"{what} need level-uniform structures")
 
 
 def _uniform_levels(cs) -> bool:
@@ -951,19 +999,17 @@ def generator_epi(E: EquivCSheaf) -> list[SheafMap]:
     out = []
     if isinstance(space, Finite):
         for i in range(space.n):
-            grp = E.cs.data[1][i]
             for j in range(E.sheaf.data[i].dim):
                 x = E.sheaf.data[i].basis_vec(j)
                 out.append(_point_map_fin(G.sheaf, E, i, x))
         return out
     if isinstance(space, Sum):
-        lG = group_ring_sheaf(E.cs.data[1])
         for m in generator_epi(EquivCSheaf(E.sheaf.data[0], E.cs.data[1], E.reps[1])):
             out.append(make_sum_map(G.sheaf, E.sheaf, m,
-                                    zero_map(_gr_sheaf(E.cs.data[2]), E.sheaf.data[1])))
+                                    zero_map(G.sheaf.data[1], E.sheaf.data[1])))
         for m in generator_epi(EquivCSheaf(E.sheaf.data[1], E.cs.data[2], E.reps[2])):
             out.append(make_sum_map(G.sheaf, E.sheaf,
-                                    zero_map(_gr_sheaf(E.cs.data[1]), E.sheaf.data[0]), m))
+                                    zero_map(G.sheaf.data[0], E.sheaf.data[0]), m))
         return out
     exc_cs, tail_cs, apex_group, up = E.cs.cone_parts()
     _, excreps, tail_reps, apex_rep = E.reps
@@ -978,7 +1024,6 @@ def generator_epi(E: EquivCSheaf) -> list[SheafMap]:
         sub_sheaf = E.sheaf.copy_sheaf(k)
         sub_cs = exc_cs.get(k, tail_cs)
         sub_reps = dict(excreps).get(k, tail_reps)
-        sub_gr = G.sheaf.copy_sheaf(k)
         for m in generator_epi(EquivCSheaf(sub_sheaf, sub_cs, sub_reps)):
             exc = {kk: zero_map(G.sheaf.copy_sheaf(kk), E.sheaf.copy_sheaf(kk))
                    for kk in keys}
@@ -1010,8 +1055,6 @@ def _apex_generator(G: EquivCSheaf, E: EquivCSheaf, x) -> SheafMap:
     cols = [apex_rep[g].apply(x) for g in apex_group.elements()]
     apex_map = LinMap.from_cols(G.sheaf.apex, E.sheaf.apex, cols)
     spread = germ_section(E.sheaf, x)  # section of the tail sheaf
-    tail_maps = []
-    base = E.sheaf.space.base
     tail_map = _spread_map(G.sheaf.tail, E.sheaf.tail, tail_cs, tail_reps, spread)
     exc = {}
     for k in set(E.sheaf.stored_keys()) | set(G.sheaf.stored_keys()):
@@ -1091,23 +1134,10 @@ def random_equiv_sheaf(space: SpaceExpr, cs: ComponentStructure,
     S = sec_space(tail.sheaf)
     raw = LinMap.from_rows(av, S, [[Fraction(rng.randint(-2, 2)) for _ in range(av.dim)]
                                    for _ in range(S.dim)])
-    germ = _equivariant_germ(tail, up, av, amats, raw)
+    germ = _equivariant_germ(tail, up, amats, raw)
     sheaf = make_cone_sheaf(space, {}, tail.sheaf, av, germ)
     reps = ("cone", (), tail.reps, tuple(amats))
     return make_equiv(sheaf, cs, reps)
-
-
-def sign_characters(G: FinGroup):
-    """All homomorphisms into {1, -1} (the rational one-dimensional
-    characters)."""
-    out = []
-    for bits in itertools.product((1, -1), repeat=G.order):
-        if bits[G.identity] != 1:
-            continue
-        if all(bits[G.mul(a, b)] == bits[a] * bits[b]
-               for a in G.elements() for b in G.elements()):
-            out.append(bits)
-    return out
 
 
 def _random_rep(G: FinGroup, d: int, rng: random.Random):
@@ -1116,7 +1146,7 @@ def _random_rep(G: FinGroup, d: int, rng: random.Random):
     V = VectQ.make(d)
     if d == 0:
         return V, [LinMap.identity(V) for _ in G.elements()]
-    chars = sign_characters(G)
+    chars = G.sign_characters
     use_reg = d >= G.order and G.order > 1 and rng.randint(0, 1) == 1
     reg = regular_rep(G) if use_reg else None
     head = G.order if use_reg else 0
@@ -1134,17 +1164,13 @@ def _random_rep(G: FinGroup, d: int, rng: random.Random):
     return V, mats
 
 
-def _equivariant_germ(tail: EquivCSheaf, up: GrpHom, av: VectQ, amats, raw: LinMap) -> LinMap:
+def _equivariant_germ(tail: EquivCSheaf, up: GrpHom, amats, raw: LinMap) -> LinMap:
     """Average a germ candidate over the tail's top group so the spreading
-    is equivariant in the sense of the component-structure action."""
+    is equivariant in the sense of the component-structure action: the
+    apex acts through the structure homomorphism, sections act pointwise."""
     Gy = up.source
-    S = sec_space(tail.sheaf)
-    sec_mats = [_section_action(tail, g) for g in Gy.elements()]
-    acc = LinMap.zero(av, S)
-    for h in Gy.elements():
-        term = amats[up(Gy.inv(h))].then(raw).then(sec_mats[h])
-        acc = acc.add(term)
-    return acc.scale(Fraction(1, Gy.order))
+    return average_stalk(Gy, [amats[up(h)] for h in Gy.elements()],
+                         [_section_action(tail, g) for g in Gy.elements()], raw)
 
 
 def _section_action(E: EquivCSheaf, g: int) -> LinMap:
