@@ -20,6 +20,16 @@ complex of `adelic` with these leaves; only its component structure and
 the augmentation of group-ring sections (`GroupRingLeaves.augment`) are
 its own.  With trivial groups everything collapses bitwise onto the
 scalar complex.
+
+What is computed once is kept.  A `FinGroup` keeps the identity and the
+inverse table its validation finds, and its sign characters once asked
+for.  A `ComponentStructure` object keeps its group-ring sheaf and the
+germ component of each level pair once built (`ComponentStructure.kept`,
+filled by `group_ring_sheaf` and `level_germ`).  None of it takes part in
+equality, hashing or the repr, and none of it is shared between equal
+objects: equal structures may name their groups differently, and the
+names are serialized.  `average_stalk` sums its products of nonzero
+entries into one accumulator.
 """
 
 from __future__ import annotations

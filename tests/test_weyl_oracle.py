@@ -1,0 +1,220 @@
+"""Oracles for what `weyl` computes once and keeps, and for its one-pass averaging.
+
+* `average_stalk` sums (1/|G|) Σ_g ρ_t(g) m ρ_s(g⁻¹) in one pass; the
+  reference here is the two-product formula with a brute-force inverse.
+  Inputs: criterion 6's eight groups with the monomial representations of
+  `_random_rep`, and dense random rational matrices in place of the
+  representations (the formula is linear in each, so it need not act).
+* `_equivariant_germ` calls `average_stalk`; the reference is its own loop,
+  on the inputs `random_equiv_sheaf` draws over the dihedral block and over
+  the rank-1 tail of the torus block (the generator construction stops at
+  rank 1, so that tail is where the torus block's germs are averaged).
+* `FinGroup` keeps its identity, inverses and sign characters; they must
+  agree with a brute-force scan and leave `==`, `hash` and `repr` as they
+  are for a group that keeps nothing.
+* `ComponentStructure` keeps its group-ring sheaf and germ components per
+  object, so structures equal up to group names keep their own names.
+"""
+
+import itertools
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+import pytest
+
+from stonesheaf import serialize as ser
+from stonesheaf import weyl
+from stonesheaf.catalog import (
+    SubgroupLabel, Lattice2, line_lattice, o2_dihedral_block, t2_block, weyl_of_subgroup)
+from stonesheaf.linalg import LinMap, VectQ
+from stonesheaf.serialize import SerializeError
+from stonesheaf.sheaf import sec_space
+from stonesheaf.space import Cone, Finite
+from stonesheaf.verify import _s3_group
+from stonesheaf.weyl import (
+    FinGroup, GroupError, average_stalk, cone_structure, constant_structure, cyclic_group,
+    direct_product, eq_unit, eq_zero, fin_structure, germ_component, group_ring_sheaf,
+    hom_between, level_germ, random_equiv_sheaf, trivial_group, trivial_hom)
+
+CRITERION6_GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                     cyclic_group(5), cyclic_group(6),
+                     direct_product(cyclic_group(2), cyclic_group(2)), _s3_group()]
+
+
+def _identity(G):
+    return next(e for e in G.elements()
+                if all(G.mul(e, g) == g == G.mul(g, e) for g in G.elements()))
+
+
+def _inverse(G, g):
+    e = _identity(G)
+    return next(h for h in G.elements() if G.mul(g, h) == e)
+
+
+def _average_reference(G, rs, rt, m):
+    acc = LinMap.zero(m.source, m.target)
+    for g in G.elements():
+        acc = acc.add(rs[_inverse(G, g)].then(m).then(rt[g]))
+    return acc.scale(Fraction(1, G.order))
+
+
+def _dense(rng, source, target, bound=3):
+    return LinMap.from_rows(source, target,
+                            [[Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+                              for _ in range(source.dim)] for _ in range(target.dim)])
+
+
+@pytest.mark.parametrize("G", CRITERION6_GROUPS, ids=lambda G: G.name)
+def test_average_stalk_matches_two_products_on_monomial_reps(G):
+    rng = random.Random(90 + G.order)
+    for _ in range(12):
+        # dimensions up to |G| + 1 so that the regular block is drawn too
+        V, rs = weyl._random_rep(G, rng.randint(1, G.order + 1), rng)
+        W, rt = weyl._random_rep(G, rng.randint(1, G.order + 1), rng)
+        m = _dense(rng, V, W)
+        assert repr(average_stalk(G, rs, rt, m)) == repr(_average_reference(G, rs, rt, m))
+
+
+@pytest.mark.parametrize("G", CRITERION6_GROUPS, ids=lambda G: G.name)
+def test_average_stalk_matches_two_products_on_dense_matrices(G):
+    rng = random.Random(70 + G.order)
+    for _ in range(6):
+        V, W = VectQ.make(rng.randint(1, 3)), VectQ.make(rng.randint(1, 3))
+        rs = [_dense(rng, V, V) for _ in G.elements()]
+        rt = [_dense(rng, W, W) for _ in G.elements()]
+        m = _dense(rng, V, W)
+        assert repr(average_stalk(G, rs, rt, m)) == repr(_average_reference(G, rs, rt, m))
+
+
+def test_average_stalk_rejects_mismatched_representations():
+    G = cyclic_group(2)
+    V2, V3 = VectQ.make(2), VectQ.make(3)
+    rs = [LinMap.identity(V2)] * 2
+    with pytest.raises(ValueError):
+        average_stalk(G, rs, rs, LinMap.zero(V3, V2))
+
+
+def _germ_reference(tail, up, amats, raw):
+    Gy = up.source
+    S = sec_space(tail.sheaf)
+    sec_mats = [weyl._section_action(tail, g) for g in Gy.elements()]
+    acc = LinMap.zero(raw.source, S)
+    for h in Gy.elements():
+        acc = acc.add(amats[up(_inverse(Gy, h))].then(raw).then(sec_mats[h]))
+    return acc.scale(Fraction(1, Gy.order))
+
+
+@pytest.mark.parametrize("block", ["o2_dihedral_block(6)", "t2_block() tail"])
+def test_equivariant_germ_matches_its_loop(block, monkeypatch):
+    if block == "t2_block() tail":
+        cs = t2_block()[2].data[2]
+        space = cs.space
+    else:
+        space, _labels, cs = o2_dihedral_block(6)
+    drawn = []
+    averaged = weyl._equivariant_germ
+
+    def record(tail, up, amats, raw):
+        germ = averaged(tail, up, amats, raw)
+        drawn.append(((tail, up, amats, raw), germ))
+        return germ
+    monkeypatch.setattr(weyl, "_equivariant_germ", record)
+    rng = random.Random(61)
+    for _ in range(25):
+        random_equiv_sheaf(space, cs, rng, 2)
+    assert len(drawn) == 25
+    assert any(not germ.is_zero() for _args, germ in drawn)
+    for args, germ in drawn:
+        assert repr(germ) == repr(_germ_reference(*args))
+
+
+def _structure_groups(cs):
+    if cs.data[0] == "fin":
+        return list(cs.data[1])
+    if cs.data[0] == "sum":
+        return _structure_groups(cs.data[1]) + _structure_groups(cs.data[2])
+    _, exc, tail_cs, apex_group, up = cs.data
+    out = [apex_group, up.source, up.target] + _structure_groups(tail_cs)
+    for _k, sub in exc:
+        out += _structure_groups(sub)
+    return out
+
+
+def catalog_groups():
+    """Every group the catalog builds, and criterion 6's groups."""
+    groups = list(CRITERION6_GROUPS)
+    for n in range(1, 9):
+        groups += _structure_groups(o2_dihedral_block(n)[2])
+    for split in (True, False):
+        groups += _structure_groups(t2_block(split=split, n_circles=3)[2])
+    groups += [weyl_of_subgroup(SubgroupLabel("finite", Lattice2("full", a=1, b=0, d=1))),
+               weyl_of_subgroup(SubgroupLabel("circle", line_lattice(1, 0))),
+               weyl_of_subgroup(SubgroupLabel("full"))]
+    return groups
+
+
+@dataclass(frozen=True)
+class _PlainGroup:
+    """A group that keeps nothing: the fields that equality, hashing and the
+    repr of `FinGroup` are made of."""
+    table: tuple
+    name: str = field(default="G", compare=False)
+
+
+def test_group_tables_match_a_brute_force_scan():
+    groups = catalog_groups()
+    assert {G.order for G in groups} >= {1, 2, 3, 4, 5, 6}
+    for G in groups:
+        assert G.identity == _identity(G)
+        assert [G.inv(g) for g in G.elements()] == [_inverse(G, g) for g in G.elements()]
+        chars = [bits for bits in itertools.product((1, -1), repeat=G.order)
+                 if all(bits[G.mul(a, b)] == bits[a] * bits[b]
+                        for a in G.elements() for b in G.elements())]
+        assert list(G.sign_characters) == chars
+        assert G.sign_characters is G.sign_characters
+        plain = _PlainGroup(G.table, G.name)
+        assert repr(G) == repr(plain).replace("_PlainGroup", "FinGroup")
+        assert hash(G) == hash(plain)
+    for G, H in itertools.product(groups, repeat=2):
+        assert (G == H) == (_PlainGroup(G.table) == _PlainGroup(H.table))
+    assert FinGroup(cyclic_group(3).table, "Z/3") == cyclic_group(3)
+
+
+def test_group_ring_sheaf_is_kept_per_structure_object():
+    def structure(name):
+        C2 = FinGroup(cyclic_group(2).table, name)
+        one = trivial_group()
+        return cone_structure(Cone(Finite(1)), {}, constant_structure(Finite(1), C2), one,
+                              trivial_hom(C2, one))
+    a, b = structure("C2"), structure("Z/2")
+    assert a == b and hash(a) == hash(b)
+    ja = ser.equiv_to_json(group_ring_sheaf(a))
+    jb = ser.equiv_to_json(group_ring_sheaf(b))
+    assert "C2" in repr(ja) and "Z/2" not in repr(ja)
+    assert "Z/2" in repr(jb) and "C2" not in repr(jb)
+    assert group_ring_sheaf(a) is group_ring_sheaf(a)
+    assert group_ring_sheaf(a) is not group_ring_sheaf(b)
+    cs = t2_block()[2]
+    assert level_germ(cs, 0, 1) is level_germ(cs, 0, 1)
+    for b_, a_ in [(0, 1), (0, 2), (1, 2)]:
+        assert level_germ(cs, b_, a_) == germ_component(hom_between(cs, b_, a_))
+
+
+def test_ring_elements_need_level_uniform_structures():
+    X1 = Cone(Finite(1))
+    C2 = cyclic_group(2)
+    mixed = fin_structure(Finite(2), [C2, cyclic_group(3)])
+    copy = cone_structure(X1, {0: constant_structure(Finite(1), direct_product(C2, C2))},
+                          constant_structure(Finite(1), C2), trivial_group(),
+                          trivial_hom(C2, trivial_group()))
+    for space, cs in [(Finite(2), mixed), (X1, copy)]:
+        for build in (eq_unit, eq_zero):
+            with pytest.raises(GroupError, match="level-uniform"):
+                build(space, (0,), cs)
+    uniform = fin_structure(Finite(2), [C2, C2])
+    doc = ser.eqcfun_to_json(eq_unit(Finite(2), (0,), uniform))
+    assert ser.eqcfun_from_json(doc) == eq_unit(Finite(2), (0,), uniform)
+    doc["structure"] = ser.structure_to_json(mixed)
+    with pytest.raises(SerializeError, match="level-uniform"):
+        ser.eqcfun_from_json(doc)
