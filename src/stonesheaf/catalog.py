@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .space import Cone, Finite, SpaceExpr, apex_point, copy_point, fin_point
+from .space import Cone, Finite, SpaceExpr, apex_point, cb_rank, copy_point, fin_point
+from .adelic import all_flags, build_complex
+from .models import is_cocartesian
 from .weyl import (
     FinGroup, GrpHom, cone_structure, constant_structure, cyclic_group,
     direct_product, trivial_group, trivial_hom)
@@ -398,9 +400,6 @@ def tower_component_maps(block) -> list:
 def cospan_shape(space: SpaceExpr):
     """The punctured three-cube of splicing rings of a rank-2 space, plus a
     checker for the cocartesian (extension) condition of diagram modules."""
-    from .space import cb_rank
-    from .adelic import build_complex, all_flags
-    from .models import is_cocartesian
     if cb_rank(space) != 2:
         raise ValueError("the cospan template is the rank-2 cube")
     cx = build_complex(space)

@@ -21,9 +21,11 @@ from . import serialize as ser
 from .adelic import build_complex, random_cocycle
 from .catalog import divisor_sigma, o2_dihedral_block, sublattices, t2_block
 from .cube import sheaf_cube, stalkwise_cube_check
+from .homalg import injective_resolution_display
 from .models import to_standard, from_standard, is_cocartesian
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
-from .space import cb_rank, iter_points, parse_space, Point, ParseError
+from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
+                    ParseError)
 from .verify import run_all
 from .weyl import (equivariant_adelic, eq_random_cocycle, trivial_structure,
                    plain_to_eq, eq_to_plain)
@@ -59,7 +61,6 @@ def _emit(doc, status=0):
 
 def cmd_space(args):
     s = parse_space(args.expr)
-    from .space import top_stratum, height, parse_point
     doc = {"expr": str(s), "rank": cb_rank(s),
            "top_stratum": [str(p) for p in top_stratum(s)],
            "sample_points": [str(p) for p in list(iter_points(s, 2))[:12]]}
@@ -125,7 +126,6 @@ def cmd_sheaf(args):
     ok = all(c["exact"] and c["degeneracy_ok"] for c in report["stalk_checks"])
     report["status"] = "pass" if ok else "fail"
     if args.resolution:
-        from .homalg import injective_resolution_display
         s = parse_space(args.space)
         if cb_rank(s) == 1:
             report["injective_resolution"] = injective_resolution_display(
@@ -156,7 +156,6 @@ def cmd_model(args):
 
 
 def cmd_equiv(args):
-    from .catalog import o2_dihedral_block
     space, labels, cs = o2_dihedral_block(args.nmax)
     rng = random.Random(_seed(args))
     cx = equivariant_adelic(space, cs)
@@ -165,7 +164,6 @@ def cmd_equiv(args):
     doc = {"block": "dihedral O(2)", "seed": _seed(args),
            "witnessed_cocycles": witnessed, "status": "pass" if ok else "fail"}
     if args.trivial_check:
-        from .adelic import build_complex
         triv = trivial_structure(space)
         cx_t = equivariant_adelic(space, triv)
         plain = build_complex(space)

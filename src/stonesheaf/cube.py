@@ -32,7 +32,7 @@ from .adelic import (
 from .sheaf import (
     CSheaf, Section, SheafMap, constant, make_cone_sheaf, make_sum_sheaf,
     make_cone_map, make_fin_map, make_sum_map, sec_space, sec_dim, zero_sheaf,
-    zero_map, stalk, stalk_map, sec_canonical, _tensor_sec)
+    zero_map, stalk, stalk_map, sec_canonical, _sectionwise, _tensor_vec)
 
 
 def _is_zero_flag(space, flag) -> bool:
@@ -268,4 +268,4 @@ def ring_section_mul(space: SpaceExpr, flag: Flag, s: Section, t: Section) -> Se
     """Pointwise product of sections of a ring sheaf (stalks are at most one
     dimensional, so their tensor product is the coordinatewise product)."""
     F = _ring_sheaf(space, flag)
-    return sec_canonical(Section(F, _tensor_sec(F, F, s.data, t.data)))
+    return sec_canonical(Section(F, _sectionwise([F, F], [s.data, t.data], [], _tensor_vec)))

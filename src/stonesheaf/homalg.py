@@ -33,7 +33,8 @@ from .sheaf import (
     apex_squares, canonical, check_sheaf_map, compose, direct_sum, cokernel,
     make_cone_map, make_cone_sheaf, make_fin_sheaf, make_sum_map,
     make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
-    zero_map, zero_sheaf, _componentwise, _probe_points, _quotient)
+    zero_map, zero_sheaf, _componentwise, _incl_first, _probe_points, _proj_second,
+    _quotient, _scale_by_locconst)
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +70,6 @@ class GammaModule:
         basis at x: once the stored copies are excluded, what remains at an
         apex is the apex-coupled part, so it is the stalk's dimension."""
         return stalk(self.record, x).dim
-
-
-def _scale_by_locconst(F, fdata, sdata):
-    space = F.space
-    if isinstance(space, Finite):
-        return tuple(tuple(fdata[i] * c for c in v) for i, v in enumerate(sdata))
-    if isinstance(space, Sum):
-        return (_scale_by_locconst(F.data[0], fdata[0], sdata[0]),
-                _scale_by_locconst(F.data[1], fdata[1], sdata[1]))
-    _, fexc, ftail = fdata
-    _, sexc, apexv = sdata
-    from .sheaf import _copy_default
-    from .adelic import const_data
-    keys = set(fexc) | set(dict(sexc))
-    out = []
-    for k in sorted(keys):
-        sub_f = fexc.get(k, const_data(space.base, (), ftail))
-        sub_s = dict(sexc).get(k)
-        if sub_s is None:
-            sub_s = _copy_default(F, k, apexv)
-        out.append((k, _scale_by_locconst(F.copy_sheaf(k), sub_f, sub_s)))
-    return ("sec", tuple(out), tuple(ftail * c for c in apexv))
 
 
 def gamma(F: CSheaf) -> GammaModule:
@@ -404,7 +383,6 @@ def extension_from_twist(A: CSheaf, B: CSheaf, twist: LinMap) -> SES:
     exc_parts = {k: direct_sum(B2.copy_sheaf(k), A2.copy_sheaf(k)) for k in B2.stored_keys()}
     germ = LinMap.from_cols(apex, sec_space(tail_S), cols)
     E = make_cone_sheaf(space, {k: v[0] for k, v in exc_parts.items()}, tail_S, apex, germ)
-    from .sheaf import _incl_first, _proj_second
     incl = make_cone_map(B2, E, {k: v[1] for k, v in exc_parts.items()}, t_iB,
                          _incl_first(B2.apex, A2.apex, apex))
     proj = make_cone_map(E, A2, {k: v[4] for k, v in exc_parts.items()}, t_pA,

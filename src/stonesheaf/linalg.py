@@ -71,9 +71,6 @@ class VectQ:
     def labelled(labels: Sequence[str]) -> "VectQ":
         return VectQ(len(labels), tuple(labels))
 
-    def zero_vec(self) -> tuple[Rat, ...]:
-        return (ZERO,) * self.dim
-
     def basis_vec(self, i: int) -> tuple[Rat, ...]:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 

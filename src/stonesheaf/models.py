@@ -35,7 +35,8 @@ from .space import Finite, SpaceExpr, Sum, cb_rank
 from .adelic import Flag, check_flag, insert_height, all_flags, flags_of_size
 from .sheaf import (
     CSheaf, canonical, germ_section, make_cone_sheaf, make_fin_sheaf,
-    make_sum_sheaf, sec_from_coords, sec_space)
+    make_sum_sheaf, sec_from_coords, sec_space, _copy_default)
+from .homalg import gamma, recon_e
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ def _localize_section(T, flag, M, data):
     _, mexc, generic, W, iota = M.payload
     out = []
     excd = dict(exc)
-    from .sheaf import _copy_default
     for k, mk in mexc:
         sub = excd.get(k)
         if sub is None:
@@ -481,7 +481,6 @@ def standard_of_sheaf(F: CSheaf) -> StandardObj:
 def five_model_roundtrip(F: CSheaf) -> CSheaf:
     """Sheaf -> section module -> standard -> complete -> complete-in-
     sheaves -> sheaf; the composite is the identity on constructible data."""
-    from .homalg import gamma, recon_e
     M = gamma(F)                    # module over the locally constant functions
     X = standard_of_sheaf(recon_e(M))  # standard model object
     C = kappa(X)                    # complete model

@@ -23,6 +23,18 @@ fixed order: the stalks of a finite space by index, the left part of a sum
 before the right, and at a cone the copies by increasing key, then the tail,
 then the apex.  `apex_squares` is the one walk over the apex squares that
 such a map must satisfy.
+
+Every section record that is computed value by value (the image of a
+section under a map, and the pointwise tensor of two sections) is built by
+one recursion, `_sectionwise`, which walks records alongside maps.  It
+visits the values in the order `_componentwise` visits components, except
+that a section record has no tail: at a cone it visits, by increasing key,
+every copy that any record or any map lists, then the apex.  A record that
+does not list a copy is read there through the germ of its apex value, and
+a map that does not list one through its tail map.  Scaling a section by a
+locally constant function (`_scale_by_locconst`, which also extends
+sections by zero) walks the function's data instead, and `_at` is the one
+point lookup, for stalks of sheaves and stalk maps of sheaf maps alike.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from fractions import Fraction
 from .linalg import (
     LinMap, Rat, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
     image_basis, rref, solve)
+from .adelic import _indicator_data, const_data
 from .space import (
     Cone, Finite, SpaceExpr, Sum, Point, ClopenSet, validate_point,
     SpaceMismatch, enumerate_finite, set_is_finite, cone_member_set,
@@ -149,17 +162,21 @@ def _sky(space, addr, d):
 
 def stalk(F: CSheaf, x: Point) -> VectQ:
     validate_point(F.space, x)
-    return _stalk_addr(F, x.addr)
+    return _at(F, x.addr)
 
 
-def _stalk_addr(F, addr):
-    if isinstance(F.space, Finite):
-        return F.data[addr[1]]
-    if isinstance(F.space, Sum):
-        return _stalk_addr(F.data[0] if addr[0] == "L" else F.data[1], addr[1])
-    if addr[0] == "apex":
-        return F.apex
-    return _stalk_addr(F.copy_sheaf(addr[1]), addr[2])
+def _at(obj, addr):
+    """The stalk of a sheaf, or the stalk map of a sheaf map, at an address.
+    Both store a finite space's stalks by index, a sum as a pair and a cone
+    as (tag, stored copies, tail, apex, ...)."""
+    kind = addr[0]
+    if kind == "fin":
+        return obj.data[addr[1]]
+    if kind == "apex":
+        return obj.data[3]
+    if kind == "copy":
+        return _at(dict(obj.data[1]).get(addr[1], obj.data[2]), addr[2])
+    return _at(obj.data[0 if kind == "L" else 1], addr[1])
 
 
 # ---------------------------------------------------------------------------
@@ -314,32 +331,19 @@ def sec_eval(F: CSheaf, s: Section, x: Point):
 
 
 def _sec_eval(F, data, addr):
-    if isinstance(F.space, Finite):
+    kind = addr[0]
+    if kind == "fin":
         return data[addr[1]]
-    if isinstance(F.space, Sum):
-        if addr[0] == "L":
-            return _sec_eval(F.data[0], data[0], addr[1])
-        return _sec_eval(F.data[1], data[1], addr[1])
-    _, exc, apexv = data
-    if addr[0] == "apex":
-        return apexv
-    k = addr[1]
-    d = dict(exc)
-    sub = d.get(k)
-    if sub is None:
-        sub = _copy_default(F, k, apexv)
-    return _sec_eval(F.copy_sheaf(k), sub, addr[2])
-
-
-def eval_map(F: CSheaf, x: Point) -> LinMap:
-    """Evaluation of finite-data sections at x, as a linear map."""
-    validate_point(F.space, x)
-    S = sec_space(F)
-    cols = []
-    for i in range(S.dim):
-        s = sec_from_coords(F, S.basis_vec(i))
-        cols.append(_sec_eval(F, s.data, x.addr))
-    return LinMap.from_cols(S, _stalk_addr(F, x.addr), cols)
+    if kind == "apex":
+        return data[2]
+    if kind == "copy":
+        k = addr[1]
+        sub = dict(data[1]).get(k)
+        if sub is None:
+            sub = _copy_default(F, k, data[2])
+        return _sec_eval(F.copy_sheaf(k), sub, addr[2])
+    i = 0 if kind == "L" else 1
+    return _sec_eval(F.data[i], data[i], addr[1])
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +396,8 @@ def make_cone_map(F: CSheaf, G: CSheaf, exc: dict, tail: "SheafMap", apex: LinMa
         if m.source != F.copy_sheaf(k) or m.target != G.copy_sheaf(k):
             raise SpaceMismatch(f"copy {k} component has wrong endpoints")
         comps[k] = m
-    if check:
-        lhs = F.germ.then(sec_functor(tail))
-        rhs = apex.then(G.germ)
-        if lhs != rhs:
-            raise GermSquareError("apex square does not commute")
+    if check and _spread_through(F, tail) != apex.then(G.germ):
+        raise GermSquareError("apex square does not commute")
     cleaned = tuple(sorted((k, m) for k, m in comps.items()
                            if not (m == tail and k not in F.stored_keys() and k not in G.stored_keys())))
     return SheafMap(F, G, ("conemap", cleaned, tail, apex))
@@ -454,9 +455,8 @@ def compose(f: SheafMap, g: SheafMap) -> SheafMap:
 def sec_functor(f: SheafMap) -> LinMap:
     """The induced map on finite-data section spaces.
 
-    Requires the source's stored copies to be stored in the target as well
-    (operations align sheaves so this holds).
-    """
+    Raises `ValueError` when the image of a finite-data section deviates at
+    a copy that the target does not store: no such map exists then."""
     F, G = f.source, f.target
     cols = []
     S = sec_space(F)
@@ -469,36 +469,46 @@ def sec_functor(f: SheafMap) -> LinMap:
 def apply_map(f: SheafMap, s: Section) -> Section:
     if s.sheaf != f.source:
         raise SpaceMismatch("section does not live in the map's source")
-    return Section(f.target, _apply_map(f, s.data))
+    return Section(f.target, _sectionwise([f.source], [s.data], [f], lambda v, m: m.apply(v)))
 
 
-def _apply_map(f, data):
-    F = f.source
-    if isinstance(F.space, Finite):
-        return tuple(m.apply(v) for m, v in zip(f.data, data, strict=True))
-    if isinstance(F.space, Sum):
-        return (_apply_map(f.data[0], data[0]), _apply_map(f.data[1], data[1]))
-    _, exc, apexv = data
-    out = []
-    for k, sub in exc:
-        out.append((k, _apply_map(f.copy_map(k), sub)))
-    return ("sec", tuple(out), f.apex_map.apply(apexv))
+def _sectionwise(sheaves, records, maps, leaf):
+    """The section record whose value at every finite stalk and every apex is
+    `leaf(*values of records there, *components of maps there)`, record i
+    being a section record of `sheaves[i]`; see the module docstring for the
+    visiting order."""
+    space = sheaves[0].space
+    if isinstance(space, Finite):
+        return tuple(leaf(*(r[i] for r in records), *(m.data[i] for m in maps))
+                     for i in range(space.n))
+    if isinstance(space, Sum):
+        return tuple(_sectionwise([F.data[i] for F in sheaves], [r[i] for r in records],
+                                  [m.data[i] for m in maps], leaf)
+                     for i in (0, 1))
+    listed = [dict(r[1]) for r in records]
+    keys = set().union(*listed, *({k for k, _ in m.data[1]} for m in maps))
+    copies = tuple(
+        (k, _sectionwise([F.copy_sheaf(k) for F in sheaves],
+                         [exc[k] if k in exc else _copy_default(F, k, r[2])
+                          for F, r, exc in zip(sheaves, records, listed)],
+                         [m.copy_map(k) for m in maps], leaf))
+        for k in sorted(keys))
+    return ("sec", copies, leaf(*(r[2] for r in records), *(m.apex_map for m in maps)))
 
 
 def stalk_map(f: SheafMap, x: Point) -> LinMap:
     validate_point(f.source.space, x)
-    return _stalk_map(f, x.addr)
+    return _at(f, x.addr)
 
 
-def _stalk_map(f, addr):
-    F = f.source
-    if isinstance(F.space, Finite):
-        return f.data[addr[1]]
-    if isinstance(F.space, Sum):
-        return _stalk_map(f.data[0] if addr[0] == "L" else f.data[1], addr[1])
-    if addr[0] == "apex":
-        return f.apex_map
-    return _stalk_map(f.copy_map(addr[1]), addr[2])
+def _spread_through(F: CSheaf, tail: SheafMap) -> LinMap:
+    """The germ of the cone sheaf F followed by the sections of a map out of
+    its tail, in the finite-data coordinates of the map's target.  Only the
+    germ's image is mapped, so the target need not store the copies that
+    the tail of F stores."""
+    return LinMap.from_cols(F.apex, sec_space(tail.target), [
+        sec_to_coords(tail.target, apply_map(tail, germ_section(F, F.apex.basis_vec(i))))
+        for i in range(F.apex.dim)])
 
 
 def apex_squares(f: SheafMap):
@@ -511,7 +521,7 @@ def apex_squares(f: SheafMap):
         yield from apex_squares(f.data[0])
         yield from apex_squares(f.data[1])
         return
-    yield F.germ.then(sec_functor(f.tail_map)), f.apex_map.then(f.target.germ)
+    yield _spread_through(F, f.tail_map), f.apex_map.then(f.target.germ)
     for _, m in f.data[1]:
         yield from apex_squares(m)
     yield from apex_squares(f.tail_map)
@@ -879,7 +889,7 @@ def tensor(F: CSheaf, G: CSheaf) -> CSheaf:
         si = germ_section(F, F.apex.basis_vec(i))
         for j in range(G.apex.dim):
             tj = germ_section(G, G.apex.basis_vec(j))
-            prod = _tensor_sec(F.tail, G.tail, si.data, tj.data)
+            prod = _sectionwise([F.tail, G.tail], [si.data, tj.data], [], _tensor_vec)
             cols.append(sec_to_coords(tail, Section(tail, prod)))
     germ = LinMap.from_cols(apex, sec_space(tail), cols)
     exc = {k: tensor(F.copy_sheaf(k), G.copy_sheaf(k)) for k in F.stored_keys()}
@@ -893,25 +903,6 @@ def _tensor_space(a: VectQ, b: VectQ) -> VectQ:
 
 def _tensor_vec(a, b):
     return tuple(x * y for x in a for y in b)
-
-
-def _tensor_sec(F, G, a, b):
-    """The pointwise tensor of two section records of F and G, which must
-    share their key tree."""
-    if isinstance(F.space, Finite):
-        return tuple(_tensor_vec(x, y) for x, y in zip(a, b, strict=True))
-    if isinstance(F.space, Sum):
-        return (_tensor_sec(F.data[0], G.data[0], a[0], b[0]),
-                _tensor_sec(F.data[1], G.data[1], a[1], b[1]))
-    _, exca, va = a
-    _, excb, vb = b
-    da, db = dict(exca), dict(excb)
-    out = []
-    for k in sorted(set(da) | set(db)):
-        xa = da[k] if k in da else _copy_default(F, k, va)
-        xb = db[k] if k in db else _copy_default(G, k, vb)
-        out.append((k, _tensor_sec(F.copy_sheaf(k), G.copy_sheaf(k), xa, xb)))
-    return ("sec", tuple(out), _tensor_vec(va, vb))
 
 
 # ---------------------------------------------------------------------------
@@ -959,41 +950,38 @@ def _section_module(F, U):
     return SectionModule(exc, gen, coupled)
 
 
-def mask_section(F: CSheaf, s: Section, U: ClopenSet) -> Section:
-    """Zero the section outside the clopen set U; always yields a valid
-    global section (clopen splitting of the space)."""
-    return sec_canonical(Section(F, _mask(F, s.data, F.space, U)))
-
-
-def _mask(F, data, space, U):
+def _scale_by_locconst(F, fdata, sdata):
+    """The record of the section sdata of F times the locally constant
+    function with data fdata (empty flag), pointwise."""
+    space = F.space
     if isinstance(space, Finite):
-        return tuple(v if i in U.members else F.data[i].zero_vec()
-                     for i, v in enumerate(data))
+        return tuple(tuple(fdata[i] * c for c in v) for i, v in enumerate(sdata))
     if isinstance(space, Sum):
-        return (_mask(F.data[0], data[0], space.left, U.left),
-                _mask(F.data[1], data[1], space.right, U.right))
-    _, exc, apexv = data
-    new_apex = apexv if U.apex else F.apex.zero_vec()
-    keys = set(dict(exc)) | {k for k, _ in U.exc}
+        return (_scale_by_locconst(F.data[0], fdata[0], sdata[0]),
+                _scale_by_locconst(F.data[1], fdata[1], sdata[1]))
+    _, fexc, ftail = fdata
+    _, sexc, apexv = sdata
+    keys = set(fexc) | set(dict(sexc))
     out = []
     for k in sorted(keys):
-        G = F.copy_sheaf(k)
-        sub = dict(exc).get(k)
-        if sub is None:
-            sub = _copy_default(F, k, apexv)
-        Uk = cone_member_set(U, space, k)
-        out.append((k, _mask(G, sub, space.base, Uk)))
-    return ("sec", tuple(out), new_apex)
+        sub_f = fexc.get(k, const_data(space.base, (), ftail))
+        sub_s = dict(sexc).get(k)
+        if sub_s is None:
+            sub_s = _copy_default(F, k, apexv)
+        out.append((k, _scale_by_locconst(F.copy_sheaf(k), sub_f, sub_s)))
+    return ("sec", tuple(out), tuple(ftail * c for c in apexv))
 
 
 def extend_section(F: CSheaf, U: ClopenSet, s: Section) -> Section:
-    """Extend a section given over the clopen U by zero to a global section.
+    """Extend a section given over the clopen U by zero to a global section:
+    the section times the indicator function of U.
 
     The input is a global-shaped record whose values outside U are ignored;
     closed sets are handled by passing a clopen representative containing
     them.  Sections over these spaces always extend (softness).
     """
-    return mask_section(F, s, U)
+    return sec_canonical(Section(F, _scale_by_locconst(F, _indicator_data(F.space, (), U),
+                                                       s.data)))
 
 
 # ---------------------------------------------------------------------------

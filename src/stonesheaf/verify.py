@@ -16,7 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .linalg import LinMap, VectQ
+from .linalg import LinMap, VectQ, image_basis
 from .space import Finite, parse_space, cb_rank, iter_points, apex_point
 from .adelic import build_complex, random_cocycle, all_flags, random_cfun
 from .sheaf import (
@@ -127,21 +127,19 @@ def check_reconstruction(seed: int = 4, samples: int = 100):
 
 
 def _floor_sheaf(space):
-    from .linalg import LinMap as LM
     tail = constant(space.base, 1)
     apex = VectQ.make(0)
-    return make_cone_sheaf(space, {}, tail, apex, LM.zero(apex, sec_space(tail)))
+    return make_cone_sheaf(space, {}, tail, apex, LinMap.zero(apex, sec_space(tail)))
 
 
 def _nonsplit_ses(space):
-    from .linalg import LinMap as LM
     floor = _floor_sheaf(space)
     const = constant(space, 1)
     sky = skyscraper(space, apex_point(), 1)
     incl = make_cone_map(floor, const, {}, identity_map(floor.tail),
-                         LM.zero(floor.apex, const.apex))
+                         LinMap.zero(floor.apex, const.apex))
     proj = make_cone_map(const, sky, {}, zero_map(const.tail, sky.tail),
-                         LM.identity(const.apex), check=False)
+                         LinMap.identity(const.apex), check=False)
     return make_ses(incl, proj)
 
 
@@ -208,18 +206,16 @@ def check_dimension_one(seed: int = 5, samples: int = 100):
 
 
 def _shaped_sheaf(space, exc_dims, tail_dim, apex_dim, rng):
-    from .linalg import LinMap as LM
     tail = constant(space.base, tail_dim)
     apex = VectQ.make(apex_dim)
     S = sec_space(tail)
-    germ = LM.from_rows(apex, S, [[Fraction(rng.randint(-1, 1))
-                                   for _ in range(apex_dim)] for _ in range(S.dim)])
+    germ = LinMap.from_rows(apex, S, [[Fraction(rng.randint(-1, 1))
+                                       for _ in range(apex_dim)] for _ in range(S.dim)])
     exc = {k: constant(space.base, d) for k, d in enumerate(exc_dims) if d}
     return make_cone_sheaf(space, exc, tail, apex, germ)
 
 
 def _germ_image_dim(F):
-    from .linalg import image_basis
     return len(image_basis(F.germ))
 
 

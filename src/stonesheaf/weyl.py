@@ -42,15 +42,15 @@ from fractions import Fraction
 
 from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
-                    copy_point, fin_point, validate_point)
+                    copy_point, fin_point, iter_points, validate_point)
 from .adelic import (
     AdelicComplex, CFun, Flag, _dmap_data, _map_leaves, _sample_cocycle, _zip_data,
     check_flag, const_data, insert_height)
 from .sheaf import (
-    CSheaf, Section, SheafMap, germ_section, make_cone_map, make_cone_sheaf,
-    make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
-    sec_from_coords, sec_space, sec_to_coords, stalk, stalk_map, zero_map,
-    _probe_points)
+    CSheaf, Section, SheafMap, check_sheaf_map, germ_section, make_cone_map,
+    make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
+    sec_eval, sec_from_coords, sec_space, sec_to_coords, stalk, stalk_map,
+    zero_map, _probe_points)
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +542,21 @@ def _is_rep(G: FinGroup, mats, space: VectQ) -> bool:
 
 def trivial_equiv(sheaf: CSheaf, cs: ComponentStructure) -> EquivCSheaf:
     """The given sheaf with every group acting trivially."""
-    return make_equiv(sheaf, cs, _trivial_reps(sheaf, cs))
+    return make_equiv(sheaf, cs, _stalk_reps(
+        sheaf, cs, lambda G, V: tuple(LinMap.identity(V) for _ in range(G.order))))
 
 
-def _trivial_reps(sheaf, cs):
+def _stalk_reps(sheaf, cs, rep):
+    """The `reps` tree of `EquivCSheaf` with `rep(group, stalk)` at every
+    stalk of the sheaf, the group being the structure's group there."""
     if isinstance(sheaf.space, Finite):
-        return ("fin", tuple(tuple(LinMap.identity(sheaf.data[i])
-                                   for _ in range(cs.data[1][i].order))
-                             for i in range(sheaf.space.n)))
+        return ("fin", tuple(rep(G, V) for G, V in zip(cs.data[1], sheaf.data, strict=True)))
     if isinstance(sheaf.space, Sum):
-        return ("sum", _trivial_reps(sheaf.data[0], cs.data[1]),
-                _trivial_reps(sheaf.data[1], cs.data[2]))
+        return ("sum", _stalk_reps(sheaf.data[0], cs.data[1], rep),
+                _stalk_reps(sheaf.data[1], cs.data[2], rep))
     exc_cs, tail_cs, apex_group, _up = cs.cone_parts()
-    exc = {k: _trivial_reps(G, exc_cs.get(k, tail_cs)) for k, G in sheaf.data[1]}
-    return ("cone", tuple(sorted(exc.items())),
-            _trivial_reps(sheaf.tail, tail_cs),
-            tuple(LinMap.identity(sheaf.apex) for _ in range(apex_group.order)))
+    exc = tuple((k, _stalk_reps(G, exc_cs.get(k, tail_cs), rep)) for k, G in sheaf.data[1])
+    return ("cone", exc, _stalk_reps(sheaf.tail, tail_cs, rep), rep(apex_group, sheaf.apex))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +640,8 @@ def group_ring_sheaf(cs: ComponentStructure) -> EquivCSheaf:
     kept = cs.kept
     if "ring" not in kept:
         sheaf = _gr_sheaf(cs)
-        kept["ring"] = make_equiv(sheaf, cs, _gr_reps(cs, sheaf))
+        kept["ring"] = make_equiv(sheaf, cs,
+                                  _stalk_reps(sheaf, cs, lambda G, _V: tuple(regular_rep(G))))
     return kept["ring"]
 
 
@@ -672,18 +672,6 @@ def _gr_spread(cs, v) -> tuple:
     return ("sec", (), v)
 
 
-def _gr_reps(cs, sheaf):
-    if cs.data[0] == "fin":
-        return ("fin", tuple(tuple(regular_rep(g)) for g in cs.data[1]))
-    if cs.data[0] == "sum":
-        return ("sum", _gr_reps(cs.data[1], sheaf.data[0]),
-                _gr_reps(cs.data[2], sheaf.data[1]))
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    excreps = {k: _gr_reps(sub, sheaf.copy_sheaf(k)) for k, sub in exc.items()}
-    return ("cone", tuple(sorted(excreps.items())),
-            _gr_reps(tail_cs, sheaf.tail), tuple(regular_rep(apex_group)))
-
-
 def check_germ_equivariance(E: EquivCSheaf) -> bool:
     """Definition of an equivariant sheaf: spreading then acting equals
     acting through the structure homomorphism then spreading, at every
@@ -699,23 +687,17 @@ def _germ_eq_rec(sheaf, cs, reps) -> bool:
                 _germ_eq_rec(sheaf.data[1], cs.data[2], reps[2]))
     exc_cs, tail_cs, apex_group, up = cs.cone_parts()
     _, excreps, tail_reps, apex_rep = reps
-    from .space import iter_points
-    probes = [p for p in iter_points(sheaf.space.base, 1)]
-    for g in range(apex_group.order):
-        pre = None
-        for y in probes:
-            k = max([kk for kk, _ in sheaf.data[1]] + [-1]) + 1
-            hom = structure_hom(cs, apex_point(), copy_point(k, y))
-            from .sheaf import eval_map, germ_section
-            ev = eval_map(sheaf.tail, y)
-            rep_y = _rep_addr(EquivCSheaf(sheaf.tail, tail_cs, tail_reps), y.addr)
-            for i in range(sheaf.apex.dim):
-                a = sheaf.apex.basis_vec(i)
-                for h in _preimages(hom, g):
-                    lhs = ev.apply(sheaf.germ.apply(apex_rep[g].apply(a)))
-                    rhs = rep_y[h].apply(ev.apply(sheaf.germ.apply(a)))
-                    if lhs != rhs:
-                        return False
+    k = max([kk for kk, _ in sheaf.data[1]] + [-1]) + 1
+    for y in iter_points(sheaf.space.base, 1):
+        hom = structure_hom(cs, apex_point(), copy_point(k, y))
+        rep_y = _rep_addr(EquivCSheaf(sheaf.tail, tail_cs, tail_reps), y.addr)
+        for i in range(sheaf.apex.dim):
+            a = sheaf.apex.basis_vec(i)
+            val = sec_eval(sheaf.tail, germ_section(sheaf, a), y)
+            for g in range(apex_group.order):
+                lhs = sec_eval(sheaf.tail, germ_section(sheaf, apex_rep[g].apply(a)), y)
+                if any(rep_y[h].apply(val) != lhs for h in _preimages(hom, g)):
+                    return False
     for k, sub in dict(excreps).items():
         if not _germ_eq_rec(sheaf.copy_sheaf(k), exc_cs.get(k, tail_cs), sub):
             return False
@@ -728,7 +710,6 @@ def _preimages(hom: GrpHom, g: int):
 
 def check_equivariance(f: SheafMap, src: EquivCSheaf, tgt: EquivCSheaf) -> bool:
     """Whether a sheaf map intertwines the stalk actions everywhere stored."""
-    from .space import iter_points
     for x in iter_points(f.source.space, _probe_bound(f)):
         m = stalk_map(f, x)
         rs, rt = src.rep_at(x), tgt.rep_at(x)
@@ -781,7 +762,6 @@ def average(f: SheafMap, src: EquivCSheaf, tgt: EquivCSheaf) -> SheafMap:
     """Average a sheaf map stalkwise into an equivariant one; fixes maps
     that are already equivariant and is idempotent."""
     out = _avg_rec(f, src.cs, src.reps, tgt.reps)
-    from .sheaf import check_sheaf_map
     if not check_sheaf_map(out):
         raise AssertionError("averaging broke an apex square")
     return out
@@ -961,7 +941,10 @@ def _uniform_levels(cs) -> bool:
     if cs.data[0] == "fin":
         return all(g == cs.data[1][0] for g in cs.data[1])
     if cs.data[0] == "sum":
-        return _uniform_levels(cs.data[1]) and _uniform_levels(cs.data[2])
+        left, right = cs.data[1], cs.data[2]
+        shared = range(min(cb_rank(left.space), cb_rank(right.space)) + 1)
+        return (_uniform_levels(left) and _uniform_levels(right) and
+                all(level_group(left, a) == level_group(right, a) for a in shared))
     exc, tail_cs, _g, _u = cs.cone_parts()
     return not exc and _uniform_levels(tail_cs)
 
@@ -1075,14 +1058,12 @@ def _apex_generator(G: EquivCSheaf, E: EquivCSheaf, x) -> SheafMap:
 def _spread_map(GT: CSheaf, MT: CSheaf, cs, reps, spread: Section) -> SheafMap:
     """At each tail point, send a group element to its action on the spread
     value of the generating stalk element."""
-    from .sheaf import eval_map
     if isinstance(GT.space, Finite):
         maps = []
         for p in range(GT.space.n):
             grp = cs.data[1][p]
             rep = reps[1][p]
-            xval = sec_to_coords(MT, spread)
-            val = eval_map(MT, fin_point(p)).apply(xval)
+            val = sec_eval(MT, spread, fin_point(p))
             cols = [rep[g].apply(val) for g in grp.elements()]
             maps.append(LinMap.from_cols(GT.data[p], MT.data[p], cols))
         return make_fin_map(GT, MT, maps)
@@ -1121,8 +1102,11 @@ def standard_generator(space: SpaceExpr, cs: ComponentStructure, flag: Flag) -> 
 
 def random_equiv_sheaf(space: SpaceExpr, cs: ComponentStructure,
                        rng: random.Random, dim_bound: int = 2) -> EquivCSheaf:
-    """A random equivariant sheaf: permutation-style actions on random
-    stalks with a germ map averaged into equivariance."""
+    """A random equivariant sheaf over a space of rank at most 1:
+    permutation-style actions on random stalks with a germ map averaged into
+    equivariance.  Raises `ValueError` on higher ranks before drawing."""
+    if cb_rank(space) > 1:
+        raise ValueError("random equivariant sheaves implemented for rank <= 1")
     if isinstance(space, Finite):
         stalks, reps = [], []
         for i in range(space.n):

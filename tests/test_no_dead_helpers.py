@@ -11,6 +11,9 @@ Every parameter with a default value, in any function of
 Every name bound by a top-level import of `src/stonesheaf/*.py` must be
 loaded somewhere in its module; `__init__.py`, whose imports are the
 package's re-exports, and `__future__` imports are exempt.
+
+No function body in `src/stonesheaf/*.py` may import: the modules import
+each other without cycles, so every import belongs at the top.
 """
 
 import ast
@@ -103,3 +106,21 @@ def unused_imports() -> list[str]:
 
 def test_every_imported_name_is_used():
     assert unused_imports() == []
+
+
+def function_imports() -> list[str]:
+    """`module.function:line` for every import statement inside a function
+    (nested functions and methods included) of `src/stonesheaf`."""
+    found = []
+    for path in sorted((ROOT / "src" / "stonesheaf").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}.{node.name}:{sub.lineno}"
+                          for stmt in node.body for sub in ast.walk(stmt)
+                          if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+def test_no_function_imports():
+    assert function_imports() == []

@@ -14,6 +14,13 @@
   are for a group that keeps nothing.
 * `ComponentStructure` keeps its group-ring sheaf and germ components per
   object, so structures equal up to group names keep their own names.
+* The equivariant rings and complexes accept only structures with one group
+  per level, also across the summands of a sum, and `random_equiv_sheaf`
+  refuses rank >= 2 before it draws.
+* `check_germ_equivariance` and the generators read spread sections point
+  by point: a sign action at an apex over trivial stalks is caught, and
+  the generators of random sheaves over a two-point base are valid,
+  equivariant and cover.
 """
 
 import itertools
@@ -29,13 +36,14 @@ from stonesheaf.catalog import (
     SubgroupLabel, Lattice2, line_lattice, o2_dihedral_block, t2_block, weyl_of_subgroup)
 from stonesheaf.linalg import LinMap, VectQ
 from stonesheaf.serialize import SerializeError
-from stonesheaf.sheaf import sec_space
-from stonesheaf.space import Cone, Finite
+from stonesheaf.sheaf import check_sheaf_map, constant, make_cone_sheaf, sec_space
+from stonesheaf.space import Cone, Finite, Sum
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
     FinGroup, GroupError, average_stalk, cone_structure, constant_structure, cyclic_group,
-    direct_product, eq_unit, eq_zero, fin_structure, germ_component, group_ring_sheaf,
-    hom_between, level_germ, random_equiv_sheaf, trivial_group, trivial_hom)
+    direct_product, eq_unit, eq_zero, equivariant_adelic, fin_structure, germ_component,
+    group_ring_sheaf, hom_between, level_germ, make_equiv, random_equiv_sheaf, sum_structure,
+    trivial_group, trivial_hom)
 
 CRITERION6_GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
                      cyclic_group(5), cyclic_group(6),
@@ -218,3 +226,60 @@ def test_ring_elements_need_level_uniform_structures():
     doc["structure"] = ser.structure_to_json(mixed)
     with pytest.raises(SerializeError, match="level-uniform"):
         ser.eqcfun_from_json(doc)
+
+
+def test_sum_summands_need_one_group_per_shared_level():
+    two = Sum(Finite(1), Finite(1))
+    C2, C3 = cyclic_group(2), cyclic_group(3)
+    mixed = sum_structure(two, fin_structure(Finite(1), [C2]), fin_structure(Finite(1), [C3]))
+    for build in (eq_unit, eq_zero):
+        with pytest.raises(GroupError, match="level-uniform"):
+            build(two, (0,), mixed)
+    with pytest.raises(GroupError, match="level-uniform"):
+        equivariant_adelic(two, mixed)
+    uniform = sum_structure(two, fin_structure(Finite(1), [C2]), fin_structure(Finite(1), [C2]))
+    doc = ser.eqcfun_to_json(eq_unit(two, (0,), uniform))
+    doc["structure"] = ser.structure_to_json(mixed)
+    with pytest.raises(SerializeError, match="level-uniform"):
+        ser.eqcfun_from_json(doc)
+    # the catalog's blocks carry one group per level and stay accepted
+    for space, _labels, cs, *_towers in [o2_dihedral_block(n) for n in (3, 4, 6)] + [t2_block()]:
+        equivariant_adelic(space, cs)
+        eq_unit(space, (0,), cs)
+
+
+def test_random_equiv_sheaf_rejects_rank2_before_drawing():
+    space, _labels, cs, _towers = t2_block()
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="rank <= 1"):
+        random_equiv_sheaf(space, cs, rng)
+    assert rng.getstate() == state
+
+
+def test_germ_equivariance_reads_the_spread_values():
+    X1 = Cone(Finite(1))
+    C2 = cyclic_group(2)
+    cs = constant_structure(X1, C2)
+    tail = constant(Finite(1), 1)
+    Q = VectQ.make(1)
+    sheaf = make_cone_sheaf(X1, {}, tail, Q, LinMap.from_cols(Q, sec_space(tail), [(1,)]))
+    one, minus = LinMap.identity(Q), LinMap.from_rows(Q, Q, [[-1]])
+    tail_reps = ("fin", ((one, one),))
+    assert weyl.check_germ_equivariance(make_equiv(sheaf, cs, ("cone", (), tail_reps, (one, one))))
+    # the sign action at the apex does not commute with spreading onto trivial stalks
+    assert not weyl.check_germ_equivariance(
+        make_equiv(sheaf, cs, ("cone", (), tail_reps, (one, minus))))
+
+
+def test_generators_spread_over_every_base_point():
+    space = Cone(Finite(2))
+    cs = constant_structure(space, cyclic_group(2))
+    ring = group_ring_sheaf(cs)
+    rng = random.Random(17)
+    for _ in range(10):
+        E = random_equiv_sheaf(space, cs, rng, 2)
+        assert weyl.check_germ_equivariance(E)
+        gens = weyl.generator_epi(E)
+        assert weyl.generator_images_cover(E, gens)
+        assert all(check_sheaf_map(g) and weyl.check_equivariance(g, ring, E) for g in gens)
