@@ -396,8 +396,10 @@ def make_cone_map(F: CSheaf, G: CSheaf, exc: dict, tail: "SheafMap", apex: LinMa
         if m.source != F.copy_sheaf(k) or m.target != G.copy_sheaf(k):
             raise SpaceMismatch(f"copy {k} component has wrong endpoints")
         comps[k] = m
-    if check and _spread_through(F, tail) != apex.then(G.germ):
-        raise GermSquareError("apex square does not commute")
+    if check:
+        lhs, rhs = _apex_square(F, G, tail, apex)
+        if lhs != rhs:
+            raise GermSquareError("apex square does not commute")
     cleaned = tuple(sorted((k, m) for k, m in comps.items()
                            if not (m == tail and k not in F.stored_keys() and k not in G.stored_keys())))
     return SheafMap(F, G, ("conemap", cleaned, tail, apex))
@@ -501,19 +503,31 @@ def stalk_map(f: SheafMap, x: Point) -> LinMap:
     return _at(f, x.addr)
 
 
-def _spread_through(F: CSheaf, tail: SheafMap) -> LinMap:
-    """The germ of the cone sheaf F followed by the sections of a map out of
-    its tail, in the finite-data coordinates of the map's target.  Only the
-    germ's image is mapped, so the target need not store the copies that
-    the tail of F stores."""
-    return LinMap.from_cols(F.apex, sec_space(tail.target), [
-        sec_to_coords(tail.target, apply_map(tail, germ_section(F, F.apex.basis_vec(i))))
-        for i in range(F.apex.dim)])
+def _apex_square(F: CSheaf, G: CSheaf, tail: SheafMap, apex: LinMap):
+    """The two sides of the apex square of a cone map F -> G with the given
+    tail and apex components: the germ of F followed by the tail map, and
+    the apex map followed by the germ of G.  Both are read in coordinates
+    that list the value at every copy that any of their sections lists, so
+    a section that deviates at a copy the tail of G does not store still
+    has coordinates, and the square commutes iff the two maps are equal."""
+    records = [apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data
+               for i in range(F.apex.dim)]
+    records += [sec_from_coords(G.tail, col).data for col in apex.then(G.germ).cols()]
+    cols = [[] for _ in records]
+
+    def gather(*values):
+        for col, v in zip(cols, values):
+            col.extend(v)
+    if records:
+        _sectionwise([G.tail] * len(records), records, [], gather)
+    V = VectQ.make(len(cols[0]) if cols else 0, "s")
+    return (LinMap.from_cols(F.apex, V, cols[:F.apex.dim]),
+            LinMap.from_cols(apex.source, V, cols[F.apex.dim:]))
 
 
 def apex_squares(f: SheafMap):
-    """Yield (germ then sections of the tail map, apex map then germ) at every
-    cone of f: the cone itself, then its copies, then its tail."""
+    """Yield the `_apex_square` (germ then the tail map, apex map then germ)
+    at every cone of f: the cone itself, then its copies, then its tail."""
     F = f.source
     if isinstance(F.space, Finite):
         return
@@ -521,7 +535,7 @@ def apex_squares(f: SheafMap):
         yield from apex_squares(f.data[0])
         yield from apex_squares(f.data[1])
         return
-    yield _spread_through(F, f.tail_map), f.apex_map.then(f.target.germ)
+    yield _apex_square(F, f.target, f.tail_map, f.apex_map)
     for _, m in f.data[1]:
         yield from apex_squares(m)
     yield from apex_squares(f.tail_map)

@@ -29,12 +29,12 @@ import random
 
 import pytest
 
-from stonesheaf.homalg import counit_map
+from stonesheaf.homalg import _germ_residual, counit_map
 from stonesheaf.linalg import LinMap, VectQ
 from stonesheaf.sheaf import (
-    _componentwise, _probe_points, apply_map, canonical, check_sheaf_map, compose, constant,
-    direct_sum, identity_map, key_tree, make_cone_map, make_cone_sheaf, random_csheaf,
-    random_section, sec_eval, sec_from_coords, sec_functor, sec_space, stalk_map, zero_map)
+    GermSquareError, _componentwise, _probe_points, apply_map, canonical, check_sheaf_map,
+    compose, constant, direct_sum, identity_map, key_tree, make_cone_map, make_cone_sheaf,
+    random_csheaf, random_section, sec_eval, sec_from_coords, sec_functor, sec_space, stalk_map, zero_map)
 from stonesheaf.space import Cone, Finite, parse_space
 
 RANK2 = ["Cone(Sum(Finite(2),Cone(Finite(1))))", "Cone(Cone(Finite(1)))"]
@@ -89,6 +89,22 @@ def test_identity_onto_the_canonical_form_passes_the_square_check():
     assert check_sheaf_map(f)
     with pytest.raises(ValueError, match="deviates outside the stored copies"):
         sec_functor(f.tail_map)
+
+
+def test_a_deviation_outside_the_targets_copies_fails_the_square():
+    X1 = Cone(Finite(1))
+    X = Cone(X1)
+    base = constant(Finite(1), 1)
+    Q = VectQ.make(1)
+    T0 = make_cone_sheaf(X1, {0: base}, base, Q, LinMap.from_cols(Q, sec_space(base), [(1,)]))
+    F = make_cone_sheaf(X, {}, T0, Q, LinMap.from_cols(Q, sec_space(T0), [(5, 1)]))
+    C = constant(X, 1)
+    identity = lambda a, _b: LinMap.identity(a)  # noqa: E731
+    f = _componentwise(F, C, [], identity)
+    assert not check_sheaf_map(f)
+    assert any(_germ_residual(f))
+    with pytest.raises(GermSquareError):
+        make_cone_map(F, C, {}, _componentwise(T0, C.tail, [], identity), LinMap.identity(Q))
 
 
 def _maps(F, G):
