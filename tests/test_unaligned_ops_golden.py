@@ -7,8 +7,8 @@ copies (`key_tree(F) != key_tree(G)`):
 
   * the `canonical` records of `direct_sum(F, G)` and `tensor(F, G)`;
   * the `canonical` records of the kernel and the cokernel of each
-    inclusion and projection of the direct sum, and at rank <= 1 of a
-    `random_hom(F, G)`;
+    inclusion and projection of the direct sum, of the zero maps F -> G and
+    G -> F, and at rank <= 1 of a `random_hom(F, G)`;
   * at rank <= 1, `len(hom_basis(F, G))`, `ext1_dim(F, G)`,
     `ext2_dim(F, G)`, the `is_split` verdict of `split_ses(F, G)` and of
     every representative of `ext1(F, G)`.
@@ -28,7 +28,7 @@ import random
 from stonesheaf import serialize as ser
 from stonesheaf.homalg import ext1, ext1_dim, ext2_dim, hom_basis, is_split, random_hom, split_ses
 from stonesheaf.sheaf import (
-    canonical, cokernel, direct_sum, kernel, key_tree, random_csheaf, tensor)
+    canonical, cokernel, direct_sum, kernel, key_tree, random_csheaf, tensor, zero_map)
 from stonesheaf.space import cb_rank, parse_space
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "unaligned_ops.json"
@@ -52,7 +52,8 @@ def _pair(space, rng) -> dict:
     out = {"aligned": key_tree(F) == key_tree(G),
            "direct_sum": _rec(S),
            "tensor": _rec(tensor(F, G)),
-           "kernel_cokernel": [_kernel_cokernel(f) for f in (iF, iG, pF, pG)]}
+           "kernel_cokernel": [_kernel_cokernel(f)
+                               for f in (iF, iG, pF, pG, zero_map(F, G), zero_map(G, F))]}
     if cb_rank(space) <= 1:
         out["random_hom"] = _kernel_cokernel(random_hom(F, G, rng))
         out["hom_dim"] = len(hom_basis(F, G))
