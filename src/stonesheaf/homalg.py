@@ -29,8 +29,8 @@ from .linalg import (
 from .space import Cone, Finite, Sum, cb_rank, Point
 from .adelic import CFun
 from .sheaf import (
-    CSheaf, GermSquareError, Section, SheafMap, align_pair, align_map,
-    apex_squares, canonical, check_sheaf_map, compose, direct_sum, cokernel,
+    CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
+    check_sheaf_map, compose, direct_sum, cokernel,
     make_cone_map, make_cone_sheaf, make_fin_sheaf, make_sum_map,
     make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
     zero_map, zero_sheaf, _componentwise, _incl_first, _probe_points, _proj_second,
@@ -158,7 +158,6 @@ def _germ_residual(f: SheafMap):
 def hom_basis(F: CSheaf, G: CSheaf) -> list[SheafMap]:
     """A basis of the space of sheaf maps F -> G (rank <= 1 spaces)."""
     _require_rank1(F.space)
-    F, G = align_pair(F, G)
     params, build = _hom_parametrization(F, G)
     if params == 0:
         return []
@@ -187,7 +186,7 @@ def random_hom(F: CSheaf, G: CSheaf, rng: random.Random) -> SheafMap:
         for c, m in zip(coeffs, ms):
             out = out.add(m.scale(c))
         return out
-    return _componentwise(*align_pair(F, G), basis, combine)
+    return _componentwise(F, G, basis, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +240,7 @@ def is_split(s: SES):
     """Whether the sequence admits a retraction of its projection; returns
     (bool, section-of-proj or None).  Exact linear algebra on the record."""
     _require_rank1(s.mid.space)
-    C, B = align_pair(s.quo, s.mid)
-    proj = align_map(s.proj)
+    C, B, proj = s.quo, s.mid, s.proj
     params, build = _hom_parametrization(C, B)
     probe = _probe_points(C.space, [C, B, proj])
     if params == 0:
@@ -251,7 +249,7 @@ def is_split(s: SES):
 
     def equations(r: SheafMap):
         rows = list(_germ_residual(r))
-        comp = compose(SheafMap(C, proj.source, r.data), proj)
+        comp = compose(r, proj)
         for x in probe:
             m = stalk_map(comp, x)
             for row in m.matrix:
@@ -322,27 +320,26 @@ def ext1(A: CSheaf, B: CSheaf):
             reps.append(_sum_ses(space, split_ses(A.data[0], B.data[0]), s))
         return VectQ.make(cl.dim + cr.dim, "x"), reps
     _cone_rank1(space)
-    A2, B2 = align_pair(A, B)
-    SB = sec_space(B2.tail)
-    n_t = A2.apex.dim * SB.dim
+    SB = sec_space(B.tail)
+    n_t = A.apex.dim * SB.dim
     if n_t == 0:
         return VectQ.make(0, "x"), []
     cob_cols = []
     # coboundary from u: apex(A) -> apex(B): twist sigma_B ∘ u
-    for i in range(A2.apex.dim):
-        for j in range(B2.apex.dim):
-            twist = [[ZERO] * A2.apex.dim for _ in range(SB.dim)]
-            col = B2.germ.apply(B2.apex.basis_vec(j))
+    for i in range(A.apex.dim):
+        for j in range(B.apex.dim):
+            twist = [[ZERO] * A.apex.dim for _ in range(SB.dim)]
+            col = B.germ.apply(B.apex.basis_vec(j))
             for r_ in range(SB.dim):
                 twist[r_][i] = col[r_]
             cob_cols.append(tuple(x for row in twist for x in row))
     # coboundary from h: tail(A) -> tail(B): twist sections(h) ∘ sigma_A
-    h_params, h_build = _hom_parametrization(A2.tail, B2.tail)
+    h_params, h_build = _hom_parametrization(A.tail, B.tail)
     for i in range(h_params):
         vec = [ZERO] * h_params
         vec[i] = ONE
         h = h_build(tuple(vec))
-        comp = A2.germ.then(sec_functor(h))
+        comp = A.germ.then(sec_functor(h))
         cob_cols.append(tuple(x for row in comp.matrix for x in row))
     span = row_space_basis(cob_cols)
     amb = VectQ.make(n_t, "t")
@@ -350,15 +347,15 @@ def ext1(A: CSheaf, B: CSheaf):
     reps = []
     for i in range(classes.dim):
         lift = solve(proj, classes.basis_vec(i))
-        reps.append(extension_from_twist(A2, B2, _twist_matrix(A2, B2, lift)))
+        reps.append(extension_from_twist(A, B, _twist_matrix(A, B, lift)))
     return classes, reps
 
 
-def _twist_matrix(A2, B2, flat):
-    SB = sec_space(B2.tail)
-    rows = [tuple(flat[r_ * A2.apex.dim + j] for j in range(A2.apex.dim))
+def _twist_matrix(A, B, flat):
+    SB = sec_space(B.tail)
+    rows = [tuple(flat[r_ * A.apex.dim + j] for j in range(A.apex.dim))
             for r_ in range(SB.dim)]
-    return LinMap.from_rows(A2.apex, SB, rows)
+    return LinMap.from_rows(A.apex, SB, rows)
 
 
 def extension_from_twist(A: CSheaf, B: CSheaf, twist: LinMap) -> SES:
@@ -367,26 +364,26 @@ def extension_from_twist(A: CSheaf, B: CSheaf, twist: LinMap) -> SES:
     The middle sheaf is B ⊕ A stalkwise with germ matrix
     [[sigma_B, twist], [0, sigma_A]].
     """
-    A2, B2 = align_pair(A, B)
-    space = A2.space
+    space = A.space
     _cone_rank1(space)
-    tail_S, t_iB, t_iA, t_pB, t_pA = direct_sum(B2.tail, A2.tail)
-    apex = direct_sum_space([B2.apex, A2.apex], ["b", "a"])
+    tail_S, t_iB, t_iA, t_pB, t_pA = direct_sum(B.tail, A.tail)
+    apex = direct_sum_space([B.apex, A.apex], ["b", "a"])
     iB_s, iA_s = sec_functor(t_iB), sec_functor(t_iA)
     cols = []
-    for i in range(B2.apex.dim):
-        cols.append(iB_s.apply(B2.germ.apply(B2.apex.basis_vec(i))))
-    for i in range(A2.apex.dim):
-        base = iA_s.apply(A2.germ.apply(A2.apex.basis_vec(i)))
-        tw = iB_s.apply(twist.apply(A2.apex.basis_vec(i)))
+    for i in range(B.apex.dim):
+        cols.append(iB_s.apply(B.germ.apply(B.apex.basis_vec(i))))
+    for i in range(A.apex.dim):
+        base = iA_s.apply(A.germ.apply(A.apex.basis_vec(i)))
+        tw = iB_s.apply(twist.apply(A.apex.basis_vec(i)))
         cols.append(tuple(a + b for a, b in zip(base, tw)))
-    exc_parts = {k: direct_sum(B2.copy_sheaf(k), A2.copy_sheaf(k)) for k in B2.stored_keys()}
+    exc_parts = {k: direct_sum(B.copy_sheaf(k), A.copy_sheaf(k))
+                 for k in set(A.stored_keys()) | set(B.stored_keys())}
     germ = LinMap.from_cols(apex, sec_space(tail_S), cols)
     E = make_cone_sheaf(space, {k: v[0] for k, v in exc_parts.items()}, tail_S, apex, germ)
-    incl = make_cone_map(B2, E, {k: v[1] for k, v in exc_parts.items()}, t_iB,
-                         _incl_first(B2.apex, A2.apex, apex))
-    proj = make_cone_map(E, A2, {k: v[4] for k, v in exc_parts.items()}, t_pA,
-                         _proj_second(B2.apex, A2.apex, apex), check=False)
+    incl = make_cone_map(B, E, {k: v[1] for k, v in exc_parts.items()}, t_iB,
+                         _incl_first(B.apex, A.apex, apex))
+    proj = make_cone_map(E, A, {k: v[4] for k, v in exc_parts.items()}, t_pA,
+                         _proj_second(B.apex, A.apex, apex), check=False)
     return make_ses(incl, proj)
 
 

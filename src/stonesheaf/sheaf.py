@@ -571,13 +571,15 @@ def _probe_points(space, sheaves_and_maps):
 
 
 # ---------------------------------------------------------------------------
-# alignment
+# key trees
 #
-# Binary operations require both sheaves to store the same exceptional copy
-# keys at every cone level (so that the section functor and componentwise
-# maps are total).  A key tree records the nesting of stored keys; sheaves
-# are conformed to a merged tree by materializing copies of the tail and
-# re-coordinatizing germ maps where the tail itself grows.
+# A key tree records the nesting of a sheaf's stored copy keys.  `conform`
+# materializes the copies of a tree that refines the sheaf's own as copies
+# of the tail, re-coordinatizing the germ where the tail itself grows;
+# `canonical` uses it to store every copy at which a germ section deviates.
+# No operation aligns its arguments: each takes its copies from what its
+# sheaves store or its map lists.  `align_pair`, which conforms two sheaves
+# to their merged tree, only builds the aligned inputs that some tests pin.
 
 
 def key_tree(F: CSheaf):
@@ -630,37 +632,6 @@ def align_pair(F: CSheaf, G: CSheaf) -> tuple[CSheaf, CSheaf]:
     """Conform both sheaves to the merged key tree (deep alignment)."""
     tree = merge_trees(key_tree(F), key_tree(G))
     return conform(F, tree), conform(G, tree)
-
-
-def conform_map(f: SheafMap, tree) -> SheafMap:
-    """Restate a sheaf map over conformed source and target."""
-    F2 = conform(f.source, tree)
-    G2 = conform(f.target, tree)
-    return SheafMap(F2, G2, _conform_map_data(f, F2, G2, tree))
-
-
-def _conform_map_data(f, F2, G2, tree):
-    if isinstance(F2.space, Finite):
-        return f.data
-    if isinstance(F2.space, Sum):
-        l = SheafMap(F2.data[0], G2.data[0], _conform_map_data(f.data[0], F2.data[0], G2.data[0], tree[1]))
-        r = SheafMap(F2.data[1], G2.data[1], _conform_map_data(f.data[1], F2.data[1], G2.data[1], tree[2]))
-        return (l, r)
-    _, copies, tail_tree = tree
-    tail2 = SheafMap(F2.tail, G2.tail, _conform_map_data(f.tail_map, F2.tail, G2.tail, tail_tree))
-    exc = []
-    for k in sorted(copies):
-        mk = f.copy_map(k)
-        sub = SheafMap(F2.copy_sheaf(k), G2.copy_sheaf(k),
-                       _conform_map_data(mk, F2.copy_sheaf(k), G2.copy_sheaf(k), copies[k]))
-        exc.append((k, sub))
-    return ("conemap", tuple(exc), tail2, f.apex_map)
-
-
-def align_map(f: SheafMap) -> SheafMap:
-    """Conform a map so source and target share one key tree everywhere."""
-    tree = merge_trees(key_tree(f.source), key_tree(f.target))
-    return conform_map(f, tree)
 
 
 def sec_strict_canonical(T: CSheaf, data):
@@ -736,7 +707,6 @@ def direct_sum(F: CSheaf, G: CSheaf):
     """Returns (F⊕G, include_F, include_G, project_F, project_G)."""
     if F.space != G.space:
         raise SpaceMismatch("direct sum over different spaces")
-    F, G = align_pair(F, G)
     if isinstance(F.space, Finite):
         stalks = []
         for a, b in zip(F.data, G.data, strict=True):
@@ -755,7 +725,8 @@ def direct_sum(F: CSheaf, G: CSheaf):
                 make_sum_map(S, F, lp1, rp1), make_sum_map(S, G, lp2, rp2))
     tail_S, t_i1, t_i2, t_p1, t_p2 = direct_sum(F.tail, G.tail)
     apex = direct_sum_space([F.apex, G.apex], ["l", "r"])
-    exc_parts = {k: direct_sum(F.copy_sheaf(k), G.copy_sheaf(k)) for k in F.stored_keys()}
+    exc_parts = {k: direct_sum(F.copy_sheaf(k), G.copy_sheaf(k))
+                 for k in set(F.stored_keys()) | set(G.stored_keys())}
     i1s, i2s = sec_functor(t_i1), sec_functor(t_i2)
     cols = []
     for i in range(F.apex.dim):
@@ -817,12 +788,7 @@ def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap]:
 
 def kernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     """The kernel sheaf with its inclusion; stalks are kernels stalkwise."""
-    f = align_map(f)
-    return _kernel(f)
-
-
-def _kernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
-    F, G = f.source, f.target
+    F = f.source
     if isinstance(F.space, Finite):
         stalks, incls = [], []
         for m in f.data:
@@ -832,35 +798,34 @@ def _kernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
         KF = make_fin_sheaf(F.space, stalks)
         return KF, make_fin_map(KF, F, incls)
     if isinstance(F.space, Sum):
-        lk, li = _kernel(f.data[0])
-        rk, ri = _kernel(f.data[1])
+        lk, li = kernel(f.data[0])
+        rk, ri = kernel(f.data[1])
         KF = make_sum_sheaf(F.space, lk, rk)
         return KF, make_sum_map(KF, F, li, ri)
-    kt, it_ = _kernel(f.tail_map)
-    exc = {k: _kernel(f.copy_map(k)) for k in F.stored_keys()}
+    kt, it_ = kernel(f.tail_map)
+    exc = {k: kernel(m) for k, m in f.data[1]}
     Ka, ia = _subspace(F.apex, kernel_basis(f.apex_map))
-    sec_incl = sec_functor(it_)
-    cols = []
-    for i in range(Ka.dim):
-        target_vec = F.germ.apply(ia.apply(Ka.basis_vec(i)))
-        x = solve(sec_incl, target_vec)
-        if x is None:
-            raise AssertionError("kernel germ does not factor through kernel sections")
-        cols.append(x)
+    # the germ section of each kernel apex vector, pulled back value by value
+    # along the tail inclusion; it lists every copy that kt stores
+    cols = [sec_to_coords(kt, Section(kt, _sectionwise(
+        [F.tail], [germ_section(F, ia.apply(Ka.basis_vec(i))).data], [it_], _preimage)))
+        for i in range(Ka.dim)]
     germ = LinMap.from_cols(Ka, sec_space(kt), cols)
     KF = make_cone_sheaf(F.space, {k: v[0] for k, v in exc.items()}, kt, Ka, germ)
     incl = make_cone_map(KF, F, {k: v[1] for k, v in exc.items()}, it_, ia, check=False)
     return KF, incl
 
 
+def _preimage(v, incl: LinMap):
+    x = solve(incl, v)
+    if x is None:
+        raise AssertionError("kernel germ does not factor through kernel sections")
+    return x
+
+
 def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     """The cokernel sheaf with its projection."""
-    f = align_map(f)
-    return _cokernel(f)
-
-
-def _cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
-    F, G = f.source, f.target
+    G = f.target
     if isinstance(G.space, Finite):
         stalks, projs = [], []
         for m in f.data:
@@ -870,12 +835,12 @@ def _cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
         QF = make_fin_sheaf(G.space, stalks)
         return QF, make_fin_map(G, QF, projs)
     if isinstance(G.space, Sum):
-        lq, lp = _cokernel(f.data[0])
-        rq, rp = _cokernel(f.data[1])
+        lq, lp = cokernel(f.data[0])
+        rq, rp = cokernel(f.data[1])
         QF = make_sum_sheaf(G.space, lq, rq)
         return QF, make_sum_map(G, QF, lp, rp)
-    qt, pt = _cokernel(f.tail_map)
-    exc = {k: _cokernel(f.copy_map(k)) for k in G.stored_keys()}
+    qt, pt = cokernel(f.tail_map)
+    exc = {k: cokernel(m) for k, m in f.data[1]}
     Qa, pa = _quotient(G.apex, image_basis(f.apex_map))
     sec_proj = sec_functor(pt)
     cols = []
@@ -891,7 +856,6 @@ def _cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
 def tensor(F: CSheaf, G: CSheaf) -> CSheaf:
     if F.space != G.space:
         raise SpaceMismatch("tensor over different spaces")
-    F, G = align_pair(F, G)
     if isinstance(F.space, Finite):
         return make_fin_sheaf(F.space, [_tensor_space(a, b) for a, b in zip(F.data, G.data, strict=True)])
     if isinstance(F.space, Sum):
@@ -906,7 +870,8 @@ def tensor(F: CSheaf, G: CSheaf) -> CSheaf:
             prod = _sectionwise([F.tail, G.tail], [si.data, tj.data], [], _tensor_vec)
             cols.append(sec_to_coords(tail, Section(tail, prod)))
     germ = LinMap.from_cols(apex, sec_space(tail), cols)
-    exc = {k: tensor(F.copy_sheaf(k), G.copy_sheaf(k)) for k in F.stored_keys()}
+    exc = {k: tensor(F.copy_sheaf(k), G.copy_sheaf(k))
+           for k in set(F.stored_keys()) | set(G.stored_keys())}
     return make_cone_sheaf(F.space, exc, tail, apex, germ)
 
 
