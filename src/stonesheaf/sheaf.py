@@ -212,29 +212,36 @@ def sec_to_coords(F: CSheaf, s: Section):
     return tuple(out)
 
 
-def _sec_coords(F, data, out):
+def _sec_coords(F, data, out, extra=None):
+    """Append the coordinates of a section record to `out`.  At a copy that
+    the record lists but the sheaf does not store, the record must take its
+    default value, unless `extra` is given: the record minus the default is
+    then appended to `extra`, value by value in `_sectionwise` order."""
     if isinstance(F.space, Finite):
         for v in data:
             out.extend(v)
         return
     if isinstance(F.space, Sum):
-        _sec_coords(F.data[0], data[0], out)
-        _sec_coords(F.data[1], data[1], out)
+        _sec_coords(F.data[0], data[0], out, extra)
+        _sec_coords(F.data[1], data[1], out, extra)
         return
     _, exc, apexv = data
     excd = dict(exc)
     stored = F.stored_keys()
     for k in excd:
         if k not in stored:
-            got = sec_canonical(Section(F.tail, excd[k])).data
-            want = sec_canonical(Section(F.tail, _copy_default(F, k, apexv))).data
-            if got != want:
+            default = _copy_default(F, k, apexv)
+            if extra is not None:
+                _sectionwise([F.tail, F.tail], [excd[k], default], [],
+                             lambda a, b: extra.extend(x - y for x, y in zip(a, b)))
+            elif (sec_canonical(Section(F.tail, excd[k])).data
+                  != sec_canonical(Section(F.tail, default)).data):
                 raise ValueError("section deviates outside the stored copies")
     for k, G in F.data[1]:
         sub = excd.get(k)
         if sub is None:
             sub = _copy_default(F, k, apexv)
-        _sec_coords(G, sub, out)
+        _sec_coords(G, sub, out, extra)
     out.extend(apexv)
 
 
@@ -506,23 +513,22 @@ def stalk_map(f: SheafMap, x: Point) -> LinMap:
 def _apex_square(F: CSheaf, G: CSheaf, tail: SheafMap, apex: LinMap):
     """The two sides of the apex square of a cone map F -> G with the given
     tail and apex components: the germ of F followed by the tail map, and
-    the apex map followed by the germ of G.  Both are read in coordinates
-    that list the value at every copy that any of their sections lists, so
-    a section that deviates at a copy the tail of G does not store still
-    has coordinates, and the square commutes iff the two maps are equal."""
-    records = [apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data
-               for i in range(F.apex.dim)]
-    records += [sec_from_coords(G.tail, col).data for col in apex.then(G.germ).cols()]
-    cols = [[] for _ in records]
-
-    def gather(*values):
-        for col, v in zip(cols, values):
-            col.extend(v)
-    if records:
-        _sectionwise([G.tail] * len(records), records, [], gather)
-    V = VectQ.make(len(cols[0]) if cols else 0, "s")
-    return (LinMap.from_cols(F.apex, V, cols[:F.apex.dim]),
-            LinMap.from_cols(apex.source, V, cols[F.apex.dim:]))
+    the apex map followed by the germ of G, in the finite-data coordinates
+    of the tail of G.  Only the germ's image is mapped, so G need not store
+    the copies that the tail of F stores.  Where an image deviates at a
+    copy that the tail of G does not store, the deviation is appended as
+    extra coordinates, which are 0 on the other side: the square commutes
+    iff the two maps are equal."""
+    cols, n_extra = [], 0
+    for i in range(F.apex.dim):
+        col, extra = [], []
+        _sec_coords(G.tail, apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data, col, extra)
+        cols.append(col + extra)
+        n_extra = len(extra)  # alike for every column: the images list the same copies
+    spread = apex.then(G.germ)
+    V = VectQ.make(spread.target.dim + n_extra, "s")
+    pad = ((ZERO,) * spread.source.dim,) * n_extra
+    return LinMap.from_cols(F.apex, V, cols), LinMap(spread.source, V, spread.matrix + pad)
 
 
 def apex_squares(f: SheafMap):
