@@ -30,7 +30,7 @@ from .adelic import (
     CFun, Flag, RATIONAL, _canon, check_flag, insert_height, flags_of_size,
     sign_pos, all_flags)
 from .sheaf import (
-    CSheaf, Section, SheafMap, constant, make_cone_sheaf, make_sum_sheaf,
+    CSheaf, Section, SheafMap, constant, constant_section, make_cone_sheaf, make_sum_sheaf,
     make_cone_map, make_fin_map, make_sum_map, sec_space, sec_dim, zero_sheaf,
     zero_map, stalk, stalk_map, sec_canonical, _sectionwise, _tensor_vec)
 
@@ -141,6 +141,8 @@ def cfun_to_section(f: CFun) -> Section:
 
 
 def _cts(space, flag, data):
+    if _is_zero_flag(space, flag):
+        return constant_section(zero_sheaf(space), ()).data
     if isinstance(space, Finite):
         return tuple((v,) for v in data)
     if isinstance(space, Sum):

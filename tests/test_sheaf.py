@@ -5,7 +5,7 @@ from fractions import Fraction
 from stonesheaf.linalg import LinMap, VectQ, kernel_basis, rank as map_rank
 from stonesheaf.space import (
     Cone, Finite, apex_point, copy_point, fin_point, full_set, iter_points,
-    nbhd_basis, singleton)
+    nbhd_basis, parse_space, singleton)
 from stonesheaf.adelic import CFun, all_flags, random_cfun
 from stonesheaf.sheaf import (
     Section, SectionModule, canonical, constant, direct_sum, extend_section,
@@ -154,6 +154,18 @@ def test_ring_sections_match_rings_rank2():
         for _ in range(5):
             f = random_cfun(X2, A, rng)
             assert section_to_cfun(X2, A, cfun_to_section(f)) == f
+
+
+def test_ring_sections_over_a_sum_with_a_zero_summand():
+    # Finite(2) has rank 0, so its ring for the flags (1,) and (1, 0) is zero
+    space = parse_space("Sum(Cone(Finite(1)),Finite(2))")
+    rng = random.Random(6)
+    for A in [(1,), (1, 0)]:
+        for _ in range(5):
+            f = random_cfun(space, A, rng)
+            s = cfun_to_section(f)
+            assert s.sheaf == ring_sheaf(space, A)
+            assert section_to_cfun(space, A, s) == f
 
 
 # -- abelian structure --------------------------------------------------------
