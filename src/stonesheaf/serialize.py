@@ -220,7 +220,11 @@ def vectq_to_json(v: VectQ):
 
 def vectq_from_json(d, path="$") -> VectQ:
     with _reading("space", path):
-        return VectQ(int(d["dim"]), tuple(d["labels"]))
+        labels = tuple(d["labels"])
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise SerializeError(f"label {label!r} is not a string", f"{path}.labels[{i}]")
+        return VectQ(int(d["dim"]), labels)
 
 
 def linmap_to_json(m: LinMap):

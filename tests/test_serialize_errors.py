@@ -107,3 +107,11 @@ def test_group_ring_leaf_of_the_wrong_length():
     doc["data"] = {"tail": ["1/1"], "exc": []}
     err = _error(ser.eqcfun_from_json, doc)
     assert err.path == "$.data.tail" and "length 1 in a group of order 2" in str(err)
+
+
+def test_label_that_is_not_a_string():
+    err = _error(ser.vectq_from_json, {"dim": 1, "labels": [None]})
+    assert err.path == "$.labels[0]" and "is not a string" in str(err)
+    doc = ser.csheaf_to_json(constant(parse_space("Finite(2)"), 2))
+    doc["data"]["stalks"][1]["labels"][1] = 7
+    assert _error(ser.csheaf_from_json, doc).path == "$.data.stalks[1].labels[1]"
