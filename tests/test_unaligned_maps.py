@@ -22,20 +22,30 @@ germ of the section's apex value.  Checked here:
   passes `check_sheaf_map`, which maps only the germ's image through the
   tail map (the identity onto the canonical form sends some finite-data
   sections of the tail outside the finite-data sections of the target's
-  tail).
+  tail);
+* every map that `hom_basis`, `random_hom`, `direct_sum`, `kernel`,
+  `cokernel`, `is_split` and the representatives of `ext1` return on
+  seeded unaligned pairs goes between the sheaves passed in (not their
+  conformed copies), and passes `check_sheaf_map`;
+* a map whose germ image deviates at a copy that the target's tail does
+  not store fails its apex square: `check_sheaf_map` returns False and
+  `make_cone_map` raises `GermSquareError`, instead of either raising
+  `ValueError`.
 """
 
 import random
 
 import pytest
 
-from stonesheaf.homalg import _germ_residual, counit_map
+from stonesheaf.homalg import (
+    _germ_residual, counit_map, ext1, hom_basis, is_split, random_hom, split_ses)
 from stonesheaf.linalg import LinMap, VectQ
 from stonesheaf.sheaf import (
     GermSquareError, _componentwise, _probe_points, apply_map, canonical, check_sheaf_map,
-    compose, constant, direct_sum, identity_map, key_tree, make_cone_map, make_cone_sheaf,
-    random_csheaf, random_section, sec_eval, sec_from_coords, sec_functor, sec_space, stalk_map, zero_map)
-from stonesheaf.space import Cone, Finite, parse_space
+    cokernel, compose, constant, direct_sum, identity_map, kernel, key_tree, make_cone_map,
+    make_cone_sheaf, random_csheaf, random_section, sec_eval, sec_from_coords, sec_functor,
+    sec_space, stalk_map, zero_map)
+from stonesheaf.space import Cone, Finite, cb_rank, parse_space
 
 RANK2 = ["Cone(Sum(Finite(2),Cone(Finite(1))))", "Cone(Cone(Finite(1)))"]
 SPACES = ["Cone(Finite(2))", "Sum(Cone(Finite(1)),Finite(2))"] + RANK2
@@ -136,3 +146,39 @@ def test_images_match_stalk_maps_pointwise():
                     for s in sections:
                         assert sec_eval(f.target, apply_map(f, s), x) == \
                             m.apply(sec_eval(A, s, x))
+
+
+def _returned_maps(F, G, rng):
+    """(map, source, target) for every map the operations return on F, G."""
+    S, iF, iG, pF, pG = direct_sum(F, G)
+    out = [(iF, F, S), (iG, G, S), (pF, S, F), (pG, S, G)]
+    homs = [iF, iG, pF, pG, zero_map(F, G)]
+    if cb_rank(F.space) <= 1:
+        f = random_hom(F, G, rng)
+        out += [(h, F, G) for h in hom_basis(F, G)] + [(f, F, G)]
+        homs.append(f)
+        s = split_ses(F, G)
+        split, r = is_split(s)
+        assert split
+        out.append((r, F, s.mid))
+        for e in ext1(F, G)[1]:
+            out += [(e.incl, G, e.mid), (e.proj, e.mid, F)]
+    for h in homs:
+        K, incl = kernel(h)
+        Q, proj = cokernel(h)
+        out += [(incl, K, h.source), (proj, h.target, Q)]
+    return out
+
+
+def test_operations_return_maps_between_the_given_sheaves():
+    unaligned = 0
+    for n, expr in enumerate(SPACES):
+        space = parse_space(expr)
+        rng = random.Random(400 + n)
+        for _ in range(6):
+            F, G = _pair(space, rng)
+            unaligned += key_tree(F) != key_tree(G)
+            for f, source, target in _returned_maps(F, G, rng):
+                assert f.source == source and f.target == target
+                assert check_sheaf_map(f)
+    assert unaligned > 0
