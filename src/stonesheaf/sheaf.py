@@ -35,6 +35,12 @@ a map that does not list one through its tail map.  Scaling a section by a
 locally constant function (`_scale_by_locconst`, which also extends
 sections by zero) walks the function's data instead, and `_at` is the one
 point lookup, for stalks of sheaves and stalk maps of sheaf maps alike.
+
+No operation conforms its arguments to a common set of stored copies.
+`direct_sum` and `tensor` store, at every cone, the union of the copies
+their two sheaves store, and `kernel` and `cokernel` the copies that their
+map lists; every map they (and `homalg`) return goes between the sheaves
+they were given.
 """
 
 from __future__ import annotations
@@ -208,40 +214,38 @@ def sec_to_coords(F: CSheaf, s: Section):
     """Coordinates in the finite-data section space; the section must not
     deviate outside the sheaf's stored exceptional copies."""
     out: list[Rat] = []
-    _sec_coords(F, s.data, out)
+    deviations: list[Rat] = []
+    _sec_coords(F, s.data, out, deviations)
+    if any(deviations):
+        raise ValueError("section deviates outside the stored copies")
     return tuple(out)
 
 
-def _sec_coords(F, data, out, extra=None):
-    """Append the coordinates of a section record to `out`.  At a copy that
-    the record lists but the sheaf does not store, the record must take its
-    default value, unless `extra` is given: the record minus the default is
-    then appended to `extra`, value by value in `_sectionwise` order."""
+def _sec_coords(F, data, out, deviations):
+    """Append the coordinates of a section record to `out`, and at every
+    copy that the record lists but the sheaf does not store, the record
+    minus its default value there to `deviations`, value by value in
+    `_sectionwise` order."""
     if isinstance(F.space, Finite):
         for v in data:
             out.extend(v)
         return
     if isinstance(F.space, Sum):
-        _sec_coords(F.data[0], data[0], out, extra)
-        _sec_coords(F.data[1], data[1], out, extra)
+        _sec_coords(F.data[0], data[0], out, deviations)
+        _sec_coords(F.data[1], data[1], out, deviations)
         return
     _, exc, apexv = data
     excd = dict(exc)
     stored = F.stored_keys()
     for k in excd:
         if k not in stored:
-            default = _copy_default(F, k, apexv)
-            if extra is not None:
-                _sectionwise([F.tail, F.tail], [excd[k], default], [],
-                             lambda a, b: extra.extend(x - y for x, y in zip(a, b)))
-            elif (sec_canonical(Section(F.tail, excd[k])).data
-                  != sec_canonical(Section(F.tail, default)).data):
-                raise ValueError("section deviates outside the stored copies")
+            _sectionwise([F.tail, F.tail], [excd[k], _copy_default(F, k, apexv)], [],
+                         lambda a, b: deviations.extend(x - y for x, y in zip(a, b)))
     for k, G in F.data[1]:
         sub = excd.get(k)
         if sub is None:
             sub = _copy_default(F, k, apexv)
-        _sec_coords(G, sub, out, extra)
+        _sec_coords(G, sub, out, deviations)
     out.extend(apexv)
 
 
@@ -521,10 +525,11 @@ def _apex_square(F: CSheaf, G: CSheaf, tail: SheafMap, apex: LinMap):
     iff the two maps are equal."""
     cols, n_extra = [], 0
     for i in range(F.apex.dim):
-        col, extra = [], []
-        _sec_coords(G.tail, apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data, col, extra)
-        cols.append(col + extra)
-        n_extra = len(extra)  # alike for every column: the images list the same copies
+        col, deviations = [], []
+        _sec_coords(G.tail, apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data, col,
+                    deviations)
+        cols.append(col + deviations)
+        n_extra = len(deviations)  # alike for every column: the images list the same copies
     spread = apex.then(G.germ)
     V = VectQ.make(spread.target.dim + n_extra, "s")
     pad = ((ZERO,) * spread.source.dim,) * n_extra
