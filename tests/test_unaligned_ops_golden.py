@@ -3,7 +3,7 @@
 `tests/golden/unaligned_ops.json` holds, for seeded pairs F, G of
 `random_csheaf(space, rng, 2, 1)` over the spaces of
 `tests/test_unaligned_maps.py` (rank <= 2), many of which store different
-copies (`key_tree(F) != key_tree(G)`):
+copies (`align_pair(F, G) != (F, G)`):
 
   * the `canonical` records of `direct_sum(F, G)` and `tensor(F, G)`;
   * the `canonical` records of the kernel and the cokernel of each
@@ -28,7 +28,7 @@ import random
 from stonesheaf import serialize as ser
 from stonesheaf.homalg import ext1, ext1_dim, ext2_dim, hom_basis, is_split, random_hom, split_ses
 from stonesheaf.sheaf import (
-    canonical, cokernel, direct_sum, kernel, key_tree, random_csheaf, tensor, zero_map)
+    align_pair, canonical, cokernel, direct_sum, kernel, random_csheaf, tensor, zero_map)
 from stonesheaf.space import cb_rank, parse_space
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "unaligned_ops.json"
@@ -49,7 +49,7 @@ def _pair(space, rng) -> dict:
     F = random_csheaf(space, rng, 2, 1)
     G = random_csheaf(space, rng, 2, 1)
     S, iF, iG, pF, pG = direct_sum(F, G)
-    out = {"aligned": key_tree(F) == key_tree(G),
+    out = {"aligned": align_pair(F, G) == (F, G),
            "direct_sum": _rec(S),
            "tensor": _rec(tensor(F, G)),
            "kernel_cokernel": [_kernel_cokernel(f)
