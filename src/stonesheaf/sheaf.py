@@ -40,7 +40,12 @@ No operation conforms its arguments to a common set of stored copies.
 `direct_sum` and `tensor` store, at every cone, the union of the copies
 their two sheaves store, and `kernel` and `cokernel` the copies that their
 map lists; every map they (and `homalg`) return goes between the sheaves
-they were given.
+they were given.  `_refine` is the one place that makes a sheaf store more
+copies without changing the sheaf: `canonical` stores every copy at which a
+germ section deviates, and `align_pair` (which only builds the aligned
+inputs that some tests pin) every copy that either sheaf stores.  A section
+record of one presentation is read in another as it is, since every reader
+takes a copy that a record does not list from the germ of its apex value.
 """
 
 from __future__ import annotations
@@ -301,38 +306,14 @@ def sec_canonical(s: Section) -> Section:
     return Section(F, ("sec", tuple(cleaned), tuple(apexv)))
 
 
-def sec_reencode(T_old: CSheaf, T_new: CSheaf, data):
-    """Re-express a section record of one presentation of a sheaf over
-    another presentation (same sheaf, possibly different stored copies)."""
-    if T_old == T_new:
-        return data
-    if isinstance(T_old.space, Finite):
-        return data
-    if isinstance(T_old.space, Sum):
-        return (sec_reencode(T_old.data[0], T_new.data[0], data[0]),
-                sec_reencode(T_old.data[1], T_new.data[1], data[1]))
-    _, exc, v = data
-    excd = dict(exc)
-    out = []
-    for k in sorted(set(excd) | set(T_new.stored_keys())):
-        sub = excd.get(k)
-        old_rec = T_old.copy_sheaf(k)
-        if sub is None:
-            sub = _copy_default(T_old, k, v)
-            old_rec = T_old.tail
-        out.append((k, sec_reencode(old_rec, T_new.copy_sheaf(k), sub)))
-    return ("sec", tuple(out), v)
-
-
 def _copy_default(F, k, apexv):
-    """The section value of a tail-carrying copy, spread from the apex."""
+    """The section value of a tail-carrying copy, spread from the apex: a
+    record of the tail, read as a record of the copy's sheaf, which may be
+    another presentation of the tail."""
     rec = F.copy_sheaf(k)
-    base = germ_section(F, apexv).data
-    if rec == F.tail:
-        return base
-    if canonical(rec) != canonical(F.tail):
+    if rec != F.tail and canonical(rec) != canonical(F.tail):
         raise ValueError("section must list genuinely exceptional copies")
-    return sec_reencode(F.tail, rec, base)
+    return germ_section(F, apexv).data
 
 
 def sec_eval(F: CSheaf, s: Section, x: Point):
@@ -582,50 +563,26 @@ def _probe_points(space, sheaves_and_maps):
 
 
 # ---------------------------------------------------------------------------
-# key trees
-#
-# A key tree records the nesting of a sheaf's stored copy keys.  `conform`
-# materializes the copies of a tree that refines the sheaf's own as copies
-# of the tail, re-coordinatizing the germ where the tail itself grows;
-# `canonical` uses it to store every copy at which a germ section deviates.
-# No operation aligns its arguments: each takes its copies from what its
-# sheaves store or its map lists.  `align_pair`, which conforms two sheaves
-# to their merged tree, only builds the aligned inputs that some tests pin.
+# refinement
 
 
-def key_tree(F: CSheaf):
-    if isinstance(F.space, Finite):
-        return ("fin",)
-    if isinstance(F.space, Sum):
-        return ("sum", key_tree(F.data[0]), key_tree(F.data[1]))
-    tail_tree = key_tree(F.tail)
-    copies = {k: key_tree(G) for k, G in F.data[1]}
-    return ("cone", copies, tail_tree)
-
-
-def merge_trees(t1, t2):
-    if t1[0] == "fin":
-        return t1
-    if t1[0] == "sum":
-        return ("sum", merge_trees(t1[1], t2[1]), merge_trees(t1[2], t2[2]))
-    tail = merge_trees(t1[2], t2[2])
-    keys = set(t1[1]) | set(t2[1])
-    copies = {k: merge_trees(t1[1].get(k, t1[2]), t2[1].get(k, t2[2])) for k in keys}
-    return ("cone", copies, tail)
-
-
-def conform(F: CSheaf, tree) -> CSheaf:
-    """Materialize exceptional copies to match the key tree (which must
-    refine the sheaf's own tree).  Records are intentionally non-canonical."""
-    if isinstance(F.space, Finite):
-        return F
-    if isinstance(F.space, Sum):
-        return CSheaf(F.space, (conform(F.data[0], tree[1]), conform(F.data[1], tree[2])))
-    _, copies, tail_tree = tree
-    new_tail = conform(F.tail, tail_tree)
-    exc = tuple(sorted((k, conform(F.copy_sheaf(k), copies[k])) for k in copies))
-    germ = _reencode_germ(F, new_tail)
-    return CSheaf(F.space, ("cone", exc, new_tail, F.apex, germ))
+def _refine(T: CSheaf, sheaves, records) -> CSheaf:
+    """T with, at every cone, every copy stored that one of `sheaves` (over
+    the same space) stores or one of the section `records` lists.  Records
+    constrain copies, never tails.  The sheaf is unchanged; only its stored
+    copies grow, and the germ is re-coordinatized where the tail grows."""
+    if isinstance(T.space, Finite):
+        return T
+    if isinstance(T.space, Sum):
+        return CSheaf(T.space, tuple(_refine(T.data[i], [S.data[i] for S in sheaves],
+                                             [r[i] for r in records]) for i in (0, 1)))
+    listed = [dict(r[1]) for r in records]
+    keys = set(T.stored_keys()).union(*(S.stored_keys() for S in sheaves), *listed)
+    exc = tuple((k, _refine(T.copy_sheaf(k), [S.copy_sheaf(k) for S in sheaves],
+                            [sub[k] for sub in listed if k in sub]))
+                for k in sorted(keys))
+    tail = _refine(T.tail, [S.tail for S in sheaves], [])
+    return CSheaf(T.space, ("cone", exc, tail, T.apex, _reencode_germ(T, tail)))
 
 
 def _reencode_germ(F: CSheaf, new_tail: CSheaf) -> LinMap:
@@ -640,9 +597,10 @@ def _reencode_germ(F: CSheaf, new_tail: CSheaf) -> LinMap:
 
 
 def align_pair(F: CSheaf, G: CSheaf) -> tuple[CSheaf, CSheaf]:
-    """Conform both sheaves to the merged key tree (deep alignment)."""
-    tree = merge_trees(key_tree(F), key_tree(G))
-    return conform(F, tree), conform(G, tree)
+    """F and G, each storing at every cone every copy that either stores.
+    No operation aligns its arguments; this only builds the aligned inputs
+    that some tests pin."""
+    return _refine(F, [G], []), _refine(G, [F], [])
 
 
 def sec_strict_canonical(T: CSheaf, data):
@@ -663,25 +621,6 @@ def sec_strict_canonical(T: CSheaf, data):
     return ("sec", tuple(cleaned), tuple(apexv))
 
 
-def _dev_tree(T: CSheaf, data):
-    """Key tree spanned by a strict-canonical section record."""
-    if isinstance(T.space, Finite):
-        return ("fin",)
-    if isinstance(T.space, Sum):
-        return ("sum", _dev_tree(T.data[0], data[0]), _dev_tree(T.data[1], data[1]))
-    _, exc, _v = data
-    copies = {k: _dev_tree(T.copy_sheaf(k), sub) for k, sub in exc}
-    return ("cone", copies, _min_tree(T.tail))
-
-
-def _min_tree(T: CSheaf):
-    if isinstance(T.space, Finite):
-        return ("fin",)
-    if isinstance(T.space, Sum):
-        return ("sum", _min_tree(T.data[0]), _min_tree(T.data[1]))
-    return ("cone", {}, _min_tree(T.tail))
-
-
 def canonical(F: CSheaf) -> CSheaf:
     """The minimal-threshold normal form: a stored copy is dropped when its
     record matches the tail and no germ section deviates there."""
@@ -692,10 +631,7 @@ def canonical(F: CSheaf) -> CSheaf:
     tail_c = canonical(F.tail)
     germ_recs = [sec_strict_canonical(F.tail, germ_section(F, F.apex.basis_vec(i)).data)
                  for i in range(F.apex.dim)]
-    tree = key_tree(tail_c)
-    for rec in germ_recs:
-        tree = merge_trees(tree, _dev_tree(F.tail, rec))
-    tail_f = conform(tail_c, tree)
+    tail_f = _refine(tail_c, [], germ_recs)
     cols = [sec_to_coords(tail_f, Section(tail_f, rec)) for rec in germ_recs]
     germ = LinMap.from_cols(F.apex, sec_space(tail_f), cols)
     exc = {}
