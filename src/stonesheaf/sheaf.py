@@ -605,7 +605,8 @@ def align_pair(F: CSheaf, G: CSheaf) -> tuple[CSheaf, CSheaf]:
 
 def sec_strict_canonical(T: CSheaf, data):
     """Section record with every default-valued copy entry removed (whether
-    or not the sheaf stores the copy); records the true deviation keys."""
+    or not the sheaf stores the copy, and whether it stores the tail or
+    another presentation of it there); records the true deviation keys."""
     if isinstance(T.space, Finite):
         return data
     if isinstance(T.space, Sum):
@@ -616,7 +617,8 @@ def sec_strict_canonical(T: CSheaf, data):
     for k, sub in sorted(exc):
         G = T.copy_sheaf(k)
         subc = sec_strict_canonical(G, sub)
-        if G != T.tail or subc != sec_strict_canonical(T.tail, _copy_default(T, k, apexv)):
+        if ((G != T.tail and canonical(G) != canonical(T.tail))
+                or subc != sec_strict_canonical(G, germ_section(T, apexv).data)):
             cleaned.append((k, subc))
     return ("sec", tuple(cleaned), tuple(apexv))
 
@@ -637,7 +639,7 @@ def canonical(F: CSheaf) -> CSheaf:
     exc = {}
     for k, G in F.data[1]:
         Gc = canonical(G)
-        if Gc != tail_f:
+        if Gc != tail_c:
             exc[k] = Gc
     return CSheaf(F.space, ("cone", tuple(sorted(exc.items())), tail_f, F.apex, germ))
 
