@@ -14,9 +14,9 @@ reported for corrupted documents.
     documents (`CORRUPTED`), the `SerializeError` path and message when one
     leaf of the document is replaced by a value of the wrong JSON type
     (`CORRUPT`).  A leaf whose corruption loads without error is recorded
-    as `loaded`.  A leaf is left out when, as the file was written, its
-    corruption raised something other than a `SerializeError` or reported
-    a path that does not hold the leaf.
+    as `loaded`.  A leaf is left out when its corruption raises something
+    other than a `SerializeError` or reports a path that does not hold the
+    leaf.
 
 Regenerate the file (only when a change of output is intended) with
 
@@ -186,22 +186,21 @@ def test_golden_documents_round_trip_byte_for_byte():
             assert ser.dumps(write(read(json.loads(text)))) == text, name
 
 
+def corrupted(docs) -> dict:
+    """The `corrupted` section for the documents `docs`."""
+    return {f"{name}[{i}]": {leaf: out for leaf, out in corruptions(name, docs[name][i])
+                             if out == "loaded" or reported_inside(leaf, out.split(" | ")[0])}
+            for name, i in CORRUPTED}
+
+
 def test_corrupted_leaves_match_golden():
     golden = json.loads(GOLDEN.read_text())
-    for name, i in CORRUPTED:
-        got = dict(corruptions(name, golden["documents"][name][i]))
-        for leaf, want in golden["corrupted"][f"{name}[{i}]"].items():
-            assert got[leaf] == want, (name, i, leaf)
+    assert corrupted(golden["documents"]) == golden["corrupted"]
 
 
 def render() -> str:
     docs = documents()
-    corrupted = {}
-    for name, i in CORRUPTED:
-        corrupted[f"{name}[{i}]"] = {
-            leaf: out for leaf, out in corruptions(name, docs[name][i])
-            if out == "loaded" or reported_inside(leaf, out.split(" | ")[0])}
-    doc = {"documents": docs, "corrupted": corrupted, "schema": ser.SCHEMA}
+    doc = {"documents": docs, "corrupted": corrupted(docs), "schema": ser.SCHEMA}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
