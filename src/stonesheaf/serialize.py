@@ -246,7 +246,10 @@ def group_to_json(G: FinGroup):
 
 def group_from_json(d, path="$") -> FinGroup:
     with _reading("group", path):
-        return FinGroup(tuple(tuple(r) for r in d["table"]), d.get("name", "G"))
+        name = d.get("name", "G")
+        if not isinstance(name, str):
+            raise SerializeError(f"group name {name!r} is not a string", f"{path}.name")
+        return FinGroup(tuple(tuple(r) for r in d["table"]), name)
 
 
 def hom_to_json(h: GrpHom):

@@ -17,7 +17,7 @@ from stonesheaf.adelic import random_cfun
 from stonesheaf.catalog import o2_dihedral_block
 from stonesheaf.sheaf import constant, identity_map, random_csheaf, random_section, sec_to_coords
 from stonesheaf.space import parse_space
-from stonesheaf.weyl import eq_unit, group_ring_sheaf
+from stonesheaf.weyl import GrpHom, cyclic_group, eq_unit, group_ring_sheaf
 from test_serialize_golden import CORRUPTED, GOLDEN, corruptions, reported_inside
 
 
@@ -115,3 +115,14 @@ def test_label_that_is_not_a_string():
     doc = ser.csheaf_to_json(constant(parse_space("Finite(2)"), 2))
     doc["data"]["stalks"][1]["labels"][1] = 7
     assert _error(ser.csheaf_from_json, doc).path == "$.data.stalks[1].labels[1]"
+
+
+@pytest.mark.parametrize("name", [None, 5])
+def test_group_name_that_is_not_a_string(name):
+    doc = {"table": [[0, 1], [1, 0]], "name": name}
+    err = _error(ser.group_from_json, doc)
+    assert err.path == "$.name" and "is not a string" in str(err)
+    doc = ser.hom_to_json(GrpHom(cyclic_group(2), cyclic_group(2), (0, 1)))
+    doc["target"]["name"] = name
+    assert _error(ser.hom_from_json, doc).path == "$.target.name"
+
