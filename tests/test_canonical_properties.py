@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from stonesheaf.sheaf import align_pair, canonical, random_csheaf, sheaves_equal
+from stonesheaf.sheaf import align_pair, canonical, random_csheaf
 from stonesheaf.space import parse_space
 
 CASES = [("Cone(Cone(Finite(1)))", 1, 120), ("Cone(Sum(Finite(2),Cone(Finite(1))))", 1, 120),
@@ -23,15 +23,9 @@ def test_presentations_of_one_sheaf_have_one_canonical_form(expr, exc_bound, see
     space = parse_space(expr)
     for seed in range(seeds):
         rng = random.Random(seed)
-        F, G = (random_csheaf(space, rng, 2, exc_bound), random_csheaf(space, rng, 2, exc_bound))
+        F, G = random_csheaf(space, rng, 2, exc_bound), random_csheaf(space, rng, 2, exc_bound)
         for X, A in zip((F, G), align_pair(F, G)):
             C = canonical(X)
             assert canonical(A) == C, (seed, X)
             assert canonical(C) == C, (seed, X)
 
-
-def test_seed_0_over_rank_3_has_a_canonical_form():
-    rng = random.Random(0)
-    space = parse_space("Cone(Cone(Cone(Finite(1))))")
-    F, G = random_csheaf(space, rng, 2, 1), random_csheaf(space, rng, 2, 1)
-    assert sheaves_equal(align_pair(F, G)[1], G)
