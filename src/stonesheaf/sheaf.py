@@ -624,8 +624,10 @@ def sec_strict_canonical(T: CSheaf, data):
 
 
 def canonical(F: CSheaf) -> CSheaf:
-    """The minimal-threshold normal form: a stored copy is dropped when its
-    record matches the tail and no germ section deviates there."""
+    """The minimal-threshold normal form, the same for every presentation of
+    a sheaf: a stored copy is dropped when its canonical form is the tail's,
+    and the tail stores, beyond its own canonical copies, the copies at
+    which a germ section deviates."""
     if isinstance(F.space, Finite):
         return F
     if isinstance(F.space, Sum):
