@@ -177,3 +177,23 @@ def test_ext_over_a_union():
         split, _ = is_split(r)
         assert not split
     assert ext2_dim(A, B) == 0
+
+
+EXT_SPACES = ["Cone(Finite(1))", "Cone(Sum(Finite(2),Finite(1)))",
+              "Sum(Cone(Finite(1)),Finite(2))"]
+
+
+def test_ext1_dim_counts_the_realized_classes():
+    """`ext1_dim` counts the classes that `ext1` realizes, one extension of
+    A by B each, on 90 seeded pairs, 19 of which have nonzero Ext^1."""
+    nonzero = 0
+    for expr in EXT_SPACES:
+        space = parse_space(expr)
+        for seed in range(30):
+            rng = random.Random(seed)
+            A, B = random_csheaf(space, rng, 2, 1), random_csheaf(space, rng, 2, 1)
+            classes, reps = ext1(A, B)
+            assert ext1_dim(A, B) == classes.dim == len(reps), (expr, seed)
+            assert all(s.sub == B and s.quo == A for s in reps), (expr, seed)
+            nonzero += classes.dim > 0
+    assert nonzero == 19
