@@ -2,12 +2,13 @@
 exact arithmetic with seeded randomness.
 
 Each criterion is one function returning (passed, details); `run_all`
-prints one line per criterion and reports overall success.  The checks are
-deliberately cross-route: witnesses are searched for cocycles sampled from
-exact kernels, section rings are compared against independently built
-splicing rings, extension groups are confirmed against a splitness oracle,
-and the equivariant machinery is compared bit-for-bit against the scalar
-one under trivial groups.
+prints one line per criterion and reports overall success.  A count below 1
+raises ValueError, so an error is never read as a passed or failed check.
+The checks are deliberately cross-route: witnesses are searched for
+cocycles sampled from exact kernels, section rings are compared against
+independently built splicing rings, extension groups are confirmed against
+a splitness oracle, and the equivariant machinery is compared bit-for-bit
+against the scalar one under trivial groups.
 """
 
 from __future__ import annotations
@@ -49,8 +50,17 @@ RANK2_SPACES = ["Cone(Finite(1))", "Cone(Cone(Finite(1)))",
                 "Cone(Sum(Finite(2),Finite(1)))"]
 
 
+def _require_counts(**counts):
+    """Raise ValueError for a count below 1: a criterion that samples
+    nothing checks nothing, and must not report a pass."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
+
+
 def check_adelic_exactness(seed: int = 1, samples: int = 200):
     """Criterion 1: d∘d = 0 and witnessed exactness on ranks 0..3."""
+    _require_counts(samples=samples)
     rng = random.Random(seed)
     total = 0
     for expr in ACCEPTANCE_SPACES:
@@ -74,6 +84,7 @@ def check_adelic_exactness(seed: int = 1, samples: int = 200):
 def check_ring_sections(seed: int = 2, samples: int = 10):
     """Criterion 2: constructible sections of every cube sheaf equal the
     splicing ring, as rings, on rank <= 2 spaces."""
+    _require_counts(samples=samples)
     rng = random.Random(seed)
     checked = 0
     for expr in RANK2_SPACES:
@@ -96,6 +107,7 @@ def check_ring_sections(seed: int = 2, samples: int = 10):
 
 def check_stalkwise_acyclicity(seed: int = 3, points_per_space: int = 50):
     """Criterion 3: degeneracy pattern and exact stalk complexes."""
+    _require_counts(points_per_space=points_per_space)
     rng = random.Random(seed)
     for expr in RANK2_SPACES:
         space = parse_space(expr)
@@ -113,6 +125,7 @@ def check_stalkwise_acyclicity(seed: int = 3, points_per_space: int = 50):
 def check_reconstruction(seed: int = 4, samples: int = 100):
     """Criterion 4: unit and counit of the sections/rebuild adjunction are
     isomorphisms on random constructible data."""
+    _require_counts(samples=samples)
     rng = random.Random(seed)
     for expr in RANK2_SPACES:
         space = parse_space(expr)
@@ -145,6 +158,7 @@ def _nonsplit_ses(space):
 
 def check_dimension_one(seed: int = 5, samples: int = 100):
     """Criterion 5: the rank-1 suite."""
+    _require_counts(samples=samples)
     rng = random.Random(seed)
     space = parse_space("Cone(Finite(1))")
     # completion/pullback equivalence on random objects
@@ -271,6 +285,8 @@ def _s3_group() -> FinGroup:
 def check_equivariance_suite(seed: int = 6, stalk_samples: int = 1000,
                              sheaf_samples: int = 100, cocycles: int = 100):
     """Criterion 6: averaging, equivariant exactness, generators."""
+    _require_counts(stalk_samples=stalk_samples, sheaf_samples=sheaf_samples,
+                    cocycles=cocycles)
     rng = random.Random(seed)
     groups = [trivial_group(), cyclic_group(2), cyclic_group(3),
               cyclic_group(4), cyclic_group(5), cyclic_group(6),
@@ -331,6 +347,7 @@ def check_equivariance_suite(seed: int = 6, stalk_samples: int = 1000,
 
 def check_catalog(seed: int = 7, chains: int = 100):
     """Criterion 7: lattice counts, Weyl orders, functoriality, filters."""
+    _require_counts(chains=chains)
     rng = random.Random(seed)
     for n in range(1, 51):
         subs = sublattices(n)
@@ -396,6 +413,7 @@ def _bruteforce_lattice_count(n: int) -> int:
 
 def check_degeneration(seed: int = 8, samples: int = 25):
     """Criterion 8: trivial groups reproduce the scalar complex bitwise."""
+    _require_counts(samples=samples)
     rng = random.Random(seed)
     for expr in ["Cone(Finite(1))", "Cone(Cone(Finite(1)))"]:
         space = parse_space(expr)

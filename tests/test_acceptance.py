@@ -5,8 +5,11 @@ same battery from the command line.  Tolerances are zero everywhere: the
 arithmetic is exact rational arithmetic.
 """
 
+import inspect
 
-from stonesheaf.verify import (check_adelic_exactness, check_catalog,
+import pytest
+
+from stonesheaf.verify import (CRITERIA, check_adelic_exactness, check_catalog,
                                check_degeneration, check_dimension_one,
                                check_equivariance_suite, check_reconstruction,
                                check_ring_sections, check_stalkwise_acyclicity)
@@ -57,3 +60,30 @@ def test_criterion_7_catalog():
 def test_criterion_8_degeneration():
     _report("trivial-group degeneration is bit-for-bit",
             check_degeneration, seed=8, samples=25)
+
+
+# every parameter of a criterion other than its seed is a count
+COUNTS = {
+    check_adelic_exactness: ["samples"],
+    check_ring_sections: ["samples"],
+    check_stalkwise_acyclicity: ["points_per_space"],
+    check_reconstruction: ["samples"],
+    check_dimension_one: ["samples"],
+    check_equivariance_suite: ["stalk_samples", "sheaf_samples", "cocycles"],
+    check_catalog: ["chains"],
+    check_degeneration: ["samples"],
+}
+
+
+def test_the_count_table_names_every_count_of_every_criterion():
+    assert list(COUNTS) == [fn for _name, fn in CRITERIA]
+    for fn, names in COUNTS.items():
+        assert list(inspect.signature(fn).parameters) == ["seed"] + names, fn.__name__
+
+
+@pytest.mark.parametrize("fn,count", [(fn, c) for fn, names in COUNTS.items() for c in names],
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+@pytest.mark.parametrize("value", [0, -3])
+def test_a_count_below_one_is_an_error_not_a_pass(fn, count, value):
+    with pytest.raises(ValueError, match=count):
+        fn(**{count: value})
