@@ -219,10 +219,13 @@ def test_malformed_sheaf_reports_path():
 
 
 def test_verify_all_fast(capsys):
+    """The whole `verify-all --seed 1 --fast` transcript, byte for byte;
+    `tests/golden/verify_all_fast.txt` is that command's stdout
+    (`PYTHONPATH=src python -m stonesheaf.cli verify-all --seed 1 --fast`)."""
     code = main(["verify-all", "--seed", "1", "--fast"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("[PASS]") == 8
+    assert out == (GOLDEN / "verify_all_fast.txt").read_text()
 
 
 def test_space_point_flag(capsys):
