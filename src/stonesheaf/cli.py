@@ -20,7 +20,7 @@ import sys
 from . import serialize as ser
 from .adelic import build_complex, random_cocycle
 from .catalog import divisor_sigma, o2_dihedral_block, sublattices, t2_block
-from .cube import sheaf_cube, stalkwise_cube_check
+from .cube import stalkwise_cube_check, _shared_cube
 from .homalg import injective_resolution_display
 from .models import to_standard, from_standard, is_cocartesian
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
@@ -104,7 +104,7 @@ def cmd_adelic(args):
 def cube_report(expr: str) -> dict:
     """The byte-stable cube report used by the golden tests."""
     s = parse_space(expr)
-    cube = sheaf_cube(s)
+    cube = _shared_cube(s)
     report = {"space": str(s), "rank": cb_rank(s), "schema": SCHEMA, "flags": {}}
     for A, F in sorted(cube["sheaves"].items()):
         pts = list(iter_points(s, 2))[:8]

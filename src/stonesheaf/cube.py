@@ -9,8 +9,9 @@ pattern: the stalk at a point of height a vanishes unless the flag starts
 at or below a, and adding any unused height at or below a changes nothing.
 
 `sheaf_cube` builds each ring sheaf once per cube, and each unit map of the
-cube walks the two ring sheaves already built at its ends; the stalkwise
-check reads its complex off that one cube.
+cube walks the two ring sheaves already built at its ends.  The stalkwise
+check reads its complex off one cube per space, kept in a bounded memo of
+the most recently used spaces (`sheaf_cube` itself returns a fresh cube).
 
 `restrict_open`/`pushforward_open` give the underlying adjoint calculus for
 the opens formed by the points of height at most a fixed level: restriction
@@ -21,6 +22,7 @@ the germ colimit).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, direct_sum_space
@@ -105,6 +107,16 @@ def sheaf_cube(space: SpaceExpr) -> dict:
     edges = {(A, b): _ring_cube_map(sheaves[A], sheaves[insert_height(A, b)], A, b)
              for A in flags for b in range(r + 1) if b not in A}
     return {"sheaves": sheaves, "edges": edges}
+
+
+_CUBE_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_CUBE_MEMO_SIZE)
+def _shared_cube(space):
+    """`sheaf_cube(space)` for the most recently used spaces, built once and
+    shared by the stalk checks; its readers never change it."""
+    return sheaf_cube(space)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +220,7 @@ def pushforward_open(O: OpenSheaf) -> CSheaf:
 def cube_stalk_complex(space: SpaceExpr, x: Point) -> FDComplex:
     """The augmented complex of cube stalks at a point, with signs."""
     validate_point(space, x)
-    return _cube_stalk_complex(space, sheaf_cube(space), x)
+    return _cube_stalk_complex(space, _shared_cube(space), x)
 
 
 def _cube_stalk_complex(space, cube, x):
@@ -250,10 +262,12 @@ def _cube_stalk_complex(space, cube, x):
 
 def stalkwise_cube_check(space: SpaceExpr, x: Point) -> dict:
     """Stalk dimensions of every cube sheaf at x, the degeneracy pattern,
-    and exactness of the augmented stalk complex."""
+    and exactness of the augmented stalk complex.  The cube comes from a
+    bounded memo keyed on the space, so checks at many points of one space
+    build it once."""
     h = height(space, x)
     report = {"point": str(x), "height": h, "stalk_dims": {}, "degeneracy_ok": True}
-    cube = sheaf_cube(space)
+    cube = _shared_cube(space)
     for A, F in cube["sheaves"].items():
         d = stalk(F, x).dim
         report["stalk_dims"][A] = d

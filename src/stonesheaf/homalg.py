@@ -319,11 +319,21 @@ def ext1(A: CSheaf, B: CSheaf):
         for s in rr:
             reps.append(_sum_ses(space, split_ses(A.data[0], B.data[0]), s))
         return VectQ.make(cl.dim + cr.dim, "x"), reps
-    _cone_rank1(space)
+    classes, proj = _twist_classes(A, B)
+    reps = [extension_from_twist(A, B, _twist_matrix(A, B, solve(proj, classes.basis_vec(i))))
+            for i in range(classes.dim)]
+    return classes, reps
+
+
+def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
+    """Ext^1(A, B) on a rank-1 cone as the twist quotient: (classes, the
+    projection from flattened germ twists apex(A) -> sections(tail(B)) onto
+    them) modulo the coboundaries of re-chosen stalkwise splittings."""
+    _cone_rank1(A.space)
     SB = sec_space(B.tail)
-    n_t = A.apex.dim * SB.dim
-    if n_t == 0:
-        return VectQ.make(0, "x"), []
+    amb = VectQ.make(A.apex.dim * SB.dim, "t")
+    if amb.dim == 0:
+        return _quotient(amb, [], "x")
     cob_cols = []
     # coboundary from u: apex(A) -> apex(B): twist sigma_B ∘ u
     for i in range(A.apex.dim):
@@ -341,14 +351,7 @@ def ext1(A: CSheaf, B: CSheaf):
         h = h_build(tuple(vec))
         comp = A.germ.then(sec_functor(h))
         cob_cols.append(tuple(x for row in comp.matrix for x in row))
-    span = row_space_basis(cob_cols)
-    amb = VectQ.make(n_t, "t")
-    classes, proj = _quotient(amb, span, "x")
-    reps = []
-    for i in range(classes.dim):
-        lift = solve(proj, classes.basis_vec(i))
-        reps.append(extension_from_twist(A, B, _twist_matrix(A, B, lift)))
-    return classes, reps
+    return _quotient(amb, row_space_basis(cob_cols), "x")
 
 
 def _twist_matrix(A, B, flat):
@@ -388,7 +391,15 @@ def extension_from_twist(A: CSheaf, B: CSheaf, twist: LinMap) -> SES:
 
 
 def ext1_dim(A: CSheaf, B: CSheaf) -> int:
-    return ext1(A, B)[0].dim
+    """dim Ext^1(A, B) on a rank <= 1 space: the dimension of the twist
+    quotient, summed over the parts of a disjoint union, without realizing
+    any extension."""
+    space = A.space
+    if cb_rank(space) == 0:
+        return 0
+    if isinstance(space, Sum):
+        return ext1_dim(A.data[0], B.data[0]) + ext1_dim(A.data[1], B.data[1])
+    return _twist_classes(A, B)[0].dim
 
 
 def injective_hull_step(B: CSheaf):

@@ -26,6 +26,7 @@ object being rebuilt through an explicit pullback square.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .linalg import (
@@ -47,6 +48,13 @@ class CMod:
     flag: Flag
     payload: tuple  # ("zero",) | ("fin", stalks) | ("sum", l, r)
     #               | ("apex", V, ambient, emb) | ("low", exc, generic, W, iota)
+
+    @functools.cached_property
+    def _extended(self) -> dict:
+        """`loc_extend(self, b)` by height b, computed on first use and then
+        kept.  It belongs to the object and is never looked up by equality;
+        the extensions hold no reference back to it."""
+        return {}
 
 
 def el_space(M: CMod) -> VectQ:
@@ -181,7 +189,19 @@ def mod_of_sheaf(F: CSheaf, flag: Flag) -> CMod:
 
 def loc_extend(M: CMod, b: int) -> tuple[CMod, LinMap]:
     """The localized extension of a module along one added height, together
-    with the structural map of element spaces (always surjective)."""
+    with the structural map of element spaces (always surjective).
+
+    The result is kept with the module object, per height, so `to_standard`,
+    `is_cocartesian` and `from_standard` extend each vertex of one diagram
+    once between them; only the extension is kept, never a verdict on an
+    edge."""
+    memo = M._extended
+    if b not in memo:
+        memo[b] = _loc_extend(M, b)
+    return memo[b]
+
+
+def _loc_extend(M, b):
     new_flag = insert_height(M.flag, b)
     kind = M.payload[0]
     if kind == "zero" or (new_flag and new_flag[0] > cb_rank(M.space)):
