@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, direct_sum_space
 from .space import (
@@ -115,8 +116,8 @@ _CUBE_MEMO_SIZE = 16
 @functools.lru_cache(maxsize=_CUBE_MEMO_SIZE)
 def _shared_cube(space):
     """`sheaf_cube(space)` for the most recently used spaces, built once and
-    shared by the stalk checks; its readers never change it."""
-    return sheaf_cube(space)
+    shared by the stalk checks, behind read-only views."""
+    return MappingProxyType({k: MappingProxyType(v) for k, v in sheaf_cube(space).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import gc
 import random
 import weakref
 
+import pytest
+
 from stonesheaf.cube import _shared_cube, sheaf_cube, stalkwise_cube_check
 from stonesheaf.linalg import LinMap
 from stonesheaf.models import CMod, DiagMod, is_cocartesian, loc_extend, mod_of_sheaf, to_standard
@@ -88,7 +90,10 @@ def test_cube_checks_read_the_same_from_a_cleared_and_a_warm_memo():
 def test_shared_cube_is_the_cube_of_its_space():
     for expr in CUBE_SPACES:
         space = parse_space(expr)
-        assert _shared_cube(space) == sheaf_cube(space)
+        shared = _shared_cube(space)
+        assert {k: dict(v) for k, v in shared.items()} == sheaf_cube(space)
+        with pytest.raises(TypeError):
+            shared["sheaves"][()] = None
         assert sheaf_cube(space) is not sheaf_cube(space)
 
 
