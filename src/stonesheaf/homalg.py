@@ -326,9 +326,10 @@ def ext1(A: CSheaf, B: CSheaf):
 
 
 def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
-    """Ext^1(A, B) on a rank-1 cone as the twist quotient: (classes, the
-    projection from flattened germ twists apex(A) -> sections(tail(B)) onto
-    them) modulo the coboundaries of re-chosen stalkwise splittings."""
+    """Ext^1(A, B) on a rank-1 cone: the germ twists apex(A) ->
+    sections(tail(B)), flattened row by row, modulo the coboundaries of
+    re-chosen stalkwise splittings.  Returns (classes, the projection of
+    the twists onto them)."""
     _cone_rank1(A.space)
     SB = sec_space(B.tail)
     amb = VectQ.make(A.apex.dim * SB.dim, "t")
