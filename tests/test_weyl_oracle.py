@@ -5,6 +5,10 @@
   Inputs: criterion 6's eight groups with the monomial representations of
   `_random_rep`, and dense random rational matrices in place of the
   representations (the formula is linear in each, so it need not act).
+  Named cases pin the exact rational arithmetic: denominators 2, 3, 5 and 7
+  in every matrix, an averaged map fed back in, `int` entries whose sums
+  |G| does not divide, the zero map and the regular representation of S3;
+  every entry of every output is a `Fraction`.
 * `_equivariant_germ` calls `average_stalk`; the reference is its own loop,
   on the inputs `random_equiv_sheaf` draws over the dihedral block and over
   the rank-1 tail of the torus block (the generator construction stops at
@@ -101,6 +105,78 @@ def test_average_stalk_rejects_mismatched_representations():
     rs = [LinMap.identity(V2)] * 2
     with pytest.raises(ValueError):
         average_stalk(G, rs, rs, LinMap.zero(V3, V2))
+
+
+def _rows(source, target, rows):
+    """A `LinMap` on the given entries as they are, `int`s included."""
+    return LinMap(source, target, tuple(tuple(row) for row in rows))
+
+
+def _check_average(G, rs, rt, m):
+    got = average_stalk(G, rs, rt, m)
+    assert repr(got) == repr(_average_reference(G, rs, rt, m))
+    assert all(type(x) is Fraction for row in got.matrix for x in row)
+    return got
+
+
+def test_average_stalk_over_coprime_denominators():
+    # m, ρ_s and ρ_t each carry the denominators 2, 3, 5 and 7, so each
+    # matrix's common denominator is 210
+    G = cyclic_group(2)
+    V, W = VectQ.make(2), VectQ.make(2)
+    F = Fraction
+    m = _rows(V, W, [[F(1, 2), F(-1, 3)], [F(2, 5), F(1, 7)]])
+    rs = [_rows(V, V, [[F(1, 3), F(1, 2)], [F(-3, 7), F(4, 5)]]),
+          _rows(V, V, [[F(1, 5), 0], [F(1, 7), F(5, 6)]])]
+    rt = [_rows(W, W, [[F(1, 7), F(2, 3)], [0, F(1, 10)]]),
+          _rows(W, W, [[F(-1, 2), F(3, 5)], [F(1, 3), F(6, 7)]])]
+    got = _check_average(G, rs, rt, m)
+    assert max(x.denominator for row in got.matrix for x in row) > 210
+
+
+def test_average_stalk_of_an_averaged_map():
+    rng = random.Random(5)
+    fractional = 0
+    for G in CRITERION6_GROUPS[1:]:
+        V, rs = weyl._random_rep(G, G.order + 1, rng)
+        W, rt = weyl._random_rep(G, G.order, rng)
+        m = _rows(V, W, [[rng.randint(-5, 5) for _ in range(V.dim)] for _ in range(W.dim)])
+        once = average_stalk(G, rs, rt, m)
+        # the average of an integral map has denominators dividing |G|
+        assert all(G.order % x.denominator == 0 for row in once.matrix for x in row)
+        fractional += any(x.denominator > 1 for row in once.matrix for x in row)
+        assert repr(_check_average(G, rs, rt, once)) == repr(once)
+    assert fractional > 0
+
+
+def test_average_stalk_of_integer_entries_not_divisible_by_the_order():
+    for G in CRITERION6_GROUPS[2:]:
+        V = VectQ.make(G.order)
+        W = VectQ.make(1)
+        reg = [_rows(V, V, [[int(x) for x in row] for row in r.matrix])
+               for r in weyl.regular_rep(G)]
+        trivial = [_rows(W, W, [[1]])] * G.order
+        m = _rows(V, W, [[1] + [0] * (G.order - 1)])
+        got = _check_average(G, reg, trivial, m)
+        assert got.matrix == ((Fraction(1, G.order),) * G.order,)
+
+
+def test_average_stalk_of_the_zero_map():
+    G = _s3_group()
+    rng = random.Random(8)
+    V, rs = weyl._random_rep(G, 7, rng)
+    W, rt = weyl._random_rep(G, 3, rng)
+    got = _check_average(G, rs, rt, LinMap.zero(V, W))
+    assert got.is_zero()
+
+
+def test_average_stalk_over_the_regular_representation_of_s3():
+    G = _s3_group()
+    rep = weyl.regular_rep(G)
+    V = rep[0].source
+    rng = random.Random(12)
+    for _ in range(4):
+        _check_average(G, rep, rep, _dense(rng, V, V))
 
 
 def _germ_reference(tail, up, amats, raw):
