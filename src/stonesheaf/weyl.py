@@ -28,14 +28,17 @@ germ component of each level pair once built (`ComponentStructure.kept`,
 filled by `group_ring_sheaf` and `level_germ`).  None of it takes part in
 equality, hashing or the repr, and none of it is shared between equal
 objects: equal structures may name their groups differently, and the
-names are serialized.  `average_stalk` sums its products of nonzero
-entries into one accumulator.
+names are serialized.  `average_stalk` sums its products over integer
+numerators into `int` accumulators, with one common denominator for the
+map, one for the source representation's matrices and one for the
+target's, and builds each output entry once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -733,29 +736,42 @@ def _probe_bound(f) -> int:
     return max(keys) + 2
 
 
+def _denominator(mats) -> int:
+    """The lcm of the entry denominators of the given matrices."""
+    return math.lcm(*{x.denominator for mat in mats for row in mat.matrix for x in row})
+
+
 def average_stalk(G: FinGroup, rep_src, rep_tgt, m: LinMap) -> LinMap:
     """The averaged intertwiner (1/|G|) Σ_g ρ_t(g) m ρ_s(g⁻¹).
 
-    One pass with one accumulator: for every g, each product t·x·s of
-    nonzero entries, t in row i of ρ_t(g), x in m and s in ρ_s(g⁻¹), is
-    added into entry (i, j), and one `LinMap` is built at the end.  The
-    inverses come from the group's stored table."""
+    One pass over integer numerators: m, the ρ_s(g) and the ρ_t(g) are
+    each brought to integers over one common denominator, the lcm of their
+    entry denominators (d_m, d_s and d_t).  For every g, each product t·x·s
+    of nonzero numerators, t in row i of ρ_t(g), x in m and s in ρ_s(g⁻¹),
+    is added into the `int` accumulator of entry (i, j).  Each entry is
+    built once, as acc/(|G|·d_m·d_s·d_t), and a zero entry is the shared
+    `ZERO`.  The inverses come from the group's stored table."""
     if any((r.source, r.target) != (m.source, m.source) for r in rep_src) or \
             any((r.source, r.target) != (m.target, m.target) for r in rep_tgt):
         raise DimensionError("representations do not act on the map's source and target")
-    mrows = [[(l, x) for l, x in enumerate(row) if x] for row in m.matrix]
-    acc = [[ZERO] * m.source.dim for _ in range(m.target.dim)]
+    dm, ds, dt = _denominator([m]), _denominator(rep_src), _denominator(rep_tgt)
+    mrows = [[(l, x.numerator * (dm // x.denominator)) for l, x in enumerate(row) if x]
+             for row in m.matrix]
+    acc = [[0] * m.source.dim for _ in range(m.target.dim)]
     for g in G.elements():
-        srows = [[(j, s) for j, s in enumerate(row) if s] for row in rep_src[G.inv(g)].matrix]
+        srows = [[(j, s.numerator * (ds // s.denominator)) for j, s in enumerate(row) if s]
+                 for row in rep_src[G.inv(g)].matrix]
         for out, row in zip(acc, rep_tgt[g].matrix):
             for k, t in enumerate(row):
                 if t:
+                    t = t.numerator * (dt // t.denominator)
                     for l, x in mrows[k]:
                         tx = t * x
                         for j, s in srows[l]:
                             out[j] += tx * s
-    c = Fraction(1, G.order)
-    return LinMap(m.source, m.target, tuple(tuple(c * a for a in out) for out in acc))
+    d = G.order * dm * ds * dt
+    return LinMap(m.source, m.target,
+                  tuple(tuple(Fraction(a, d) if a else ZERO for a in out) for out in acc))
 
 
 def average(f: SheafMap, src: EquivCSheaf, tgt: EquivCSheaf) -> SheafMap:
