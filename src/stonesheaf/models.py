@@ -56,21 +56,29 @@ class CMod:
         the extensions hold no reference back to it."""
         return {}
 
+    @functools.cached_property
+    def _el_space(self) -> VectQ:
+        """`el_space(self)`, built on first use and then kept.  Like
+        `_extended` it belongs to the object and is never looked up by
+        equality."""
+        kind = self.payload[0]
+        if kind == "zero":
+            return VectQ.make(0)
+        if kind == "fin":
+            stalks = self.payload[1]
+            return direct_sum_space(stalks, [str(i) for i in range(len(stalks))])
+        if kind == "sum":
+            return direct_sum_space([el_space(m) for m in self.payload[1:]], ["l", "r"])
+        if kind == "apex":
+            return self.payload[1]
+        _, exc, _generic, W, _iota = self.payload
+        parts = [el_space(m) for _, m in exc] + [W]
+        return direct_sum_space(parts, [str(k) for k, _ in exc] + ["tail"])
+
 
 def el_space(M: CMod) -> VectQ:
     """The underlying space of finite-record elements."""
-    kind = M.payload[0]
-    if kind == "zero":
-        return VectQ.make(0)
-    if kind == "fin":
-        return direct_sum_space(M.payload[1], [str(i) for i in range(len(M.payload[1]))])
-    if kind == "sum":
-        return direct_sum_space([el_space(M.payload[1]), el_space(M.payload[2])], ["l", "r"])
-    if kind == "apex":
-        return M.payload[1]
-    _, exc, generic, W, _iota = M.payload
-    parts = [el_space(m) for _, m in exc] + [W]
-    return direct_sum_space(parts, [str(k) for k, _ in exc] + ["tail"])
+    return M._el_space
 
 
 def _sec_ambient(T: CSheaf):

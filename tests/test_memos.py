@@ -1,10 +1,11 @@
 """The memos keep built data, never a verdict.
 
-`models.loc_extend` keeps each extension with its module object, and the
-stalk checks of `cube` share one cube per space through a bounded memo.
-Neither may change an answer: a diagram whose vertices were extended
-before is judged on its edges as they are now, a check reads the same from
-a warm memo as from a cleared one, and the cube memo stays within its bound.
+`models.loc_extend` and `models.el_space` keep each extension and the
+element space with its module object, and the stalk checks of `cube` share
+one cube per space through a bounded memo.  None may change an answer: a
+diagram whose vertices were extended before is judged on its edges as they
+are now, a check reads the same from a warm memo as from a cleared one, and
+the cube memo stays within its bound.
 """
 
 import gc
@@ -15,7 +16,8 @@ import pytest
 
 from stonesheaf.cube import _shared_cube, sheaf_cube, stalkwise_cube_check
 from stonesheaf.linalg import LinMap
-from stonesheaf.models import CMod, DiagMod, is_cocartesian, loc_extend, mod_of_sheaf, to_standard
+from stonesheaf.models import (
+    CMod, DiagMod, el_space, is_cocartesian, loc_extend, mod_of_sheaf, to_standard)
 from stonesheaf.sheaf import constant, random_csheaf
 from stonesheaf.space import Finite, iter_points, parse_space
 from test_cube_golden import SPACES as CUBE_SPACES
@@ -55,6 +57,16 @@ def test_extensions_are_kept_per_object_not_per_value():
     assert loc_extend(M, 0) is loc_extend(M, 0)
     assert loc_extend(twin, 0) == loc_extend(M, 0)
     assert loc_extend(twin, 0) is not loc_extend(M, 0)
+
+
+def test_element_spaces_are_kept_per_object_not_per_value():
+    M = mod_of_sheaf(constant(parse_space("Cone(Cone(Finite(1)))"), 1), (1,))
+    assert M.payload[0] == "low"  # a space built from the parts, not one the payload holds
+    twin = CMod(M.space, M.flag, M.payload)
+    assert twin == M and hash(twin) == hash(M)
+    assert el_space(M) is el_space(M)
+    assert el_space(twin) == el_space(M)
+    assert el_space(twin) is not el_space(M)
 
 
 def test_kept_extensions_make_no_reference_cycle():
