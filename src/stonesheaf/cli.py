@@ -22,7 +22,7 @@ from .adelic import build_complex, random_cocycle
 from .catalog import divisor_sigma, o2_dihedral_block, sublattices, t2_block
 from .cube import stalkwise_cube_check, _shared_cube
 from .homalg import injective_resolution_display
-from .models import to_standard, from_standard, is_cocartesian
+from .models import to_standard, is_cocartesian, _rebuild_sheaf
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
 from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
                     ParseError)
@@ -145,7 +145,7 @@ def cmd_model(args):
         if not is_cocartesian(D):
             ok = False
             break
-        G = from_standard(D)
+        G = _rebuild_sheaf(D.space, D.vertices)  # from_standard(D) without a second check
         if not sheaves_equal(F, G):
             ok = False
             break

@@ -106,6 +106,24 @@ def test_model_command(capsys):
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
+def test_model_command_checks_each_diagram_once(capsys, monkeypatch):
+    from stonesheaf import cli, models
+    checked = []
+    check = models.is_cocartesian
+
+    def counted(D):
+        checked.append(D)
+        return check(D)
+    monkeypatch.setattr(models, "is_cocartesian", counted)
+    monkeypatch.setattr(cli, "is_cocartesian", counted)
+    code, out = run_cli(capsys, ["model", "--space", "Cone(Cone(Finite(1)))",
+                                 "--roundtrips", "6", "--seed", "3"])
+    assert code == 0
+    assert out == ('{\n "roundtrips": 6,\n "schema": "stonesheaf/1",\n "seed": 3,\n'
+                   ' "space": "Cone(Cone(Finite(1)))",\n "status": "pass"\n}\n')
+    assert len(checked) == 6
+
+
 def test_equiv_command(capsys):
     code, out = run_cli(capsys, ["equiv", "--samples", "4", "--seed", "2",
                                  "--trivial-check"])
