@@ -37,7 +37,7 @@ from .adelic import Flag, check_flag, insert_height, all_flags, flags_of_size
 from .sheaf import (
     CSheaf, canonical, germ_section, make_cone_sheaf, make_fin_sheaf,
     make_sum_sheaf, sec_from_coords, sec_space, _copy_default)
-from .homalg import gamma, recon_e
+from .homalg import _require_rank1, gamma, recon_e
 
 
 @dataclass(frozen=True)
@@ -451,11 +451,6 @@ class CompleteObj:
 
     space: SpaceExpr
     data: tuple
-
-
-def _require_rank1(space):
-    if cb_rank(space) > 1:
-        raise ValueError("rank-1 space expected")
 
 
 def kappa(X: StandardObj) -> CompleteObj:

@@ -36,6 +36,16 @@ locally constant function (`_scale_by_locconst`, which also extends
 sections by zero) walks the function's data instead, and `_at` is the one
 point lookup, for stalks of sheaves and stalk maps of sheaf maps alike.
 
+A record is read against its sheaf by one walk, `_layout`, in that order,
+except that at a cone it visits the copies the sheaf stores, then the apex.
+It reads a copy the record does not list through its default, so a record
+of one presentation is read in another as it is, and collects the record
+minus its default at a copy the record lists but the sheaf does not store.
+Coordinates, building from coordinates and the apex squares are its uses.
+One fold, `_fold`, drops every copy entry equal to its default, except that
+`sec_canonical` keeps those at stored copies, and `canonical` (for germ
+records) those at copies that store a sheaf other than the tail.
+
 No operation conforms its arguments to a common set of stored copies.
 `direct_sum` and `tensor` store, at every cone, the union of the copies
 their two sheaves store, and `kernel` and `cokernel` the copies that their
@@ -43,9 +53,7 @@ map lists; every map they (and `homalg`) return goes between the sheaves
 they were given.  `_refine` is the one place that makes a sheaf store more
 copies without changing the sheaf: `canonical` stores every copy at which a
 germ section deviates, and `align_pair` (which only builds the aligned
-inputs that some tests pin) every copy that either sheaf stores.  A section
-record of one presentation is read in another as it is, since every reader
-takes a copy that a record does not list from the germ of its apex value.
+inputs that some tests pin) every copy that either sheaf stores.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    LinMap, Rat, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
+    LinMap, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
     image_basis, rref, solve)
 from .adelic import _indicator_data, const_data
 from .space import (
@@ -218,100 +226,96 @@ def sec_space(F: CSheaf) -> VectQ:
 def sec_to_coords(F: CSheaf, s: Section):
     """Coordinates in the finite-data section space; the section must not
     deviate outside the sheaf's stored exceptional copies."""
-    out: list[Rat] = []
-    deviations: list[Rat] = []
-    _sec_coords(F, s.data, out, deviations)
+    out, deviations = [], []
+    _layout(F, s.data, out.extend, deviations)
     if any(deviations):
         raise ValueError("section deviates outside the stored copies")
     return tuple(out)
 
 
-def _sec_coords(F, data, out, deviations):
-    """Append the coordinates of a section record to `out`, and at every
-    copy that the record lists but the sheaf does not store, the record
-    minus its default value there to `deviations`, value by value in
-    `_sectionwise` order."""
-    if isinstance(F.space, Finite):
-        for v in data:
-            out.extend(v)
-        return
-    if isinstance(F.space, Sum):
-        _sec_coords(F.data[0], data[0], out, deviations)
-        _sec_coords(F.data[1], data[1], out, deviations)
-        return
-    _, exc, apexv = data
-    excd = dict(exc)
-    stored = F.stored_keys()
-    for k in excd:
-        if k not in stored:
-            _sectionwise([F.tail, F.tail], [excd[k], _copy_default(F, k, apexv)], [],
-                         lambda a, b: deviations.extend(x - y for x, y in zip(a, b)))
-    for k, G in F.data[1]:
-        sub = excd.get(k)
-        if sub is None:
-            sub = _copy_default(F, k, apexv)
-        _sec_coords(G, sub, out, deviations)
-    out.extend(apexv)
-
-
 def sec_from_coords(F: CSheaf, coords) -> Section:
-    data, pos = _sec_build(F, coords, 0)
+    pos = 0
+    def take(V):
+        nonlocal pos
+        pos += V.dim
+        return tuple(coords[pos - V.dim:pos])
+    data = _layout(F, None, take, None)
     if pos != len(coords):
         raise ValueError("coordinate length mismatch")
     return Section(F, data)
 
 
-def _sec_build(F, coords, pos):
+def _layout(F, data, leaf, deviations):
+    """The record of F whose value at every finite-data slot is `leaf` of the
+    value of the record `data` there, or of the slot's stalk if `data` is
+    None; see the module docstring."""
     if isinstance(F.space, Finite):
-        vals = []
-        for sp in F.data:
-            vals.append(tuple(coords[pos:pos + sp.dim]))
-            pos += sp.dim
-        return tuple(vals), pos
+        return tuple([leaf(v) for v in (F.data if data is None else data)])
     if isinstance(F.space, Sum):
-        l, pos = _sec_build(F.data[0], coords, pos)
-        r, pos = _sec_build(F.data[1], coords, pos)
-        return (l, r), pos
-    exc = []
-    for k, G in F.data[1]:
-        sub, pos = _sec_build(G, coords, pos)
-        exc.append((k, sub))
-    apexv = tuple(coords[pos:pos + F.apex.dim])
-    pos += F.apex.dim
-    return ("sec", tuple(exc), apexv), pos
+        left, right = (None, None) if data is None else data
+        return (_layout(F.data[0], left, leaf, deviations),
+                _layout(F.data[1], right, leaf, deviations))
+    stored, listed, apexv = dict(F.data[1]), {}, F.apex
+    if data is not None:
+        _, exc, apexv = data
+        listed, default = dict(exc), None
+        for k, sub in exc:
+            if k not in stored:
+                if default is None:
+                    default = germ_section(F, apexv).data
+                _sectionwise([F.tail, F.tail], [sub, default], [],
+                             lambda a, b: deviations.extend(x - y for x, y in zip(a, b)))
+    copies = []
+    for k, G in stored.items():
+        sub = listed.get(k)
+        if sub is None and data is not None:
+            sub = _copy_default(F, k, apexv)
+        copies.append((k, _layout(G, sub, leaf, deviations)))
+    return ("sec", tuple(copies), leaf(apexv))
 
 
 def germ_section(F: CSheaf, apexv) -> Section:
     """The tail section spread from an apex value (the germ representative)."""
-    coords = F.germ.apply(tuple(apexv))
-    return sec_from_coords(F.tail, coords)
+    return sec_from_coords(F.tail, F.germ.apply(tuple(apexv)))
 
 
 def sec_canonical(s: Section) -> Section:
-    F = s.sheaf
+    """The section's record with every copy entry that equals its default
+    dropped, except at the copies that its sheaf stores."""
+    return Section(s.sheaf, _fold(s.sheaf, s.data, lambda F, k: k in F.stored_keys()))
+
+
+def _fold(F, data, keep):
+    """The record `data` of F with, at every cone, every copy entry that
+    equals its default (the germ of the apex value, folded alike) dropped,
+    unless `keep(F, k)` holds for the copy k; entries are folded first."""
     if isinstance(F.space, Finite):
-        return s
+        return data
     if isinstance(F.space, Sum):
-        return Section(F, (sec_canonical(Section(F.data[0], s.data[0])).data,
-                           sec_canonical(Section(F.data[1], s.data[1])).data))
-    _, exc, apexv = s.data
-    stored = set(F.stored_keys())
-    default = sec_canonical(germ_section(F, apexv))
-    cleaned = []
+        return (_fold(F.data[0], data[0], keep), _fold(F.data[1], data[1], keep))
+    _, exc, apexv = data
+    cleaned, default = [], None
     for k, sub in sorted(exc):
-        G = F.copy_sheaf(k)
-        subs = sec_canonical(Section(G, sub))
-        if k in stored or subs.data != default.data:
-            cleaned.append((k, subs.data))
-    return Section(F, ("sec", tuple(cleaned), tuple(apexv)))
+        sub = _fold(F.copy_sheaf(k), sub, keep)
+        if not keep(F, k):
+            if default is None:
+                default = _fold(F.tail, germ_section(F, apexv).data, keep)
+            if sub == default:
+                continue
+        cleaned.append((k, sub))
+    return ("sec", tuple(cleaned), tuple(apexv))
+
+
+def _exceptional(F, k):
+    """Whether copy k of F stores a sheaf that is not a presentation of the tail."""
+    G = F.copy_sheaf(k)
+    return G != F.tail and canonical(G) != canonical(F.tail)
 
 
 def _copy_default(F, k, apexv):
-    """The section value of a tail-carrying copy, spread from the apex: a
-    record of the tail, read as a record of the copy's sheaf, which may be
-    another presentation of the tail."""
-    rec = F.copy_sheaf(k)
-    if rec != F.tail and canonical(rec) != canonical(F.tail):
+    """The section value of a tail-carrying copy, spread from the apex: a record
+    of the tail, read as one of the copy's sheaf (maybe another presentation)."""
+    if _exceptional(F, k):
         raise ValueError("section must list genuinely exceptional copies")
     return germ_section(F, apexv).data
 
@@ -507,8 +511,8 @@ def _apex_square(F: CSheaf, G: CSheaf, tail: SheafMap, apex: LinMap):
     cols, n_extra = [], 0
     for i in range(F.apex.dim):
         col, deviations = [], []
-        _sec_coords(G.tail, apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data, col,
-                    deviations)
+        _layout(G.tail, apply_map(tail, germ_section(F, F.apex.basis_vec(i))).data, col.extend,
+                deviations)
         cols.append(col + deviations)
         n_extra = len(deviations)  # alike for every column: the images list the same copies
     spread = apex.then(G.germ)
@@ -603,26 +607,6 @@ def align_pair(F: CSheaf, G: CSheaf) -> tuple[CSheaf, CSheaf]:
     return _refine(F, [G], []), _refine(G, [F], [])
 
 
-def sec_strict_canonical(T: CSheaf, data):
-    """Section record with every default-valued copy entry removed (whether
-    or not the sheaf stores the copy, and whether it stores the tail or
-    another presentation of it there); records the true deviation keys."""
-    if isinstance(T.space, Finite):
-        return data
-    if isinstance(T.space, Sum):
-        return (sec_strict_canonical(T.data[0], data[0]),
-                sec_strict_canonical(T.data[1], data[1]))
-    _, exc, apexv = data
-    cleaned = []
-    for k, sub in sorted(exc):
-        G = T.copy_sheaf(k)
-        subc = sec_strict_canonical(G, sub)
-        if ((G != T.tail and canonical(G) != canonical(T.tail))
-                or subc != sec_strict_canonical(G, germ_section(T, apexv).data)):
-            cleaned.append((k, subc))
-    return ("sec", tuple(cleaned), tuple(apexv))
-
-
 def canonical(F: CSheaf) -> CSheaf:
     """The minimal-threshold normal form, the same for every presentation of
     a sheaf: a stored copy is dropped when its canonical form is the tail's,
@@ -633,7 +617,7 @@ def canonical(F: CSheaf) -> CSheaf:
     if isinstance(F.space, Sum):
         return CSheaf(F.space, (canonical(F.data[0]), canonical(F.data[1])))
     tail_c = canonical(F.tail)
-    germ_recs = [sec_strict_canonical(F.tail, germ_section(F, F.apex.basis_vec(i)).data)
+    germ_recs = [_fold(F.tail, germ_section(F, F.apex.basis_vec(i)).data, _exceptional)
                  for i in range(F.apex.dim)]
     tail_f = _refine(tail_c, [], germ_recs)
     cols = [sec_to_coords(tail_f, Section(tail_f, rec)) for rec in germ_recs]

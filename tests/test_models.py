@@ -11,7 +11,7 @@ from stonesheaf.sheaf import (
     constant, make_cone_sheaf, random_csheaf, sec_space, sheaves_equal,
     skyscraper, zero_sheaf, direct_sum)
 from stonesheaf.models import (
-    CMod, DiagMod, coreflect, el_space, five_model_roundtrip, from_standard,
+    CMod, DiagMod, StandardObj, coreflect, el_space, five_model_roundtrip, from_standard,
     is_cocartesian, kappa, loc_extend, mod_of_sheaf, standard_of_sheaf,
     support_detect, tau, to_standard)
 
@@ -256,8 +256,11 @@ def test_kappa_tau_on_mixed_rank_one_spaces():
 
 
 def test_kappa_rejects_higher_rank():
-    with pytest.raises(ValueError):
+    rank2 = "operation implemented for spaces of rank at most 1"
+    with pytest.raises(ValueError, match=rank2):
         standard_of_sheaf(constant(X2, 1))
+    with pytest.raises(ValueError, match=rank2):
+        kappa(StandardObj(constant(X2, 1)))
 
 
 def test_diagram_edges_commute():

@@ -4,7 +4,8 @@ gives back c.
 The sheaves are drawn with `random_csheaf` from a seed over the derandomized
 space expressions of `test_space_properties`, restricted to rank <= 3 and
 short expressions; each is checked as drawn and in its canonical form, on
-the basis vectors and on seeded random coordinates.
+the basis vectors and on seeded random coordinates.  Coordinates one entry
+too short or too long raise `ValueError("coordinate length mismatch")`.
 """
 
 import random
@@ -36,3 +37,7 @@ def test_coordinates_of_the_section_built_from_coordinates(space, seed, exc_boun
                   for _ in range(3)]
         for c in draws:
             assert sec_to_coords(G, sec_from_coords(G, c)) == tuple(c)
+        c = draws[-1]
+        for wrong in (c[:-1], c + (Fraction(1),)) if c else (c + (Fraction(1),),):
+            with pytest.raises(ValueError, match="coordinate length mismatch"):
+                sec_from_coords(G, wrong)
