@@ -250,26 +250,26 @@ def _layout(F, data, leaf, deviations):
     value of the record `data` there, or of the slot's stalk if `data` is
     None; see the module docstring."""
     if isinstance(F.space, Finite):
-        return tuple([leaf(v) for v in (F.data if data is None else data)])
+        return tuple(map(leaf, F.data if data is None else data))
     if isinstance(F.space, Sum):
-        left, right = (None, None) if data is None else data
+        left, right = data or (None, None)
         return (_layout(F.data[0], left, leaf, deviations),
                 _layout(F.data[1], right, leaf, deviations))
-    stored, listed, apexv = dict(F.data[1]), {}, F.apex
-    if data is not None:
-        _, exc, apexv = data
-        listed, default = dict(exc), None
-        for k, sub in exc:
-            if k not in stored:
-                if default is None:
-                    default = germ_section(F, apexv).data
-                _sectionwise([F.tail, F.tail], [sub, default], [],
-                             lambda a, b: deviations.extend(x - y for x, y in zip(a, b)))
+    stored = F.data[1]
+    if data is None:
+        return ("sec", tuple([(k, _layout(G, None, leaf, None)) for k, G in stored]),
+                leaf(F.apex))
+    _, exc, apexv = data
+    listed, keys, default = dict(exc), dict(stored), None
+    for k, sub in exc:
+        if k not in keys:
+            if default is None:
+                default = germ_section(F, apexv).data
+            _sectionwise([F.tail, F.tail], [sub, default], [],
+                         lambda a, b: deviations.extend(x - y for x, y in zip(a, b)))
     copies = []
-    for k, G in stored.items():
-        sub = listed.get(k)
-        if sub is None and data is not None:
-            sub = _copy_default(F, k, apexv)
+    for k, G in stored:
+        sub = listed[k] if k in listed else _copy_default(F, k, apexv)
         copies.append((k, _layout(G, sub, leaf, deviations)))
     return ("sec", tuple(copies), leaf(apexv))
 
