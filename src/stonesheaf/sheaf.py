@@ -276,7 +276,8 @@ def _layout(F, data, leaf, deviations):
 
 def germ_section(F: CSheaf, apexv) -> Section:
     """The tail section spread from an apex value (the germ representative)."""
-    return sec_from_coords(F.tail, F.germ.apply(tuple(apexv)))
+    coords = F.germ.apply(tuple(apexv))
+    return sec_from_coords(F.tail, coords)
 
 
 def sec_canonical(s: Section) -> Section:

@@ -38,6 +38,7 @@ def test_coordinates_of_the_section_built_from_coordinates(space, seed, exc_boun
         for c in draws:
             assert sec_to_coords(G, sec_from_coords(G, c)) == tuple(c)
         c = draws[-1]
-        for wrong in (c[:-1], c + (Fraction(1),)) if c else (c + (Fraction(1),),):
+        too_short = [c[:-1]] if c else []
+        for wrong in too_short + [c + (Fraction(1),)]:
             with pytest.raises(ValueError, match="coordinate length mismatch"):
                 sec_from_coords(G, wrong)
