@@ -30,10 +30,10 @@ from .space import Cone, Finite, Sum, cb_rank, Point
 from .adelic import CFun
 from .sheaf import (
     CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
-    check_sheaf_map, compose, direct_sum, cokernel,
+    check_sheaf_map, compose, direct_sum, cokernel, identity_map,
     make_cone_map, make_cone_sheaf, make_fin_sheaf, make_sum_map,
     make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
-    zero_map, zero_sheaf, _componentwise, _incl_first, _probe_points, _proj_second,
+    zero_map, _componentwise, _incl_first, _probe_points, _proj_second,
     _quotient, _scale_by_locconst)
 
 
@@ -334,7 +334,7 @@ def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
     SB = sec_space(B.tail)
     amb = VectQ.make(A.apex.dim * SB.dim, "t")
     if amb.dim == 0:
-        return _quotient(amb, [], "x")
+        return _quotient(amb, [], "x")[:2]
     cob_cols = []
     # coboundary from u: apex(A) -> apex(B): twist sigma_B ∘ u
     for i in range(A.apex.dim):
@@ -352,7 +352,7 @@ def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
         h = h_build(tuple(vec))
         comp = A.germ.then(sec_functor(h))
         cob_cols.append(tuple(x for row in comp.matrix for x in row))
-    return _quotient(amb, row_space_basis(cob_cols), "x")
+    return _quotient(amb, row_space_basis(cob_cols), "x")[:2]
 
 
 def _twist_matrix(A, B, flat):
@@ -405,36 +405,26 @@ def ext1_dim(A: CSheaf, B: CSheaf) -> int:
 
 def injective_hull_step(B: CSheaf):
     """A monomorphism from B into an Ext-acyclic sheaf with skyscraper
-    cokernel: B -> sky(apex) ⊕ wall(B), where wall(B) has apex stalk the
-    tail sections and identity germ."""
+    cokernel, returned with the projection onto that cokernel.
+
+    The hull I0 is one cone sheaf: the stored copies and tail of B, apex
+    stalk apex(B) ⊕ sections(tail(B)), and germ [0 | id], which is zero on
+    the apex part (a skyscraper) and the identity on the sections part (the
+    wall of B).  B embeds by the identity on its copies and tail and by
+    v -> (v, sigma_B(v)) at the apex."""
     space = B.space
     _cone_rank1(space)
     B = canonical(B)
     SB = sec_space(B.tail)
-    wall = make_cone_sheaf(space, B.exc_dict(), B.tail, SB, LinMap.identity(SB))
-    sky = skyscraper_apex(space, B.apex)
-    I0, i_sky, i_wall, _p_sky, _p_wall = direct_sum(sky, wall)
-    # embed B stalkwise: apex v -> (v, sigma_B(v)); identity on the rest
-    cols = []
-    for i in range(B.apex.dim):
-        v = B.apex.basis_vec(i)
-        cols.append(tuple(a + b for a, b in zip(
-            i_sky.apex_map.apply(v), i_wall.apex_map.apply(B.germ.apply(v)))))
-    emb_apex = LinMap.from_cols(B.apex, i_sky.target.apex, cols)
-    exc = {k: i_wall.copy_map(k) for k in i_wall.source.stored_keys()}
-    emb = make_cone_map(i_wall.source, i_wall.target, exc, i_wall.tail_map, emb_apex,
+    apex = direct_sum_space([B.apex, SB], ["l", "r"])
+    I0 = make_cone_sheaf(space, B.exc_dict(), B.tail, apex, _proj_second(B.apex, SB, apex))
+    emb = make_cone_map(B, I0, {k: identity_map(G) for k, G in B.data[1]},
+                        identity_map(B.tail),
+                        LinMap(B.apex, apex, LinMap.identity(B.apex).matrix + B.germ.matrix),
                         check=False)
-    emb = SheafMap(B, i_wall.target,
-                   ("conemap", emb.data[1], emb.data[2], emb.data[3]))
     if not check_sheaf_map(emb):
         raise AssertionError("hull embedding fails the apex square")
-    Q, proj = cokernel(emb)
-    return emb, proj
-
-
-def skyscraper_apex(space, V: VectQ) -> CSheaf:
-    tail = zero_sheaf(space.base)
-    return make_cone_sheaf(space, {}, tail, V, LinMap.zero(V, sec_space(tail)))
+    return emb, cokernel(emb)[1]
 
 
 def ext2_dim(A: CSheaf, B: CSheaf) -> int:

@@ -707,8 +707,10 @@ def _subspace(amb: VectQ, basis, prefix="k") -> tuple[VectQ, LinMap]:
     return K, LinMap.from_cols(K, amb, [tuple(b) for b in basis])
 
 
-def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap]:
-    """Quotient of amb by the span of basis; returns (Q, projection)."""
+def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap, list[int]]:
+    """Quotient of amb by the span of basis; returns (Q, projection, free),
+    where the projection sends the standard basis vector at free[i] to the
+    i-th basis vector of Q."""
     red, pivots = rref([list(b) for b in basis])
     free = [j for j in range(amb.dim) if j not in pivots]
     Q = VectQ.make(len(free), prefix)
@@ -719,7 +721,7 @@ def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap]:
         for r_i, p in enumerate(pivots):
             row[p] = -red[r_i][j]
         rows.append(tuple(row))
-    return Q, LinMap.from_rows(amb, Q, rows)
+    return Q, LinMap.from_rows(amb, Q, rows), free
 
 
 def kernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
@@ -765,7 +767,7 @@ def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     if isinstance(G.space, Finite):
         stalks, projs = [], []
         for m in f.data:
-            Q, pr = _quotient(m.target, image_basis(m))
+            Q, pr, _free = _quotient(m.target, image_basis(m))
             stalks.append(Q)
             projs.append(pr)
         QF = make_fin_sheaf(G.space, stalks)
@@ -777,12 +779,12 @@ def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
         return QF, make_sum_map(G, QF, lp, rp)
     qt, pt = cokernel(f.tail_map)
     exc = {k: cokernel(m) for k, m in f.data[1]}
-    Qa, pa = _quotient(G.apex, image_basis(f.apex_map))
+    Qa, pa, free = _quotient(G.apex, image_basis(f.apex_map))
+    # lift basis vector i by the basis vector at free[i]: any lift gives this
+    # germ, since the projection of the tail sections kills the germ of the
+    # apex map's image
     sec_proj = sec_functor(pt)
-    cols = []
-    for i in range(Qa.dim):
-        lift = solve(pa, Qa.basis_vec(i))
-        cols.append(sec_proj.apply(G.germ.apply(lift)))
+    cols = [sec_proj.apply(G.germ.apply(G.apex.basis_vec(j))) for j in free]
     germ = LinMap.from_cols(Qa, sec_space(qt), cols)
     QF = make_cone_sheaf(G.space, {k: v[0] for k, v in exc.items()}, qt, Qa, germ)
     proj = make_cone_map(G, QF, {k: v[1] for k, v in exc.items()}, pt, pa, check=False)
