@@ -14,7 +14,12 @@ equations, short exact sequences are checked stalkwise, splitness is a
 linear solvability question, and the first extension group is classified by
 germ-twist data modulo coboundaries.  Injective dimension one is certified
 through a constructible two-step resolution whose middle and end terms have
-vanishing first extension groups against everything.
+vanishing first extension groups against everything.  The middle term, the
+hull of B, is one cone sheaf: the copies and tail of B, apex stalk
+apex(B) ⊕ sections(tail(B)) and germ [0 | id], so a skyscraper at the apex
+beside the wall of B; B embeds by v -> (v, sigma_B(v)) at the apex, and the
+end term is the cokernel, a skyscraper at the apex.  Hom, splitness and Ext
+reject spaces of rank two or more with one message.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from .linalg import (
     LinMap, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso)
-from .space import Cone, Finite, Sum, cb_rank, Point
+from .space import Cone, Finite, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
 from .sheaf import (
     CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
@@ -308,6 +313,7 @@ def ext1(A: CSheaf, B: CSheaf):
     disjoint unions contribute componentwise.
     """
     space = A.space
+    _require_rank1(space)
     if cb_rank(space) == 0:
         return VectQ.make(0, "x"), []
     if isinstance(space, Sum):
@@ -330,7 +336,6 @@ def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
     sections(tail(B)), flattened row by row, modulo the coboundaries of
     re-chosen stalkwise splittings.  Returns (classes, the projection of
     the twists onto them)."""
-    _cone_rank1(A.space)
     SB = sec_space(B.tail)
     amb = VectQ.make(A.apex.dim * SB.dim, "t")
     if amb.dim == 0:
@@ -396,6 +401,7 @@ def ext1_dim(A: CSheaf, B: CSheaf) -> int:
     quotient, summed over the parts of a disjoint union, without realizing
     any extension."""
     space = A.space
+    _require_rank1(space)
     if cb_rank(space) == 0:
         return 0
     if isinstance(space, Sum):
@@ -432,6 +438,7 @@ def ext2_dim(A: CSheaf, B: CSheaf) -> int:
     the two-step resolution: equals dim Ext^1(A, Q) minus the image from
     Ext^1(A, I0); both vanish here, certifying injective dimension one."""
     space = A.space
+    _require_rank1(space)
     if cb_rank(space) == 0:
         return 0
     if isinstance(space, Sum):
@@ -455,9 +462,11 @@ def injective_resolution_display(F: CSheaf) -> dict:
     constructible Ext machinery instead.
     """
     space = F.space
-    _require_rank1(space) if isinstance(space, Cone) else None
-    apex_dim = F.apex.dim if isinstance(space, Cone) else None
-    tail_dims = [v.dim for v in F.tail.data] if isinstance(space, Cone) else None
+    apex_dim = tail_dims = None
+    if isinstance(space, Cone):
+        _require_rank1(space)
+        apex_dim = F.apex.dim
+        tail_dims = [stalk(F.tail, p).dim for p in iter_points(space.base)]
     return {
         "non_constructible": True,
         "shape": "0 -> G -> sky(limit stalk) + prod_x sky(G_x) -> Q -> 0",

@@ -77,6 +77,16 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert captured.out == "" and "integer" in captured.err
 
 
+def test_sheaf_resolution_over_a_cone_on_a_sum(capsys):
+    """The generic stalks of the displayed resolution are read at the
+    points of the cone's base, a union here, in the base's point order."""
+    for expr, dims in [("Cone(Sum(Finite(2),Finite(1)))", [2, 2, 2]), ("Cone(Finite(3))", [2, 2, 2])]:
+        code, out = run_cli(capsys, ["sheaf", "--space", expr, "--resolution", "--const-dim", "2"])
+        assert code == 0
+        doc = json.loads(out)["injective_resolution"]
+        assert doc["generic_point_stalk_dims"] == dims and doc["limit_stalk_dim"] == 2
+
+
 def test_adelic_exc_bound_zero_still_witnesses(capsys):
     code, out = run_cli(capsys, ["adelic", "--space", "Cone(Cone(Finite(1)))",
                                  "--check-exactness", "--samples", "2",

@@ -9,7 +9,7 @@ from stonesheaf.sheaf import (
     sec_space, skyscraper, stalk_map, zero_map)
 from stonesheaf.homalg import (
     ext1, ext1_dim, ext2_dim, extension_from_twist, hom_basis, is_split,
-    make_ses, ses_is_exact)
+    make_ses, ses_is_exact, split_ses)
 
 X1 = Cone(Finite(1))
 
@@ -123,10 +123,17 @@ def test_ext2_vanishes_rank_one():
         assert ext2_dim(A, B) == 0
 
 
-def test_ext_rejects_higher_rank():
-    X2 = parse_space("Cone(Cone(Finite(1)))")
-    with pytest.raises(ValueError):
-        ext1(constant(X2, 1), constant(X2, 1))
+@pytest.mark.parametrize("expr", ["Cone(Cone(Finite(1)))", "Sum(Cone(Cone(Finite(1))),Finite(1))"])
+def test_rank1_operations_share_one_rank_guard(expr):
+    """Hom, splitness and Ext reject rank >= 2 with the same message, also
+    when the rank-2 cone is one part of a disjoint union."""
+    space = parse_space(expr)
+    A, B = constant(space, 1), constant(space, 1)
+    ses = split_ses(A, B)
+    for call in (lambda: ext1(A, B), lambda: ext1_dim(A, B), lambda: ext2_dim(A, B),
+                 lambda: hom_basis(A, B), lambda: is_split(ses)):
+        with pytest.raises(ValueError, match="^operation implemented for spaces of rank at most 1$"):
+            call()
 
 
 # -- Hom spaces ---------------------------------------------------------------
