@@ -14,12 +14,9 @@ equations, short exact sequences are checked stalkwise, splitness is a
 linear solvability question, and the first extension group is classified by
 germ-twist data modulo coboundaries.  Injective dimension one is certified
 through a constructible two-step resolution whose middle and end terms have
-vanishing first extension groups against everything.  The middle term, the
-hull of B, is one cone sheaf: the copies and tail of B, apex stalk
-apex(B) ⊕ sections(tail(B)) and germ [0 | id], so a skyscraper at the apex
-beside the wall of B; B embeds by v -> (v, sigma_B(v)) at the apex, and the
-end term is the cokernel, a skyscraper at the apex.  Hom, splitness and Ext
-reject spaces of rank two or more with one message.
+vanishing first extension groups against everything: the middle term is one
+cone sheaf, a skyscraper at the apex beside the wall of tail sections (see
+`injective_hull_step`), and the end term is a skyscraper at the apex.
 """
 
 from __future__ import annotations
@@ -410,14 +407,11 @@ def ext1_dim(A: CSheaf, B: CSheaf) -> int:
 
 
 def injective_hull_step(B: CSheaf):
-    """A monomorphism from B into an Ext-acyclic sheaf with skyscraper
-    cokernel, returned with the projection onto that cokernel.
-
-    The hull I0 is one cone sheaf: the stored copies and tail of B, apex
-    stalk apex(B) ⊕ sections(tail(B)), and germ [0 | id], which is zero on
-    the apex part (a skyscraper) and the identity on the sections part (the
-    wall of B).  B embeds by the identity on its copies and tail and by
-    v -> (v, sigma_B(v)) at the apex."""
+    """A monomorphism from B into an Ext-acyclic sheaf I0, and the projection
+    onto its skyscraper cokernel.  I0 is one cone sheaf: the copies and tail
+    of B, apex stalk apex(B) ⊕ sections(tail(B)) and germ [0 | id], the
+    identity on the wall part.  B embeds by identities and, at the apex, by
+    v -> (v, sigma_B(v))."""
     space = B.space
     _cone_rank1(space)
     B = canonical(B)
@@ -444,13 +438,9 @@ def ext2_dim(A: CSheaf, B: CSheaf) -> int:
     if isinstance(space, Sum):
         return (ext2_dim(A.data[0], B.data[0]) + ext2_dim(A.data[1], B.data[1]))
     emb, proj = injective_hull_step(B)
-    I0 = emb.target
-    Q = proj.target
-    d_I0 = ext1_dim(A, I0)
-    d_Q = ext1_dim(A, Q)
-    if d_I0 != 0:
+    if ext1_dim(A, emb.target) != 0:
         raise AssertionError("middle resolution term is not Ext-acyclic")
-    return d_Q
+    return ext1_dim(A, proj.target)
 
 
 def injective_resolution_display(F: CSheaf) -> dict:

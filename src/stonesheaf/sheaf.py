@@ -780,9 +780,8 @@ def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     qt, pt = cokernel(f.tail_map)
     exc = {k: cokernel(m) for k, m in f.data[1]}
     Qa, pa, free = _quotient(G.apex, image_basis(f.apex_map))
-    # lift basis vector i by the basis vector at free[i]: any lift gives this
-    # germ, since the projection of the tail sections kills the germ of the
-    # apex map's image
+    # lift by the basis vectors at the free columns: any lift gives this germ,
+    # since sec_proj kills the germ of the apex map's image
     sec_proj = sec_functor(pt)
     cols = [sec_proj.apply(G.germ.apply(G.apex.basis_vec(j))) for j in free]
     germ = LinMap.from_cols(Qa, sec_space(qt), cols)
