@@ -123,6 +123,12 @@ def test_ext2_vanishes_rank_one():
         assert ext2_dim(A, B) == 0
 
 
+def test_ext_rejects_higher_rank():
+    X2 = parse_space("Cone(Cone(Finite(1)))")
+    with pytest.raises(ValueError):
+        ext1(constant(X2, 1), constant(X2, 1))
+
+
 @pytest.mark.parametrize("expr", ["Cone(Cone(Finite(1)))", "Sum(Cone(Cone(Finite(1))),Finite(1))"])
 def test_rank1_operations_share_one_rank_guard(expr):
     """Hom, splitness and Ext reject rank >= 2 with the same message, also
