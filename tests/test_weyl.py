@@ -7,9 +7,12 @@ from stonesheaf.linalg import LinMap, VectQ, rank as map_rank
 from stonesheaf.space import (
     Cone, Finite, apex_point, copy_point, fin_point, parse_space)
 from stonesheaf.adelic import CFun, build_complex, random_cocycle
-from stonesheaf.sheaf import make_fin_sheaf, stalk, stalk_map, skyscraper
+from stonesheaf.catalog import o2_dihedral_block
+from stonesheaf.homalg import random_hom
+from stonesheaf.sheaf import (
+    check_sheaf_map, identity_map, make_fin_sheaf, stalk, stalk_map, skyscraper)
 from stonesheaf.weyl import (
-    EqCFun, GroupError, average_stalk, check_equivariance,
+    EqCFun, GroupError, average, average_stalk, check_equivariance,
     check_germ_equivariance, check_germ_functorial, check_transitivity,
     cone_structure, constant_structure, cyclic_group, direct_product, eq_mul,
     eq_random_cocycle, eq_to_plain, eq_unit, equivariant_adelic,
@@ -179,6 +182,28 @@ def test_average_properties_random():
         assert average_stalk(G, rs, rt, f.add(g)) == a_f.add(average_stalk(G, rs, rt, g))
         for h in G.elements():
             assert rs[h].then(a_f) == a_f.then(rt[h])
+
+
+@pytest.mark.parametrize("space, group", [
+    ("Cone(Finite(1))", None), ("Cone(Finite(2))", C2),
+    ("Sum(Cone(Finite(1)),Finite(2))", cyclic_group(3))])
+def test_average_of_random_sheaf_maps(space, group):
+    """Averaged random maps are sheaf maps and equivariant, averaging is
+    idempotent, and it fixes the identity and the generator maps."""
+    space = parse_space(space)
+    cs = o2_dihedral_block(6)[2] if group is None else constant_structure(space, group)
+    ring = group_ring_sheaf(cs)
+    rng = random.Random(43)
+    draws = [random_equiv_sheaf(space, cs, rng, 2) for _ in range(6)]
+    for _ in range(30):
+        E1, E2 = rng.choice(draws), rng.choice(draws)
+        a = average(random_hom(E1.sheaf, E2.sheaf, rng), E1, E2)
+        assert check_sheaf_map(a) and check_equivariance(a, E1, E2)
+        assert average(a, E1, E2) == a
+    for E in draws:
+        assert average(identity_map(E.sheaf), E, E) == identity_map(E.sheaf)
+        for g in generator_epi(E):
+            assert average(g, ring, E) == g
 
 
 # -- the equivariant complex --------------------------------------------------
