@@ -10,6 +10,16 @@ components are multiplicative, compose along levels (required for the cube
 differentials to square to zero, and checked at build time), and the
 generator construction extends stalk elements consistently.
 
+Every walk over a whole equivariant sheaf is one recursion, `_equivwise`,
+which follows the component structure and reads sheaves, sheaf maps,
+sections and `reps` trees alongside it.  At a cone it visits, by increasing
+key, every copy that the structure makes exceptional or that one of them
+lists (a sheaf or map its stored copies, a section or action the copies it
+lists), then the tail, then the apex.  A copy that one of them does not list
+is read through its tail, a section's through the germ of its apex value.
+`make_equiv`, the actions of `trivial_equiv` and `group_ring_sheaf`, both
+equivariance checks, `average` and the section action are its uses.
+
 The equivariant splicing rings keep the cube combinatorics of the scalar
 case with group-ring leaves: they run the recursions of `adelic` (normal
 forms, ring operations, cube maps, exactness witnesses, cocycle sampling)
@@ -45,15 +55,15 @@ from fractions import Fraction
 
 from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
-                    copy_point, fin_point, iter_points, validate_point)
+                    copy_point, fin_point, validate_point)
 from .adelic import (
     AdelicComplex, CFun, Flag, _dmap_data, _map_leaves, _sample_cocycle, _zip_data,
     check_flag, const_data, insert_height)
 from .sheaf import (
     CSheaf, Section, SheafMap, check_sheaf_map, germ_section, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
-    sec_eval, sec_from_coords, sec_space, sec_to_coords, stalk, stalk_map,
-    zero_map, _probe_points)
+    sec_eval, sec_functor, sec_space, sec_to_coords, stalk, stalk_map,
+    zero_map, _copy_default, _probe_points)
 
 
 # ---------------------------------------------------------------------------
@@ -470,62 +480,22 @@ class EquivCSheaf:
     """A constructible sheaf with compatible group actions on its stalks.
 
     `reps` mirrors the sheaf: per point a list of matrices (one per group
-    element of the component structure's group there)."""
+    element of the component structure's group there).  At a cone it acts on
+    a copy it does not list as its tail does, and it must act at every copy
+    that the structure makes exceptional, which `make_equiv` checks."""
 
     sheaf: CSheaf
     cs: ComponentStructure
     reps: tuple  # ("fin", per-point tuples) | ("sum", l, r)
     #            | ("cone", exc dict items, tail reps, apex rep)
 
-    def rep_at(self, x: Point) -> list[LinMap]:
-        validate_point(self.sheaf.space, x)
-        return _rep_addr(self, x.addr)
-
-
-def _rep_addr(E, addr):
-    if E.reps[0] == "fin":
-        return list(E.reps[1][addr[1]])
-    if E.reps[0] == "sum":
-        sub = E.reps[1] if addr[0] == "L" else E.reps[2]
-        cs = E.cs.data[1] if addr[0] == "L" else E.cs.data[2]
-        sheaf = E.sheaf.data[0] if addr[0] == "L" else E.sheaf.data[1]
-        return _rep_addr(EquivCSheaf(sheaf, cs, sub), addr[1])
-    _, excitems, tail_reps, apex_rep = E.reps
-    if addr[0] == "apex":
-        return list(apex_rep)
-    exc = dict(excitems)
-    k = addr[1]
-    exc_cs, tail_cs, _g, _u = E.cs.cone_parts()
-    sub_reps = exc.get(k, tail_reps)
-    sub_cs = exc_cs.get(k, tail_cs)
-    return _rep_addr(EquivCSheaf(E.sheaf.copy_sheaf(k), sub_cs, sub_reps), addr[2])
-
 
 def make_equiv(sheaf: CSheaf, cs: ComponentStructure, reps) -> EquivCSheaf:
-    E = EquivCSheaf(sheaf, cs, reps)
-    if not _reps_valid(E):
+    verdicts = []
+    _equivwise(cs, [sheaf, reps], lambda G, V, mats: verdicts.append(_is_rep(G, mats, V)))
+    if not all(verdicts):
         raise GroupError("stalk representations are not multiplicative")
-    return E
-
-
-def _reps_valid(E) -> bool:
-    if E.reps[0] == "fin":
-        for i, mats in enumerate(E.reps[1]):
-            G = E.cs.data[1][i]
-            if not _is_rep(G, mats, E.sheaf.data[i]):
-                return False
-        return True
-    if E.reps[0] == "sum":
-        return (_reps_valid(EquivCSheaf(E.sheaf.data[0], E.cs.data[1], E.reps[1])) and
-                _reps_valid(EquivCSheaf(E.sheaf.data[1], E.cs.data[2], E.reps[2])))
-    _, excitems, tail_reps, apex_rep = E.reps
-    exc_cs, tail_cs, apex_group, _up = E.cs.cone_parts()
-    if not _is_rep(apex_group, apex_rep, E.sheaf.apex):
-        return False
-    for k, sub in dict(excitems).items():
-        if not _reps_valid(EquivCSheaf(E.sheaf.copy_sheaf(k), exc_cs.get(k, tail_cs), sub)):
-            return False
-    return _reps_valid(EquivCSheaf(E.sheaf.tail, tail_cs, tail_reps))
+    return EquivCSheaf(sheaf, cs, reps)
 
 
 def _is_rep(G: FinGroup, mats, space: VectQ) -> bool:
@@ -545,21 +515,55 @@ def _is_rep(G: FinGroup, mats, space: VectQ) -> bool:
 
 def trivial_equiv(sheaf: CSheaf, cs: ComponentStructure) -> EquivCSheaf:
     """The given sheaf with every group acting trivially."""
-    return make_equiv(sheaf, cs, _stalk_reps(
-        sheaf, cs, lambda G, V: tuple(LinMap.identity(V) for _ in range(G.order))))
+    return make_equiv(sheaf, cs, _equivwise(
+        cs, [sheaf], lambda G, V: tuple(LinMap.identity(V) for _ in G.elements())))
 
 
-def _stalk_reps(sheaf, cs, rep):
-    """The `reps` tree of `EquivCSheaf` with `rep(group, stalk)` at every
-    stalk of the sheaf, the group being the structure's group there."""
-    if isinstance(sheaf.space, Finite):
-        return ("fin", tuple(rep(G, V) for G, V in zip(cs.data[1], sheaf.data, strict=True)))
-    if isinstance(sheaf.space, Sum):
-        return ("sum", _stalk_reps(sheaf.data[0], cs.data[1], rep),
-                _stalk_reps(sheaf.data[1], cs.data[2], rep))
+def _equivwise(cs, trees, leaf, apex=None):
+    """The tree shaped like `reps` whose entry at every finite stalk and
+    every apex is `leaf(group, *parts of trees there)`, the group being the
+    structure's group there; at an apex, `apex(cone structure, *cone trees)`
+    instead if given.  A tree is a sheaf, a sheaf map, a section or a `reps`
+    tree over `cs.space`; see the module docstring for the copies visited."""
+    if cs.data[0] == "fin":
+        stalks = (t[1] if isinstance(t, tuple) else t.data for t in trees)
+        return ("fin", tuple(leaf(G, *parts)
+                             for G, *parts in zip(cs.data[1], *stalks, strict=True)))
+    if cs.data[0] == "sum":
+        return ("sum", *(_equivwise(cs.data[1 + i], [_side(t, i) for t in trees], leaf, apex)
+                         for i in (0, 1)))
     exc_cs, tail_cs, apex_group, _up = cs.cone_parts()
-    exc = tuple((k, _stalk_reps(G, exc_cs.get(k, tail_cs), rep)) for k, G in sheaf.data[1])
-    return ("cone", exc, _stalk_reps(sheaf.tail, tail_cs, rep), rep(apex_group, sheaf.apex))
+    listed = [dict((t if isinstance(t, tuple) else t.data)[1]) for t in trees]
+    keys = sorted(set(exc_cs).union(*listed))
+    parts = [_cone_split(t, exc, keys) for t, exc in zip(trees, listed)]
+    copies = tuple((k, _equivwise(exc_cs.get(k, tail_cs), [p[0][i] for p in parts], leaf, apex))
+                   for i, k in enumerate(keys))
+    tail = _equivwise(tail_cs, [p[1] for p in parts], leaf, apex)
+    top = apex(cs, *trees) if apex else leaf(apex_group, *(p[2] for p in parts))
+    return ("cone", copies, tail, top)
+
+
+def _side(t, i):
+    """Side i of a tree over a sum."""
+    if isinstance(t, tuple):
+        return t[1 + i]
+    if isinstance(t, Section):
+        return Section(t.sheaf.data[i], t.data[i])
+    return t.data[i]
+
+
+def _cone_split(t, listed, keys):
+    """The parts of a tree over a cone, which lists the copies `listed`, at
+    the copies `keys`, at the tail and at the apex.  A copy it does not list
+    is read through its tail, or through the germ of its apex value for a
+    section."""
+    if isinstance(t, Section):
+        F, apexv = t.sheaf, t.data[2]
+        return ([Section(F.copy_sheaf(k), listed[k] if k in listed else
+                         _copy_default(F, k, apexv)) for k in keys],
+                germ_section(F, apexv), apexv)
+    tail, apex = (t if isinstance(t, tuple) else t.data)[2:4]
+    return [listed.get(k, tail) for k in keys], tail, apex
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +648,7 @@ def group_ring_sheaf(cs: ComponentStructure) -> EquivCSheaf:
     if "ring" not in kept:
         sheaf = _gr_sheaf(cs)
         kept["ring"] = make_equiv(sheaf, cs,
-                                  _stalk_reps(sheaf, cs, lambda G, _V: tuple(regular_rep(G))))
+                                  _equivwise(cs, [sheaf], lambda G, _V: tuple(regular_rep(G))))
     return kept["ring"]
 
 
@@ -676,64 +680,32 @@ def _gr_spread(cs, v) -> tuple:
 
 
 def check_germ_equivariance(E: EquivCSheaf) -> bool:
-    """Definition of an equivariant sheaf: spreading then acting equals
-    acting through the structure homomorphism then spreading, at every
-    stored apex against a generic tail point."""
-    return _germ_eq_rec(E.sheaf, E.cs, E.reps)
+    """Definition of an equivariant sheaf: at every cone, spreading then
+    acting equals acting through the structure homomorphism then spreading,
+    at every point of the tail.  An apex group element g acts at a tail point
+    through every element there that the structure maps to g: those where
+    the germ of g in the sheaf of group rings is nonzero."""
+    verdicts = []
 
-
-def _germ_eq_rec(sheaf, cs, reps) -> bool:
-    if isinstance(sheaf.space, Finite):
-        return True
-    if isinstance(sheaf.space, Sum):
-        return (_germ_eq_rec(sheaf.data[0], cs.data[1], reps[1]) and
-                _germ_eq_rec(sheaf.data[1], cs.data[2], reps[2]))
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    _, excreps, tail_reps, apex_rep = reps
-    k = max([kk for kk, _ in sheaf.data[1]] + [-1]) + 1
-    for y in iter_points(sheaf.space.base, 1):
-        hom = structure_hom(cs, apex_point(), copy_point(k, y))
-        rep_y = _rep_addr(EquivCSheaf(sheaf.tail, tail_cs, tail_reps), y.addr)
-        for i in range(sheaf.apex.dim):
+    def at_apex(cs, sheaf, reps, ring):
+        _exc, tail_cs, apex_group, _up = cs.cone_parts()
+        for g, i in itertools.product(apex_group.elements(), range(sheaf.apex.dim)):
             a = sheaf.apex.basis_vec(i)
-            val = sec_eval(sheaf.tail, germ_section(sheaf, a), y)
-            for g in range(apex_group.order):
-                lhs = sec_eval(sheaf.tail, germ_section(sheaf, apex_rep[g].apply(a)), y)
-                if any(rep_y[h].apply(val) != lhs for h in _preimages(hom, g)):
-                    return False
-    for k, sub in dict(excreps).items():
-        if not _germ_eq_rec(sheaf.copy_sheaf(k), exc_cs.get(k, tail_cs), sub):
-            return False
-    return _germ_eq_rec(sheaf.tail, tail_cs, tail_reps)
-
-
-def _preimages(hom: GrpHom, g: int):
-    return [h for h in hom.source.elements() if hom(h) == g]
+            spread = [germ_section(ring, ring.apex.basis_vec(g)), germ_section(sheaf, a),
+                      germ_section(sheaf, reps[3][g].apply(a))]
+            _equivwise(tail_cs, [reps[2], *spread], lambda G, mats, u, v, w: verdicts.append(
+                all(mats[h].apply(v) == w for h in G.elements() if u[h])))
+    _equivwise(E.cs, [E.sheaf, E.reps, group_ring_sheaf(E.cs).sheaf], lambda *_: None, at_apex)
+    return all(verdicts)
 
 
 def check_equivariance(f: SheafMap, src: EquivCSheaf, tgt: EquivCSheaf) -> bool:
-    """Whether a sheaf map intertwines the stalk actions everywhere stored."""
-    for x in iter_points(f.source.space, _probe_bound(f)):
-        m = stalk_map(f, x)
-        rs, rt = src.rep_at(x), tgt.rep_at(x)
-        for g in range(len(rs)):
-            if rs[g].then(m) != m.then(rt[g]):
-                return False
-    return True
-
-
-def _probe_bound(f) -> int:
-    keys = [0]
-    def visit(g):
-        if isinstance(g.source.space, Cone):
-            keys.extend(k for k, _ in g.data[1])
-            visit(g.tail_map)
-            for _, m in g.data[1]:
-                visit(m)
-        elif isinstance(g.source.space, Sum):
-            visit(g.data[0]); visit(g.data[1])
-    visit(f)
-    return max(keys) + 2
+    """Whether a sheaf map intertwines the stalk actions at every stalk that
+    `_equivwise` visits."""
+    verdicts = []
+    _equivwise(src.cs, [f, src.reps, tgt.reps], lambda G, m, rs, rt: verdicts.append(
+        all(rs[g].then(m) == m.then(rt[g]) for g in G.elements())))
+    return all(verdicts)
 
 
 def _denominator(mats) -> int:
@@ -777,35 +749,23 @@ def average_stalk(G: FinGroup, rep_src, rep_tgt, m: LinMap) -> LinMap:
 def average(f: SheafMap, src: EquivCSheaf, tgt: EquivCSheaf) -> SheafMap:
     """Average a sheaf map stalkwise into an equivariant one; fixes maps
     that are already equivariant and is idempotent."""
-    out = _avg_rec(f, src.cs, src.reps, tgt.reps)
+    out = _tree_map(f.source, f.target, _equivwise(
+        src.cs, [f, src.reps, tgt.reps], lambda G, m, rs, rt: average_stalk(G, rs, rt, m)))
     if not check_sheaf_map(out):
         raise AssertionError("averaging broke an apex square")
     return out
 
 
-def _avg_rec(f, cs, reps_s, reps_t):
-    F, G = f.source, f.target
-    if isinstance(F.space, Finite):
-        groups = cs.data[1]
-        maps = [average_stalk(groups[i], reps_s[1][i], reps_t[1][i], f.data[i])
-                for i in range(F.space.n)]
-        return make_fin_map(F, G, maps)
-    if isinstance(F.space, Sum):
-        return make_sum_map(F, G,
-                            _avg_rec(f.data[0], cs.data[1], reps_s[1], reps_t[1]),
-                            _avg_rec(f.data[1], cs.data[2], reps_s[2], reps_t[2]))
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    _, exc_s, tail_s, apex_s = reps_s
-    _, exc_t, tail_t, apex_t = reps_t
-    keys = set(F.stored_keys()) | set(G.stored_keys()) | set(dict(f.data[1]))
-    exc = {}
-    for k in keys:
-        rs = dict(exc_s).get(k, tail_s)
-        rt = dict(exc_t).get(k, tail_t)
-        exc[k] = _avg_rec(f.copy_map(k), exc_cs.get(k, tail_cs), rs, rt)
-    tailm = _avg_rec(f.tail_map, tail_cs, tail_s, tail_t)
-    apexm = average_stalk(apex_group, apex_s, apex_t, f.apex_map)
-    return make_cone_map(F, G, exc, tailm, apexm, check=False)
+def _tree_map(F: CSheaf, G: CSheaf, tree) -> SheafMap:
+    """The sheaf map F -> G with the stalk maps of `tree`, shaped like
+    `reps`; apex squares are not checked."""
+    if tree[0] == "fin":
+        return make_fin_map(F, G, tree[1])
+    if tree[0] == "sum":
+        return make_sum_map(F, G, *(_tree_map(F.data[i], G.data[i], tree[1 + i]) for i in (0, 1)))
+    _, copies, tail, apex = tree
+    exc = {k: _tree_map(F.copy_sheaf(k), G.copy_sheaf(k), m) for k, m in copies}
+    return make_cone_map(F, G, exc, _tree_map(F.tail, G.tail, tail), apex, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,9 +1080,17 @@ def random_equiv_sheaf(space: SpaceExpr, cs: ComponentStructure,
                        rng: random.Random, dim_bound: int = 2) -> EquivCSheaf:
     """A random equivariant sheaf over a space of rank at most 1:
     permutation-style actions on random stalks with a germ map averaged into
-    equivariance.  Raises `ValueError` on higher ranks before drawing."""
+    equivariance.  Raises `ValueError` on higher ranks before drawing.  It
+    stores no copies, so `make_equiv` refuses the draw with `GroupError` when
+    the structure makes a copy exceptional."""
     if cb_rank(space) > 1:
         raise ValueError("random equivariant sheaves implemented for rank <= 1")
+    E = _random_equiv(space, cs, rng, dim_bound)
+    return make_equiv(E.sheaf, cs, E.reps)
+
+
+def _random_equiv(space, cs, rng, dim_bound) -> EquivCSheaf:
+    """The draw of `random_equiv_sheaf`, not yet checked by `make_equiv`."""
     if isinstance(space, Finite):
         stalks, reps = [], []
         for i in range(space.n):
@@ -1131,14 +1099,13 @@ def random_equiv_sheaf(space: SpaceExpr, cs: ComponentStructure,
             V, mats = _random_rep(G, d, rng)
             stalks.append(V)
             reps.append(tuple(mats))
-        return make_equiv(make_fin_sheaf(space, stalks), cs, ("fin", tuple(reps)))
+        return EquivCSheaf(make_fin_sheaf(space, stalks), cs, ("fin", tuple(reps)))
     if isinstance(space, Sum):
-        L = random_equiv_sheaf(space.left, cs.data[1], rng, dim_bound)
-        R = random_equiv_sheaf(space.right, cs.data[2], rng, dim_bound)
-        return make_equiv(make_sum_sheaf(space, L.sheaf, R.sheaf), cs,
-                          ("sum", L.reps, R.reps))
-    exc_cs, tail_cs, apex_group, up = cs.cone_parts()
-    tail = random_equiv_sheaf(space.base, tail_cs, rng, dim_bound)
+        L = _random_equiv(space.left, cs.data[1], rng, dim_bound)
+        R = _random_equiv(space.right, cs.data[2], rng, dim_bound)
+        return EquivCSheaf(make_sum_sheaf(space, L.sheaf, R.sheaf), cs, ("sum", L.reps, R.reps))
+    _exc, tail_cs, apex_group, up = cs.cone_parts()
+    tail = _random_equiv(space.base, tail_cs, rng, dim_bound)
     av, amats = _random_rep(apex_group, rng.randint(0, dim_bound), rng)
     # average a random germ candidate into Def-6.5 equivariance
     S = sec_space(tail.sheaf)
@@ -1146,8 +1113,7 @@ def random_equiv_sheaf(space: SpaceExpr, cs: ComponentStructure,
                                    for _ in range(S.dim)])
     germ = _equivariant_germ(tail, up, amats, raw)
     sheaf = make_cone_sheaf(space, {}, tail.sheaf, av, germ)
-    reps = ("cone", (), tail.reps, tuple(amats))
-    return make_equiv(sheaf, cs, reps)
+    return EquivCSheaf(sheaf, cs, ("cone", (), tail.reps, tuple(amats)))
 
 
 def _random_rep(G: FinGroup, d: int, rng: random.Random):
@@ -1186,26 +1152,7 @@ def _equivariant_germ(tail: EquivCSheaf, up: GrpHom, amats, raw: LinMap) -> LinM
 def _section_action(E: EquivCSheaf, g: int) -> LinMap:
     """The action of a top-group element on finite-data sections (acting
     through the structure maps at every point)."""
-    S = sec_space(E.sheaf)
-    cols = []
-    for i in range(S.dim):
-        s = sec_from_coords(E.sheaf, S.basis_vec(i))
-        cols.append(sec_to_coords(E.sheaf, _act_section(E, g, s)))
-    return LinMap.from_cols(S, S, cols)
-
-
-def _act_section(E: EquivCSheaf, g: int, s: Section) -> Section:
-    return Section(E.sheaf, _act_rec(E.sheaf, E.cs, E.reps, g, s.data))
-
-
-def _act_rec(sheaf, cs, reps, g, data):
-    if isinstance(sheaf.space, Finite):
-        out = []
-        for i in range(sheaf.space.n):
-            rep = reps[1][i]
-            out.append(rep[g].apply(data[i]))
-        return tuple(out)
-    if isinstance(sheaf.space, Sum):
-        return (_act_rec(sheaf.data[0], cs.data[1], reps[1], g, data[0]),
-                _act_rec(sheaf.data[1], cs.data[2], reps[2], g, data[1]))
-    raise ValueError("section actions are used on rank-0 bases only")
+    if cb_rank(E.sheaf.space) > 0:
+        raise ValueError("section actions are used on rank-0 bases only")
+    return sec_functor(_tree_map(E.sheaf, E.sheaf, _equivwise(E.cs, [E.reps],
+                                                              lambda _G, mats: mats[g])))

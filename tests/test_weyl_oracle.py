@@ -25,6 +25,11 @@
   by point: a sign action at an apex over trivial stalks is caught, and
   the generators of random sheaves over a two-point base are valid,
   equivariant and cover.
+* An action must act at every copy the structure makes exceptional: on the
+  structure with S3 at copy 0 over a C2 tail (the shape of the dihedral
+  part of SO(3), where W(D_4) = S3), `random_equiv_sheaf`, which stores no
+  copies, is refused on 40 seeds, while an action that lists copy 0 is
+  accepted and its germs are compared against the tail, past copy 0.
 """
 
 import itertools
@@ -359,3 +364,25 @@ def test_generators_spread_over_every_base_point():
         gens = weyl.generator_epi(E)
         assert weyl.generator_images_cover(E, gens)
         assert all(check_sheaf_map(g) and weyl.check_equivariance(g, ring, E) for g in gens)
+
+
+def _s3_at_copy_0():
+    X1 = Cone(Finite(1))
+    C2, one = cyclic_group(2), trivial_group()
+    return cone_structure(X1, {0: constant_structure(Finite(1), _s3_group())},
+                          constant_structure(Finite(1), C2), one, trivial_hom(C2, one))
+
+
+def test_actions_must_act_at_exceptional_copies():
+    cs = _s3_at_copy_0()
+    for seed in range(40):
+        with pytest.raises(GroupError, match="not multiplicative"):
+            random_equiv_sheaf(cs.space, cs, random.Random(seed), 2)
+    sheaf = constant(cs.space, 1)
+    one = LinMap.identity(sheaf.apex)
+    tail_reps = ("fin", ((one, one),))
+    with pytest.raises(GroupError):
+        make_equiv(sheaf, cs, ("cone", (), tail_reps, (one,)))
+    E = make_equiv(sheaf, cs, ("cone", ((0, ("fin", ((one,) * 6,))),), tail_reps, (one,)))
+    assert weyl.check_germ_equivariance(E)
+    assert weyl.trivial_equiv(sheaf, cs) == E
