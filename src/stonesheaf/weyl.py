@@ -18,7 +18,8 @@ lists (a sheaf or map its stored copies, a section or action the copies it
 lists), then the tail, then the apex.  A copy that one of them does not list
 is read through its tail, a section's through the germ of its apex value.
 `make_equiv`, the actions of `trivial_equiv` and `group_ring_sheaf`, both
-equivariance checks, `average` and the section action are its uses.
+equivariance checks, `average`, the section action and `generator_epi`,
+whose sites are the points it visits, are its uses.
 
 The equivariant splicing rings keep the cube combinatorics of the scalar
 case with group-ring leaves: they run the recursions of `adelic` (normal
@@ -55,15 +56,14 @@ from fractions import Fraction
 
 from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
-                    copy_point, fin_point, validate_point)
+                    copy_point, fin_point, left_point, right_point, validate_point)
 from .adelic import (
     AdelicComplex, CFun, Flag, _dmap_data, _map_leaves, _sample_cocycle, _zip_data,
     check_flag, const_data, insert_height)
 from .sheaf import (
     CSheaf, Section, SheafMap, check_sheaf_map, germ_section, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
-    sec_eval, sec_functor, sec_space, sec_to_coords, stalk, stalk_map,
-    zero_map, _copy_default, _probe_points)
+    sec_functor, sec_space, sec_to_coords, stalk, stalk_map, _copy_default)
 
 
 # ---------------------------------------------------------------------------
@@ -960,111 +960,57 @@ def eq_random_cocycle(cx: EqAdelicComplex, degree: int, rng: random.Random,
 
 def generator_epi(E: EquivCSheaf) -> list[SheafMap]:
     """Equivariant maps from the group-ring sheaf whose images jointly cover
-    every stored stalk (and one generic tail copy per cone)."""
-    space = E.sheaf.space
-    if cb_rank(space) > 1:
-        raise ValueError("generator construction implemented for rank <= 1")
-    G = group_ring_sheaf(E.cs)
-    out = []
-    if isinstance(space, Finite):
-        for i in range(space.n):
-            for j in range(E.sheaf.data[i].dim):
-                x = E.sheaf.data[i].basis_vec(j)
-                out.append(_point_map_fin(G.sheaf, E, i, x))
-        return out
-    if isinstance(space, Sum):
-        for m in generator_epi(EquivCSheaf(E.sheaf.data[0], E.cs.data[1], E.reps[1])):
-            out.append(make_sum_map(G.sheaf, E.sheaf, m,
-                                    zero_map(G.sheaf.data[1], E.sheaf.data[1])))
-        for m in generator_epi(EquivCSheaf(E.sheaf.data[1], E.cs.data[2], E.reps[2])):
-            out.append(make_sum_map(G.sheaf, E.sheaf,
-                                    zero_map(G.sheaf.data[0], E.sheaf.data[0]), m))
-        return out
-    exc_cs, tail_cs, apex_group, up = E.cs.cone_parts()
-    _, excreps, tail_reps, apex_rep = E.reps
-    # apex generators spread over the tail
-    for j in range(E.sheaf.apex.dim):
-        x = E.sheaf.apex.basis_vec(j)
-        out.append(_apex_generator(G, E, x))
-    # exceptional copies and one generic representative copy
-    keys = sorted(set(E.sheaf.stored_keys()) | set(G.sheaf.stored_keys()))
-    generic = (max(keys) + 1) if keys else 0
-    for k in keys + [generic]:
-        sub_sheaf = E.sheaf.copy_sheaf(k)
-        sub_cs = exc_cs.get(k, tail_cs)
-        sub_reps = dict(excreps).get(k, tail_reps)
-        for m in generator_epi(EquivCSheaf(sub_sheaf, sub_cs, sub_reps)):
-            exc = {kk: zero_map(G.sheaf.copy_sheaf(kk), E.sheaf.copy_sheaf(kk))
-                   for kk in keys}
-            exc[k] = m
-            out.append(make_cone_map(G.sheaf, E.sheaf, exc,
-                                     zero_map(G.sheaf.tail, E.sheaf.tail),
-                                     LinMap.zero(G.sheaf.apex, E.sheaf.apex)))
-    return out
+    the stalk at every site, at any rank.
+
+    The sites are every finite point and apex, and at a cone, after the apex
+    and by increasing key, every copy that `_equivwise` visits there (the
+    copies the structure makes exceptional, the sheaf stores or the action
+    lists) and one generic copy past them.  Per site and basis vector v of
+    its stalk, the generating section is v at the site, zero at every other
+    finite point, apex and listed copy, and the germ of its apex value at
+    every other copy; the generator sends a group element g at each point
+    to g acting on the section's value there."""
+    ring = group_ring_sheaf(E.cs).sheaf
+    leaf = lambda G, R, V, mats, value: LinMap.from_cols(R, V, [mats[g].apply(value)
+                                                                for g in G.elements()])
+    return [_tree_map(ring, E.sheaf, _equivwise(E.cs, [ring, E.sheaf, E.reps,
+                                                       Section(E.sheaf, record)], leaf))
+            for _x, record in _generator_sites(E)]
 
 
-def _point_map_fin(GR: CSheaf, E: EquivCSheaf, i: int, x) -> SheafMap:
-    maps = []
-    for p in range(GR.space.n):
-        if p != i:
-            maps.append(LinMap.zero(GR.data[p], E.sheaf.data[p]))
-        else:
-            grp = E.cs.data[1][p]
-            rep = E.reps[1][p]
-            cols = [rep[g].apply(x) for g in grp.elements()]
-            maps.append(LinMap.from_cols(GR.data[p], E.sheaf.data[p], cols))
-    return make_fin_map(GR, E.sheaf, maps)
+def _generator_sites(E: EquivCSheaf) -> list:
+    """The (site, section record) pair of every generator of `generator_epi`."""
+    return _sites(_equivwise(E.cs, [E.sheaf, E.reps], lambda _G, V, _mats: V))[1]
 
 
-def _apex_generator(G: EquivCSheaf, E: EquivCSheaf, x) -> SheafMap:
-    """The map sending the unit to an apex stalk element, spread over the
-    tail by equivariant extension and zero on exceptional copies."""
-    exc_cs, tail_cs, apex_group, up = E.cs.cone_parts()
-    _, _excreps, tail_reps, apex_rep = E.reps
-    cols = [apex_rep[g].apply(x) for g in apex_group.elements()]
-    apex_map = LinMap.from_cols(G.sheaf.apex, E.sheaf.apex, cols)
-    spread = germ_section(E.sheaf, x)  # section of the tail sheaf
-    tail_map = _spread_map(G.sheaf.tail, E.sheaf.tail, tail_cs, tail_reps, spread)
-    exc = {}
-    for k in set(E.sheaf.stored_keys()) | set(G.sheaf.stored_keys()):
-        exc[k] = zero_map(G.sheaf.copy_sheaf(k), E.sheaf.copy_sheaf(k))
-    return make_cone_map(G.sheaf, E.sheaf, exc, tail_map, apex_map)
-
-
-def _spread_map(GT: CSheaf, MT: CSheaf, cs, reps, spread: Section) -> SheafMap:
-    """At each tail point, send a group element to its action on the spread
-    value of the generating stalk element."""
-    if isinstance(GT.space, Finite):
-        maps = []
-        for p in range(GT.space.n):
-            grp = cs.data[1][p]
-            rep = reps[1][p]
-            val = sec_eval(MT, spread, fin_point(p))
-            cols = [rep[g].apply(val) for g in grp.elements()]
-            maps.append(LinMap.from_cols(GT.data[p], MT.data[p], cols))
-        return make_fin_map(GT, MT, maps)
-    if isinstance(GT.space, Sum):
-        lsec = Section(MT.data[0], spread.data[0])
-        rsec = Section(MT.data[1], spread.data[1])
-        return make_sum_map(GT, MT,
-                            _spread_map(GT.data[0], MT.data[0], cs.data[1], reps[1], lsec),
-                            _spread_map(GT.data[1], MT.data[1], cs.data[2], reps[2], rsec))
-    raise ValueError("generator spreading is for rank <= 1")
+def _sites(stalks):
+    """The zero section record and the (site, record) pairs over a tree of
+    stalks shaped like `reps`; see `generator_epi`."""
+    if stalks[0] == "fin":
+        zero = tuple((ZERO,) * V.dim for V in stalks[1])
+        return zero, [(fin_point(i), zero[:i] + (V.basis_vec(j),) + zero[i + 1:])
+                      for i, V in enumerate(stalks[1]) for j in range(V.dim)]
+    if stalks[0] == "sum":
+        (zl, left), (zr, right) = _sites(stalks[1]), _sites(stalks[2])
+        return (zl, zr), ([(left_point(x), (r, zr)) for x, r in left] +
+                          [(right_point(x), (zl, r)) for x, r in right])
+    _, copies, tail, apex = stalks
+    generic = copies[-1][0] + 1 if copies else 0
+    parts = [(k, *_sites(sub)) for k, sub in copies + ((generic, tail),)]
+    listed, nothing = tuple((k, zero) for k, zero, _ in parts[:-1]), (ZERO,) * apex.dim
+    out = [(apex_point(), ("sec", listed, apex.basis_vec(j))) for j in range(apex.dim)]
+    for i, (k, _zero, sites) in enumerate(parts):
+        out += [(copy_point(k, x), ("sec", listed[:i] + ((k, r),) + listed[i + 1:], nothing))
+                for x, r in sites]
+    return ("sec", listed, nothing), out
 
 
 def generator_images_cover(E: EquivCSheaf, maps) -> bool:
-    """Stalkwise joint surjectivity at every stored stalk and one generic
-    representative copy per cone level."""
-    for x in _probe_points(E.sheaf.space, [E.sheaf]):
+    """Stalkwise joint surjectivity at every site of `generator_epi`."""
+    for x in dict.fromkeys(x for x, _ in _generator_sites(E)):
         target = stalk(E.sheaf, x)
-        if target.dim == 0:
-            continue
-        cols = []
-        for m in maps:
-            sm = stalk_map(m, x)
-            cols.extend(sm.cols())
-        src = VectQ.make(len(cols), "z")
-        big = LinMap.from_cols(src, target, cols)
+        cols = [col for m in maps for col in stalk_map(m, x).cols()]
+        big = LinMap.from_cols(VectQ.make(len(cols), "z"), target, cols)
         if map_rank(big) != target.dim:
             return False
     return True

@@ -11,7 +11,7 @@
   every entry of every output is a `Fraction`.
 * `_equivariant_germ` calls `average_stalk`; the reference is its own loop,
   on the inputs `random_equiv_sheaf` draws over the dihedral block and over
-  the rank-1 tail of the torus block (the generator construction stops at
+  the rank-1 tail of the torus block (random equivariant sheaves stop at
   rank 1, so that tail is where the torus block's germs are averaged).
 * `FinGroup` keeps its identity, inverses and sign characters; they must
   agree with a brute-force scan and leave `==`, `hash` and `repr` as they
@@ -25,6 +25,13 @@
   by point: a sign action at an apex over trivial stalks is caught, and
   the generators of random sheaves over a two-point base are valid,
   equivariant and cover.
+* The generators act at a copy as the action acts there, also at a copy
+  that only the action lists: with the sign at copy 1 of constant C2 on
+  `Cone(Finite(1))`, the apex generator is zero there, copy 1 gets its own
+  generator, and the cover check probes copy 1, so a generator at copy 0
+  alone does not cover.  Over `t2_block()` the generators of the group-ring
+  sheaf, of constant sheaves and of skyscrapers at an apex and at a copy's
+  apex cover, are valid and are equivariant.
 * An action must act at every copy the structure makes exceptional: on the
   structure with S3 at copy 0 over a C2 tail (the shape of the dihedral
   part of SO(3), where W(D_4) = S3), `random_equiv_sheaf`, which stores no
@@ -45,8 +52,11 @@ from stonesheaf.catalog import (
     SubgroupLabel, Lattice2, line_lattice, o2_dihedral_block, t2_block, weyl_of_subgroup)
 from stonesheaf.linalg import LinMap, VectQ
 from stonesheaf.serialize import SerializeError
-from stonesheaf.sheaf import check_sheaf_map, constant, make_cone_sheaf, sec_space
-from stonesheaf.space import Cone, Finite, Sum
+from stonesheaf.linalg import rank as map_rank
+from stonesheaf.sheaf import (
+    check_sheaf_map, constant, make_cone_map, make_cone_sheaf, make_fin_map, sec_space,
+    skyscraper, stalk_map, zero_map)
+from stonesheaf.space import Cone, Finite, Sum, apex_point, copy_point, fin_point
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
     FinGroup, GroupError, average_stalk, cone_structure, constant_structure, cyclic_group,
@@ -386,3 +396,62 @@ def test_actions_must_act_at_exceptional_copies():
     E = make_equiv(sheaf, cs, ("cone", ((0, ("fin", ((one,) * 6,))),), tail_reps, (one,)))
     assert weyl.check_germ_equivariance(E)
     assert weyl.trivial_equiv(sheaf, cs) == E
+
+
+def _sign_at_copy_1(sheaf):
+    """Constant C2 on `Cone(Finite(1))` acting on a sheaf with tail stalk Q:
+    trivially at the tail and the apex, by the sign at copy 1, which the
+    sheaf does not store."""
+    cs = constant_structure(sheaf.space, cyclic_group(2))
+    one, apex = LinMap.identity(sheaf.tail.data[0]), LinMap.identity(sheaf.apex)
+    sign = ("fin", ((one, one.scale(-1)),))
+    return make_equiv(sheaf, cs, ("cone", ((1, sign),), ("fin", ((one, one),)), (apex, apex)))
+
+
+def test_generators_act_at_a_copy_as_the_action_does():
+    E = _sign_at_copy_1(constant(Cone(Finite(1)), 1))
+    ring = group_ring_sheaf(E.cs)
+    assert weyl.check_germ_equivariance(E)
+    gens = weyl.generator_epi(E)
+    assert len(gens) == 3   # the apex, copy 1 and the generic copy 2
+    assert all(weyl.check_equivariance(g, ring, E) and check_sheaf_map(g) for g in gens)
+    assert stalk_map(gens[0], copy_point(1, fin_point(0))).is_zero()
+    assert weyl.generator_images_cover(E, gens)
+
+
+def test_generators_cover_a_copy_only_the_action_lists():
+    tail, nothing = constant(Finite(1), 1), VectQ.make(0)
+    E = _sign_at_copy_1(make_cone_sheaf(Cone(Finite(1)), {}, tail, nothing,
+                                        LinMap.zero(nothing, sec_space(tail))))
+    ring = group_ring_sheaf(E.cs).sheaf
+    gens = weyl.generator_epi(E)
+    assert len(gens) == 2   # copy 1 and the generic copy 2
+    assert weyl.generator_images_cover(E, gens)
+    at_copy_1 = [col for g in gens for col in stalk_map(g, copy_point(1, fin_point(0))).cols()]
+    assert map_rank(LinMap.from_cols(VectQ.make(len(at_copy_1)), tail.data[0], at_copy_1)) == 1
+    # one generator at copy 0, read as the generic copy, is zero at copy 1
+    at_copy_0 = LinMap.from_cols(ring.tail.data[0], tail.data[0], [(1,), (1,)])
+    only = make_cone_map(ring, E.sheaf, {0: make_fin_map(ring.tail, tail, [at_copy_0])},
+                         zero_map(ring.tail, tail), LinMap.zero(ring.apex, nothing))
+    assert weyl.check_equivariance(only, group_ring_sheaf(E.cs), E)
+    assert not weyl.generator_images_cover(E, [only])
+
+
+@pytest.mark.parametrize("name, count", [
+    ("group_ring_sheaf", 7), ("constant 1", 3), ("constant 2", 6),
+    ("skyscraper at the apex", 1), ("skyscraper at copy 2's apex", 1)])
+def test_generators_at_rank_2(name, count):
+    space, _labels, cs, _towers = t2_block()
+    ring = group_ring_sheaf(cs)
+    E = {"group_ring_sheaf": lambda: ring,
+         "constant 1": lambda: weyl.trivial_equiv(constant(space, 1), cs),
+         "constant 2": lambda: weyl.trivial_equiv(constant(space, 2), cs),
+         "skyscraper at the apex":
+             lambda: weyl.trivial_equiv(skyscraper(space, apex_point(), 1), cs),
+         "skyscraper at copy 2's apex":
+             lambda: weyl.trivial_equiv(skyscraper(space, copy_point(2, apex_point()), 1), cs),
+         }[name]()
+    gens = weyl.generator_epi(E)
+    assert len(gens) == count
+    assert weyl.generator_images_cover(E, gens)
+    assert all(weyl.check_equivariance(g, ring, E) and check_sheaf_map(g) for g in gens)
