@@ -971,10 +971,10 @@ def generator_epi(E: EquivCSheaf) -> list[SheafMap]:
     every other copy; the generator sends a group element g at each point
     to g acting on the section's value there."""
     ring = group_ring_sheaf(E.cs).sheaf
-    leaf = lambda G, R, V, mats, value: LinMap.from_cols(R, V, [mats[g].apply(value)
-                                                                for g in G.elements()])
-    return [_tree_map(ring, E.sheaf, _equivwise(E.cs, [ring, E.sheaf, E.reps,
-                                                       Section(E.sheaf, record)], leaf))
+    leaf = lambda G, R, V, mats, value: LinMap.from_cols(
+        R, V, [mats[g].apply(value) for g in G.elements()])
+    return [_tree_map(ring, E.sheaf,
+                      _equivwise(E.cs, [ring, E.sheaf, E.reps, Section(E.sheaf, record)], leaf))
             for _x, record in _generator_sites(E)]
 
 
