@@ -7,6 +7,12 @@ all-zero shapes.  The eliminations are checked against `Matrix.rref` and
 `Matrix.nullspace` on sparse ±1 matrices (the scalar adelic differential),
 sparse ±1/2 matrices (group-ring leaves on the dihedral block) and dense
 random rationals, plus the empty, all-zero and already-reduced shapes.
+
+The products are also compared, by `repr`, with a test-local copy of the
+plain sum of products on the matrices of the equivariant layer: regular
+representations, sums of sign characters and signed permutations, ±1
+entries on both sides with sums that cancel to 0, and int-only and mixed
+int/`Fraction` inputs; every output entry must be a `Fraction`.
 """
 
 import random
@@ -197,3 +203,151 @@ def test_rref_of_zero_rows_and_columns():
         m = LinMap.zero(VectQ.make(n, "s"), VectQ.make(0, "t"))
         assert kernel_basis(m) == [VectQ.make(n).basis_vec(i) for i in range(n)]
     assert kernel_basis(LinMap.zero(VectQ.make(0, "s"), VectQ.make(3, "t"))) == []
+
+
+# -- the products on representation matrices -----------------------------
+#
+# The equivariant layer multiplies matrices whose entries are 0 and ±1:
+# sign characters, regular representations and signed permutations.  These
+# cases compare `apply` and `then` with the plain sum of products over the
+# nonzero entries, kept here as a test-local reference, by `repr` (so an
+# int where a `Fraction` belongs, or a wrong sign of a zero, shows).
+
+from stonesheaf.linalg import ZERO  # noqa: E402
+from stonesheaf.verify import _s3_group  # noqa: E402
+from stonesheaf.weyl import (  # noqa: E402
+    _random_rep, cyclic_group, direct_product, regular_rep)
+
+
+def reference_apply(m: LinMap, v) -> tuple:
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for row in m.matrix:
+        acc = ZERO
+        for j, x in nonzero:
+            a = row[j]
+            if a:
+                acc += a * x
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_then(f: LinMap, g: LinMap) -> LinMap:
+    right = [[(j, x) for j, x in enumerate(row) if x] for row in f.matrix]
+    rows = []
+    for left_row in g.matrix:
+        acc = [ZERO] * f.source.dim
+        for k, a in enumerate(left_row):
+            if a:
+                for j, x in right[k]:
+                    acc[j] += a * x
+        rows.append(tuple(acc))
+    return LinMap(f.source, g.target, tuple(rows))
+
+
+def assert_then_matches(f: LinMap, g: LinMap):
+    got = f.then(g)
+    assert repr(got) == repr(reference_then(f, g))
+    for row in got.matrix:
+        assert_exact(row)
+
+
+def assert_apply_matches(m: LinMap, v):
+    got = m.apply(v)
+    assert repr(got) == repr(reference_apply(m, v))
+    assert_exact(got)
+
+
+def signed_permutation(rng, space: VectQ, values=(Fraction(1), Fraction(-1))) -> LinMap:
+    perm = list(range(space.dim))
+    rng.shuffle(perm)
+    return LinMap(space, space, tuple(
+        tuple(rng.choice(values) if j == perm[i] else ZERO for j in range(space.dim))
+        for i in range(space.dim)))
+
+
+def unit_entries(rng, source: VectQ, target: VectQ, values) -> LinMap:
+    """Entries drawn from `values`, about half of them zero."""
+    return LinMap(source, target, tuple(
+        tuple(rng.choice(values) if rng.random() < 0.5 else ZERO for _ in range(source.dim))
+        for _ in range(target.dim)))
+
+
+GROUPS = [cyclic_group(1), cyclic_group(2), cyclic_group(3),
+          direct_product(cyclic_group(2), cyclic_group(2)), _s3_group()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_of_representation_matrices(seed):
+    rng = random.Random(300 + seed)
+    for G in GROUPS:
+        reps = [regular_rep(G)] + [_random_rep(G, d, rng)[1] for d in (1, 2, G.order, G.order + 2)]
+        for mats in reps:
+            V = mats[0].source
+            other = VectQ.make(rng.randint(0, 4), "o")
+            f, g = random_map(rng, V, other), random_map(rng, other, V)
+            for a in mats:
+                for b in rng.sample(mats, min(3, len(mats))):
+                    assert_then_matches(a, b)
+                assert_then_matches(a, f)
+                assert_then_matches(g, a)
+                assert_apply_matches(a, tuple(random_rational(rng) for _ in range(V.dim)))
+                assert_apply_matches(a, tuple(rng.choice([Fraction(1), Fraction(-1)])
+                                              for _ in range(V.dim)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_of_signed_permutations(seed):
+    rng = random.Random(400 + seed)
+    for n in range(7):
+        V, W = VectQ.make(n), VectQ.make(rng.randint(0, 5), "w")
+        p, q = signed_permutation(rng, V), signed_permutation(rng, V)
+        half = signed_permutation(rng, V, (Fraction(1, 2), Fraction(-3), Fraction(1), Fraction(-1)))
+        assert_then_matches(p, q)
+        assert_then_matches(p, half)
+        assert_then_matches(half, p)
+        assert_then_matches(p, random_map(rng, V, W))
+        assert_then_matches(random_map(rng, W, V), p)
+        assert_apply_matches(p, tuple(random_rational(rng) for _ in range(n)))
+        assert_apply_matches(half, tuple(rng.choice([Fraction(1), Fraction(-1), ZERO])
+                                         for _ in range(n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_of_unit_matrices_with_cancellation(seed):
+    """±1 entries on both sides; many output entries sum to 0."""
+    rng = random.Random(500 + seed)
+    units = [Fraction(1), Fraction(-1)]
+    for _ in range(8):
+        A, B, C = (VectQ.make(rng.randint(0, 6), p) for p in "abc")
+        f, g = unit_entries(rng, A, B, units), unit_entries(rng, B, C, units)
+        assert_then_matches(f, g)
+        assert_apply_matches(f, tuple(rng.choice(units + [ZERO]) for _ in range(A.dim)))
+    Q1, Q2 = VectQ.make(1), VectQ.make(2)
+    diag = LinMap.from_rows(Q1, Q2, [[1], [1]])
+    anti = LinMap.from_rows(Q2, Q1, [[1, -1]])
+    assert diag.then(anti).matrix == ((Fraction(0),),)
+    assert_then_matches(diag, anti)
+    assert_apply_matches(anti, (Fraction(3, 2), Fraction(3, 2)))
+    assert_apply_matches(LinMap.from_rows(Q2, Q1, [[-1, -1]]), (Fraction(1), Fraction(-1)))
+
+
+def test_integer_and_mixed_entries():
+    """`LinMap` does not coerce its matrix, so ints reach the products."""
+    rng = random.Random(600)
+    pools = [[0, 0, 1, -1, 2, -3],
+             [0, 0, 1, -1, Fraction(1), Fraction(-1), Fraction(2, 3), 5]]
+    for pool in pools:
+        for _ in range(20):
+            A, B, C = (VectQ.make(rng.randint(0, 4), p) for p in "abc")
+            f = LinMap(A, B, tuple(tuple(rng.choice(pool) for _ in range(A.dim))
+                                   for _ in range(B.dim)))
+            g = LinMap(B, C, tuple(tuple(rng.choice(pool) for _ in range(B.dim))
+                                   for _ in range(C.dim)))
+            assert_then_matches(f, g)
+            assert_apply_matches(f, tuple(rng.choice(pool) for _ in range(A.dim)))
+    Q2 = VectQ.make(2)
+    ints = LinMap(Q2, Q2, ((1, -1), (-1, 0)))
+    assert_then_matches(ints, ints)
+    assert_apply_matches(ints, (1, 1))
+    assert_apply_matches(ints, (Fraction(-1), 1))
