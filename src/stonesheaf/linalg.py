@@ -10,7 +10,11 @@ representation matrices of the equivariant layer are mostly zeros, so
 `LinMap.apply` and `LinMap.then` multiply only nonzero entries, and `rref`
 updates the other rows only at the pivot row's nonzero entries (the probed
 adelic differentials it reduces are mostly zeros too); the arithmetic is
-exact, so skipping zeros changes no result.
+exact, so skipping zeros changes no result.  The representation matrices'
+nonzero entries are mostly ±1, so the two products take a factor of 1 or -1
+as a sign (the term is x or -x, not a * x) and take an output entry's first
+term as the entry itself, with no addition to zero.  Neither rule changes a value or a type:
+a first term that is not a `Fraction` (int inputs) is still added to `ZERO`.
 
 Entries are coerced once: `rat` returns a `Fraction` as it is, and only
 other inputs are converted.  `VectQ.make` interns its spaces, so every call
@@ -141,7 +145,8 @@ class LinMap:
             for j, x in nonzero:
                 a = row[j]
                 if a:
-                    acc += a * x
+                    t = x if a == 1 else -x if a == -1 else a * x
+                    acc = t if acc is ZERO and type(t) is Fraction else acc + t
             out.append(acc)
         return tuple(out)
 
@@ -172,7 +177,9 @@ class LinMap:
             for k, a in enumerate(left_row):
                 if a:
                     for j, x in right[k]:
-                        acc[j] += a * x
+                        t = x if a == 1 else -x if a == -1 else a * x
+                        s = acc[j]
+                        acc[j] = t if s is ZERO and type(t) is Fraction else s + t
             rows.append(tuple(acc))
         return LinMap(self.source, other.target, tuple(rows))
 
