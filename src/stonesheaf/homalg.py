@@ -443,20 +443,30 @@ def ext2_dim(A: CSheaf, B: CSheaf) -> int:
     return ext1_dim(A, proj.target)
 
 
+def _cone_parts(F: CSheaf) -> list:
+    """The restrictions of F to the cones of its space, left to right."""
+    if isinstance(F.space, Sum):
+        return _cone_parts(F.data[0]) + _cone_parts(F.data[1])
+    return [F] if isinstance(F.space, Cone) else []
+
+
 def injective_resolution_display(F: CSheaf) -> dict:
     """The classical two-step injective resolution, for display only.
 
     Its middle term is the product of skyscrapers over every point, whose
     limit-point stalks are infinite dimensional; the record is therefore
     symbolic and flagged non-constructible.  Computations use the
-    constructible Ext machinery instead.
+    constructible Ext machinery instead.  On a union the limit and generic
+    stalk dimensions are lists, one entry per cone part, left to right.
     """
-    space = F.space
-    apex_dim = tail_dims = None
-    if isinstance(space, Cone):
-        _require_rank1(space)
-        apex_dim = F.apex.dim
-        tail_dims = [stalk(F.tail, p).dim for p in iter_points(space.base)]
+    _require_rank1(F.space)
+    parts = _cone_parts(F)
+    apex_dim = [G.apex.dim for G in parts]
+    tail_dims = [[stalk(G.tail, p).dim for p in iter_points(G.space.base)] for G in parts]
+    if isinstance(F.space, Cone):
+        apex_dim, tail_dims = apex_dim[0], tail_dims[0]
+    elif not parts:
+        apex_dim = tail_dims = None
     return {
         "non_constructible": True,
         "shape": "0 -> G -> sky(limit stalk) + prod_x sky(G_x) -> Q -> 0",

@@ -87,6 +87,21 @@ def test_sheaf_resolution_over_a_cone_on_a_sum(capsys):
         assert doc["generic_point_stalk_dims"] == dims and doc["limit_stalk_dim"] == 2
 
 
+def test_sheaf_resolution_over_a_union(capsys):
+    """On a union the displayed resolution lists one entry per cone part,
+    left to right; a plain cone keeps its single entry."""
+    for expr, apex, generic in [
+            ("Sum(Cone(Finite(1)),Finite(1))", [2], [[2]]),
+            ("Sum(Finite(2),Cone(Finite(3)))", [2], [[2, 2, 2]]),
+            ("Sum(Cone(Finite(2)),Sum(Finite(1),Cone(Sum(Finite(1),Finite(1)))))",
+             [2, 2], [[2, 2], [2, 2]]),
+            ("Cone(Finite(2))", 2, [2, 2])]:
+        code, out = run_cli(capsys, ["sheaf", "--space", expr, "--resolution", "--const-dim", "2"])
+        assert code == 0
+        doc = json.loads(out)["injective_resolution"]
+        assert doc["limit_stalk_dim"] == apex and doc["generic_point_stalk_dims"] == generic
+
+
 def test_adelic_exc_bound_zero_still_witnesses(capsys):
     code, out = run_cli(capsys, ["adelic", "--space", "Cone(Cone(Finite(1)))",
                                  "--check-exactness", "--samples", "2",

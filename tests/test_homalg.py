@@ -177,6 +177,17 @@ def test_injective_resolution_display_is_flagged():
     assert doc["limit_stalk_dim"] == 1
 
 
+def test_injective_resolution_display_over_unions():
+    from stonesheaf.homalg import injective_resolution_display
+    from stonesheaf.space import Sum
+    doc = injective_resolution_display(constant(Sum(Finite(2), X1), 3))
+    assert doc["limit_stalk_dim"] == [3] and doc["generic_point_stalk_dims"] == [[3]]
+    doc = injective_resolution_display(constant(Sum(Finite(1), Finite(2)), 1))
+    assert doc["limit_stalk_dim"] is None and doc["generic_point_stalk_dims"] is None
+    with pytest.raises(ValueError):
+        injective_resolution_display(constant(Sum(Cone(X1), Finite(1)), 1))
+
+
 def test_ext_over_a_union():
     from stonesheaf.sheaf import make_sum_sheaf
     from stonesheaf.space import Sum
