@@ -461,12 +461,10 @@ def injective_resolution_display(F: CSheaf) -> dict:
     """
     _require_rank1(F.space)
     parts = _cone_parts(F)
-    apex_dim = [G.apex.dim for G in parts]
-    tail_dims = [[stalk(G.tail, p).dim for p in iter_points(G.space.base)] for G in parts]
+    apex_dim = [G.apex.dim for G in parts] or None
+    tail_dims = [[stalk(G.tail, p).dim for p in iter_points(G.space.base)] for G in parts] or None
     if isinstance(F.space, Cone):
         apex_dim, tail_dims = apex_dim[0], tail_dims[0]
-    elif not parts:
-        apex_dim = tail_dims = None
     return {
         "non_constructible": True,
         "shape": "0 -> G -> sky(limit stalk) + prod_x sky(G_x) -> Q -> 0",

@@ -23,7 +23,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from stonesheaf.linalg import (  # noqa: E402
-    DimensionError, LinMap, VectQ, kernel_basis, rat, rref)
+    ZERO, DimensionError, LinMap, VectQ, kernel_basis, rat, rref)
+from stonesheaf.verify import _s3_group  # noqa: E402
+from stonesheaf.weyl import (  # noqa: E402
+    _random_rep, cyclic_group, direct_product, regular_rep)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -211,13 +214,7 @@ def test_rref_of_zero_rows_and_columns():
 # sign characters, regular representations and signed permutations.  These
 # cases compare `apply` and `then` with the plain sum of products over the
 # nonzero entries, kept here as a test-local reference, by `repr` (so an
-# int where a `Fraction` belongs, or a wrong sign of a zero, shows).
-
-from stonesheaf.linalg import ZERO  # noqa: E402
-from stonesheaf.verify import _s3_group  # noqa: E402
-from stonesheaf.weyl import (  # noqa: E402
-    _random_rep, cyclic_group, direct_product, regular_rep)
-
+# int where a `Fraction` belongs shows).
 
 def reference_apply(m: LinMap, v) -> tuple:
     nonzero = [(j, x) for j, x in enumerate(v) if x]
