@@ -1,0 +1,8 @@
+"""`python -m stonesheaf`: the command line of `stonesheaf.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

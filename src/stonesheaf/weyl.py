@@ -3,12 +3,17 @@
 A component structure assigns a finite group to each point, tail-uniformly:
 one group per cone level beyond finitely many exceptional copies, with a
 structure homomorphism from each level's group up to the enclosing apex
-group.  The attached sheaf of group rings has the group ring as stalk and
-germ components that restrict coefficients to the image of the structure
+group.  Its level table (`_levels`) holds, per height a, the group at the
+generic points of height a and the homomorphism into it from each lower
+height b; a sum takes height a from its first part that reaches a, but the
+homomorphism from b in its own top row from its first part that reaches b.
+The attached sheaf of group rings has the group ring as stalk and germ
+components that restrict coefficients to the image of the structure
 homomorphism and then average over its kernel; with that normalization the
-components are multiplicative, compose along levels (required for the cube
-differentials to square to zero, and checked at build time), and the
-generator construction extends stalk elements consistently.
+components are multiplicative and the generator construction extends stalk
+elements consistently.  The components must also compose along the levels
+for the cube differentials to square to zero; `EqAdelicComplex` checks that
+on the level table of every cone in its structure.
 
 Every walk over a whole equivariant sheaf is one recursion, `_equivwise`,
 which follows the component structure and reads sheaves, sheaf maps,
@@ -24,25 +29,24 @@ whose sites are the points it visits, are its uses.
 The equivariant splicing rings keep the cube combinatorics of the scalar
 case with group-ring leaves: they run the recursions of `adelic` (normal
 forms, ring operations, cube maps, exactness witnesses, cocycle sampling)
-with `GroupRingLeaves`, which follows the component structure into
-summands and copies and spreads a leaf down a level through the germ
-component `germ_component(hom_between(...))`.  `EqAdelicComplex` is the
-complex of `adelic` with these leaves; only its component structure and
-the augmentation of group-ring sections (`GroupRingLeaves.augment`) are
-its own.  With trivial groups everything collapses bitwise onto the
-scalar complex.
+with `GroupRingLeaves`, which follows the component structure into summands
+and copies and spreads a leaf down a level through the germ component
+`level_germ(...)`.  `EqAdelicComplex` is the complex of `adelic` with these
+leaves; only its component structure and the augmentation of group-ring
+sections (`GroupRingLeaves.augment`) are its own.  With trivial groups
+everything collapses bitwise onto the scalar complex.
 
 What is computed once is kept.  A `FinGroup` keeps the identity and the
-inverse table its validation finds, and its sign characters once asked
-for.  A `ComponentStructure` object keeps its group-ring sheaf and the
-germ component of each level pair once built (`ComponentStructure.kept`,
-filled by `group_ring_sheaf` and `level_germ`).  None of it takes part in
-equality, hashing or the repr, and none of it is shared between equal
-objects: equal structures may name their groups differently, and the
-names are serialized.  `average_stalk` sums its products over integer
-numerators into `int` accumulators, with one common denominator for the
-map, one for the source representation's matrices and one for the
-target's, and builds each output entry once.
+inverse table its validation finds, and its sign characters once asked for.
+A `ComponentStructure` object keeps its level table, its group-ring sheaf
+and the germ component of each level pair once built
+(`ComponentStructure.kept`).  None of it takes part in equality, hashing or
+the repr, and none of it is shared between equal objects: equal structures
+may name their groups differently, and the names are serialized.
+`average_stalk` sums its products over integer numerators into `int`
+accumulators, with one common denominator for the map, one for the source
+representation's matrices and one for the target's, and builds each output
+entry once.
 """
 
 from __future__ import annotations
@@ -218,10 +222,10 @@ class ComponentStructure:
     @functools.cached_property
     def kept(self) -> dict:
         """What is built from this structure object once and then kept with
-        it: the group-ring sheaf (`group_ring_sheaf`) and the germ component
-        of each level pair (`level_germ`).  It belongs to the object and is
-        never looked up by equality, since equal structures may name their
-        groups differently."""
+        it: the level table (`_levels`), the group-ring sheaf
+        (`group_ring_sheaf`) and the germ component of each level pair
+        (`level_germ`).  It belongs to the object and is never looked up by
+        equality, since equal structures may name their groups differently."""
         return {}
 
     def group_at(self, x: Point) -> FinGroup:
@@ -269,12 +273,9 @@ def cone_structure(space: Cone, exc: dict, tail_cs: ComponentStructure,
 
 
 def top_group(cs: ComponentStructure) -> FinGroup:
-    """The group at the top-stratum points (tail structures are uniform)."""
-    if cs.data[0] == "fin":
-        return cs.data[1][0]
-    if cs.data[0] == "sum":
-        return top_group(cs.data[1])
-    return cs.data[3]
+    """The group at the top-stratum points (tail structures are uniform),
+    where the level table's homomorphism from height 0 lands."""
+    return _levels(cs)[1][0].target
 
 
 def _uniform(cs: ComponentStructure) -> bool:
@@ -570,62 +571,60 @@ def _cone_split(t, listed, keys):
 # level bookkeeping inside tail chains
 
 
+def _levels(cs: ComponentStructure):
+    """The level table of `cs` (see the module docstring): its rows, and the
+    homomorphism from each height into the top group.  Built once per
+    structure object and kept."""
+    kept = cs.kept
+    if "levels" not in kept:
+        if cs.data[0] == "fin":
+            rows, tops = [(cs.data[1][0], ())], [identity_hom(cs.data[1][0])]
+        elif cs.data[0] == "sum":
+            parts = [_levels(part) for part in cs.data[1:]]
+            first = lambda h: next(p for p in parts if h < len(p[0]))
+            heights = range(max(len(p[0]) for p in parts))
+            rows, tops = [first(a)[0][a] for a in heights], [first(b)[1][b] for b in heights]
+            rows[-1] = (rows[-1][0], tuple(tops[:-1]))
+        else:
+            _exc, tail_cs, apex_group, up = cs.cone_parts()
+            tail_rows, tail_tops = _levels(tail_cs)
+            tops = [h.compose(up) for h in tail_tops] + [identity_hom(apex_group)]
+            rows = tail_rows + [(apex_group, tuple(tops[:-1]))]
+        kept["levels"] = rows, tops
+    return kept["levels"]
+
+
+def _row(cs: ComponentStructure, a: int):
+    """Row a of the level table: the group at height a and the homomorphisms into it."""
+    rows = _levels(cs)[0]
+    if not 0 <= a < len(rows):
+        raise GroupError("height exceeds the rank")
+    return rows[a]
+
+
 def level_group(cs: ComponentStructure, a: int) -> FinGroup:
     """The group at generic points of height a (tail chains are uniform)."""
-    if cs.data[0] == "fin":
-        if a != 0:
-            raise GroupError("finite spaces have height-0 points only")
-        return cs.data[1][0]
-    if cs.data[0] == "sum":
-        for part in (cs.data[1], cs.data[2]):
-            if a <= cb_rank(part.space):
-                return level_group(part, a)
-        raise GroupError("height exceeds the rank")
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    if a == cb_rank(cs.space):
-        return apex_group
-    return level_group(tail_cs, a)
-
-
-def chain_within(cs: ComponentStructure, b: int) -> GrpHom:
-    """The composite structure homomorphism from level b to the top group."""
-    if cs.data[0] == "fin":
-        return identity_hom(cs.data[1][0])
-    if cs.data[0] == "sum":
-        for part in (cs.data[1], cs.data[2]):
-            if b <= cb_rank(part.space):
-                return chain_within(part, b)
-        raise GroupError("height exceeds the rank")
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    if b == cb_rank(cs.space):
-        return identity_hom(apex_group)
-    return chain_within(tail_cs, b).compose(up)
+    return _row(cs, a)[0]
 
 
 def hom_between(cs: ComponentStructure, b: int, a: int) -> GrpHom:
     """The composite homomorphism from level b up to level a (b < a)."""
-    if not b < a:
+    if not 0 <= b < a:
         raise GroupError("levels must increase")
-    if a == cb_rank(cs.space):
-        return chain_within(cs, b)
-    if cs.data[0] == "sum":
-        for part in (cs.data[1], cs.data[2]):
-            if a <= cb_rank(part.space):
-                return hom_between(part, b, a)
-        raise GroupError("height exceeds the rank")
-    return hom_between(cs.data[2], b, a)
+    return _row(cs, a)[1][b]
 
 
 def validate_structure_levels(cs: ComponentStructure) -> bool:
-    """Germ components must compose along the level tower (the kernel of
-    each upper map inside the image below); holds for surjective towers."""
+    """Germ components must compose along the level table of every cone in
+    `cs` (the kernel of each upper map inside the image below); holds for
+    surjective towers."""
+    if cs.data[0] != "cone":
+        return cs.data[0] == "fin" or all(map(validate_structure_levels, cs.data[1:]))
+    exc, tail_cs, _g, _u = cs.cone_parts()
     r = cb_rank(cs.space)
-    for a in range(r, 1, -1):
-        for c in range(1, a):
-            for b in range(0, c):
-                if level_germ(cs, b, a) != level_germ(cs, c, a).then(level_germ(cs, b, c)):
-                    return False
-    return True
+    return (all(map(validate_structure_levels, (*exc.values(), tail_cs))) and
+            all(level_germ(cs, b, a) == level_germ(cs, c, a).then(level_germ(cs, b, c))
+                for a in range(2, r + 1) for c in range(1, a) for b in range(c)))
 
 
 def level_germ(cs: ComponentStructure, b: int, a: int) -> LinMap:
@@ -918,9 +917,8 @@ def _uniform_levels(cs) -> bool:
         return all(g == cs.data[1][0] for g in cs.data[1])
     if cs.data[0] == "sum":
         left, right = cs.data[1], cs.data[2]
-        shared = range(min(cb_rank(left.space), cb_rank(right.space)) + 1)
         return (_uniform_levels(left) and _uniform_levels(right) and
-                all(level_group(left, a) == level_group(right, a) for a in shared))
+                all(x[0] == y[0] for x, y in zip(_levels(left)[0], _levels(right)[0])))
     exc, tail_cs, _g, _u = cs.cone_parts()
     return not exc and _uniform_levels(tail_cs)
 

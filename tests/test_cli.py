@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -269,6 +272,15 @@ def test_verify_all_fast(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "verify_all_fast.txt").read_text()
+
+
+def test_package_runs_as_a_module():
+    """`python -m stonesheaf` runs the command line from a source checkout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "stonesheaf", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify-all" in done.stdout
 
 
 def test_space_point_flag(capsys):

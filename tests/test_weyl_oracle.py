@@ -21,6 +21,13 @@
 * The equivariant rings and complexes accept only structures with one group
   per level, also across the summands of a sum, and `random_equiv_sheaf`
   refuses rank >= 2 before it draws.
+* The germ check runs at every cone of a structure, not on the root's rows:
+  it refuses a sum whose right cone does not compose though the root's
+  rows do (without the check d∘d is not zero there), and it accepts a sum
+  whose root rows do not compose though every cone's do (d∘d is zero and
+  seeded cocycles are witnessed).  Every seeded level-uniform structure of
+  `test_level_oracle.draw_structure` that `equivariant_adelic` accepts has
+  d∘d = 0 on cochains drawn per flag by `test_pathway_golden`'s drawer.
 * `check_germ_equivariance` and the generators read spread sections point
   by point: a sign action at an apex over trivial stalks is caught, and
   the generators of random sheaves over a two-point base are valid,
@@ -56,13 +63,15 @@ from stonesheaf.linalg import rank as map_rank
 from stonesheaf.sheaf import (
     check_sheaf_map, constant, make_cone_map, make_cone_sheaf, make_fin_map, sec_space,
     skyscraper, stalk_map, zero_map)
-from stonesheaf.space import Cone, Finite, Sum, apex_point, copy_point, fin_point
+from stonesheaf.space import Cone, Finite, Sum, apex_point, copy_point, fin_point, parse_space
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
     FinGroup, GroupError, average_stalk, cone_structure, constant_structure, cyclic_group,
-    direct_product, eq_unit, eq_zero, equivariant_adelic, fin_structure, germ_component,
-    group_ring_sheaf, hom_between, level_germ, make_equiv, random_equiv_sheaf, sum_structure,
-    trivial_group, trivial_hom)
+    direct_product, eq_random_cocycle, eq_unit, eq_zero, equivariant_adelic, fin_structure,
+    germ_component, group_ring_sheaf, hom_between, identity_hom, level_germ, make_equiv,
+    random_equiv_sheaf, sum_structure, trivial_group, trivial_hom)
+from test_level_oracle import GROUPS, SEEDED_SPACES, draw_structure
+from test_pathway_golden import _random_eq_cochain
 
 CRITERION6_GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
                      cyclic_group(5), cyclic_group(6),
@@ -337,6 +346,71 @@ def test_sum_summands_need_one_group_per_shared_level():
     for space, _labels, cs, *_towers in [o2_dihedral_block(n) for n in (3, 4, 6)] + [t2_block()]:
         equivariant_adelic(space, cs)
         eq_unit(space, (0,), cs)
+
+
+X1, X2 = Cone(Finite(1)), Cone(Cone(Finite(1)))
+
+
+def _fin(G):
+    return fin_structure(Finite(1), [G])
+
+
+def _squares_to_zero(cx, rng, draws=3):
+    """Whether d∘d vanishes on `draws` cochains of every degree, drawn per flag."""
+    return all(cx.is_cocycle(cx.differential(_random_eq_cochain(cx, degree, rng), degree),
+                             degree + 1)
+               for degree in range(-1, cx.rank - 1) for _ in range(draws))
+
+
+def _structure_a():
+    """(A): over Sum(X1, X2) the right cone's germs do not compose, though
+    the root's rows do: the root's top row reaches heights 0 and 1 through
+    the left part."""
+    one, C2 = trivial_group(), cyclic_group(2)
+    inner = cone_structure(X1, {}, _fin(one), C2, trivial_hom(one, C2))
+    right = cone_structure(X2, {}, inner, one, trivial_hom(C2, one))
+    return right, sum_structure(Sum(X1, X2), inner, right)
+
+
+def test_germ_check_refuses_a_sum_whose_cone_does_not_compose(monkeypatch):
+    right, cs = _structure_a()
+    for space, structure in [(X2, right), (Sum(X1, X2), cs)]:
+        with pytest.raises(GroupError, match="germ components do not compose along the levels"):
+            equivariant_adelic(space, structure)
+    # without the check the complex is built, and d∘d is not zero on it
+    monkeypatch.setattr(weyl, "validate_structure_levels", lambda _cs: True)
+    assert not _squares_to_zero(equivariant_adelic(Sum(X1, X2), cs), random.Random(8))
+
+
+def test_germ_check_accepts_a_sum_whose_cones_compose():
+    """(C): the root's rows do not compose (its top row reaches height 0
+    through `Finite(1)`), but every cone's do, and the complex is exact."""
+    C2 = cyclic_group(2)
+    inner = cone_structure(X1, {}, _fin(C2), C2, identity_hom(C2))
+    right = cone_structure(X2, {}, inner, C2, trivial_hom(C2, C2))
+    space = Sum(Finite(1), X2)
+    cx = equivariant_adelic(space, sum_structure(space, _fin(C2), right))
+    rng = random.Random(23)
+    assert _squares_to_zero(cx, rng)
+    for degree in range(cx.rank + 1):
+        for _ in range(3):
+            z = eq_random_cocycle(cx, degree, rng)
+            assert cx.differential(cx.exactness_witness(z, degree), degree - 1) == z
+
+
+def test_accepted_structures_square_to_zero():
+    accepted = 0
+    for i, expr in enumerate(SEEDED_SPACES):
+        space, rng = parse_space(expr), random.Random(700 + i)
+        for _ in range(50):
+            cs = draw_structure(space, rng, rng.sample(GROUPS, 2))
+            try:
+                cx = equivariant_adelic(space, cs)
+            except GroupError:
+                continue
+            accepted += 1
+            assert _squares_to_zero(cx, rng), (expr, cs)
+    assert accepted >= 200
 
 
 def test_random_equiv_sheaf_rejects_rank2_before_drawing():
