@@ -362,18 +362,13 @@ def _squares_to_zero(cx, rng, draws=3):
                for degree in range(-1, cx.rank - 1) for _ in range(draws))
 
 
-def _structure_a():
-    """(A): over Sum(X1, X2) the right cone's germs do not compose, though
-    the root's rows do: the root's top row reaches heights 0 and 1 through
-    the left part."""
+def test_germ_check_refuses_a_sum_whose_cone_does_not_compose(monkeypatch):
+    """The right cone's germs do not compose, though the root's rows do: the
+    root's top row reaches heights 0 and 1 through the left part."""
     one, C2 = trivial_group(), cyclic_group(2)
     inner = cone_structure(X1, {}, _fin(one), C2, trivial_hom(one, C2))
     right = cone_structure(X2, {}, inner, one, trivial_hom(C2, one))
-    return right, sum_structure(Sum(X1, X2), inner, right)
-
-
-def test_germ_check_refuses_a_sum_whose_cone_does_not_compose(monkeypatch):
-    right, cs = _structure_a()
+    cs = sum_structure(Sum(X1, X2), inner, right)
     for space, structure in [(X2, right), (Sum(X1, X2), cs)]:
         with pytest.raises(GroupError, match="germ components do not compose along the levels"):
             equivariant_adelic(space, structure)
@@ -383,8 +378,8 @@ def test_germ_check_refuses_a_sum_whose_cone_does_not_compose(monkeypatch):
 
 
 def test_germ_check_accepts_a_sum_whose_cones_compose():
-    """(C): the root's rows do not compose (its top row reaches height 0
-    through `Finite(1)`), but every cone's do, and the complex is exact."""
+    """The root's rows do not compose (its top row reaches height 0 through
+    `Finite(1)`), but every cone's do, and the complex is exact."""
     C2 = cyclic_group(2)
     inner = cone_structure(X1, {}, _fin(C2), C2, identity_hom(C2))
     right = cone_structure(X2, {}, inner, C2, trivial_hom(C2, C2))
