@@ -4,7 +4,9 @@
 cocycles with their exactness witnesses and the differentials of random
 non-cocycle cochains, in every degree, for:
 
-  * the scalar complexes of three rank <= 2 spaces;
+  * the scalar complexes of six rank <= 2 spaces, three of them rooted in a
+    `Sum` (unequal summand ranks, a nested sum, rank-0 summands), so that a
+    degree can be the top degree of one summand and not of the whole;
   * the equivariant complexes of the same spaces under trivial structures
     (the reference for criterion 8's bit-for-bit degeneration);
   * the equivariant complexes of the dihedral block and of the rank-2 torus
@@ -34,7 +36,10 @@ from stonesheaf.weyl import (
     trivial_structure)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "adelic_pathways.json"
-SPACES = ["Cone(Finite(1))", "Cone(Cone(Finite(1)))", "Cone(Sum(Finite(2),Finite(1)))"]
+SPACES = ["Cone(Finite(1))", "Cone(Cone(Finite(1)))", "Cone(Sum(Finite(2),Finite(1)))",
+          "Sum(Cone(Cone(Finite(1))),Finite(2))",
+          "Sum(Cone(Finite(1)),Sum(Finite(1),Cone(Finite(2))))",
+          "Sum(Cone(Finite(2)),Cone(Cone(Finite(1))))"]
 COCYCLES = 2
 
 
