@@ -535,7 +535,15 @@ def _random_data(space, flag, rng, exc_bound):
 #
 # The coordinates of data with at most exc_bound exceptional copies per cone:
 # a leaf's coordinates in order, and for a cone the tail leaf followed by the
-# copies 0 .. exc_bound-1 (each a tail copy's data).
+# copies 0 .. exc_bound-1 (each a tail copy's data).  A cochain's
+# coordinates run flag by flag, and within a flag over a Sum the left
+# part's slots come before the right part's.
+#
+# The kernel of d on these coordinates is read off the exact RREF of the
+# probed differential (one `_differential` call per coordinate).  The complex
+# of a Sum is the direct sum of its parts' complexes, so a Sum is reduced
+# one summand at a time and its parts' rows are merged; the split stops at
+# Cone, whose copies share one tail.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -601,63 +609,95 @@ def _coords_from_data(L, space, flag, exc_bound, data, out):
                           exc[k] if k in exc else const_data(space.base, flag, tail), out)
 
 
+def _decode(L, space, cs, flags, exc_bound, values) -> dict:
+    """The cochain data (flag -> data, not in normal form) of coordinates."""
+    out, pos = {}, 0
+    for A in flags:
+        out[A], pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
+    return out
+
+
+def _kernel_rref(L, space, cs, degree, exc_bound):
+    """The RREF of d from the given degree on the bounded-exception
+    cochains of space: its pivot rows as sparse [(column, entry)] lists of
+    the nonzero entries right of the pivot, the pivots, and the column count.
+
+    A space whose rank is at most the degree has no rows.  A Sum maps each
+    part's columns into its own layout and merges the parts' rows by pivot:
+    the maps are monotone and d is block-diagonal, so, RREF being unique,
+    that is the Sum's RREF.  Any other space is probed column by column.
+    """
+    r = cb_rank(space)
+    flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
+    if isinstance(space, Sum) and r > degree:
+        parts = tuple(zip((space.left, space.right), L.sum_parts(cs)))
+        cols, n = ([], []), 0
+        for A in flags:
+            for (part, pcs), col in zip(parts, cols):
+                k = _slots(L, part, A, pcs, exc_bound)
+                col.extend(range(n, n + k))
+                n += k
+        merged = []
+        for (part, pcs), col in zip(parts, cols):
+            rows, pivots, _n = _kernel_rref(L, part, pcs, degree, exc_bound)
+            merged += [(col[p], [(col[j], x) for j, x in row]) for row, p in zip(rows, pivots)]
+        merged.sort(key=lambda pr: pr[0])
+        return [row for _p, row in merged], [p for p, _row in merged], n
+    n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
+    if r <= degree:
+        return [], [], n
+    targets = flags_of_size(r, degree + 2)
+    m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
+    rows = [[] for _ in range(m)]
+    for i in range(n):
+        unit = tuple(ONE if j == i else ZERO for j in range(n))
+        image = _differential(L, space, cs, degree, _decode(L, space, cs, flags, exc_bound, unit))
+        flat = []
+        for B in targets:
+            # dmap never enlarges exception support
+            _coords_from_data(L, space, B, exc_bound, image[B], flat)
+        for row, x in zip(rows, flat, strict=True):
+            row.append(x)
+    red, pivots = rref(rows)
+    return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
+            for row, p in zip(red, pivots)], pivots, n
+
+
 def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     """A random cocycle of cx with at most exc_bound exceptions per cone.
 
-    The differential on the bounded-exception cochains is probed column by
-    column on their coordinate basis, and its kernel is read off one exact
-    RREF of the probed matrix: each free coordinate, in increasing order,
-    takes one kernel_draw(rng), and each pivot coordinate takes minus the
-    sum of its row's nonzero entries times those draws.  That is the
-    canonical kernel basis combined with one draw per basis vector.  In the
-    top degree every cochain is a cocycle, with one free_draw(rng) per
-    coordinate.
+    Below the top degree the kernel is read off `_kernel_rref`: each free
+    coordinate, in increasing order, takes one kernel_draw(rng), and each
+    pivot coordinate takes minus the sum of its row's entries times those
+    draws, in increasing column order.  That is the canonical kernel basis
+    combined with one draw per basis vector.  In the top degree every
+    cochain is a cocycle, with one free_draw(rng) per coordinate.
     """
     L, cs, space, flags = cx.leaves, cx.cs, cx.space, cx.flags(degree)
-
-    def decode(values):
-        out, pos = {}, 0
-        for A in flags:
-            out[A], pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
-        return out
-
-    n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
+    rows, pivots, n = _kernel_rref(L, space, cs, degree, exc_bound)
     if degree < cx.rank:
-        targets = cx.flags(degree + 1)
-        m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
-        rows = [[] for _ in range(m)]
-        for i in range(n):
-            image = _differential(L, space, cs, degree,
-                                  decode(tuple(ONE if j == i else ZERO for j in range(n))))
-            flat = []
-            for B in targets:
-                # dmap never enlarges exception support
-                _coords_from_data(L, space, B, exc_bound, image[B], flat)
-            for row, x in zip(rows, flat, strict=True):
-                row.append(x)
-        red, pivots = rref(rows)
         values = [ZERO] * n
         pivot_set = set(pivots)
         for f in range(n):
             if f not in pivot_set:
                 values[f] = kernel_draw(rng)
         # a pivot row is zero at every other pivot column
-        for row, p in zip(red, pivots):
-            for j in range(p + 1, n):
-                if row[j]:
-                    values[p] -= row[j] * values[j]
+        for row, p in zip(rows, pivots):
+            for j, x in row:
+                values[p] -= x * values[j]
     else:
         values = [free_draw(rng) for _ in range(n)]
     return {A: L.element(space, A, cs, _canon(L, space, A, cs, data))
-            for A, data in decode(tuple(values)).items()}
+            for A, data in _decode(L, space, cs, flags, exc_bound, tuple(values)).items()}
 
 
 def random_cocycle(cx: AdelicComplex, degree: int, rng: random.Random, exc_bound: int = 2) -> dict:
     """A uniform-ish random constructible cocycle with bounded exceptions.
 
     The kernel of the differential restricted to the bounded-exception
-    subspace is computed exactly; a random rational combination of its basis
-    is returned.  This samples cocycles independently of the witness search.
+    subspace is computed exactly, one root summand at a time; a random
+    rational combination of its basis is returned.  This samples cocycles
+    independently of the witness search.
     """
     return _sample_cocycle(cx, degree, rng, exc_bound, random_rat, random_rat)
 

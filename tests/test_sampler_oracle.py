@@ -1,11 +1,12 @@
 """The cocycle samplers against the dense kernel-basis reference.
 
-`adelic._sample_cocycle` reads its sample off one RREF of the probed
-differential.  The reference below is the dense path it replaced: the
-canonical kernel basis of the same probed matrix,
-`kernel_basis(LinMap.from_cols(...))`, combined with one kernel draw per
-basis vector.  RREF is unique and the arithmetic is exact, so both must
-give the same cochain, and use the same draws, for the same seed.
+`adelic._sample_cocycle` reads its sample off the RREF of the probed
+differential, reduced one root summand at a time.  The reference below is
+the dense path it replaced: the canonical kernel basis of the whole probed
+matrix, `kernel_basis(LinMap.from_cols(...))`, combined with one kernel
+draw per basis vector; it does not split a Sum.  RREF is unique and the
+arithmetic is exact, so both must give the same cochain, and use the same
+draws, for the same seed.
 """
 
 import random
@@ -17,38 +18,57 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stonesheaf.adelic import (  # noqa: E402
-    ONE, ZERO, _canon, _coords_from_data, _data_from_coords, _differential, _slots,
-    build_complex, random_cocycle, random_rat)
+    ONE, ZERO, _canon, _coords_from_data, _data_from_coords, _differential, _kernel_rref,
+    _slots, build_complex, random_cocycle, random_rat)
 from stonesheaf.catalog import o2_dihedral_block  # noqa: E402
-from stonesheaf.linalg import LinMap, VectQ, kernel_basis  # noqa: E402
-from stonesheaf.space import cb_rank, parse_space  # noqa: E402
-from stonesheaf.weyl import eq_random_cocycle, equivariant_adelic, trivial_structure  # noqa: E402
+from stonesheaf.linalg import LinMap, VectQ, kernel_basis, rref  # noqa: E402
+from stonesheaf.space import Sum, cb_rank, parse_space  # noqa: E402
+from stonesheaf.weyl import (  # noqa: E402
+    GroupError, eq_random_cocycle, equivariant_adelic, trivial_structure)
 
+from test_level_oracle import SEEDED_SPACES, draw_structure  # noqa: E402
 from test_space_properties import spaces  # noqa: E402
+
+# root sums with unequal summand ranks, rank-0 summands and a nested sum:
+# degree 0 is the top degree of Finite(2) and degree 1 that of
+# Cone(Finite(2)), but neither is the top degree of its whole space
+ROOT_SUMS = ["Sum(Cone(Cone(Finite(1))),Finite(2))",
+             "Sum(Cone(Finite(1)),Sum(Finite(1),Cone(Finite(2))))",
+             "Sum(Cone(Finite(2)),Cone(Cone(Finite(1))))",
+             "Sum(Finite(2),Sum(Cone(Finite(1)),Finite(1)))"]
+
+
+def _decode(cx, degree, exc_bound, values):
+    L, cs, space = cx.leaves, cx.cs, cx.space
+    out, pos = {}, 0
+    for A in cx.flags(degree):
+        out[A], pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
+    return out
+
+
+def probed_columns(cx, degree, exc_bound):
+    """The columns of d on the whole coordinate basis, one probe each, and
+    the target dimension (degree below the rank)."""
+    L, cs, space = cx.leaves, cx.cs, cx.space
+    n = sum(_slots(L, space, A, cs, exc_bound) for A in cx.flags(degree))
+    targets = cx.flags(degree + 1)
+    cols = []
+    for i in range(n):
+        image = _differential(L, space, cs, degree, _decode(
+            cx, degree, exc_bound, tuple(ONE if j == i else ZERO for j in range(n))))
+        flat = []
+        for B in targets:
+            _coords_from_data(L, space, B, exc_bound, image[B], flat)
+        cols.append(tuple(flat))
+    return cols, sum(_slots(L, space, B, cs, exc_bound) for B in targets)
 
 
 def reference_sample(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     """A seeded cocycle by the dense path: kernel basis, then Σ draw·b."""
-    L, cs, space, flags = cx.leaves, cx.cs, cx.space, cx.flags(degree)
-
-    def decode(values):
-        out, pos = {}, 0
-        for A in flags:
-            out[A], pos = _data_from_coords(L, space, A, cs, exc_bound, values, pos)
-        return out
-
-    n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
+    L, cs, space = cx.leaves, cx.cs, cx.space
+    n = sum(_slots(L, space, A, cs, exc_bound) for A in cx.flags(degree))
     if degree < cx.rank:
-        targets = cx.flags(degree + 1)
-        cols = []
-        for i in range(n):
-            image = _differential(L, space, cs, degree,
-                                  decode(tuple(ONE if j == i else ZERO for j in range(n))))
-            flat = []
-            for B in targets:
-                _coords_from_data(L, space, B, exc_bound, image[B], flat)
-            cols.append(tuple(flat))
-        m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
+        cols, m = probed_columns(cx, degree, exc_bound)
         basis = kernel_basis(LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
         values = [ZERO] * n
         for b in basis:
@@ -57,7 +77,7 @@ def reference_sample(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict
     else:
         values = [free_draw(rng) for _ in range(n)]
     return {A: L.element(space, A, cs, _canon(L, space, A, cs, data))
-            for A, data in decode(tuple(values)).items()}
+            for A, data in _decode(cx, degree, exc_bound, tuple(values)).items()}
 
 
 def eq_free_draw(r):
@@ -85,10 +105,24 @@ small_spaces = spaces.filter(lambda s: cb_rank(s) <= 3 and len(str(s)) <= 40)
 @given(small_spaces, st.integers(min_value=0, max_value=2**16))
 @example(parse_space("Cone(Cone(Cone(Finite(1))))"), 5)
 @example(parse_space("Cone(Sum(Finite(2),Cone(Cone(Finite(1)))))"), 11)
+@example(parse_space("Sum(Cone(Cone(Finite(1))),Finite(2))"), 3)
+@example(parse_space("Sum(Cone(Finite(2)),Cone(Cone(Finite(1))))"), 7)
+@example(parse_space("Sum(Cone(Finite(1)),Sum(Finite(1),Cone(Finite(2))))"), 13)
+@example(parse_space("Sum(Cone(Cone(Cone(Finite(1)))),Cone(Finite(1)))"), 17)
 def test_random_cocycle_matches_dense_reference(space, seed):
     cx = build_complex(space)
     for degree in range(cx.rank + 1):
         assert_same_sample(cx, degree, seed + degree, random_cocycle, random_rat, random_rat)
+
+
+@pytest.mark.parametrize("exc_bound", [0, 3])
+@pytest.mark.parametrize("expr", ROOT_SUMS)
+def test_random_cocycle_on_root_sums_matches_dense_reference(expr, exc_bound):
+    cx = build_complex(parse_space(expr))
+    for degree in range(cx.rank + 1):
+        for seed in range(2):
+            assert_same_sample(cx, degree, 60 + seed, random_cocycle, random_rat, random_rat,
+                               exc_bound=exc_bound)
 
 
 @pytest.mark.parametrize("expr", ["Finite(3)", "Cone(Finite(1))", "Cone(Cone(Finite(1)))",
@@ -108,3 +142,55 @@ def test_eq_random_cocycle_dihedral_block_matches_dense_reference():
         for seed in range(3):
             assert_same_sample(cx, degree, 40 + seed, eq_random_cocycle,
                                eq_free_draw, eq_kernel_draw)
+
+
+def assert_whole_rref(cx, exc_bound):
+    """`_kernel_rref`, split at the root sums, is the RREF of the whole
+    probed matrix: the same pivots in order, and the same entries."""
+    for degree in range(cx.rank):
+        cols, m = probed_columns(cx, degree, exc_bound)
+        n = len(cols)
+        red, pivots = rref([[col[i] for col in cols] for i in range(m)])
+        want = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
+        assert _kernel_rref(cx.leaves, cx.space, cx.cs, degree, exc_bound) == (want, pivots, n)
+
+
+@pytest.mark.parametrize("exc_bound", [0, 2])
+@pytest.mark.parametrize("expr", ROOT_SUMS)
+def test_kernel_rref_of_a_root_sum_is_the_whole_rref(expr, exc_bound):
+    assert_whole_rref(build_complex(parse_space(expr)), exc_bound)
+
+
+def _root_sum_structures():
+    """The seeded `draw_structure`s over the root sums of `SEEDED_SPACES`
+    (seeds 0-39, level-uniform and free) that `equivariant_adelic` accepts."""
+    out = []
+    for expr in SEEDED_SPACES:
+        space = parse_space(expr)
+        if not isinstance(space, Sum):
+            continue
+        for seed in range(40):
+            for free in (False, True):
+                cs = draw_structure(space, random.Random(seed), free=free)
+                try:
+                    out.append((f"{expr} #{seed}{' free' if free else ''}",
+                                equivariant_adelic(space, cs)))
+                except GroupError:
+                    pass
+    return out
+
+
+ROOT_SUM_COMPLEXES = _root_sum_structures()
+
+
+def test_root_sum_structures_are_found():
+    assert len(ROOT_SUM_COMPLEXES) >= 5
+
+
+@pytest.mark.parametrize("name, cx", ROOT_SUM_COMPLEXES, ids=[n for n, _ in ROOT_SUM_COMPLEXES])
+def test_eq_random_cocycle_root_sum_structures_match_dense_reference(name, cx):
+    for degree in range(cx.rank + 1):
+        for seed in range(2):
+            assert_same_sample(cx, degree, 70 + seed, eq_random_cocycle,
+                               eq_free_draw, eq_kernel_draw)
+    assert_whole_rref(cx, 2)
