@@ -5,7 +5,9 @@ reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
 zero exactly when all requested checks pass, one when a check fails, and
 two when the input is malformed (a space or point that does not parse, or a
-count that is out of range).
+count that is out of range).  A space or point that does not parse prints
+the document `{"error": message, "schema": ...}` and an `error:` line on
+stderr; a count out of range is refused by argparse, with usage on stderr.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def main(argv=None):
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _emit({"error": str(exc)}, 2)
 
 
 if __name__ == "__main__":

@@ -55,8 +55,10 @@ def test_adelic_command_witnesses(capsys):
 def test_malformed_space_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ")
     assert "position" in captured.err
+    doc = json.loads(captured.out)
+    assert doc == {"error": captured.err[len("error: "):].rstrip("\n"), "schema": ser.SCHEMA}
 
 
 @pytest.mark.parametrize("argv", [
