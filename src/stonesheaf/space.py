@@ -427,10 +427,6 @@ def join(s: SpaceExpr, u: ClopenSet, v: ClopenSet) -> ClopenSet:
     return complement(s, meet(s, complement(s, u), complement(s, v)))
 
 
-def is_empty(s: SpaceExpr, u: ClopenSet) -> bool:
-    return u == empty_set(s)
-
-
 def set_is_finite(s: SpaceExpr, u: ClopenSet) -> bool:
     if isinstance(s, Finite):
         return True

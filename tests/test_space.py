@@ -4,7 +4,7 @@ from stonesheaf.space import (
     iter_points,
     Cone, Finite, Sum, MalformedPoint, ParseError, apex_point, cb_rank,
     complement, copy_point, empty_set, enumerate_finite, find_isolated,
-    fin_point, full_set, height, is_empty, join, meet, member, nbhd_basis,
+    fin_point, full_set, height, join, meet, member, nbhd_basis,
     parse_space, set_is_finite, singleton, top_stratum, Point)
 
 X1 = Cone(Finite(1))
@@ -83,6 +83,10 @@ def test_nbhd_nested_apex():
     assert member(X2, copy_point(3, copy_point(5, fin_point(0))), u)
     assert not member(X2, copy_point(3, copy_point(1, fin_point(0))), u)
     assert not member(X2, copy_point(2, apex_point()), u)
+
+
+def is_empty(s, u) -> bool:
+    return u == empty_set(s)
 
 
 def test_meet_with_complement_is_empty():
