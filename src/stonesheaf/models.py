@@ -97,7 +97,17 @@ def section_localize(T: CSheaf, flag: Flag):
     """The localized module of a sheaf's sections at a flag, with the
     canonical map from the finite-data section space.
 
-    Returns (module: CMod over (T.space, flag), pi: LinMap sections -> El)."""
+    Returns (module: CMod over (T.space, flag), pi: LinMap sections -> El).
+    The result is kept with the sheaf object, per flag, so the vertices of
+    `to_standard` and the extensions of `loc_extend` that localize one tail
+    at one flag share a single localization."""
+    memo = T._localized
+    if flag not in memo:
+        memo[flag] = _section_localize(T, flag)
+    return memo[flag]
+
+
+def _section_localize(T, flag):
     M = mod_of_sheaf(T, flag)
     S = sec_space(T)
     cols = []

@@ -58,6 +58,7 @@ inputs that some tests pin) every copy that either sheaf stores.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,10 +79,19 @@ from .space import (
 
 @dataclass(frozen=True)
 class CSheaf:
-    """A constructible sheaf; `data` mirrors the space expression."""
+    """A constructible sheaf; `data` mirrors the space expression.
+
+    `_localized` keeps `models.section_localize` of the sheaf by flag."""
 
     space: SpaceExpr
     data: object
+
+    @functools.cached_property
+    def _localized(self) -> dict:
+        """`models.section_localize(self, flag)` by flag, computed on first
+        use and then kept.  It belongs to the object and is never looked up
+        by equality; the localizations hold no reference back to it."""
+        return {}
 
     # -- cone accessors ----------------------------------------------------
     def exc_dict(self) -> dict:

@@ -1,24 +1,31 @@
 """The memos keep built data, never a verdict.
 
 `models.loc_extend` and `models.el_space` keep each extension and the
-element space with its module object, and the stalk checks of `cube` share
+element space with its module object, `models.section_localize` keeps each
+localization with its sheaf object, and the stalk checks of `cube` share
 one cube per space through a bounded memo.  None may change an answer: a
 diagram whose vertices were extended before is judged on its edges as they
-are now, a check reads the same from a warm memo as from a cleared one, and
-the cube memo stays within its bound.
+are now, a sheaf whose localizations are kept gives the diagram of one that
+was never localized, a check reads the same from a warm memo as from a
+cleared one, and the cube memo stays within its bound.
 """
 
+import copy
 import gc
 import random
 import weakref
 
 import pytest
 
+import stonesheaf.models as models
+from stonesheaf.adelic import all_flags
 from stonesheaf.cube import _shared_cube, sheaf_cube, stalkwise_cube_check
 from stonesheaf.linalg import LinMap
 from stonesheaf.models import (
-    CMod, DiagMod, el_space, is_cocartesian, loc_extend, mod_of_sheaf, to_standard)
-from stonesheaf.sheaf import constant, random_csheaf
+    CMod, DiagMod, el_space, is_cocartesian, loc_extend, mod_of_sheaf, section_localize,
+    to_standard)
+from stonesheaf.sheaf import CSheaf, canonical, constant, random_csheaf
+from stonesheaf.space import Cone, Sum, cb_rank
 from stonesheaf.space import Finite, iter_points, parse_space
 from test_cube_golden import SPACES as CUBE_SPACES
 
@@ -78,6 +85,65 @@ def test_kept_extensions_make_no_reference_cycle():
     try:
         del M
         assert ref() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+
+
+def test_localizations_are_kept_per_object_not_per_value():
+    T = canonical(constant(parse_space("Cone(Cone(Finite(1)))"), 1)).tail
+    twin = CSheaf(T.space, T.data)
+    assert twin == T and hash(twin) == hash(T)
+    for flag in all_flags(cb_rank(T.space)):
+        assert section_localize(T, flag) is section_localize(T, flag)
+        assert section_localize(twin, flag) == section_localize(T, flag)
+        assert section_localize(twin, flag) is not section_localize(T, flag)
+
+
+def _subsheaves(F):
+    """F and every sheaf its record holds: parts, copies and tails."""
+    yield F
+    if isinstance(F.space, Sum):
+        for G in F.data:
+            yield from _subsheaves(G)
+    elif isinstance(F.space, Cone):
+        for _, G in F.data[1]:
+            yield from _subsheaves(G)
+        yield from _subsheaves(F.tail)
+
+
+def _warm(F):
+    """Localize F and every sheaf it holds at every flag that fits."""
+    for G in _subsheaves(F):
+        for flag in all_flags(cb_rank(G.space)):
+            section_localize(G, flag)
+
+
+def test_to_standard_of_a_warm_sheaf_equals_a_cold_one(monkeypatch):
+    warmed = 0
+    for expr, F in _diagrams():
+        cold = copy.deepcopy(F)  # taken before F keeps any localization
+        _warm(F)
+        warm_diagram = to_standard(F)
+        assert to_standard(F) == warm_diagram, expr
+        assert to_standard(cold) == warm_diagram, expr
+        warmed += sum(len(G._localized) for G in _subsheaves(canonical(F)))
+        with monkeypatch.context() as m:
+            # nothing kept anywhere: every call localizes afresh
+            m.setattr(models, "section_localize", models._section_localize)
+            assert to_standard(copy.deepcopy(cold)) == warm_diagram, expr
+    assert warmed > 0  # canonical(F) shares its finite sheaves with F
+
+
+def test_kept_localizations_make_no_reference_cycle():
+    F = random_csheaf(parse_space("Cone(Sum(Finite(2),Cone(Finite(1))))"), random.Random(5), 2, 1)
+    refs = [weakref.ref(G) for G in _subsheaves(F)]
+    _warm(F)
+    to_standard(F)
+    assert all(len(ref()._localized) > 0 for ref in refs)
+    gc.disable()
+    try:
+        del F
+        assert all(ref() is None for ref in refs)  # freed by reference counting alone
     finally:
         gc.enable()
 
