@@ -346,14 +346,20 @@ def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
             for r_ in range(SB.dim):
                 twist[r_][i] = col[r_]
             cob_cols.append(tuple(x for row in twist for x in row))
-    # coboundary from h: tail(A) -> tail(B): twist sections(h) ∘ sigma_A
-    h_params, h_build = _hom_parametrization(A.tail, B.tail)
-    for i in range(h_params):
-        vec = [ZERO] * h_params
-        vec[i] = ONE
-        h = h_build(tuple(vec))
-        comp = A.germ.then(sec_functor(h))
-        cob_cols.append(tuple(x for row in comp.matrix for x in row))
+    # coboundary from h: tail(A) -> tail(B): twist sections(h) ∘ sigma_A.
+    # The tails live over a rank-0 base, so their sections are their stalks
+    # in order; the unit h at (stalk p, row r, column c), in the order of
+    # `_hom_parametrization`, gives the twist whose row offB_p + r is row
+    # offA_p + c of sigma_A and which is zero elsewhere.
+    n, sigma_A = A.apex.dim, A.germ.matrix
+    zeros = (ZERO,) * amb.dim
+    offA = offB = 0
+    for p in iter_points(A.space.base):
+        a, b = stalk(A.tail, p).dim, stalk(B.tail, p).dim
+        for r_ in range(offB * n, (offB + b) * n, n):
+            for c in range(offA, offA + a):
+                cob_cols.append(zeros[:r_] + sigma_A[c] + zeros[r_ + n:])
+        offA, offB = offA + a, offB + b
     return _quotient(amb, row_space_basis(cob_cols), "x")[:2]
 
 
