@@ -5,9 +5,11 @@ reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
 zero exactly when all requested checks pass, one when a check fails, and
 two when the input is malformed (a space or point that does not parse, or a
-count that is out of range).  A space or point that does not parse prints
-the document `{"error": message, "schema": ...}` and an `error:` line on
-stderr; a count out of range is refused by argparse, with usage on stderr.
+count that is out of range).  Malformed input prints the document
+`{"error": message, "schema": ...}`: a space or point that does not parse
+with an `error:` line on stderr, and arguments that argparse refuses (a
+count out of range among them) with usage and argparse's error line on
+stderr.
 """
 
 from __future__ import annotations
@@ -217,11 +219,20 @@ def cmd_verify_all(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that prints the error document before argparse's
+    usage and exit 2; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        _emit({"error": message})
+        super().error(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by later calls."""
-    ap = argparse.ArgumentParser(prog="stonesheaf",
-                                 description="constructible sheaves over scattered Stone spaces")
+    ap = _Parser(prog="stonesheaf",
+                 description="constructible sheaves over scattered Stone spaces")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("space", help="inspect a space expression")

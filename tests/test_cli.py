@@ -79,7 +79,11 @@ def test_out_of_range_counts_exit_2(capsys, argv):
         main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "integer" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["schema"] == ser.SCHEMA and set(doc) == {"error", "schema"}
+    assert "integer" in doc["error"]
+    assert captured.err.startswith("usage: ")
+    assert captured.err.rstrip("\n").splitlines()[-1].endswith(": error: " + doc["error"])
 
 
 def test_sheaf_resolution_over_a_cone_on_a_sum(capsys):
