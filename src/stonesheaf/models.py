@@ -17,6 +17,13 @@ is cocartesian when every comparison map is an isomorphism; the diagrams of
 sheaves are cocartesian by construction and `from_standard` inverts
 `to_standard` on them.
 
+Two memos keep built data with the object it was built from, never looked
+up by equality: a module keeps its element space and its extensions by
+height (`CMod._extended`), and a sheaf keeps its section localizations by
+flag (`CSheaf._localized`, filled by `section_localize`).  So the vertices
+of one diagram and the extensions between them localize each tail at each
+flag once.
+
 In rank one, the standard and completed presentations share one record; the
 completion stores the idempotent slices (the image of the germ map), while
 the standard object keeps the vertex coupled through the germ.  The two
