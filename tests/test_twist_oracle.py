@@ -17,10 +17,11 @@ import random
 import pytest
 
 from stonesheaf.homalg import (
-    _hom_parametrization, _twist_classes, _twist_matrix, ext1, ext1_dim, extension_from_twist)
+    _cone_parts, _hom_parametrization, _twist_classes, _twist_matrix, ext1, ext1_dim,
+    extension_from_twist)
 from stonesheaf.linalg import ONE, ZERO, VectQ, row_space_basis, solve
 from stonesheaf.sheaf import _quotient, random_csheaf, sec_functor, sec_space, stalk
-from stonesheaf.space import Cone, Sum, iter_points, parse_space
+from stonesheaf.space import iter_points, parse_space
 
 SPACES = ["Cone(Finite(1))", "Cone(Finite(3))", "Cone(Sum(Finite(2),Finite(1)))"]
 SEEDS = range(30)
@@ -87,12 +88,6 @@ def test_ext1_realizes_the_reference_twists(expr):
         assert repr(got) == repr(reference_ext1(A, B)), (expr, seed)
         realized += len(got[1])
     assert realized > 0
-
-
-def _cone_parts(F):
-    if isinstance(F.space, Sum):
-        return _cone_parts(F.data[0]) + _cone_parts(F.data[1])
-    return [F] if isinstance(F.space, Cone) else []
 
 
 @pytest.mark.parametrize("expr", ["Sum(Cone(Finite(1)),Finite(2))",
