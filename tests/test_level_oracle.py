@@ -29,11 +29,11 @@ import random
 import pytest
 
 from stonesheaf.catalog import o2_dihedral_block, t2_block
-from stonesheaf.space import Finite, Sum, cb_rank, parse_space
+from stonesheaf.space import Finite, Sum, cb_rank, height, iter_points, parse_space
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
     GroupError, GrpHom, cone_structure, constant_structure, cyclic_group, direct_product,
-    fin_structure, germ_component, hom_between, identity_hom, level_germ, level_group,
+    equivariant_adelic, fin_structure, germ_component, hom_between, identity_hom, level_germ, level_group,
     sum_structure, top_group, trivial_group, trivial_structure)
 from test_pathway_golden import SPACES
 
@@ -89,6 +89,21 @@ def _hom_between(cs, b, a):
     return _hom_between(cs.data[2], b, a)
 
 
+def _chain_to_top(cs, addr):
+    """The per-point chain: the composite of the structure homomorphisms from
+    the group at the point `addr` up to the top group of `cs`."""
+    if cs.data[0] == "fin":
+        return identity_hom(cs.data[1][addr[1]])
+    if cs.data[0] == "sum":
+        return _chain_to_top(cs.data[1] if addr[0] == "L" else cs.data[2], addr[1])
+    exc, tail_cs, apex_group, up = cs.cone_parts()
+    if addr[0] == "apex":
+        return identity_hom(apex_group)
+    if addr[1] in exc:
+        raise GroupError("exceptional copies are outside the apex neighbourhood")
+    return _chain_to_top(tail_cs, addr[2]).compose(up)
+
+
 @functools.cache
 def homs(G, H) -> tuple:
     """Every homomorphism G -> H, found by trying every value table."""
@@ -127,6 +142,30 @@ def _nodes(cs):
         exc, tail_cs, _apex, _up = cs.cone_parts()
         for sub in (*exc.values(), tail_cs):
             yield from _nodes(sub)
+
+
+def chain_misses(cs) -> list:
+    """(cone node, tail point) wherever the table's homomorphism into a cone
+    node's apex from the point's height is not the point's chain."""
+    misses = []
+    for node in _nodes(cs):
+        if node.data[0] != "cone":
+            continue
+        _exc, tail_cs, _apex, up = node.cone_parts()
+        for y in iter_points(tail_cs.space, 1):
+            chain = _chain_to_top(tail_cs, y.addr).compose(up)
+            if hom_between(node, height(tail_cs.space, y), cb_rank(node.space)) != chain:
+                misses.append((str(node.space), str(y)))
+    return misses
+
+
+def accepts(cs) -> bool:
+    """Whether `equivariant_adelic` builds a complex on `cs`."""
+    try:
+        equivariant_adelic(cs.space, cs)
+    except GroupError:
+        return False
+    return True
 
 
 def _structures():
@@ -170,3 +209,21 @@ def test_seeded_structures_reach_uneven_sum_tails_and_copies():
     # reached from a height that the other part reaches first
     assert any(cs.data[0] == "sum" and hom_between(cs, 0, cb_rank(cs.space)).target
                != level_group(cs, cb_rank(cs.space)) for cs in seeded)
+
+
+@pytest.mark.parametrize("name, cs", STRUCTURES, ids=[n for n, _ in STRUCTURES])
+def test_the_table_reaches_every_tail_point_by_its_chain(name, cs):
+    assert not (accepts(cs) and chain_misses(cs))
+
+
+def seeded_family():
+    for i, expr in enumerate(SEEDED_SPACES):
+        rng = random.Random(900 + i)
+        for _ in range(50):
+            yield draw_structure(parse_space(expr), rng)
+
+
+def test_the_table_reaches_every_tail_point_over_the_seeded_family():
+    accepted = [cs for cs in seeded_family() if accepts(cs)]
+    assert [chain_misses(cs) for cs in accepted if chain_misses(cs)] == []
+    assert len(accepted) == 138
