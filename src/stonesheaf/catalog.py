@@ -387,16 +387,6 @@ def t2_block(split: bool = True, n_circles: int = 6):
                                "distinguished": e if not split else None}
 
 
-def tower_component_maps(block) -> list:
-    """The component maps along each stored divisibility tower."""
-    out = []
-    for k, tower in block["towers"].items():
-        S = block["circles"][k]
-        for F in tower:
-            out.append(component_map(F, S))
-    return out
-
-
 def cospan_shape(space: SpaceExpr):
     """The punctured three-cube of splicing rings of a rank-2 space, plus a
     checker for the cocartesian (extension) condition of diagram modules."""

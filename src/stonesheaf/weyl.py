@@ -2,8 +2,9 @@
 
 A component structure assigns a finite group to each point, tail-uniformly:
 one group per cone level beyond finitely many exceptional copies, with a
-structure homomorphism from each level's group up to the enclosing apex
-group.  Its level table (`_levels`) holds, per height a, the group at the
+structure homomorphism from each tail's top group up to its cone's apex
+group.  The structure maps between points are composites of these, and the
+level table (`_levels`) is their one model: per height a, the group at the
 generic points of height a and the homomorphism into it from each lower
 height b; a sum takes height a from its first part that reaches a, but the
 homomorphism from b in its own top row from its first part that reaches b.
@@ -11,9 +12,13 @@ The attached sheaf of group rings has the group ring as stalk and germ
 components that restrict coefficients to the image of the structure
 homomorphism and then average over its kernel; with that normalization the
 components are multiplicative and the generator construction extends stalk
-elements consistently.  The components must also compose along the levels
-for the cube differentials to square to zero; `EqAdelicComplex` checks that
-on the level table of every cone in its structure.
+elements consistently.
+
+`EqAdelicComplex` takes only a structure that its table resolves
+(`validate_structure_levels`, run at every cone): every point of the tail
+must reach the apex by the table's homomorphism from its height, so no
+summand of a sum tail carries a chain of its own, and the germ components
+must compose along the table, for the cube differentials to square to zero.
 
 Every walk over a whole equivariant sheaf is one recursion, `_equivwise`,
 which follows the component structure and reads sheaves, sheaf maps,
@@ -211,8 +216,9 @@ class ComponentStructure:
     Over a cone: exceptional copies with their own structures, one tail
     structure shared by the remaining copies, the apex group, and the
     structure homomorphism from the tail's top-level group into the apex
-    group.  Deeper maps to the apex are composites, so transitivity holds
-    by construction and is probed by tests.
+    group.  Deeper maps to the apex are composites, read from the level
+    table; the equivariant complex refuses a structure whose table does not
+    give every tail point its composite (`validate_structure_levels`).
     """
 
     space: SpaceExpr
@@ -309,99 +315,6 @@ def constant_structure(space: SpaceExpr, G: FinGroup) -> ComponentStructure:
     return cone_structure(space, {}, tail, G, identity_hom(G))
 
 
-def structure_hom(cs: ComponentStructure, x: Point, y: Point) -> GrpHom:
-    """The transition homomorphism from the group at y into the group at x,
-    for y in the canonical neighbourhood of x (composites along the levels)."""
-    validate_point(cs.space, x)
-    validate_point(cs.space, y)
-    return _hom_addr(cs, x.addr, y.addr)
-
-
-def _hom_addr(cs, xaddr, yaddr):
-    if cs.data[0] == "fin":
-        if xaddr != yaddr:
-            raise GroupError("isolated points see only themselves")
-        return identity_hom(cs.data[1][xaddr[1]])
-    if cs.data[0] == "sum":
-        if xaddr[0] != yaddr[0]:
-            raise GroupError("points lie in different summands")
-        return _hom_addr(cs.data[1] if xaddr[0] == "L" else cs.data[2],
-                         xaddr[1], yaddr[1])
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    if xaddr[0] == "apex":
-        if yaddr[0] == "apex":
-            return identity_hom(apex_group)
-        k = yaddr[1]
-        if k in exc:
-            raise GroupError("exceptional copies are outside the apex neighbourhood")
-        inner = _hom_to_top(tail_cs, yaddr[2])
-        return inner.compose(up)
-    if yaddr[0] == "apex" or xaddr[1] != yaddr[1]:
-        raise GroupError("point is outside the neighbourhood")
-    sub = exc.get(xaddr[1], tail_cs)
-    return _hom_addr(sub, xaddr[2], yaddr[2])
-
-
-def _hom_to_top(cs, yaddr):
-    """The composite homomorphism from the group at y to the top group."""
-    if cs.data[0] == "fin":
-        return identity_hom(cs.data[1][yaddr[1]])
-    if cs.data[0] == "sum":
-        return _hom_to_top(cs.data[1] if yaddr[0] == "L" else cs.data[2], yaddr[1])
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    if yaddr[0] == "apex":
-        return identity_hom(apex_group)
-    if yaddr[1] in exc:
-        raise GroupError("exceptional copies are outside the apex neighbourhood")
-    return _hom_to_top(tail_cs, yaddr[2]).compose(up)
-
-
-def check_transitivity(cs: ComponentStructure) -> bool:
-    """i_z^x = i_y^x ∘ i_z^y on representable triples (z near y near x)."""
-    return _trans_rec(cs)
-
-
-def _trans_rec(cs) -> bool:
-    if cs.data[0] == "fin":
-        return True
-    if cs.data[0] == "sum":
-        return _trans_rec(cs.data[1]) and _trans_rec(cs.data[2])
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    if not all(_trans_rec(sub) for sub in exc.values()) or not _trans_rec(tail_cs):
-        return False
-    # triples apex > y > z inside one generic tail copy
-    x = apex_point()
-    k = (max(exc) + 1) if exc else 0
-    for yaddr, zaddr in _nested_pairs(tail_cs):
-        y = copy_point(k, Point(yaddr))
-        z = copy_point(k, Point(zaddr))
-        i_zy = _hom_addr(tail_cs, yaddr, zaddr)
-        i_yx = _hom_addr(cs, x.addr, y.addr)
-        i_zx = _hom_addr(cs, x.addr, z.addr)
-        if i_zy.compose(i_yx).values != i_zx.values:
-            return False
-    return True
-
-
-def _nested_pairs(cs):
-    """Pairs (y, z) with z in the canonical neighbourhood of y."""
-    if cs.data[0] == "fin":
-        for i in range(len(cs.data[1])):
-            yield ("fin", i), ("fin", i)
-        return
-    if cs.data[0] == "sum":
-        for y, z in _nested_pairs(cs.data[1]):
-            yield ("L", y), ("L", z)
-        for y, z in _nested_pairs(cs.data[2]):
-            yield ("R", y), ("R", z)
-        return
-    exc, tail_cs, apex_group, up = cs.cone_parts()
-    yield ("apex",), ("apex",)
-    for y, z in _nested_pairs(tail_cs):
-        yield ("apex",), ("copy", 0, z)
-        yield ("copy", 0, y), ("copy", 0, z)
-
-
 # ---------------------------------------------------------------------------
 # group rings and the germ components
 
@@ -461,15 +374,6 @@ def germ_component(hom: GrpHom) -> LinMap:
                     col[h] += c
         cols.append(tuple(col))
     return LinMap.from_cols(Vx, Vy, cols)
-
-
-def check_germ_functorial(i1: GrpHom, i2: GrpHom) -> bool:
-    """Whether germ components compose along a tower (needs the kernel of
-    the upper map inside the image of the lower one)."""
-    composite = i1.compose(i2)
-    lhs = germ_component(composite)
-    rhs = germ_component(i2).then(germ_component(i1))
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +518,33 @@ def hom_between(cs: ComponentStructure, b: int, a: int) -> GrpHom:
     return _row(cs, a)[1][b]
 
 
-def validate_structure_levels(cs: ComponentStructure) -> bool:
-    """Germ components must compose along the level table of every cone in
-    `cs` (the kernel of each upper map inside the image below); holds for
-    surjective towers."""
+def validate_structure_levels(cs: ComponentStructure):
+    """Raise `GroupError` unless the level table of every cone in `cs`
+    resolves it: every point of the tail reaches the apex by the table's
+    homomorphism from its height, and the germ components compose along the
+    table (the kernel of each upper map inside the image below; holds for
+    surjective towers).  The cones inside the tail are checked first, so a
+    point of a summand reaches the summand's top group by the summand's own
+    table, which composed with `up` must then be the cone's."""
+    if cs.data[0] == "sum":
+        for part in cs.data[1:]:
+            validate_structure_levels(part)
     if cs.data[0] != "cone":
-        return cs.data[0] == "fin" or all(map(validate_structure_levels, cs.data[1:]))
-    exc, tail_cs, _g, _u = cs.cone_parts()
+        return
+    exc, tail_cs, _g, up = cs.cone_parts()
+    for sub in (*exc.values(), tail_cs):
+        validate_structure_levels(sub)
     r = cb_rank(cs.space)
-    return (all(map(validate_structure_levels, (*exc.values(), tail_cs))) and
-            all(level_germ(cs, b, a) == level_germ(cs, c, a).then(level_germ(cs, b, c))
-                for a in range(2, r + 1) for c in range(1, a) for b in range(c)))
+    nodes = [tail_cs]       # the tail and its summands, through nested sums
+    for node in nodes:
+        if node.data[0] == "sum":
+            nodes += node.data[1:]
+    if any(h.compose(up) != hom_between(cs, b, r)
+           for node in nodes for b, h in enumerate(_levels(node)[1])):
+        raise GroupError("a tail point does not reach the apex by the level table")
+    if not all(level_germ(cs, b, a) == level_germ(cs, c, a).then(level_germ(cs, b, c))
+               for a in range(2, r + 1) for c in range(1, a) for b in range(c)):
+        raise GroupError("germ components do not compose along the levels")
 
 
 def level_germ(cs: ComponentStructure, b: int, a: int) -> LinMap:
@@ -901,8 +821,7 @@ class EqAdelicComplex(AdelicComplex):
 
     def __post_init__(self):
         require_uniform_levels(self.cs, "equivariant complexes")
-        if not validate_structure_levels(self.cs):
-            raise GroupError("germ components do not compose along the levels")
+        validate_structure_levels(self.cs)
 
 
 def require_uniform_levels(cs: ComponentStructure, what: str):

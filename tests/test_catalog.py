@@ -9,8 +9,9 @@ from stonesheaf.catalog import (
     complement_vector, component_map, cospan_shape, divisor_sigma, hnf_of,
     lattice_contains, line_lattice, nonsplit_filter, o2_dihedral_block,
     o2_normalizer_order_ratio, o2_weyl_group, p1q_coordinates, sublattices,
-    t2_block, weyl_of_subgroup, tower_component_maps)
-from stonesheaf.weyl import check_transitivity, validate_structure_levels
+    t2_block, weyl_of_subgroup)
+from stonesheaf.weyl import validate_structure_levels
+from test_level_oracle import chain_misses
 
 
 # -- the dihedral block -------------------------------------------------------
@@ -30,8 +31,8 @@ def test_block_space_has_rank_one():
     space, labels, cs = o2_dihedral_block(4)
     assert cb_rank(space) == 1
     assert labels[("copy", 1, ("fin", 0))] == "D_4"
-    assert check_transitivity(cs)
-    assert validate_structure_levels(cs)
+    assert chain_misses(cs) == []
+    validate_structure_levels(cs)
 
 
 def test_normalizer_oracle_values():
@@ -174,9 +175,10 @@ def test_p1q_vertical():
 def test_t2_split_block():
     space, labels, cs, data = t2_block(split=True, n_circles=4)
     assert cb_rank(space) == 2
-    assert check_transitivity(cs)
-    assert validate_structure_levels(cs)
-    maps = tower_component_maps(data)
+    assert chain_misses(cs) == []
+    validate_structure_levels(cs)
+    maps = [component_map(F, data["circles"][k])
+            for k, tower in data["towers"].items() for F in tower]
     assert maps and all(len(m.values) == 4 for m in maps)
 
 
@@ -186,7 +188,7 @@ def test_t2_nonsplit_block():
     for k, tower in data["towers"].items():
         for F in tower:
             assert lattice_contains(e, F.lattice)
-    assert check_transitivity(cs)
+    assert chain_misses(cs) == []
 
 
 def test_tower_maps_stabilize():

@@ -34,11 +34,12 @@ from stonesheaf.sheaf import (
     Section, germ_section, identity_map, make_cone_map, make_fin_map, make_sum_map, sec_eval,
     sec_from_coords, sec_space, sec_to_coords, stalk_map)
 from stonesheaf.space import (
-    Cone, Finite, Sum, apex_point, copy_point, iter_points, parse_space)
+    Cone, Finite, Sum, copy_point, iter_points, parse_space)
 from stonesheaf.weyl import (
     EquivCSheaf, GroupError, cone_structure, constant_structure, cyclic_group,
     direct_product, generator_epi, group_ring_sheaf, make_equiv, random_equiv_sheaf,
-    structure_hom, trivial_equiv, trivial_group, trivial_hom, trivial_structure)
+    trivial_equiv, trivial_group, trivial_hom, trivial_structure)
+from test_level_oracle import chain_to_top
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def ref_germ_eq(sheaf, cs, reps) -> bool:
     _, excreps, tail_reps, apex_rep = reps
     k = max([kk for kk, _ in sheaf.data[1]] + [-1]) + 1
     for y in iter_points(sheaf.space.base, 1):
-        hom = structure_hom(cs, apex_point(), copy_point(k, y))
+        hom = chain_to_top(cs, copy_point(k, y).addr)
         rep_y = ref_rep_addr(sheaf.tail, tail_cs, tail_reps, y.addr)
         for i in range(sheaf.apex.dim):
             a = sheaf.apex.basis_vec(i)

@@ -20,14 +20,24 @@
   object, so structures equal up to group names keep their own names.
 * The equivariant rings and complexes accept only structures with one group
   per level, also across the summands of a sum, and `random_equiv_sheaf`
-  refuses rank >= 2 before it draws.
+  refuses rank >= 2 before it draws.  The tail predicate of
+  `cone_structure` (equal top groups) and the complex's (one group per
+  shared height) disagree both ways on `Sum(Finite(1), Cone(Finite(1)))`
+  with C2 on `Finite(1)`: with C3 -> C2 on the cone, `cone_structure` takes
+  it as a tail and the complex refuses the cone over it; with C2 -> C3, the
+  complex takes it as a root sum and `cone_structure` refuses it as a tail.
 * The germ check runs at every cone of a structure, not on the root's rows:
   it refuses a sum whose right cone does not compose though the root's
   rows do (without the check d∘d is not zero there), and it accepts a sum
   whose root rows do not compose though every cone's do (d∘d is zero and
-  seeded cocycles are witnessed).  Every seeded level-uniform structure of
-  `test_level_oracle.draw_structure` that `equivariant_adelic` accepts has
-  d∘d = 0 on cochains drawn per flag by `test_pathway_golden`'s drawer.
+  seeded cocycles are witnessed).  It refuses a sum tail whose summand
+  reaches the apex by a chain the table does not hold (C2×C2 on
+  `Cone(Sum(Cone(Finite(1)),Finite(1)))`, where the sheaf of group rings
+  follows the summand's chain and the table the other summand's), and
+  accepts the same shape once the chains agree.  Every seeded level-uniform
+  structure of `test_level_oracle.draw_structure` that `equivariant_adelic`
+  accepts has d∘d = 0 on cochains drawn per flag by `test_pathway_golden`'s
+  drawer.
 * `check_germ_equivariance` and the generators read spread sections point
   by point: a sign action at an apex over trivial stalks is caught, and
   the generators of random sheaves over a two-point base are valid,
@@ -62,14 +72,15 @@ from stonesheaf.serialize import SerializeError
 from stonesheaf.linalg import rank as map_rank
 from stonesheaf.sheaf import (
     check_sheaf_map, constant, make_cone_map, make_cone_sheaf, make_fin_map, sec_space,
-    skyscraper, stalk_map, zero_map)
-from stonesheaf.space import Cone, Finite, Sum, apex_point, copy_point, fin_point, parse_space
+    germ_section, sec_eval, skyscraper, stalk_map, zero_map)
+from stonesheaf.space import (
+    Cone, Finite, Sum, apex_point, copy_point, fin_point, parse_space, right_point)
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
-    FinGroup, GroupError, average_stalk, cone_structure, constant_structure, cyclic_group,
-    direct_product, eq_random_cocycle, eq_unit, eq_zero, equivariant_adelic, fin_structure,
-    germ_component, group_ring_sheaf, hom_between, identity_hom, level_germ, make_equiv,
-    random_equiv_sheaf, sum_structure, trivial_group, trivial_hom)
+    FinGroup, GroupError, GrpHom, average_stalk, cone_structure, constant_structure,
+    cyclic_group, direct_product, eq_random_cocycle, eq_unit, eq_zero, equivariant_adelic,
+    fin_structure, germ_component, group_ring_sheaf, hom_between, identity_hom, level_germ,
+    make_equiv, random_equiv_sheaf, sum_structure, trivial_group, trivial_hom)
 from test_level_oracle import GROUPS, SEEDED_SPACES, draw_structure
 from test_pathway_golden import _random_eq_cochain
 
@@ -342,6 +353,33 @@ def test_sum_summands_need_one_group_per_shared_level():
     doc["structure"] = ser.structure_to_json(mixed)
     with pytest.raises(SerializeError, match="level-uniform"):
         ser.eqcfun_from_json(doc)
+    # the two uniformity predicates disagree both ways on one uneven sum:
+    # `cone_structure` takes Sum(Finite(1)[C2], Cone(Finite(1))[C3 -> C2]) as
+    # a tail (equal top groups), and the complex refuses it (C2 and C3 at
+    # height 0); with C2 -> C3 instead, the complex takes it as a root sum
+    # (one group per shared height), and `cone_structure` refuses it as a tail
+    uneven, X1 = Sum(Finite(1), Cone(Finite(1))), Cone(Finite(1))
+    for low, top in [(C3, C2), (C2, C3)]:
+        cs = sum_structure(uneven, fin_structure(Finite(1), [C2]),
+                           cone_structure(X1, {}, fin_structure(Finite(1), [low]), top,
+                                          trivial_hom(low, top)))
+        assert weyl._uniform(cs) == (top == C2) == (not weyl._uniform_levels(cs))
+    coned = Cone(uneven)
+    tail = sum_structure(uneven, fin_structure(Finite(1), [C2]),
+                         cone_structure(X1, {}, fin_structure(Finite(1), [C3]), C2,
+                                        trivial_hom(C3, C2)))
+    cs = cone_structure(coned, {}, tail, C2, identity_hom(C2))
+    for build in (eq_unit, eq_zero):
+        with pytest.raises(GroupError, match="level-uniform"):
+            build(coned, (0,), cs)
+    with pytest.raises(GroupError, match="level-uniform"):
+        equivariant_adelic(coned, cs)
+    root = sum_structure(uneven, fin_structure(Finite(1), [C2]),
+                         cone_structure(X1, {}, fin_structure(Finite(1), [C2]), C3,
+                                        trivial_hom(C2, C3)))
+    equivariant_adelic(uneven, root)
+    with pytest.raises(GroupError, match="tail structures must be level-uniform"):
+        cone_structure(coned, {}, root, C2, identity_hom(C2))
     # the catalog's blocks carry one group per level and stay accepted
     for space, _labels, cs, *_towers in [o2_dihedral_block(n) for n in (3, 4, 6)] + [t2_block()]:
         equivariant_adelic(space, cs)
@@ -391,6 +429,31 @@ def test_germ_check_accepts_a_sum_whose_cones_compose():
         for _ in range(3):
             z = eq_random_cocycle(cx, degree, rng)
             assert cx.differential(cx.exactness_witness(z, degree), degree - 1) == z
+
+
+def test_germ_check_refuses_a_sum_tail_whose_summand_has_its_own_chain():
+    """C2×C2 at every point of Cone(Sum(X1, Finite(1))).  With the map
+    (0, 2, 1, 3) at the inner cone, the table reaches height 0 through X1,
+    by (0, 3, 0, 3), while the point of `Finite(1)` reaches the apex by the
+    outer map (0, 0, 3, 3) alone, as the sheaf of group rings does; with the
+    identity there both agree and the complex is built."""
+    K4 = direct_product(cyclic_group(2), cyclic_group(2))
+    space = Cone(Sum(X1, Finite(1)))
+    x = right_point(fin_point(0))     # the point of Finite(1) in the tail
+
+    def structure(inner):
+        cone = cone_structure(X1, {}, _fin(K4), K4, GrpHom(K4, K4, inner))
+        return cone_structure(space, {}, sum_structure(space.base, cone, _fin(K4)),
+                              K4, GrpHom(K4, K4, (0, 0, 3, 3)))
+    cs = structure((0, 2, 1, 3))
+    assert hom_between(cs, 0, 2).values == (0, 3, 0, 3)
+    ring = group_ring_sheaf(cs).sheaf
+    e0 = ring.apex.basis_vec(0)
+    assert sec_eval(ring.tail, germ_section(ring, e0), x) == (Fraction(1, 2), Fraction(1, 2), 0, 0)
+    assert level_germ(cs, 0, 2).apply(e0) == (Fraction(1, 2), 0, Fraction(1, 2), 0)
+    with pytest.raises(GroupError, match="a tail point does not reach the apex by the level table"):
+        equivariant_adelic(space, cs)
+    equivariant_adelic(space, structure((0, 1, 2, 3)))
 
 
 def test_accepted_structures_square_to_zero():
