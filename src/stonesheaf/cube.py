@@ -28,12 +28,12 @@ from types import MappingProxyType
 
 from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, direct_sum_space
 from .space import (
-    Finite, SpaceExpr, Sum, cb_rank, Point, validate_point, height)
+    Finite, SpaceExpr, Sum, cb_rank, Point, height)
 from .adelic import (
     CFun, Flag, RATIONAL, _canon, check_flag, insert_height, flags_of_size,
     sign_pos, all_flags)
 from .sheaf import (
-    CSheaf, Section, SheafMap, constant, constant_section, make_cone_sheaf, make_sum_sheaf,
+    CSheaf, Section, constant, constant_section, make_cone_sheaf, make_sum_sheaf,
     make_cone_map, make_fin_map, make_sum_map, sec_space, sec_dim, zero_sheaf,
     zero_map, stalk, stalk_map, sec_canonical, _sectionwise, _tensor_vec)
 
@@ -70,13 +70,6 @@ def _ring_sheaf(space, flag):
     # finite-data coordinates are 1 (a ring sheaf stores no copies)
     S = sec_space(tail)
     return make_cone_sheaf(space, {}, tail, Q, LinMap.from_cols(Q, S, [(ONE,) * S.dim]))
-
-
-def ring_cube_map(space: SpaceExpr, flag: Flag, b: int) -> SheafMap:
-    """The unit map of ring sheaves inserting one height into a flag."""
-    new_flag = insert_height(flag, b)
-    check_flag(space, new_flag)
-    return _ring_cube_map(_ring_sheaf(space, flag), _ring_sheaf(space, new_flag), flag, b)
 
 
 def _ring_cube_map(F, G, flag, b):
@@ -216,12 +209,6 @@ def pushforward_open(O: OpenSheaf) -> CSheaf:
 
 # ---------------------------------------------------------------------------
 # stalkwise acyclicity of the cube
-
-
-def cube_stalk_complex(space: SpaceExpr, x: Point) -> FDComplex:
-    """The augmented complex of cube stalks at a point, with signs."""
-    validate_point(space, x)
-    return _cube_stalk_complex(space, _shared_cube(space), x)
 
 
 def _cube_stalk_complex(space, cube, x):

@@ -6,7 +6,7 @@
   * `edges`: `sheafmap_to_json` of every edge of `sheaf_cube`, by
     `flag+height`;
   * `stalk_checks`: the `stalkwise_cube_check` report at every point of
-    `iter_points(space, 2)`, with the differentials of `cube_stalk_complex`
+    `iter_points(space, 2)`, with the differentials of `_cube_stalk_complex`
     there (`linmap_to_json`, by source degree).
 
 `tests/golden/cube_rank1.json` and `cube_rank2.json` pin only dimensions;
@@ -21,7 +21,7 @@ import json
 import pathlib
 
 from stonesheaf import serialize as ser
-from stonesheaf.cube import cube_stalk_complex, sheaf_cube, stalkwise_cube_check
+from stonesheaf.cube import _cube_stalk_complex, _shared_cube, sheaf_cube, stalkwise_cube_check
 from stonesheaf.space import iter_points, parse_space
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cube.json"
@@ -36,7 +36,7 @@ def _flag(A) -> str:
 
 def _stalk_check(space, x) -> dict:
     rep = stalkwise_cube_check(space, x)
-    cx = cube_stalk_complex(space, x)
+    cx = _cube_stalk_complex(space, _shared_cube(space), x)
     return {"point": rep["point"], "height": rep["height"],
             "degeneracy_ok": rep["degeneracy_ok"], "exact": rep["exact"],
             "stalk_dims": {_flag(A): d for A, d in rep["stalk_dims"].items()},

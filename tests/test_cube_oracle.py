@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 
 from stonesheaf.adelic import all_flags, insert_height  # noqa: E402
-from stonesheaf.cube import ring_cube_map, ring_sheaf, sheaf_cube  # noqa: E402
+from stonesheaf.cube import ring_sheaf, sheaf_cube  # noqa: E402
 from stonesheaf.linalg import ONE, LinMap, VectQ  # noqa: E402
 from stonesheaf.sheaf import (  # noqa: E402
     constant, make_cone_map, make_cone_sheaf, make_fin_map, make_sum_map, make_sum_sheaf,
@@ -87,8 +87,9 @@ def _edges(space):
 def test_ring_sheaves_and_unit_maps_match_the_reference(s):
     for A in [()] + all_flags(cb_rank(s)):
         assert ring_sheaf(s, A) == reference_ring_sheaf(s, A), A
+    edges = sheaf_cube(s)["edges"]
     for A, b in _edges(s):
-        assert ring_cube_map(s, A, b) == reference_cube_map(s, A, b), (A, b)
+        assert edges[(A, b)] == reference_cube_map(s, A, b), (A, b)
 
 
 @SETTINGS

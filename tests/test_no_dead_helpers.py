@@ -5,6 +5,12 @@ must be referenced: its name must occur as a whole word somewhere in the
 Python files of `src/` or `tests/` outside its own definition, so a helper
 whose only caller is its own recursion counts as unreferenced.
 
+A public top-level function needs more: a reference in `src/` itself (a
+caller, or a re-export from `__init__.py`).  Only the names of
+`TEST_FACING`, each kept for callers outside the package and listed with
+its reason, may be called from tests alone, and each of them must still be
+such a name.
+
 Every parameter with a default value, in any function of
 `src/stonesheaf/*.py`, must be read somewhere in its function's body.
 
@@ -38,25 +44,55 @@ def definitions():
                         yield path, sub.lineno, sub.end_lineno, f"{node.name}.{sub.name}"
 
 
-def unreferenced() -> list[str]:
+# Public functions that no module of `src/` calls or re-exports.
+TEST_FACING = {
+    # the JSON codecs of the documented format (SCHEMA.md), one pair per type
+    "serialize.point_to_json", "serialize.point_from_json",
+    "serialize.clopen_to_json", "serialize.clopen_from_json",
+    "serialize.cfun_to_json", "serialize.cfun_from_json",
+    "serialize.label_to_json", "serialize.label_from_json",
+    "serialize.ses_to_json", "serialize.ses_from_json",
+    "serialize.equiv_to_json", "serialize.equiv_from_json",
+    "serialize.section_to_json", "serialize.section_from_json",
+    "serialize.eqcfun_to_json", "serialize.eqcfun_from_json",
+    "serialize.diagmod_to_json", "serialize.diagmod_from_json",
+    "serialize.loads_document",
+    # evaluation, sampling and probing entry points of the engine's data
+    "sheaf.sec_eval", "sheaf.random_section", "space.find_isolated",
+    "weyl.check_germ_equivariance",
+    # ring operations whose leaf sizing is still open (ROADMAP item 6)
+    "weyl.eq_zero", "weyl.eq_add", "weyl.eq_mul", "weyl.eq_dmap",
+}
+
+
+def unreferenced(tops=("src", "tests")) -> list[str]:
+    """`module.name` of every checked definition whose name occurs as a whole
+    word in the Python files under `tops` only inside its own definition."""
     words = Counter()
     lines = {}
     for top in ("src", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             lines[path] = path.read_text().splitlines()
-            for line in lines[path]:
-                words.update(WORD.findall(line))
+            if top in tops:
+                for line in lines[path]:
+                    words.update(WORD.findall(line))
     dead = []
     for path, first, last, name in definitions():
         short = name.rpartition(".")[2]
         own = sum(WORD.findall(line).count(short) for line in lines[path][first - 1:last])
         if words[short] == own:
-            dead.append(name)
+            dead.append(f"{path.stem}.{name}")
     return dead
 
 
 def test_every_function_and_method_is_referenced():
     assert unreferenced() == []
+
+
+def test_public_functions_are_referenced_in_src():
+    public = {name for name in unreferenced(("src",))
+              if "." not in name.partition(".")[2] and not name.partition(".")[2].startswith("_")}
+    assert public == TEST_FACING
 
 
 def unread_defaults() -> list[str]:
