@@ -90,8 +90,7 @@ def test_every_function_and_method_is_referenced():
 
 
 def test_public_functions_are_referenced_in_src():
-    public = {name for name in unreferenced(("src",))
-              if "." not in name.partition(".")[2] and not name.partition(".")[2].startswith("_")}
+    public = {name for name in unreferenced(("src",)) if re.fullmatch(r"\w+\.[^\W_]\w*", name)}
     assert public == TEST_FACING
 
 
