@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import Rat, ZERO, ONE, rat, rref
+from .linalg import LinMap, Rat, VectQ, ZERO, ONE, rat, rref
 from .space import Finite, SpaceExpr, Sum, cb_rank, ClopenSet, SpaceMismatch
 
 Flag = tuple[int, ...]
@@ -625,7 +625,8 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     A space whose rank is at most the degree has no rows.  A Sum maps each
     part's columns into its own layout and merges the parts' rows by pivot:
     the maps are monotone and d is block-diagonal, so, RREF being unique,
-    that is the Sum's RREF.  Any other space is probed column by column.
+    that is the Sum's RREF.  Any other space is probed column by column,
+    through `LinMap.of`.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
@@ -648,17 +649,15 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
         return [], [], n
     targets = flags_of_size(r, degree + 2)
     m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
-    rows = [[] for _ in range(m)]
-    for i in range(n):
-        unit = tuple(ONE if j == i else ZERO for j in range(n))
+
+    def d(unit):
         image = _differential(L, space, cs, degree, _decode(L, space, cs, flags, exc_bound, unit))
         flat = []
         for B in targets:
             # dmap never enlarges exception support
             _coords_from_data(L, space, B, exc_bound, image[B], flat)
-        for row, x in zip(rows, flat, strict=True):
-            row.append(x)
-    red, pivots = rref(rows)
+        return flat
+    red, pivots = rref(LinMap.of(VectQ.make(n), VectQ.make(m), d).matrix)
     return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
             for row, p in zip(red, pivots)], pivots, n
 

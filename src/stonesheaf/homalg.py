@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    LinMap, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
+    LinMap, VectQ, ZERO, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso)
 from .space import Cone, Finite, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
@@ -35,7 +35,7 @@ from .sheaf import (
     check_sheaf_map, compose, direct_sum, cokernel, identity_map,
     make_cone_map, make_cone_sheaf, make_fin_sheaf, make_sum_map,
     make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
-    zero_map, _componentwise, _incl_first, _probe_points, _proj_second,
+    _componentwise, _incl_first, _probe_points, _proj_second,
     _quotient, _scale_by_locconst)
 
 
@@ -161,21 +161,10 @@ def hom_basis(F: CSheaf, G: CSheaf) -> list[SheafMap]:
     """A basis of the space of sheaf maps F -> G (rank <= 1 spaces)."""
     _require_rank1(F.space)
     params, build = _hom_parametrization(F, G)
-    if params == 0:
-        return []
-    cols = []
-    for i in range(params):
-        vec = [ZERO] * params
-        vec[i] = ONE
-        cols.append(_germ_residual(build(tuple(vec))))
-    src = VectQ.make(params, "h")
-    nres = len(cols[0])
-    if nres == 0:
-        basis = [src.basis_vec(i) for i in range(params)]
-    else:
-        tgt = VectQ.make(nres, "c")
-        basis = kernel_basis(LinMap.from_cols(src, tgt, cols))
-    return [build(v) for v in basis]
+    nres = len(_germ_residual(build((ZERO,) * params)))
+    residual = LinMap.of(VectQ.make(params, "h"), VectQ.make(nres, "c"),
+                         lambda v: _germ_residual(build(v)))
+    return [build(v) for v in kernel_basis(residual)]
 
 
 def random_hom(F: CSheaf, G: CSheaf, rng: random.Random) -> SheafMap:
@@ -245,11 +234,9 @@ def is_split(s: SES):
     C, B, proj = s.quo, s.mid, s.proj
     params, build = _hom_parametrization(C, B)
     probe = _probe_points(C.space, [C, B, proj])
-    if params == 0:
-        ok = all(st.dim == 0 for st in (stalk(C, x) for x in probe))
-        return (ok, zero_map(C, B) if ok else None)
 
-    def equations(r: SheafMap):
+    def equations(vec):
+        r = build(vec)
         rows = list(_germ_residual(r))
         comp = compose(r, proj)
         for x in probe:
@@ -258,21 +245,13 @@ def is_split(s: SES):
                 rows.extend(row)
         return rows
 
-    cols = []
-    for i in range(params):
-        vec = [ZERO] * params
-        vec[i] = ONE
-        cols.append(tuple(equations(build(tuple(vec)))))
-    target = []
-    nres = len(_germ_residual(build(tuple([ZERO] * params))))
-    target.extend([ZERO] * nres)
+    target = [ZERO] * len(_germ_residual(build((ZERO,) * params)))
     for x in probe:
         m = LinMap.identity(stalk(C, x))
         for row in m.matrix:
             target.extend(row)
-    src = VectQ.make(params, "r")
-    tgt = VectQ.make(len(target), "e")
-    x = solve(LinMap.from_cols(src, tgt, cols), tuple(target))
+    eqs = LinMap.of(VectQ.make(params, "r"), VectQ.make(len(target), "e"), equations)
+    x = solve(eqs, tuple(target))
     if x is None:
         return False, None
     return True, build(x)

@@ -120,8 +120,22 @@ class LinMap:
         cols = [tuple(rat(x) for x in col) for col in cols]
         if len(cols) != source.dim:
             raise DimensionError("column count does not match source dimension")
-        rows = tuple(tuple(col[i] for col in cols) for i in range(target.dim))
-        return LinMap(source, target, rows)
+        if any(len(col) != target.dim for col in cols):
+            raise DimensionError("column length does not match target dimension")
+        return LinMap(source, target, tuple(zip(*cols)) if cols else ((),) * target.dim)
+
+    @staticmethod
+    def of(source: VectQ, target: VectQ, f) -> "LinMap":
+        """The matrix of a linear f known only by its values: column i is
+        f(source.basis_vec(i)), with one call per basis vector in order.
+
+        >>> Q2, Q3 = VectQ.make(2), VectQ.make(3)
+        >>> m = LinMap.of(Q2, Q3, lambda v: (v[0], v[0] + v[1], 2 * v[1]))
+        >>> [[int(x) for x in row] for row in m.matrix]
+        [[1, 0], [1, 1], [0, 2]]
+        """
+        return LinMap.from_cols(source, target,
+                                [f(source.basis_vec(i)) for i in range(source.dim)])
 
     @staticmethod
     def zero(source: VectQ, target: VectQ) -> "LinMap":
@@ -310,8 +324,7 @@ def is_iso(m: LinMap) -> bool:
 def invert(m: LinMap) -> LinMap:
     if not is_iso(m):
         raise DimensionError("map is not invertible")
-    cols = [solve(m, m.target.basis_vec(i)) for i in range(m.target.dim)]
-    return LinMap.from_cols(m.target, m.source, cols)
+    return LinMap.of(m.target, m.source, lambda v: solve(m, v))
 
 
 def coords_in_span(basis: Sequence[Sequence[Rat]], v: Sequence[Rat]):

@@ -116,12 +116,8 @@ def section_localize(T: CSheaf, flag: Flag):
 
 def _section_localize(T, flag):
     M = mod_of_sheaf(T, flag)
-    S = sec_space(T)
-    cols = []
-    for i in range(S.dim):
-        sec = sec_from_coords(T, S.basis_vec(i))
-        cols.append(_localize_section(T, flag, M, sec.data))
-    return M, LinMap.from_cols(S, el_space(M), cols)
+    return M, LinMap.of(sec_space(T), el_space(M),
+                        lambda v: _localize_section(T, flag, M, sec_from_coords(T, v).data))
 
 
 def _localize_section(T, flag, M, data):
@@ -484,10 +480,7 @@ def _kappa_data(F: CSheaf):
         return ("sum", _kappa_data(F.data[0]), _kappa_data(F.data[1]))
     basis = image_basis(F.germ)
     Wp = VectQ.make(len(basis), "p")
-    cols = []
-    for i in range(F.apex.dim):
-        cols.append(coords_in_span(basis, F.germ.apply(F.apex.basis_vec(i))))
-    sigma_bar = LinMap.from_cols(F.apex, Wp, cols)
+    sigma_bar = LinMap.of(F.apex, Wp, lambda v: coords_in_span(basis, F.germ.apply(v)))
     return ("cone", F.data[1], F.tail, tuple(tuple(b) for b in basis),
             F.apex, sigma_bar)
 

@@ -151,9 +151,7 @@ def constant(space: SpaceExpr, d: int) -> CSheaf:
     if isinstance(space, Sum):
         return make_sum_sheaf(space, constant(space.left, d), constant(space.right, d))
     tail = constant(space.base, d)
-    germ = LinMap.from_cols(V, sec_space(tail),
-                            [sec_to_coords(tail, constant_section(tail, V.basis_vec(i)))
-                             for i in range(d)])
+    germ = LinMap.of(V, sec_space(tail), lambda v: sec_to_coords(tail, constant_section(tail, v)))
     return make_cone_sheaf(space, {}, tail, V, germ)
 
 
@@ -467,12 +465,8 @@ def sec_functor(f: SheafMap) -> LinMap:
     Raises `ValueError` when the image of a finite-data section deviates at
     a copy that the target does not store: no such map exists then."""
     F, G = f.source, f.target
-    cols = []
-    S = sec_space(F)
-    for i in range(S.dim):
-        s = sec_from_coords(F, S.basis_vec(i))
-        cols.append(sec_to_coords(G, apply_map(f, s)))
-    return LinMap.from_cols(S, sec_space(G), cols)
+    return LinMap.of(sec_space(F), sec_space(G),
+                     lambda v: sec_to_coords(G, apply_map(f, sec_from_coords(F, v))))
 
 
 def apply_map(f: SheafMap, s: Section) -> Section:
@@ -604,11 +598,8 @@ def _reencode_germ(F: CSheaf, new_tail: CSheaf) -> LinMap:
     """Express the germ map in the (possibly enlarged) tail section space."""
     if new_tail == F.tail:
         return F.germ
-    cols = []
-    for i in range(F.apex.dim):
-        s = germ_section(F, F.apex.basis_vec(i))
-        cols.append(sec_to_coords(new_tail, Section(new_tail, s.data)))
-    return LinMap.from_cols(F.apex, sec_space(new_tail), cols)
+    return LinMap.of(F.apex, sec_space(new_tail),
+                     lambda v: sec_to_coords(new_tail, Section(new_tail, germ_section(F, v).data)))
 
 
 def align_pair(F: CSheaf, G: CSheaf) -> tuple[CSheaf, CSheaf]:
@@ -755,10 +746,8 @@ def kernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     Ka, ia = _subspace(F.apex, kernel_basis(f.apex_map))
     # the germ section of each kernel apex vector, pulled back value by value
     # along the tail inclusion; it lists every copy that kt stores
-    cols = [sec_to_coords(kt, Section(kt, _sectionwise(
-        [F.tail], [germ_section(F, ia.apply(Ka.basis_vec(i))).data], [it_], _preimage)))
-        for i in range(Ka.dim)]
-    germ = LinMap.from_cols(Ka, sec_space(kt), cols)
+    germ = LinMap.of(Ka, sec_space(kt), lambda v: sec_to_coords(kt, Section(kt, _sectionwise(
+        [F.tail], [germ_section(F, ia.apply(v)).data], [it_], _preimage))))
     KF = make_cone_sheaf(F.space, {k: v[0] for k, v in exc.items()}, kt, Ka, germ)
     incl = make_cone_map(KF, F, {k: v[1] for k, v in exc.items()}, it_, ia, check=False)
     return KF, incl

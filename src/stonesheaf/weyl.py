@@ -581,9 +581,8 @@ def _gr_sheaf(cs) -> CSheaf:
     tail = _gr_sheaf(tail_cs)
     V = group_ring_space(apex_group)
     down = germ_component(up)
-    cols = [sec_to_coords(tail, Section(tail, _gr_spread(tail_cs, down.apply(V.basis_vec(w)))))
-            for w in apex_group.elements()]
-    germ = LinMap.from_cols(V, sec_space(tail), cols)
+    germ = LinMap.of(V, sec_space(tail), lambda v: sec_to_coords(
+        tail, Section(tail, _gr_spread(tail_cs, down.apply(v)))))
     exc_sheaves = {k: _gr_sheaf(sub) for k, sub in exc.items()}
     return make_cone_sheaf(space, exc_sheaves, tail, V, germ)
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from stonesheaf.linalg import (
-    FDComplex, LinMap, VectQ, ComplexError, homology_dims, kernel_basis, rank,
-    solve, invert, pullback)
+    FDComplex, LinMap, VectQ, ComplexError, DimensionError, homology_dims, kernel_basis,
+    rank, solve, invert, pullback)
 
 Q1 = VectQ.make(1)
 Q2 = VectQ.make(2)
@@ -132,3 +132,35 @@ def test_invert():
     m = LinMap.from_rows(Q2, Q2, [[1, 1], [0, 1]])
     inv = invert(m)
     assert m.then(inv) == LinMap.identity(Q2)
+
+
+def test_from_cols_checks_column_length():
+    with pytest.raises(DimensionError):
+        LinMap.from_cols(Q1, Q1, [(1, 2)])      # too long: not truncated
+    with pytest.raises(DimensionError):
+        LinMap.from_cols(Q1, Q2, [(1,)])        # too short
+    with pytest.raises(DimensionError):
+        LinMap.from_cols(Q2, Q1, [(1,)])        # one column too few
+    assert LinMap.from_cols(Q2, Q1, [(1,), (2,)]) == LinMap.from_rows(Q2, Q1, [[1, 2]])
+
+
+def test_of_recovers_a_map_from_its_values_random():
+    """Column i of `LinMap.of(S, T, f)` is f at the i-th basis vector, so
+    probing a map's own `apply` gives the map back, 0-dimensional source
+    and target included."""
+    rng = random.Random(19)
+    dims = [(0, 0), (0, 2), (3, 0)] + [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(40)]
+    for n, m in dims:
+        src, tgt = VectQ.make(n, "s"), VectQ.make(m, "t")
+        mat = LinMap.from_rows(src, tgt, [[Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                                           for _ in range(n)] for _ in range(m)])
+        assert LinMap.of(src, tgt, mat.apply) == mat
+
+
+def test_of_probes_each_basis_vector_once_in_order():
+    seen = []
+    m = LinMap.of(Q3, Q1, lambda v: seen.append(v) or (sum(v),))
+    assert seen == [Q3.basis_vec(i) for i in range(3)]
+    assert m == LinMap.from_rows(Q3, Q1, [[1, 1, 1]])
+    with pytest.raises(DimensionError):
+        LinMap.of(Q2, Q2, lambda v: v[:1])
