@@ -70,11 +70,7 @@ def sign_pos(flag: Flag, b: int) -> int:
 
 def all_flags(rank: int) -> list[Flag]:
     """All nonempty flags on heights [0..rank], by size then lexicographically."""
-    out = []
-    for size in range(1, rank + 2):
-        for comb in itertools.combinations(range(rank, -1, -1), size):
-            out.append(tuple(comb))
-    return out
+    return [A for size in range(1, rank + 2) for A in flags_of_size(rank, size)]
 
 
 def flags_of_size(rank: int, size: int) -> list[Flag]:

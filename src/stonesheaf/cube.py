@@ -9,7 +9,9 @@ pattern: the stalk at a point of height a vanishes unless the flag starts
 at or below a, and adding any unused height at or below a changes nothing.
 
 `sheaf_cube` builds each ring sheaf once per cube, and each unit map of the
-cube walks the two ring sheaves already built at its ends.  The stalkwise
+cube is read off the two ring sheaves already built at its ends by
+`sheaf._componentwise`: the identity where their stalks agree, zero where
+the target's stalk vanishes.  The stalkwise
 check reads its complex off one cube per space, kept in a bounded memo of
 the most recently used spaces (`sheaf_cube` itself returns a fresh cube).
 
@@ -30,16 +32,12 @@ from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, direct_sum_space
 from .space import (
     Finite, SpaceExpr, Sum, cb_rank, Point, height)
 from .adelic import (
-    CFun, Flag, RATIONAL, _canon, check_flag, insert_height, flags_of_size,
+    CFun, Flag, RATIONAL, _canon, _is_zero_ring, check_flag, insert_height, flags_of_size,
     sign_pos, all_flags)
 from .sheaf import (
-    CSheaf, Section, constant, constant_section, make_cone_sheaf, make_sum_sheaf,
-    make_cone_map, make_fin_map, make_sum_map, sec_space, sec_dim, zero_sheaf,
-    zero_map, stalk, stalk_map, sec_canonical, _sectionwise, _tensor_vec)
-
-
-def _is_zero_flag(space, flag) -> bool:
-    return bool(flag) and flag[0] > cb_rank(space)
+    CSheaf, GermSquareError, Section, check_sheaf_map, constant, constant_section,
+    make_cone_sheaf, make_sum_sheaf, sec_space, sec_dim, zero_sheaf, stalk, stalk_map,
+    sec_canonical, _componentwise, _sectionwise, _tensor_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +51,7 @@ def ring_sheaf(space: SpaceExpr, flag: Flag) -> CSheaf:
 
 
 def _ring_sheaf(space, flag):
-    if _is_zero_flag(space, flag):
+    if _is_zero_ring(space, flag):
         return zero_sheaf(space)
     if isinstance(space, Finite):
         return constant(space, 1)
@@ -72,23 +70,14 @@ def _ring_sheaf(space, flag):
     return make_cone_sheaf(space, {}, tail, Q, LinMap.from_cols(Q, S, [(ONE,) * S.dim]))
 
 
-def _ring_cube_map(F, G, flag, b):
-    """The unit map from the built ring sheaf F of `flag` to the built ring
-    sheaf G of `flag` with b inserted, walking F and G."""
-    space = F.space
-    if _is_zero_flag(space, insert_height(flag, b)):
-        return zero_map(F, G)
-    if isinstance(space, Finite):
-        return make_fin_map(F, G, [LinMap.identity(sp) for sp in F.data])
-    if isinstance(space, Sum):
-        return make_sum_map(F, G, _ring_cube_map(F.data[0], G.data[0], flag, b),
-                            _ring_cube_map(F.data[1], G.data[1], flag, b))
-    r = cb_rank(space)
-    if b == r or (flag and flag[0] == r):
-        tailmap = zero_map(F.tail, G.tail)
-    else:
-        tailmap = _ring_cube_map(F.tail, G.tail, flag, b)
-    return make_cone_map(F, G, {}, tailmap, LinMap.identity(F.apex))
+def _ring_cube_map(F, G):
+    """The unit map from the built ring sheaf F of a flag to the built ring
+    sheaf G of that flag with one height inserted, checked against its apex
+    squares."""
+    f = _componentwise(F, G, [], lambda a, b: LinMap.identity(a) if a == b else LinMap.zero(a, b))
+    if not check_sheaf_map(f):
+        raise GermSquareError("apex square does not commute")
+    return f
 
 
 def sheaf_cube(space: SpaceExpr) -> dict:
@@ -98,7 +87,7 @@ def sheaf_cube(space: SpaceExpr) -> dict:
     r = cb_rank(space)
     flags = [()] + all_flags(r)
     sheaves = {A: _ring_sheaf(space, A) for A in flags}
-    edges = {(A, b): _ring_cube_map(sheaves[A], sheaves[insert_height(A, b)], A, b)
+    edges = {(A, b): _ring_cube_map(sheaves[A], sheaves[insert_height(A, b)])
              for A in flags for b in range(r + 1) if b not in A}
     return {"sheaves": sheaves, "edges": edges}
 
@@ -124,7 +113,7 @@ def section_to_cfun(space: SpaceExpr, flag: Flag, s: Section) -> CFun:
 
 
 def _stc(space, flag, data):
-    if _is_zero_flag(space, flag):
+    if _is_zero_ring(space, flag):
         return None
     if isinstance(space, Finite):
         return tuple(v[0] for v in data)
@@ -147,7 +136,7 @@ def cfun_to_section(f: CFun) -> Section:
 
 
 def _cts(space, flag, data):
-    if _is_zero_flag(space, flag):
+    if _is_zero_ring(space, flag):
         return constant_section(zero_sheaf(space), ()).data
     if isinstance(space, Finite):
         return tuple((v,) for v in data)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .linalg import (
     LinMap, VectQ, ZERO, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso)
-from .space import Cone, Finite, Sum, cb_rank, iter_points, Point
+from .space import Cone, Finite, SpaceMismatch, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
 from .sheaf import (
     CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
@@ -128,8 +128,11 @@ def is_isomorphism(f: SheafMap) -> bool:
 # Hom spaces on rank <= 1 spaces
 
 
-def _require_rank1(space):
-    if cb_rank(space) > 1:
+def _require_rank1(F: CSheaf, *others: CSheaf):
+    """Refuse sheaves over different spaces, and a space of rank above 1."""
+    if any(G.space != F.space for G in others):
+        raise SpaceMismatch("operation on sheaves over different spaces")
+    if cb_rank(F.space) > 1:
         raise ValueError("operation implemented for spaces of rank at most 1")
 
 
@@ -159,7 +162,7 @@ def _germ_residual(f: SheafMap):
 
 def hom_basis(F: CSheaf, G: CSheaf) -> list[SheafMap]:
     """A basis of the space of sheaf maps F -> G (rank <= 1 spaces)."""
-    _require_rank1(F.space)
+    _require_rank1(F, G)
     params, build = _hom_parametrization(F, G)
     nres = len(_germ_residual(build((ZERO,) * params)))
     residual = LinMap.of(VectQ.make(params, "h"), VectQ.make(nres, "c"),
@@ -230,7 +233,7 @@ def make_ses(incl: SheafMap, proj: SheafMap) -> SES:
 def is_split(s: SES):
     """Whether the sequence admits a retraction of its projection; returns
     (bool, section-of-proj or None).  Exact linear algebra on the record."""
-    _require_rank1(s.mid.space)
+    _require_rank1(s.mid)
     C, B, proj = s.quo, s.mid, s.proj
     params, build = _hom_parametrization(C, B)
     probe = _probe_points(C.space, [C, B, proj])
@@ -289,7 +292,7 @@ def ext1(A: CSheaf, B: CSheaf):
     disjoint unions contribute componentwise.
     """
     space = A.space
-    _require_rank1(space)
+    _require_rank1(A, B)
     if cb_rank(space) == 0:
         return VectQ.make(0, "x"), []
     if isinstance(space, Sum):
@@ -380,15 +383,10 @@ def extension_from_twist(A: CSheaf, B: CSheaf, twist: LinMap) -> SES:
 
 def ext1_dim(A: CSheaf, B: CSheaf) -> int:
     """dim Ext^1(A, B) on a rank <= 1 space: the dimension of the twist
-    quotient, summed over the parts of a disjoint union, without realizing
-    any extension."""
-    space = A.space
-    _require_rank1(space)
-    if cb_rank(space) == 0:
-        return 0
-    if isinstance(space, Sum):
-        return ext1_dim(A.data[0], B.data[0]) + ext1_dim(A.data[1], B.data[1])
-    return _twist_classes(A, B)[0].dim
+    quotient, summed over the cone parts of a disjoint union, without
+    realizing any extension."""
+    _require_rank1(A, B)
+    return sum(_twist_classes(a, b)[0].dim for a, b in zip(_cone_parts(A), _cone_parts(B)))
 
 
 def injective_hull_step(B: CSheaf):
@@ -415,17 +413,16 @@ def injective_hull_step(B: CSheaf):
 def ext2_dim(A: CSheaf, B: CSheaf) -> int:
     """dim Ext^2(A, B) on a rank <= 1 space, by dimension shifting along
     the two-step resolution: equals dim Ext^1(A, Q) minus the image from
-    Ext^1(A, I0); both vanish here, certifying injective dimension one."""
-    space = A.space
-    _require_rank1(space)
-    if cb_rank(space) == 0:
-        return 0
-    if isinstance(space, Sum):
-        return (ext2_dim(A.data[0], B.data[0]) + ext2_dim(A.data[1], B.data[1]))
-    emb, proj = injective_hull_step(B)
-    if ext1_dim(A, emb.target) != 0:
-        raise AssertionError("middle resolution term is not Ext-acyclic")
-    return ext1_dim(A, proj.target)
+    Ext^1(A, I0), summed over the cone parts of a disjoint union; both
+    vanish here, certifying injective dimension one."""
+    _require_rank1(A, B)
+    total = 0
+    for a, b in zip(_cone_parts(A), _cone_parts(B)):
+        emb, proj = injective_hull_step(b)
+        if ext1_dim(a, emb.target) != 0:
+            raise AssertionError("middle resolution term is not Ext-acyclic")
+        total += ext1_dim(a, proj.target)
+    return total
 
 
 def _cone_parts(F: CSheaf) -> list:
@@ -444,7 +441,7 @@ def injective_resolution_display(F: CSheaf) -> dict:
     constructible Ext machinery instead.  On a union the limit and generic
     stalk dimensions are lists, one entry per cone part, left to right.
     """
-    _require_rank1(F.space)
+    _require_rank1(F)
     parts = _cone_parts(F)
     apex_dim = [G.apex.dim for G in parts] or None
     tail_dims = [[stalk(G.tail, p).dim for p in iter_points(G.space.base)] for G in parts] or None

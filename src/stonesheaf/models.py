@@ -40,10 +40,10 @@ from .linalg import (
     LinMap, VectQ, ZERO, ONE, coords_in_span, direct_sum_space, image_basis,
     is_iso, kernel_basis, pullback, solve, invert)
 from .space import Finite, SpaceExpr, Sum, cb_rank
-from .adelic import Flag, check_flag, insert_height, all_flags, flags_of_size
+from .adelic import Flag, _is_zero_ring, check_flag, insert_height, all_flags, flags_of_size
 from .sheaf import (
     CSheaf, canonical, germ_section, make_cone_sheaf, make_fin_sheaf,
-    make_sum_sheaf, sec_from_coords, sec_space, _copy_default)
+    make_sum_sheaf, sec_from_coords, sec_space, _copy_default, _subspace)
 from .homalg import _require_rank1, gamma, recon_e
 
 
@@ -176,7 +176,7 @@ def _apply_pi_sigma(T, flag, generic, apexv):
 def mod_of_sheaf(F: CSheaf, flag: Flag) -> CMod:
     """The flag-vertex of the standard-model diagram of a sheaf."""
     space = F.space
-    if flag and flag[0] > cb_rank(space):
+    if _is_zero_ring(space, flag):
         return zero_mod(space, flag)
     check_flag(space, flag)
     if isinstance(space, Finite):
@@ -190,16 +190,10 @@ def mod_of_sheaf(F: CSheaf, flag: Flag) -> CMod:
         if not rest:
             return CMod(space, flag, ("apex", F.apex, _sec_ambient(F.tail), F.germ))
         ambient, pi = section_localize(F.tail, rest)
-        comp = F.germ.then(pi)
-        basis = image_basis(comp)
-        V = VectQ.make(len(basis), "g")
-        emb = LinMap.from_cols(V, el_space(ambient), [tuple(b) for b in basis])
+        V, emb = _subspace(el_space(ambient), image_basis(F.germ.then(pi)), "g")
         return CMod(space, flag, ("apex", V, ambient, emb))
     generic, pi = section_localize(F.tail, flag)
-    comp = F.germ.then(pi)
-    basis = image_basis(comp)
-    W = VectQ.make(len(basis), "w")
-    iota = LinMap.from_cols(W, el_space(generic), [tuple(b) for b in basis])
+    W, iota = _subspace(el_space(generic), image_basis(F.germ.then(pi)), "w")
     exc = tuple((k, mod_of_sheaf(G, flag)) for k, G in F.data[1])
     return CMod(space, flag, ("low", exc, generic, W, iota))
 
@@ -225,7 +219,7 @@ def loc_extend(M: CMod, b: int) -> tuple[CMod, LinMap]:
 def _loc_extend(M, b):
     new_flag = insert_height(M.flag, b)
     kind = M.payload[0]
-    if kind == "zero" or (new_flag and new_flag[0] > cb_rank(M.space)):
+    if kind == "zero" or _is_zero_ring(M.space, new_flag):
         N = zero_mod(M.space, new_flag)
         return N, LinMap.zero(el_space(M), el_space(N))
     check_flag(M.space, new_flag)
@@ -233,7 +227,7 @@ def _loc_extend(M, b):
         ln, lm = loc_extend(M.payload[1], b)
         rn, rm = loc_extend(M.payload[2], b)
         N = CMod(M.space, new_flag, ("sum", ln, rn))
-        return N, _block2(lm, rm, el_space(M), el_space(N))
+        return N, _block_many([lm, rm], el_space(M), el_space(N))
     r = cb_rank(M.space)
     if kind == "apex":
         V, ambient, emb = M.payload[1], M.payload[2], M.payload[3]
@@ -243,8 +237,7 @@ def _loc_extend(M, b):
             amb2, pi = loc_extend(ambient, b)
         comp = emb.then(pi)
         basis = image_basis(comp)
-        V2 = VectQ.make(len(basis), "g")
-        emb2 = LinMap.from_cols(V2, el_space(amb2), [tuple(x) for x in basis])
+        V2, emb2 = _subspace(el_space(amb2), basis, "g")
         cols = []
         for i in range(V.dim):
             w = coords_in_span(basis, comp.apply(V.basis_vec(i)))
@@ -254,7 +247,6 @@ def _loc_extend(M, b):
     _, exc, generic, W, iota = M.payload
     if b == r:
         N = CMod(M.space, new_flag, ("apex", W, generic, iota))
-        rows = []
         off = sum(el_space(m).dim for _, m in exc)
         E = el_space(M)
         mat = [[ZERO] * E.dim for _ in range(W.dim)]
@@ -265,18 +257,13 @@ def _loc_extend(M, b):
     gen2, pi = loc_extend(generic, b)
     comp = iota.then(pi)
     basis = image_basis(comp)
-    W2 = VectQ.make(len(basis), "w")
-    iota2 = LinMap.from_cols(W2, el_space(gen2), [tuple(x) for x in basis])
+    W2, iota2 = _subspace(el_space(gen2), basis, "w")
     wcols = [coords_in_span(basis, comp.apply(W.basis_vec(i))) for i in range(W.dim)]
     wmap = LinMap.from_cols(W, W2, wcols)
     N = CMod(M.space, new_flag,
              ("low", tuple((k, p[0]) for (k, _), p in zip(exc, parts)), gen2, W2, iota2))
     maps = [p[1] for p in parts] + [wmap]
     return N, _block_many(maps, el_space(M), el_space(N))
-
-
-def _block2(lm, rm, src, tgt):
-    return _block_many([lm, rm], src, tgt)
 
 
 def _block_many(maps, src, tgt):
@@ -468,7 +455,7 @@ class CompleteObj:
 
 def kappa(X: StandardObj) -> CompleteObj:
     """Complete the nub: store the germ image as idempotent-slice data."""
-    _require_rank1(X.record.space)
+    _require_rank1(X.record)
     return CompleteObj(X.record.space, _kappa_data(X.record))
 
 
@@ -497,17 +484,16 @@ def _tau_data(space, data) -> CSheaf:
         return make_sum_sheaf(space, _tau_data(space.left, data[1]),
                               _tau_data(space.right, data[2]))
     _, exc, tail, slice_basis, vertex, sigma_bar = data
-    Wp = VectQ.make(len(slice_basis), "p")
+    Wp, incl = _subspace(sec_space(tail), slice_basis, "p")
     P, pV, pW = pullback(sigma_bar, LinMap.identity(Wp))
     if P.dim != vertex.dim or not is_iso(pV):
         raise AssertionError("pullback nub does not match the vertex")
     sigma_w = invert(pV).then(pW)  # vertex -> slice coordinates (= sigma_bar)
-    incl = LinMap.from_cols(Wp, sec_space(tail), [tuple(b) for b in slice_basis])
     return make_cone_sheaf(space, dict(exc), tail, vertex, sigma_w.then(incl))
 
 
 def standard_of_sheaf(F: CSheaf) -> StandardObj:
-    _require_rank1(F.space)
+    _require_rank1(F)
     return StandardObj(canonical(F))
 
 

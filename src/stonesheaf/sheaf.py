@@ -16,9 +16,10 @@ copies; individual sections are finite records.  The fixed-format subspace
 with deviations only at the stored exceptional copies is the "finite-data"
 section space `sec_space`, which is what germ maps land in.
 
-Every map that is given stalk by stalk (zero, identity, composite, and in
-`homalg` the counit, the Hom parametrization and random combinations) is
-built by one recursion, `_componentwise`.  It visits the components in a
+Every map that is given stalk by stalk (zero, identity, composite, in
+`homalg` the counit, the Hom parametrization and random combinations, and
+in `cube` the unit maps between ring sheaves) is built by one recursion,
+`_componentwise`.  It visits the components in a
 fixed order: the stalks of a finite space by index, the left part of a sum
 before the right, and at a cone the copies by increasing key, then the tail,
 then the apex.  `apex_squares` is the one walk over the apex squares that

@@ -348,20 +348,11 @@ def cone_member_set(cs: ConeSet, s: Cone, k: int) -> ClopenSet:
 
 
 def singleton(s: SpaceExpr, p: Point) -> ClopenSet:
+    """The clopen {p} of a point of height 0: its first basic neighbourhood."""
     validate_point(s, p)
-    return _singleton_addr(s, p.addr)
-
-
-def _singleton_addr(s, addr):
-    if isinstance(s, Finite):
-        return FinSet(frozenset({addr[1]}))
-    if isinstance(s, Sum):
-        if addr[0] == "L":
-            return SumSet(_singleton_addr(s.left, addr[1]), empty_set(s.right))
-        return SumSet(empty_set(s.left), _singleton_addr(s.right, addr[1]))
-    if addr[0] == "apex":
+    if _height_addr(s, p.addr):
         raise MalformedPoint("an apex has no singleton clopen neighbourhood")
-    return make_cone_set(s, {addr[1]: _singleton_addr(s.base, addr[2])}, False)
+    return _nbhd_addr(s, p.addr, 0)
 
 
 def nbhd_basis(s: SpaceExpr, x: Point, n: int) -> ClopenSet:

@@ -70,7 +70,7 @@ from .adelic import (
     AdelicComplex, CFun, Flag, _dmap_data, _map_leaves, _sample_cocycle, _zip_data,
     check_flag, const_data, insert_height)
 from .sheaf import (
-    CSheaf, Section, SheafMap, check_sheaf_map, germ_section, make_cone_map,
+    CSheaf, Section, SheafMap, check_sheaf_map, constant_section, germ_section, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
     sec_functor, sec_space, sec_to_coords, stalk, stalk_map, _copy_default)
 
@@ -295,14 +295,7 @@ def _uniform(cs: ComponentStructure) -> bool:
 
 
 def trivial_structure(space: SpaceExpr) -> ComponentStructure:
-    one = trivial_group()
-    if isinstance(space, Finite):
-        return fin_structure(space, [one] * space.n)
-    if isinstance(space, Sum):
-        return sum_structure(space, trivial_structure(space.left),
-                             trivial_structure(space.right))
-    tail = trivial_structure(space.base)
-    return cone_structure(space, {}, tail, one, trivial_hom(one, one))
+    return constant_structure(space, trivial_group())
 
 
 def constant_structure(space: SpaceExpr, G: FinGroup) -> ComponentStructure:
@@ -582,19 +575,9 @@ def _gr_sheaf(cs) -> CSheaf:
     V = group_ring_space(apex_group)
     down = germ_component(up)
     germ = LinMap.of(V, sec_space(tail), lambda v: sec_to_coords(
-        tail, Section(tail, _gr_spread(tail_cs, down.apply(v)))))
+        tail, constant_section(tail, down.apply(v))))
     exc_sheaves = {k: _gr_sheaf(sub) for k, sub in exc.items()}
     return make_cone_sheaf(space, exc_sheaves, tail, V, germ)
-
-
-def _gr_spread(cs, v) -> tuple:
-    """The data of the pure-tail section with the value v, an element of the
-    group ring of this structure's top group, at every top-level point."""
-    if cs.data[0] == "fin":
-        return (v,) * cs.space.n
-    if cs.data[0] == "sum":
-        return (_gr_spread(cs.data[1], v), _gr_spread(cs.data[2], v))
-    return ("sec", (), v)
 
 
 def check_germ_equivariance(E: EquivCSheaf) -> bool:

@@ -9,6 +9,7 @@ import inspect
 
 import pytest
 
+from stonesheaf import models
 from stonesheaf.verify import (CRITERIA, check_adelic_exactness, check_catalog,
                                check_degeneration, check_dimension_one,
                                check_equivariance_suite, check_reconstruction,
@@ -44,6 +45,24 @@ def test_criterion_4_reconstruction():
 def test_criterion_5_dimension_one():
     _report("dimension-one suite: pullback/completion, support, splitness, Ext",
             check_dimension_one, seed=5, samples=100)
+
+
+def test_criterion_5_catches_support_detection_that_ignores_the_generic_copies(monkeypatch):
+    """Criterion 5 compares support detection with the shape of the sheaf,
+    not with a copy of the detector: a detector blind to the tail fails it."""
+    def blind(M):
+        kind = M.payload[0]
+        if kind == "zero":
+            return True
+        if kind == "fin":
+            return all(v.dim == 0 for v in M.payload[1])
+        if kind == "sum":
+            return blind(M.payload[1]) and blind(M.payload[2])
+        _, exc, _generic, W, _iota = M.payload
+        return W.dim == 0 and all(blind(m) for _, m in exc)
+    monkeypatch.setattr(models, "_support_zero", blind)
+    assert check_dimension_one(seed=5, samples=1) == (
+        False, "support detection disagreed with vanishing")
 
 
 def test_criterion_6_equivariance():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stonesheaf.linalg import LinMap, VectQ
-from stonesheaf.space import Cone, Finite, apex_point, parse_space
+from stonesheaf.space import Cone, Finite, SpaceMismatch, apex_point, parse_space
 from stonesheaf.sheaf import (
     constant, identity_map, make_cone_map, make_cone_sheaf, random_csheaf,
     sec_space, skyscraper, stalk_map, zero_map)
@@ -140,6 +140,21 @@ def test_rank1_operations_share_one_rank_guard(expr):
                  lambda: hom_basis(A, B), lambda: is_split(ses)):
         with pytest.raises(ValueError, match="^operation implemented for spaces of rank at most 1$"):
             call()
+
+
+@pytest.mark.parametrize("left, right", [
+    ("Cone(Finite(1))", "Cone(Finite(2))"),
+    ("Sum(Cone(Finite(1)),Finite(1))", "Cone(Finite(1))"),
+    ("Cone(Finite(1))", "Sum(Cone(Finite(1)),Finite(1))"),
+])
+def test_rank1_operations_refuse_sheaves_over_different_spaces(left, right):
+    """Hom and Ext of two sheaves over different spaces raise SpaceMismatch,
+    as `direct_sum` does, instead of pairing up parts of the two spaces."""
+    A, B = constant(parse_space(left), 1), constant(parse_space(right), 1)
+    for op in (hom_basis, ext1, ext1_dim, ext2_dim):
+        for F, G in [(A, B), (B, A)]:
+            with pytest.raises(SpaceMismatch, match="different spaces"):
+                op(F, G)
 
 
 # -- Hom spaces ---------------------------------------------------------------

@@ -20,9 +20,16 @@ package's re-exports, and `__future__` imports are exempt.
 
 No function body in `src/stonesheaf/*.py` may import: the modules import
 each other without cycles, so every import belongs at the top.
+
+No two top-level functions or methods of `src/stonesheaf/*.py` may have the
+same body up to the names of their parameters and their own name (for a
+recursion), docstrings aside: a second copy of a function is deleted in
+favour of the first.  The sets of functions that do share a body must equal
+`SAME_BODY`, where each is listed with its reason.
 """
 
 import ast
+import copy
 import pathlib
 import re
 from collections import Counter
@@ -159,3 +166,63 @@ def function_imports() -> list[str]:
 
 def test_no_function_imports():
     assert function_imports() == []
+
+
+# Functions and methods that may share a body, with the reason.
+SAME_BODY = {
+    # a sheaf and a map between sheaves store their cone parts alike
+    frozenset({"sheaf.CSheaf.tail", "sheaf.SheafMap.tail_map"}),
+    frozenset({"sheaf.CSheaf.apex", "sheaf.SheafMap.apex_map"}),
+    # the rank of the space of two unrelated records
+    frozenset({"adelic.AdelicComplex.rank", "models.DiagMod.rank"}),
+    # per-object memos, each an empty dict filled by its own function
+    frozenset({"models.CMod._extended", "sheaf.CSheaf._localized",
+               "weyl.ComponentStructure.kept"}),
+}
+
+
+class _Rename(ast.NodeTransformer):
+    def __init__(self, names):
+        self.names = names
+
+    def visit_Name(self, node):
+        node.id = self.names.get(node.id, node.id)
+        return node
+
+
+def body_shape(fn) -> str:
+    """`ast.dump` of a function's body without its docstring, its parameters
+    renamed by position and its own name renamed."""
+    a = fn.args
+    params = a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg]
+    names = {p.arg: f"_arg{i}" for i, p in enumerate(params) if p is not None}
+    names[fn.name] = "_self"
+    body = fn.body
+    if ast.get_docstring(fn) is not None:
+        body = body[1:]
+    return ast.dump(_Rename(names).visit(copy.deepcopy(ast.Module(body, []))))
+
+
+def functions():
+    """(`module.name`, node) of every top-level function and method of
+    `src/stonesheaf/*.py`, dunders included."""
+    for path in sorted((ROOT / "src" / "stonesheaf").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{sub.name}", sub
+
+
+def same_bodies() -> set[frozenset]:
+    """The sets of two or more functions and methods with equal bodies."""
+    groups = {}
+    for name, fn in functions():
+        groups.setdefault(body_shape(fn), set()).add(name)
+    return {frozenset(names) for names in groups.values() if len(names) > 1}
+
+
+def test_no_two_functions_share_a_body():
+    assert same_bodies() == SAME_BODY
