@@ -145,7 +145,7 @@ def test_rank1_operations_share_one_rank_guard(expr):
 @pytest.mark.parametrize("left, right", [
     ("Cone(Finite(1))", "Cone(Finite(2))"),
     ("Sum(Cone(Finite(1)),Finite(1))", "Cone(Finite(1))"),
-    ("Cone(Finite(1))", "Sum(Cone(Finite(1)),Finite(1))"),
+    ("Sum(Cone(Finite(1)),Cone(Finite(2)))", "Sum(Cone(Finite(2)),Cone(Finite(1)))"),
 ])
 def test_rank1_operations_refuse_sheaves_over_different_spaces(left, right):
     """Hom and Ext of two sheaves over different spaces raise SpaceMismatch,
