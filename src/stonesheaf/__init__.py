@@ -7,35 +7,3 @@ calculus and the cube of ring sheaves, the standard diagram model with its
 dimension-one completions, component structures with equivariant sheaves
 and generators, and the dihedral/torus example blocks.
 """
-
-from .linalg import (Rat, rat, VectQ, LinMap, FDComplex, homology_dims,
-                     kernel_basis, solve)
-from .space import (Finite, Sum, Cone, SpaceExpr, parse_space, cb_rank, Point,
-                    height, top_stratum, nbhd_basis, member, meet, join,
-                    complement, singleton, empty_set, full_set, apex_point,
-                    copy_point, fin_point)
-from .adelic import (Flag, CFun, AdelicComplex, build_complex, dmap, sign_pos,
-                     indicator, random_cocycle, random_cfun, all_flags)
-from .sheaf import (CSheaf, Section, SheafMap, constant, skyscraper,
-                    zero_sheaf, stalk, stalk_map, sections, extend_section,
-                    kernel, cokernel, direct_sum, tensor, canonical,
-                    sheaves_equal, random_csheaf)
-from .cube import (ring_sheaf, sheaf_cube, restrict_open, pushforward_open,
-                   section_to_cfun, cfun_to_section, stalkwise_cube_check)
-from .homalg import (gamma, recon_e, GammaModule, SES, make_ses, is_split,
-                     ext1, ext1_dim, ext2_dim, hom_basis, random_hom,
-                     is_isomorphism)
-from .models import (CMod, DiagMod, to_standard, from_standard,
-                     is_cocartesian, loc_extend, coreflect, kappa, tau,
-                     standard_of_sheaf, five_model_roundtrip, support_detect,
-                     mod_of_sheaf, limit_vertex)
-from .weyl import (FinGroup, GrpHom, ComponentStructure, EquivCSheaf,
-                   cyclic_group, direct_product, trivial_group,
-                   group_ring_sheaf, check_equivariance, average,
-                   equivariant_adelic, generator_epi, standard_generator,
-                   trivial_structure, constant_structure)
-from .catalog import (Lattice2, SubgroupLabel, o2_dihedral_block, sublattices,
-                      weyl_of_subgroup, component_map, nonsplit_filter,
-                      p1q_coordinates, cospan_shape, t2_block)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

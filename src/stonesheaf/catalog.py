@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .space import Cone, Finite, SpaceExpr, apex_point, cb_rank, copy_point, fin_point
-from .adelic import all_flags, build_complex
-from .models import is_cocartesian
+from .space import Cone, Finite, apex_point, copy_point, fin_point
 from .weyl import (
     FinGroup, GrpHom, cone_structure, constant_structure, cyclic_group,
     direct_product, trivial_group, trivial_hom)
@@ -286,13 +284,6 @@ def nonsplit_filter(ls: list[Lattice2], e: Lattice2) -> list[Lattice2]:
     return [L for L in ls if lattice_contains(e, L)]
 
 
-def p1q_coordinates(s: SubgroupLabel):
-    """(slope in the rational projective line, positive multiplier)."""
-    if s.kind != "circle":
-        raise ValueError("only circle subgroups fibre over the projective line")
-    return s.lattice.vec, s.lattice.mult
-
-
 # ---------------------------------------------------------------------------
 # block assembly for the torus examples
 
@@ -385,12 +376,3 @@ def t2_block(split: bool = True, n_circles: int = 6):
     cs = cone_structure(space, {}, inner, one, trivial_hom(C2, one))
     return space, labels, cs, {"circles": circles, "towers": towers,
                                "distinguished": e if not split else None}
-
-
-def cospan_shape(space: SpaceExpr):
-    """The punctured three-cube of splicing rings of a rank-2 space, plus a
-    checker for the cocartesian (extension) condition of diagram modules."""
-    if cb_rank(space) != 2:
-        raise ValueError("the cospan template is the rank-2 cube")
-    cx = build_complex(space)
-    return {"flags": all_flags(2), "complex": cx, "qce_check": is_cocartesian}

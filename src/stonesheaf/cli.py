@@ -4,10 +4,11 @@ Every command prints one JSON document (sorted keys, schema-tagged) so
 reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
 zero exactly when all requested checks pass, one when a check fails, and
-two when the input is malformed (a space or point that does not parse, or a
-count that is out of range).  Malformed input prints the document
-`{"error": message, "schema": ...}`: a space or point that does not parse
-with an `error:` line on stderr, and arguments that argparse refuses (a
+two when the input is malformed (a space or point that does not parse, a
+point address that names no point of its space, or a count that is out of
+range).  Malformed input prints the document `{"error": message, "schema":
+...}`: a space or point that does not parse or does not exist with an
+`error:` line on stderr, and arguments that argparse refuses (a
 count out of range among them) with usage and argparse's error line on
 stderr.
 """
@@ -29,7 +30,7 @@ from .homalg import injective_resolution_display
 from .models import to_standard, is_cocartesian, _rebuild_sheaf
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
 from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
-                    ParseError)
+                    MalformedPoint, ParseError)
 from .verify import run_all
 from .weyl import (equivariant_adelic, eq_random_cocycle, trivial_structure,
                    plain_to_eq, eq_to_plain)
@@ -288,7 +289,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, MalformedPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _emit({"error": str(exc)}, 2)
 

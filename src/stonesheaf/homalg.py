@@ -161,7 +161,14 @@ def _germ_residual(f: SheafMap):
 
 
 def hom_basis(F: CSheaf, G: CSheaf) -> list[SheafMap]:
-    """A basis of the space of sheaf maps F -> G (rank <= 1 spaces)."""
+    """A basis of the sheaf maps F -> G that are uniform off the copies the
+    pair stores (rank <= 1 spaces).
+
+    The basis is relative to the presentation: a map may act freely at any
+    finite set of copies, so the full Hom over a cone is not
+    finite-dimensional, and storing more copies (`canonical`, `align_pair`)
+    can change the length.  No length is an invariant of the sheaves; Ext
+    dimensions and `is_split` are."""
     _require_rank1(F, G)
     params, build = _hom_parametrization(F, G)
     nres = len(_germ_residual(build((ZERO,) * params)))

@@ -915,12 +915,6 @@ def generator_images_cover(E: EquivCSheaf, maps) -> bool:
     return True
 
 
-def standard_generator(space: SpaceExpr, cs: ComponentStructure, flag: Flag) -> EqCFun:
-    """The generator of the flag vertex: the equivariant ring as a module
-    over itself, represented by its unit."""
-    return eq_unit(space, flag, cs)
-
-
 def random_equiv_sheaf(space: SpaceExpr, cs: ComponentStructure,
                        rng: random.Random, dim_bound: int = 2) -> EquivCSheaf:
     """A random equivariant sheaf over a space of rank at most 1:

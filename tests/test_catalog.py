@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from stonesheaf.adelic import all_flags, build_complex, insert_height
+from stonesheaf.linalg import LinMap, VectQ
+from stonesheaf.models import CMod, DiagMod, el_space, is_cocartesian, to_standard
+from stonesheaf.sheaf import constant, random_csheaf
 from stonesheaf.space import cb_rank, parse_space
 from stonesheaf.catalog import (
     Dihedral, Lattice2, SubgroupLabel, circle_component_map,
-    complement_vector, component_map, cospan_shape, divisor_sigma, hnf_of,
+    complement_vector, component_map, divisor_sigma, hnf_of,
     lattice_contains, line_lattice, nonsplit_filter, o2_dihedral_block,
-    o2_normalizer_order_ratio, o2_weyl_group, p1q_coordinates, sublattices,
+    o2_normalizer_order_ratio, o2_weyl_group, sublattices,
     t2_block, weyl_of_subgroup)
 from stonesheaf.weyl import validate_structure_levels
 from test_level_oracle import chain_misses
@@ -159,15 +163,18 @@ def test_filter_index_multiplicativity():
 # -- projective-line coordinates ----------------------------------------------
 
 def test_p1q_unit_vector():
-    assert p1q_coordinates(SubgroupLabel("circle", line_lattice(1, 0))) == ((1, 0), 1)
+    L = line_lattice(1, 0)
+    assert (L.vec, L.mult) == ((1, 0), 1)
 
 
 def test_p1q_gcd_extraction():
-    assert p1q_coordinates(SubgroupLabel("circle", line_lattice(2, 4))) == ((1, 2), 2)
+    L = line_lattice(2, 4)
+    assert (L.vec, L.mult) == ((1, 2), 2)
 
 
 def test_p1q_vertical():
-    assert p1q_coordinates(SubgroupLabel("circle", line_lattice(0, 3))) == ((0, 1), 3)
+    L = line_lattice(0, 3)
+    assert (L.vec, L.mult) == ((0, 1), 3)
 
 
 # -- the torus blocks ---------------------------------------------------------
@@ -202,31 +209,21 @@ def test_tower_maps_stabilize():
 # -- the cospan template ------------------------------------------------------
 
 def test_cospan_accepts_the_ring_diagram():
-    from stonesheaf.models import to_standard
-    from stonesheaf.sheaf import constant
     space = parse_space("Cone(Cone(Finite(1)))")
-    info = cospan_shape(space)
-    assert len(info["flags"]) == 7
-    D = to_standard(constant(space, 1))
-    assert info["qce_check"](D)
+    cx = build_complex(space)
+    assert len(all_flags(2)) == 7
+    assert sorted(A for i in range(3) for A in cx.flags(i)) == sorted(all_flags(2))
+    assert is_cocartesian(to_standard(constant(space, 1)))
 
 
 def test_cospan_accepts_standard_diagrams():
-    from stonesheaf.models import to_standard
-    from stonesheaf.sheaf import random_csheaf
     space = parse_space("Cone(Cone(Finite(1)))")
-    info = cospan_shape(space)
     F = random_csheaf(space, random.Random(29), 1, 1)
-    assert info["qce_check"](to_standard(F))
+    assert is_cocartesian(to_standard(F))
 
 
 def test_cospan_rejects_perturbed_diagram():
-    from stonesheaf.models import to_standard, DiagMod, CMod, el_space
-    from stonesheaf.sheaf import constant
-    from stonesheaf.linalg import LinMap, VectQ
-    from stonesheaf.adelic import insert_height
     space = parse_space("Cone(Cone(Finite(1)))")
-    info = cospan_shape(space)
     D = to_standard(constant(space, 1))
     vertices = dict(D.vertices)
     vertices[(2, 1, 0)] = CMod(space, (2, 1, 0), ("zero",))
@@ -234,12 +231,7 @@ def test_cospan_rejects_perturbed_diagram():
     for (A, b) in list(edges):
         if insert_height(A, b) == (2, 1, 0):
             edges[(A, b)] = LinMap.zero(el_space(D.vertices[A]), VectQ.make(0))
-    assert not info["qce_check"](DiagMod(space, vertices, edges))
-
-
-def test_cospan_rejects_wrong_rank():
-    with pytest.raises(ValueError):
-        cospan_shape(parse_space("Cone(Finite(1))"))
+    assert not is_cocartesian(DiagMod(space, vertices, edges))
 
 
 def test_group_ring_sheaf_of_catalog_block():

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from stonesheaf.sheaf import canonical, random_csheaf
 from stonesheaf.catalog import Lattice2, SubgroupLabel, line_lattice, o2_dihedral_block
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -51,12 +53,16 @@ def test_adelic_command_witnesses(capsys):
     ["sheaf", "--space", "Cone(Finite(1)"],
     ["model", "--space", "Sum(Finite(1))"],
     ["space", "--expr", "Cone(Finite(1))", "--point", "(x,Apex)"],
+    ["space", "--expr", "Finite(2)", "--point", "5"],
+    ["space", "--expr", "Cone(Finite(1))", "--point", "(2,1)"],
 ])
 def test_malformed_space_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
-    assert "position" in captured.err
+    # a parse error gives its position; an address that parses but names no
+    # point of the space is named as such
+    assert "position" in captured.err or "is not a point of" in captured.err
     doc = json.loads(captured.out)
     assert doc == {"error": captured.err[len("error: "):].rstrip("\n"), "schema": ser.SCHEMA}
 
@@ -366,3 +372,16 @@ def test_diagram_round_trip():
     D2 = ser.diagmod_from_json(doc)
     assert D2.vertices == D.vertices and D2.edges == D.edges
     assert is_cocartesian(D2)
+
+
+def test_readme_cli_examples_run(capsys):
+    """Every command line in the code block under the README's `## CLI`
+    heading, split as a shell would, runs and exits 0."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    examples = [words for line in block.splitlines()[1:]
+                if (words := shlex.split(line, comments=True))]
+    assert len(examples) == 9
+    for words in examples:
+        assert words[0] == "stonesheaf"
+        assert main(words[1:]) == 0, words
+        json.loads(capsys.readouterr().out)

@@ -18,7 +18,7 @@ from stonesheaf.weyl import (
     eq_random_cocycle, eq_to_plain, eq_unit, equivariant_adelic,
     fin_structure, generator_epi, gr_unit, generator_images_cover,
     group_ring_sheaf, group_ring_space, identity_hom, level_group, make_equiv,
-    plain_to_eq, random_equiv_sheaf, regular_rep, standard_generator,
+    plain_to_eq, random_equiv_sheaf, regular_rep,
     germ_component, trivial_equiv, trivial_group, trivial_hom,
     trivial_structure, GrpHom, FinGroup)
 from test_level_oracle import chain_misses, chain_to_top
@@ -309,24 +309,26 @@ def test_generators_on_random_equivariant_sheaves():
 
 
 # -- the standard generator ---------------------------------------------------
+# The generator of a flag vertex is the equivariant ring as a module over
+# itself, represented by its unit `eq_unit`.
 
 def test_standard_generator_trivial_groups():
     cs = trivial_structure(X1)
     for flag in [(0,), (1,), (1, 0)]:
-        g = standard_generator(X1, cs, flag)
+        g = eq_unit(X1, flag, cs)
         assert eq_to_plain(g) == CFun.unit(X1, flag)
 
 
 def test_standard_generator_apex_group_ring():
     cs = cone_structure(X1, {}, constant_structure(Finite(1), C2), C2,
                         identity_hom(C2))
-    g = standard_generator(X1, cs, (1,))
+    g = eq_unit(X1, (1,), cs)
     assert g.data == gr_unit(C2)       # the group ring at the limit point
 
 
 def test_standard_generator_germ_leaves():
     cs = o2_structure()
-    g = standard_generator(X1, cs, (1, 0))
+    g = eq_unit(X1, (1, 0), cs)
     assert g.data == gr_unit(C2)       # germ of uniform group-ring sequences
     assert level_group(cs, 0) == C2
 
