@@ -1,18 +1,20 @@
 """Reconstruction between sheaves and modules, and rank-1 homological algebra.
 
 `gamma` regards a constructible sheaf as a constructible module over the
-ring of locally constant functions (the records coincide; the module
-structure is the pointwise action), and `recon_e` rebuilds the sheaf from a
-module by idempotent slicing: isolated stalks are the slices at singleton
-clopens and each apex stalk is the stabilized slice over the shrinking
-neighbourhood basis.  Both round trips are canonical isomorphisms on
-constructible data.
+ring of locally constant functions (the module structure is the pointwise
+action), and `recon_e` rebuilds the sheaf from a module by idempotent
+slicing: isolated stalks are the slices at singleton clopens and each apex
+stalk is the stabilized slice over the shrinking neighbourhood basis.  The
+module and the sheaf share one record (`gamma` stores the canonical form),
+so `recon_e` returns the module's record, and both round trips are
+canonical isomorphisms on constructible data.
 
 For spaces of rank at most one the category is completely explicit: `Hom`
 spaces between sheaves are computed by solving the germ-compatibility
 equations, short exact sequences are checked stalkwise, splitness is a
 linear solvability question, and the first extension group is classified by
-germ-twist data modulo coboundaries.  Injective dimension one is certified
+germ-twist data modulo coboundaries; the extension of a twist is the direct
+sum with the twist added to its germ.  Injective dimension one is certified
 through a constructible two-step resolution whose middle and end terms have
 vanishing first extension groups against everything: the middle term is one
 cone sheaf, a skyscraper at the apex beside the wall of tail sections (see
@@ -26,17 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    LinMap, VectQ, ZERO, direct_sum_space, kernel_basis,
+    DimensionError, LinMap, VectQ, ZERO, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso)
 from .space import Cone, Finite, SpaceMismatch, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
 from .sheaf import (
     CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
     check_sheaf_map, compose, direct_sum, cokernel, identity_map,
-    make_cone_map, make_cone_sheaf, make_fin_sheaf, make_sum_map,
+    make_cone_map, make_cone_sheaf, make_sum_map,
     make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
-    _componentwise, _incl_first, _probe_points, _proj_second,
-    _quotient, _scale_by_locconst)
+    _componentwise, _into, _onto, _probe_points, _quotient, _scale_by_locconst)
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +81,11 @@ def gamma(F: CSheaf) -> GammaModule:
 
 
 def recon_e(M: GammaModule) -> CSheaf:
-    """Rebuild the sheaf from a constructible module by idempotent slicing."""
-    return _rebuild(M.record)
+    """Rebuild the sheaf from a constructible module by idempotent slicing.
 
-
-def _rebuild(R: CSheaf) -> CSheaf:
-    space = R.space
-    if isinstance(space, Finite):
-        return make_fin_sheaf(space, [R.data[i] for i in range(space.n)])
-    if isinstance(space, Sum):
-        return make_sum_sheaf(space, _rebuild(R.data[0]), _rebuild(R.data[1]))
-    tail = _rebuild(R.tail)
-    exc = {k: _rebuild(G) for k, G in R.data[1]}
-    germ = LinMap(R.apex, sec_space(tail), R.germ.matrix)
-    return make_cone_sheaf(space, exc, tail, R.apex, germ)
+    The module and the sheaf share one record, so the slices are the
+    record's stalks and germs as they stand, and the record is returned."""
+    return M.record
 
 
 def counit_map(F: CSheaf) -> SheafMap:
@@ -360,31 +352,27 @@ def _twist_matrix(A, B, flat):
 
 
 def extension_from_twist(A: CSheaf, B: CSheaf, twist: LinMap) -> SES:
-    """The extension of A by B with the given germ twist.
+    """The extension of A by B with the given germ twist
+    apex(A) -> sections(tail(B)).
 
-    The middle sheaf is B ⊕ A stalkwise with germ matrix
-    [[sigma_B, twist], [0, sigma_A]].
+    The middle sheaf is the direct sum B ⊕ A with its apex tagged b and a
+    and germ matrix [[sigma_B, twist], [0, sigma_A]]; the maps are those of
+    the direct sum at the copies and the tail.
     """
-    space = A.space
-    _cone_rank1(space)
-    tail_S, t_iB, t_iA, t_pB, t_pA = direct_sum(B.tail, A.tail)
+    _cone_rank1(A.space)
+    SB = sec_space(B.tail)
+    if twist.source != A.apex or twist.target != SB:
+        raise DimensionError(f"the twist must go from apex(A) = {A.apex} to "
+                             f"sec_space(tail(B)) = {SB}, not from {twist.source} "
+                             f"to {twist.target}")
+    S, iB, _iA, _pB, pA = direct_sum(B, A)
     apex = direct_sum_space([B.apex, A.apex], ["b", "a"])
-    iB_s, iA_s = sec_functor(t_iB), sec_functor(t_iA)
-    cols = []
-    for i in range(B.apex.dim):
-        cols.append(iB_s.apply(B.germ.apply(B.apex.basis_vec(i))))
-    for i in range(A.apex.dim):
-        base = iA_s.apply(A.germ.apply(A.apex.basis_vec(i)))
-        tw = iB_s.apply(twist.apply(A.apex.basis_vec(i)))
-        cols.append(tuple(a + b for a, b in zip(base, tw)))
-    exc_parts = {k: direct_sum(B.copy_sheaf(k), A.copy_sheaf(k))
-                 for k in set(A.stored_keys()) | set(B.stored_keys())}
-    germ = LinMap.from_cols(apex, sec_space(tail_S), cols)
-    E = make_cone_sheaf(space, {k: v[0] for k, v in exc_parts.items()}, tail_S, apex, germ)
-    incl = make_cone_map(B, E, {k: v[1] for k, v in exc_parts.items()}, t_iB,
-                         _incl_first(B.apex, A.apex, apex))
-    proj = make_cone_map(E, A, {k: v[4] for k, v in exc_parts.items()}, t_pA,
-                         _proj_second(B.apex, A.apex, apex), check=False)
+    onto_A = _onto(apex, A.apex, B.apex.dim)
+    twisted = onto_A.then(twist).then(sec_functor(iB.tail_map))
+    germ = LinMap(apex, sec_space(S.tail), S.germ.matrix).add(twisted)
+    E = make_cone_sheaf(A.space, S.exc_dict(), S.tail, apex, germ)
+    incl = make_cone_map(B, E, iB.exc_dict(), iB.tail_map, _into(B.apex, apex, 0))
+    proj = make_cone_map(E, A, pA.exc_dict(), pA.tail_map, onto_A, check=False)
     return make_ses(incl, proj)
 
 
@@ -407,7 +395,7 @@ def injective_hull_step(B: CSheaf):
     B = canonical(B)
     SB = sec_space(B.tail)
     apex = direct_sum_space([B.apex, SB], ["l", "r"])
-    I0 = make_cone_sheaf(space, B.exc_dict(), B.tail, apex, _proj_second(B.apex, SB, apex))
+    I0 = make_cone_sheaf(space, B.exc_dict(), B.tail, apex, _onto(apex, SB, B.apex.dim))
     emb = make_cone_map(B, I0, {k: identity_map(G) for k, G in B.data[1]},
                         identity_map(B.tail),
                         LinMap(B.apex, apex, LinMap.identity(B.apex).matrix + B.germ.matrix),

@@ -47,6 +47,15 @@ One fold, `_fold`, drops every copy entry equal to its default, except that
 `sec_canonical` keeps those at stored copies, and `canonical` (for germ
 records) those at copies that store a sheaf other than the tail.
 
+Every sheaf made point by point from two sheaves, the direct sum and the
+tensor product, is built by one recursion, `_pointwise`: a stalk from the
+two stalks at every point, at every cone the union of the copies the two
+sheaves store, and a germ column for each pair of apex vectors, combined
+value by value from their two germ sections by `_sectionwise`.  The four
+structure maps of a direct sum are `_componentwise` maps whose components
+are the inclusions `_into` and the projections `_onto`, and `homalg`
+builds an extension as a direct sum with a twisted germ.
+
 No operation conforms its arguments to a common set of stored copies.
 `direct_sum` and `tensor` store, at every cone, the union of the copies
 their two sheaves store, and `kernel` and `cokernel` the copies that their
@@ -645,63 +654,52 @@ def direct_sum(F: CSheaf, G: CSheaf):
     """Returns (F⊕G, include_F, include_G, project_F, project_G)."""
     if F.space != G.space:
         raise SpaceMismatch("direct sum over different spaces")
+    S = _pointwise(F, G, lambda a, b: direct_sum_space([a, b], ["l", "r"]),
+                   lambda x, y: x + y, _summand_pairs)
+    maps = (_componentwise(F, S, [], lambda a, s: _into(a, s, 0)),
+            _componentwise(G, S, [], lambda b, s: _into(b, s, s.dim - b.dim)),
+            _componentwise(S, F, [], lambda s, a: _onto(s, a, 0)),
+            _componentwise(S, G, [], lambda s, b: _onto(s, b, s.dim - b.dim)))
+    if not all(map(check_sheaf_map, maps)):
+        raise GermSquareError("apex square does not commute")
+    return (S, *maps)
+
+
+def _summand_pairs(a: VectQ, b: VectQ) -> list:
+    """The basis of a ⊕ b as pairs: (e_i, 0) for a, then (0, e_j) for b."""
+    return ([(a.basis_vec(i), (ZERO,) * b.dim) for i in range(a.dim)] +
+            [((ZERO,) * a.dim, b.basis_vec(j)) for j in range(b.dim)])
+
+
+def _into(a: VectQ, s: VectQ, at: int) -> LinMap:
+    """The inclusion of a into s as the coordinates from offset `at` on."""
+    return LinMap.from_cols(a, s, [s.basis_vec(at + i) for i in range(a.dim)])
+
+
+def _onto(s: VectQ, a: VectQ, at: int) -> LinMap:
+    """The projection of s onto the coordinates that `_into(a, s, at)` includes."""
+    return LinMap.from_rows(s, a, [s.basis_vec(at + i) for i in range(a.dim)])
+
+
+def _pointwise(F: CSheaf, G: CSheaf, stalk, vec, pairs) -> CSheaf:
+    """The sheaf whose stalk at every point is `stalk(a, b)` of the stalks a
+    of F and b of G there, and which stores at every cone the copies that F
+    or G stores.  Its germ column for the i-th pair (u, v) of
+    `pairs(apex of F, apex of G)` is the tail section whose value at every
+    point is `vec` of the values there of the germ sections of u and v."""
     if isinstance(F.space, Finite):
-        stalks = []
-        for a, b in zip(F.data, G.data, strict=True):
-            stalks.append(direct_sum_space([a, b], ["l", "r"]))
-        S = make_fin_sheaf(F.space, stalks)
-        inf = make_fin_map(F, S, [_incl_first(a, b, st) for a, b, st in zip(F.data, G.data, stalks)])
-        ing = make_fin_map(G, S, [_incl_second(a, b, st) for a, b, st in zip(F.data, G.data, stalks)])
-        prf = make_fin_map(S, F, [_proj_first(a, b, st) for a, b, st in zip(F.data, G.data, stalks)])
-        prg = make_fin_map(S, G, [_proj_second(a, b, st) for a, b, st in zip(F.data, G.data, stalks)])
-        return S, inf, ing, prf, prg
+        return make_fin_sheaf(F.space, [stalk(a, b) for a, b in zip(F.data, G.data)])
     if isinstance(F.space, Sum):
-        ls, li1, li2, lp1, lp2 = direct_sum(F.data[0], G.data[0])
-        rs, ri1, ri2, rp1, rp2 = direct_sum(F.data[1], G.data[1])
-        S = make_sum_sheaf(F.space, ls, rs)
-        return (S, make_sum_map(F, S, li1, ri1), make_sum_map(G, S, li2, ri2),
-                make_sum_map(S, F, lp1, rp1), make_sum_map(S, G, lp2, rp2))
-    tail_S, t_i1, t_i2, t_p1, t_p2 = direct_sum(F.tail, G.tail)
-    apex = direct_sum_space([F.apex, G.apex], ["l", "r"])
-    exc_parts = {k: direct_sum(F.copy_sheaf(k), G.copy_sheaf(k))
-                 for k in set(F.stored_keys()) | set(G.stored_keys())}
-    i1s, i2s = sec_functor(t_i1), sec_functor(t_i2)
-    cols = []
-    for i in range(F.apex.dim):
-        cols.append(i1s.apply(F.germ.apply(F.apex.basis_vec(i))))
-    for i in range(G.apex.dim):
-        cols.append(i2s.apply(G.germ.apply(G.apex.basis_vec(i))))
-    germ = LinMap.from_cols(apex, sec_space(tail_S), cols)
-    S = make_cone_sheaf(F.space, {k: v[0] for k, v in exc_parts.items()}, tail_S, apex, germ)
-    inf = make_cone_map(F, S, {k: v[1] for k, v in exc_parts.items()}, t_i1,
-                        _incl_first(F.apex, G.apex, apex))
-    ing = make_cone_map(G, S, {k: v[2] for k, v in exc_parts.items()}, t_i2,
-                        _incl_second(F.apex, G.apex, apex))
-    prf = make_cone_map(S, F, {k: v[3] for k, v in exc_parts.items()}, t_p1,
-                        _proj_first(F.apex, G.apex, apex))
-    prg = make_cone_map(S, G, {k: v[4] for k, v in exc_parts.items()}, t_p2,
-                        _proj_second(F.apex, G.apex, apex))
-    return S, inf, ing, prf, prg
-
-
-def _incl_first(a: VectQ, b: VectQ, s: VectQ) -> LinMap:
-    cols = [tuple(list(a.basis_vec(i)) + [ZERO] * b.dim) for i in range(a.dim)]
-    return LinMap.from_cols(a, s, cols)
-
-
-def _incl_second(a: VectQ, b: VectQ, s: VectQ) -> LinMap:
-    cols = [tuple([ZERO] * a.dim + list(b.basis_vec(i))) for i in range(b.dim)]
-    return LinMap.from_cols(b, s, cols)
-
-
-def _proj_first(a: VectQ, b: VectQ, s: VectQ) -> LinMap:
-    rows = [tuple(list(a.basis_vec(i)) + [ZERO] * b.dim) for i in range(a.dim)]
-    return LinMap.from_rows(s, a, rows)
-
-
-def _proj_second(a: VectQ, b: VectQ, s: VectQ) -> LinMap:
-    rows = [tuple([ZERO] * a.dim + list(b.basis_vec(i))) for i in range(b.dim)]
-    return LinMap.from_rows(s, b, rows)
+        return make_sum_sheaf(F.space, *(_pointwise(F.data[i], G.data[i], stalk, vec, pairs)
+                                         for i in (0, 1)))
+    tail = _pointwise(F.tail, G.tail, stalk, vec, pairs)
+    apex = stalk(F.apex, G.apex)
+    cols = [sec_to_coords(tail, Section(tail, _sectionwise(
+                [F.tail, G.tail], [germ_section(F, u).data, germ_section(G, v).data], [], vec)))
+            for u, v in pairs(F.apex, G.apex)]
+    exc = {k: _pointwise(F.copy_sheaf(k), G.copy_sheaf(k), stalk, vec, pairs)
+           for k in set(F.stored_keys()) | set(G.stored_keys())}
+    return make_cone_sheaf(F.space, exc, tail, apex, LinMap.from_cols(apex, sec_space(tail), cols))
 
 
 def _subspace(amb: VectQ, basis, prefix="k") -> tuple[VectQ, LinMap]:
@@ -793,23 +791,8 @@ def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
 def tensor(F: CSheaf, G: CSheaf) -> CSheaf:
     if F.space != G.space:
         raise SpaceMismatch("tensor over different spaces")
-    if isinstance(F.space, Finite):
-        return make_fin_sheaf(F.space, [_tensor_space(a, b) for a, b in zip(F.data, G.data, strict=True)])
-    if isinstance(F.space, Sum):
-        return make_sum_sheaf(F.space, tensor(F.data[0], G.data[0]), tensor(F.data[1], G.data[1]))
-    tail = tensor(F.tail, G.tail)
-    apex = _tensor_space(F.apex, G.apex)
-    cols = []
-    for i in range(F.apex.dim):
-        si = germ_section(F, F.apex.basis_vec(i))
-        for j in range(G.apex.dim):
-            tj = germ_section(G, G.apex.basis_vec(j))
-            prod = _sectionwise([F.tail, G.tail], [si.data, tj.data], [], _tensor_vec)
-            cols.append(sec_to_coords(tail, Section(tail, prod)))
-    germ = LinMap.from_cols(apex, sec_space(tail), cols)
-    exc = {k: tensor(F.copy_sheaf(k), G.copy_sheaf(k))
-           for k in set(F.stored_keys()) | set(G.stored_keys())}
-    return make_cone_sheaf(F.space, exc, tail, apex, germ)
+    return _pointwise(F, G, _tensor_space, _tensor_vec, lambda a, b: [
+        (a.basis_vec(i), b.basis_vec(j)) for i in range(a.dim) for j in range(b.dim)])
 
 
 def _tensor_space(a: VectQ, b: VectQ) -> VectQ:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stonesheaf.linalg import LinMap, VectQ
+from stonesheaf.linalg import DimensionError, LinMap, VectQ
 from stonesheaf.space import Cone, Finite, SpaceMismatch, apex_point, parse_space
 from stonesheaf.sheaf import (
     constant, identity_map, make_cone_map, make_cone_sheaf, random_csheaf,
@@ -113,6 +113,20 @@ def test_extension_from_twist_class_realization():
     zero_tw = LinMap.zero(sky.apex, SB)
     split0, _ = is_split(extension_from_twist(sky, B, zero_tw))
     assert split0
+
+
+def test_extension_from_twist_refuses_a_twist_off_the_tail_sections():
+    """A twist must go from apex(A) to sec_space(tail(B)).  One of the right
+    dimensions into another space, and ones of the wrong dimensions, are
+    refused before any extension is built, with both spaces named."""
+    sky = skyscraper(X1, apex_point(), 1)
+    B = floor_sheaf()
+    SB = sec_space(B.tail)
+    for twist in (LinMap.from_rows(sky.apex, VectQ.make(SB.dim), [[1]]),
+                  LinMap.zero(sky.apex, VectQ.make(SB.dim + 1, "s")),
+                  LinMap.zero(VectQ.make(sky.apex.dim + 1), SB)):
+        with pytest.raises(DimensionError, match=r"apex\(A\) = .* sec_space\(tail\(B\)\) = "):
+            extension_from_twist(sky, B, twist)
 
 
 def test_ext2_vanishes_rank_one():

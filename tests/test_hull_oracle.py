@@ -91,7 +91,7 @@ def test_dropping_the_germ_identity_block_fails_the_ext_check(monkeypatch):
     skyscrapers.  Where B's germ is zero the embedding still commutes, and
     `ext2_dim` must then reject I0 on some seed."""
     # the hull's germ [0 | id] is the projection onto the wall part
-    monkeypatch.setattr(homalg, "_proj_second", lambda _a, b, s: LinMap.zero(s, b))
+    monkeypatch.setattr(homalg, "_onto", lambda s, a, _at: LinMap.zero(s, a))
     caught = set()
     for expr in SPACES:
         for _seed, A, B in pairs(expr):

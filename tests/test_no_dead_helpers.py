@@ -1,9 +1,12 @@
 """No helper that nothing calls, and no parameter that nothing reads.
 
 Every top-level function and non-dunder method of `src/stonesheaf/*.py`
-must be referenced: its name must occur as a whole word somewhere in the
-Python files of `src/` or `tests/` outside its own definition, so a helper
-whose only caller is its own recursion counts as unreferenced.
+must be referenced: its name must be loaded, read as an attribute or
+imported somewhere in the Python files of `src/` or `tests/` outside its
+own definition.  A docstring, a comment or a string is no reference, and a
+helper whose only caller is its own recursion counts as unreferenced.  The
+methods of `OVERRIDES`, which a library outside the package calls, are
+exempt by name.
 
 A public top-level function needs more: a reference in `src/` itself.
 Only the names of `TEST_FACING`, each kept for callers outside the package
@@ -33,7 +36,6 @@ import re
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-WORD = re.compile(r"\w+")
 
 
 def definitions():
@@ -81,25 +83,57 @@ TEST_FACING = {
     "models.limit_vertex",
     # ring operations whose leaf sizing is still open (ROADMAP item 6)
     "weyl.eq_unit", "weyl.eq_zero", "weyl.eq_add", "weyl.eq_mul", "weyl.eq_dmap",
+    # operations that the benchmark workloads under `perfbench/` call: the
+    # cube map of ring data, stalkwise averaging, and the sheaf of a diagram
+    "adelic.dmap", "weyl.average", "models.from_standard",
+    # the idempotent of a clopen, as a ring element
+    "adelic.indicator",
+    # restriction to an open union of strata, and its pushforward back
+    "cube.restrict_open", "cube.pushforward_open",
+    # the tensor product of sheaves, beside `direct_sum`
+    "sheaf.tensor",
+    # the aligned presentations of a pair that tests pin
+    "sheaf.align_pair",
+    # membership of a point in a clopen, and the clopen of an isolated point
+    "space.member", "space.singleton",
+    # a sheaf with every group acting trivially, the simplest equivariant one
+    "weyl.trivial_equiv",
 }
 
 
+# Methods that a library outside the package calls by name.
+OVERRIDES = {
+    # argparse calls `error` on its parser when the arguments do not parse
+    "cli._Parser.error",
+}
+
+
+def references(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, name) of every loaded name, every attribute name and every
+    imported name in a Python file; docstrings, comments and strings hold
+    none."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, alias.name.rpartition(".")[2]) for alias in node.names]
+    return found
+
+
 def unreferenced(tops=("src", "tests")) -> list[str]:
-    """`module.name` of every checked definition whose name occurs as a whole
-    word in the Python files under `tops` only inside its own definition."""
-    words = Counter()
-    lines = {}
-    for top in ("src", "tests"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            lines[path] = path.read_text().splitlines()
-            if top in tops:
-                for line in lines[path]:
-                    words.update(WORD.findall(line))
+    """`module.name` of every checked definition outside `OVERRIDES` whose
+    name the Python files under `tops` reference only inside its own
+    definition."""
+    refs = {path: references(path) for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
+    counts = Counter(name for found in refs.values() for _, name in found)
     dead = []
     for path, first, last, name in definitions():
         short = name.rpartition(".")[2]
-        own = sum(WORD.findall(line).count(short) for line in lines[path][first - 1:last])
-        if words[short] == own:
+        own = sum(1 for line, ref in refs.get(path, ()) if ref == short and first <= line <= last)
+        if counts[short] == own and f"{path.stem}.{name}" not in OVERRIDES:
             dead.append(f"{path.stem}.{name}")
     return dead
 
