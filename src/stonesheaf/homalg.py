@@ -29,15 +29,15 @@ from fractions import Fraction
 
 from .linalg import (
     DimensionError, LinMap, VectQ, ZERO, direct_sum_space, kernel_basis,
-    rank as map_rank, row_space_basis, solve, is_iso)
-from .space import Cone, Finite, SpaceMismatch, Sum, cb_rank, iter_points, Point
+    rank as map_rank, row_space_basis, solve, is_iso, _quotient)
+from .space import Cone, SpaceMismatch, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
 from .sheaf import (
     CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
     check_sheaf_map, compose, direct_sum, cokernel, identity_map,
     make_cone_map, make_cone_sheaf, make_sum_map,
     make_sum_sheaf, sec_canonical, sec_functor, sec_space, stalk, stalk_map,
-    _componentwise, _into, _onto, _probe_points, _quotient, _scale_by_locconst)
+    _at, _componentwise, _into, _onto, _probe_points, _scale_by_locconst)
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +103,9 @@ def unit_iso(M: GammaModule) -> bool:
 
 
 def is_isomorphism(f: SheafMap) -> bool:
-    """Whether a sheaf map is invertible (all stored stalk maps invertible)."""
-    F = f.source
-    if isinstance(F.space, Finite):
-        return all(is_iso(m) for m in f.data)
-    if isinstance(F.space, Sum):
-        return is_isomorphism(f.data[0]) and is_isomorphism(f.data[1])
-    if not is_iso(f.apex_map):
-        return False
-    keys = set(f.source.stored_keys()) | set(f.target.stored_keys()) | set(dict(f.data[1]))
-    return (is_isomorphism(f.tail_map) and
-            all(is_isomorphism(f.copy_map(k)) for k in keys))
+    """Whether a sheaf map is invertible: its stalk map at every probe point
+    (every stored stalk and one generic copy per cone level) is."""
+    return all(is_iso(_at(f, x.addr)) for x in _probe_points(f.source.space, [f]))
 
 
 # ---------------------------------------------------------------------------

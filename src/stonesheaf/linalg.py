@@ -270,18 +270,26 @@ def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
 
 
 def kernel_basis(m: LinMap) -> list[tuple[Rat, ...]]:
-    """A canonical basis of ker(m), as vectors in the source space."""
-    rows = [list(r) for r in m.matrix]
-    red, pivots = rref(rows)
-    free = [j for j in range(m.source.dim) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.source.dim
-        v[f] = ONE
-        for r_idx, p in enumerate(pivots):
-            v[p] = -red[r_idx][f]
-        basis.append(tuple(v))
-    return basis
+    """A canonical basis of ker(m), as vectors in the source space: the rows
+    of the projection onto the quotient by m's row space."""
+    return list(_quotient(m.source, m.matrix)[1].matrix)
+
+
+def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap, list[int]]:
+    """Quotient of amb by the span of basis; returns (Q, projection, free),
+    where the projection sends the standard basis vector at free[i] to the
+    i-th basis vector of Q."""
+    red, pivots = rref(basis)
+    free = [j for j in range(amb.dim) if j not in pivots]
+    rows = []
+    for j in free:
+        row = [ZERO] * amb.dim
+        row[j] = ONE
+        for r_i, p in enumerate(pivots):
+            row[p] = -rat(red[r_i][j])
+        rows.append(tuple(row))
+    Q = VectQ.make(len(free), prefix)
+    return Q, LinMap(amb, Q, tuple(rows)), free
 
 
 def row_space_basis(vectors: Iterable[Sequence[Rat]]) -> list[tuple[Rat, ...]]:
@@ -389,7 +397,3 @@ class FDComplex:
             dim_im = rank(d_in) if d_in is not None else 0
             out[i] = dim_ker - dim_im
         return out
-
-
-def homology_dims(c: FDComplex) -> dict:
-    return c.homology_dims()

@@ -56,6 +56,18 @@ structure maps of a direct sum are `_componentwise` maps whose components
 are the inclusions `_into` and the projections `_onto`, and `homalg`
 builds an extension as a direct sum with a twisted germ.
 
+The kernel and the cokernel of a map are built by one recursion,
+`_stalkwise`, over the map and the sheaf on its other side (the source for
+the kernel, the target for the cokernel): at every finite point and every
+apex a stalk and its connecting map (the inclusion into the source, the
+projection from the target) from the map's component there, at every cone
+the copies that the map lists, and a germ column for each apex basis
+vector.  The column is the germ section in the other sheaf of a lift of the
+vector (its inclusion, or the basis vector at a free column of the
+quotient), taken value by value by `_sectionwise` along the tail's
+connecting map: by preimages for the kernel, by the projection for the
+cokernel.
+
 No operation conforms its arguments to a common set of stored copies.
 `direct_sum` and `tensor` store, at every cone, the union of the copies
 their two sheaves store, and `kernel` and `cokernel` the copies that their
@@ -74,8 +86,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    LinMap, VectQ, ZERO, ONE, direct_sum_space, kernel_basis,
-    image_basis, rref, solve)
+    LinMap, VectQ, ZERO, direct_sum_space, image_basis, kernel_basis, solve, _quotient)
 from .adelic import _indicator_data, const_data
 from .space import (
     Cone, Finite, SpaceExpr, Sum, Point, ClopenSet, validate_point,
@@ -707,49 +718,14 @@ def _subspace(amb: VectQ, basis, prefix="k") -> tuple[VectQ, LinMap]:
     return K, LinMap.from_cols(K, amb, [tuple(b) for b in basis])
 
 
-def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap, list[int]]:
-    """Quotient of amb by the span of basis; returns (Q, projection, free),
-    where the projection sends the standard basis vector at free[i] to the
-    i-th basis vector of Q."""
-    red, pivots = rref([list(b) for b in basis])
-    free = [j for j in range(amb.dim) if j not in pivots]
-    Q = VectQ.make(len(free), prefix)
-    rows = []
-    for idx, j in enumerate(free):
-        row = [ZERO] * amb.dim
-        row[j] = ONE
-        for r_i, p in enumerate(pivots):
-            row[p] = -red[r_i][j]
-        rows.append(tuple(row))
-    return Q, LinMap.from_rows(amb, Q, rows), free
-
-
 def kernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     """The kernel sheaf with its inclusion; stalks are kernels stalkwise."""
-    F = f.source
-    if isinstance(F.space, Finite):
-        stalks, incls = [], []
-        for m in f.data:
-            K, incl = _subspace(m.source, kernel_basis(m))
-            stalks.append(K)
-            incls.append(incl)
-        KF = make_fin_sheaf(F.space, stalks)
-        return KF, make_fin_map(KF, F, incls)
-    if isinstance(F.space, Sum):
-        lk, li = kernel(f.data[0])
-        rk, ri = kernel(f.data[1])
-        KF = make_sum_sheaf(F.space, lk, rk)
-        return KF, make_sum_map(KF, F, li, ri)
-    kt, it_ = kernel(f.tail_map)
-    exc = {k: kernel(m) for k, m in f.data[1]}
-    Ka, ia = _subspace(F.apex, kernel_basis(f.apex_map))
-    # the germ section of each kernel apex vector, pulled back value by value
-    # along the tail inclusion; it lists every copy that kt stores
-    germ = LinMap.of(Ka, sec_space(kt), lambda v: sec_to_coords(kt, Section(kt, _sectionwise(
-        [F.tail], [germ_section(F, ia.apply(v)).data], [it_], _preimage))))
-    KF = make_cone_sheaf(F.space, {k: v[0] for k, v in exc.items()}, kt, Ka, germ)
-    incl = make_cone_map(KF, F, {k: v[1] for k, v in exc.items()}, it_, ia, check=False)
-    return KF, incl
+    return _stalkwise(f, f.source, _kernel_stalk, _preimage, lambda K, F: (K, F))
+
+
+def _kernel_stalk(m: LinMap):
+    K, incl = _subspace(m.source, kernel_basis(m))
+    return K, incl, incl.col
 
 
 def _preimage(v, incl: LinMap):
@@ -761,31 +737,44 @@ def _preimage(v, incl: LinMap):
 
 def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
     """The cokernel sheaf with its projection."""
-    G = f.target
-    if isinstance(G.space, Finite):
-        stalks, projs = [], []
-        for m in f.data:
-            Q, pr, _free = _quotient(m.target, image_basis(m))
-            stalks.append(Q)
-            projs.append(pr)
-        QF = make_fin_sheaf(G.space, stalks)
-        return QF, make_fin_map(G, QF, projs)
-    if isinstance(G.space, Sum):
-        lq, lp = cokernel(f.data[0])
-        rq, rp = cokernel(f.data[1])
-        QF = make_sum_sheaf(G.space, lq, rq)
-        return QF, make_sum_map(G, QF, lp, rp)
-    qt, pt = cokernel(f.tail_map)
-    exc = {k: cokernel(m) for k, m in f.data[1]}
-    Qa, pa, free = _quotient(G.apex, image_basis(f.apex_map))
-    # lift by the basis vectors at the free columns: any lift gives this germ,
-    # since sec_proj kills the germ of the apex map's image
-    sec_proj = sec_functor(pt)
-    cols = [sec_proj.apply(G.germ.apply(G.apex.basis_vec(j))) for j in free]
-    germ = LinMap.from_cols(Qa, sec_space(qt), cols)
-    QF = make_cone_sheaf(G.space, {k: v[0] for k, v in exc.items()}, qt, Qa, germ)
-    proj = make_cone_map(G, QF, {k: v[1] for k, v in exc.items()}, pt, pa, check=False)
-    return QF, proj
+    return _stalkwise(f, f.target, _cokernel_stalk, lambda v, pr: pr.apply(v),
+                      lambda Q, G: (G, Q))
+
+
+def _cokernel_stalk(m: LinMap):
+    # lift by the basis vectors at the free columns: any lift gives the same
+    # germ, since the projection kills the germ of the apex map's image
+    Q, pr, free = _quotient(m.target, image_basis(m))
+    return Q, pr, lambda i: m.target.basis_vec(free[i])
+
+
+def _stalkwise(f: SheafMap, X: CSheaf, stalk, value, ends) -> tuple[CSheaf, SheafMap]:
+    """The sheaf S whose stalk at every finite point and every apex is S_x of
+    `stalk(m) = (S_x, c, lift)` for the component m of f there, and which
+    stores at every cone the copies that f lists, with the map between S and
+    X, from `ends(S, X)[0]` to `ends(S, X)[1]`, whose component there is c.
+    S's germ sends the i-th apex basis vector to the germ section in X of
+    `lift(i)`, taken value by value as `value(v, t)` of its value v and the
+    component t of the tail's map."""
+    if isinstance(X.space, Finite):
+        parts = [stalk(m) for m in f.data]
+        S = make_fin_sheaf(X.space, [p[0] for p in parts])
+        return S, make_fin_map(*ends(S, X), [p[1] for p in parts])
+    if isinstance(X.space, Sum):
+        (left, lc), (right, rc) = (_stalkwise(f.data[i], X.data[i], stalk, value, ends)
+                                   for i in (0, 1))
+        S = make_sum_sheaf(X.space, left, right)
+        return S, make_sum_map(*ends(S, X), lc, rc)
+    tail, tc = _stalkwise(f.tail_map, X.tail, stalk, value, ends)
+    exc = {k: _stalkwise(m, X.copy_sheaf(k), stalk, value, ends) for k, m in f.data[1]}
+    apex, ac, lift = stalk(f.apex_map)
+    cols = [sec_to_coords(tail, Section(tail, _sectionwise(
+                [X.tail], [germ_section(X, lift(i)).data], [tc], value)))
+            for i in range(apex.dim)]
+    S = make_cone_sheaf(X.space, {k: v[0] for k, v in exc.items()}, tail, apex,
+                        LinMap.from_cols(apex, sec_space(tail), cols))
+    return S, make_cone_map(*ends(S, X), {k: v[1] for k, v in exc.items()}, tc, ac,
+                            check=False)
 
 
 def tensor(F: CSheaf, G: CSheaf) -> CSheaf:
@@ -834,16 +823,9 @@ def sections(F: CSheaf, U: ClopenSet):
         pts = enumerate_finite(F.space, U)
         spaces = [stalk(F, p) for p in pts]
         return direct_sum_space(spaces, [str(p) for p in pts])
-    return _section_module(F, U)
-
-
-def _section_module(F, U):
     if isinstance(F.space, Sum):
         return SumSections(sections(F.data[0], U.left), sections(F.data[1], U.right))
-    exc = {}
-    for k, G in F.data[1]:
-        V = cone_member_set(U, F.space, k)
-        exc[k] = sections(G, V)
+    exc = {k: sections(G, cone_member_set(U, F.space, k)) for k, G in F.data[1]}
     gen = sec_space(F.tail) if U.apex else VectQ.make(0)
     coupled = F.apex if U.apex else VectQ.make(0)
     return SectionModule(exc, gen, coupled)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stonesheaf.linalg import (
-    FDComplex, LinMap, VectQ, ComplexError, DimensionError, homology_dims, kernel_basis,
+    FDComplex, LinMap, VectQ, ComplexError, DimensionError, kernel_basis,
     rank, solve, invert, pullback)
 
 Q1 = VectQ.make(1)
@@ -50,12 +50,12 @@ def test_solve_underdetermined():
 
 def test_homology_two_term_identity():
     c = FDComplex({0: Q1, 1: Q1}, {0: LinMap.identity(Q1)})
-    assert homology_dims(c) == {0: 0, 1: 0}
+    assert c.homology_dims() == {0: 0, 1: 0}
 
 
 def test_homology_single_term():
     c = FDComplex({0: Q1}, {})
-    assert homology_dims(c) == {0: 1}
+    assert c.homology_dims() == {0: 1}
 
 
 def test_homology_truncated_splice_sequence():
@@ -68,7 +68,7 @@ def test_homology_truncated_splice_sequence():
                                    [0, 0, 0, 1], [0, 0, 0, 1]])
     d0 = LinMap.from_rows(C0, C1, [[0, 0, 0, 1, -1]])
     cx = FDComplex({-1: G, 0: C0, 1: C1}, {-1: aug, 0: d0})
-    assert homology_dims(cx) == {-1: 0, 0: 0, 1: 0}
+    assert cx.homology_dims() == {-1: 0, 0: 0, 1: 0}
 
 
 def test_complex_error_reports_degree():
@@ -115,7 +115,7 @@ def test_exact_complex_has_zero_homology_random():
         proj = LinMap.from_rows(AB, B, [[0] * a + [1 if i == j else 0 for j in range(b)]
                                         for i in range(b)])
         cx = FDComplex({0: A, 1: AB, 2: B}, {0: incl, 1: proj})
-        assert all(v == 0 for v in homology_dims(cx).values())
+        assert all(v == 0 for v in cx.homology_dims().values())
 
 
 def test_pullback_of_maps():

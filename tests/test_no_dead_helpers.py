@@ -3,10 +3,13 @@
 Every top-level function and non-dunder method of `src/stonesheaf/*.py`
 must be referenced: its name must be loaded, read as an attribute or
 imported somewhere in the Python files of `src/` or `tests/` outside its
-own definition.  A docstring, a comment or a string is no reference, and a
-helper whose only caller is its own recursion counts as unreferenced.  The
-methods of `OVERRIDES`, which a library outside the package calls, are
-exempt by name.
+own definition.  An attribute `base.name` refers to a top-level function
+only when `base` is bound in its file by an import of that function's
+module (`json.dumps` is no reference to `serialize.dumps`), while a method
+is referred to by any attribute of its name.  A docstring, a comment or a
+string is no reference, and a helper whose only caller is its own recursion
+counts as unreferenced.  The methods of `OVERRIDES`, which a library
+outside the package calls, are exempt by name.
 
 A public top-level function needs more: a reference in `src/` itself.
 Only the names of `TEST_FACING`, each kept for callers outside the package
@@ -94,6 +97,14 @@ TEST_FACING = {
     "sheaf.tensor",
     # the aligned presentations of a pair that tests pin
     "sheaf.align_pair",
+    # the kernel of a sheaf map, beside `cokernel`
+    "sheaf.kernel",
+    # sections over a clopen set, finite or by their finite-exception module
+    "sheaf.sections",
+    # the byte format of a JSON document, which the goldens pin
+    "serialize.dumps",
+    # the union of two clopen sets, beside `meet`
+    "space.join",
     # membership of a point in a clopen, and the clopen of an isolated point
     "space.member", "space.singleton",
     # a sheaf with every group acting trivially, the simplest equivariant one
@@ -108,32 +119,56 @@ OVERRIDES = {
 }
 
 
-def references(path: pathlib.Path) -> list[tuple[int, str]]:
-    """(line, name) of every loaded name, every attribute name and every
-    imported name in a Python file; docstrings, comments and strings hold
-    none."""
+def module_names(tree) -> dict:
+    """The names that the imports of a file bind to a module of the package,
+    with the module's name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname, alias.name.rpartition(".")[2]) for alias in node.names
+                         if alias.asname and alias.name.startswith("stonesheaf."))
+        elif isinstance(node, ast.ImportFrom) and (node.module == "stonesheaf" or (
+                node.level and node.module is None)):
+            bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    return bound
+
+
+def references(path: pathlib.Path) -> list[tuple[int, str, str | None]]:
+    """(line, name, owner) of every loaded name and every imported name, with
+    owner None, and of every attribute name, with owner the module that its
+    base is bound to by an import, or "" for any other base; docstrings,
+    comments and strings hold none."""
+    tree = ast.parse(path.read_text())
+    modules = module_names(tree)
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.append((node.lineno, node.id))
+            found.append((node.lineno, node.id, None))
         elif isinstance(node, ast.Attribute):
-            found.append((node.lineno, node.attr))
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            found.append((node.lineno, node.attr, modules.get(base, "")))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found += [(node.lineno, alias.name.rpartition(".")[2]) for alias in node.names]
+            found += [(node.lineno, alias.name.rpartition(".")[2], None) for alias in node.names]
     return found
 
 
 def unreferenced(tops=("src", "tests")) -> list[str]:
-    """`module.name` of every checked definition outside `OVERRIDES` whose
-    name the Python files under `tops` reference only inside its own
-    definition."""
+    """`module.name` of every checked definition outside `OVERRIDES` that the
+    Python files under `tops` refer to only inside its own definition."""
     refs = {path: references(path) for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
-    counts = Counter(name for found in refs.values() for _, name in found)
+    owners = {}
+    for found in refs.values():
+        for _, name, owner in found:
+            owners.setdefault(name, Counter())[owner] += 1
     dead = []
     for path, first, last, name in definitions():
         short = name.rpartition(".")[2]
-        own = sum(1 for line, ref in refs.get(path, ()) if ref == short and first <= line <= last)
-        if counts[short] == own and f"{path.stem}.{name}" not in OVERRIDES:
+        def reaches(owner):
+            return owner is None or owner == path.stem or "." in name
+        total = sum(n for owner, n in owners.get(short, {}).items() if reaches(owner))
+        own = sum(1 for line, ref, owner in refs.get(path, ())
+                  if ref == short and reaches(owner) and first <= line <= last)
+        if total == own and f"{path.stem}.{name}" not in OVERRIDES:
             dead.append(f"{path.stem}.{name}")
     return dead
 

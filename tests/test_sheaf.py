@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 
-from stonesheaf.linalg import LinMap, VectQ, kernel_basis, rank as map_rank
+import pytest
+
+from stonesheaf.linalg import LinMap, VectQ, is_iso, kernel_basis, rank as map_rank
 from stonesheaf.space import (
     Cone, Finite, apex_point, copy_point, fin_point, full_set, iter_points,
     nbhd_basis, parse_space, singleton)
 from stonesheaf.adelic import CFun, all_flags, random_cfun
 from stonesheaf.sheaf import (
     Section, SectionModule, canonical, constant, direct_sum, extend_section,
-    kernel, cokernel, make_cone_map, make_cone_sheaf, random_csheaf,
+    identity_map, kernel, cokernel, make_cone_map, make_cone_sheaf, random_csheaf,
     random_section, sec_dim, sec_eval, sec_space, sections, skyscraper, stalk,
     stalk_map, tensor, zero_map, zero_sheaf)
 from stonesheaf.cube import (
@@ -188,6 +190,38 @@ def test_cokernel_of_zero_map():
     F = random_csheaf(X1, random.Random(7), 2, 1)
     C, proj = cokernel(zero_map(zero_sheaf(X1), F))
     assert is_isomorphism(proj)
+
+
+def _germless_pair(space, rng):
+    """A sheaf over a cone with a zero germ, nonzero everywhere, storing copy
+    1, so that any apex and tail maps make an endomorphism; with a singular
+    apex map."""
+    T = direct_sum(constant(space.base, 1), random_csheaf(space.base, rng, 2, 1))[0]
+    E = direct_sum(constant(space.base, 1), random_csheaf(space.base, rng, 2, 1))[0]
+    V = VectQ.make(rng.randint(1, 2))
+    F = make_cone_sheaf(space, {1: E}, T, V, LinMap.zero(V, sec_space(T)))
+    rows = [[rng.randint(-2, 2) for _ in range(V.dim)] for _ in range(V.dim)]
+    rows[rng.randrange(V.dim)] = [0] * V.dim
+    return F, LinMap.from_rows(V, V, rows)
+
+
+@pytest.mark.parametrize("expr", ["Cone(Finite(1))", "Cone(Sum(Finite(2),Finite(1)))",
+                                  "Cone(Cone(Finite(1)))"])
+def test_is_isomorphism_fails_at_one_place(expr):
+    """Endomorphisms that are the identity except at the apex, at the one
+    stored copy, or on the tail: each is no isomorphism, though the copy's
+    case passes a walk over the apex and the tail alone."""
+    space = parse_space(expr)
+    for seed in range(4):
+        F, singular = _germless_pair(space, random.Random(seed))
+        E, T, one = F.copy_sheaf(1), F.tail, LinMap.identity(F.apex)
+        at_apex = make_cone_map(F, F, {1: identity_map(E)}, identity_map(T), singular)
+        at_copy = make_cone_map(F, F, {1: zero_map(E, E)}, identity_map(T), one)
+        on_tail = make_cone_map(F, F, {1: identity_map(E)}, zero_map(T, T), one)
+        assert is_isomorphism(identity_map(F))
+        for f in (at_apex, at_copy, on_tail):
+            assert not is_isomorphism(f), (expr, seed)
+        assert is_iso(at_copy.apex_map) and is_isomorphism(at_copy.tail_map)
 
 
 def test_tensor_of_constants():
