@@ -95,10 +95,30 @@ def flags_of_size(rank: int, size: int) -> list[Flag]:
 
 
 class RationalLeaves:
-    """Rational leaves: no structure to follow and no germ spreading."""
+    """Rational leaves: no structure to follow and no germ spreading.
 
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
+    `add` and `sub` skip a zero operand: x ± 0 is x, 0 + y is y and 0 - y
+    is -y, but only when the operand kept is a `Fraction`, so every result
+    has the value and the type that `operator.add`/`operator.sub` give (an
+    `int` operand still goes through the operator).  The probed
+    differentials add and subtract mostly zero leaves.
+    """
+
+    @staticmethod
+    def add(x, y):
+        if not y and type(x) is Fraction:
+            return x
+        if not x and type(y) is Fraction:
+            return y
+        return x + y
+
+    @staticmethod
+    def sub(x, y):
+        if not y and type(x) is Fraction:
+            return x
+        if not x and type(y) is Fraction:
+            return -y
+        return x - y
 
     def sum_parts(self, cs):
         """The structures of the two summands."""

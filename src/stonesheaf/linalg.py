@@ -9,8 +9,10 @@ coordinates), which is plenty for the small spaces that arise here.  The
 representation matrices of the equivariant layer are mostly zeros, so
 `LinMap.apply` and `LinMap.then` multiply only nonzero entries, and `rref`
 updates the other rows only at the pivot row's nonzero entries (the probed
-adelic differentials it reduces are mostly zeros too); the arithmetic is
-exact, so skipping zeros changes no result.  The representation matrices'
+adelic differentials it reduces are mostly zeros too) and, scaling a pivot
+row by a pivot other than 1, divides only its nonzero entries and makes each
+zero entry the shared `ZERO`, never an `int` 0; the arithmetic is exact, so
+skipping zeros changes no result.  The representation matrices'
 nonzero entries are mostly ±1, so the two products take a factor of 1 or -1
 as a sign (the term is x or -x, not a * x) and take an output entry's first
 term as the entry itself, with no addition to zero.  Neither rule changes a
@@ -227,8 +229,10 @@ def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
     """Reduced row echelon form (exact Gaussian elimination) and pivot columns.
 
     Each pivot row's nonzero entries are collected once and every other row
-    is updated in place at those columns only; a pivot of 1 divides nothing.
-    The arithmetic is exact, so skipping zeros changes no entry.
+    is updated in place at those columns only; a pivot of 1 divides nothing,
+    and any other pivot divides only the nonzero entries of its row, whose
+    zeros become `ZERO` (the `Fraction` the division would give).  The
+    arithmetic is exact, so skipping zeros changes no entry.
 
     >>> red, pivots = rref([[Fraction(0), Fraction(2), Fraction(4)],
     ...                     [Fraction(1), Fraction(1), Fraction(0)]])
@@ -254,7 +258,7 @@ def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
         pv = prow[c]
         if pv != 1:
             pv = Fraction(pv)  # exact for int entries too
-            prow[c:] = [x / pv for x in prow[c:]]
+            prow[c:] = [x / pv if x else ZERO for x in prow[c:]]
         # entries left of c are zero in every row from r down
         nonzero = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
         for i, row in enumerate(rows):
