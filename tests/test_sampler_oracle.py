@@ -23,8 +23,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stonesheaf.adelic import (  # noqa: E402
-    ONE, RATIONAL, ZERO, RationalLeaves, _canon, _coords_from_data, _data_from_coords, _differential, _kernel_rref,
-    _slots, build_complex, random_cocycle, random_rat)
+    ONE, RATIONAL, ZERO, RationalLeaves, _canon, _coords_from_data, _data_from_coords,
+    _differential, _kernel_rref, _slots, build_complex, random_cocycle, random_rat)
 from stonesheaf.catalog import o2_dihedral_block  # noqa: E402
 from stonesheaf.linalg import LinMap, VectQ, kernel_basis, rref  # noqa: E402
 from stonesheaf.space import Sum, cb_rank, parse_space  # noqa: E402

@@ -1,6 +1,9 @@
 """The sampler's exact arithmetic against plain arithmetic.
 
-The references below skip no arithmetic:
+The library skips arithmetic that cannot change a value: the rational
+leaves' `add`/`sub` keep a `Fraction` operand beside a zero one, and `rref`
+divides only a pivot row's nonzero entries (see the `RationalLeaves` and
+`linalg` docstrings).  The references below skip no arithmetic:
 
 * `PlainLeaves` (from `tests/test_sampler_oracle.py`), the rational leaves
   with `operator.add`/`operator.sub`;
