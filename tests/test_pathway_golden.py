@@ -114,8 +114,9 @@ def _equivariant(space, cs, seed):
                     _random_eq_cochain, seed)
 
 
-def _exceptional_copy():
-    """Ring operations where copy 0 carries a bigger group than the tail."""
+def exceptional_copy_elements():
+    """x, y, f and a zero over a structure where copy 0 carries a bigger
+    group than the tail."""
     C2 = cyclic_group(2)
     K4 = direct_product(C2, C2)
     X1 = Cone(Finite(1))
@@ -129,6 +130,12 @@ def _exceptional_copy():
     f = EqCFun(X1, (), cs, ("cone", {0: ((half, half),), 2: ((one, one),)}, (half, half)))
     # the zero is written out: eq_zero rejects structures that are not level-uniform
     zero = EqCFun(X1, (0,), cs, ("cone", {}, (Fraction(0), Fraction(0))))
+    return x, y, f, zero
+
+
+def _exceptional_copy():
+    """Ring operations where copy 0 carries a bigger group than the tail."""
+    x, y, f, zero = exceptional_copy_elements()
     return {"x": _element_json(x), "y": _element_json(y), "f": _element_json(f),
             "x+0": _element_json(eq_add(x, zero)),
             "x+y": _element_json(eq_add(x, y)),

@@ -65,24 +65,28 @@ import pytest
 
 from stonesheaf import serialize as ser
 from stonesheaf import weyl
+from stonesheaf.adelic import (
+    FlagError, _canon, _dmap_leaves, _zip_leaves, all_flags, check_flag, const_data,
+    insert_height)
 from stonesheaf.catalog import (
     SubgroupLabel, Lattice2, line_lattice, o2_dihedral_block, t2_block, weyl_of_subgroup)
-from stonesheaf.linalg import LinMap, VectQ
+from stonesheaf.linalg import ZERO, LinMap, VectQ
 from stonesheaf.serialize import SerializeError
 from stonesheaf.linalg import rank as map_rank
 from stonesheaf.sheaf import (
     check_sheaf_map, constant, make_cone_map, make_cone_sheaf, make_fin_map, sec_space,
     germ_section, sec_eval, skyscraper, stalk_map, zero_map)
 from stonesheaf.space import (
-    Cone, Finite, Sum, apex_point, copy_point, fin_point, parse_space, right_point)
+    Cone, Finite, Sum, apex_point, copy_point, cb_rank, fin_point, parse_space, right_point)
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
-    FinGroup, GroupError, GrpHom, average_stalk, cone_structure, constant_structure,
-    cyclic_group, direct_product, eq_random_cocycle, eq_unit, eq_zero, equivariant_adelic,
-    fin_structure, germ_component, group_ring_sheaf, hom_between, identity_hom, level_germ,
-    make_equiv, random_equiv_sheaf, sum_structure, trivial_group, trivial_hom)
+    GROUP_RING, FinGroup, GroupError, GrpHom, average_stalk, cone_structure,
+    constant_structure, cyclic_group, direct_product, eq_random_cocycle, eq_unit, eq_zero,
+    equivariant_adelic, fin_structure, germ_component, gr_mul, gr_unit, group_ring_sheaf,
+    hom_between, identity_hom, level_germ, level_group, make_equiv, random_equiv_sheaf,
+    require_uniform_levels, sum_structure, trivial_group, trivial_hom)
 from test_level_oracle import GROUPS, SEEDED_SPACES, draw_structure
-from test_pathway_golden import _random_eq_cochain
+from test_pathway_golden import _random_eq_cochain, _random_eq_data, exceptional_copy_elements
 
 CRITERION6_GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
                      cyclic_group(5), cyclic_group(6),
@@ -589,3 +593,207 @@ def test_generators_at_rank_2(name, count):
     assert len(gens) == count
     assert weyl.generator_images_cover(E, gens)
     assert all(weyl.check_equivariance(g, ring, E) and check_sheaf_map(g) for g in gens)
+
+
+# ---------------------------------------------------------------------------
+# the ring operations of the equivariant splicing rings, against the
+# top-level functions that they were
+
+
+@dataclass(frozen=True)
+class _EqRecord:
+    """An equivariant ring element as the references build it: the fields
+    of the record that equivariant ring elements were, in their order."""
+    space: object
+    flag: tuple
+    cs: object
+    data: object
+
+
+def _reference_group(cs, flag):
+    return level_group(cs, flag[-1] if flag else 0)
+
+
+def eq_unit_reference(space, flag, cs):
+    check_flag(space, flag)
+    require_uniform_levels(cs, "equivariant ring elements")
+    return _EqRecord(space, flag, cs,
+                     const_data(space, flag, gr_unit(_reference_group(cs, flag))))
+
+
+def eq_zero_reference(space, flag, cs):
+    check_flag(space, flag)
+    require_uniform_levels(cs, "equivariant ring elements")
+    return _EqRecord(space, flag, cs,
+                     const_data(space, flag, (ZERO,) * _reference_group(cs, flag).order))
+
+
+def _zip_reference(f, g, op):
+    data = _canon(GROUP_RING, f.space, f.flag, f.cs,
+                  _zip_leaves(f.space, f.flag, f.data, g.data, op))
+    return _EqRecord(f.space, f.flag, f.cs, data)
+
+
+def eq_add_reference(f, g):
+    return _zip_reference(f, g, lambda a, b: tuple(p + q for p, q in zip(a, b)))
+
+
+def eq_mul_reference(f, g):
+    """Stalkwise convolution product."""
+    G = _reference_group(f.cs, f.flag)
+    return _zip_reference(f, g, lambda a, b: gr_mul(G, a, b))
+
+
+def eq_dmap_reference(b, f):
+    new_flag = insert_height(f.flag, b)
+    check_flag(f.space, new_flag)
+    data = _canon(GROUP_RING, f.space, new_flag, f.cs,
+                  _dmap_leaves(GROUP_RING, f.space, f.flag, f.cs, b, f.data))
+    return _EqRecord(f.space, new_flag, f.cs, data)
+
+
+def _ring_ops():
+    """The ring operations under test, by name."""
+    return {"unit": weyl.eq_unit, "zero": weyl.eq_zero, "add": weyl.eq_add,
+            "mul": weyl.eq_mul, "dmap": weyl.eq_dmap}
+
+
+def _element(record):
+    return weyl.EqCFun(space=record.space, flag=record.flag, cs=record.cs, data=record.data)
+
+
+def _same_element(got, want):
+    assert type(got) is weyl.EqCFun
+    assert got.data == want.data
+    assert ser.eqcfun_to_json(got) == ser.eqcfun_to_json(want)
+
+
+def _uniform_ring_cases():
+    """(name, space, structure) of the level-uniform structures whose ring
+    elements `test_weyl` and this file build."""
+    C2, C3, one = cyclic_group(2), cyclic_group(3), trivial_group()
+    two, uneven = Sum(Finite(1), Finite(1)), Sum(Finite(1), X1)
+    cases = [
+        ("o2_structure", X1, cone_structure(X1, {}, _fin(C2), one, trivial_hom(C2, one))),
+        ("trivial X1", X1, weyl.trivial_structure(X1)),
+        ("trivial X2", X2, weyl.trivial_structure(X2)),
+        ("C2 apex", X1, cone_structure(X1, {}, _fin(C2), C2, identity_hom(C2))),
+        ("uniform Finite(2)", Finite(2), fin_structure(Finite(2), [C2, C2])),
+        ("uniform sum", two, sum_structure(two, _fin(C2), _fin(C2))),
+        ("root sum", uneven, sum_structure(uneven, _fin(C2), cone_structure(
+            X1, {}, _fin(C2), C3, trivial_hom(C2, C3)))),
+    ]
+    for n in (3, 4, 6):
+        space, _labels, cs = o2_dihedral_block(n)
+        cases.append((f"o2_dihedral_block({n})", space, cs))
+    space, _labels, cs, _towers = t2_block()
+    return cases + [("t2_block()", space, cs)]
+
+
+def _refused_ring_cases():
+    """(name, space, structure) of the structures without one group per
+    level that `test_ring_elements_need_level_uniform_structures` and
+    `test_sum_summands_need_one_group_per_shared_level` build."""
+    C2, C3, one = cyclic_group(2), cyclic_group(3), trivial_group()
+    two, uneven = Sum(Finite(1), Finite(1)), Sum(Finite(1), X1)
+    tail = sum_structure(uneven, _fin(C2), cone_structure(X1, {}, _fin(C3), C2,
+                                                          trivial_hom(C3, C2)))
+    return [
+        ("mixed Finite(2)", Finite(2), fin_structure(Finite(2), [C2, C3])),
+        ("bigger copy", X1, cone_structure(X1, {0: _fin(direct_product(C2, C2))}, _fin(C2),
+                                           one, trivial_hom(C2, one))),
+        ("mixed sum", two, sum_structure(two, _fin(C2), _fin(C3))),
+        ("cone over an uneven sum", Cone(uneven),
+         cone_structure(Cone(uneven), {}, tail, C2, identity_hom(C2))),
+    ]
+
+
+UNIFORM_RING_CASES, REFUSED_RING_CASES = _uniform_ring_cases(), _refused_ring_cases()
+
+
+def _outcome(build, *args):
+    """The element that build(*args) returns, or the type and message of
+    what it raises."""
+    try:
+        return build(*args)
+    except (ValueError, GroupError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name, space, cs", UNIFORM_RING_CASES,
+                         ids=[name for name, _space, _cs in UNIFORM_RING_CASES])
+def test_units_and_zeros_match_the_reference(name, space, cs):
+    ops = _ring_ops()
+    for flag in [()] + all_flags(cb_rank(space)):
+        _same_element(ops["unit"](space, flag, cs), eq_unit_reference(space, flag, cs))
+        _same_element(ops["zero"](space, flag, cs), eq_zero_reference(space, flag, cs))
+    rank = cb_rank(space)
+    for flag in [(rank + 1,), (0, 1), (-1,)]:
+        for op, reference in [("unit", eq_unit_reference), ("zero", eq_zero_reference)]:
+            got = _outcome(ops[op], space, flag, cs)
+            assert got == _outcome(reference, space, flag, cs)
+            assert got[0] is FlagError
+
+
+@pytest.mark.parametrize("name, space, cs", REFUSED_RING_CASES,
+                         ids=[name for name, _space, _cs in REFUSED_RING_CASES])
+def test_units_and_zeros_refuse_as_the_reference_does(name, space, cs):
+    ops = _ring_ops()
+    for flag in [(0,), (), (cb_rank(space) + 1,)]:
+        for op, reference in [("unit", eq_unit_reference), ("zero", eq_zero_reference)]:
+            got = _outcome(ops[op], space, flag, cs)
+            assert got == _outcome(reference, space, flag, cs)
+            assert isinstance(got, tuple)
+
+
+def _check_operations(x, y, unit, zero, flags_to_insert):
+    """add, mul and dmap on elements x and y against the references."""
+    ops = _ring_ops()
+    for a, b in [(x, y), (y, x), (x, zero), (zero, y), (x, x)]:
+        _same_element(ops["add"](a, b), eq_add_reference(a, b))
+        _same_element(ops["mul"](a, b), eq_mul_reference(a, b))
+    for a, b in [(x, unit), (unit, y)]:
+        _same_element(ops["mul"](a, b), eq_mul_reference(a, b))
+    for b in flags_to_insert:
+        _same_element(ops["dmap"](b, x), eq_dmap_reference(b, x))
+
+
+@pytest.mark.parametrize("name, space, cs", UNIFORM_RING_CASES,
+                         ids=[name for name, _space, _cs in UNIFORM_RING_CASES])
+def test_operations_on_seeded_elements_match_the_reference(name, space, cs):
+    rng = random.Random(f"ring {name}")
+    rank = cb_rank(space)
+    for flag in [()] + all_flags(rank):
+        zero = _element(eq_zero_reference(space, flag, cs))
+        unit = _element(eq_unit_reference(space, flag, cs))
+        x, y = (_element(eq_add_reference(
+            weyl.EqCFun(space=space, flag=flag, cs=cs,
+                        data=_random_eq_data(space, flag, cs, rng)), zero)) for _ in range(2))
+        _check_operations(x, y, unit, zero, [b for b in range(rank + 1) if b not in flag])
+
+
+def test_operations_on_the_seeded_cocycles_of_test_weyl_match_the_reference():
+    one, C2 = trivial_group(), cyclic_group(2)
+    cs = cone_structure(X1, {}, _fin(C2), one, trivial_hom(C2, one))
+    cx = equivariant_adelic(X1, cs)
+    for seed, degree in [(7, 0), (9, 1)]:
+        rng = random.Random(seed)
+        for _ in range(4):
+            z, w = eq_random_cocycle(cx, degree, rng), eq_random_cocycle(cx, degree, rng)
+            for A in z:
+                unit = _element(eq_unit_reference(X1, A, cs))
+                zero = _element(eq_zero_reference(X1, A, cs))
+                _check_operations(z[A], w[A], unit, zero, [b for b in range(2) if b not in A])
+    tau = weyl.EqCFun(space=X1, flag=(1, 0), cs=cs, data=(Fraction(0), Fraction(1)))
+    _same_element(_ring_ops()["mul"](tau, tau), eq_mul_reference(tau, tau))
+
+
+def test_operations_on_an_exceptional_copy_match_the_reference():
+    x, y, f, zero = exceptional_copy_elements()
+    ops = _ring_ops()
+    for a, b in [(x, zero), (x, y), (y, x), (zero, y)]:
+        _same_element(ops["add"](a, b), eq_add_reference(a, b))
+        _same_element(ops["mul"](a, b), eq_mul_reference(a, b))
+    for b in (0, 1):
+        _same_element(ops["dmap"](b, f), eq_dmap_reference(b, f))
+    _same_element(ops["dmap"](1, x), eq_dmap_reference(1, x))
