@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -87,11 +87,13 @@ def flags_of_size(rank: int, size: int) -> list[Flag]:
 #   Cone(Y), flag whose top is the rank: a single leaf
 #   Cone(Y), otherwise: ("cone", {copy: data}, tail leaf)
 #
-# A leaf is a rational in the scalar rings (`CFun`) and a group-ring vector
-# in the equivariant ones (`weyl.EqCFun`).  The recursions below serve both.
-# Where they need more than the shape of the data they take a leaf algebra
-# `L` and the component structure `cs` it follows: `RationalLeaves` with
-# cs None here, `weyl.GroupRingLeaves` for group-ring leaves.
+# A leaf is a rational in the scalar rings and a group-ring vector in the
+# equivariant ones.  One element class, `CFun`, serves both: it reads its
+# leaf algebra `leaves` and the component structure `cs` that the algebra
+# follows from the element, `RATIONAL` with cs None here, and
+# `weyl.EqCFun` binds `weyl.GROUP_RING` and a structure.  The recursions
+# below take the same pair (L, cs) where they need more than the shape of
+# the data.
 
 
 class RationalLeaves:
@@ -120,6 +122,14 @@ class RationalLeaves:
             return -y
         return x - y
 
+    def mul(self, cs, flag):
+        """The product of leaves over flag, as a binary operation."""
+        return operator.mul
+
+    @staticmethod
+    def scale(c, leaf):
+        return c * leaf
+
     def sum_parts(self, cs):
         """The structures of the two summands."""
         return None, None
@@ -134,6 +144,9 @@ class RationalLeaves:
 
     def zero(self, cs, flag):
         return ZERO
+
+    def unit(self, cs, flag):
+        return ONE
 
     def size(self, cs, flag):
         """The number of rational coordinates of a leaf."""
@@ -239,64 +252,67 @@ def _map_leaves(space, flag, x, op):
     return ("cone", {k: _map_leaves(space.base, flag, v, op) for k, v in exc.items()}, op(tail))
 
 
-def _zip_data(L, space, flag, cs, x, y, op):
-    return _canon(L, space, flag, cs, _zip_leaves(space, flag, x, y, op))
-
-
-def _map_data(L, space, flag, cs, x, op):
-    return _canon(L, space, flag, cs, _map_leaves(space, flag, x, op))
+def _is_zero_data(L, space, flag, cs, data) -> bool:
+    return data == const_data(space, flag, L.zero(cs, flag))
 
 
 @dataclass(frozen=True)
 class CFun:
-    """A constructible element of the splicing ring for (space, flag)."""
+    """A constructible element of the splicing ring for (space, flag).
+
+    The class attributes `leaves` and `cs` name the leaf algebra and the
+    component structure it follows, as for `AdelicComplex`;
+    `weyl.EqCFun` replaces them.  Binary operations need both operands over
+    the same (space, flag, cs).
+    """
 
     space: SpaceExpr
     flag: Flag
     data: object
+    cs = None
+    leaves = RATIONAL
 
-    @staticmethod
-    def unit(space: SpaceExpr, flag: Flag) -> "CFun":
+    @classmethod
+    def unit(cls, space: SpaceExpr, flag: Flag, cs=None) -> "CFun":
+        return cls.scalar(space, flag, ONE, cs)
+
+    @classmethod
+    def zero(cls, space: SpaceExpr, flag: Flag, cs=None) -> "CFun":
+        return cls.scalar(space, flag, ZERO, cs)
+
+    @classmethod
+    def scalar(cls, space: SpaceExpr, flag: Flag, c, cs=None) -> "CFun":
+        """c times the unit; the group-ring unit refuses a structure that is
+        not level-uniform."""
         check_flag(space, flag)
-        return CFun(space, flag, const_data(space, flag, ONE))
-
-    @staticmethod
-    def zero(space: SpaceExpr, flag: Flag) -> "CFun":
-        check_flag(space, flag)
-        return CFun(space, flag, const_data(space, flag, ZERO))
-
-    @staticmethod
-    def scalar(space: SpaceExpr, flag: Flag, c) -> "CFun":
-        check_flag(space, flag)
-        return CFun(space, flag, const_data(space, flag, rat(c)))
-
-    def _check_same(self, other: "CFun"):
-        if self.space != other.space or self.flag != other.flag:
-            raise SpaceMismatch("ring elements live over different (space, flag)")
+        L = cls.leaves
+        data = const_data(space, flag, L.scale(rat(c), L.unit(cs, flag)))
+        return cls(space, flag, data) if cs is None else cls(space, flag, data, cs)
 
     def add(self, other: "CFun") -> "CFun":
-        self._check_same(other)
-        return self._zip(other, operator.add)
+        return self._zip(other, self.leaves.add)
 
     def sub(self, other: "CFun") -> "CFun":
-        self._check_same(other)
-        return self._zip(other, operator.sub)
+        return self._zip(other, self.leaves.sub)
 
     def mul(self, other: "CFun") -> "CFun":
-        self._check_same(other)
-        return self._zip(other, operator.mul)
+        return self._zip(other, self.leaves.mul(self.cs, self.flag))
 
     def _zip(self, other: "CFun", op) -> "CFun":
-        return CFun(self.space, self.flag,
-                    _zip_data(RATIONAL, self.space, self.flag, None, self.data, other.data, op))
+        if self.space != other.space or self.flag != other.flag or self.cs != other.cs:
+            raise SpaceMismatch("ring elements live over different (space, flag, structure)")
+        return self._normal(_zip_leaves(self.space, self.flag, self.data, other.data, op))
 
     def scale(self, c) -> "CFun":
-        c = rat(c)
-        return CFun(self.space, self.flag,
-                    _map_data(RATIONAL, self.space, self.flag, None, self.data, lambda a: c * a))
+        c, L = rat(c), self.leaves
+        return self._normal(_map_leaves(self.space, self.flag, self.data, lambda a: L.scale(c, a)))
+
+    def _normal(self, data) -> "CFun":
+        """This element with the given data (not in normal form) in its place."""
+        return replace(self, data=_canon(self.leaves, self.space, self.flag, self.cs, data))
 
     def is_zero(self) -> bool:
-        return self == CFun.zero(self.space, self.flag)
+        return _is_zero_data(self.leaves, self.space, self.flag, self.cs, self.data)
 
     def __add__(self, other):
         return self.add(other)
@@ -338,14 +354,13 @@ def dmap(b: int, f: CFun) -> CFun:
     Inserting below the flag spreads values diagonally onto the new stratum
     (a pure uniform tail); inserting the top height of a cone extracts the
     germ at its apex, which for constructible data is the eventual value.
+    Group-ring leaves spread through the germ components, so the unit goes
+    to an idempotent, not always to the unit.
     """
     new_flag = insert_height(f.flag, b)
     check_flag(f.space, new_flag)
-    return CFun(f.space, new_flag, _dmap_data(RATIONAL, f.space, f.flag, None, b, f.data))
-
-
-def _dmap_data(L, space, flag, cs, b, data):
-    return _canon(L, space, insert_height(flag, b), cs, _dmap_leaves(L, space, flag, cs, b, data))
+    return replace(f, flag=new_flag, data=_canon(f.leaves, f.space, new_flag, f.cs, _dmap_leaves(
+        f.leaves, f.space, f.flag, f.cs, b, f.data)))
 
 
 def _dmap_leaves(L, space, flag, cs, b, data):
@@ -435,7 +450,7 @@ class AdelicComplex:
 
     def is_cocycle(self, cochain: dict, degree: int) -> bool:
         L, space, cs = self.leaves, self.space, self.cs
-        return all(d == const_data(space, B, L.zero(cs, B))
+        return all(_is_zero_data(L, space, B, cs, d)
                    for B, d in _differential(L, space, cs, degree, _raw(cochain)).items())
 
     def exactness_witness(self, cochain: dict, degree: int) -> dict:

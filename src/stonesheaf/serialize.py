@@ -479,9 +479,8 @@ def eqcfun_from_json(d, path="$"):
         flag = tuple(d["flag"])
         cs = structure_from_json(d["structure"], path + ".structure")
         require_uniform_levels(cs, "equivariant ring elements")
-        return EqCFun(space, flag, cs,
-                      _data_from_json(space, flag, d["data"], path + ".data", _group_ring_leaf,
-                                      GROUP_RING, cs))
+        return EqCFun(space, flag, _data_from_json(space, flag, d["data"], path + ".data",
+                                                   _group_ring_leaf, GROUP_RING, cs), cs)
 
 
 def cmod_to_json(M) -> dict:

@@ -36,10 +36,11 @@ case with group-ring leaves: they run the recursions of `adelic` (normal
 forms, ring operations, cube maps, exactness witnesses, cocycle sampling)
 with `GroupRingLeaves`, which follows the component structure into summands
 and copies and spreads a leaf down a level through the germ component
-`level_germ(...)`.  `EqAdelicComplex` is the complex of `adelic` with these
-leaves; only its component structure and the augmentation of group-ring
-sections (`GroupRingLeaves.augment`) are its own.  With trivial groups
-everything collapses bitwise onto the scalar complex.
+`level_germ(...)`.  `EqCFun` is the ring element of `adelic` and
+`EqAdelicComplex` the complex of `adelic` with these leaves; only their
+component structure and the augmentation of group-ring sections
+(`GroupRingLeaves.augment`) are their own.  With trivial groups everything
+collapses bitwise onto the scalar complex.
 
 What is computed once is kept.  A `FinGroup` keeps the identity and the
 inverse table its validation finds, and its sign characters once asked for.
@@ -66,9 +67,7 @@ from fractions import Fraction
 from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, left_point, right_point, validate_point)
-from .adelic import (
-    AdelicComplex, CFun, Flag, _dmap_data, _map_leaves, _sample_cocycle, _zip_data,
-    check_flag, const_data, insert_height)
+from .adelic import AdelicComplex, CFun, _map_leaves, _sample_cocycle
 from .sheaf import (
     CSheaf, Section, SheafMap, check_sheaf_map, constant_section, germ_section, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
@@ -673,28 +672,12 @@ def _tree_map(F: CSheaf, G: CSheaf, tree) -> SheafMap:
 # the equivariant splicing rings
 
 
-@dataclass(frozen=True)
-class EqCFun:
-    """A constructible element of an equivariant splicing ring; the data
-    mirrors the scalar case with group-ring leaves at the flag's bottom
-    level."""
-
-    space: SpaceExpr
-    flag: Flag
-    cs: ComponentStructure
-    data: object
-
-
-def _leaf_group(cs, flag) -> FinGroup:
-    return level_group(cs, flag[-1] if flag else 0)
-
-
 class GroupRingLeaves:
     """Group-ring leaves for the splicing-ring recursions of `adelic`: a leaf
-    lies in the group ring of the group at the flag's lowest level, and a
-    leaf of level a spreads down to level b through the germ component of
-    the structure homomorphism from b up to a.  Degree -1 data is a section
-    of the sheaf of group rings."""
+    lies in the group ring of the group at the flag's lowest level (`group`,
+    read from the root's level table), and a leaf of level a spreads down to
+    level b through the germ component of the structure homomorphism from b
+    up to a.  Degree -1 data is a section of the sheaf of group rings."""
 
     @staticmethod
     def add(a, b):
@@ -714,11 +697,30 @@ class GroupRingLeaves:
     def spread(self, cs, b, a, leaf):
         return level_germ(cs, b, a).apply(leaf)
 
+    @staticmethod
+    def scale(c, leaf):
+        return tuple(c * x for x in leaf)
+
+    def group(self, cs, flag) -> FinGroup:
+        """The group whose group ring holds the leaves over flag."""
+        return level_group(cs, flag[-1] if flag else 0)
+
     def zero(self, cs, flag):
         return (ZERO,) * self.size(cs, flag)
 
+    def unit(self, cs, flag):
+        """The unit leaf.  Ring elements are built from it, and their leaves
+        are sized by level, so it refuses a structure that is not
+        level-uniform; the complex checks that once, when it is built."""
+        require_uniform_levels(cs, "equivariant ring elements")
+        return gr_unit(self.group(cs, flag))
+
+    def mul(self, cs, flag):
+        """The product of leaves over flag, as a binary operation."""
+        return functools.partial(gr_mul, self.group(cs, flag))
+
     def size(self, cs, flag):
-        return _leaf_group(cs, flag).order
+        return self.group(cs, flag).order
 
     def read(self, values, pos, size):
         return tuple(values[pos:pos + size])
@@ -729,7 +731,7 @@ class GroupRingLeaves:
     def element(self, space, flag, cs, data):
         if not flag:
             return Section(group_ring_sheaf(cs).sheaf, data)
-        return EqCFun(space, flag, cs, data)
+        return EqCFun(space, flag, data, cs)
 
     def augment(self, space, cs, data, a):
         """The flag-(a,) component of the augmentation of group-ring section
@@ -758,36 +760,13 @@ class GroupRingLeaves:
 GROUP_RING = GroupRingLeaves()
 
 
-def eq_unit(space, flag, cs) -> EqCFun:
-    check_flag(space, flag)
-    require_uniform_levels(cs, "equivariant ring elements")
-    return EqCFun(space, flag, cs, const_data(space, flag, gr_unit(_leaf_group(cs, flag))))
+@dataclass(frozen=True)
+class EqCFun(CFun):
+    """A constructible element of an equivariant splicing ring: the scalar
+    element with group-ring leaves, which follow the structure `cs`."""
 
-
-def eq_zero(space, flag, cs) -> EqCFun:
-    check_flag(space, flag)
-    require_uniform_levels(cs, "equivariant ring elements")
-    return EqCFun(space, flag, cs, const_data(space, flag, GROUP_RING.zero(cs, flag)))
-
-
-def eq_add(f: EqCFun, g: EqCFun) -> EqCFun:
-    return EqCFun(f.space, f.flag, f.cs,
-                  _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, GROUP_RING.add))
-
-
-def eq_mul(f: EqCFun, g: EqCFun) -> EqCFun:
-    """Stalkwise convolution product."""
-    G = _leaf_group(f.cs, f.flag)
-    op = lambda a, b: gr_mul(G, a, b)
-    return EqCFun(f.space, f.flag, f.cs,
-                  _zip_data(GROUP_RING, f.space, f.flag, f.cs, f.data, g.data, op))
-
-
-def eq_dmap(b: int, f: EqCFun) -> EqCFun:
-    new_flag = insert_height(f.flag, b)
-    check_flag(f.space, new_flag)
-    return EqCFun(f.space, new_flag, f.cs,
-                  _dmap_data(GROUP_RING, f.space, f.flag, f.cs, b, f.data))
+    cs: ComponentStructure = field()   # no default from the scalar `cs = None`
+    leaves = GROUP_RING
 
 
 @dataclass(frozen=True)
@@ -838,7 +817,7 @@ def eq_to_plain(f: EqCFun) -> CFun:
 
 
 def plain_to_eq(f: CFun, cs: ComponentStructure) -> EqCFun:
-    return EqCFun(f.space, f.flag, cs, _map_leaves(f.space, f.flag, f.data, lambda v: (v,)))
+    return EqCFun(f.space, f.flag, _map_leaves(f.space, f.flag, f.data, lambda v: (v,)), cs)
 
 
 # ---------------------------------------------------------------------------

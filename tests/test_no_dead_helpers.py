@@ -84,8 +84,6 @@ TEST_FACING = {
     "models.coreflect",
     # the initial vertex of a punctured diagram, as a finite limit
     "models.limit_vertex",
-    # ring operations whose leaf sizing is still open (ROADMAP item 6)
-    "weyl.eq_unit", "weyl.eq_zero", "weyl.eq_add", "weyl.eq_mul", "weyl.eq_dmap",
     # operations that the benchmark workloads under `perfbench/` call: the
     # cube map of ring data, stalkwise averaging, and the sheaf of a diagram
     "adelic.dmap", "weyl.average", "models.from_standard",

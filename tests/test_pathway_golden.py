@@ -25,13 +25,13 @@ import random
 from fractions import Fraction
 
 from stonesheaf import serialize as ser
-from stonesheaf.adelic import build_complex, random_cfun, random_cocycle
+from stonesheaf.adelic import build_complex, dmap, random_cfun, random_cocycle
 from stonesheaf.catalog import o2_dihedral_block, t2_block
 from stonesheaf.sheaf import Section, random_section
 from stonesheaf.space import Cone, Finite, Sum, cb_rank, parse_space
 from stonesheaf.weyl import (
     EqCFun, cone_structure, constant_structure, cyclic_group, direct_product,
-    eq_add, eq_dmap, eq_mul, eq_random_cocycle, eq_zero, equivariant_adelic,
+    eq_random_cocycle, equivariant_adelic,
     group_ring_sheaf, level_group, trivial_group, trivial_hom,
     trivial_structure)
 
@@ -82,8 +82,8 @@ def _random_eq_cochain(cx, degree, rng):
         return {(): random_section(group_ring_sheaf(cx.cs).sheaf, rng)}
     out = {}
     for A in cx.flags(degree):
-        raw = EqCFun(cx.space, A, cx.cs, _random_eq_data(cx.space, A, cx.cs, rng))
-        out[A] = eq_add(raw, eq_zero(cx.space, A, cx.cs))   # canonical form
+        raw = EqCFun(cx.space, A, _random_eq_data(cx.space, A, cx.cs, rng), cx.cs)
+        out[A] = raw.add(EqCFun.zero(cx.space, A, cx.cs))   # canonical form
     return out
 
 
@@ -125,11 +125,11 @@ def exceptional_copy_elements():
                         trivial_hom(C2, trivial_group()))
     one, half = Fraction(1), Fraction(1, 2)
     # copies 0 and 1 both equal the tail value: only copy 0 survives canon
-    x = EqCFun(X1, (0,), cs, ("cone", {0: ((one, half),), 1: ((one, half),)}, (one, half)))
-    y = EqCFun(X1, (0,), cs, ("cone", {1: ((half, one),)}, (Fraction(0), one)))
-    f = EqCFun(X1, (), cs, ("cone", {0: ((half, half),), 2: ((one, one),)}, (half, half)))
-    # the zero is written out: eq_zero rejects structures that are not level-uniform
-    zero = EqCFun(X1, (0,), cs, ("cone", {}, (Fraction(0), Fraction(0))))
+    x = EqCFun(X1, (0,), ("cone", {0: ((one, half),), 1: ((one, half),)}, (one, half)), cs)
+    y = EqCFun(X1, (0,), ("cone", {1: ((half, one),)}, (Fraction(0), one)), cs)
+    f = EqCFun(X1, (), ("cone", {0: ((half, half),), 2: ((one, one),)}, (half, half)), cs)
+    # the zero is written out: `EqCFun.zero` rejects structures that are not level-uniform
+    zero = EqCFun(X1, (0,), ("cone", {}, (Fraction(0), Fraction(0))), cs)
     return x, y, f, zero
 
 
@@ -137,10 +137,10 @@ def _exceptional_copy():
     """Ring operations where copy 0 carries a bigger group than the tail."""
     x, y, f, zero = exceptional_copy_elements()
     return {"x": _element_json(x), "y": _element_json(y), "f": _element_json(f),
-            "x+0": _element_json(eq_add(x, zero)),
-            "x+y": _element_json(eq_add(x, y)),
-            "x*y": _element_json(eq_mul(x, y)),
-            "d0(f)": _element_json(eq_dmap(0, f))}
+            "x+0": _element_json(x + zero),
+            "x+y": _element_json(x + y),
+            "x*y": _element_json(x * y),
+            "d0(f)": _element_json(dmap(0, f))}
 
 
 def render() -> str:

@@ -17,7 +17,7 @@ from stonesheaf.adelic import random_cfun
 from stonesheaf.catalog import o2_dihedral_block
 from stonesheaf.sheaf import constant, identity_map, random_csheaf, random_section, sec_to_coords
 from stonesheaf.space import parse_space
-from stonesheaf.weyl import GrpHom, cyclic_group, eq_unit, group_ring_sheaf
+from stonesheaf.weyl import EqCFun, GrpHom, cyclic_group, group_ring_sheaf
 from test_serialize_golden import CORRUPTED, GOLDEN, corruptions, reported_inside
 
 
@@ -98,7 +98,7 @@ def test_section_vector_longer_than_its_stalk():
 
 def test_group_ring_leaf_of_the_wrong_length():
     space, _labels, cs = o2_dihedral_block(3)
-    doc = ser.eqcfun_to_json(eq_unit(space, (0,), cs))
+    doc = ser.eqcfun_to_json(EqCFun.unit(space, (0,), cs))
     assert doc["data"] == {"tail": ["1/1", "0/1"], "exc": []}
     doc["data"] = {"tail": ["1/1"], "exc": [[2, [["1/2", "3/1", "5/1", "7/1", "9/1"]]]]}
     err = _error(ser.eqcfun_from_json, doc)

@@ -38,7 +38,7 @@ from stonesheaf.sheaf import (
 from stonesheaf.space import (
     Cone, cb_rank, complement, copy_point, full_set, iter_points, nbhd_basis, parse_space)
 from stonesheaf.weyl import (
-    eq_random_cocycle, eq_unit, equivariant_adelic, group_ring_sheaf, random_equiv_sheaf,
+    EqCFun, eq_random_cocycle, equivariant_adelic, group_ring_sheaf, random_equiv_sheaf,
     trivial_structure)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "serialize.json"
@@ -73,7 +73,7 @@ def _instances():
         out["structure"].append(trivial_structure(space))
         for flag in [()] + all_flags(cb_rank(space)):
             out["cfun"].append(random_cfun(space, flag, rng))
-            out["eqcfun"].append(eq_unit(space, flag, trivial_structure(space)))
+            out["eqcfun"].append(EqCFun.unit(space, flag, trivial_structure(space)))
         points = list(iter_points(space, 2))
         out["point"] += points
         u = nbhd_basis(space, points[-1], 1)

@@ -21,7 +21,7 @@ from stonesheaf.homalg import random_hom  # noqa: E402
 from stonesheaf.sheaf import (  # noqa: E402
     align_pair, identity_map, random_csheaf, random_section, zero_map)
 from stonesheaf.space import cb_rank  # noqa: E402
-from stonesheaf.weyl import eq_unit, trivial_structure  # noqa: E402
+from stonesheaf.weyl import EqCFun, trivial_structure  # noqa: E402
 from test_space_properties import spaces  # noqa: E402
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -90,7 +90,7 @@ def test_malformed_rational_leaf_path():
 
 def test_malformed_group_ring_leaf_path():
     space, _labels, cs = o2_dihedral_block(3)
-    doc = ser.eqcfun_to_json(eq_unit(space, (0,), cs))
+    doc = ser.eqcfun_to_json(EqCFun.unit(space, (0,), cs))
     doc["data"] = {"tail": ["1/1", "0/1"], "exc": [[2, [["1/2", "x/1"]]]]}
     with pytest.raises(ser.SerializeError) as err:
         ser.eqcfun_from_json(doc)

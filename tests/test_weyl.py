@@ -14,8 +14,8 @@ from stonesheaf.sheaf import (
 from stonesheaf.weyl import (
     EqCFun, GroupError, average, average_stalk, check_equivariance,
     check_germ_equivariance,
-    cone_structure, constant_structure, cyclic_group, direct_product, eq_mul,
-    eq_random_cocycle, eq_to_plain, eq_unit, equivariant_adelic,
+    cone_structure, constant_structure, cyclic_group, direct_product,
+    eq_random_cocycle, eq_to_plain, equivariant_adelic,
     fin_structure, generator_epi, gr_unit, generator_images_cover,
     group_ring_sheaf, group_ring_space, identity_hom, level_group, make_equiv,
     plain_to_eq, random_equiv_sheaf, regular_rep,
@@ -238,9 +238,9 @@ def test_o2_block_degree0_structure_and_witness():
         z = eq_random_cocycle(cx, 0, rng)
         w = cx.exactness_witness(z, 0)    # verified internally
     # C^0 has group-ring leaves downstairs and a scalar at the limit
-    u0 = eq_unit(X1, (0,), cs)
+    u0 = EqCFun.unit(X1, (0,), cs)
     assert len(u0.data[2]) == 2         # the uniform leaf lives in the C2 ring
-    u1 = eq_unit(X1, (1,), cs)
+    u1 = EqCFun.unit(X1, (1,), cs)
     assert len(u1.data) == 1            # the limit group is trivial
 
 
@@ -255,10 +255,10 @@ def test_o2_block_witnesses_higher_degree():
 
 def test_ring_structure_of_equivariant_leaves():
     cs = o2_structure()
-    u = eq_unit(X1, (1, 0), cs)
-    assert eq_mul(u, u).data == u.data
-    tau_elt = EqCFun(X1, (1, 0), cs, (Fraction(0), Fraction(1)))
-    sq = eq_mul(tau_elt, tau_elt)
+    u = EqCFun.unit(X1, (1, 0), cs)
+    assert (u * u).data == u.data
+    tau_elt = EqCFun(X1, (1, 0), (Fraction(0), Fraction(1)), cs)
+    sq = tau_elt * tau_elt
     assert sq.data == (Fraction(1), Fraction(0))   # an involution squares to one
 
 
@@ -310,25 +310,25 @@ def test_generators_on_random_equivariant_sheaves():
 
 # -- the standard generator ---------------------------------------------------
 # The generator of a flag vertex is the equivariant ring as a module over
-# itself, represented by its unit `eq_unit`.
+# itself, represented by its unit `EqCFun.unit`.
 
 def test_standard_generator_trivial_groups():
     cs = trivial_structure(X1)
     for flag in [(0,), (1,), (1, 0)]:
-        g = eq_unit(X1, flag, cs)
+        g = EqCFun.unit(X1, flag, cs)
         assert eq_to_plain(g) == CFun.unit(X1, flag)
 
 
 def test_standard_generator_apex_group_ring():
     cs = cone_structure(X1, {}, constant_structure(Finite(1), C2), C2,
                         identity_hom(C2))
-    g = eq_unit(X1, (1,), cs)
+    g = EqCFun.unit(X1, (1,), cs)
     assert g.data == gr_unit(C2)       # the group ring at the limit point
 
 
 def test_standard_generator_germ_leaves():
     cs = o2_structure()
-    g = eq_unit(X1, (1, 0), cs)
+    g = EqCFun.unit(X1, (1, 0), cs)
     assert g.data == gr_unit(C2)       # germ of uniform group-ring sequences
     assert level_group(cs, 0) == C2
 

@@ -66,7 +66,7 @@ import pytest
 from stonesheaf import serialize as ser
 from stonesheaf import weyl
 from stonesheaf.adelic import (
-    FlagError, _canon, _dmap_leaves, _zip_leaves, all_flags, check_flag, const_data,
+    FlagError, _canon, _dmap_leaves, _zip_leaves, all_flags, check_flag, const_data, dmap,
     insert_height)
 from stonesheaf.catalog import (
     SubgroupLabel, Lattice2, line_lattice, o2_dihedral_block, t2_block, weyl_of_subgroup)
@@ -80,9 +80,8 @@ from stonesheaf.space import (
     Cone, Finite, Sum, apex_point, copy_point, cb_rank, fin_point, parse_space, right_point)
 from stonesheaf.verify import _s3_group
 from stonesheaf.weyl import (
-    GROUP_RING, FinGroup, GroupError, GrpHom, average_stalk, cone_structure,
-    constant_structure, cyclic_group, direct_product, eq_random_cocycle, eq_unit, eq_zero,
-    equivariant_adelic, fin_structure, germ_component, gr_mul, gr_unit, group_ring_sheaf,
+    GROUP_RING, EqCFun, FinGroup, GroupError, GrpHom, average_stalk, cone_structure,
+    constant_structure, cyclic_group, direct_product, eq_random_cocycle, equivariant_adelic, fin_structure, germ_component, gr_mul, gr_unit, group_ring_sheaf,
     hom_between, identity_hom, level_germ, level_group, make_equiv, random_equiv_sheaf,
     require_uniform_levels, sum_structure, trivial_group, trivial_hom)
 from test_level_oracle import GROUPS, SEEDED_SPACES, draw_structure
@@ -332,12 +331,12 @@ def test_ring_elements_need_level_uniform_structures():
                           constant_structure(Finite(1), C2), trivial_group(),
                           trivial_hom(C2, trivial_group()))
     for space, cs in [(Finite(2), mixed), (X1, copy)]:
-        for build in (eq_unit, eq_zero):
+        for build in (EqCFun.unit, EqCFun.zero):
             with pytest.raises(GroupError, match="level-uniform"):
                 build(space, (0,), cs)
     uniform = fin_structure(Finite(2), [C2, C2])
-    doc = ser.eqcfun_to_json(eq_unit(Finite(2), (0,), uniform))
-    assert ser.eqcfun_from_json(doc) == eq_unit(Finite(2), (0,), uniform)
+    doc = ser.eqcfun_to_json(EqCFun.unit(Finite(2), (0,), uniform))
+    assert ser.eqcfun_from_json(doc) == EqCFun.unit(Finite(2), (0,), uniform)
     doc["structure"] = ser.structure_to_json(mixed)
     with pytest.raises(SerializeError, match="level-uniform"):
         ser.eqcfun_from_json(doc)
@@ -347,13 +346,13 @@ def test_sum_summands_need_one_group_per_shared_level():
     two = Sum(Finite(1), Finite(1))
     C2, C3 = cyclic_group(2), cyclic_group(3)
     mixed = sum_structure(two, fin_structure(Finite(1), [C2]), fin_structure(Finite(1), [C3]))
-    for build in (eq_unit, eq_zero):
+    for build in (EqCFun.unit, EqCFun.zero):
         with pytest.raises(GroupError, match="level-uniform"):
             build(two, (0,), mixed)
     with pytest.raises(GroupError, match="level-uniform"):
         equivariant_adelic(two, mixed)
     uniform = sum_structure(two, fin_structure(Finite(1), [C2]), fin_structure(Finite(1), [C2]))
-    doc = ser.eqcfun_to_json(eq_unit(two, (0,), uniform))
+    doc = ser.eqcfun_to_json(EqCFun.unit(two, (0,), uniform))
     doc["structure"] = ser.structure_to_json(mixed)
     with pytest.raises(SerializeError, match="level-uniform"):
         ser.eqcfun_from_json(doc)
@@ -373,7 +372,7 @@ def test_sum_summands_need_one_group_per_shared_level():
                          cone_structure(X1, {}, fin_structure(Finite(1), [C3]), C2,
                                         trivial_hom(C3, C2)))
     cs = cone_structure(coned, {}, tail, C2, identity_hom(C2))
-    for build in (eq_unit, eq_zero):
+    for build in (EqCFun.unit, EqCFun.zero):
         with pytest.raises(GroupError, match="level-uniform"):
             build(coned, (0,), cs)
     with pytest.raises(GroupError, match="level-uniform"):
@@ -387,7 +386,7 @@ def test_sum_summands_need_one_group_per_shared_level():
     # the catalog's blocks carry one group per level and stay accepted
     for space, _labels, cs, *_towers in [o2_dihedral_block(n) for n in (3, 4, 6)] + [t2_block()]:
         equivariant_adelic(space, cs)
-        eq_unit(space, (0,), cs)
+        EqCFun.unit(space, (0,), cs)
 
 
 X1, X2 = Cone(Finite(1)), Cone(Cone(Finite(1)))
@@ -654,16 +653,16 @@ def eq_dmap_reference(b, f):
 
 def _ring_ops():
     """The ring operations under test, by name."""
-    return {"unit": weyl.eq_unit, "zero": weyl.eq_zero, "add": weyl.eq_add,
-            "mul": weyl.eq_mul, "dmap": weyl.eq_dmap}
+    return {"unit": EqCFun.unit, "zero": EqCFun.zero, "add": EqCFun.add,
+            "mul": EqCFun.mul, "dmap": dmap}
 
 
 def _element(record):
-    return weyl.EqCFun(space=record.space, flag=record.flag, cs=record.cs, data=record.data)
+    return EqCFun(space=record.space, flag=record.flag, cs=record.cs, data=record.data)
 
 
 def _same_element(got, want):
-    assert type(got) is weyl.EqCFun
+    assert type(got) is EqCFun
     assert got.data == want.data
     assert ser.eqcfun_to_json(got) == ser.eqcfun_to_json(want)
 
@@ -767,7 +766,7 @@ def test_operations_on_seeded_elements_match_the_reference(name, space, cs):
         zero = _element(eq_zero_reference(space, flag, cs))
         unit = _element(eq_unit_reference(space, flag, cs))
         x, y = (_element(eq_add_reference(
-            weyl.EqCFun(space=space, flag=flag, cs=cs,
+            EqCFun(space=space, flag=flag, cs=cs,
                         data=_random_eq_data(space, flag, cs, rng)), zero)) for _ in range(2))
         _check_operations(x, y, unit, zero, [b for b in range(rank + 1) if b not in flag])
 
@@ -784,7 +783,7 @@ def test_operations_on_the_seeded_cocycles_of_test_weyl_match_the_reference():
                 unit = _element(eq_unit_reference(X1, A, cs))
                 zero = _element(eq_zero_reference(X1, A, cs))
                 _check_operations(z[A], w[A], unit, zero, [b for b in range(2) if b not in A])
-    tau = weyl.EqCFun(space=X1, flag=(1, 0), cs=cs, data=(Fraction(0), Fraction(1)))
+    tau = EqCFun(space=X1, flag=(1, 0), cs=cs, data=(Fraction(0), Fraction(1)))
     _same_element(_ring_ops()["mul"](tau, tau), eq_mul_reference(tau, tau))
 
 
