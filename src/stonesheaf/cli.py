@@ -32,8 +32,7 @@ from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
 from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
                     MalformedPoint, ParseError)
 from .verify import run_all
-from .weyl import (equivariant_adelic, eq_random_cocycle, trivial_structure,
-                   plain_to_eq, eq_to_plain)
+from .weyl import degeneration_mismatch, equivariant_adelic, eq_random_cocycle
 from .serialize import SCHEMA
 
 
@@ -169,17 +168,7 @@ def cmd_equiv(args):
     doc = {"block": "dihedral O(2)", "seed": _seed(args),
            "witnessed_cocycles": witnessed, "status": "pass" if ok else "fail"}
     if args.trivial_check:
-        triv = trivial_structure(space)
-        cx_t = equivariant_adelic(space, triv)
-        plain = build_complex(space)
-        match = True
-        for deg in range(0, plain.rank + 1):
-            z = random_cocycle(plain, deg, rng)
-            zeq = {A: plain_to_eq(f, triv) for A, f in z.items()}
-            w1 = plain.exactness_witness(z, deg)
-            w2 = cx_t.exactness_witness(zeq, deg)
-            if deg >= 1 and any(eq_to_plain(w2[A]) != w1[A] for A in w1):
-                match = False
+        match = degeneration_mismatch(space, rng, 1) is None
         doc["trivial_degeneration"] = "bit-identical" if match else "mismatch"
         ok = ok and match
     return _emit(doc, 0 if ok else 1)

@@ -67,7 +67,8 @@ from fractions import Fraction
 from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, left_point, right_point, validate_point)
-from .adelic import AdelicComplex, CFun, _map_leaves, _sample_cocycle
+from .adelic import (
+    AdelicComplex, CFun, _map_leaves, _sample_cocycle, build_complex, random_cocycle)
 from .sheaf import (
     CSheaf, Section, SheafMap, check_sheaf_map, constant_section, germ_section, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
@@ -818,6 +819,28 @@ def eq_to_plain(f: EqCFun) -> CFun:
 
 def plain_to_eq(f: CFun, cs: ComponentStructure) -> EqCFun:
     return EqCFun(f.space, f.flag, _map_leaves(f.space, f.flag, f.data, lambda v: (v,)), cs)
+
+
+def degeneration_mismatch(space: SpaceExpr, rng: random.Random, samples: int):
+    """Where the equivariant complex of `space` under the trivial structure
+    departs from the scalar complex, on `samples` cocycles of each degree
+    from 0 up, drawn by `random_cocycle` from rng: "differential" when d
+    below the top degree differs on one, "witness" when an exactness witness
+    of degree >= 1 does, and None when every comparison is bit-identical."""
+    triv = trivial_structure(space)
+    cx_eq, cx = equivariant_adelic(space, triv), build_complex(space)
+    for deg in range(0, cx.rank + 1):
+        for _ in range(samples):
+            z = random_cocycle(cx, deg, rng)
+            zeq = {A: plain_to_eq(f, triv) for A, f in z.items()}
+            if deg < cx.rank:
+                d1, d2 = cx.differential(z, deg), cx_eq.differential(zeq, deg)
+                if any(eq_to_plain(d2[A]) != d1[A] for A in d1):
+                    return "differential"
+            w1, w2 = cx.exactness_witness(z, deg), cx_eq.exactness_witness(zeq, deg)
+            if deg >= 1 and any(eq_to_plain(w2[A]) != w1[A] for A in w1):
+                return "witness"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ arithmetic is exact rational arithmetic.
 """
 
 import inspect
+import json
 
 import pytest
 
-from stonesheaf import models
+from stonesheaf import models, weyl
+from stonesheaf.adelic import CFun, _map_leaves
+from stonesheaf.cli import main
 from stonesheaf.verify import (CRITERIA, check_adelic_exactness, check_catalog,
                                check_degeneration, check_dimension_one,
                                check_equivariance_suite, check_reconstruction,
@@ -79,6 +82,21 @@ def test_criterion_7_catalog():
 def test_criterion_8_degeneration():
     _report("trivial-group degeneration is bit-for-bit",
             check_degeneration, seed=8, samples=25)
+
+
+def test_criterion_8_and_the_cli_catch_a_degeneration_that_negates_its_leaves(
+        monkeypatch, capsys):
+    """Criterion 8 and `equiv --trivial-check` compare the two complexes
+    through one function: an `eq_to_plain` that negates its leaves fails
+    both."""
+    def negated(f):
+        return CFun(f.space, f.flag, _map_leaves(f.space, f.flag, f.data, lambda v: -v[0]))
+    monkeypatch.setattr(weyl, "eq_to_plain", negated)
+    assert check_degeneration(seed=8, samples=1) == (
+        False, "witness differs on Cone(Finite(1))")
+    code = main(["equiv", "--samples", "4", "--seed", "2", "--trivial-check"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["trivial_degeneration"] == "mismatch"
 
 
 # every parameter of a criterion other than its seed is a count
