@@ -83,7 +83,7 @@ def flags_of_size(rank: int, size: int) -> list[Flag]:
 # data(space, flag):
 #   Finite(n), flag () or (0,): tuple of n leaves
 #   Sum(l, r): pair (left data, right data); a side whose rank is below the
-#       top of the flag holds the zero-ring marker None
+#       top of the flag holds the zero-ring marker None, and no other node does
 #   Cone(Y), flag whose top is the rank: a single leaf
 #   Cone(Y), otherwise: ("cone", {copy: data}, tail leaf)
 #
@@ -176,18 +176,18 @@ RATIONAL = RationalLeaves()
 
 
 def _is_zero_ring(space, flag) -> bool:
-    return bool(flag) and flag[0] > cb_rank(space)
+    return bool(flag) and flag[0] > space.rank
 
 
 def const_data(space: SpaceExpr, flag: Flag, c):
     """The element with every leaf equal to c (c times the unit)."""
-    if _is_zero_ring(space, flag):
+    if flag and flag[0] > space.rank:
         return None
     if isinstance(space, Finite):
         return (c,) * space.n
     if isinstance(space, Sum):
         return (const_data(space.left, flag, c), const_data(space.right, flag, c))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return c
     return ("cone", {}, c)
 
@@ -203,7 +203,7 @@ def _canon(L, space, flag, cs, data):
         lcs, rcs = L.sum_parts(cs)
         return (_canon(L, space.left, flag, lcs, data[0]),
                 _canon(L, space.right, flag, rcs, data[1]))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return data
     _, exc, tail = data
     exc_cs, tail_cs = L.cone_parts(cs)
@@ -226,7 +226,7 @@ def _zip_leaves(space, flag, x, y, op):
     if isinstance(space, Sum):
         return (_zip_leaves(space.left, flag, x[0], y[0], op),
                 _zip_leaves(space.right, flag, x[1], y[1], op))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return op(x, y)
     _, ex, tx = x
     _, ey, ty = y
@@ -246,7 +246,7 @@ def _map_leaves(space, flag, x, op):
         return tuple(op(a) for a in x)
     if isinstance(space, Sum):
         return (_map_leaves(space.left, flag, x[0], op), _map_leaves(space.right, flag, x[1], op))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return op(x)
     _, exc, tail = x
     return ("cone", {k: _map_leaves(space.base, flag, v, op) for k, v in exc.items()}, op(tail))
@@ -338,7 +338,7 @@ def _indicator_data(space, flag, u):
     if isinstance(space, Sum):
         return (_indicator_data(space.left, flag, u.left),
                 _indicator_data(space.right, flag, u.right))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return ONE if u.apex else ZERO
     exc = {k: _indicator_data(space.base, flag, w) for k, w in u.exc}
     return ("cone", exc, ONE if u.apex else ZERO)
@@ -364,7 +364,7 @@ def dmap(b: int, f: CFun) -> CFun:
 
 
 def _dmap_leaves(L, space, flag, cs, b, data):
-    if data is None or _is_zero_ring(space, insert_height(flag, b)):
+    if data is None or b > space.rank:
         return None
     if isinstance(space, Finite):
         return tuple(data)
@@ -372,7 +372,7 @@ def _dmap_leaves(L, space, flag, cs, b, data):
         lcs, rcs = L.sum_parts(cs)
         return (_dmap_leaves(L, space.left, flag, lcs, b, data[0]),
                 _dmap_leaves(L, space.right, flag, rcs, b, data[1]))
-    r = cb_rank(space)
+    r = space.rank
     if b == r:
         # germ at the apex of a constructible family: the tail value
         return data[2]
@@ -392,18 +392,18 @@ def _dmap_leaves(L, space, flag, cs, b, data):
 
 
 def _differential(L, space, cs, degree, data):
-    """d on raw cochain data (flag -> data) from the given degree; degree -1
-    is the augmentation.  Each target flag is canonicalized once."""
+    """d on raw cochain data (flag -> data) from a degree (-1: the augmentation);
+    the face dropping B[i] has sign (-1)^i.  Each target flag is canonicalized once."""
     out = {}
     for B in flags_of_size(cb_rank(space), degree + 2):
         if degree == -1:
             out[B] = _canon(L, space, B, cs, L.augment(space, cs, data[()], B[0]))
             continue
         acc = None
-        for b in B:
-            A = tuple(a for a in B if a != b)
+        for i, b in enumerate(B):
+            A = B[:i] + B[i + 1:]
             term = _dmap_leaves(L, space, A, cs, b, data[A])
-            op = L.sub if sign_pos(A, b) % 2 == 1 else L.add
+            op = L.sub if i % 2 == 1 else L.add
             acc = term if acc is None else _zip_leaves(space, B, acc, term, op)
         out[B] = _canon(L, space, B, cs, acc)
     return out
@@ -554,7 +554,7 @@ def _random_data(space, flag, rng, exc_bound):
     if isinstance(space, Sum):
         return (_random_data(space.left, flag, rng, exc_bound),
                 _random_data(space.right, flag, rng, exc_bound))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return random_rat(rng)
     nexc = rng.randint(0, exc_bound)
     exc = {k: _random_data(space.base, flag, rng, exc_bound) for k in range(nexc)}
@@ -579,7 +579,7 @@ def _random_data(space, flag, rng, exc_bound):
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
     """The number of coordinates of the bounded-exception data."""
-    if _is_zero_ring(space, flag):
+    if flag and flag[0] > space.rank:
         return 0
     if isinstance(space, Finite):
         return space.n * L.size(cs, flag)
@@ -587,7 +587,7 @@ def _slots(L, space, flag, cs, exc_bound) -> int:
         lcs, rcs = L.sum_parts(cs)
         return (_slots(L, space.left, flag, lcs, exc_bound)
                 + _slots(L, space.right, flag, rcs, exc_bound))
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return L.size(cs, flag)
     _exc_cs, tail_cs = L.cone_parts(cs)
     return L.size(cs, flag) + exc_bound * _slots(L, space.base, flag, tail_cs, exc_bound)
@@ -595,7 +595,7 @@ def _slots(L, space, flag, cs, exc_bound) -> int:
 
 def _data_from_coords(L, space, flag, cs, exc_bound, values, pos):
     """Data (not in normal form) read from values at pos, and the next pos."""
-    if _is_zero_ring(space, flag):
+    if flag and flag[0] > space.rank:
         return None, pos
     if isinstance(space, Sum):
         lcs, rcs = L.sum_parts(cs)
@@ -606,7 +606,7 @@ def _data_from_coords(L, space, flag, cs, exc_bound, values, pos):
     if isinstance(space, Finite):
         out = tuple(L.read(values, pos + i * size, size) for i in range(space.n))
         return out, pos + space.n * size
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         return L.read(values, pos, size), pos + size
     tail = L.read(values, pos, size)
     pos += size
@@ -628,7 +628,7 @@ def _coords_from_data(L, space, flag, exc_bound, data, out):
         _coords_from_data(L, space.left, flag, exc_bound, data[0], out)
         _coords_from_data(L, space.right, flag, exc_bound, data[1], out)
         return
-    if flag and flag[0] == cb_rank(space):
+    if flag and flag[0] == space.rank:
         L.write(out, data)
         return
     _, exc, tail = data
