@@ -96,7 +96,8 @@ def test_criterion_8_and_the_cli_catch_a_degeneration_that_negates_its_leaves(
         False, "witness differs on Cone(Finite(1))")
     code = main(["equiv", "--samples", "4", "--seed", "2", "--trivial-check"])
     assert code == 1
-    assert json.loads(capsys.readouterr().out)["trivial_degeneration"] == "mismatch"
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trivial_degeneration"] == "mismatch" and doc["status"] == "fail"
 
 
 # every parameter of a criterion other than its seed is a count
