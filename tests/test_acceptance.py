@@ -93,11 +93,30 @@ def test_criterion_8_and_the_cli_catch_a_degeneration_that_negates_its_leaves(
         return CFun(f.space, f.flag, _map_leaves(f.space, f.flag, f.data, lambda v: -v[0]))
     monkeypatch.setattr(weyl, "eq_to_plain", negated)
     assert check_degeneration(seed=8, samples=1) == (
-        False, "witness differs on Cone(Finite(1))")
+        False, "differential differs on Cone(Finite(1))")
     code = main(["equiv", "--samples", "4", "--seed", "2", "--trivial-check"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["trivial_degeneration"] == "mismatch" and doc["status"] == "fail"
+
+
+def test_criterion_8_catches_a_differential_that_returns_zero(monkeypatch):
+    """d of a cocycle is zero on both sides, so criterion 8 compares d on
+    random cochains: a differential that returns the zero cochain fails."""
+    monkeypatch.setattr(weyl.EqAdelicComplex, "differential",
+                        lambda self, cochain, degree: self.zero_cochain(degree + 1))
+    assert check_degeneration(seed=8, samples=1) == (
+        False, "differential differs on Cone(Finite(1))")
+
+
+def test_criterion_8_catches_a_negated_exactness_witness(monkeypatch):
+    witness = weyl.EqAdelicComplex.exactness_witness
+
+    def negated(self, cochain, degree):
+        w = witness(self, cochain, degree)
+        return {A: f.scale(-1) for A, f in w.items()} if degree >= 1 else w
+    monkeypatch.setattr(weyl.EqAdelicComplex, "exactness_witness", negated)
+    assert check_degeneration(seed=8, samples=1) == (False, "witness differs on Cone(Finite(1))")
 
 
 # every parameter of a criterion other than its seed is a count
