@@ -364,7 +364,7 @@ def dmap(b: int, f: CFun) -> CFun:
 
 
 def _dmap_leaves(L, space, flag, cs, b, data):
-    if data is None or b > space.rank:
+    if data is None or b > space.rank:  # a node over a zero ring already holds None
         return None
     if isinstance(space, Finite):
         return tuple(data)
