@@ -57,17 +57,6 @@ def insert_height(flag: Flag, b: int) -> Flag:
     return tuple(sorted(flag + (b,), reverse=True))
 
 
-def sign_pos(flag: Flag, b: int) -> int:
-    """Position of b relative to the flag: the number of entries above it.
-
-    >>> sign_pos((3, 1), 4), sign_pos((3, 1), 2), sign_pos((3, 1), 0)
-    (0, 1, 2)
-    """
-    if b in flag:
-        raise FlagError(f"height {b} lies in flag {flag}")
-    return sum(1 for a in flag if a > b)
-
-
 def all_flags(rank: int) -> list[Flag]:
     """All nonempty flags on heights [0..rank], by size then lexicographically."""
     return [A for size in range(1, rank + 2) for A in flags_of_size(rank, size)]

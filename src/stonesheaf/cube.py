@@ -13,7 +13,8 @@ cube is read off the two ring sheaves already built at its ends by
 `sheaf._componentwise`: the identity where their stalks agree, zero where
 the target's stalk vanishes.  The stalkwise
 check reads its complex off one cube per space, kept in a bounded memo of
-the most recently used spaces (`sheaf_cube` itself returns a fresh cube).
+the most recently used spaces (`sheaf_cube` itself returns a fresh cube),
+each differential a `linalg.block_map` with one band per flag.
 
 `restrict_open`/`pushforward_open` give the underlying adjoint calculus for
 the opens formed by the points of height at most a fixed level: restriction
@@ -28,12 +29,12 @@ import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, direct_sum_space
+from .linalg import LinMap, VectQ, FDComplex, ZERO, ONE, block_map, direct_sum_space
 from .space import (
     Finite, SpaceExpr, Sum, cb_rank, Point, height)
 from .adelic import (
     CFun, Flag, RATIONAL, _canon, _is_zero_ring, check_flag, insert_height, flags_of_size,
-    sign_pos, all_flags)
+    all_flags)
 from .sheaf import (
     CSheaf, GermSquareError, Section, check_sheaf_map, constant, constant_section,
     make_cone_sheaf, make_sum_sheaf, sec_space, sec_dim, zero_sheaf, stalk, stalk_map,
@@ -201,39 +202,22 @@ def pushforward_open(O: OpenSheaf) -> CSheaf:
 
 
 def _cube_stalk_complex(space, cube, x):
+    """The augmented complex of the stalks at x of the cube's ring sheaves:
+    degree i sums the stalks of the flags of size i + 1, and the face of a
+    flag B that drops B[k] enters with sign (-1)^k."""
     r = cb_rank(space)
     sheaves, edges = cube["sheaves"], cube["edges"]
-    spaces = {}
     stalks = {A: stalk(sheaves[A], x) for A in sheaves}
-    flag_lists = {-1: [()]}
-    for i in range(r + 1):
-        flag_lists[i] = flags_of_size(r, i + 1)
-    for i in range(-1, r + 1):
-        spaces[i] = direct_sum_space([stalks[A] for A in flag_lists[i]],
-                                     [str(A) for A in flag_lists[i]])
+    bands = {i: {A: stalks[A].dim for A in flags_of_size(r, i + 1)} for i in range(-1, r + 1)}
+    spaces = {i: direct_sum_space([stalks[A] for A in band], [str(A) for A in band])
+              for i, band in bands.items()}
     diffs = {}
     for i in range(-1, r):
-        src, tgt = spaces[i], spaces[i + 1]
-        mat = [[ZERO] * src.dim for _ in range(tgt.dim)]
-        col_off = {}
-        off = 0
-        for A in flag_lists[i]:
-            col_off[A] = off
-            off += stalks[A].dim
-        row_off = {}
-        off = 0
-        for B in flag_lists[i + 1]:
-            row_off[B] = off
-            off += stalks[B].dim
-        for B in flag_lists[i + 1]:
-            for b in B:
-                A = tuple(a for a in B if a != b)
-                comp = stalk_map(edges[(A, b)], x)
-                sign = -1 if sign_pos(A, b) % 2 else 1
-                for ii in range(comp.target.dim):
-                    for jj in range(comp.source.dim):
-                        mat[row_off[B] + ii][col_off[A] + jj] += sign * comp.matrix[ii][jj]
-        diffs[i] = LinMap(src, tgt, tuple(tuple(row) for row in mat))
+        faces = [(B, B[:k] + B[k + 1:], b, (-1) ** k)
+                 for B in bands[i + 1] for k, b in enumerate(B)]
+        diffs[i] = block_map(spaces[i], spaces[i + 1], bands[i + 1], bands[i],
+                             [(B, A, stalk_map(edges[(A, b)], x).scale(sign))
+                              for B, A, b, sign in faces])
     return FDComplex(spaces, diffs)
 
 

@@ -22,11 +22,15 @@ added to `ZERO`.
 Entries are coerced once: `rat` returns a `Fraction` as it is, and only
 other inputs are converted.  `VectQ.make` interns its spaces, so every call
 with the same dimension and prefix returns one shared (frozen) instance.
+
+`block_map` is the one place that decides where the rows and columns of a
+summand start: it lays out every map between direct sums from its blocks.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -225,6 +229,34 @@ def direct_sum_space(spaces: Sequence[VectQ], tags: Sequence[str] | None = None)
     return VectQ.labelled(labels)
 
 
+def block_map(source: VectQ, target: VectQ, rows: dict, cols: dict, blocks) -> LinMap:
+    """The map between direct sums whose block at row band i and column band
+    j is the sum of the maps m of the blocks (i, j, m), and zero where no
+    block falls.  `rows` and `cols` map each band of target and source, in
+    order, to its dimension; a band may have none.
+
+    >>> Q1, Q2, Q3 = VectQ.make(1), VectQ.make(2), VectQ.make(3)
+    >>> m = block_map(Q3, Q2, {"x": 1, "y": 1}, {"a": 2, "b": 1},
+    ...               [("x", "a", LinMap.from_rows(Q2, Q1, [[1, 2]])),
+    ...                ("y", "b", LinMap.scalar(Q1, 3)), ("y", "b", LinMap.scalar(Q1, -1))])
+    >>> [[int(x) for x in row] for row in m.matrix]
+    [[1, 2, 0], [0, 0, 2]]
+    """
+    if (sum(rows.values()), sum(cols.values())) != (target.dim, source.dim):
+        raise DimensionError("band dimensions do not add up to the spaces")
+    row_at, col_at = (dict(zip(bands, accumulate(bands.values(), initial=0)))
+                      for bands in (rows, cols))
+    mat = [[ZERO] * source.dim for _ in range(target.dim)]
+    for i, j, m in blocks:
+        if (m.target.dim, m.source.dim) != (rows[i], cols[j]):
+            raise DimensionError("block does not fit its bands")
+        for row, block_row in zip(mat[row_at[i]:], m.matrix):
+            for k, x in enumerate(block_row, col_at[j]):
+                if x:
+                    row[k] += x
+    return LinMap(source, target, tuple(map(tuple, mat)))
+
+
 def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
     """Reduced row echelon form (exact Gaussian elimination) and pivot columns.
 
@@ -354,16 +386,15 @@ def pullback(f: LinMap, g: LinMap) -> tuple[VectQ, LinMap, LinMap]:
     """Fiber product of f: A→C and g: B→C: returns (P, P→A, P→B)."""
     if f.target != g.target:
         raise DimensionError("pullback targets differ")
-    na, nb = f.source.dim, g.source.dim
-    big_src = VectQ.make(na + nb, "p")
-    rows = []
-    for i in range(f.target.dim):
-        rows.append(tuple(f.matrix[i]) + tuple(-x for x in g.matrix[i]))
-    diff = LinMap(big_src, f.target, tuple(rows))
-    ker = kernel_basis(diff)
+    A, B = f.source, g.source
+    bands = {0: A.dim, 1: B.dim}
+    big = VectQ.make(A.dim + B.dim, "p")
+    ker = kernel_basis(block_map(big, f.target, {0: f.target.dim}, bands,
+                                 [(0, 0, f), (0, 1, g.scale(-1))]))
     P = VectQ.make(len(ker), "pb")
-    to_a = LinMap.from_cols(P, f.source, [tuple(k[:na]) for k in ker])
-    to_b = LinMap.from_cols(P, g.source, [tuple(k[na:]) for k in ker])
+    incl = LinMap.from_cols(P, big, ker)
+    to_a, to_b = (incl.then(block_map(big, S, {j: S.dim}, bands, [(j, j, LinMap.identity(S))]))
+                  for j, S in enumerate((A, B)))
     return P, to_a, to_b
 
 

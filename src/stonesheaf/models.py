@@ -37,13 +37,13 @@ import functools
 from dataclasses import dataclass
 
 from .linalg import (
-    LinMap, VectQ, ZERO, ONE, coords_in_span, direct_sum_space, image_basis,
+    LinMap, VectQ, block_map, coords_in_span, direct_sum_space, image_basis,
     is_iso, kernel_basis, pullback, solve, invert)
 from .space import Finite, SpaceExpr, Sum, cb_rank
 from .adelic import Flag, _is_zero_ring, check_flag, insert_height, all_flags, flags_of_size
 from .sheaf import (
     CSheaf, canonical, germ_section, make_cone_sheaf, make_fin_sheaf,
-    make_sum_sheaf, sec_from_coords, sec_space, _copy_default, _subspace)
+    make_sum_sheaf, sec_from_coords, sec_space, _copy_default, _onto, _subspace)
 from .homalg import _require_rank1, gamma, recon_e
 
 
@@ -223,14 +223,8 @@ def _loc_extend(M, b):
         N = zero_mod(M.space, new_flag)
         return N, LinMap.zero(el_space(M), el_space(N))
     check_flag(M.space, new_flag)
-    if kind == "sum":
-        ln, lm = loc_extend(M.payload[1], b)
-        rn, rm = loc_extend(M.payload[2], b)
-        N = CMod(M.space, new_flag, ("sum", ln, rn))
-        return N, _block_many([lm, rm], el_space(M), el_space(N))
-    r = cb_rank(M.space)
     if kind == "apex":
-        V, ambient, emb = M.payload[1], M.payload[2], M.payload[3]
+        _, V, ambient, emb = M.payload
         if isinstance(ambient, tuple) and ambient[0] == "sec":
             amb2, pi = section_localize(ambient[1], (b,))
         else:
@@ -238,44 +232,29 @@ def _loc_extend(M, b):
         comp = emb.then(pi)
         basis = image_basis(comp)
         V2, emb2 = _subspace(el_space(amb2), basis, "g")
-        cols = []
-        for i in range(V.dim):
-            w = coords_in_span(basis, comp.apply(V.basis_vec(i)))
-            cols.append(w)
-        struct = LinMap.from_cols(V, V2, cols)
+        struct = LinMap.of(V, V2, lambda v: coords_in_span(basis, comp.apply(v)))
         return CMod(M.space, new_flag, ("apex", V2, amb2, emb2)), struct
-    _, exc, generic, W, iota = M.payload
-    if b == r:
-        N = CMod(M.space, new_flag, ("apex", W, generic, iota))
-        off = sum(el_space(m).dim for _, m in exc)
-        E = el_space(M)
-        mat = [[ZERO] * E.dim for _ in range(W.dim)]
-        for i in range(W.dim):
-            mat[i][off + i] = ONE
-        return N, LinMap(E, W, tuple(tuple(row) for row in mat))
-    parts = [loc_extend(m, b) for _, m in exc]
-    gen2, pi = loc_extend(generic, b)
-    comp = iota.then(pi)
-    basis = image_basis(comp)
-    W2, iota2 = _subspace(el_space(gen2), basis, "w")
-    wcols = [coords_in_span(basis, comp.apply(W.basis_vec(i))) for i in range(W.dim)]
-    wmap = LinMap.from_cols(W, W2, wcols)
-    N = CMod(M.space, new_flag,
-             ("low", tuple((k, p[0]) for (k, _), p in zip(exc, parts)), gen2, W2, iota2))
-    maps = [p[1] for p in parts] + [wmap]
-    return N, _block_many(maps, el_space(M), el_space(N))
-
-
-def _block_many(maps, src, tgt):
-    mat = [[ZERO] * src.dim for _ in range(tgt.dim)]
-    ro, co = 0, 0
-    for m in maps:
-        for i in range(m.target.dim):
-            for j in range(m.source.dim):
-                mat[ro + i][co + j] = m.matrix[i][j]
-        ro += m.target.dim
-        co += m.source.dim
-    return LinMap(src, tgt, tuple(tuple(r) for r in mat))
+    if kind == "sum":
+        parts = [loc_extend(m, b) for m in M.payload[1:]]
+        N = CMod(M.space, new_flag, ("sum", *(n for n, _ in parts)))
+        maps = [m for _, m in parts]
+    else:
+        _, exc, generic, W, iota = M.payload
+        if b == cb_rank(M.space):
+            N, E = CMod(M.space, new_flag, ("apex", W, generic, iota)), el_space(M)
+            return N, _onto(E, W, E.dim - W.dim)
+        parts = [loc_extend(m, b) for _, m in exc]
+        gen2, pi = loc_extend(generic, b)
+        comp = iota.then(pi)
+        basis = image_basis(comp)
+        W2, iota2 = _subspace(el_space(gen2), basis, "w")
+        wmap = LinMap.of(W, W2, lambda v: coords_in_span(basis, comp.apply(v)))
+        N = CMod(M.space, new_flag,
+                 ("low", tuple((k, p[0]) for (k, _), p in zip(exc, parts)), gen2, W2, iota2))
+        maps = [p[1] for p in parts] + [wmap]
+    blocks = [(i, i, m) for i, m in enumerate(maps)]
+    return N, block_map(el_space(M), el_space(N), {i: m.target.dim for i, _, m in blocks},
+                        {i: m.source.dim for i, _, m in blocks}, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -514,31 +493,15 @@ def limit_vertex(D: DiagMod):
 
     For diagrams of sheaves this recovers the finite-data global sections.
     """
-    flags = sorted(D.vertices, key=len)
-    offs = {}
-    total = 0
-    for A in flags:
-        offs[A] = total
-        total += el_space(D.vertices[A]).dim
-    big = VectQ.make(total, "l")
-    rows = []
+    spaces = {A: el_space(D.vertices[A]) for A in sorted(D.vertices, key=len)}
+    dims = {A: S.dim for A, S in spaces.items()}
+    big = VectQ.make(sum(dims.values()), "l")
+    rows = {edge: e.target.dim for edge, e in D.edges.items()}
+    blocks = []
     for (A, b), e in D.edges.items():
-        B = insert_height(A, b)
-        for i in range(e.target.dim):
-            row = [ZERO] * total
-            for j in range(e.source.dim):
-                row[offs[A] + j] = e.matrix[i][j]
-            row[offs[B] + i] -= ONE
-            rows.append(tuple(row))
-    if rows:
-        m = LinMap(big, VectQ.make(len(rows), "r"), tuple(rows))
-        basis = kernel_basis(m)
-    else:
-        basis = [big.basis_vec(i) for i in range(total)]
+        blocks += [((A, b), A, e), ((A, b), insert_height(A, b), LinMap.scalar(e.target, -1))]
+    basis = kernel_basis(block_map(big, VectQ.make(sum(rows.values()), "r"), rows, dims, blocks))
     L = VectQ.make(len(basis), "lim")
-    projections = {}
-    for A in flags:
-        dim = el_space(D.vertices[A]).dim
-        cols = [tuple(vec[offs[A]:offs[A] + dim]) for vec in basis]
-        projections[A] = LinMap.from_cols(L, el_space(D.vertices[A]), cols)
-    return L, projections
+    incl = LinMap.from_cols(L, big, basis)
+    return L, {A: incl.then(block_map(big, S, {A: S.dim}, dims, [(A, A, LinMap.identity(S))]))
+               for A, S in spaces.items()}

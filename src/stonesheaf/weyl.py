@@ -64,7 +64,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import DimensionError, LinMap, VectQ, ZERO, ONE, rat, rank as map_rank
+from .linalg import DimensionError, LinMap, QQ, VectQ, ZERO, ONE, block_map, rank as map_rank
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, left_point, right_point, validate_point)
 from .adelic import (
@@ -961,24 +961,17 @@ def _random_rep(G: FinGroup, d: int, rng: random.Random):
     """A representation on Q^d: a direct sum of sign characters, with a
     regular block when the dimension allows."""
     V = VectQ.make(d)
-    if d == 0:
-        return V, [LinMap.identity(V) for _ in G.elements()]
     chars = G.sign_characters
     use_reg = d >= G.order and G.order > 1 and rng.randint(0, 1) == 1
-    reg = regular_rep(G) if use_reg else None
     head = G.order if use_reg else 0
+    # band 0 holds the regular block, of width 0 when there is none
+    reg = regular_rep(G) if use_reg else [LinMap.identity(VectQ.make(0))] * G.order
     picks = [rng.randrange(len(chars)) for _ in range(d - head)]
-    mats = []
-    for g in G.elements():
-        big = [[ZERO] * d for _ in range(d)]
-        if use_reg:
-            for i in range(G.order):
-                for j in range(G.order):
-                    big[i][j] = reg[g].matrix[i][j]
-        for i, c in enumerate(picks):
-            big[head + i][head + i] = rat(chars[c][g])
-        mats.append(LinMap(V, V, tuple(tuple(r) for r in big)))
-    return V, mats
+    bands = dict(enumerate([head] + [1] * len(picks)))
+    return V, [block_map(V, V, bands, bands,
+                         [(0, 0, reg[g])] + [(i, i, LinMap.scalar(QQ, chars[c][g]))
+                                             for i, c in enumerate(picks, 1)])
+               for g in G.elements()]
 
 
 def _equivariant_germ(tail: EquivCSheaf, up: GrpHom, amats, raw: LinMap) -> LinMap:

@@ -7,8 +7,8 @@ from stonesheaf.space import (
     Cone, Finite, apex_point, copy_point, fin_point, meet, nbhd_basis,
     parse_space, singleton, complement)
 from stonesheaf.adelic import (
-    CFun, FlagError, all_flags, build_complex, dmap, indicator, random_cfun,
-    random_cocycle, sign_pos)
+    CFun, all_flags, build_complex, dmap, indicator, random_cfun,
+    random_cocycle)
 
 X1 = Cone(Finite(1))
 X2 = Cone(Cone(Finite(1)))
@@ -41,25 +41,6 @@ def test_eventually_constant_addition():
     f = seq({0: 1, 1: 1}, 2)     # 1,1,2,2,2,...
     g = seq({1: 1}, 0)           # 0,1,0,0,...
     assert f + g == seq({0: 1}, 2)   # 1,2,2,2,...
-
-
-# -- signs --------------------------------------------------------------------
-
-def test_sign_pos_above():
-    assert sign_pos((3, 1), 4) == 0
-
-
-def test_sign_pos_between():
-    assert sign_pos((3, 1), 2) == 1
-
-
-def test_sign_pos_below():
-    assert sign_pos((3, 1), 0) == 2
-
-
-def test_sign_pos_rejects_member():
-    with pytest.raises(FlagError):
-        sign_pos((3, 1), 3)
 
 
 # -- cube maps ----------------------------------------------------------------

@@ -6,8 +6,9 @@ inserted height b makes a node a zero ring exactly when b exceeds the node's
 rank (a node whose own flag is a zero ring already holds None), and the
 sign of the term dropping B[i] from a strictly decreasing flag B is i.
 The references below are the versions that derive both facts at every node,
-from `insert_height`, `sign_pos` and `cb_rank`; the library must agree with
-them by `repr`, which also compares the types of the leaves.
+from `insert_height`, `cb_rank` and a test-local `sign_pos` (the number of
+entries of a flag above a height); the library must agree with them by
+`repr`, which also compares the types of the leaves.
 
 Scalar data lives on spaces of rank 1, 2 or 3 drawn by
 `test_adelic_properties.of_rank`: `random_cfun` elements at every flag, the
@@ -31,8 +32,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from stonesheaf.adelic import (  # noqa: E402
     RATIONAL, CFun, FlagError, _canon, _decode, _differential, _dmap_leaves, _raw, _slots,
-    _zip_leaves, all_flags, const_data, dmap, flags_of_size, insert_height, random_cfun,
-    sign_pos)
+    _zip_leaves, all_flags, const_data, dmap, flags_of_size, insert_height, random_cfun)
 from stonesheaf.catalog import o2_dihedral_block, t2_block  # noqa: E402
 from stonesheaf.linalg import ONE, ZERO  # noqa: E402
 from stonesheaf.space import Cone, Finite, Sum, cb_rank  # noqa: E402
@@ -71,6 +71,12 @@ def _ref_dmap_leaves(L, space, flag, cs, b, data):
     return ("cone", {k: _ref_dmap_leaves(L, space.base, flag, exc_cs.get(k, tail_cs), b, v)
                      for k, v in exc.items()},
             L.spread(cs, b, flag[-1], tail) if lower else tail)
+
+
+def sign_pos(flag, b):
+    if b in flag:
+        raise FlagError(f"height {b} lies in flag {flag}")
+    return sum(1 for a in flag if a > b)
 
 
 def _ref_differential(L, space, cs, degree, data):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stonesheaf.linalg import (
-    FDComplex, LinMap, VectQ, ComplexError, DimensionError, kernel_basis,
+    FDComplex, LinMap, VectQ, ComplexError, DimensionError, ZERO, block_map, kernel_basis,
     rank, solve, invert, pullback)
 
 Q1 = VectQ.make(1)
@@ -164,3 +164,41 @@ def test_of_probes_each_basis_vector_once_in_order():
     assert m == LinMap.from_rows(Q3, Q1, [[1, 1, 1]])
     with pytest.raises(DimensionError):
         LinMap.of(Q2, Q2, lambda v: v[:1])
+
+
+def _ints(m):
+    return [[int(x) for x in row] for row in m.matrix]
+
+
+def test_block_map_sums_blocks_on_one_band():
+    f = LinMap.from_rows(Q2, Q1, [[1, -2]])
+    g = LinMap.from_rows(Q2, Q1, [[3, 2]])
+    m = block_map(Q3, Q2, {"y": 1, "x": 1}, {"b": 1, "a": 2},
+                  [("x", "a", f), ("x", "a", g), ("y", "b", LinMap.scalar(Q1, 5))])
+    assert _ints(m) == [[5, 0, 0], [0, 4, 0]]
+    assert all(type(x) is Fraction for row in m.matrix for x in row)
+    # the cancelled entry is a Fraction too
+    assert m.matrix[1][2] == 0
+
+
+def test_block_map_zero_width_band():
+    Q0 = VectQ.make(0)
+    bands = {0: 0, 1: 1, 2: 1}
+    m = block_map(Q2, Q2, bands, bands, [(0, 0, LinMap.identity(Q0)), (1, 2, LinMap.scalar(Q1, 2)),
+                                         (2, 1, LinMap.scalar(Q1, -1))])
+    assert _ints(m) == [[0, 2], [-1, 0]]
+
+
+def test_block_map_zero_row_target():
+    Q0 = VectQ.make(0)
+    m = block_map(Q3, Q0, {"r": 0}, {"a": 1, "b": 2}, [("r", "b", LinMap.zero(Q2, Q0))])
+    assert m == LinMap.zero(Q3, Q0)
+    assert kernel_basis(m) == [Q3.basis_vec(i) for i in range(3)]
+
+
+def test_block_map_checks_the_bands():
+    with pytest.raises(DimensionError):
+        block_map(Q3, Q2, {0: 1}, {0: 3}, [])
+    with pytest.raises(DimensionError):
+        block_map(Q3, Q2, {0: 2}, {0: 1, 1: 2}, [(0, 1, LinMap.zero(Q1, Q2))])
+    assert block_map(Q2, Q1, {0: 1}, {0: 2}, []).matrix == ((ZERO, ZERO),)
