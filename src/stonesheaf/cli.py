@@ -204,9 +204,9 @@ def cmd_catalog(args):
 
 
 def cmd_verify_all(args):
-    ok = run_all(seed=_seed(args), fast=args.fast)
-    print("verify-all:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    status = run_all(seed=_seed(args), fast=args.fast)
+    print("verify-all:", status)
+    return {"PASS": 0, "FAIL": 1, "ERROR": 3}[status]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import traceback
 from fractions import Fraction
 
 from .linalg import LinMap, VectQ
@@ -421,13 +422,20 @@ FAST = {
 }
 
 
-def run_all(seed: int = 1, fast: bool = False):
-    """Run every acceptance criterion; prints one line per criterion."""
-    results = []
+def run_all(seed: int = 1, fast: bool = False) -> str:
+    """Run every acceptance criterion; prints one line per criterion.  A
+    criterion that raises gets an `[ERROR]` line, its traceback goes to
+    stderr, and the later ones still run.  Returns "ERROR" when one raised,
+    else "FAIL" when one failed, else "PASS"."""
+    statuses = set()
     for name, fn in CRITERIA:
         kwargs = FAST.get(fn, {}) if fast else {}
-        passed, details = fn(seed, **kwargs)
-        status = "PASS" if passed else "FAIL"
+        try:
+            passed, details = fn(seed, **kwargs)
+            status = "PASS" if passed else "FAIL"
+        except Exception as exc:
+            traceback.print_exc()
+            status, details = "ERROR", f"{type(exc).__name__}: {exc}"
         print(f"[{status}] {name}: {details}")
-        results.append(passed)
-    return all(results)
+        statuses.add(status)
+    return "ERROR" if "ERROR" in statuses else "FAIL" if "FAIL" in statuses else "PASS"

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import stonesheaf.serialize as ser
+import stonesheaf.verify as verify
 from stonesheaf.cli import cube_report, main, o2_catalog_report
 from stonesheaf.space import parse_space, ParseError, apex_point, copy_point
 from stonesheaf.adelic import random_cfun
@@ -294,6 +295,34 @@ def test_verify_all_fast(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "verify_all_fast.txt").read_text()
+
+
+def test_verify_all_reports_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):
+    """A criterion that raises prints an `[ERROR]` line and its traceback on
+    stderr, the later criteria still run, and `verify-all` exits 3; a failure
+    alone still exits 1."""
+    def passing(seed):
+        return True, f"seed {seed}"
+
+    def failing(seed):
+        return False, "no"
+
+    def raising(seed):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(verify, "CRITERIA", [("a", passing), ("b", raising), ("c", failing),
+                                             ("d", passing)])
+    assert main(["verify-all", "--seed", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" in err and err.endswith("ZeroDivisionError: planted\n")
+    assert out == ("[PASS] a: seed 4\n"
+                   "[ERROR] b: ZeroDivisionError: planted\n"
+                   "[FAIL] c: no\n"
+                   "[PASS] d: seed 4\n"
+                   "verify-all: ERROR\n")
+    monkeypatch.setattr(verify, "CRITERIA", [("a", passing), ("c", failing)])
+    assert main(["verify-all", "--seed", "4"]) == 1
+    assert capsys.readouterr().out.endswith("[FAIL] c: no\nverify-all: FAIL\n")
 
 
 def test_package_runs_as_a_module():
