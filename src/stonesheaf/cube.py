@@ -213,11 +213,13 @@ def _cube_stalk_complex(space, cube, x):
               for i, band in bands.items()}
     diffs = {}
     for i in range(-1, r):
-        faces = [(B, B[:k] + B[k + 1:], b, (-1) ** k)
-                 for B in bands[i + 1] for k, b in enumerate(B)]
-        diffs[i] = block_map(spaces[i], spaces[i + 1], bands[i + 1], bands[i],
-                             [(B, A, stalk_map(edges[(A, b)], x).scale(sign))
-                              for B, A, b, sign in faces])
+        faces = []
+        for B in bands[i + 1]:
+            for k, b in enumerate(B):
+                A = B[:k] + B[k + 1:]
+                m = stalk_map(edges[(A, b)], x)
+                faces.append((B, A, m.scale(-1) if k % 2 else m))
+        diffs[i] = block_map(spaces[i], spaces[i + 1], bands[i + 1], bands[i], faces)
     return FDComplex(spaces, diffs)
 
 

@@ -253,7 +253,8 @@ def block_map(source: VectQ, target: VectQ, rows: dict, cols: dict, blocks) -> L
         for row, block_row in zip(mat[row_at[i]:], m.matrix):
             for k, x in enumerate(block_row, col_at[j]):
                 if x:
-                    row[k] += x
+                    s = row[k]
+                    row[k] = x if s is ZERO and type(x) is Fraction else s + x
     return LinMap(source, target, tuple(map(tuple, mat)))
 
 
@@ -383,19 +384,17 @@ def coords_in_span(basis: Sequence[Sequence[Rat]], v: Sequence[Rat]):
 
 
 def pullback(f: LinMap, g: LinMap) -> tuple[VectQ, LinMap, LinMap]:
-    """Fiber product of f: A→C and g: B→C: returns (P, P→A, P→B)."""
+    """Fiber product of f: A→C and g: B→C: returns (P, P→A, P→B), P the
+    kernel of the map [f | -g] from A ⊕ B."""
     if f.target != g.target:
         raise DimensionError("pullback targets differ")
     A, B = f.source, g.source
-    bands = {0: A.dim, 1: B.dim}
     big = VectQ.make(A.dim + B.dim, "p")
-    ker = kernel_basis(block_map(big, f.target, {0: f.target.dim}, bands,
+    ker = kernel_basis(block_map(big, f.target, {0: f.target.dim}, {0: A.dim, 1: B.dim},
                                  [(0, 0, f), (0, 1, g.scale(-1))]))
     P = VectQ.make(len(ker), "pb")
-    incl = LinMap.from_cols(P, big, ker)
-    to_a, to_b = (incl.then(block_map(big, S, {j: S.dim}, bands, [(j, j, LinMap.identity(S))]))
-                  for j, S in enumerate((A, B)))
-    return P, to_a, to_b
+    return (P, LinMap.from_cols(P, A, [k[:A.dim] for k in ker]),
+            LinMap.from_cols(P, B, [k[A.dim:] for k in ker]))
 
 
 @dataclass(frozen=True)
