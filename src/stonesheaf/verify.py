@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-import traceback
+import sys
 from fractions import Fraction
 
 from .linalg import LinMap, VectQ
@@ -434,7 +434,7 @@ def run_all(seed: int = 1, fast: bool = False) -> str:
             passed, details = fn(seed, **kwargs)
             status = "PASS" if passed else "FAIL"
         except Exception as exc:
-            traceback.print_exc()
+            sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, on stderr
             status, details = "ERROR", f"{type(exc).__name__}: {exc}"
         print(f"[{status}] {name}: {details}")
         statuses.add(status)

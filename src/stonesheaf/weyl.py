@@ -968,9 +968,9 @@ def _random_rep(G: FinGroup, d: int, rng: random.Random):
     reg = regular_rep(G) if use_reg else [LinMap.identity(VectQ.make(0))] * G.order
     picks = [rng.randrange(len(chars)) for _ in range(d - head)]
     bands = dict(enumerate([head] + [1] * len(picks)))
-    return V, [block_map(V, V, bands, bands,
-                         [(0, 0, reg[g])] + [(i, i, LinMap.scalar(QQ, chars[c][g]))
-                                             for i, c in enumerate(picks, 1)])
+    signs = {1: LinMap.identity(QQ), -1: LinMap.scalar(QQ, -1)}
+    return V, [block_map(V, V, bands, bands, [(0, 0, reg[g])] + [(i, i, signs[chars[c][g]])
+                                                               for i, c in enumerate(picks, 1)])
                for g in G.elements()]
 
 
