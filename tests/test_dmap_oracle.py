@@ -14,8 +14,10 @@ Scalar data lives on spaces of rank 1, 2 or 3 drawn by
 `test_adelic_properties.of_rank`: `random_cfun` elements at every flag, the
 empty one included, and decoded coordinate vectors (the probe's inputs, not
 in normal form).  Group-ring data lives on `o2_dihedral_block(4)` and
-`t2_block()`, drawn by `test_pathway_golden`.  The examples are derandomized
-and their number fixed; `RANK_COUNTS` and `BLOCK_COUNTS` pin what is drawn.
+`t2_block()`, drawn by `test_pathway_golden`.  The examples are derandomized,
+and hypothesis runs once per rank and once per block, with the number of
+examples that `RANK_COUNTS` and `BLOCK_COUNTS` give; the counts drawn are
+checked against them, and do not depend on the tests that ran before.
 
 The shortcut rests on one invariant of the data layout: data is None
 exactly at the nodes whose flag is a zero ring (the flag's top above the
@@ -28,7 +30,7 @@ from collections import Counter
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from stonesheaf.adelic import (  # noqa: E402
     RATIONAL, CFun, FlagError, _canon, _decode, _differential, _dmap_leaves, _raw, _slots,
@@ -37,13 +39,12 @@ from stonesheaf.catalog import o2_dihedral_block, t2_block  # noqa: E402
 from stonesheaf.linalg import ONE, ZERO  # noqa: E402
 from stonesheaf.space import Cone, Finite, Sum, cb_rank  # noqa: E402
 from stonesheaf.weyl import GROUP_RING, equivariant_adelic  # noqa: E402
-from test_adelic_properties import of_rank  # noqa: E402
+from test_adelic_properties import examples, of_rank  # noqa: E402
 from test_pathway_golden import _random_eq_cochain, _random_eq_data  # noqa: E402
 
 RANK_COUNTS = {1: 16, 2: 17, 3: 27}
 BLOCK_COUNTS = {"o2_dihedral_block(4)": 31, "t2_block()": 29}
 BLOCKS = {"o2_dihedral_block(4)": o2_dihedral_block(4)[::2], "t2_block()": t2_block()[:3:2]}
-SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 EXC_BOUND = 1
 
 
@@ -131,57 +132,57 @@ def _compare_differentials(L, space, cs, cochains):
 
 def test_rational_recursions_match_their_references():
     ranks = []
+    for rank, count in RANK_COUNTS.items():
+        @examples(count)
+        @given(of_rank(rank), st.integers(min_value=0, max_value=2**16))
+        def check(space, seed):
+            r = cb_rank(space)
+            ranks.append(r)
+            rng = random.Random(seed)
+            cochains = []
+            for degree in range(-1, r):
+                flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
+                data = {A: random_cfun(space, A, rng, EXC_BOUND).data for A in flags}
+                for A, d in data.items():
+                    assert _none_exactly_at_zero_rings(space, A, d)
+                    _compare_dmaps(RATIONAL, space, None, A, d)
+                n = sum(_slots(RATIONAL, space, A, None, EXC_BOUND) for A in flags)
+                probe = _decode(RATIONAL, space, None, flags, EXC_BOUND, _sparse_coords(rng, n))
+                for A, d in probe.items():
+                    assert _none_exactly_at_zero_rings(space, A, d)
+                    _compare_dmaps(RATIONAL, space, None, A, d)
+                cochains += [(degree, data), (degree, probe)]
+            _compare_differentials(RATIONAL, space, None, cochains)
 
-    @SETTINGS
-    @given(st.integers(min_value=1, max_value=3).flatmap(of_rank),
-           st.integers(min_value=0, max_value=2**16))
-    def check(space, seed):
-        r = cb_rank(space)
-        ranks.append(r)
-        rng = random.Random(seed)
-        cochains = []
-        for degree in range(-1, r):
-            flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
-            data = {A: random_cfun(space, A, rng, EXC_BOUND).data for A in flags}
-            for A, d in data.items():
-                assert _none_exactly_at_zero_rings(space, A, d)
-                _compare_dmaps(RATIONAL, space, None, A, d)
-            n = sum(_slots(RATIONAL, space, A, None, EXC_BOUND) for A in flags)
-            probe = _decode(RATIONAL, space, None, flags, EXC_BOUND, _sparse_coords(rng, n))
-            for A, d in probe.items():
-                assert _none_exactly_at_zero_rings(space, A, d)
-                _compare_dmaps(RATIONAL, space, None, A, d)
-            cochains += [(degree, data), (degree, probe)]
-        _compare_differentials(RATIONAL, space, None, cochains)
-
-    check()
+        check()
     assert dict(Counter(ranks)) == RANK_COUNTS
 
 
 def test_group_ring_recursions_match_their_references():
     blocks = []
-
-    @SETTINGS
-    @given(st.sampled_from(sorted(BLOCKS)), st.integers(min_value=0, max_value=2**16))
-    def check(block, seed):
-        blocks.append(block)
+    for block, count in BLOCK_COUNTS.items():
         space, cs = BLOCKS[block]
         cx = equivariant_adelic(space, cs)
-        rng = random.Random(seed)
-        cochains = [(-1, _raw(_random_eq_cochain(cx, -1, rng)))]
-        for degree in range(0, cx.rank):
-            flags = cx.flags(degree)
-            data = {A: _random_eq_data(space, A, cs, rng) for A in flags}
-            n = sum(_slots(GROUP_RING, space, A, cs, EXC_BOUND) for A in flags)
-            probe = _decode(GROUP_RING, space, cs, flags, EXC_BOUND, _sparse_coords(rng, n))
-            for A in flags:
-                for d in (data[A], probe[A]):
-                    assert _none_exactly_at_zero_rings(space, A, d)
-                    _compare_dmaps(GROUP_RING, space, cs, A, d)
-            cochains += [(degree, data), (degree, probe)]
-        _compare_differentials(GROUP_RING, space, cs, cochains)
 
-    check()
+        @examples(count)
+        @given(st.integers(min_value=0, max_value=2**16))
+        def check(seed):
+            blocks.append(block)
+            rng = random.Random(seed)
+            cochains = [(-1, _raw(_random_eq_cochain(cx, -1, rng)))]
+            for degree in range(0, cx.rank):
+                flags = cx.flags(degree)
+                data = {A: _random_eq_data(space, A, cs, rng) for A in flags}
+                n = sum(_slots(GROUP_RING, space, A, cs, EXC_BOUND) for A in flags)
+                probe = _decode(GROUP_RING, space, cs, flags, EXC_BOUND, _sparse_coords(rng, n))
+                for A in flags:
+                    for d in (data[A], probe[A]):
+                        assert _none_exactly_at_zero_rings(space, A, d)
+                        _compare_dmaps(GROUP_RING, space, cs, A, d)
+                cochains += [(degree, data), (degree, probe)]
+            _compare_differentials(GROUP_RING, space, cs, cochains)
+
+        check()
     assert dict(Counter(blocks)) == BLOCK_COUNTS
 
 

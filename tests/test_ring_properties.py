@@ -17,8 +17,10 @@ sized by the group at height 0, and dmap(b, .) for b >= 1 keeps those
 leaves where the group at height b belongs, so it is not multiplicative
 there (`test_dmap_from_the_empty_flag_is_multiplicative_on_group_rings`,
 expected to fail).  Three elements are drawn from a seed.  The examples are
-derandomized and their number fixed; `RANK_COUNTS` and `BLOCK_COUNTS` pin
-what is drawn.
+derandomized, and hypothesis runs once per rank and once per block, with
+the number of examples that `RANK_COUNTS` and `BLOCK_COUNTS` give; the
+counts drawn are checked against them, and do not depend on the tests that
+ran before.
 """
 
 import random
@@ -28,13 +30,13 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from stonesheaf.adelic import CFun, all_flags, dmap, random_cfun  # noqa: E402
 from stonesheaf.catalog import o2_dihedral_block, t2_block  # noqa: E402
 from stonesheaf.space import Cone, Finite, SpaceMismatch, cb_rank  # noqa: E402
 from stonesheaf.weyl import EqCFun, trivial_structure  # noqa: E402
-from test_adelic_properties import of_rank  # noqa: E402
+from test_adelic_properties import examples, of_rank  # noqa: E402
 from test_pathway_golden import _random_eq_data  # noqa: E402
 
 RANK_COUNTS = {1: 10, 2: 32, 3: 18}
@@ -42,7 +44,6 @@ BLOCK_COUNTS = {"o2_dihedral_block(3)": 20, "o2_dihedral_block(4)": 25, "t2_bloc
 BLOCKS = {"o2_dihedral_block(3)": o2_dihedral_block(3)[::2],
           "o2_dihedral_block(4)": o2_dihedral_block(4)[::2],
           "t2_block()": t2_block()[:3:2]}
-SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
 def _check_laws(x, y, z, one, zero, heights):
@@ -70,40 +71,40 @@ def _draw_flag(space, rng, flags):
 
 def test_ring_laws_on_rational_leaves():
     ranks = []
+    for rank, count in RANK_COUNTS.items():
+        @examples(count)
+        @given(of_rank(rank), st.integers(min_value=0, max_value=2**16))
+        def check(space, seed):
+            ranks.append(cb_rank(space))
+            rng = random.Random(seed)
+            flag, heights = _draw_flag(space, rng, [()] + all_flags(cb_rank(space)))
+            x, y, z = (random_cfun(space, flag, rng, 1) for _ in range(3))
+            one, zero = CFun.unit(space, flag), CFun.zero(space, flag)
+            _check_laws(x, y, z, one, zero, heights)
+            for b in heights:
+                assert dmap(b, one) == CFun.unit(space, dmap(b, one).flag)
 
-    @SETTINGS
-    @given(st.integers(min_value=1, max_value=3).flatmap(of_rank),
-           st.integers(min_value=0, max_value=2**16))
-    def check(space, seed):
-        ranks.append(cb_rank(space))
-        rng = random.Random(seed)
-        flag, heights = _draw_flag(space, rng, [()] + all_flags(cb_rank(space)))
-        x, y, z = (random_cfun(space, flag, rng, 1) for _ in range(3))
-        one, zero = CFun.unit(space, flag), CFun.zero(space, flag)
-        _check_laws(x, y, z, one, zero, heights)
-        for b in heights:
-            assert dmap(b, one) == CFun.unit(space, dmap(b, one).flag)
-
-    check()
+        check()
     assert dict(Counter(ranks)) == RANK_COUNTS
 
 
 def test_ring_laws_on_group_ring_leaves():
     blocks = []
-
-    @SETTINGS
-    @given(st.sampled_from(sorted(BLOCKS)), st.integers(min_value=0, max_value=2**16))
-    def check(block, seed):
-        blocks.append(block)
+    for block, count in BLOCK_COUNTS.items():
         space, cs = BLOCKS[block]
-        rng = random.Random(seed)
-        flag, heights = _draw_flag(space, rng, all_flags(cb_rank(space)))
-        one, zero = EqCFun.unit(space, flag, cs), EqCFun.zero(space, flag, cs)
-        x, y, z = (EqCFun(space, flag, _random_eq_data(space, flag, cs, rng), cs) + zero
-                   for _ in range(3))
-        _check_laws(x, y, z, one, zero, heights)
 
-    check()
+        @examples(count)
+        @given(st.integers(min_value=0, max_value=2**16))
+        def check(seed):
+            blocks.append(block)
+            rng = random.Random(seed)
+            flag, heights = _draw_flag(space, rng, all_flags(cb_rank(space)))
+            one, zero = EqCFun.unit(space, flag, cs), EqCFun.zero(space, flag, cs)
+            x, y, z = (EqCFun(space, flag, _random_eq_data(space, flag, cs, rng), cs) + zero
+                       for _ in range(3))
+            _check_laws(x, y, z, one, zero, heights)
+
+        check()
     assert dict(Counter(blocks)) == BLOCK_COUNTS
 
 
