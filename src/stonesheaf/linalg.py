@@ -93,10 +93,6 @@ def vec_add(u: Sequence[Rat], v: Sequence[Rat]) -> tuple[Rat, ...]:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c: Rat, v: Sequence[Rat]) -> tuple[Rat, ...]:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vec(v: Sequence[Rat]) -> bool:
     return all(a == 0 for a in v)
 
@@ -153,8 +149,7 @@ class LinMap:
 
     @staticmethod
     def scalar(space: VectQ, c) -> "LinMap":
-        c = rat(c)
-        return LinMap(space, space, tuple(vec_scale(c, space.basis_vec(i)) for i in range(space.dim)))
+        return LinMap.identity(space).scale(c)
 
     def apply(self, v: Sequence[Rat]) -> tuple[Rat, ...]:
         if len(v) != self.source.dim:
@@ -214,8 +209,24 @@ class LinMap:
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "LinMap":
+        """c times self: a zero entry becomes `ZERO` and a factor of 1 or -1
+        keeps or negates a `Fraction` entry, so every entry has the value and
+        the type that c * x gives (an `int` entry is still multiplied).
+
+        >>> m = LinMap.from_rows(VectQ.make(2), VectQ.make(1), [[3, 0]]).scale(-1)
+        >>> [str(x) for x in m.matrix[0]]
+        ['-3', '0']
+        """
         c = rat(c)
-        return LinMap(self.source, self.target, tuple(vec_scale(c, r) for r in self.matrix))
+        sign = c == 1 or c == -1
+
+        def times(x):
+            if not x:
+                return ZERO
+            if sign and type(x) is Fraction:
+                return x if c == 1 else -x
+            return c * x
+        return LinMap(self.source, self.target, tuple(tuple(map(times, r)) for r in self.matrix))
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.matrix)

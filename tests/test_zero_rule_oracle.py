@@ -8,7 +8,10 @@ divides only a pivot row's nonzero entries (see the `RationalLeaves` and
 * `PlainLeaves` (from `tests/test_sampler_oracle.py`), the rational leaves
   with `operator.add`/`operator.sub`;
 * `reference_rref`, elimination that divides every entry of the pivot row
-  from the pivot on, zero or not, by a pivot other than 1.
+  from the pivot on, zero or not, by a pivot other than 1;
+* `reference_scale`, `LinMap.scale` as one product c * x per entry, zero
+  or not, where the library keeps zeros as `ZERO` and takes a factor of
+  ±1 as a sign.
 
 `plain_engine` runs the library with both: a complex whose leaves are
 `PlainLeaves`, and `adelic.rref` replaced by `reference_rref`.  The library
@@ -16,7 +19,8 @@ must agree with it by `repr`, so a `Fraction` turned `int` fails, on
 `_kernel_rref`, `random_cocycle` and `exactness_witness` over the
 `SEEDED_SPACES` and `ROOT_SUMS` of the sampler oracle at every degree below
 the rank; and `rref` must agree with `reference_rref` on the probed
-matrices and on seeded `int` matrices.
+matrices and on seeded `int` matrices; `LinMap.scale`, `scalar` and `sub`
+must agree with `reference_scale` on seeded mixed `int`/`Fraction` matrices.
 """
 
 import contextlib
@@ -30,7 +34,7 @@ from stonesheaf import adelic
 from stonesheaf.adelic import (
     RATIONAL, AdelicComplex, _differential, _kernel_rref, _slots, build_complex,
     random_cocycle)
-from stonesheaf.linalg import rref
+from stonesheaf.linalg import LinMap, VectQ, rat, rref
 from stonesheaf.space import cb_rank, parse_space
 
 from test_level_oracle import SEEDED_SPACES
@@ -160,3 +164,28 @@ def test_differential_on_mixed_int_and_fraction_leaves(expr):
             got = _differential(RATIONAL, space, None, degree, data)
             want = _differential(PLAIN, space, None, degree, data)
             assert repr(got) == repr(want)
+
+
+def reference_scale(m, c):
+    c = rat(c)
+    return LinMap(m.source, m.target, tuple(tuple(c * x for x in row) for row in m.matrix))
+
+
+FACTORS = [1, -1, 0, 2, -3, Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 3),
+           Fraction(-5, 2), "2/3", "-1"]
+
+
+def test_scale_matches_one_product_per_entry():
+    rng = random.Random(33)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+        m = LinMap(VectQ.make(cols), VectQ.make(rows),
+                   tuple(tuple(rng.choice(MIXED) for _ in range(cols)) for _ in range(rows)))
+        c = rng.choice(FACTORS)
+        assert repr(m.scale(c)) == repr(reference_scale(m, c))
+        assert repr(m.sub(m)) == repr(m.add(reference_scale(m, -1)))
+    for dim in range(4):
+        space = VectQ.make(dim)
+        for c in FACTORS:
+            assert repr(LinMap.scalar(space, c)) == repr(
+                reference_scale(LinMap.identity(space), c))
