@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import LinMap, Rat, VectQ, ZERO, ONE, rat, rref
+from .linalg import LinMap, Rat, VectQ, ZERO, ONE, block_map, rat, rref
 from .space import Finite, SpaceExpr, Sum, cb_rank, ClopenSet, SpaceMismatch
 
 Flag = tuple[int, ...]
@@ -560,10 +560,14 @@ def _random_data(space, flag, rng, exc_bound):
 # part's slots come before the right part's.
 #
 # The kernel of d on these coordinates is read off the exact RREF of the
-# probed differential (one `_differential` call per coordinate).  The complex
-# of a Sum is the direct sum of its parts' complexes, so a Sum is reduced
-# one summand at a time and its parts' rows are merged; the split stops at
-# Cone, whose copies share one tail.
+# probed differential.  d is linear, and in a target flag B the only face
+# that reads a source flag A is A itself, when B = A ∪ {b}: so a coordinate
+# at A is decoded on A's slots alone and taken by one cube map into each
+# coface of A, and its column is zero at every other target.  The sampler
+# does not apply `_differential`, which stays the d of the cocycle test and
+# of the witness check.  The complex of a Sum is the direct sum of its
+# parts' complexes, so a Sum is reduced one summand at a time and its parts'
+# rows are merged; the split stops at Cone, whose copies share one tail.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -637,6 +641,35 @@ def _decode(L, space, cs, flags, exc_bound, values) -> dict:
     return out
 
 
+def _coface_probe(L, space, cs, A, m_at, exc_bound):
+    """d on the coordinates of the flag A alone, as a function of their
+    values: at a target B = A ∪ {b} the cube map into b (the augmentation
+    from the empty flag), negated through the leaf algebra when the index of
+    b in B is odd; at every other target of m_at, zeros.  Every leaf over B
+    has the size of B's zero leaf, as `_is_zero_data` also assumes."""
+    plan = []
+    for B in m_at:
+        added = [b for b in B if b not in A]
+        plan.append((B, added[0], B.index(added[0]) % 2) if len(added) == 1 else (B, None, 0))
+
+    def d(values):
+        data, _pos = _data_from_coords(L, space, A, cs, exc_bound, values, 0)
+        flat = []
+        for B, b, odd in plan:
+            if b is None:
+                flat += [ZERO] * m_at[B]
+                continue
+            image = _canon(L, space, B, cs, L.augment(space, cs, data, b) if not A
+                           else _dmap_leaves(L, space, A, cs, b, data))
+            if odd:
+                zero = L.zero(cs, B)
+                image = _map_leaves(space, B, image, lambda x: L.sub(zero, x))
+            # dmap never enlarges exception support
+            _coords_from_data(L, space, B, exc_bound, image, flat)
+        return flat
+    return d
+
+
 def _kernel_rref(L, space, cs, degree, exc_bound):
     """The RREF of d from the given degree on the bounded-exception
     cochains of space: its pivot rows as sparse [(column, entry)] lists of
@@ -645,8 +678,9 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     A space whose rank is at most the degree has no rows.  A Sum maps each
     part's columns into its own layout and merges the parts' rows by pivot:
     the maps are monotone and d is block-diagonal, so, RREF being unique,
-    that is the Sum's RREF.  Any other space is probed column by column,
-    through `LinMap.of`.
+    that is the Sum's RREF.  Any other space is probed one column band per
+    source flag, through `LinMap.of` (`_coface_probe`), and the bands are
+    laid out by `block_map`.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
@@ -664,20 +698,16 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
             merged += [(col[p], [(col[j], x) for j, x in row]) for row, p in zip(rows, pivots)]
         merged.sort(key=lambda pr: pr[0])
         return [row for _p, row in merged], [p for p, _row in merged], n
-    n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
+    n_at = {A: _slots(L, space, A, cs, exc_bound) for A in flags}
+    n = sum(n_at.values())
     if r <= degree:
         return [], [], n
-    targets = flags_of_size(r, degree + 2)
-    m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
-
-    def d(unit):
-        image = _differential(L, space, cs, degree, _decode(L, space, cs, flags, exc_bound, unit))
-        flat = []
-        for B in targets:
-            # dmap never enlarges exception support
-            _coords_from_data(L, space, B, exc_bound, image[B], flat)
-        return flat
-    red, pivots = rref(LinMap.of(VectQ.make(n), VectQ.make(m), d).matrix)
+    m_at = {B: _slots(L, space, B, cs, exc_bound) for B in flags_of_size(r, degree + 2)}
+    target = VectQ.make(sum(m_at.values()))
+    bands = [(0, A, LinMap.of(VectQ.make(n_at[A]), target,
+                              _coface_probe(L, space, cs, A, m_at, exc_bound)))
+             for A in flags]
+    red, pivots = rref(block_map(VectQ.make(n), target, {0: target.dim}, n_at, bands).matrix)
     return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
             for row, p in zip(red, pivots)], pivots, n
 

@@ -15,9 +15,10 @@ zero entry the shared `ZERO`, never an `int` 0; the arithmetic is exact, so
 skipping zeros changes no result.  The representation matrices'
 nonzero entries are mostly ±1, so the two products take a factor of 1 or -1
 as a sign (the term is x or -x, not a * x) and take an output entry's first
-term as the entry itself, with no addition to zero.  Neither rule changes a
-value or a type: a first term that is not a `Fraction` (int inputs) is still
-added to `ZERO`.
+term as the entry itself, with no addition to zero; `LinMap.scale` likewise
+keeps a zero entry as `ZERO` and takes a factor of ±1 as a sign.  Neither
+rule changes a value or a type: a first term that is not a `Fraction` (int
+inputs) is still added to `ZERO`, and an `int` entry is still scaled.
 
 Entries are coerced once: `rat` returns a `Fraction` as it is, and only
 other inputs are converted.  `VectQ.make` interns its spaces, so every call

@@ -1,14 +1,18 @@
 """The sampler's kernel RREF against the whole-cochain probe.
 
 `adelic._kernel_rref` is the RREF of d on the bounded-exception cochains,
-reduced one root summand at a time.  The reference below builds each column
-of that matrix from the whole cochain: the unit vector is decoded over every
+reduced one root summand at a time.  It probes d one source flag at a time:
+a coordinate at a flag A is decoded on A's slots alone and taken by one cube
+map into each coface of A.  The reference below builds each column of that
+matrix from the whole cochain: the unit vector is decoded over every
 flag (`_decode`), sent through `_differential` over every target flag and
 every face, and written back by `_coords_from_data` over every target, one
 `LinMap.of` column per coordinate; a `Sum` is split into its parts as the
 library splits it.  RREF is unique and the arithmetic is exact, so the
 library must agree with it by `repr`, which also compares the types of the
-entries.
+entries.  The library does not apply `_differential` to sample: with it
+patched to raise, both samplers still draw cocycles, which the unpatched
+`is_cocycle` accepts.
 
 Rational inputs are spaces of rank 0-3 (root sums and sums inside cones
 among them) with exception bounds 0-3, in every degree from -1 to rank - 1.
@@ -21,13 +25,14 @@ import random
 
 import pytest
 
+from stonesheaf import adelic
 from stonesheaf.adelic import (
     RATIONAL, _coords_from_data, _decode, _differential, _kernel_rref, _slots,
-    flags_of_size)
+    build_complex, flags_of_size, random_cocycle)
 from stonesheaf.catalog import o2_dihedral_block, t2_block
 from stonesheaf.linalg import LinMap, VectQ, rref
 from stonesheaf.space import Sum, cb_rank, parse_space
-from stonesheaf.weyl import GroupError, equivariant_adelic
+from stonesheaf.weyl import GroupError, eq_random_cocycle, equivariant_adelic
 
 from test_level_oracle import SEEDED_SPACES, draw_structure
 
@@ -128,3 +133,19 @@ def test_the_family_is_found():
 def test_family_kernel_rref_matches_the_whole_cochain_probe(name, cx):
     for exc_bound in (1, 2):
         assert_matches_reference(cx.leaves, cx.space, cx.cs, range(cx.rank), exc_bound)
+
+
+def test_the_samplers_do_not_apply_the_differential(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the sampler applied _differential")
+    cx = build_complex(parse_space("Cone(Sum(Finite(2),Cone(Finite(1))))"))
+    eq = equivariant_adelic(*o2_dihedral_block(4)[::2])
+    with monkeypatch.context() as patch:
+        patch.setattr(adelic, "_differential", refuse)
+        samples = [(cx, degree, random_cocycle(cx, degree, random.Random(degree)))
+                   for degree in range(cx.rank)]
+        samples += [(eq, degree, eq_random_cocycle(eq, degree, random.Random(degree)))
+                    for degree in range(eq.rank)]
+        with pytest.raises(AssertionError, match="applied _differential"):
+            cx.is_cocycle(samples[0][2], 0)
+    assert all(c.is_cocycle(cocycle, degree) for c, degree, cocycle in samples)
