@@ -91,8 +91,8 @@ class RationalLeaves:
     `add` and `sub` skip a zero operand: x ± 0 is x, 0 + y is y and 0 - y
     is -y, but only when the operand kept is a `Fraction`, so every result
     has the value and the type that `operator.add`/`operator.sub` give (an
-    `int` operand still goes through the operator).  The probed
-    differentials add and subtract mostly zero leaves.
+    `int` operand still goes through the operator).  Sparse cochains give
+    `_differential` many zero leaves to add and subtract.
     """
 
     @staticmethod
@@ -559,15 +559,16 @@ def _random_data(space, flag, rng, exc_bound):
 # coordinates run flag by flag, and within a flag over a Sum the left
 # part's slots come before the right part's.
 #
-# The kernel of d on these coordinates is read off the exact RREF of the
-# probed differential.  d is linear, and in a target flag B the only face
-# that reads a source flag A is A itself, when B = A ∪ {b}: so a coordinate
-# at A is decoded on A's slots alone and taken by one cube map into each
-# coface of A, and its column is zero at every other target.  The sampler
-# does not apply `_differential`, which stays the d of the cocycle test and
-# of the witness check.  The complex of a Sum is the direct sum of its
-# parts' complexes, so a Sum is reduced one summand at a time and its parts'
-# rows are merged; the split stops at Cone, whose copies share one tail.
+# The kernel of d on these coordinates is read off the exact RREF of its
+# matrix, laid out like the cube's stalk complex (`cube._cube_stalk_complex`):
+# the face of a target flag B that drops B[k] reads only the source flag
+# A = B minus B[k], so it is one block, the cube map into B[k] on A's
+# coordinates, with sign (-1)^k, and every other block is zero.  Each
+# coordinate of A is decoded once, for all of its cofaces.  The sampler does
+# not apply `_differential`, which stays the d of the cocycle test and of
+# the witness check.  The complex of a Sum is the direct sum of its parts'
+# complexes, so a Sum is reduced one summand at a time and its parts' rows
+# are merged; the split stops at Cone, whose copies share one tail.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -641,35 +642,6 @@ def _decode(L, space, cs, flags, exc_bound, values) -> dict:
     return out
 
 
-def _coface_probe(L, space, cs, A, m_at, exc_bound):
-    """d on the coordinates of the flag A alone, as a function of their
-    values: at a target B = A ∪ {b} the cube map into b (the augmentation
-    from the empty flag), negated through the leaf algebra when the index of
-    b in B is odd; at every other target of m_at, zeros.  Every leaf over B
-    has the size of B's zero leaf, as `_is_zero_data` also assumes."""
-    plan = []
-    for B in m_at:
-        added = [b for b in B if b not in A]
-        plan.append((B, added[0], B.index(added[0]) % 2) if len(added) == 1 else (B, None, 0))
-
-    def d(values):
-        data, _pos = _data_from_coords(L, space, A, cs, exc_bound, values, 0)
-        flat = []
-        for B, b, odd in plan:
-            if b is None:
-                flat += [ZERO] * m_at[B]
-                continue
-            image = _canon(L, space, B, cs, L.augment(space, cs, data, b) if not A
-                           else _dmap_leaves(L, space, A, cs, b, data))
-            if odd:
-                zero = L.zero(cs, B)
-                image = _map_leaves(space, B, image, lambda x: L.sub(zero, x))
-            # dmap never enlarges exception support
-            _coords_from_data(L, space, B, exc_bound, image, flat)
-        return flat
-    return d
-
-
 def _kernel_rref(L, space, cs, degree, exc_bound):
     """The RREF of d from the given degree on the bounded-exception
     cochains of space: its pivot rows as sparse [(column, entry)] lists of
@@ -678,9 +650,10 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     A space whose rank is at most the degree has no rows.  A Sum maps each
     part's columns into its own layout and merges the parts' rows by pivot:
     the maps are monotone and d is block-diagonal, so, RREF being unique,
-    that is the Sum's RREF.  Any other space is probed one column band per
-    source flag, through `LinMap.of` (`_coface_probe`), and the bands are
-    laid out by `block_map`.
+    that is the Sum's RREF.  Any other space is laid out like the cube's
+    stalk complex, by `block_map`: one block per target flag B and face k,
+    the cube map into B[k] on the decoded coordinates of B minus B[k],
+    negated when k is odd.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
@@ -702,12 +675,21 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     n = sum(n_at.values())
     if r <= degree:
         return [], [], n
+    units = {A: [_data_from_coords(L, space, A, cs, exc_bound, VectQ.make(s).basis_vec(i), 0)[0]
+                 for i in range(s)] for A, s in n_at.items()}
     m_at = {B: _slots(L, space, B, cs, exc_bound) for B in flags_of_size(r, degree + 2)}
-    target = VectQ.make(sum(m_at.values()))
-    bands = [(0, A, LinMap.of(VectQ.make(n_at[A]), target,
-                              _coface_probe(L, space, cs, A, m_at, exc_bound)))
-             for A in flags]
-    red, pivots = rref(block_map(VectQ.make(n), target, {0: target.dim}, n_at, bands).matrix)
+    faces = []
+    for B in m_at:
+        for k, b in enumerate(B):
+            A = B[:k] + B[k + 1:]
+            cols = [[] for _ in units[A]]
+            for col, u in zip(cols, units[A]):
+                # dmap never enlarges exception support
+                _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, b, u), col)
+            m = LinMap.from_cols(VectQ.make(n_at[A]), VectQ.make(m_at[B]), cols)
+            faces.append((B, A, m.scale(-1) if k % 2 else m))
+    red, pivots = rref(block_map(VectQ.make(n), VectQ.make(sum(m_at.values())),
+                                 m_at, n_at, faces).matrix)
     return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
             for row, p in zip(red, pivots)], pivots, n
 
@@ -720,8 +702,11 @@ def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     pivot coordinate takes minus the sum of its row's entries times those
     draws, in increasing column order.  That is the canonical kernel basis
     combined with one draw per basis vector.  In the top degree every
-    cochain is a cocycle, with one free_draw(rng) per coordinate.
+    cochain is a cocycle, with one free_draw(rng) per coordinate.  A degree
+    outside `cx.degrees()` raises `ValueError`.
     """
+    if degree not in cx.degrees():
+        raise ValueError(f"degree {degree} is outside the complex's degrees -1..{cx.rank}")
     L, cs, space, flags = cx.leaves, cx.cs, cx.space, cx.flags(degree)
     rows, pivots, n = _kernel_rref(L, space, cs, degree, exc_bound)
     if degree < cx.rank:

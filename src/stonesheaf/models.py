@@ -300,10 +300,9 @@ def _sheaf_edge(b, MA, MB) -> LinMap:
 def _mod_identification(N: CMod, M: CMod) -> LinMap:
     """Identify an extended module with the directly built vertex (their
     records coincide because image bases are canonical)."""
-    if el_space(N) != el_space(M) and el_space(N).dim != el_space(M).dim:
+    if el_space(N).dim != el_space(M).dim:
         raise AssertionError("canonical chain mismatch: element spaces differ")
-    return LinMap.identity(el_space(N)) if el_space(N) == el_space(M) else \
-        LinMap(el_space(N), el_space(M), LinMap.identity(el_space(N)).matrix)
+    return LinMap(el_space(N), el_space(M), LinMap.identity(el_space(N)).matrix)
 
 
 def is_cocartesian(D: DiagMod) -> bool:

@@ -849,7 +849,12 @@ def degeneration_mismatch(space: SpaceExpr, rng: random.Random, samples: int):
 
 def eq_random_cocycle(cx: EqAdelicComplex, degree: int, rng: random.Random,
                       exc_bound: int = 2) -> dict:
-    """A random constructible equivariant cocycle via an exact kernel basis."""
+    """A random constructible equivariant cocycle via an exact kernel basis,
+    in a degree from 0 to the rank: degree -1 holds sections of the sheaf of
+    group rings, which the sampler's coordinates do not describe, so it
+    raises `ValueError`."""
+    if degree == -1:
+        raise ValueError("the equivariant sampler starts at degree 0")
     return _sample_cocycle(cx, degree, rng, exc_bound,
                            lambda r: Fraction(r.randint(-4, 4)),
                            lambda r: Fraction(r.randint(-3, 3)))

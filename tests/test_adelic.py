@@ -149,6 +149,15 @@ def test_witness_rank2_random():
             w = cx.exactness_witness(z, deg)   # verifies d(w) = z internally
 
 
+def test_random_cocycle_takes_exactly_the_degrees_of_the_complex():
+    cx = build_complex(X2)
+    for deg in (-1, cx.rank):
+        assert cx.is_cocycle(random_cocycle(cx, deg, random.Random(deg)), deg)
+    for deg in (-2, cx.rank + 1):
+        with pytest.raises(ValueError, match=f"degree {deg} is outside"):
+            random_cocycle(cx, deg, random.Random(0))
+
+
 def test_witness_rejects_non_cocycle():
     cx = build_complex(X1)
     bad = {(0,): seq({}, 2), (1,): CFun(X1, (1,), Fraction(3))}

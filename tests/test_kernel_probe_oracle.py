@@ -1,14 +1,16 @@
 """The sampler's kernel RREF against the whole-cochain probe.
 
 `adelic._kernel_rref` is the RREF of d on the bounded-exception cochains,
-reduced one root summand at a time.  It probes d one source flag at a time:
-a coordinate at a flag A is decoded on A's slots alone and taken by one cube
-map into each coface of A.  The reference below builds each column of that
-matrix from the whole cochain: the unit vector is decoded over every
-flag (`_decode`), sent through `_differential` over every target flag and
-every face, and written back by `_coords_from_data` over every target, one
-`LinMap.of` column per coordinate; a `Sum` is split into its parts as the
-library splits it.  RREF is unique and the arithmetic is exact, so the
+reduced one root summand at a time, its parts' rows merged by pivot.  It
+lays d out like the cube's stalk complex: each coordinate of a source flag
+is decoded once, and each face of a target flag B, the cube map into B[k]
+from B minus B[k], is one block with sign (-1)^k.  The reference below
+builds each column of the whole matrix from the whole cochain: the unit
+vector is decoded over every flag (`_decode`), sent through `_differential`
+over every target flag and every face, and written back by
+`_coords_from_data` over every target, one `LinMap.of` column per
+coordinate; it does not split a `Sum`, so it checks the library's merge of
+the summands' rows too.  RREF is unique and the arithmetic is exact, so the
 library must agree with it by `repr`, which also compares the types of the
 entries.  The library does not apply `_differential` to sample: with it
 patched to raise, both samplers still draw cocycles, which the unpatched
@@ -31,7 +33,7 @@ from stonesheaf.adelic import (
     build_complex, flags_of_size, random_cocycle)
 from stonesheaf.catalog import o2_dihedral_block, t2_block
 from stonesheaf.linalg import LinMap, VectQ, rref
-from stonesheaf.space import Sum, cb_rank, parse_space
+from stonesheaf.space import cb_rank, parse_space
 from stonesheaf.weyl import GroupError, eq_random_cocycle, equivariant_adelic
 
 from test_level_oracle import SEEDED_SPACES, draw_structure
@@ -47,23 +49,9 @@ RATIONAL_SPACES = ["Finite(2)", "Cone(Finite(1))", "Cone(Finite(3))", "Cone(Cone
 
 def reference_kernel_rref(L, space, cs, degree, exc_bound):
     """(rows, pivots, n) of d from degree, each column probed on the whole
-    cochain; a Sum's parts are reduced on their own and merged by pivot."""
+    cochain and the whole matrix reduced at once, a Sum included."""
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
-    if isinstance(space, Sum) and r > degree:
-        parts = tuple(zip((space.left, space.right), L.sum_parts(cs)))
-        cols, n = ([], []), 0
-        for A in flags:
-            for (part, pcs), col in zip(parts, cols):
-                k = _slots(L, part, A, pcs, exc_bound)
-                col.extend(range(n, n + k))
-                n += k
-        merged = []
-        for (part, pcs), col in zip(parts, cols):
-            rows, pivots, _n = reference_kernel_rref(L, part, pcs, degree, exc_bound)
-            merged += [(col[p], [(col[j], x) for j, x in row]) for row, p in zip(rows, pivots)]
-        merged.sort(key=lambda pr: pr[0])
-        return [row for _p, row in merged], [p for p, _row in merged], n
     n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
     if r <= degree:
         return [], [], n

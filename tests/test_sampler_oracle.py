@@ -1,12 +1,12 @@
 """The cocycle samplers against the dense kernel-basis reference.
 
-`adelic._sample_cocycle` reads its sample off the RREF of the probed
-differential, reduced one root summand at a time and probed one source
-flag at a time, by the cube maps into that flag's cofaces.  The reference
-below is
-the dense path it replaced: the canonical kernel basis of the whole probed
-matrix, `kernel_basis(LinMap.from_cols(...))`, combined with one kernel
-draw per basis vector; it does not split a Sum.  RREF is unique and the
+`adelic._sample_cocycle` reads its sample off the RREF of the
+differential, reduced one root summand at a time and laid out like the
+cube's stalk complex: one signed block per target flag and face, the cube
+map on the source flag's coordinates, each decoded once.  The reference
+below is the dense path it replaced: the canonical kernel basis of the
+whole probed matrix, `kernel_basis(LinMap.from_cols(...))`, combined with
+one kernel draw per basis vector; it does not split a Sum.  RREF is unique and the
 arithmetic is exact, so both must give the same cochain, and use the same
 draws, for the same seed.
 
@@ -14,7 +14,7 @@ The reference probes the whole cochain: each unit vector is decoded over
 every flag and sent through `_differential`, which the library's sampler
 does not call, with `PlainLeaves` in place of the rational leaves: plain
 `operator.add`/`operator.sub`, which skip no zero, so the probed matrices
-share neither the library's probe nor its leaf arithmetic.
+share neither the library's layout nor its leaf arithmetic.
 """
 
 import operator

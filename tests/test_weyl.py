@@ -253,6 +253,17 @@ def test_o2_block_witnesses_higher_degree():
         cx.exactness_witness(z, 1)
 
 
+def test_eq_random_cocycle_takes_degrees_zero_to_rank():
+    # degree -1 holds group-ring sections, which the sampler does not decode
+    cx = equivariant_adelic(*o2_dihedral_block(4)[::2])
+    assert cx.is_cocycle(eq_random_cocycle(cx, cx.rank, random.Random(1)), cx.rank)
+    with pytest.raises(ValueError, match="starts at degree 0"):
+        eq_random_cocycle(cx, -1, random.Random(0))
+    for deg in (-2, cx.rank + 1):
+        with pytest.raises(ValueError, match=f"degree {deg} is outside"):
+            eq_random_cocycle(cx, deg, random.Random(0))
+
+
 def test_ring_structure_of_equivariant_leaves():
     cs = o2_structure()
     u = EqCFun.unit(X1, (1, 0), cs)
