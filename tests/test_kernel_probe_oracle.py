@@ -29,10 +29,10 @@ import pytest
 
 from stonesheaf import adelic
 from stonesheaf.adelic import (
-    RATIONAL, _coords_from_data, _decode, _differential, _kernel_rref, _slots,
-    build_complex, flags_of_size, random_cocycle)
+    RATIONAL, _coords_from_data, _data_from_coords, _decode, _differential, _dmap_leaves,
+    _kernel_rref, _slots, build_complex, flags_of_size, random_cocycle)
 from stonesheaf.catalog import o2_dihedral_block, t2_block
-from stonesheaf.linalg import LinMap, VectQ, rref
+from stonesheaf.linalg import LinMap, VectQ, block_map, rref
 from stonesheaf.space import cb_rank, parse_space
 from stonesheaf.weyl import GroupError, eq_random_cocycle, equivariant_adelic
 
@@ -69,6 +69,28 @@ def reference_kernel_rref(L, space, cs, degree, exc_bound):
             for row, p in zip(red, pivots)], pivots, n
 
 
+def reference_face_block(L, space, cs, B, k, exc_bound):
+    """The block of d at (B, B minus B[k]) by unit decode: each coordinate of
+    the source flag decoded into a whole data tree, all zero but one leaf,
+    sent through the cube map into B[k] and encoded over B, one column per
+    coordinate, negated when k is odd."""
+    A = B[:k] + B[k + 1:]
+    source, target = (VectQ.make(_slots(L, space, F, cs, exc_bound)) for F in (A, B))
+    cols = []
+    for i in range(source.dim):
+        unit = _data_from_coords(L, space, A, cs, exc_bound, source.basis_vec(i), 0)[0]
+        cols.append([])
+        _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, B[k], unit),
+                          cols[-1])
+    block = LinMap.from_cols(source, target, cols)
+    return block.scale(-1) if k % 2 else block
+
+
+def faces(space, degree):
+    """(B, k) for every target flag B of d from degree and every face k of B."""
+    return [(B, k) for B in flags_of_size(cb_rank(space), degree + 2) for k in range(len(B))]
+
+
 def assert_matches_reference(L, space, cs, degrees, exc_bound):
     for degree in degrees:
         got = _kernel_rref(L, space, cs, degree, exc_bound)
@@ -80,6 +102,24 @@ def assert_matches_reference(L, space, cs, degrees, exc_bound):
 def test_rational_kernel_rref_matches_the_whole_cochain_probe(expr, exc_bound):
     space = parse_space(expr)
     assert_matches_reference(RATIONAL, space, None, range(-1, cb_rank(space)), exc_bound)
+
+
+@pytest.mark.parametrize("exc_bound", [0, 1, 2, 3])
+@pytest.mark.parametrize("expr", RATIONAL_SPACES)
+def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
+    space = parse_space(expr)
+    for degree in range(-1, cb_rank(space)):
+        flags = [()] if degree == -1 else flags_of_size(cb_rank(space), degree + 1)
+        n_at = {A: _slots(RATIONAL, space, A, None, exc_bound) for A in flags}
+        m_at = {B: _slots(RATIONAL, space, B, None, exc_bound) for B, _k in faces(space, degree)}
+        blocks = [(B, B[:k] + B[k + 1:], reference_face_block(RATIONAL, space, None, B, k, exc_bound))
+                  for B, k in faces(space, degree)]
+        red, pivots = rref(block_map(VectQ.make(sum(n_at.values())), VectQ.make(sum(m_at.values())),
+                                     m_at, n_at, blocks).matrix)
+        n = sum(n_at.values())
+        rows = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
+        assert repr(_kernel_rref(RATIONAL, space, None, degree, exc_bound)) == repr(
+            (rows, pivots, n)), degree
 
 
 @pytest.mark.parametrize("exc_bound", [0, 1, 2])
