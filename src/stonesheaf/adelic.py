@@ -150,6 +150,29 @@ class RationalLeaves:
     def element(self, space, flag, cs, data):
         return CFun(space, flag, data)
 
+    def face_maps(self, space, cs, A, exc_bound, n):
+        """The blocks of the sampler's d out of flag A's n coordinates, as a
+        function of a target flag B, the index k of the height of B that A
+        lacks, and B's coordinate count m.  A is decoded once, each leaf the
+        index of the coordinate it reads; the cube map only moves leaves, so
+        each coordinate of B copies one of A, and the block selects it, with
+        entry 1, or -1 when k is odd."""
+        source = VectQ.make(n)
+        data = _data_from_coords(self, space, A, cs, exc_bound, range(n), 0)[0]
+
+        def block(B, k, m):
+            picks = []
+            _coords_from_data(self, space, B, exc_bound,
+                              _dmap_leaves(self, space, A, cs, B[k], data), picks)
+            entry = -ONE if k % 2 else ONE
+            rows = []
+            for i in picks:
+                row = [ZERO] * n
+                row[i] = entry
+                rows.append(tuple(row))
+            return LinMap(source, VectQ.make(m), tuple(rows))
+        return block
+
     def augment(self, space, cs, data, a):
         """The flag-(a,) component of the augmentation of degree -1 data
         (not in normal form)."""
@@ -563,12 +586,18 @@ def _random_data(space, flag, rng, exc_bound):
 # matrix, laid out like the cube's stalk complex (`cube._cube_stalk_complex`):
 # the face of a target flag B that drops B[k] reads only the source flag
 # A = B minus B[k], so it is one block, the cube map into B[k] on A's
-# coordinates, with sign (-1)^k, and every other block is zero.  Each
-# coordinate of A is decoded once, for all of its cofaces.  The sampler does
-# not apply `_differential`, which stays the d of the cocycle test and of
-# the witness check.  The complex of a Sum is the direct sum of its parts'
-# complexes, so a Sum is reduced one summand at a time and its parts' rows
-# are merged; the split stops at Cone, whose copies share one tail.
+# coordinates, with sign (-1)^k, and every other block is zero.  The leaf
+# algebra builds the blocks out of A (`face_maps`), decoding A once for all
+# of its cofaces.  Rational leaves decode it once, symbolically: each leaf
+# holds the index of the coordinate it reads, the cube map only moves
+# leaves, so each face block is a selection of A's coordinates.  Group-ring
+# leaves are spread through germ components, so they decode each coordinate
+# of A once into a whole data tree, all zero but one leaf, and send each
+# tree through every face.  The sampler does not apply `_differential`,
+# which stays the d of the cocycle test and of the witness check.  The
+# complex of a Sum is the direct sum of its parts' complexes, so a Sum is
+# reduced one summand at a time and its parts' rows are merged; the split
+# stops at Cone, whose copies share one tail.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -652,8 +681,11 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     the maps are monotone and d is block-diagonal, so, RREF being unique,
     that is the Sum's RREF.  Any other space is laid out like the cube's
     stalk complex, by `block_map`: one block per target flag B and face k,
-    the cube map into B[k] on the decoded coordinates of B minus B[k],
-    negated when k is odd.
+    the cube map into B[k] on the coordinates of B minus B[k], negated when
+    k is odd.  Each source flag is decoded once by `L.face_maps`, which
+    gives all of its blocks: with rational leaves the decode is symbolic,
+    and each block selects the source coordinate that each target
+    coordinate copies.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
@@ -675,19 +707,13 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     n = sum(n_at.values())
     if r <= degree:
         return [], [], n
-    units = {A: [_data_from_coords(L, space, A, cs, exc_bound, VectQ.make(s).basis_vec(i), 0)[0]
-                 for i in range(s)] for A, s in n_at.items()}
+    face_maps = {A: L.face_maps(space, cs, A, exc_bound, s) for A, s in n_at.items()}
     m_at = {B: _slots(L, space, B, cs, exc_bound) for B in flags_of_size(r, degree + 2)}
     faces = []
-    for B in m_at:
-        for k, b in enumerate(B):
+    for B, m in m_at.items():
+        for k in range(len(B)):
             A = B[:k] + B[k + 1:]
-            cols = [[] for _ in units[A]]
-            for col, u in zip(cols, units[A]):
-                # dmap never enlarges exception support
-                _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, b, u), col)
-            m = LinMap.from_cols(VectQ.make(n_at[A]), VectQ.make(m_at[B]), cols)
-            faces.append((B, A, m.scale(-1) if k % 2 else m))
+            faces.append((B, A, face_maps[A](B, k, m)))
     red, pivots = rref(block_map(VectQ.make(n), VectQ.make(sum(m_at.values())),
                                  m_at, n_at, faces).matrix)
     return [[(j, row[j]) for j in range(p + 1, n) if row[j]]

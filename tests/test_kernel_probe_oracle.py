@@ -2,9 +2,18 @@
 
 `adelic._kernel_rref` is the RREF of d on the bounded-exception cochains,
 reduced one root summand at a time, its parts' rows merged by pivot.  It
-lays d out like the cube's stalk complex: each coordinate of a source flag
-is decoded once, and each face of a target flag B, the cube map into B[k]
-from B minus B[k], is one block with sign (-1)^k.  The reference below
+lays d out like the cube's stalk complex: each face of a target flag B, the
+cube map into B[k] from B minus B[k], is one block with sign (-1)^k, and
+the leaf algebra's `face_maps` gives every block out of a source flag from
+one decode of it, symbolic with rational leaves (each block selects the
+source coordinate that each target coordinate copies).
+
+`reference_face_block` builds one block by unit decode: each coordinate of
+the source flag decoded into a whole data tree, all zero but one leaf, sent
+through the cube map and encoded, one `LinMap.from_cols` column per
+coordinate, scaled by -1 on odd faces.  Every (B, k) block of `face_maps`
+must equal it by `repr`, and the reference blocks laid out by `block_map`
+must reduce to `_kernel_rref`.  The whole-cochain reference below
 builds each column of the whole matrix from the whole cochain: the unit
 vector is decoded over every flag (`_decode`), sent through `_differential`
 over every target flag and every face, and written back by
@@ -17,7 +26,9 @@ patched to raise, both samplers still draw cocycles, which the unpatched
 `is_cocycle` accepts.
 
 Rational inputs are spaces of rank 0-3 (root sums and sums inside cones
-among them) with exception bounds 0-3, in every degree from -1 to rank - 1.
+among them) with exception bounds 0-3, in every degree from -1 to rank - 1;
+`tests/test_adelic_properties.py` runs the whole-cochain reference on
+hypothesis-drawn spaces of rank 1-3 as well.
 Group-ring inputs are `o2_dihedral_block(4)`, `t2_block()` and the seeded
 `draw_structure` family, with exception bounds 0-2 and 1-2, in every
 degree from 0 to rank - 1.
@@ -120,6 +131,34 @@ def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
         rows = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
         assert repr(_kernel_rref(RATIONAL, space, None, degree, exc_bound)) == repr(
             (rows, pivots, n)), degree
+
+
+def assert_face_blocks_match_the_unit_decode(L, space, cs, degrees, exc_bound):
+    """Each face block of `L.face_maps` equals `reference_face_block` by `repr`."""
+    for degree in degrees:
+        flags = [()] if degree == -1 else flags_of_size(cb_rank(space), degree + 1)
+        maps = {A: L.face_maps(space, cs, A, exc_bound, _slots(L, space, A, cs, exc_bound))
+                for A in flags}
+        for B, k in faces(space, degree):
+            got = maps[B[:k] + B[k + 1:]](B, k, _slots(L, space, B, cs, exc_bound))
+            assert repr(got) == repr(reference_face_block(L, space, cs, B, k, exc_bound)), (
+                degree, B, k)
+
+
+@pytest.mark.parametrize("exc_bound", [0, 1, 2, 3])
+@pytest.mark.parametrize("expr", RATIONAL_SPACES)
+def test_rational_face_blocks_match_the_unit_decode(expr, exc_bound):
+    space = parse_space(expr)
+    assert_face_blocks_match_the_unit_decode(RATIONAL, space, None, range(-1, cb_rank(space)),
+                                             exc_bound)
+
+
+@pytest.mark.parametrize("exc_bound", [0, 1, 2])
+@pytest.mark.parametrize("block", ["o2_dihedral_block(4)", "t2_block()"])
+def test_group_ring_face_blocks_match_the_unit_decode(block, exc_bound):
+    space, cs = o2_dihedral_block(4)[::2] if block.startswith("o2") else t2_block()[:3:2]
+    cx = equivariant_adelic(space, cs)
+    assert_face_blocks_match_the_unit_decode(cx.leaves, space, cs, range(cx.rank), exc_bound)
 
 
 @pytest.mark.parametrize("exc_bound", [0, 1, 2])
