@@ -97,6 +97,11 @@ def reference_face_block(L, space, cs, B, k, exc_bound):
     return block.scale(-1) if k % 2 else block
 
 
+def sources(space, degree):
+    """The flags of d's source degree."""
+    return [()] if degree == -1 else flags_of_size(cb_rank(space), degree + 1)
+
+
 def faces(space, degree):
     """(B, k) for every target flag B of d from degree and every face k of B."""
     return [(B, k) for B in flags_of_size(cb_rank(space), degree + 2) for k in range(len(B))]
@@ -120,14 +125,13 @@ def test_rational_kernel_rref_matches_the_whole_cochain_probe(expr, exc_bound):
 def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
     space = parse_space(expr)
     for degree in range(-1, cb_rank(space)):
-        flags = [()] if degree == -1 else flags_of_size(cb_rank(space), degree + 1)
-        n_at = {A: _slots(RATIONAL, space, A, None, exc_bound) for A in flags}
+        n_at = {A: _slots(RATIONAL, space, A, None, exc_bound) for A in sources(space, degree)}
         m_at = {B: _slots(RATIONAL, space, B, None, exc_bound) for B, _k in faces(space, degree)}
         blocks = [(B, B[:k] + B[k + 1:], reference_face_block(RATIONAL, space, None, B, k, exc_bound))
                   for B, k in faces(space, degree)]
-        red, pivots = rref(block_map(VectQ.make(sum(n_at.values())), VectQ.make(sum(m_at.values())),
-                                     m_at, n_at, blocks).matrix)
         n = sum(n_at.values())
+        red, pivots = rref(block_map(VectQ.make(n), VectQ.make(sum(m_at.values())),
+                                     m_at, n_at, blocks).matrix)
         rows = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
         assert repr(_kernel_rref(RATIONAL, space, None, degree, exc_bound)) == repr(
             (rows, pivots, n)), degree
@@ -136,9 +140,8 @@ def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
 def assert_face_blocks_match_the_unit_decode(L, space, cs, degrees, exc_bound):
     """Each face block of `L.face_maps` equals `reference_face_block` by `repr`."""
     for degree in degrees:
-        flags = [()] if degree == -1 else flags_of_size(cb_rank(space), degree + 1)
         maps = {A: L.face_maps(space, cs, A, exc_bound, _slots(L, space, A, cs, exc_bound))
-                for A in flags}
+                for A in sources(space, degree)}
         for B, k in faces(space, degree):
             got = maps[B[:k] + B[k + 1:]](B, k, _slots(L, space, B, cs, exc_bound))
             assert repr(got) == repr(reference_face_block(L, space, cs, B, k, exc_bound)), (
