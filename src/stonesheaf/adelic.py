@@ -150,29 +150,6 @@ class RationalLeaves:
     def element(self, space, flag, cs, data):
         return CFun(space, flag, data)
 
-    def face_maps(self, space, cs, A, exc_bound, n):
-        """The blocks of the sampler's d out of flag A's n coordinates, as a
-        function of a target flag B, the index k of the height of B that A
-        lacks, and B's coordinate count m.  A is decoded once, each leaf the
-        index of the coordinate it reads; the cube map only moves leaves, so
-        each coordinate of B copies one of A, and the block selects it, with
-        entry 1, or -1 when k is odd."""
-        source = VectQ.make(n)
-        data = _data_from_coords(self, space, A, cs, exc_bound, range(n), 0)[0]
-
-        def block(B, k, m):
-            picks = []
-            _coords_from_data(self, space, B, exc_bound,
-                              _dmap_leaves(self, space, A, cs, B[k], data), picks)
-            entry = -ONE if k % 2 else ONE
-            rows = []
-            for i in picks:
-                row = [ZERO] * n
-                row[i] = entry
-                rows.append(tuple(row))
-            return LinMap(source, VectQ.make(m), tuple(rows))
-        return block
-
     def augment(self, space, cs, data, a):
         """The flag-(a,) component of the augmentation of degree -1 data
         (not in normal form)."""
@@ -586,18 +563,17 @@ def _random_data(space, flag, rng, exc_bound):
 # matrix, laid out like the cube's stalk complex (`cube._cube_stalk_complex`):
 # the face of a target flag B that drops B[k] reads only the source flag
 # A = B minus B[k], so it is one block, the cube map into B[k] on A's
-# coordinates, with sign (-1)^k, and every other block is zero.  The leaf
-# algebra builds the blocks out of A (`face_maps`), decoding A once for all
-# of its cofaces.  Rational leaves decode it once, symbolically: each leaf
-# holds the index of the coordinate it reads, the cube map only moves
-# leaves, so each face block is a selection of A's coordinates.  Group-ring
-# leaves are spread through germ components, so they decode each coordinate
-# of A once into a whole data tree, all zero but one leaf, and send each
-# tree through every face.  The sampler does not apply `_differential`,
-# which stays the d of the cocycle test and of the witness check.  The
-# complex of a Sum is the direct sum of its parts' complexes, so a Sum is
-# reduced one summand at a time and its parts' rows are merged; the split
-# stops at Cone, whose copies share one tail.
+# coordinates, with sign (-1)^k, and every other block is zero.
+# `_face_maps` builds every block out of A from one decode of A, in which
+# each coordinate is a linear form {coordinate of A: coefficient}.
+# `_dmap_leaves` carries those forms through each face with the leaf
+# algebra's own spread, so a group-ring leaf spreads through the germ
+# component of its own node, and row i of a block is the form of B's
+# coordinate i.  The sampler does not apply `_differential`, which stays
+# the d of the cocycle test and of the witness check.  The complex of a Sum
+# is the direct sum of its parts' complexes, so a Sum is reduced one
+# summand at a time and its parts' rows are merged; the split stops at
+# Cone, whose copies share one tail.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -671,6 +647,47 @@ def _decode(L, space, cs, flags, exc_bound, values) -> dict:
     return out
 
 
+class _Form(dict):
+    """A linear form {coordinate: coefficient}, a leaf coordinate in
+    `_face_maps`: `LinMap.apply` spreads a leaf of forms by coefficient
+    times form and sums from `ZERO`."""
+
+    def __rmul__(self, c):
+        return _Form({j: c * x for j, x in self.items()})
+
+    def __add__(self, other):
+        out = _Form(self)
+        for j, x in other.items():
+            out[j] = out[j] + x if j in out else x
+        return out
+
+    def __radd__(self, other):
+        return NotImplemented if other else self
+
+
+def _face_maps(L, space, cs, A, exc_bound, n):
+    """The blocks of the sampler's d out of flag A's n coordinates, as a
+    function of a target flag B, the index k of the height of B that A
+    lacks, and B's coordinate count m.  A is decoded once, coordinate i
+    read as the form {i: 1}; `_dmap_leaves` carries the forms into B[k],
+    and row i of the block is the form of B's coordinate i (zero where no
+    form reaches it), negated when k is odd."""
+    source = VectQ.make(n)
+    forms = [_Form({i: ONE}) for i in range(n)]
+    data = _data_from_coords(L, space, A, cs, exc_bound, forms, 0)[0]
+
+    def block(B, k, m):
+        coords = []
+        _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, B[k], data),
+                          coords)
+        rows = [[ZERO] * n for _ in coords]
+        for row, form in zip(rows, coords):
+            for j, x in (form or {}).items():
+                row[j] = -x if k % 2 else x
+        return LinMap(source, VectQ.make(m), tuple(map(tuple, rows)))
+    return block
+
+
 def _kernel_rref(L, space, cs, degree, exc_bound):
     """The RREF of d from the given degree on the bounded-exception
     cochains of space: its pivot rows as sparse [(column, entry)] lists of
@@ -682,10 +699,9 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     that is the Sum's RREF.  Any other space is laid out like the cube's
     stalk complex, by `block_map`: one block per target flag B and face k,
     the cube map into B[k] on the coordinates of B minus B[k], negated when
-    k is odd.  Each source flag is decoded once by `L.face_maps`, which
-    gives all of its blocks: with rational leaves the decode is symbolic,
-    and each block selects the source coordinate that each target
-    coordinate copies.
+    k is odd.  Each source flag is decoded once by `_face_maps`, which
+    gives all of its blocks: every coordinate is a linear form in the
+    source coordinates, and the leaf algebra's own cube map carries it.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
@@ -707,7 +723,7 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     n = sum(n_at.values())
     if r <= degree:
         return [], [], n
-    face_maps = {A: L.face_maps(space, cs, A, exc_bound, s) for A, s in n_at.items()}
+    face_maps = {A: _face_maps(L, space, cs, A, exc_bound, s) for A, s in n_at.items()}
     m_at = {B: _slots(L, space, B, cs, exc_bound) for B in flags_of_size(r, degree + 2)}
     faces = []
     for B, m in m_at.items():

@@ -39,8 +39,9 @@ and copies and spreads a leaf down a level through the germ component
 `level_germ(...)`.  `EqCFun` is the ring element of `adelic` and
 `EqAdelicComplex` the complex of `adelic` with these leaves; only their
 component structure and the augmentation of group-ring sections
-(`GroupRingLeaves.augment`) are their own.  With trivial groups everything
-collapses bitwise onto the scalar complex.
+(`GroupRingLeaves.augment`) are their own; the sampler's face blocks
+spread linear forms through the same `spread` (`adelic._face_maps`).
+With trivial groups everything collapses bitwise onto the scalar complex.
 
 What is computed once is kept.  A `FinGroup` keeps the identity and the
 inverse table its validation finds, and its sign characters once asked for.
@@ -68,8 +69,8 @@ from .linalg import DimensionError, LinMap, QQ, VectQ, ZERO, ONE, block_map, ran
 from .space import (Cone, Finite, SpaceExpr, Sum, cb_rank, Point, apex_point,
                     copy_point, fin_point, left_point, right_point, validate_point)
 from .adelic import (
-    AdelicComplex, CFun, _coords_from_data, _data_from_coords, _dmap_leaves, _map_leaves,
-    _sample_cocycle, build_complex, random_cfun, random_cocycle)
+    AdelicComplex, CFun, _map_leaves, _sample_cocycle, build_complex, random_cfun,
+    random_cocycle)
 from .sheaf import (
     CSheaf, Section, SheafMap, check_sheaf_map, constant_section, germ_section, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
@@ -679,15 +680,17 @@ class GroupRingLeaves:
     lies in the group ring of the group at the flag's lowest level (`group`,
     read from the root's level table), and a leaf of level a spreads down to
     level b through the germ component of the structure homomorphism from b
-    up to a.  Degree -1 data is a section of the sheaf of group rings."""
+    up to a.  Degree -1 data is a section of the sheaf of group rings.
+    `add` and `sub` refuse leaves of unequal length.  The sampler decodes
+    each coordinate as a linear form and spreads it (`adelic._face_maps`)."""
 
     @staticmethod
     def add(a, b):
-        return tuple(p + q for p, q in zip(a, b))
+        return tuple(p + q for p, q in zip(a, b, strict=True))
 
     @staticmethod
     def sub(a, b):
-        return tuple(p - q for p, q in zip(a, b))
+        return tuple(p - q for p, q in zip(a, b, strict=True))
 
     def sum_parts(self, cs):
         return cs.data[1], cs.data[2]
@@ -734,28 +737,6 @@ class GroupRingLeaves:
         if not flag:
             return Section(group_ring_sheaf(cs).sheaf, data)
         return EqCFun(space, flag, data, cs)
-
-    def face_maps(self, space, cs, A, exc_bound, n):
-        """The blocks of the sampler's d out of flag A's n coordinates, as a
-        function of a target flag B, the index k of the height of B that A
-        lacks, and B's coordinate count m.  Spreading a leaf applies a germ
-        component, so each coordinate of A is decoded once into a whole
-        data tree, all zero but one leaf, and the block's column for it is
-        that tree's cube map into B[k], encoded over B and negated when k
-        is odd."""
-        source = VectQ.make(n)
-        units = [_data_from_coords(self, space, A, cs, exc_bound, source.basis_vec(i), 0)[0]
-                 for i in range(n)]
-
-        def block(B, k, m):
-            cols = [[] for _ in units]
-            for col, u in zip(cols, units):
-                # dmap never enlarges exception support
-                _coords_from_data(self, space, B, exc_bound,
-                                  _dmap_leaves(self, space, A, cs, B[k], u), col)
-            face = LinMap.from_cols(source, VectQ.make(m), cols)
-            return face.scale(-1) if k % 2 else face
-        return block
 
     def augment(self, space, cs, data, a):
         """The flag-(a,) component of the augmentation of group-ring section

@@ -4,16 +4,19 @@
 reduced one root summand at a time, its parts' rows merged by pivot.  It
 lays d out like the cube's stalk complex: each face of a target flag B, the
 cube map into B[k] from B minus B[k], is one block with sign (-1)^k, and
-the leaf algebra's `face_maps` gives every block out of a source flag from
-one decode of it, symbolic with rational leaves (each block selects the
-source coordinate that each target coordinate copies).
+`adelic._face_maps` gives every block out of a source flag from one decode
+of it, for both leaf algebras: each coordinate is a linear form in the
+source coordinates, which the leaf algebra's own cube map carries, and row
+i of a block is the form of the target's coordinate i.
 
 `reference_face_block` builds one block by unit decode: each coordinate of
 the source flag decoded into a whole data tree, all zero but one leaf, sent
 through the cube map and encoded, one `LinMap.from_cols` column per
-coordinate, scaled by -1 on odd faces.  Every (B, k) block of `face_maps`
-must equal it by `repr`, and the reference blocks laid out by `block_map`
-must reduce to `_kernel_rref`.  The whole-cochain reference below
+coordinate, scaled by -1 on odd faces.  Every (B, k) block of `_face_maps`
+must equal it by `repr`, on the rational spaces, on both blocks and on the
+seeded family, whose faces spread group-ring leaves through different germ
+components at different nodes; and the reference blocks laid out by
+`block_map` must reduce to `_kernel_rref`.  The whole-cochain reference below
 builds each column of the whole matrix from the whole cochain: the unit
 vector is decoded over every flag (`_decode`), sent through `_differential`
 over every target flag and every face, and written back by
@@ -138,9 +141,10 @@ def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
 
 
 def assert_face_blocks_match_the_unit_decode(L, space, cs, degrees, exc_bound):
-    """Each face block of `L.face_maps` equals `reference_face_block` by `repr`."""
+    """Each face block of `adelic._face_maps` equals `reference_face_block` by `repr`."""
     for degree in degrees:
-        maps = {A: L.face_maps(space, cs, A, exc_bound, _slots(L, space, A, cs, exc_bound))
+        maps = {A: adelic._face_maps(L, space, cs, A, exc_bound,
+                                     _slots(L, space, A, cs, exc_bound))
                 for A in sources(space, degree)}
         for B, k in faces(space, degree):
             got = maps[B[:k] + B[k + 1:]](B, k, _slots(L, space, B, cs, exc_bound))
@@ -203,6 +207,13 @@ def test_the_family_is_found():
 def test_family_kernel_rref_matches_the_whole_cochain_probe(name, cx):
     for exc_bound in (1, 2):
         assert_matches_reference(cx.leaves, cx.space, cx.cs, range(cx.rank), exc_bound)
+
+
+@pytest.mark.parametrize("name, cx", FAMILY, ids=[n for n, _ in FAMILY])
+def test_family_face_blocks_match_the_unit_decode(name, cx):
+    for exc_bound in (1, 2):
+        assert_face_blocks_match_the_unit_decode(cx.leaves, cx.space, cx.cs, range(cx.rank),
+                                                 exc_bound)
 
 
 def test_the_samplers_do_not_apply_the_differential(monkeypatch):

@@ -20,7 +20,8 @@ expected to fail).  Three elements are drawn from a seed.  The examples are
 derandomized, and hypothesis runs once per rank and once per block, with
 the number of examples that `RANK_COUNTS` and `BLOCK_COUNTS` give; the
 counts drawn are checked against them, and do not depend on the tests that
-ran before.
+ran before.  Group-ring `+` and `-` raise `ValueError` on leaves of unequal
+length rather than truncating the longer one.
 """
 
 import random
@@ -35,7 +36,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 from stonesheaf.adelic import CFun, all_flags, dmap, random_cfun  # noqa: E402
 from stonesheaf.catalog import o2_dihedral_block, t2_block  # noqa: E402
 from stonesheaf.space import Cone, Finite, SpaceMismatch, cb_rank  # noqa: E402
-from stonesheaf.weyl import EqCFun, trivial_structure  # noqa: E402
+from stonesheaf.weyl import (  # noqa: E402
+    EqCFun, constant_structure, cyclic_group, trivial_structure)
 from test_adelic_properties import examples, of_rank  # noqa: E402
 from test_pathway_golden import _random_eq_data  # noqa: E402
 
@@ -143,3 +145,13 @@ def test_operations_refuse_operands_over_different_flags_or_structures():
                 op(x, y)
     # equal structures built apart are the same structure
     assert trivial + EqCFun.unit(X1, (0,), trivial_structure(X1)) == trivial.scale(2)
+
+
+def test_group_ring_operations_refuse_leaves_of_unequal_length():
+    X1 = Cone(Finite(1))
+    cs = constant_structure(X1, cyclic_group(2))
+    long_tail = EqCFun(X1, (0,), ("cone", {}, (Fraction(1), Fraction(0), Fraction(5))), cs)
+    zero = EqCFun.zero(X1, (0,), cs)
+    for op in (CFun.add, CFun.sub):
+        with pytest.raises(ValueError, match="shorter"):
+            op(long_tail, zero)
