@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import LinMap, Rat, VectQ, ZERO, ONE, block_map, rat, rref
+from .linalg import Rat, ZERO, ONE, band_starts, rat, sparse_rref
 from .space import Finite, SpaceExpr, Sum, cb_rank, ClopenSet, SpaceMismatch
 
 Flag = tuple[int, ...]
@@ -569,11 +569,14 @@ def _random_data(space, flag, rng, exc_bound):
 # `_dmap_leaves` carries those forms through each face with the leaf
 # algebra's own spread, so a group-ring leaf spreads through the germ
 # component of its own node, and row i of a block is the form of B's
-# coordinate i.  The sampler does not apply `_differential`, which stays
-# the d of the cocycle test and of the witness check.  The complex of a Sum
-# is the direct sum of its parts' complexes, so a Sum is reduced one
-# summand at a time and its parts' rows are merged; the split stops at
-# Cone, whose copies share one tail.
+# coordinate i.  The matrix is never dense: a row of d is a dict
+# {column: entry} into which each face writes its signed form, shifted to
+# A's columns, and `linalg.sparse_rref` reduces those rows (a rational face
+# block is a selection, one nonzero per row).  The sampler does not apply
+# `_differential`, which stays the d of the cocycle test and of the witness
+# check.  The complex of a Sum is the direct sum of its parts' complexes, so
+# a Sum is reduced one summand at a time and its parts' rows are merged; the
+# split stops at Cone, whose copies share one tail.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -650,15 +653,21 @@ def _decode(L, space, cs, flags, exc_bound, values) -> dict:
 class _Form(dict):
     """A linear form {coordinate: coefficient}, a leaf coordinate in
     `_face_maps`: `LinMap.apply` spreads a leaf of forms by coefficient
-    times form and sums from `ZERO`."""
+    times form and sums from `ZERO`.  A form holds no zero coefficient: a
+    product by zero is the empty form and a sum drops what cancels."""
 
     def __rmul__(self, c):
-        return _Form({j: c * x for j, x in self.items()})
+        return _Form({j: c * x for j, x in self.items()} if c else ())
 
     def __add__(self, other):
         out = _Form(self)
         for j, x in other.items():
-            out[j] = out[j] + x if j in out else x
+            if j in out:
+                x += out[j]
+                if not x:
+                    del out[j]
+                    continue
+            out[j] = x
         return out
 
     def __radd__(self, other):
@@ -666,25 +675,20 @@ class _Form(dict):
 
 
 def _face_maps(L, space, cs, A, exc_bound, n):
-    """The blocks of the sampler's d out of flag A's n coordinates, as a
-    function of a target flag B, the index k of the height of B that A
-    lacks, and B's coordinate count m.  A is decoded once, coordinate i
-    read as the form {i: 1}; `_dmap_leaves` carries the forms into B[k],
-    and row i of the block is the form of B's coordinate i (zero where no
-    form reaches it), negated when k is odd."""
-    source = VectQ.make(n)
+    """The unsigned blocks of the sampler's d out of flag A's n
+    coordinates, as a function of a target flag B and the index k of the
+    height of B that A lacks.  A is decoded once, coordinate i read as the
+    form {i: 1}; `_dmap_leaves` carries the forms into B[k], and the block
+    is the list of the forms of B's coordinates (a zero where no form
+    reaches one): entry i is row i, {column of A: entry}."""
     forms = [_Form({i: ONE}) for i in range(n)]
     data = _data_from_coords(L, space, A, cs, exc_bound, forms, 0)[0]
 
-    def block(B, k, m):
+    def block(B, k):
         coords = []
         _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, B[k], data),
                           coords)
-        rows = [[ZERO] * n for _ in coords]
-        for row, form in zip(rows, coords):
-            for j, x in (form or {}).items():
-                row[j] = -x if k % 2 else x
-        return LinMap(source, VectQ.make(m), tuple(map(tuple, rows)))
+        return coords
     return block
 
 
@@ -697,43 +701,48 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     part's columns into its own layout and merges the parts' rows by pivot:
     the maps are monotone and d is block-diagonal, so, RREF being unique,
     that is the Sum's RREF.  Any other space is laid out like the cube's
-    stalk complex, by `block_map`: one block per target flag B and face k,
-    the cube map into B[k] on the coordinates of B minus B[k], negated when
-    k is odd.  Each source flag is decoded once by `_face_maps`, which
-    gives all of its blocks: every coordinate is a linear form in the
-    source coordinates, and the leaf algebra's own cube map carries it.
+    stalk complex: one block per target flag B and face k, the cube map
+    into B[k] on the coordinates of B minus B[k], negated when k is odd.
+    Each source flag is decoded once by `_face_maps`, which gives all of
+    its blocks: every coordinate is a linear form in the source
+    coordinates, and the leaf algebra's own cube map carries it.  The
+    matrix is kept sparse: each of B's coordinates is one row
+    {column: entry}, into which every face writes its form, signed and
+    shifted to the columns of its source flag (`band_starts`), and
+    `sparse_rref` reduces the rows without making a dense one.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
     if isinstance(space, Sum) and r > degree:
         parts = tuple(zip((space.left, space.right), L.sum_parts(cs)))
-        cols, n = ([], []), 0
-        for A in flags:
-            for (part, pcs), col in zip(parts, cols):
-                k = _slots(L, part, A, pcs, exc_bound)
-                col.extend(range(n, n + k))
-                n += k
+        bands = {(A, i): _slots(L, part, A, pcs, exc_bound)
+                 for A in flags for i, (part, pcs) in enumerate(parts)}
+        at = band_starts(bands)
         merged = []
-        for (part, pcs), col in zip(parts, cols):
+        for i, (part, pcs) in enumerate(parts):
+            col = [at[A, i] + t for A in flags for t in range(bands[A, i])]
             rows, pivots, _n = _kernel_rref(L, part, pcs, degree, exc_bound)
             merged += [(col[p], [(col[j], x) for j, x in row]) for row, p in zip(rows, pivots)]
         merged.sort(key=lambda pr: pr[0])
-        return [row for _p, row in merged], [p for p, _row in merged], n
+        return [row for _p, row in merged], [p for p, _row in merged], sum(bands.values())
     n_at = {A: _slots(L, space, A, cs, exc_bound) for A in flags}
     n = sum(n_at.values())
     if r <= degree:
         return [], [], n
     face_maps = {A: _face_maps(L, space, cs, A, exc_bound, s) for A, s in n_at.items()}
-    m_at = {B: _slots(L, space, B, cs, exc_bound) for B in flags_of_size(r, degree + 2)}
-    faces = []
-    for B, m in m_at.items():
+    col_at = band_starts(n_at)
+    rows = []
+    for B in flags_of_size(r, degree + 2):
+        band = [{} for _ in range(_slots(L, space, B, cs, exc_bound))]
         for k in range(len(B)):
             A = B[:k] + B[k + 1:]
-            faces.append((B, A, face_maps[A](B, k, m)))
-    red, pivots = rref(block_map(VectQ.make(n), VectQ.make(sum(m_at.values())),
-                                 m_at, n_at, faces).matrix)
-    return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
-            for row, p in zip(red, pivots)], pivots, n
+            at, odd = col_at[A], k % 2
+            # B's faces read distinct flags A, so their columns never meet
+            for row, form in zip(band, face_maps[A](B, k), strict=True):
+                for j, x in (form or {}).items():
+                    row[j + at] = -x if odd else x
+        rows += band
+    return *sparse_rref(rows), n
 
 
 def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:

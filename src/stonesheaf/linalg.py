@@ -8,11 +8,10 @@ agree.  Matrices are stored dense as tuples of tuples (rows = target
 coordinates), which is plenty for the small spaces that arise here.  The
 representation matrices of the equivariant layer are mostly zeros, so
 `LinMap.apply` and `LinMap.then` multiply only nonzero entries, and `rref`
-updates the other rows only at the pivot row's nonzero entries (the probed
-adelic differentials it reduces are mostly zeros too) and, scaling a pivot
-row by a pivot other than 1, divides only its nonzero entries and makes each
-zero entry the shared `ZERO`, never an `int` 0; the arithmetic is exact, so
-skipping zeros changes no result.  The representation matrices'
+updates the other rows only at the pivot row's nonzero entries and, scaling
+a pivot row by a pivot other than 1, divides only its nonzero entries and
+makes each zero entry the shared `ZERO`, never an `int` 0; the arithmetic
+is exact, so skipping zeros changes no result.  The representation matrices'
 nonzero entries are mostly ±1, so the two products take a factor of 1 or -1
 as a sign (the term is x or -x, not a * x) and take an output entry's first
 term as the entry itself, with no addition to zero; `LinMap.scale` likewise
@@ -20,12 +19,19 @@ keeps a zero entry as `ZERO` and takes a factor of ±1 as a sign.  Neither
 rule changes a value or a type: a first term that is not a `Fraction` (int
 inputs) is still added to `ZERO`, and an `int` entry is still scaled.
 
+The adelic sampler's differentials are mostly zeros as well, and they are
+never made dense: each row is a dict {column: entry}, and `sparse_rref`
+reduces such rows to the RREF that `rref` gives, touching only nonzero
+entries.
+
 Entries are coerced once: `rat` returns a `Fraction` as it is, and only
 other inputs are converted.  `VectQ.make` interns its spaces, so every call
 with the same dimension and prefix returns one shared (frozen) instance.
 
-`block_map` is the one place that decides where the rows and columns of a
-summand start: it lays out every map between direct sums from its blocks.
+`band_starts` is the one place that decides where the rows and columns of
+a summand start: `block_map` lays out every map between direct sums from
+its blocks by it, and the adelic sampler shifts each face block's columns
+by it.
 """
 
 from __future__ import annotations
@@ -241,6 +247,16 @@ def direct_sum_space(spaces: Sequence[VectQ], tags: Sequence[str] | None = None)
     return VectQ.labelled(labels)
 
 
+def band_starts(bands: dict) -> dict:
+    """The first coordinate of each band of a direct sum, the bands mapped
+    in order to their dimensions.
+
+    >>> band_starts({"a": 2, "b": 0, "c": 3})
+    {'a': 0, 'b': 2, 'c': 2}
+    """
+    return dict(zip(bands, accumulate(bands.values(), initial=0)))
+
+
 def block_map(source: VectQ, target: VectQ, rows: dict, cols: dict, blocks) -> LinMap:
     """The map between direct sums whose block at row band i and column band
     j is the sum of the maps m of the blocks (i, j, m), and zero where no
@@ -256,8 +272,7 @@ def block_map(source: VectQ, target: VectQ, rows: dict, cols: dict, blocks) -> L
     """
     if (sum(rows.values()), sum(cols.values())) != (target.dim, source.dim):
         raise DimensionError("band dimensions do not add up to the spaces")
-    row_at, col_at = (dict(zip(bands, accumulate(bands.values(), initial=0)))
-                      for bands in (rows, cols))
+    row_at, col_at = band_starts(rows), band_starts(cols)
     mat = [[ZERO] * source.dim for _ in range(target.dim)]
     for i, j, m in blocks:
         if (m.target.dim, m.source.dim) != (rows[i], cols[j]):
@@ -316,6 +331,60 @@ def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
         if r == len(rows):
             break
     return rows, pivots
+
+
+def sparse_rref(rows) -> tuple[list[list[tuple[int, Rat]]], list[int]]:
+    """The RREF of the matrix whose rows are the dicts {column: entry} of
+    rows (a missing column is zero): for each pivot, in increasing order,
+    the column-sorted [(column, entry)] list of its row's nonzero entries
+    right of the pivot, and the pivots.  It is what `rref` gives, read off
+    as sparse rows, but no dense row is made.
+
+    Each row, with its zero entries dropped, is reduced by the basis rows
+    found so far, one per pivot column; if anything is left, its least
+    column is its pivot, the row is divided by the pivot entry (unless that
+    is 1), that column is cleared from the earlier basis rows, and the row
+    joins the basis.  No basis row keeps a zero entry, and the input is not
+    changed.
+
+    >>> sparse_rref([{1: Fraction(2), 2: Fraction(4)}, {0: Fraction(1), 1: Fraction(1)}])
+    ([[(2, Fraction(-2, 1))], [(2, Fraction(2, 1))]], [0, 1])
+    """
+    basis: dict[int, dict] = {}
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        for c in [c for c in row if c in basis]:
+            # a basis row is zero at every other pivot column
+            _sub_multiple(row, row.pop(c), basis[c])
+        if not row:
+            continue
+        p = min(row)
+        pv = row.pop(p)
+        if pv != 1:
+            pv = rat(pv)
+            row = {j: x / pv for j, x in row.items()}
+        for b in basis.values():
+            f = b.pop(p, None)
+            if f is not None:
+                _sub_multiple(b, f, row)
+        basis[p] = row
+    pivots = sorted(basis)
+    return [sorted(basis[p].items()) for p in pivots], pivots
+
+
+def _sub_multiple(row: dict, f, other: dict):
+    """row -= f * other, on sparse rows; an entry that becomes zero is deleted."""
+    for j, y in other.items():
+        t = f * y
+        s = row.get(j)
+        if s is None:
+            row[j] = -t
+        else:
+            s -= t
+            if s:
+                row[j] = s
+            else:
+                del row[j]
 
 
 def kernel_basis(m: LinMap) -> list[tuple[Rat, ...]]:

@@ -7,8 +7,9 @@ from stonesheaf.space import (
     Cone, Finite, apex_point, copy_point, fin_point, meet, nbhd_basis,
     parse_space, singleton, complement)
 from stonesheaf.adelic import (
-    CFun, all_flags, build_complex, dmap, indicator, random_cfun,
+    CFun, _Form, all_flags, build_complex, dmap, indicator, random_cfun,
     random_cocycle)
+from stonesheaf.linalg import ONE, ZERO, LinMap, VectQ
 
 X1 = Cone(Finite(1))
 X2 = Cone(Cone(Finite(1)))
@@ -204,3 +205,20 @@ def test_localization_agrees_for_both_idempotent_families():
         cof = complement(X1, singleton(X1, copy_point(0, fin_point(0))))
         via_cofinite = indicator(X1, (0,), cof) * f
         assert dmap(1, via_cofinite) == germ
+
+
+# -- the sampler's linear forms ----------------------------------------------
+
+def test_a_form_holds_no_zero_when_a_sum_cancels():
+    a, b = _Form({0: ONE, 1: Fraction(2)}), _Form({0: Fraction(1, 2), 2: Fraction(-3)})
+    assert a + (-2) * b == {1: Fraction(2), 2: Fraction(6)}
+    assert a + (-1) * a == {} and Fraction(-2) * a + 2 * a == {}
+    assert ZERO * a == {} and type(ZERO * a) is _Form
+    # spread as a germ spreads a leaf of forms: row 0 cancels to the empty
+    # form, row 1 leaves b alone, and row 2 drops the coordinate that cancels
+    germ = LinMap.from_rows(VectQ.make(3), VectQ.make(3),
+                            [[2, -2, 0], [3, -3, 1], [1, 0, -2]])
+    out = germ.apply((a, a, b))
+    assert out == ({}, b, {1: Fraction(2), 2: Fraction(6)})
+    assert all(x for form in out for x in form.values())
+    assert a == {0: ONE, 1: Fraction(2)}

@@ -7,16 +7,19 @@ cube map into B[k] from B minus B[k], is one block with sign (-1)^k, and
 `adelic._face_maps` gives every block out of a source flag from one decode
 of it, for both leaf algebras: each coordinate is a linear form in the
 source coordinates, which the leaf algebra's own cube map carries, and row
-i of a block is the form of the target's coordinate i.
+i of a block is the form of the target's coordinate i.  The library adds
+the signed forms into sparse rows and reduces them with `sparse_rref`.
 
 `reference_face_block` builds one block by unit decode: each coordinate of
 the source flag decoded into a whole data tree, all zero but one leaf, sent
 through the cube map and encoded, one `LinMap.from_cols` column per
-coordinate, scaled by -1 on odd faces.  Every (B, k) block of `_face_maps`
-must equal it by `repr`, on the rational spaces, on both blocks and on the
-seeded family, whose faces spread group-ring leaves through different germ
-components at different nodes; and the reference blocks laid out by
-`block_map` must reduce to `_kernel_rref`.  The whole-cochain reference below
+coordinate, scaled by -1 on odd faces.  Every (B, k) block of `_face_maps`,
+its forms expanded to a dense block and negated when k is odd
+(`dense_block`), must equal it by `repr`, and no form may hold a zero, on
+the rational spaces, on both blocks and on the seeded family, whose faces
+spread group-ring leaves through different germ components at different
+nodes; and the reference blocks laid out by `block_map` and reduced by the
+dense `rref` must equal `_kernel_rref`.  The whole-cochain reference below
 builds each column of the whole matrix from the whole cochain: the unit
 vector is decoded over every flag (`_decode`), sent through `_differential`
 over every target flag and every face, and written back by
@@ -46,7 +49,7 @@ from stonesheaf.adelic import (
     RATIONAL, _coords_from_data, _data_from_coords, _decode, _differential, _dmap_leaves,
     _kernel_rref, _slots, build_complex, flags_of_size, random_cocycle)
 from stonesheaf.catalog import o2_dihedral_block, t2_block
-from stonesheaf.linalg import LinMap, VectQ, block_map, rref
+from stonesheaf.linalg import ZERO, LinMap, VectQ, block_map, rref
 from stonesheaf.space import cb_rank, parse_space
 from stonesheaf.weyl import GroupError, eq_random_cocycle, equivariant_adelic
 
@@ -140,14 +143,28 @@ def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
             (rows, pivots, n)), degree
 
 
+def dense_block(forms, n, k):
+    """The `LinMap` of a block of `adelic._face_maps` given as the forms of
+    the target's coordinates in n source coordinates: row i holds the
+    entries of form i, zero elsewhere, negated when k is odd."""
+    rows = [[ZERO] * n for _ in forms]
+    for row, form in zip(rows, forms):
+        for j, x in (form or {}).items():
+            row[j] = -x if k % 2 else x
+    return LinMap(VectQ.make(n), VectQ.make(len(forms)), tuple(map(tuple, rows)))
+
+
 def assert_face_blocks_match_the_unit_decode(L, space, cs, degrees, exc_bound):
-    """Each face block of `adelic._face_maps` equals `reference_face_block` by `repr`."""
+    """Each face block of `adelic._face_maps`, expanded to a dense signed
+    block, equals `reference_face_block` by `repr`; no form holds a zero."""
     for degree in degrees:
-        maps = {A: adelic._face_maps(L, space, cs, A, exc_bound,
-                                     _slots(L, space, A, cs, exc_bound))
-                for A in sources(space, degree)}
+        n_at = {A: _slots(L, space, A, cs, exc_bound) for A in sources(space, degree)}
+        maps = {A: adelic._face_maps(L, space, cs, A, exc_bound, n) for A, n in n_at.items()}
         for B, k in faces(space, degree):
-            got = maps[B[:k] + B[k + 1:]](B, k, _slots(L, space, B, cs, exc_bound))
+            A = B[:k] + B[k + 1:]
+            forms = maps[A](B, k)
+            assert all(x for form in forms for x in (form or {}).values()), (degree, B, k)
+            got = dense_block(forms, n_at[A], k)
             assert repr(got) == repr(reference_face_block(L, space, cs, B, k, exc_bound)), (
                 degree, B, k)
 

@@ -1,0 +1,98 @@
+"""`linalg.sparse_rref` against the dense `rref` on drawn sparse matrices.
+
+The sampler reduces its differential as rows {column: entry} with
+`sparse_rref`, which must give the RREF that the dense `rref` gives.  Here
+a matrix of 0-7 rows and 0-7 columns is drawn row by row: a row is empty,
+a copy of an earlier row, an earlier row scaled or added to another (so
+entries cancel in the reduction), or fresh entries from ±1 and other
+`Fraction`s, some of them stored zeros.  Expanded to dense rows (ones at
+the pivots, `ZERO` elsewhere, a zero row per missing pivot),
+`sparse_rref`'s output must equal `rref` of the dense matrix by `repr`;
+read the other way, `rref`'s rows must give `sparse_rref`'s column-sorted
+[(column, entry)] lists of the nonzero entries right of each pivot.  The
+input rows are left unchanged.
+"""
+
+import copy
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from stonesheaf.linalg import ONE, ZERO, rref, sparse_rref  # noqa: E402
+
+SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+ENTRIES = [ONE, -ONE, Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3)]
+SCALES = [ONE, -ONE, Fraction(2), Fraction(-1, 3)]
+
+
+def combine(a, b, c):
+    """a + c * b on rows {column: entry}, dropping what cancels."""
+    out = dict(a)
+    for j, y in b.items():
+        s = out.get(j, ZERO) + c * y
+        if s:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return out
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, column count): rows {column: entry} of a matrix whose rows
+    repeat, combine and cancel."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "empty", "copy", "combine"]))
+        if kind in ("copy", "combine") and rows:
+            a = draw(st.sampled_from(rows))
+            if kind == "copy":
+                rows.append(dict(a))
+            else:
+                b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(SCALES))
+                rows.append(combine(a, b, c))
+        elif kind == "fresh" and n:
+            cols = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
+            rows.append({j: draw(st.sampled_from(ENTRIES + [ZERO])) for j in sorted(cols)})
+        else:
+            rows.append({})
+    return rows, n
+
+
+def expand(sparse, m, n):
+    """`sparse_rref`'s output as `rref` gives it for m rows and n columns."""
+    rows, pivots = sparse
+    out = []
+    for row, p in zip(rows, pivots):
+        dense = [ZERO] * n
+        dense[p] = ONE
+        for j, x in row:
+            dense[j] = x
+        out.append(dense)
+    out += [[ZERO] * n for _ in range(m - len(pivots))]
+    return out, pivots
+
+
+@SETTINGS
+@given(sparse_matrices())
+def test_sparse_rref_is_the_dense_rref(matrix):
+    rows, n = matrix
+    before = copy.deepcopy(rows)
+    got = sparse_rref(rows)
+    assert rows == before
+    red, pivots = rref([[row.get(j, ZERO) for j in range(n)] for row in rows])
+    assert repr(expand(got, len(rows), n)) == repr((red, pivots))
+    want = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
+    assert repr(got) == repr((want, pivots))
+
+
+def test_no_rows_and_zero_rows():
+    assert sparse_rref([]) == ([], [])
+    assert sparse_rref([{}, {2: ZERO}]) == ([], [])
+    assert repr(sparse_rref([{1: Fraction(2)}, {1: Fraction(-4), 3: ZERO}])) == repr(
+        ([[]], [1]))

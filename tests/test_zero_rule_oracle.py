@@ -1,25 +1,29 @@
 """The sampler's exact arithmetic against plain arithmetic.
 
 The library skips arithmetic that cannot change a value: the rational
-leaves' `add`/`sub` keep a `Fraction` operand beside a zero one, and `rref`
-divides only a pivot row's nonzero entries (see the `RationalLeaves` and
+leaves' `add`/`sub` keep a `Fraction` operand beside a zero one, `rref`
+divides only a pivot row's nonzero entries, and the sampler's
+`sparse_rref` touches nonzero entries only (see the `RationalLeaves` and
 `linalg` docstrings).  The references below skip no arithmetic:
 
 * `PlainLeaves` (from `tests/test_sampler_oracle.py`), the rational leaves
   with `operator.add`/`operator.sub`;
 * `reference_rref`, elimination that divides every entry of the pivot row
   from the pivot on, zero or not, by a pivot other than 1;
+* `reference_sparse_rref`, `sparse_rref` through `reference_rref`: the
+  sparse rows expanded to dense rows, reduced, and read back;
 * `reference_scale`, `LinMap.scale` as one product c * x per entry, zero
   or not, where the library keeps zeros as `ZERO` and takes a factor of
   ±1 as a sign.
 
 `plain_engine` runs the library with both: a complex whose leaves are
-`PlainLeaves`, and `adelic.rref` replaced by `reference_rref`.  The library
-must agree with it by `repr`, so a `Fraction` turned `int` fails, on
-`_kernel_rref`, `random_cocycle` and `exactness_witness` over the
-`SEEDED_SPACES` and `ROOT_SUMS` of the sampler oracle at every degree below
-the rank; and `rref` must agree with `reference_rref` on the probed
-matrices and on seeded `int` matrices; `LinMap.scale`, `scalar` and `sub`
+`PlainLeaves`, and `adelic.sparse_rref` replaced by `reference_sparse_rref`;
+it fails unless the sampler called the reference.  The library must agree
+with it by `repr`, so a `Fraction` turned `int` fails, on `_kernel_rref`,
+`random_cocycle` and `exactness_witness` over the `SEEDED_SPACES` and
+`ROOT_SUMS` of the sampler oracle at every degree below the rank; `rref`
+and `sparse_rref` must agree with their references on the probed matrices,
+and `rref` on seeded `int` matrices; `LinMap.scale`, `scalar` and `sub`
 must agree with `reference_scale` on seeded mixed `int`/`Fraction` matrices.
 """
 
@@ -34,7 +38,7 @@ from stonesheaf import adelic
 from stonesheaf.adelic import (
     RATIONAL, AdelicComplex, _differential, _kernel_rref, _slots, build_complex,
     random_cocycle)
-from stonesheaf.linalg import LinMap, VectQ, rat, rref
+from stonesheaf.linalg import ZERO, LinMap, VectQ, rat, rref, sparse_rref
 from stonesheaf.space import cb_rank, parse_space
 
 from test_level_oracle import SEEDED_SPACES
@@ -75,14 +79,30 @@ def reference_rref(rows):
     return rows, pivots
 
 
+def reference_sparse_rref(rows):
+    """`sparse_rref` by `reference_rref`: the rows {column: entry} expanded
+    to dense rows up to their last column, reduced, and read back as the
+    nonzero entries right of each pivot."""
+    n = 1 + max((j for row in rows for j in row), default=-1)
+    red, pivots = reference_rref([[row.get(j, ZERO) for j in range(n)] for row in rows])
+    return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
+            for row, p in zip(red, pivots)], pivots
+
+
 class PlainComplex(AdelicComplex):
     leaves = PLAIN
 
 
 @contextlib.contextmanager
 def plain_engine():
-    with mock.patch.object(adelic, "rref", reference_rref):
+    calls = []
+
+    def reference(rows):
+        calls.append(len(rows))
+        return reference_sparse_rref(rows)
+    with mock.patch.object(adelic, "sparse_rref", reference):
         yield
+    assert calls, "the sampler never reduced through the reference"
 
 
 EXPRS = SEEDED_SPACES + ROOT_SUMS
@@ -122,6 +142,8 @@ def test_rref_matches_reference_on_probed_matrices(expr, degree):
     cols, m = probed_columns(build_complex(parse_space(expr)), degree, 2)
     matrix = [[col[i] for col in cols] for i in range(m)]
     assert repr(rref(matrix)) == repr(reference_rref(matrix))
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    assert repr(sparse_rref(rows)) == repr(reference_sparse_rref(rows))
 
 
 def test_rref_matches_reference_on_int_matrices():
