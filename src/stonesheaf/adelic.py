@@ -574,9 +574,10 @@ def _random_data(space, flag, rng, exc_bound):
 # A's columns, and `linalg.sparse_rref` reduces those rows (a rational face
 # block is a selection, one nonzero per row).  The sampler does not apply
 # `_differential`, which stays the d of the cocycle test and of the witness
-# check.  The complex of a Sum is the direct sum of its parts' complexes, so
-# a Sum is reduced one summand at a time and its parts' rows are merged; the
-# split stops at Cone, whose copies share one tail.
+# check.  A Sum is laid out and reduced as one matrix: the walks recurse
+# through `L.sum_parts`, so each part keeps its own leaf sizes, and d, the
+# direct sum of the parts' differentials, is block-diagonal at no extra
+# cost to the sparse rows.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -697,34 +698,21 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     cochains of space: its pivot rows as sparse [(column, entry)] lists of
     the nonzero entries right of the pivot, the pivots, and the column count.
 
-    A space whose rank is at most the degree has no rows.  A Sum maps each
-    part's columns into its own layout and merges the parts' rows by pivot:
-    the maps are monotone and d is block-diagonal, so, RREF being unique,
-    that is the Sum's RREF.  Any other space is laid out like the cube's
-    stalk complex: one block per target flag B and face k, the cube map
-    into B[k] on the coordinates of B minus B[k], negated when k is odd.
-    Each source flag is decoded once by `_face_maps`, which gives all of
-    its blocks: every coordinate is a linear form in the source
-    coordinates, and the leaf algebra's own cube map carries it.  The
-    matrix is kept sparse: each of B's coordinates is one row
-    {column: entry}, into which every face writes its form, signed and
-    shifted to the columns of its source flag (`band_starts`), and
+    A space whose rank is at most the degree has no rows.  Every other
+    space, a Sum too, is one matrix laid out like the cube's stalk
+    complex: one block per target flag B and face k, the cube map into
+    B[k] on the coordinates of B minus B[k], negated when k is odd.  A
+    Sum's parts keep their own leaf sizes, since every walk recurses
+    through `L.sum_parts`.  Each source flag is decoded once by
+    `_face_maps`, which gives all of its blocks: every coordinate is a
+    linear form in the source coordinates, and the leaf algebra's own cube
+    map carries it.  The matrix is kept sparse: each of B's coordinates is
+    one row {column: entry}, into which every face writes its form, signed
+    and shifted to the columns of its source flag (`band_starts`), and
     `sparse_rref` reduces the rows without making a dense one.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
-    if isinstance(space, Sum) and r > degree:
-        parts = tuple(zip((space.left, space.right), L.sum_parts(cs)))
-        bands = {(A, i): _slots(L, part, A, pcs, exc_bound)
-                 for A in flags for i, (part, pcs) in enumerate(parts)}
-        at = band_starts(bands)
-        merged = []
-        for i, (part, pcs) in enumerate(parts):
-            col = [at[A, i] + t for A in flags for t in range(bands[A, i])]
-            rows, pivots, _n = _kernel_rref(L, part, pcs, degree, exc_bound)
-            merged += [(col[p], [(col[j], x) for j, x in row]) for row, p in zip(rows, pivots)]
-        merged.sort(key=lambda pr: pr[0])
-        return [row for _p, row in merged], [p for p, _row in merged], sum(bands.values())
     n_at = {A: _slots(L, space, A, cs, exc_bound) for A in flags}
     n = sum(n_at.values())
     if r <= degree:
@@ -780,7 +768,7 @@ def random_cocycle(cx: AdelicComplex, degree: int, rng: random.Random, exc_bound
     """A uniform-ish random constructible cocycle with bounded exceptions.
 
     The kernel of the differential restricted to the bounded-exception
-    subspace is computed exactly, one root summand at a time; a random
+    subspace is computed exactly, as one sparse matrix per degree; a random
     rational combination of its basis is returned.  This samples cocycles
     independently of the witness search.
     """

@@ -4,13 +4,12 @@ Every command prints one JSON document (sorted keys, schema-tagged) so
 reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
 zero exactly when all requested checks pass, one when a check fails, and
-two when the input is malformed (a space or point that does not parse, a
-point address that names no point of its space, or a count that is out of
-range).  Malformed input prints the document `{"error": message, "schema":
-...}`: a space or point that does not parse or does not exist with an
-`error:` line on stderr, and arguments that argparse refuses (a
-count out of range among them) with usage and argparse's error line on
-stderr.
+two when the input is malformed (a space or point that does not parse or
+names no point of its space, `sheaf --resolution` on a space whose rank is
+not 1, or a count that is out of range).  Malformed input prints the
+document `{"error": message, "schema": ...}` with an `error:` line on
+stderr, or, for arguments that argparse refuses (a count out of range
+among them), with usage and argparse's error line on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .homalg import injective_resolution_display
 from .models import to_standard, is_cocartesian, _rebuild_sheaf
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
 from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
-                    MalformedPoint, ParseError)
+                    MalformedPoint, ParseError, SpaceExpr)
 from .verify import run_all
 from .weyl import degeneration_mismatch, equivariant_adelic, eq_random_cocycle
 from .serialize import SCHEMA
@@ -105,9 +104,8 @@ def cmd_adelic(args):
     return _emit(doc, 0 if ok else 1)
 
 
-def cube_report(expr: str) -> dict:
-    """The byte-stable cube report used by the golden tests."""
-    s = parse_space(expr)
+def cube_report(s: SpaceExpr) -> dict:
+    """The byte-stable cube report of a parsed space, used by the golden tests."""
     cube = _shared_cube(s)
     report = {"space": str(s), "rank": cb_rank(s), "schema": SCHEMA, "flags": {}}
     for A, F in sorted(cube["sheaves"].items()):
@@ -126,14 +124,16 @@ def cube_report(expr: str) -> dict:
 
 
 def cmd_sheaf(args):
-    report = cube_report(args.space)
+    s = parse_space(args.space)
+    if args.resolution and cb_rank(s) != 1:
+        message = f"--resolution needs a space of rank 1, not rank {cb_rank(s)}"
+        print(f"error: {message}", file=sys.stderr)
+        return _emit({"error": message}, 2)
+    report = cube_report(s)
     ok = all(c["exact"] and c["degeneracy_ok"] for c in report["stalk_checks"])
     report["status"] = "pass" if ok else "fail"
     if args.resolution:
-        s = parse_space(args.space)
-        if cb_rank(s) == 1:
-            report["injective_resolution"] = injective_resolution_display(
-                constant(s, args.const_dim))
+        report["injective_resolution"] = injective_resolution_display(constant(s, args.const_dim))
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0 if ok else 1
 

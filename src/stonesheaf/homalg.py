@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    DimensionError, LinMap, VectQ, ZERO, direct_sum_space, kernel_basis,
+    DimensionError, LinMap, VectQ, ZERO, band_starts, direct_sum_space, kernel_basis,
     rank as map_rank, row_space_basis, solve, is_iso, _quotient)
 from .space import Cone, SpaceMismatch, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
@@ -321,18 +321,18 @@ def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
             cob_cols.append(tuple(x for row in twist for x in row))
     # coboundary from h: tail(A) -> tail(B): twist sections(h) ∘ sigma_A.
     # The tails live over a rank-0 base, so their sections are their stalks
-    # in order; the unit h at (stalk p, row r, column c), in the order of
-    # `_hom_parametrization`, gives the twist whose row offB_p + r is row
-    # offA_p + c of sigma_A and which is zero elsewhere.
+    # in order, stalk p starting at offA[p] and offB[p]; the unit h at
+    # (stalk p, row r, column c), in the order of `_hom_parametrization`,
+    # gives the twist whose row offB[p] + r is row offA[p] + c of sigma_A
+    # and which is zero elsewhere.
     n, sigma_A = A.apex.dim, A.germ.matrix
     zeros = (ZERO,) * amb.dim
-    offA = offB = 0
-    for p in iter_points(A.space.base):
-        a, b = stalk(A.tail, p).dim, stalk(B.tail, p).dim
-        for r_ in range(offB * n, (offB + b) * n, n):
-            for c in range(offA, offA + a):
+    a, b = ({p: stalk(F.tail, p).dim for p in iter_points(A.space.base)} for F in (A, B))
+    offA, offB = band_starts(a), band_starts(b)
+    for p in a:
+        for r_ in range(offB[p] * n, (offB[p] + b[p]) * n, n):
+            for c in range(offA[p], offA[p] + a[p]):
                 cob_cols.append(zeros[:r_] + sigma_A[c] + zeros[r_ + n:])
-        offA, offB = offA + a, offB + b
     return _quotient(amb, row_space_basis(cob_cols), "x")[:2]
 
 

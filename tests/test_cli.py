@@ -56,14 +56,18 @@ def test_adelic_command_witnesses(capsys):
     ["space", "--expr", "Cone(Finite(1))", "--point", "(x,Apex)"],
     ["space", "--expr", "Finite(2)", "--point", "5"],
     ["space", "--expr", "Cone(Finite(1))", "--point", "(2,1)"],
+    ["sheaf", "--space", "Cone(Cone(Finite(1)))", "--resolution"],
+    ["sheaf", "--space", "Finite(3)", "--resolution"],
 ])
 def test_malformed_space_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     # a parse error gives its position; an address that parses but names no
-    # point of the space is named as such
-    assert "position" in captured.err or "is not a point of" in captured.err
+    # point of the space is named as such; a resolution asked of a space
+    # whose rank is not 1 names the rank, instead of dropping the flag
+    assert ("position" in captured.err or "is not a point of" in captured.err
+            or "--resolution needs a space of rank 1, not rank " in captured.err)
     doc = json.loads(captured.out)
     assert doc == {"error": captured.err[len("error: "):].rstrip("\n"), "schema": ser.SCHEMA}
 
@@ -199,11 +203,13 @@ def _stable(doc):
 
 
 def test_golden_rank1_cube():
-    assert _stable(cube_report("Cone(Finite(1))")) == (GOLDEN / "cube_rank1.json").read_text()
+    report = cube_report(parse_space("Cone(Finite(1))"))
+    assert _stable(report) == (GOLDEN / "cube_rank1.json").read_text()
 
 
 def test_golden_rank2_cube():
-    assert _stable(cube_report("Cone(Cone(Finite(1)))")) == (GOLDEN / "cube_rank2.json").read_text()
+    report = cube_report(parse_space("Cone(Cone(Finite(1)))"))
+    assert _stable(report) == (GOLDEN / "cube_rank2.json").read_text()
 
 
 def test_golden_o2_catalog():

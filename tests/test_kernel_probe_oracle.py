@@ -1,8 +1,8 @@
 """The sampler's kernel RREF against the whole-cochain probe.
 
 `adelic._kernel_rref` is the RREF of d on the bounded-exception cochains,
-reduced one root summand at a time, its parts' rows merged by pivot.  It
-lays d out like the cube's stalk complex: each face of a target flag B, the
+one sparse matrix per degree for every space, a root `Sum` too.  It lays d
+out like the cube's stalk complex: each face of a target flag B, the
 cube map into B[k] from B minus B[k], is one block with sign (-1)^k, and
 `adelic._face_maps` gives every block out of a source flag from one decode
 of it, for both leaf algebras: each coordinate is a linear form in the
@@ -24,8 +24,8 @@ builds each column of the whole matrix from the whole cochain: the unit
 vector is decoded over every flag (`_decode`), sent through `_differential`
 over every target flag and every face, and written back by
 `_coords_from_data` over every target, one `LinMap.of` column per
-coordinate; it does not split a `Sum`, so it checks the library's merge of
-the summands' rows too.  RREF is unique and the arithmetic is exact, so the
+coordinate.  On a root `Sum` it checks the library's one matrix, whose
+parts keep their own leaf sizes, against the whole cochain.  RREF is unique and the arithmetic is exact, so the
 library must agree with it by `repr`, which also compares the types of the
 entries.  The library does not apply `_differential` to sample: with it
 patched to raise, both samplers still draw cocycles, which the unpatched

@@ -1,14 +1,16 @@
 """The cocycle samplers against the dense kernel-basis reference.
 
 `adelic._sample_cocycle` reads its sample off the RREF of the
-differential, reduced one root summand at a time and laid out like the
-cube's stalk complex: one signed block per target flag and face, the cube
-map on the source flag's coordinates, each decoded once.  The reference
-below is the dense path it replaced: the canonical kernel basis of the
-whole probed matrix, `kernel_basis(LinMap.from_cols(...))`, combined with
-one kernel draw per basis vector; it does not split a Sum.  RREF is unique and the
+differential, one sparse matrix per degree for every space, a root `Sum`
+too, laid out like the cube's stalk complex: one signed block per target
+flag and face, the cube map on the source flag's coordinates, each decoded
+once.  The reference below is the dense path it replaced: the canonical
+kernel basis of the whole probed matrix, `kernel_basis(LinMap.from_cols(...))`,
+combined with one kernel draw per basis vector.  RREF is unique and the
 arithmetic is exact, so both must give the same cochain, and use the same
-draws, for the same seed.
+draws, for the same seed.  The root sums below, and the hypothesis-drawn
+ones, check the one matrix on a `Sum`, for both leaf algebras, against the
+dense whole-cochain reference.
 
 The reference probes the whole cochain: each unit vector is decoded over
 every flag and sent through `_differential`, which the library's sampler
@@ -167,8 +169,8 @@ def test_eq_random_cocycle_dihedral_block_matches_dense_reference():
 
 
 def assert_whole_rref(cx, exc_bound):
-    """`_kernel_rref`, split at the root sums, is the RREF of the whole
-    probed matrix: the same pivots in order, and the same entries."""
+    """`_kernel_rref`, one matrix on a root sum too, is the RREF of the
+    whole probed matrix: the same pivots in order, and the same entries."""
     for degree in range(cx.rank):
         cols, m = probed_columns(cx, degree, exc_bound)
         n = len(cols)
