@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import Rat, ZERO, ONE, band_starts, rat, sparse_rref
+from .linalg import Rat, ZERO, ONE, rat, sparse_rref
 from .space import Finite, SpaceExpr, Sum, cb_rank, ClopenSet, SpaceMismatch
 
 Flag = tuple[int, ...]
@@ -563,21 +563,19 @@ def _random_data(space, flag, rng, exc_bound):
 # matrix, laid out like the cube's stalk complex (`cube._cube_stalk_complex`):
 # the face of a target flag B that drops B[k] reads only the source flag
 # A = B minus B[k], so it is one block, the cube map into B[k] on A's
-# coordinates, with sign (-1)^k, and every other block is zero.
-# `_face_maps` builds every block out of A from one decode of A, in which
-# each coordinate is a linear form {coordinate of A: coefficient}.
-# `_dmap_leaves` carries those forms through each face with the leaf
-# algebra's own spread, so a group-ring leaf spreads through the germ
-# component of its own node, and row i of a block is the form of B's
-# coordinate i.  The matrix is never dense: a row of d is a dict
-# {column: entry} into which each face writes its signed form, shifted to
-# A's columns, and `linalg.sparse_rref` reduces those rows (a rational face
-# block is a selection, one nonzero per row).  The sampler does not apply
-# `_differential`, which stays the d of the cocycle test and of the witness
-# check.  A Sum is laid out and reduced as one matrix: the walks recurse
-# through `L.sum_parts`, so each part keeps its own leaf sizes, and d, the
-# direct sum of the parts' differentials, is block-diagonal at no extra
-# cost to the sparse rows.
+# coordinates, with sign (-1)^k, and every other block is zero.  The whole
+# source degree is decoded once (`_decode`), each coordinate a linear form
+# {column: coefficient}; `_dmap_leaves` carries those forms through each
+# face with the leaf algebra's own spread, so a group-ring leaf spreads
+# through the germ component of its own node, and B's coordinates, encoded,
+# are the faces' entries in B's rows.  The matrix is never dense: a row of d
+# is a dict {column: entry}, and `linalg.sparse_rref` reduces those rows (a
+# rational face block is a selection, one nonzero per row).  The sampler
+# does not apply `_differential`, which stays the d of the cocycle test and
+# of the witness check.  A Sum is laid out and reduced as one matrix: the
+# walks recurse through `L.sum_parts`, so each part keeps its own leaf
+# sizes, and d, the direct sum of the parts' differentials, is
+# block-diagonal at no extra cost to the sparse rows.
 
 
 def _slots(L, space, flag, cs, exc_bound) -> int:
@@ -652,10 +650,11 @@ def _decode(L, space, cs, flags, exc_bound, values) -> dict:
 
 
 class _Form(dict):
-    """A linear form {coordinate: coefficient}, a leaf coordinate in
-    `_face_maps`: `LinMap.apply` spreads a leaf of forms by coefficient
-    times form and sums from `ZERO`.  A form holds no zero coefficient: a
-    product by zero is the empty form and a sum drops what cancels."""
+    """A linear form {column: coefficient}, a coordinate of the data that
+    `_kernel_rref` decodes: `LinMap.apply` spreads a leaf of forms by
+    coefficient times form and sums from `ZERO`.  A form holds no zero
+    coefficient: a product by zero is the empty form and a sum drops what
+    cancels."""
 
     def __rmul__(self, c):
         return _Form({j: c * x for j, x in self.items()} if c else ())
@@ -675,60 +674,36 @@ class _Form(dict):
         return NotImplemented if other else self
 
 
-def _face_maps(L, space, cs, A, exc_bound, n):
-    """The unsigned blocks of the sampler's d out of flag A's n
-    coordinates, as a function of a target flag B and the index k of the
-    height of B that A lacks.  A is decoded once, coordinate i read as the
-    form {i: 1}; `_dmap_leaves` carries the forms into B[k], and the block
-    is the list of the forms of B's coordinates (a zero where no form
-    reaches one): entry i is row i, {column of A: entry}."""
-    forms = [_Form({i: ONE}) for i in range(n)]
-    data = _data_from_coords(L, space, A, cs, exc_bound, forms, 0)[0]
-
-    def block(B, k):
-        coords = []
-        _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, B[k], data),
-                          coords)
-        return coords
-    return block
-
-
 def _kernel_rref(L, space, cs, degree, exc_bound):
     """The RREF of d from the given degree on the bounded-exception
     cochains of space: its pivot rows as sparse [(column, entry)] lists of
     the nonzero entries right of the pivot, the pivots, and the column count.
 
-    A space whose rank is at most the degree has no rows.  Every other
-    space, a Sum too, is one matrix laid out like the cube's stalk
-    complex: one block per target flag B and face k, the cube map into
-    B[k] on the coordinates of B minus B[k], negated when k is odd.  A
-    Sum's parts keep their own leaf sizes, since every walk recurses
-    through `L.sum_parts`.  Each source flag is decoded once by
-    `_face_maps`, which gives all of its blocks: every coordinate is a
-    linear form in the source coordinates, and the leaf algebra's own cube
-    map carries it.  The matrix is kept sparse: each of B's coordinates is
-    one row {column: entry}, into which every face writes its form, signed
-    and shifted to the columns of its source flag (`band_starts`), and
-    `sparse_rref` reduces the rows without making a dense one.
+    A space whose rank is at most the degree has no rows.  Otherwise the
+    source degree is decoded once, coordinate j read as the form {j: 1},
+    so every form already names its column.  For each target flag B and
+    face k, the cube map into B[k] carries the data of B minus B[k], and
+    B's coordinates, encoded, are its rows' entries on that face, negated
+    when k is odd; `sparse_rref` reduces the rows without making a dense one.
     """
     r = cb_rank(space)
     flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
-    n_at = {A: _slots(L, space, A, cs, exc_bound) for A in flags}
-    n = sum(n_at.values())
+    n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
     if r <= degree:
         return [], [], n
-    face_maps = {A: _face_maps(L, space, cs, A, exc_bound, s) for A, s in n_at.items()}
-    col_at = band_starts(n_at)
+    data = _decode(L, space, cs, flags, exc_bound, [_Form({j: ONE}) for j in range(n)])
     rows = []
     for B in flags_of_size(r, degree + 2):
         band = [{} for _ in range(_slots(L, space, B, cs, exc_bound))]
         for k in range(len(B)):
-            A = B[:k] + B[k + 1:]
-            at, odd = col_at[A], k % 2
+            A, odd = B[:k] + B[k + 1:], k % 2
+            forms = []
+            _coords_from_data(L, space, B, exc_bound, _dmap_leaves(L, space, A, cs, B[k], data[A]),
+                              forms)
             # B's faces read distinct flags A, so their columns never meet
-            for row, form in zip(band, face_maps[A](B, k), strict=True):
+            for row, form in zip(band, forms, strict=True):
                 for j, x in (form or {}).items():
-                    row[j + at] = -x if odd else x
+                    row[j] = -x if odd else x
         rows += band
     return *sparse_rref(rows), n
 
@@ -742,10 +717,12 @@ def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
     draws, in increasing column order.  That is the canonical kernel basis
     combined with one draw per basis vector.  In the top degree every
     cochain is a cocycle, with one free_draw(rng) per coordinate.  A degree
-    outside `cx.degrees()` raises `ValueError`.
+    outside `cx.degrees()` or a negative exc_bound raises `ValueError`.
     """
     if degree not in cx.degrees():
         raise ValueError(f"degree {degree} is outside the complex's degrees -1..{cx.rank}")
+    if exc_bound < 0:
+        raise ValueError(f"the exception bound {exc_bound} is negative")
     L, cs, space, flags = cx.leaves, cx.cs, cx.space, cx.flags(degree)
     rows, pivots, n = _kernel_rref(L, space, cs, degree, exc_bound)
     if degree < cx.rank:

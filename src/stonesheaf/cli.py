@@ -6,10 +6,11 @@ STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
 zero exactly when all requested checks pass, one when a check fails, and
 two when the input is malformed (a space or point that does not parse or
 names no point of its space, `sheaf --resolution` on a space whose rank is
-not 1, or a count that is out of range).  Malformed input prints the
-document `{"error": message, "schema": ...}` with an `error:` line on
-stderr, or, for arguments that argparse refuses (a count out of range
-among them), with usage and argparse's error line on stderr.
+not 1, `sheaf --const-dim` without `--resolution`, or a count that is out
+of range).  Malformed input prints the document
+`{"error": message, "schema": ...}` with an `error:` line on stderr, or,
+for arguments that argparse refuses (a count out of range among them),
+with usage and argparse's error line on stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ def _emit(doc, status=0):
     doc["schema"] = SCHEMA
     print(json.dumps(doc, sort_keys=True, indent=1))
     return status
+
+
+def _malformed(message: str) -> int:
+    """Refuse malformed input: the `error:` line, the error document, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return _emit({"error": message}, 2)
 
 
 def cmd_space(args):
@@ -125,15 +132,16 @@ def cube_report(s: SpaceExpr) -> dict:
 
 def cmd_sheaf(args):
     s = parse_space(args.space)
+    if args.const_dim is not None and not args.resolution:
+        return _malformed("--const-dim needs --resolution")
     if args.resolution and cb_rank(s) != 1:
-        message = f"--resolution needs a space of rank 1, not rank {cb_rank(s)}"
-        print(f"error: {message}", file=sys.stderr)
-        return _emit({"error": message}, 2)
+        return _malformed(f"--resolution needs a space of rank 1, not rank {cb_rank(s)}")
     report = cube_report(s)
     ok = all(c["exact"] and c["degeneracy_ok"] for c in report["stalk_checks"])
     report["status"] = "pass" if ok else "fail"
     if args.resolution:
-        report["injective_resolution"] = injective_resolution_display(constant(s, args.const_dim))
+        dim = 1 if args.const_dim is None else args.const_dim
+        report["injective_resolution"] = injective_resolution_display(constant(s, dim))
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0 if ok else 1
 
@@ -193,14 +201,12 @@ def cmd_catalog(args):
                "sigma": divisor_sigma(args.n),
                "lattices": [ser.lattice_to_json(L) for L in subs]}
         return _emit(doc, 0 if len(subs) == divisor_sigma(args.n) else 1)
-    if args.what == "t2":
-        space, labels, cs, data = t2_block(split=not args.nonsplit,
-                                           n_circles=args.ncircles)
-        doc = {"space": str(space), "split": not args.nonsplit,
-               "labels": {str(Point(a)): v for a, v in sorted(labels.items(), key=lambda kv: str(kv[0]))},
-               "structure": ser.structure_to_json(cs)}
-        return _emit(doc)
-    return 2
+    # argparse's choices leave only "t2"
+    space, labels, cs, data = t2_block(split=not args.nonsplit, n_circles=args.ncircles)
+    doc = {"space": str(space), "split": not args.nonsplit,
+           "labels": {str(Point(a)): v for a, v in sorted(labels.items(), key=lambda kv: str(kv[0]))},
+           "structure": ser.structure_to_json(cs)}
+    return _emit(doc)
 
 
 def cmd_verify_all(args):
@@ -243,7 +249,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--resolution", action="store_true",
                    help="include the symbolic (non-constructible) injective resolution")
-    p.add_argument("--const-dim", type=_non_negative, default=1)
+    p.add_argument("--const-dim", type=_non_negative, default=None,
+                   help="the constant sheaf's stalk dimension for --resolution (default 1)")
     p.set_defaults(fn=cmd_sheaf)
 
     p = sub.add_parser("model", help="standard-model round trips")
@@ -279,8 +286,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ParseError, MalformedPoint) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _emit({"error": str(exc)}, 2)
+        return _malformed(str(exc))
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ with the same dimension and prefix returns one shared (frozen) instance.
 
 `band_starts` is the one place that decides where the rows and columns of
 a summand start: `block_map` lays out every map between direct sums from
-its blocks by it, and the adelic sampler shifts each face block's columns
-by it.
+its blocks by it.  The adelic sampler needs no offsets: it decodes a whole
+degree at once, so each of its linear forms already names its column.
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ and copies and spreads a leaf down a level through the germ component
 `level_germ(...)`.  `EqCFun` is the ring element of `adelic` and
 `EqAdelicComplex` the complex of `adelic` with these leaves; only their
 component structure and the augmentation of group-ring sections
-(`GroupRingLeaves.augment`) are their own; the sampler's face blocks
-spread linear forms through the same `spread` (`adelic._face_maps`).
+(`GroupRingLeaves.augment`) are their own; the sampler's differential
+spreads linear forms through the same `spread` (`adelic._kernel_rref`).
 With trivial groups everything collapses bitwise onto the scalar complex.
 
 What is computed once is kept.  A `FinGroup` keeps the identity and the
@@ -682,7 +682,7 @@ class GroupRingLeaves:
     level b through the germ component of the structure homomorphism from b
     up to a.  Degree -1 data is a section of the sheaf of group rings.
     `add` and `sub` refuse leaves of unequal length.  The sampler decodes
-    each coordinate as a linear form and spreads it (`adelic._face_maps`)."""
+    each coordinate as a linear form and spreads it (`adelic._kernel_rref`)."""
 
     @staticmethod
     def add(a, b):

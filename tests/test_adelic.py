@@ -159,6 +159,14 @@ def test_random_cocycle_takes_exactly_the_degrees_of_the_complex():
             random_cocycle(cx, deg, random.Random(0))
 
 
+def test_random_cocycle_refuses_a_negative_exception_bound():
+    cx = build_complex(X2)
+    for deg in (-1, 0, cx.rank):
+        with pytest.raises(ValueError, match="exception bound -1 is negative"):
+            random_cocycle(cx, deg, random.Random(0), exc_bound=-1)
+    assert cx.is_cocycle(random_cocycle(cx, 0, random.Random(0), exc_bound=0), 0)
+
+
 def test_witness_rejects_non_cocycle():
     cx = build_complex(X1)
     bad = {(0,): seq({}, 2), (1,): CFun(X1, (1,), Fraction(3))}

@@ -58,6 +58,7 @@ def test_adelic_command_witnesses(capsys):
     ["space", "--expr", "Cone(Finite(1))", "--point", "(2,1)"],
     ["sheaf", "--space", "Cone(Cone(Finite(1)))", "--resolution"],
     ["sheaf", "--space", "Finite(3)", "--resolution"],
+    ["sheaf", "--space", "Cone(Finite(1))", "--const-dim", "3"],
 ])
 def test_malformed_space_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -65,9 +66,11 @@ def test_malformed_space_exits_2(capsys, argv):
     assert captured.err.startswith("error: ")
     # a parse error gives its position; an address that parses but names no
     # point of the space is named as such; a resolution asked of a space
-    # whose rank is not 1 names the rank, instead of dropping the flag
+    # whose rank is not 1 names the rank, and a stalk dimension given without
+    # a resolution names the missing flag, instead of dropping either flag
     assert ("position" in captured.err or "is not a point of" in captured.err
-            or "--resolution needs a space of rank 1, not rank " in captured.err)
+            or "--resolution needs a space of rank 1, not rank " in captured.err
+            or "--const-dim needs --resolution" in captured.err)
     doc = json.loads(captured.out)
     assert doc == {"error": captured.err[len("error: "):].rstrip("\n"), "schema": ser.SCHEMA}
 

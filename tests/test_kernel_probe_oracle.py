@@ -3,33 +3,34 @@
 `adelic._kernel_rref` is the RREF of d on the bounded-exception cochains,
 one sparse matrix per degree for every space, a root `Sum` too.  It lays d
 out like the cube's stalk complex: each face of a target flag B, the
-cube map into B[k] from B minus B[k], is one block with sign (-1)^k, and
-`adelic._face_maps` gives every block out of a source flag from one decode
-of it, for both leaf algebras: each coordinate is a linear form in the
-source coordinates, which the leaf algebra's own cube map carries, and row
-i of a block is the form of the target's coordinate i.  The library adds
-the signed forms into sparse rows and reduces them with `sparse_rref`.
+cube map into B[k] from B minus B[k], is one block with sign (-1)^k.  It
+decodes the whole source degree once, each coordinate a linear form that
+names its own column, which the leaf algebra's own cube map carries; the
+target's coordinates are then its rows' entries on that face.  The library
+writes the signed forms into sparse rows and reduces them with
+`sparse_rref`.
 
 `reference_face_block` builds one block by unit decode: each coordinate of
 the source flag decoded into a whole data tree, all zero but one leaf, sent
 through the cube map and encoded, one `LinMap.from_cols` column per
-coordinate, scaled by -1 on odd faces.  Every (B, k) block of `_face_maps`,
-its forms expanded to a dense block and negated when k is odd
-(`dense_block`), must equal it by `repr`, and no form may hold a zero, on
-the rational spaces, on both blocks and on the seeded family, whose faces
-spread group-ring leaves through different germ components at different
-nodes; and the reference blocks laid out by `block_map` and reduced by the
-dense `rref` must equal `_kernel_rref`.  The whole-cochain reference below
-builds each column of the whole matrix from the whole cochain: the unit
-vector is decoded over every flag (`_decode`), sent through `_differential`
-over every target flag and every face, and written back by
-`_coords_from_data` over every target, one `LinMap.of` column per
-coordinate.  On a root `Sum` it checks the library's one matrix, whose
-parts keep their own leaf sizes, against the whole cochain.  RREF is unique and the arithmetic is exact, so the
-library must agree with it by `repr`, which also compares the types of the
-entries.  The library does not apply `_differential` to sample: with it
-patched to raise, both samplers still draw cocycles, which the unpatched
-`is_cocycle` accepts.
+coordinate, scaled by -1 on odd faces.  The whole-cochain reference builds
+each column of the whole matrix from the whole cochain: the unit vector is
+decoded over every flag (`_decode`), sent through `_differential` over
+every target flag and every face, and written back by `_coords_from_data`
+over every target, one `LinMap.of` column per coordinate.  The rows that
+`_kernel_rref` hands to `sparse_rref`, expanded with `ZERO`, must equal by
+`repr` both the reference blocks laid out by `block_map` and the
+whole-cochain matrix, and no row may store a zero, on the rational spaces,
+on both blocks and on the seeded family, whose faces spread group-ring
+leaves through different germ components at different nodes.  The laid-out
+blocks reduced by the dense `rref` on the rational spaces, and the
+whole-cochain matrix reduced likewise on every input, must equal
+`_kernel_rref`; on a root `Sum` that checks the library's one matrix, whose
+parts keep their own leaf sizes, against the whole cochain.  RREF is unique
+and the arithmetic is exact, so the library must agree by `repr`, which
+also compares the types of the entries.  The library does not apply
+`_differential` to sample: with it patched to raise, both samplers still
+draw cocycles, which the unpatched `is_cocycle` accepts.
 
 Rational inputs are spaces of rank 0-3 (root sums and sums inside cones
 among them) with exception bounds 0-3, in every degree from -1 to rank - 1;
@@ -49,7 +50,7 @@ from stonesheaf.adelic import (
     RATIONAL, _coords_from_data, _data_from_coords, _decode, _differential, _dmap_leaves,
     _kernel_rref, _slots, build_complex, flags_of_size, random_cocycle)
 from stonesheaf.catalog import o2_dihedral_block, t2_block
-from stonesheaf.linalg import ZERO, LinMap, VectQ, block_map, rref
+from stonesheaf.linalg import ZERO, LinMap, VectQ, block_map, rref, sparse_rref
 from stonesheaf.space import cb_rank, parse_space
 from stonesheaf.weyl import GroupError, eq_random_cocycle, equivariant_adelic
 
@@ -64,15 +65,13 @@ RATIONAL_SPACES = ["Finite(2)", "Cone(Finite(1))", "Cone(Finite(3))", "Cone(Cone
                    "Sum(Cone(Cone(Cone(Finite(1)))),Cone(Sum(Finite(1),Finite(1))))"]
 
 
-def reference_kernel_rref(L, space, cs, degree, exc_bound):
-    """(rows, pivots, n) of d from degree, each column probed on the whole
-    cochain and the whole matrix reduced at once, a Sum included."""
-    r = cb_rank(space)
-    flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
+def whole_cochain_matrix(L, space, cs, degree, exc_bound):
+    """The matrix of d from degree, each column probed on the whole cochain:
+    the unit vector decoded over every flag, sent through `_differential`
+    and written back over every target flag."""
+    flags = sources(space, degree)
     n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
-    if r <= degree:
-        return [], [], n
-    targets = flags_of_size(r, degree + 2)
+    targets = flags_of_size(cb_rank(space), degree + 2)
     m = sum(_slots(L, space, B, cs, exc_bound) for B in targets)
 
     def d(unit):
@@ -81,7 +80,16 @@ def reference_kernel_rref(L, space, cs, degree, exc_bound):
         for B in targets:
             _coords_from_data(L, space, B, exc_bound, image[B], flat)
         return flat
-    red, pivots = rref(LinMap.of(VectQ.make(n), VectQ.make(m), d).matrix)
+    return LinMap.of(VectQ.make(n), VectQ.make(m), d)
+
+
+def reference_kernel_rref(L, space, cs, degree, exc_bound):
+    """(rows, pivots, n) of d from degree, the whole probed matrix reduced
+    at once, a Sum included."""
+    n = sum(_slots(L, space, A, cs, exc_bound) for A in sources(space, degree))
+    if cb_rank(space) <= degree:
+        return [], [], n
+    red, pivots = rref(whole_cochain_matrix(L, space, cs, degree, exc_bound).matrix)
     return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
             for row, p in zip(red, pivots)], pivots, n
 
@@ -126,71 +134,43 @@ def test_rational_kernel_rref_matches_the_whole_cochain_probe(expr, exc_bound):
     assert_matches_reference(RATIONAL, space, None, range(-1, cb_rank(space)), exc_bound)
 
 
+def laid_out_blocks(L, space, cs, degree, exc_bound):
+    """The `reference_face_block` blocks of d from degree laid out by
+    `block_map`: row band B, column band B minus B[k]."""
+    n_at = {A: _slots(L, space, A, cs, exc_bound) for A in sources(space, degree)}
+    m_at = {B: _slots(L, space, B, cs, exc_bound) for B, _k in faces(space, degree)}
+    blocks = [(B, B[:k] + B[k + 1:], reference_face_block(L, space, cs, B, k, exc_bound))
+              for B, k in faces(space, degree)]
+    return block_map(VectQ.make(sum(n_at.values())), VectQ.make(sum(m_at.values())),
+                     m_at, n_at, blocks)
+
+
 @pytest.mark.parametrize("exc_bound", [0, 1, 2, 3])
 @pytest.mark.parametrize("expr", RATIONAL_SPACES)
 def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
     space = parse_space(expr)
     for degree in range(-1, cb_rank(space)):
-        n_at = {A: _slots(RATIONAL, space, A, None, exc_bound) for A in sources(space, degree)}
-        m_at = {B: _slots(RATIONAL, space, B, None, exc_bound) for B, _k in faces(space, degree)}
-        blocks = [(B, B[:k] + B[k + 1:], reference_face_block(RATIONAL, space, None, B, k, exc_bound))
-                  for B, k in faces(space, degree)]
-        n = sum(n_at.values())
-        red, pivots = rref(block_map(VectQ.make(n), VectQ.make(sum(m_at.values())),
-                                     m_at, n_at, blocks).matrix)
+        laid = laid_out_blocks(RATIONAL, space, None, degree, exc_bound)
+        red, pivots = rref(laid.matrix)
+        n = laid.source.dim
         rows = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
         assert repr(_kernel_rref(RATIONAL, space, None, degree, exc_bound)) == repr(
             (rows, pivots, n)), degree
 
 
-def dense_block(forms, n, k):
-    """The `LinMap` of a block of `adelic._face_maps` given as the forms of
-    the target's coordinates in n source coordinates: row i holds the
-    entries of form i, zero elsewhere, negated when k is odd."""
-    rows = [[ZERO] * n for _ in forms]
-    for row, form in zip(rows, forms):
-        for j, x in (form or {}).items():
-            row[j] = -x if k % 2 else x
-    return LinMap(VectQ.make(n), VectQ.make(len(forms)), tuple(map(tuple, rows)))
+BLOCKS = ["o2_dihedral_block(4)", "t2_block()"]
 
 
-def assert_face_blocks_match_the_unit_decode(L, space, cs, degrees, exc_bound):
-    """Each face block of `adelic._face_maps`, expanded to a dense signed
-    block, equals `reference_face_block` by `repr`; no form holds a zero."""
-    for degree in degrees:
-        n_at = {A: _slots(L, space, A, cs, exc_bound) for A in sources(space, degree)}
-        maps = {A: adelic._face_maps(L, space, cs, A, exc_bound, n) for A, n in n_at.items()}
-        for B, k in faces(space, degree):
-            A = B[:k] + B[k + 1:]
-            forms = maps[A](B, k)
-            assert all(x for form in forms for x in (form or {}).values()), (degree, B, k)
-            got = dense_block(forms, n_at[A], k)
-            assert repr(got) == repr(reference_face_block(L, space, cs, B, k, exc_bound)), (
-                degree, B, k)
-
-
-@pytest.mark.parametrize("exc_bound", [0, 1, 2, 3])
-@pytest.mark.parametrize("expr", RATIONAL_SPACES)
-def test_rational_face_blocks_match_the_unit_decode(expr, exc_bound):
-    space = parse_space(expr)
-    assert_face_blocks_match_the_unit_decode(RATIONAL, space, None, range(-1, cb_rank(space)),
-                                             exc_bound)
-
-
-@pytest.mark.parametrize("exc_bound", [0, 1, 2])
-@pytest.mark.parametrize("block", ["o2_dihedral_block(4)", "t2_block()"])
-def test_group_ring_face_blocks_match_the_unit_decode(block, exc_bound):
+def block_complex(block):
     space, cs = o2_dihedral_block(4)[::2] if block.startswith("o2") else t2_block()[:3:2]
-    cx = equivariant_adelic(space, cs)
-    assert_face_blocks_match_the_unit_decode(cx.leaves, space, cs, range(cx.rank), exc_bound)
+    return equivariant_adelic(space, cs)
 
 
 @pytest.mark.parametrize("exc_bound", [0, 1, 2])
-@pytest.mark.parametrize("block", ["o2_dihedral_block(4)", "t2_block()"])
+@pytest.mark.parametrize("block", BLOCKS)
 def test_block_kernel_rref_matches_the_whole_cochain_probe(block, exc_bound):
-    space, cs = o2_dihedral_block(4)[::2] if block.startswith("o2") else t2_block()[:3:2]
-    cx = equivariant_adelic(space, cs)
-    assert_matches_reference(cx.leaves, space, cs, range(cx.rank), exc_bound)
+    cx = block_complex(block)
+    assert_matches_reference(cx.leaves, cx.space, cx.cs, range(cx.rank), exc_bound)
 
 
 def _family(per_space=3):
@@ -226,11 +206,38 @@ def test_family_kernel_rref_matches_the_whole_cochain_probe(name, cx):
         assert_matches_reference(cx.leaves, cx.space, cx.cs, range(cx.rank), exc_bound)
 
 
-@pytest.mark.parametrize("name, cx", FAMILY, ids=[n for n, _ in FAMILY])
-def test_family_face_blocks_match_the_unit_decode(name, cx):
-    for exc_bound in (1, 2):
-        assert_face_blocks_match_the_unit_decode(cx.leaves, cx.space, cx.cs, range(cx.rank),
-                                                 exc_bound)
+MATRIX_CASES = (
+    [pytest.param(RATIONAL, parse_space(expr), None, -1, exc_bound, id=f"{expr}-{exc_bound}")
+     for expr in RATIONAL_SPACES for exc_bound in (0, 1, 2, 3)]
+    + [pytest.param(cx.leaves, cx.space, cx.cs, 0, exc_bound, id=f"{name}-{exc_bound}")
+       for name, cx in [(block, block_complex(block)) for block in BLOCKS]
+       for exc_bound in (0, 1, 2)]
+    + [pytest.param(cx.leaves, cx.space, cx.cs, 0, exc_bound, id=f"{name}-{exc_bound}")
+       for name, cx in FAMILY for exc_bound in (1, 2)])
+
+
+@pytest.mark.parametrize("L, space, cs, low, exc_bound", MATRIX_CASES)
+def test_the_samplers_matrix_matches_the_laid_out_blocks_and_the_probe(
+        monkeypatch, L, space, cs, low, exc_bound):
+    """The rows `_kernel_rref` hands to `sparse_rref`, expanded with `ZERO`,
+    equal by `repr` the unit-decode blocks laid out by `block_map` and the
+    whole-cochain probe's matrix, in every degree from low to rank - 1; no
+    row stores a zero."""
+    captured = []
+
+    def capture(rows):
+        captured.append(rows)
+        return sparse_rref(rows)
+    monkeypatch.setattr(adelic, "sparse_rref", capture)
+    for degree in range(low, cb_rank(space)):
+        captured.clear()
+        _kernel_rref(L, space, cs, degree, exc_bound)
+        [rows] = captured
+        assert all(x for row in rows for x in row.values()), degree
+        n = sum(_slots(L, space, A, cs, exc_bound) for A in sources(space, degree))
+        got = repr(tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in rows))
+        assert got == repr(laid_out_blocks(L, space, cs, degree, exc_bound).matrix), degree
+        assert got == repr(whole_cochain_matrix(L, space, cs, degree, exc_bound).matrix), degree
 
 
 def test_the_samplers_do_not_apply_the_differential(monkeypatch):

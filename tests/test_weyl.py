@@ -264,6 +264,14 @@ def test_eq_random_cocycle_takes_degrees_zero_to_rank():
             eq_random_cocycle(cx, deg, random.Random(0))
 
 
+def test_eq_random_cocycle_refuses_a_negative_exception_bound():
+    cx = equivariant_adelic(*o2_dihedral_block(4)[::2])
+    for deg in (0, cx.rank):
+        with pytest.raises(ValueError, match="exception bound -2 is negative"):
+            eq_random_cocycle(cx, deg, random.Random(0), exc_bound=-2)
+    assert cx.is_cocycle(eq_random_cocycle(cx, 0, random.Random(0), exc_bound=0), 0)
+
+
 def test_ring_structure_of_equivariant_leaves():
     cs = o2_structure()
     u = EqCFun.unit(X1, (1, 0), cs)
