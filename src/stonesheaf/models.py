@@ -490,7 +490,11 @@ def limit_vertex(D: DiagMod):
     """The initial-vertex module of a punctured diagram: the finite limit of
     the element spaces over all edges, with its projections.
 
-    For diagrams of sheaves this recovers the finite-data global sections.
+    For the diagram `to_standard(F)` of a sheaf F this is the finite-data
+    global sections of the canonical presentation, of dimension
+    `sec_dim(canonical(F))`, since `to_standard` canonicalizes first; a
+    presentation that stores copies equal to the tail has more finite-data
+    sections than that.
     """
     spaces = {A: el_space(D.vertices[A]) for A in sorted(D.vertices, key=len)}
     dims = {A: S.dim for A, S in spaces.items()}

@@ -102,7 +102,8 @@ from .space import (
 class CSheaf:
     """A constructible sheaf; `data` mirrors the space expression.
 
-    `_localized` keeps `models.section_localize` of the sheaf by flag."""
+    `_localized` keeps `models.section_localize` of the sheaf by flag, and
+    `_normal_form` keeps its `canonical` form."""
 
     space: SpaceExpr
     data: object
@@ -113,6 +114,13 @@ class CSheaf:
         use and then kept.  It belongs to the object and is never looked up
         by equality; the localizations hold no reference back to it."""
         return {}
+
+    @functools.cached_property
+    def _normal_form(self) -> "CSheaf":
+        """`canonical(self)` over a cone or a sum, computed on first use and
+        then kept, like `_localized`.  The form holds no reference back to
+        the sheaf, and its own `_normal_form` is not filled in."""
+        return _normalize(self)
 
     # -- cone accessors ----------------------------------------------------
     def exc_dict(self) -> dict:
@@ -634,9 +642,16 @@ def canonical(F: CSheaf) -> CSheaf:
     """The minimal-threshold normal form, the same for every presentation of
     a sheaf: a stored copy is dropped when its canonical form is the tail's,
     and the tail stores, beyond its own canonical copies, the copies at
-    which a germ section deviates."""
-    if isinstance(F.space, Finite):
-        return F
+    which a germ section deviates.
+
+    A sheaf over a finite space is its own normal form.  Any other sheaf
+    keeps its normal form once computed (`CSheaf._normal_form`), per object,
+    never by equality; the form it returns computes its own afresh."""
+    return F if isinstance(F.space, Finite) else F._normal_form
+
+
+def _normalize(F: CSheaf) -> CSheaf:
+    """`canonical` of a sheaf over a sum or a cone, computed."""
     if isinstance(F.space, Sum):
         return CSheaf(F.space, (canonical(F.data[0]), canonical(F.data[1])))
     tail_c = canonical(F.tail)
@@ -654,7 +669,10 @@ def canonical(F: CSheaf) -> CSheaf:
 
 
 def sheaves_equal(F: CSheaf, G: CSheaf) -> bool:
-    return canonical(F) == canonical(G)
+    """Whether F and G present one sheaf.  Structurally identical
+    presentations are equal without their normal forms; otherwise the two
+    kept normal forms (`canonical`) are compared."""
+    return F == G or canonical(F) == canonical(G)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 `models.loc_extend` and `models.el_space` keep each extension and the
 element space with its module object, `models.section_localize` keeps each
-localization with its sheaf object, and the stalk checks of `cube` share
-one cube per space through a bounded memo.  None may change an answer: a
-diagram whose vertices were extended before is judged on its edges as they
-are now, a sheaf whose localizations are kept gives the diagram of one that
-was never localized, a check reads the same from a warm memo as from a
-cleared one, and the cube memo stays within its bound.
+localization and `sheaf.canonical` the normal form with its sheaf object,
+and the stalk checks of `cube` share one cube per space through a bounded
+memo.  None may change an answer: a diagram whose vertices were extended
+before is judged on its edges as they are now, a sheaf whose localizations
+are kept gives the diagram of one that was never localized, a normal form
+computes its own normal form rather than being taken for it, a check reads
+the same from a warm memo as from a cleared one, and the cube memo stays
+within its bound.
 """
 
 import copy
@@ -145,6 +147,40 @@ def test_kept_localizations_make_no_reference_cycle():
         assert all(ref() is None for ref in refs)  # freed by reference counting alone
     finally:
         gc.enable()
+
+
+def test_normal_forms_are_kept_per_object_not_per_value():
+    F = random_csheaf(parse_space("Cone(Sum(Finite(2),Cone(Finite(1))))"), random.Random(2), 2, 2)
+    twin = CSheaf(F.space, F.data)
+    assert twin == F and hash(twin) == hash(F)
+    assert canonical(F) is canonical(F)
+    assert canonical(twin) == canonical(F)
+    assert canonical(twin) is not canonical(F)
+    fin = constant(Finite(2), 1)
+    assert canonical(fin) is fin
+    assert "_normal_form" not in vars(fin)  # a finite sheaf is its own normal form
+
+
+def test_kept_normal_forms_make_no_reference_cycle():
+    F = random_csheaf(parse_space("Cone(Sum(Finite(2),Cone(Finite(1))))"), random.Random(5), 2, 2)
+    refs = [weakref.ref(G) for G in _subsheaves(F)]
+    canonical(F)
+    assert all("_normal_form" in vars(ref()) for ref in refs
+               if not isinstance(ref().space, Finite))
+    gc.disable()
+    try:
+        del F
+        assert all(ref() is None for ref in refs)  # freed by reference counting alone
+    finally:
+        gc.enable()
+
+
+def test_a_normal_form_computes_its_own():
+    for expr, F in _diagrams():
+        C = canonical(F)
+        assert "_normal_form" not in vars(C), expr
+        assert canonical(C) == C, expr
+        assert canonical(C) is not C, expr
 
 
 def _reports(cold: bool):

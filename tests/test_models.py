@@ -8,11 +8,11 @@ from stonesheaf.space import (
     Cone, Finite, apex_point, copy_point, fin_point, parse_space)
 from stonesheaf.adelic import insert_height
 from stonesheaf.sheaf import (
-    constant, make_cone_sheaf, random_csheaf, sec_space, sheaves_equal,
+    canonical, constant, make_cone_sheaf, random_csheaf, sec_dim, sec_space, sheaves_equal,
     skyscraper, zero_sheaf, direct_sum)
 from stonesheaf.models import (
     CMod, DiagMod, StandardObj, coreflect, el_space, five_model_roundtrip, from_standard,
-    is_cocartesian, kappa, loc_extend, mod_of_sheaf, standard_of_sheaf,
+    is_cocartesian, kappa, limit_vertex, loc_extend, mod_of_sheaf, standard_of_sheaf,
     support_detect, tau, to_standard)
 
 X1 = Cone(Finite(1))
@@ -284,15 +284,28 @@ def test_diagram_edges_commute():
 
 
 def test_limit_vertex_recovers_finite_data_sections():
-    from stonesheaf.models import limit_vertex
-    from stonesheaf.sheaf import sec_dim
     rng = random.Random(43)
     for expr in ["Cone(Finite(1))", "Cone(Finite(2))", "Cone(Cone(Finite(1)))"]:
         space = parse_space(expr)
         for _ in range(6):
             F = random_csheaf(space, rng, 2 if cb_rank(space) == 1 else 1, 1)
-            from stonesheaf.sheaf import canonical
             Fc = canonical(F)
             D = to_standard(Fc)
             L, projections = limit_vertex(D)
             assert L.dim == sec_dim(Fc), expr
+
+
+def test_limit_vertex_counts_the_sections_of_the_canonical_presentation():
+    """`to_standard` canonicalizes first, so the vertex of a drawn sheaf's
+    diagram has the finite-data sections of `canonical(F)`, not of F as
+    drawn, which may store copies equal to the tail."""
+    rng = random.Random(0)
+    space = Cone(Finite(2))
+    larger = 0
+    for _ in range(200):
+        F = random_csheaf(space, rng, 2, 2)
+        L, _projections = limit_vertex(to_standard(F))
+        assert L.dim == sec_dim(canonical(F))
+        assert sec_dim(F) >= L.dim
+        larger += sec_dim(F) > L.dim
+    assert larger == 17
