@@ -27,6 +27,7 @@ reads its leaf algebra and component structure from class attributes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -63,7 +64,15 @@ def all_flags(rank: int) -> list[Flag]:
 
 
 def flags_of_size(rank: int, size: int) -> list[Flag]:
-    return [tuple(c) for c in itertools.combinations(range(rank, -1, -1), size)]
+    """The flags of `size` heights on [0..rank], lexicographically, as a new list."""
+    return list(_flags(rank, size))
+
+
+@functools.cache
+def _flags(rank: int, size: int) -> tuple[Flag, ...]:
+    """`flags_of_size` as one shared tuple per (rank, size), which the
+    complex's walks iterate."""
+    return tuple(itertools.combinations(range(rank, -1, -1), size))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +204,8 @@ def _canon(L, space, flag, cs, data):
     if flag and flag[0] == space.rank:
         return data
     _, exc, tail = data
+    if not exc:
+        return ("cone", {}, tail)
     exc_cs, tail_cs = L.cone_parts(cs)
     default = const_data(space.base, flag, tail)
     cleaned = {}
@@ -384,7 +395,7 @@ def _differential(L, space, cs, degree, data):
     """d on raw cochain data (flag -> data) from a degree (-1: the augmentation);
     the face dropping B[i] has sign (-1)^i.  Each target flag is canonicalized once."""
     out = {}
-    for B in flags_of_size(cb_rank(space), degree + 2):
+    for B in _flags(cb_rank(space), degree + 2):
         if degree == -1:
             out[B] = _canon(L, space, B, cs, L.augment(space, cs, data[()], B[0]))
             continue
@@ -481,7 +492,7 @@ def _witness(L, space, cs, degree, data):
             pdata = {A: data[A][side] for A in data if not _is_zero_ring(part, A)}
             halves.append(_witness(L, part, pcs, degree, pdata) if (degree == 0 or pdata) else {})
         out = {}
-        for A in (flags_of_size(r, degree) if degree >= 1 else [()]):
+        for A in (_flags(r, degree) if degree >= 1 else [()]):
             pair = []
             for (part, pcs), half in zip(parts, halves):
                 if _is_zero_ring(part, A):
@@ -506,7 +517,7 @@ def _witness(L, space, cs, degree, data):
     if degree == 0:
         return {(): L.section(space, cs, {k: w[()] for k, w in witness_exc.items()}, data[(r,)])}
     out = {}
-    for A in flags_of_size(r, degree):
+    for A in _flags(r, degree):
         if A[0] == r:
             out[A] = L.zero(cs, A)
         else:
@@ -525,8 +536,16 @@ def _cone_slice(base, flag, data, k):
 # randomized constructible elements (seeded; used by tests and the CLI)
 
 
+# _RATS[i][j] is Fraction(i - 4, (1, 1, 2, 3)[j])
+_RATS = tuple(tuple(Fraction(n, d) for d in (1, 1, 2, 3)) for n in range(-4, 5))
+
+
 def random_rat(rng: random.Random) -> Rat:
-    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+    """Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])), read from a
+    table: randint(-4, 4) and the choice each make one _randbelow(9) or
+    _randbelow(4) call, as randrange(9) and randrange(4) do, so the draw and
+    the generator's state after it are the formula's."""
+    return _RATS[rng.randrange(9)][rng.randrange(4)]
 
 
 def random_cfun(space: SpaceExpr, flag: Flag, rng: random.Random, exc_bound: int = 2) -> CFun:
@@ -687,13 +706,13 @@ def _kernel_rref(L, space, cs, degree, exc_bound):
     when k is odd; `sparse_rref` reduces the rows without making a dense one.
     """
     r = cb_rank(space)
-    flags = [()] if degree == -1 else flags_of_size(r, degree + 1)
+    flags = _flags(r, degree + 1)
     n = sum(_slots(L, space, A, cs, exc_bound) for A in flags)
     if r <= degree:
         return [], [], n
     data = _decode(L, space, cs, flags, exc_bound, [_Form({j: ONE}) for j in range(n)])
     rows = []
-    for B in flags_of_size(r, degree + 2):
+    for B in _flags(r, degree + 2):
         band = [{} for _ in range(_slots(L, space, B, cs, exc_bound))]
         for k in range(len(B)):
             A, odd = B[:k] + B[k + 1:], k % 2
@@ -731,10 +750,22 @@ def _sample_cocycle(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict:
         for f in range(n):
             if f not in pivot_set:
                 values[f] = kernel_draw(rng)
-        # a pivot row is zero at every other pivot column
+        # a pivot row is zero at every other pivot column; a zero draw adds
+        # nothing, and an entry of -1 or 1 (most entries of an RREF here)
+        # adds or subtracts its draw
         for row, p in zip(rows, pivots):
+            acc = ZERO
             for j, x in row:
-                values[p] -= x * values[j]
+                v = values[j]
+                if not v:
+                    continue
+                if x == -1:
+                    acc += v
+                elif x == 1:
+                    acc -= v
+                else:
+                    acc -= x * v
+            values[p] = acc
     else:
         values = [free_draw(rng) for _ in range(n)]
     return {A: L.element(space, A, cs, _canon(L, space, A, cs, data))

@@ -3,14 +3,18 @@
 Every command prints one JSON document (sorted keys, schema-tagged) so
 reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
-zero exactly when all requested checks pass, one when a check fails, and
-two when the input is malformed (a space or point that does not parse or
+zero exactly when all requested checks pass, one when a check fails, two
+when the input is malformed (a space or point that does not parse or
 names no point of its space, `sheaf --resolution` on a space whose rank is
 not 1, `sheaf --const-dim` without `--resolution`, or a count that is out
-of range).  Malformed input prints the document
-`{"error": message, "schema": ...}` with an `error:` line on stderr, or,
-for arguments that argparse refuses (a count out of range among them),
-with usage and argparse's error line on stderr.
+of range), and three when a command raises an unexpected error, as
+`verify-all` does when a criterion raises.  Malformed input prints the
+document `{"error": message, "schema": ...}` with an `error:` line on
+stderr, or, for arguments that argparse refuses (a count out of range among
+them), with usage and argparse's error line on stderr.  An unexpected error
+prints the document `{"error": "<type>: <message>", "schema": ...}` with
+its traceback on stderr, so it is never read as a failed check.
+`verify-all --stats` prints each criterion's seconds after the transcript.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ def _malformed(message: str) -> int:
     """Refuse malformed input: the `error:` line, the error document, exit 2."""
     print(f"error: {message}", file=sys.stderr)
     return _emit({"error": message}, 2)
+
+
+def _crashed(exc: Exception) -> int:
+    """Report an unexpected error: the traceback on stderr, the error
+    document, exit 3."""
+    sys.excepthook(type(exc), exc, exc.__traceback__)
+    return _emit({"error": f"{type(exc).__name__}: {exc}"}, 3)
 
 
 def cmd_space(args):
@@ -210,8 +221,11 @@ def cmd_catalog(args):
 
 
 def cmd_verify_all(args):
-    status = run_all(seed=_seed(args), fast=args.fast)
+    seconds = [] if args.stats else None
+    status = run_all(seed=_seed(args), fast=args.fast, seconds=seconds)
     print("verify-all:", status)
+    for name, s in seconds or ():
+        print(f"[seconds] {name}: {s:.3f}")
     return {"PASS": 0, "FAIL": 1, "ERROR": 3}[status]
 
 
@@ -277,6 +291,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fast", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print each criterion's seconds after the transcript")
     p.set_defaults(fn=cmd_verify_all)
     return ap
 
@@ -287,6 +303,8 @@ def main(argv=None):
         return args.fn(args)
     except (ParseError, MalformedPoint) as exc:
         return _malformed(str(exc))
+    except Exception as exc:
+        return _crashed(exc)
 
 
 if __name__ == "__main__":

@@ -345,7 +345,8 @@ def sparse_rref(rows) -> tuple[list[list[tuple[int, Rat]]], list[int]]:
     column is its pivot, the row is divided by the pivot entry (unless that
     is 1), that column is cleared from the earlier basis rows, and the row
     joins the basis.  No basis row keeps a zero entry, and the input is not
-    changed.
+    changed.  An elimination factor of ±1 adds or subtracts a `Fraction`
+    entry (`_sub_multiple`): the product would have the same value and type.
 
     >>> sparse_rref([{1: Fraction(2), 2: Fraction(4)}, {0: Fraction(1), 1: Fraction(1)}])
     ([[(2, Fraction(-2, 1))], [(2, Fraction(2, 1))]], [0, 1])
@@ -373,9 +374,19 @@ def sparse_rref(rows) -> tuple[list[list[tuple[int, Rat]]], list[int]]:
 
 
 def _sub_multiple(row: dict, f, other: dict):
-    """row -= f * other, on sparse rows; an entry that becomes zero is deleted."""
+    """row -= f * other, on sparse rows; an entry that becomes zero is deleted.
+
+    A factor of 1 or -1 is taken as a sign where the other entry is a
+    `Fraction` (the term is y or -y, not f * y), so every entry has the
+    value and the type that f * y gives (an `int` entry is still multiplied).
+    """
+    minus = f == -1
+    sign = minus or f == 1
     for j, y in other.items():
-        t = f * y
+        if sign and type(y) is Fraction:
+            t = -y if minus else y
+        else:
+            t = f * y
         s = row.get(j)
         if s is None:
             row[j] = -t

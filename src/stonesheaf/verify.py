@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 from .linalg import LinMap, VectQ
@@ -422,20 +423,24 @@ FAST = {
 }
 
 
-def run_all(seed: int = 1, fast: bool = False) -> str:
+def run_all(seed: int = 1, fast: bool = False, seconds: list | None = None) -> str:
     """Run every acceptance criterion; prints one line per criterion.  A
     criterion that raises gets an `[ERROR]` line, its traceback goes to
     stderr, and the later ones still run.  Returns "ERROR" when one raised,
-    else "FAIL" when one failed, else "PASS"."""
+    else "FAIL" when one failed, else "PASS".  Given a list `seconds`, each
+    criterion appends its (name, wall seconds) to it."""
     statuses = set()
     for name, fn in CRITERIA:
         kwargs = FAST.get(fn, {}) if fast else {}
+        start = time.perf_counter()
         try:
             passed, details = fn(seed, **kwargs)
             status = "PASS" if passed else "FAIL"
         except Exception as exc:
             sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, on stderr
             status, details = "ERROR", f"{type(exc).__name__}: {exc}"
+        if seconds is not None:
+            seconds.append((name, time.perf_counter() - start))
         print(f"[{status}] {name}: {details}")
         statuses.add(status)
     return "ERROR" if "ERROR" in statuses else "FAIL" if "FAIL" in statuses else "PASS"

@@ -851,17 +851,24 @@ def degeneration_mismatch(space: SpaceExpr, rng: random.Random, samples: int):
 # random equivariant cochains (seeded)
 
 
+# the draws Fraction(randint(-4, 4)) and Fraction(randint(-3, 3)), indexed by
+# the one _randbelow(9) or _randbelow(7) call that randint makes
+_FREE_DRAWS = tuple(Fraction(n) for n in range(-4, 5))
+_KERNEL_DRAWS = tuple(Fraction(n) for n in range(-3, 4))
+
+
 def eq_random_cocycle(cx: EqAdelicComplex, degree: int, rng: random.Random,
                       exc_bound: int = 2) -> dict:
     """A random constructible equivariant cocycle via an exact kernel basis,
     in a degree from 0 to the rank: degree -1 holds sections of the sheaf of
     group rings, which the sampler's coordinates do not describe, so it
-    raises `ValueError`."""
+    raises `ValueError`.  A free coordinate draws Fraction(randint(-4, 4))
+    and a kernel coordinate Fraction(randint(-3, 3)), read from tables."""
     if degree == -1:
         raise ValueError("the equivariant sampler starts at degree 0")
     return _sample_cocycle(cx, degree, rng, exc_bound,
-                           lambda r: Fraction(r.randint(-4, 4)),
-                           lambda r: Fraction(r.randint(-3, 3)))
+                           lambda r: _FREE_DRAWS[r.randrange(9)],
+                           lambda r: _KERNEL_DRAWS[r.randrange(7)])
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,36 @@ def test_verify_all_reports_a_raising_criterion_and_runs_the_rest(capsys, monkey
     assert capsys.readouterr().out.endswith("[FAIL] c: no\nverify-all: FAIL\n")
 
 
+def test_verify_all_stats_follows_the_unchanged_transcript(capsys):
+    """`verify-all --stats` prints the `--fast` golden byte for byte, then
+    one `[seconds] <name>: <seconds>` line per criterion, in order."""
+    code = main(["verify-all", "--seed", "1", "--fast", "--stats"])
+    out = capsys.readouterr().out
+    golden = (GOLDEN / "verify_all_fast.txt").read_text()
+    assert code == 0 and out.startswith(golden)
+    lines = out[len(golden):].splitlines()
+    assert [line.rsplit(": ", 1)[0] for line in lines] == [
+        f"[seconds] {name}" for name, _fn in verify.CRITERIA]
+    assert all(float(line.rsplit(": ", 1)[1]) >= 0 for line in lines)
+
+
+def test_an_unexpected_error_exits_3_with_the_error_document(capsys, monkeypatch):
+    """A command that raises something other than a parse error exits 3,
+    not 1 (a failed check): the error document on stdout and the traceback
+    on stderr."""
+    import stonesheaf.cli as cli
+
+    def raising(*_args, **_kwargs):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cli, "random_cocycle", raising)
+    code = main(["adelic", "--space", "Cone(Finite(1))", "--check-exactness", "--samples", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "ZeroDivisionError: planted", "schema": ser.SCHEMA}
+    assert "Traceback" in err and err.endswith("ZeroDivisionError: planted\n")
+
+
 def test_package_runs_as_a_module():
     """`python -m stonesheaf` runs the command line from a source checkout."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))

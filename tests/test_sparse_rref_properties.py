@@ -11,6 +11,13 @@ the pivots, `ZERO` elsewhere, a zero row per missing pivot),
 read the other way, `rref`'s rows must give `sparse_rref`'s column-sorted
 [(column, entry)] lists of the nonzero entries right of each pivot.  The
 input rows are left unchanged.
+
+`sparse_rref` takes an elimination factor of ±1 as a sign where the other
+entry is a `Fraction` (`_sub_multiple`).  Matrices dominated by ±1 and ±2,
+with `int` and `Fraction` entries mixed, check that shortcut: their values
+against `rref`, and every entry's type, by `repr`, against
+`reference_sparse_rref`, the reduction as it was before the shortcut, whose
+`reference_sub_multiple` multiplies every term.
 """
 
 import copy
@@ -96,3 +103,85 @@ def test_no_rows_and_zero_rows():
     assert sparse_rref([{}, {2: ZERO}]) == ([], [])
     assert repr(sparse_rref([{1: Fraction(2)}, {1: Fraction(-4), 3: ZERO}])) == repr(
         ([[]], [1]))
+
+
+def reference_sparse_rref(rows):
+    """`sparse_rref` without the ±1 shortcut: every term is f * y."""
+    basis = {}
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        for c in [c for c in row if c in basis]:
+            reference_sub_multiple(row, row.pop(c), basis[c])
+        if not row:
+            continue
+        p = min(row)
+        pv = row.pop(p)
+        if pv != 1:
+            pv = Fraction(pv)
+            row = {j: x / pv for j, x in row.items()}
+        for b in basis.values():
+            f = b.pop(p, None)
+            if f is not None:
+                reference_sub_multiple(b, f, row)
+        basis[p] = row
+    pivots = sorted(basis)
+    return [sorted(basis[p].items()) for p in pivots], pivots
+
+
+def reference_sub_multiple(row, f, other):
+    """row -= f * other, every term multiplied."""
+    for j, y in other.items():
+        t = f * y
+        s = row.get(j)
+        if s is None:
+            row[j] = -t
+        else:
+            s -= t
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+
+
+UNITS = [1, -1, 2, -2]
+UNIT_ENTRIES = UNITS + [Fraction(x) for x in UNITS] + [Fraction(1, 2), 3]
+
+
+@st.composite
+def unit_matrices(draw):
+    """(rows, column count): rows {column: entry} of ±1 and ±2, as `int`
+    and as `Fraction`, with a few other entries and stored zeros."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entries = st.sampled_from(UNIT_ENTRIES + [0, ZERO])
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        cols = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
+        rows.append({j: draw(entries) for j in sorted(cols)})
+    return rows, n
+
+
+@SETTINGS
+@given(unit_matrices())
+def test_unit_dominated_matrices_keep_their_values_and_types(matrix):
+    rows, n = matrix
+    before = copy.deepcopy(rows)
+    got = sparse_rref(rows)
+    assert rows == before
+    assert repr(got) == repr(reference_sparse_rref(rows))
+    red, pivots = rref([[row.get(j, ZERO) for j in range(n)] for row in rows])
+    want = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
+    assert got == (want, pivots)
+
+
+def test_unit_matrices_reach_int_and_fraction_entries_in_the_output():
+    """The drawn family does produce `int` entries next to `Fraction`s in
+    the reduced rows, so the type check compares both."""
+    types = set()
+
+    @SETTINGS
+    @given(unit_matrices())
+    def collect(matrix):
+        for row in sparse_rref(matrix[0])[0]:
+            types.update(type(x) for _j, x in row)
+    collect()
+    assert types == {int, Fraction}
