@@ -35,7 +35,7 @@ from .models import to_standard, is_cocartesian, _rebuild_sheaf
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
 from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
                     MalformedPoint, ParseError, SpaceExpr)
-from .verify import run_all
+from .verify import run_all, _witness_samples
 from .weyl import degeneration_mismatch, equivariant_adelic, eq_random_cocycle
 from .serialize import SCHEMA
 
@@ -91,22 +91,6 @@ def cmd_space(args):
     return _emit(doc)
 
 
-def _witness_samples(cx, sample, samples: int) -> tuple[int, bool]:
-    """Witness `samples` cocycles sample(degree) in each degree of cx: the
-    number witnessed, and whether every sample was a cocycle."""
-    witnessed, ok = 0, True
-    for deg in range(0, cx.rank + 1):
-        for _ in range(samples):
-            z = sample(deg)
-            try:
-                cx.exactness_witness(z, deg)
-            except ValueError:
-                ok = False
-                continue
-            witnessed += 1
-    return witnessed, ok
-
-
 def cmd_adelic(args):
     s = parse_space(args.space)
     cx = build_complex(s)
@@ -153,8 +137,7 @@ def cmd_sheaf(args):
     if args.resolution:
         dim = 1 if args.const_dim is None else args.const_dim
         report["injective_resolution"] = injective_resolution_display(constant(s, dim))
-    print(json.dumps(report, sort_keys=True, indent=1))
-    return 0 if ok else 1
+    return _emit(report, 0 if ok else 1)
 
 
 def cmd_model(args):
@@ -203,9 +186,7 @@ def o2_catalog_report(nmax: int) -> dict:
 
 def cmd_catalog(args):
     if args.what == "o2":
-        doc = o2_catalog_report(args.nmax)
-        print(json.dumps(doc, sort_keys=True, indent=1))
-        return 0
+        return _emit(o2_catalog_report(args.nmax))
     if args.what == "sublattices":
         subs = sublattices(args.n)
         doc = {"index": args.n, "count": len(subs),

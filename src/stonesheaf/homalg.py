@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .linalg import (
     DimensionError, LinMap, VectQ, ZERO, band_starts, direct_sum_space, kernel_basis,
-    rank as map_rank, row_space_basis, solve, is_iso, _quotient)
+    rank as map_rank, solve, is_iso, _quotient)
 from .space import Cone, SpaceMismatch, Sum, cb_rank, iter_points, Point
 from .adelic import CFun
 from .sheaf import (
@@ -333,7 +333,7 @@ def _twist_classes(A: CSheaf, B: CSheaf) -> tuple[VectQ, LinMap]:
         for r_ in range(offB[p] * n, (offB[p] + b[p]) * n, n):
             for c in range(offA[p], offA[p] + a[p]):
                 cob_cols.append(zeros[:r_] + sigma_A[c] + zeros[r_ + n:])
-    return _quotient(amb, row_space_basis(cob_cols), "x")[:2]
+    return _quotient(amb, cob_cols, "x")[:2]
 
 
 def _twist_matrix(A, B, flat):

@@ -7,22 +7,23 @@ elements; two spaces are equal exactly when their dimensions and label lists
 agree.  Matrices are stored dense as tuples of tuples (rows = target
 coordinates), which is plenty for the small spaces that arise here.  The
 representation matrices of the equivariant layer are mostly zeros, so
-`LinMap.apply` and `LinMap.then` multiply only nonzero entries, and `rref`
-updates the other rows only at the pivot row's nonzero entries and, scaling
-a pivot row by a pivot other than 1, divides only its nonzero entries and
-makes each zero entry the shared `ZERO`, never an `int` 0; the arithmetic
-is exact, so skipping zeros changes no result.  The representation matrices'
-nonzero entries are mostly ±1, so the two products take a factor of 1 or -1
-as a sign (the term is x or -x, not a * x) and take an output entry's first
-term as the entry itself, with no addition to zero; `LinMap.scale` likewise
-keeps a zero entry as `ZERO` and takes a factor of ±1 as a sign.  Neither
-rule changes a value or a type: a first term that is not a `Fraction` (int
-inputs) is still added to `ZERO`, and an `int` entry is still scaled.
+`LinMap.apply` and `LinMap.then` multiply only nonzero entries; the
+arithmetic is exact, so skipping zeros changes no result.  The
+representation matrices' nonzero entries are mostly ±1, so the two
+products take a factor of 1 or -1 as a sign (the term is x or -x, not
+a * x) and take an output entry's first term as the entry itself, with no
+addition to zero; `LinMap.scale` likewise keeps a zero entry as `ZERO` and
+takes a factor of ±1 as a sign.  Neither rule changes a value or a type: a
+first term that is not a `Fraction` (int inputs) is still added to `ZERO`,
+and an `int` entry is still scaled.
 
-The adelic sampler's differentials are mostly zeros as well, and they are
-never made dense: each row is a dict {column: entry}, and `sparse_rref`
-reduces such rows to the RREF that `rref` gives, touching only nonzero
-entries.
+There is one elimination, `sparse_rref`: each row is a dict {column:
+entry} of its nonzero entries, so only nonzero entries are touched.  The
+adelic sampler's differentials, mostly zeros, are never made dense.
+`kernel_basis`, `_quotient`, `solve` and `rank` read its pivot rows
+directly, and `rref` is its dense view.  They hand it their dense rows
+through one builder, `_sparse`, which makes each entry a `Fraction`, so
+every entry they return is a `Fraction` whatever the input.
 
 Entries are coerced once: `rat` returns a `Fraction` as it is, and only
 other inputs are converted.  `VectQ.make` interns its spaces, so every call
@@ -286,59 +287,31 @@ def block_map(source: VectQ, target: VectQ, rows: dict, cols: dict, blocks) -> L
 
 
 def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
-    """Reduced row echelon form (exact Gaussian elimination) and pivot columns.
+    """The dense view of `sparse_rref`: the RREF, one row per input row (the
+    pivot rows, then zero rows), and the pivots; every entry is a `Fraction`.
 
-    Each pivot row's nonzero entries are collected once and every other row
-    is updated in place at those columns only; a pivot of 1 divides nothing,
-    and any other pivot divides only the nonzero entries of its row, whose
-    zeros become `ZERO` (the `Fraction` the division would give).  The
-    arithmetic is exact, so skipping zeros changes no entry.
-
-    >>> red, pivots = rref([[Fraction(0), Fraction(2), Fraction(4)],
-    ...                     [Fraction(1), Fraction(1), Fraction(0)]])
+    >>> red, pivots = rref([[0, 2, 4], [1, 1, 0]])
     >>> [[str(x) for x in row] for row in red], pivots
     ([['1', '0', '-2'], ['0', '1', '2']], [0, 1])
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            pv = Fraction(pv)  # exact for int entries too
-            prow[c:] = [x / pv if x else ZERO for x in prow[c:]]
-        # entries left of c are zero in every row from r down
-        nonzero = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f != 0:
-                for j, y in nonzero:
-                    row[j] -= f * y
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    red = [[ZERO] * len(rows[0]) for _ in rows] if rows else []
+    sparse, pivots = sparse_rref(map(_sparse, rows))
+    for row, p, entries in zip(red, pivots, sparse):
+        row[p] = ONE
+        for j, x in entries:
+            row[j] = x
+    return red, pivots
 
 
 def sparse_rref(rows) -> tuple[list[list[tuple[int, Rat]]], list[int]]:
     """The RREF of the matrix whose rows are the dicts {column: entry} of
     rows (a missing column is zero): for each pivot, in increasing order,
     the column-sorted [(column, entry)] list of its row's nonzero entries
-    right of the pivot, and the pivots.  It is what `rref` gives, read off
-    as sparse rows, but no dense row is made.
+    right of the pivot, and the pivots.  This is the package's one
+    elimination: kernels, quotients, solves and ranks read its rows and
+    pivots, and `rref` is its dense view.  Those callers hand it rows built
+    by `_sparse`, so every entry they see is a `Fraction`; an `int` entry
+    handed in directly may come out an `int`.
 
     Each row, with its zero entries dropped, is reduced by the basis rows
     found so far, one per pivot column; if anything is left, its least
@@ -398,36 +371,37 @@ def _sub_multiple(row: dict, f, other: dict):
                 del row[j]
 
 
+def _sparse(row) -> dict:
+    """A dense row as `sparse_rref` takes it: its nonzero entries, as `Fraction`s."""
+    return {j: rat(x) for j, x in enumerate(row) if x}
+
+
 def kernel_basis(m: LinMap) -> list[tuple[Rat, ...]]:
     """A canonical basis of ker(m), as vectors in the source space: the rows
     of the projection onto the quotient by m's row space."""
     return list(_quotient(m.source, m.matrix)[1].matrix)
 
 
-def _quotient(amb: VectQ, basis, prefix="q") -> tuple[VectQ, LinMap, list[int]]:
-    """Quotient of amb by the span of basis; returns (Q, projection, free),
+def _quotient(amb: VectQ, vectors, prefix="q") -> tuple[VectQ, LinMap, list[int]]:
+    """Quotient of amb by the span of vectors; returns (Q, projection, free),
     where the projection sends the standard basis vector at free[i] to the
     i-th basis vector of Q."""
-    red, pivots = rref(basis)
+    red, pivots = sparse_rref(map(_sparse, vectors))
     free = [j for j in range(amb.dim) if j not in pivots]
-    rows = []
+    rows = {j: [ZERO] * amb.dim for j in free}
+    for p, entries in zip(pivots, red):
+        for j, x in entries:
+            rows[j][p] = -x
     for j in free:
-        row = [ZERO] * amb.dim
-        row[j] = ONE
-        for r_i, p in enumerate(pivots):
-            row[p] = -rat(red[r_i][j])
-        rows.append(tuple(row))
+        rows[j][j] = ONE
     Q = VectQ.make(len(free), prefix)
-    return Q, LinMap(amb, Q, tuple(rows)), free
+    return Q, LinMap(amb, Q, tuple(tuple(rows[j]) for j in free)), free
 
 
 def row_space_basis(vectors: Iterable[Sequence[Rat]]) -> list[tuple[Rat, ...]]:
     """Canonical (rref echelon) basis of the span of the given vectors."""
-    rows = [list(v) for v in vectors if not is_zero_vec(v)]
-    if not rows:
-        return []
-    red, pivots = rref(rows)
-    return [tuple(red[i]) for i in range(len(pivots))]
+    red, pivots = rref(list(vectors))
+    return [tuple(row) for row in red[:len(pivots)]]
 
 
 def image_basis(m: LinMap) -> list[tuple[Rat, ...]]:
@@ -436,21 +410,21 @@ def image_basis(m: LinMap) -> list[tuple[Rat, ...]]:
 
 
 def rank(m: LinMap) -> int:
-    return len(image_basis(m))
+    return len(sparse_rref(map(_sparse, m.matrix))[1])
 
 
 def solve(m: LinMap, v: Sequence[Rat]):
     """Some x with m(x) = v, or None when v is not in the image."""
     if len(v) != m.target.dim:
         raise DimensionError("right-hand side does not lie in the target space")
-    aug = [list(m.matrix[i]) + [rat(v[i])] for i in range(m.target.dim)]
-    red, pivots = rref(aug)
     n = m.source.dim
+    red, pivots = sparse_rref(_sparse((*row, x)) for row, x in zip(m.matrix, v))
+    if pivots and pivots[-1] == n:
+        return None
     x = [ZERO] * n
-    for r_idx, p in enumerate(pivots):
-        if p == n:
-            return None
-        x[p] = red[r_idx][n]
+    for p, entries in zip(pivots, red):
+        if entries and entries[-1][0] == n:
+            x[p] = entries[-1][1]
     return tuple(x)
 
 

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    LinMap, VectQ, ZERO, direct_sum_space, image_basis, kernel_basis, solve, _quotient)
+    LinMap, VectQ, ZERO, direct_sum_space, kernel_basis, solve, _quotient)
 from .adelic import _indicator_data, const_data
 from .space import (
     Cone, Finite, SpaceExpr, Sum, Point, ClopenSet, validate_point,
@@ -762,7 +762,7 @@ def cokernel(f: SheafMap) -> tuple[CSheaf, SheafMap]:
 def _cokernel_stalk(m: LinMap):
     # lift by the basis vectors at the free columns: any lift gives the same
     # germ, since the projection kills the germ of the apex map's image
-    Q, pr, free = _quotient(m.target, image_basis(m))
+    Q, pr, free = _quotient(m.target, m.cols())
     return Q, pr, lambda i: m.target.basis_vec(free[i])
 
 

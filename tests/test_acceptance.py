@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from stonesheaf import models, weyl
+from stonesheaf import models, verify, weyl
 from stonesheaf.adelic import CFun, _map_leaves
 from stonesheaf.cli import main
 from stonesheaf.verify import (CRITERIA, check_adelic_exactness, check_catalog,
@@ -72,6 +72,26 @@ def test_criterion_6_equivariance():
     _report("averaging (1000 stalk maps), dihedral-block witnesses, generators",
             check_equivariance_suite, seed=6, stalk_samples=1000,
             sheaf_samples=100, cocycles=100)
+
+
+def non_cocycle(cx, degree, _rng):
+    """The unit at the first flag of degree and zero at every other: no
+    cocycle below the top degree of a space of rank at least 1."""
+    z = cx.zero_cochain(degree)
+    A = next(iter(z))
+    return {**z, A: type(z[A]).unit(cx.space, A, cx.cs)}
+
+
+def test_criterion_1_fails_on_a_sampled_cochain_that_is_not_a_cocycle(monkeypatch):
+    monkeypatch.setattr(verify, "random_cocycle", non_cocycle)
+    assert check_adelic_exactness(seed=1, samples=1) == (
+        False, "a sampled cochain is not a cocycle on Cone(Finite(1))")
+
+
+def test_criterion_6_fails_on_a_sampled_cochain_that_is_not_a_cocycle(monkeypatch):
+    monkeypatch.setattr(verify, "eq_random_cocycle", non_cocycle)
+    assert check_equivariance_suite(seed=6, stalk_samples=1, sheaf_samples=1, cocycles=1) == (
+        False, "a sampled cochain is not a cocycle on the dihedral block Cone(Finite(1))")
 
 
 def test_criterion_7_catalog():

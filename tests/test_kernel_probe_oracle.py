@@ -23,10 +23,12 @@ over every target, one `LinMap.of` column per coordinate.  The rows that
 whole-cochain matrix, and no row may store a zero, on the rational spaces,
 on both blocks and on the seeded family, whose faces spread group-ring
 leaves through different germ components at different nodes.  The laid-out
-blocks reduced by the dense `rref` on the rational spaces, and the
-whole-cochain matrix reduced likewise on every input, must equal
-`_kernel_rref`; on a root `Sum` that checks the library's one matrix, whose
-parts keep their own leaf sizes, against the whole cochain.  RREF is unique
+blocks on the rational spaces, and the whole-cochain matrix on every input,
+reduced by `dense_rref` (the test-local dense elimination of
+`tests/test_sparse_rref_properties.py`, not the library's `rref`, which is
+a view of `sparse_rref`), must equal `_kernel_rref`; on a root `Sum` that
+checks the library's one matrix, whose parts keep their own leaf sizes,
+against the whole cochain.  RREF is unique
 and the arithmetic is exact, so the library must agree by `repr`, which
 also compares the types of the entries.  The library does not apply
 `_differential` to sample: with it patched to raise, both samplers still
@@ -52,11 +54,12 @@ from stonesheaf.adelic import (
     RATIONAL, _coords_from_data, _data_from_coords, _decode, _differential, _dmap_leaves,
     _kernel_rref, _slots, build_complex, flags_of_size, random_cocycle)
 from stonesheaf.catalog import o2_dihedral_block, t2_block
-from stonesheaf.linalg import ZERO, LinMap, VectQ, block_map, rref, sparse_rref
+from stonesheaf.linalg import ZERO, LinMap, VectQ, block_map, sparse_rref
 from stonesheaf.space import cb_rank, parse_space
 from stonesheaf.weyl import GroupError, eq_random_cocycle, equivariant_adelic
 
 from test_level_oracle import SEEDED_SPACES, draw_structure
+from test_sparse_rref_properties import dense_rref
 
 RATIONAL_SPACES = ["Finite(2)", "Cone(Finite(1))", "Cone(Finite(3))", "Cone(Cone(Finite(1)))",
                    "Cone(Sum(Finite(2),Finite(1)))", "Cone(Sum(Cone(Finite(1)),Finite(2)))",
@@ -91,7 +94,7 @@ def reference_kernel_rref(L, space, cs, degree, exc_bound):
     n = sum(_slots(L, space, A, cs, exc_bound) for A in sources(space, degree))
     if cb_rank(space) <= degree:
         return [], [], n
-    red, pivots = rref(whole_cochain_matrix(L, space, cs, degree, exc_bound).matrix)
+    red, pivots = dense_rref(whole_cochain_matrix(L, space, cs, degree, exc_bound).matrix)
     return [[(j, row[j]) for j in range(p + 1, n) if row[j]]
             for row, p in zip(red, pivots)], pivots, n
 
@@ -153,7 +156,7 @@ def test_the_unit_decode_blocks_laid_out_give_the_kernel_rref(expr, exc_bound):
     space = parse_space(expr)
     for degree in range(-1, cb_rank(space)):
         laid = laid_out_blocks(RATIONAL, space, None, degree, exc_bound)
-        red, pivots = rref(laid.matrix)
+        red, pivots = dense_rref(laid.matrix)
         n = laid.source.dim
         rows = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
         assert repr(_kernel_rref(RATIONAL, space, None, degree, exc_bound)) == repr(

@@ -1,4 +1,5 @@
-"""`LinMap.apply`, `LinMap.then`, `rref` and `kernel_basis` against sympy.
+"""`LinMap.apply`, `LinMap.then` and the readers of the one elimination
+against sympy.
 
 sympy is a test-only oracle: the package itself has no dependencies.  The
 products are checked on random rationals with about 70% zeros, like the
@@ -7,6 +8,16 @@ all-zero shapes.  The eliminations are checked against `Matrix.rref` and
 `Matrix.nullspace` on sparse ±1 matrices (the scalar adelic differential),
 sparse ±1/2 matrices (group-ring leaves on the dihedral block) and dense
 random rationals, plus the empty, all-zero and already-reduced shapes.
+
+`linalg.sparse_rref` is the package's one elimination, and `solve`, `rank`,
+`image_basis`, `coords_in_span` and `invert` read its pivot rows.  They are
+checked on seeded matrices of `int`, `Fraction` and mixed entries, the 0×n
+and n×0 shapes among them: `solve` against the product m·x for a
+right-hand side in the image, and against `None` for one outside it (a
+vector of the left null space from `Matrix.nullspace`); `rank` against
+`Matrix.rank`; `image_basis` against the nonzero rows of `m.T.rref()`;
+`coords_in_span` against the coordinates a vector was built from; `invert`
+against `Matrix.inv`.  Every entry they return must be a `Fraction`.
 
 The products are also compared, by `repr`, with a test-local copy of the
 plain sum of products on the matrices of the equivariant layer: regular
@@ -23,7 +34,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from stonesheaf.linalg import (  # noqa: E402
-    ZERO, DimensionError, LinMap, VectQ, kernel_basis, rat, rref)
+    ZERO, DimensionError, LinMap, VectQ, coords_in_span, image_basis, invert, kernel_basis,
+    rank, rat, rref, solve)
 from stonesheaf.verify import _s3_group  # noqa: E402
 from stonesheaf.weyl import (  # noqa: E402
     _random_rep, cyclic_group, direct_product, regular_rep)
@@ -206,6 +218,115 @@ def test_rref_of_zero_rows_and_columns():
         m = LinMap.zero(VectQ.make(n, "s"), VectQ.make(0, "t"))
         assert kernel_basis(m) == [VectQ.make(n).basis_vec(i) for i in range(n)]
     assert kernel_basis(LinMap.zero(VectQ.make(0, "s"), VectQ.make(3, "t"))) == []
+
+
+# -- the readers of the one elimination -----------------------------------
+
+POOLS = {
+    "int": [0, 0, 0, 1, -1, 2, -3],
+    "fraction": [ZERO, ZERO, ZERO, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-5, 3)],
+    "mixed": [0, ZERO, ZERO, 1, Fraction(-1), 2, Fraction(2, 3)],
+}
+
+
+def pool_map(rng, pool, n, m) -> LinMap:
+    """An m×n matrix of entries drawn from pool, stored as drawn (`LinMap`
+    does not coerce), so `int` entries reach the elimination."""
+    return LinMap(VectQ.make(n, "s"), VectQ.make(m, "t"),
+                  tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(m)))
+
+
+def pool_maps(seed: int):
+    """(pool name, pool, map): every SHAPES shape and a few drawn ones, for
+    each pool."""
+    rng = random.Random(700 + seed)
+    for name, pool in POOLS.items():
+        shapes = SHAPES + [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(6)]
+        for n, m in shapes:
+            yield name, pool, pool_map(rng, pool, n, m)
+
+
+def left_null(m: LinMap) -> list[tuple]:
+    """A basis of the vectors orthogonal to im(m), from sympy."""
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in w) for w in to_sympy(m).T.nullspace()]
+
+
+def product(m: LinMap, x) -> tuple:
+    """m·x with plain sums, for any entry types."""
+    return tuple(sum((a * b for a, b in zip(row, x)), ZERO) for row in m.matrix)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_matches_sympy(seed):
+    rng = random.Random(800 + seed)
+    for _name, pool, m in pool_maps(seed):
+        x = tuple(rng.choice(pool) for _ in range(m.source.dim))
+        v = product(m, x)
+        got = solve(m, v)
+        assert got is not None and product(m, got) == v
+        assert_exact(got)
+        for w in left_null(m):
+            # w is orthogonal to the image and nonzero, so it is not in it
+            assert solve(m, w) is None
+            assert solve(m, tuple(a + b for a, b in zip(v, w))) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_and_image_basis_match_sympy(seed):
+    for _name, _pool, m in pool_maps(seed):
+        mat = to_sympy(m)
+        assert rank(m) == mat.rank()
+        red, pivots = mat.T.rref()
+        want = [tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
+                for i in range(len(pivots))]
+        got = image_basis(m)
+        assert got == want
+        for v in got:
+            assert_exact(v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coords_in_span_and_invert_match_sympy(seed):
+    rng = random.Random(900 + seed)
+    inverted = 0
+    for _name, pool, m in pool_maps(seed):
+        mat = to_sympy(m)
+        if mat.rank() == m.source.dim:
+            # independent columns: the coordinates of m·x are x
+            x = tuple(rng.choice(pool) for _ in range(m.source.dim))
+            got = coords_in_span(m.cols(), product(m, x))
+            assert got == x
+            assert_exact(got)
+        if m.source.dim != m.target.dim:
+            continue
+        if mat.rank() < m.source.dim:
+            with pytest.raises(DimensionError):
+                invert(m)
+            continue
+        inv = invert(m)
+        assert (inv.source, inv.target) == (m.target, m.source)
+        assert inv.matrix == from_sympy(mat.inv())
+        for row in inv.matrix:
+            assert_exact(row)
+        inverted += 1
+    assert inverted >= 3
+
+
+def test_coords_in_span_of_an_image_basis_and_outside_it():
+    rng = random.Random(950)
+    for name, pool in POOLS.items():
+        m = pool_map(rng, pool, 4, 5)
+        basis = image_basis(m)
+        x = tuple(rng.choice(pool) for _ in range(4))
+        c = coords_in_span(basis, product(m, x))
+        assert c is not None and len(c) == len(basis)
+        assert_exact(c)
+        assert tuple(sum((a * b[i] for a, b in zip(c, basis)), ZERO)
+                     for i in range(5)) == product(m, x), name
+        for w in left_null(m):
+            assert coords_in_span(basis, w) is None
+    assert coords_in_span([], (ZERO, 0)) == ()
+    assert coords_in_span([], (ZERO, 1)) is None
 
 
 # -- the products on representation matrices -----------------------------

@@ -5,8 +5,11 @@ differential, one sparse matrix per degree for every space, a root `Sum`
 too, laid out like the cube's stalk complex: one signed block per target
 flag and face, the cube map on the source flag's coordinates, each decoded
 once.  The reference below is the dense path it replaced: the canonical
-kernel basis of the whole probed matrix, `kernel_basis(LinMap.from_cols(...))`,
-combined with one kernel draw per basis vector.  RREF is unique and the
+kernel basis of the whole probed matrix, by the free-column loop of
+`reference_kernel_basis` (`tests/test_stalkwise_oracle.py`) over the
+test-local dense elimination `dense_rref`
+(`tests/test_sparse_rref_properties.py`), combined with one kernel draw
+per basis vector.  RREF is unique and the
 arithmetic is exact, so both must give the same cochain, and use the same
 draws, for the same seed.  The root sums below, and the hypothesis-drawn
 ones, check the one matrix on a `Sum`, for both leaf algebras, against the
@@ -32,13 +35,15 @@ from stonesheaf.adelic import (  # noqa: E402
     ONE, RATIONAL, ZERO, RationalLeaves, _canon, _coords_from_data, _data_from_coords,
     _differential, _kernel_rref, _slots, build_complex, random_cocycle, random_rat)
 from stonesheaf.catalog import o2_dihedral_block  # noqa: E402
-from stonesheaf.linalg import LinMap, VectQ, kernel_basis, rref  # noqa: E402
+from stonesheaf.linalg import LinMap, VectQ  # noqa: E402
 from stonesheaf.space import Sum, cb_rank, parse_space  # noqa: E402
 from stonesheaf.weyl import (  # noqa: E402
     GroupError, eq_random_cocycle, equivariant_adelic, trivial_structure)
 
 from test_level_oracle import SEEDED_SPACES, draw_structure  # noqa: E402
 from test_space_properties import spaces  # noqa: E402
+from test_sparse_rref_properties import dense_rref  # noqa: E402
+from test_stalkwise_oracle import reference_kernel_basis  # noqa: E402
 
 # root sums with unequal summand ranks, rank-0 summands and a nested sum:
 # degree 0 is the top degree of Finite(2) and degree 1 that of
@@ -93,7 +98,8 @@ def reference_sample(cx, degree, rng, exc_bound, free_draw, kernel_draw) -> dict
     n = sum(_slots(L, space, A, cs, exc_bound) for A in cx.flags(degree))
     if degree < cx.rank:
         cols, m = probed_columns(cx, degree, exc_bound)
-        basis = kernel_basis(LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
+        basis = reference_kernel_basis(
+            LinMap.from_cols(VectQ.make(n, "c"), VectQ.make(m, "d"), cols))
         values = [ZERO] * n
         for b in basis:
             c = kernel_draw(rng)
@@ -174,7 +180,7 @@ def assert_whole_rref(cx, exc_bound):
     for degree in range(cx.rank):
         cols, m = probed_columns(cx, degree, exc_bound)
         n = len(cols)
-        red, pivots = rref([[col[i] for col in cols] for i in range(m)])
+        red, pivots = dense_rref([[col[i] for col in cols] for i in range(m)])
         want = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
         assert _kernel_rref(cx.leaves, cx.space, cx.cs, degree, exc_bound) == (want, pivots, n)
 

@@ -1,21 +1,26 @@
-"""`linalg.sparse_rref` against the dense `rref` on drawn sparse matrices.
+"""`linalg.sparse_rref` against a dense elimination on drawn sparse matrices.
 
-The sampler reduces its differential as rows {column: entry} with
-`sparse_rref`, which must give the RREF that the dense `rref` gives.  Here
-a matrix of 0-7 rows and 0-7 columns is drawn row by row: a row is empty,
-a copy of an earlier row, an earlier row scaled or added to another (so
+`sparse_rref` is the package's one elimination, and `linalg.rref` is only
+its dense view, so the dense reference here is `dense_rref`, a test-local
+copy of the dense Gaussian elimination the package had before: it swaps
+rows, divides each pivot row by its pivot and clears the pivot column from
+every other row.  The kernel, sampler and stalkwise oracles take their
+dense elimination from it too.
+
+A matrix of 0-7 rows and 0-7 columns is drawn row by row: a row is empty, a
+copy of an earlier row, an earlier row scaled or added to another (so
 entries cancel in the reduction), or fresh entries from ±1 and other
 `Fraction`s, some of them stored zeros.  Expanded to dense rows (ones at
-the pivots, `ZERO` elsewhere, a zero row per missing pivot),
-`sparse_rref`'s output must equal `rref` of the dense matrix by `repr`;
-read the other way, `rref`'s rows must give `sparse_rref`'s column-sorted
-[(column, entry)] lists of the nonzero entries right of each pivot.  The
-input rows are left unchanged.
+the pivots, `ZERO` elsewhere, a zero row per missing pivot), the output of
+`sparse_rref`, and that of `rref`, must equal `dense_rref` of the dense
+matrix by `repr`; read the other way, `dense_rref`'s rows must give
+`sparse_rref`'s column-sorted [(column, entry)] lists of the nonzero
+entries right of each pivot.  The input rows are left unchanged.
 
 `sparse_rref` takes an elimination factor of ±1 as a sign where the other
 entry is a `Fraction` (`_sub_multiple`).  Matrices dominated by ±1 and ±2,
 with `int` and `Fraction` entries mixed, check that shortcut: their values
-against `rref`, and every entry's type, by `repr`, against
+against `dense_rref`, and every entry's type, by `repr`, against
 `reference_sparse_rref`, the reduction as it was before the shortcut, whose
 `reference_sub_multiple` multiplies every term.
 """
@@ -34,6 +39,44 @@ SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=
 
 ENTRIES = [ONE, -ONE, Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3)]
 SCALES = [ONE, -ONE, Fraction(2), Fraction(-1, 3)]
+
+
+def dense_rref(rows):
+    """The reduced row echelon form and pivot columns by dense Gaussian
+    elimination: the package's `rref` before it became a view of
+    `sparse_rref`.  A pivot row's zeros become `ZERO`, but an entry left of
+    a row's pivot that was never eliminated keeps its type."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            pv = Fraction(pv)
+            prow[c:] = [x / pv if x else ZERO for x in prow[c:]]
+        nonzero = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                for j, y in nonzero:
+                    row[j] -= f * y
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
 def combine(a, b, c):
@@ -92,8 +135,10 @@ def test_sparse_rref_is_the_dense_rref(matrix):
     before = copy.deepcopy(rows)
     got = sparse_rref(rows)
     assert rows == before
-    red, pivots = rref([[row.get(j, ZERO) for j in range(n)] for row in rows])
+    dense = [[row.get(j, ZERO) for j in range(n)] for row in rows]
+    red, pivots = dense_rref(dense)
     assert repr(expand(got, len(rows), n)) == repr((red, pivots))
+    assert repr(rref(dense)) == repr((red, pivots))
     want = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
     assert repr(got) == repr((want, pivots))
 
@@ -168,7 +213,7 @@ def test_unit_dominated_matrices_keep_their_values_and_types(matrix):
     got = sparse_rref(rows)
     assert rows == before
     assert repr(got) == repr(reference_sparse_rref(rows))
-    red, pivots = rref([[row.get(j, ZERO) for j in range(n)] for row in rows])
+    red, pivots = dense_rref([[row.get(j, ZERO) for j in range(n)] for row in rows])
     want = [[(j, row[j]) for j in range(p + 1, n) if row[j]] for row, p in zip(red, pivots)]
     assert got == (want, pivots)
 

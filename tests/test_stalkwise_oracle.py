@@ -25,17 +25,18 @@ import pytest
 
 from stonesheaf.homalg import is_isomorphism
 from stonesheaf.linalg import (
-    ONE, ZERO, LinMap, VectQ, image_basis, is_iso, kernel_basis, rref, solve)
+    ONE, ZERO, LinMap, VectQ, image_basis, is_iso, kernel_basis, solve)
 from stonesheaf.sheaf import (
     Section, _probe_points, _quotient, _sectionwise, cokernel, germ_section, kernel,
     make_cone_map, make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map,
     make_sum_sheaf, sec_space, sec_to_coords, stalk_map)
 from stonesheaf.space import Finite, Sum, parse_space
 from test_cokernel_lift_oracle import SEEDS, SPACES, sheaf_maps
+from test_sparse_rref_properties import dense_rref
 
 
 def reference_kernel_basis(m):
-    red, pivots = rref([list(r) for r in m.matrix])
+    red, pivots = dense_rref([list(r) for r in m.matrix])
     basis = []
     for f in [j for j in range(m.source.dim) if j not in pivots]:
         v = [ZERO] * m.source.dim
@@ -47,7 +48,7 @@ def reference_kernel_basis(m):
 
 
 def reference_quotient(amb, basis, prefix="q"):
-    red, pivots = rref([list(b) for b in basis])
+    red, pivots = dense_rref([list(b) for b in basis])
     free = [j for j in range(amb.dim) if j not in pivots]
     rows = []
     for j in free:

@@ -1,10 +1,10 @@
 """The sampler's exact arithmetic against plain arithmetic.
 
 The library skips arithmetic that cannot change a value: the rational
-leaves' `add`/`sub` keep a `Fraction` operand beside a zero one, `rref`
-divides only a pivot row's nonzero entries, and the sampler's
-`sparse_rref` touches nonzero entries only (see the `RationalLeaves` and
-`linalg` docstrings).  The references below skip no arithmetic:
+leaves' `add`/`sub` keep a `Fraction` operand beside a zero one, and
+`sparse_rref`, the one elimination, which `rref` views densely, touches
+nonzero entries only (see the `RationalLeaves` and `linalg` docstrings).
+The references below skip no arithmetic:
 
 * `PlainLeaves` (from `tests/test_sampler_oracle.py`), the rational leaves
   with `operator.add`/`operator.sub`;
@@ -23,8 +23,9 @@ with it by `repr`, so a `Fraction` turned `int` fails, on `_kernel_rref`,
 `random_cocycle` and `exactness_witness` over the `SEEDED_SPACES` and
 `ROOT_SUMS` of the sampler oracle at every degree below the rank; `rref`
 and `sparse_rref` must agree with their references on the probed matrices,
-and `rref` on seeded `int` matrices; `LinMap.scale`, `scalar` and `sub`
-must agree with `reference_scale` on seeded mixed `int`/`Fraction` matrices.
+and `rref` by value on seeded `int` matrices, with every entry a `Fraction`;
+`LinMap.scale`, `scalar` and `sub` must agree with `reference_scale` on
+seeded mixed `int`/`Fraction` matrices.
 """
 
 import contextlib
@@ -152,16 +153,20 @@ def test_rref_matches_reference_on_int_matrices():
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         matrix = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -4]) for _ in range(cols)]
                   for _ in range(rows)]
-        assert repr(rref(matrix)) == repr(reference_rref(matrix))
+        red, pivots = rref(matrix)
+        assert (red, pivots) == reference_rref(matrix)
+        assert all(type(x) is Fraction for row in red for x in row)
 
 
 def test_rref_of_an_int_matrix_gives_fractions_from_each_pivot_on():
-    # a pivot of 2 with a zero right of it; rref leaves every entry left of
-    # a row's pivot as it is, so the second row keeps its int 0 at column 0
+    # a pivot of 2 with a zero right of it, and a second row whose column 0
+    # is never eliminated: rref builds every row anew from `sparse_rref`'s
+    # pivot rows, so even that int 0 comes out as a Fraction
     red, pivots = rref([[2, 0, 4], [0, 3, 0]])
     assert pivots == [0, 1]
-    assert all(type(x) is Fraction for i, p in enumerate(pivots) for x in red[i][p:])
-    # here the second row's column 0 is eliminated, so every entry is a Fraction
+    assert repr(red) == repr([[Fraction(1), Fraction(0), Fraction(2)],
+                              [Fraction(0), Fraction(1), Fraction(0)]])
+    # here the second row's column 0 is eliminated
     red, pivots = rref([[2, 0, 4], [1, 3, 0]])
     assert repr(red) == repr([[Fraction(1), Fraction(0), Fraction(2)],
                               [Fraction(0), Fraction(1), Fraction(-2, 3)]])
