@@ -31,7 +31,7 @@ from .adelic import build_complex, random_cocycle
 from .catalog import divisor_sigma, o2_dihedral_block, sublattices, t2_block
 from .cube import stalkwise_cube_check, _shared_cube
 from .homalg import injective_resolution_display
-from .models import to_standard, is_cocartesian, _rebuild_sheaf
+from .models import from_standard, to_standard
 from .sheaf import constant, random_csheaf, sec_dim, stalk, sheaves_equal
 from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_stratum, Point,
                     MalformedPoint, ParseError, SpaceExpr)
@@ -148,10 +148,11 @@ def cmd_model(args):
     for _ in range(args.roundtrips):
         F = random_csheaf(s, rng, dim_bound=2 if cb_rank(s) <= 1 else 1, exc_bound=1)
         D = to_standard(F)
-        if not is_cocartesian(D):
+        try:
+            G = from_standard(D)
+        except ValueError:
             ok = False
             break
-        G = _rebuild_sheaf(D.space, D.vertices)  # from_standard(D) without a second check
         if not sheaves_equal(F, G):
             ok = False
             break

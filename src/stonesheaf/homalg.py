@@ -207,9 +207,9 @@ def ses_is_exact(s: SES) -> bool:
         mf, mg = stalk_map(f, x), stalk_map(g, x)
         if not mf.then(mg).is_zero():
             return False
-        if map_rank(mf) != mf.source.dim or map_rank(mg) != mg.target.dim:
-            return False
-        if len(kernel_basis(mg)) != map_rank(mf):
+        rf, rg = map_rank(mf), map_rank(mg)
+        # mf injective, mg onto, and dim ker(mg) = dim im(mf)
+        if rf != mf.source.dim or rg != mg.target.dim or mg.source.dim - rg != rf:
             return False
     return True
 

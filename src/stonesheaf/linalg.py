@@ -21,9 +21,10 @@ There is one elimination, `sparse_rref`: each row is a dict {column:
 entry} of its nonzero entries, so only nonzero entries are touched.  The
 adelic sampler's differentials, mostly zeros, are never made dense.
 `kernel_basis`, `_quotient`, `solve` and `rank` read its pivot rows
-directly, and `rref` is its dense view.  They hand it their dense rows
-through one builder, `_sparse`, which makes each entry a `Fraction`, so
-every entry they return is a `Fraction` whatever the input.
+directly; `rref` is its dense view, which `image` (a map factored through
+its image, with no solve) and the benchmark's span read.  They hand it
+dense rows through one builder, `_sparse`, which makes each entry a
+`Fraction`, so every entry they return is a `Fraction` whatever the input.
 
 Entries are coerced once: `rat` returns a `Fraction` as it is, and only
 other inputs are converted.  `VectQ.make` interns its spaces, so every call
@@ -41,7 +42,7 @@ import functools
 from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rat = Fraction
 
@@ -289,6 +290,7 @@ def block_map(source: VectQ, target: VectQ, rows: dict, cols: dict, blocks) -> L
 def rref(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
     """The dense view of `sparse_rref`: the RREF, one row per input row (the
     pivot rows, then zero rows), and the pivots; every entry is a `Fraction`.
+    `image` and the benchmark's span read it.
 
     >>> red, pivots = rref([[0, 2, 4], [1, 1, 0]])
     >>> [[str(x) for x in row] for row in red], pivots
@@ -398,15 +400,22 @@ def _quotient(amb: VectQ, vectors, prefix="q") -> tuple[VectQ, LinMap, list[int]
     return Q, LinMap(amb, Q, tuple(tuple(rows[j]) for j in free)), free
 
 
-def row_space_basis(vectors: Iterable[Sequence[Rat]]) -> list[tuple[Rat, ...]]:
-    """Canonical (rref echelon) basis of the span of the given vectors."""
-    red, pivots = rref(list(vectors))
-    return [tuple(row) for row in red[:len(pivots)]]
+def image(m: LinMap, prefix: str) -> tuple[VectQ, LinMap, LinMap]:
+    """m factored through its image: (V, inclusion V -> target, corestriction
+    source -> V), with inclusion ∘ corestriction = m.  The inclusion's
+    columns are the echelon basis of m's columns, from one `rref`; each is 1
+    at its own pivot and 0 at the others', so the corestriction's rows are
+    m's rows at the pivots and need no solve.
 
-
-def image_basis(m: LinMap) -> list[tuple[Rat, ...]]:
-    """Canonical basis of im(m), as vectors in the target space."""
-    return row_space_basis(m.cols())
+    >>> m = LinMap.from_rows(VectQ.make(2), VectQ.make(3), [[0, 0], [1, 2], [2, 4]])
+    >>> V, incl, cores = image(m, "v")
+    >>> V.labels, incl.cols() == [(0, 1, 2)], cores.matrix == ((1, 2),)
+    (('v0',), True, True)
+    """
+    red, pivots = rref(m.cols())
+    V = VectQ.make(len(pivots), prefix)
+    return (V, LinMap.from_cols(V, m.target, red[:len(pivots)]),
+            LinMap.from_rows(m.source, V, [m.matrix[p] for p in pivots]))
 
 
 def rank(m: LinMap) -> int:
@@ -436,17 +445,6 @@ def invert(m: LinMap) -> LinMap:
     if not is_iso(m):
         raise DimensionError("map is not invertible")
     return LinMap.of(m.target, m.source, lambda v: solve(m, v))
-
-
-def coords_in_span(basis: Sequence[Sequence[Rat]], v: Sequence[Rat]):
-    """Coordinates of v in the given (independent) spanning set, or None."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    dim = len(basis[0])
-    space = VectQ.make(dim, "a")
-    src = VectQ.make(len(basis), "c")
-    m = LinMap.from_cols(src, space, [tuple(b) for b in basis])
-    return solve(m, tuple(v))
 
 
 def pullback(f: LinMap, g: LinMap) -> tuple[VectQ, LinMap, LinMap]:
@@ -489,11 +487,6 @@ class FDComplex:
 
     def homology_dims(self) -> dict:
         self.validate()
-        out = {}
-        for i in self.degrees():
-            d_out = self.diffs.get(i)
-            dim_ker = len(kernel_basis(d_out)) if d_out is not None else self.spaces[i].dim
-            d_in = self.diffs.get(i - 1)
-            dim_im = rank(d_in) if d_in is not None else 0
-            out[i] = dim_ker - dim_im
-        return out
+        ranks = {i: rank(d) for i, d in self.diffs.items()}
+        return {i: self.spaces[i].dim - ranks.get(i, 0) - ranks.get(i - 1, 0)
+                for i in self.degrees()}

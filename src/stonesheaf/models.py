@@ -12,10 +12,10 @@ tuples over finite spaces, pairs over sums, and over a cone either
 `loc_extend` computes extension of scalars along one added height on these
 records: adding the top height extracts the uniform part (exceptions are
 invisible to the germ), adding a lower height localizes the ambient data and
-pushes the uniform part forward.  A punctured-cube diagram of such modules
-is cocartesian when every comparison map is an isomorphism; the diagrams of
-sheaves are cocartesian by construction and `from_standard` inverts
-`to_standard` on them.
+pushes the uniform part forward onto its image (`linalg.image`).  A sheaf's
+diagram has these localizations, read into the vertices, as edges, so it is
+cocartesian (every comparison map, which `is_cocartesian` tests by ranks, is
+an isomorphism) and `from_standard` inverts `to_standard` on it.
 
 Two memos keep built data with the object it was built from, never looked
 up by equality: a module keeps its element space and its extensions by
@@ -37,8 +37,8 @@ import functools
 from dataclasses import dataclass
 
 from .linalg import (
-    LinMap, VectQ, block_map, coords_in_span, direct_sum_space, image_basis,
-    is_iso, kernel_basis, pullback, solve, invert)
+    DimensionError, LinMap, VectQ, block_map, direct_sum_space, image, is_iso, kernel_basis,
+    pullback, rank, solve, invert)
 from .space import Finite, SpaceExpr, Sum, cb_rank
 from .adelic import Flag, _is_zero_ring, check_flag, insert_height, all_flags, flags_of_size
 from .sheaf import (
@@ -137,12 +137,10 @@ def _localize_section(T, flag, M, data):
     _, exc, apexv = data
     if kind == "apex":
         # germ class of the section at this cone's apex
-        V, ambient, emb = M.payload[1], M.payload[2], M.payload[3]
+        ambient, emb = M.payload[2], M.payload[3]
         if isinstance(ambient, tuple) and ambient[0] == "sec":
             return tuple(apexv)
-        rest = M.flag[1:]
-        vec = _apply_pi_sigma(T, rest, ambient, apexv)
-        w = coords_in_span([emb.apply(V.basis_vec(i)) for i in range(V.dim)], vec)
+        w = solve(emb, _apply_pi_sigma(T, M.flag[1:], ambient, apexv))
         if w is None:
             raise AssertionError("germ class left the stored germ image")
         return tuple(w)
@@ -155,8 +153,7 @@ def _localize_section(T, flag, M, data):
             sub = _copy_default(T, k, apexv)
         out.extend(_localize_section(T.copy_sheaf(k), flag, mk, sub))
     # uniform part: image of the apex value in the generic-copy module
-    gen_vec = _apply_pi_sigma(T, flag, generic, apexv)
-    w = coords_in_span([iota.apply(W.basis_vec(i)) for i in range(W.dim)], gen_vec)
+    w = solve(iota, _apply_pi_sigma(T, flag, generic, apexv))
     if w is None:
         raise AssertionError("uniform image left the stored uniform part")
     out.extend(w)
@@ -190,10 +187,10 @@ def mod_of_sheaf(F: CSheaf, flag: Flag) -> CMod:
         if not rest:
             return CMod(space, flag, ("apex", F.apex, _sec_ambient(F.tail), F.germ))
         ambient, pi = section_localize(F.tail, rest)
-        V, emb = _subspace(el_space(ambient), image_basis(F.germ.then(pi)), "g")
+        V, emb, _ = image(F.germ.then(pi), "g")
         return CMod(space, flag, ("apex", V, ambient, emb))
     generic, pi = section_localize(F.tail, flag)
-    W, iota = _subspace(el_space(generic), image_basis(F.germ.then(pi)), "w")
+    W, iota, _ = image(F.germ.then(pi), "w")
     exc = tuple((k, mod_of_sheaf(G, flag)) for k, G in F.data[1])
     return CMod(space, flag, ("low", exc, generic, W, iota))
 
@@ -229,10 +226,7 @@ def _loc_extend(M, b):
             amb2, pi = section_localize(ambient[1], (b,))
         else:
             amb2, pi = loc_extend(ambient, b)
-        comp = emb.then(pi)
-        basis = image_basis(comp)
-        V2, emb2 = _subspace(el_space(amb2), basis, "g")
-        struct = LinMap.of(V, V2, lambda v: coords_in_span(basis, comp.apply(v)))
+        V2, emb2, struct = image(emb.then(pi), "g")
         return CMod(M.space, new_flag, ("apex", V2, amb2, emb2)), struct
     if kind == "sum":
         parts = [loc_extend(m, b) for m in M.payload[1:]]
@@ -245,10 +239,7 @@ def _loc_extend(M, b):
             return N, _onto(E, W, E.dim - W.dim)
         parts = [loc_extend(m, b) for _, m in exc]
         gen2, pi = loc_extend(generic, b)
-        comp = iota.then(pi)
-        basis = image_basis(comp)
-        W2, iota2 = _subspace(el_space(gen2), basis, "w")
-        wmap = LinMap.of(W, W2, lambda v: coords_in_span(basis, comp.apply(v)))
+        W2, iota2, wmap = image(iota.then(pi), "w")
         N = CMod(M.space, new_flag,
                  ("low", tuple((k, p[0]) for (k, _), p in zip(exc, parts)), gen2, W2, iota2))
         maps = [p[1] for p in parts] + [wmap]
@@ -291,42 +282,27 @@ def to_standard(F: CSheaf) -> DiagMod:
 
 
 def _sheaf_edge(b, MA, MB) -> LinMap:
-    """The edge map of a sheaf diagram; structurally the localization."""
+    """The edge of a sheaf diagram: the localization read into the vertex."""
     N, struct = loc_extend(MA, b)
-    ident = _mod_identification(N, MB)
-    return struct.then(ident)
-
-
-def _mod_identification(N: CMod, M: CMod) -> LinMap:
-    """Identify an extended module with the directly built vertex (their
-    records coincide because image bases are canonical)."""
-    if el_space(N).dim != el_space(M).dim:
+    if el_space(N).dim != el_space(MB).dim:
         raise AssertionError("canonical chain mismatch: element spaces differ")
-    return LinMap(el_space(N), el_space(M), LinMap.identity(el_space(N)).matrix)
+    return LinMap(struct.source, el_space(MB), struct.matrix)
 
 
 def is_cocartesian(D: DiagMod) -> bool:
-    """Whether every edge's extension-of-scalars comparison map is an
-    isomorphism."""
+    """Whether every edge's comparison map is an isomorphism, by ranks: with
+    struct the localization onto N, dim N, dim of the target vertex,
+    rank(struct), rank(edge) and the rank of both stacked are equal (struct
+    is onto, the edge kills its kernel, and the induced map is onto a space
+    of N's dimension).  An edge that does not fit its vertices raises."""
     for (A, b), edge in D.edges.items():
-        MA = D.vertices[A]
-        MB = D.vertices[insert_height(A, b)]
-        N, struct = loc_extend(MA, b)
-        # the comparison is induced on the quotient: edge must kill
-        # ker(struct) and the induced map must be invertible
-        for kvec in kernel_basis(struct):
-            if not all(c == 0 for c in edge.apply(kvec)):
-                return False
-        if el_space(N).dim != el_space(MB).dim:
-            return False
-        cols = []
-        for i in range(el_space(N).dim):
-            pre = solve(struct, el_space(N).basis_vec(i))
-            if pre is None:
-                return False
-            cols.append(edge.apply(pre))
-        comp = LinMap.from_cols(el_space(N), el_space(MB), cols)
-        if not is_iso(comp):
+        N, struct = loc_extend(D.vertices[A], b)
+        target = el_space(D.vertices[insert_height(A, b)])
+        if (edge.source.dim, edge.target.dim) != (struct.source.dim, target.dim):
+            raise DimensionError("edge does not fit its vertices")
+        stacked = LinMap(struct.source, VectQ.make(struct.target.dim + target.dim),
+                         struct.matrix + edge.matrix)
+        if len({el_space(N).dim, target.dim, rank(struct), rank(edge), rank(stacked)}) != 1:
             return False
     return True
 
@@ -443,11 +419,8 @@ def _kappa_data(F: CSheaf):
         return ("fin", tuple(F.data))
     if isinstance(space, Sum):
         return ("sum", _kappa_data(F.data[0]), _kappa_data(F.data[1]))
-    basis = image_basis(F.germ)
-    Wp = VectQ.make(len(basis), "p")
-    sigma_bar = LinMap.of(F.apex, Wp, lambda v: coords_in_span(basis, F.germ.apply(v)))
-    return ("cone", F.data[1], F.tail, tuple(tuple(b) for b in basis),
-            F.apex, sigma_bar)
+    _, incl, sigma_bar = image(F.germ, "p")
+    return ("cone", F.data[1], F.tail, tuple(incl.cols()), F.apex, sigma_bar)
 
 
 def tau(C: CompleteObj) -> StandardObj:

@@ -6,12 +6,13 @@ prints one line per criterion and reports overall success.  A count below 1
 raises ValueError, so an error is never read as a passed or failed check.
 A sampled cochain that is not a cocycle is a failed check: criteria 1 and
 6, like the `adelic` and `equiv` commands, witness through one loop,
-`_witness_samples`, which counts it instead of raising.  The checks are
-deliberately cross-route: witnesses are searched for cocycles sampled from
-exact kernels, section rings are compared against independently built
-splicing rings, extension groups are confirmed against a splitness oracle,
-and the equivariant machinery is compared bit-for-bit against the scalar
-one under trivial groups.
+`_witness_samples`, which counts it instead of raising, and criterion 8
+reads it from `degeneration_mismatch`.  The checks are deliberately
+cross-route: witnesses are searched for cocycles sampled from exact
+kernels, section rings are compared against independently built splicing
+rings, extension groups are confirmed against a splitness oracle, and the
+equivariant machinery is compared bit-for-bit against the scalar one under
+trivial groups.
 """
 
 from __future__ import annotations
@@ -412,6 +413,8 @@ def check_degeneration(seed: int = 8, samples: int = 25):
     rng = random.Random(seed)
     for expr in ["Cone(Finite(1))", "Cone(Cone(Finite(1)))"]:
         differs = degeneration_mismatch(parse_space(expr), rng, samples)
+        if differs == "cocycle":
+            return False, f"a sampled cochain is not a cocycle on {expr}"
         if differs:
             return False, f"{differs} differs on {expr}"
     return True, "equivariant pathway with trivial groups is bit-identical"

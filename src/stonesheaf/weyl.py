@@ -830,7 +830,8 @@ def degeneration_mismatch(space: SpaceExpr, rng: random.Random, samples: int):
     departs from the scalar complex, over `samples` draws per degree from 0
     up: "differential" when d differs on a `random_cfun` cochain (d of a
     cocycle is zero on both sides), "witness" when the exactness witness of
-    a `random_cocycle` of degree >= 1 does, None when all are bit-identical."""
+    a `random_cocycle` of degree >= 1 does, "cocycle" when a `random_cocycle`
+    is not a cocycle, None when all are bit-identical."""
     triv = trivial_structure(space)
     cx_eq, cx = equivariant_adelic(space, triv), build_complex(space)
     for deg in range(0, cx.rank + 1):
@@ -841,7 +842,11 @@ def degeneration_mismatch(space: SpaceExpr, rng: random.Random, samples: int):
             d1, d2 = cx.differential(c, deg), cx_eq.differential(ceq, deg)
             if any(eq_to_plain(d2[A]) != d1[A] for A in d1):
                 return "differential"
-            w1, w2 = cx.exactness_witness(z, deg), cx_eq.exactness_witness(zeq, deg)
+            try:
+                w1 = cx.exactness_witness(z, deg)
+            except ValueError:
+                return "cocycle"
+            w2 = cx_eq.exactness_witness(zeq, deg)
             if deg >= 1 and any(eq_to_plain(w2[A]) != w1[A] for A in w1):
                 return "witness"
     return None

@@ -120,6 +120,19 @@ def test_criterion_8_and_the_cli_catch_a_degeneration_that_negates_its_leaves(
     assert doc["trivial_degeneration"] == "mismatch" and doc["status"] == "fail"
 
 
+def test_criterion_8_and_the_cli_fail_on_a_sampled_cochain_that_is_not_a_cocycle(
+        monkeypatch, capsys):
+    """A scalar sample that is not a cocycle is a failed check, as in
+    criteria 1 and 6, and `equiv --trivial-check` reports a mismatch."""
+    monkeypatch.setattr(weyl, "random_cocycle", non_cocycle)
+    assert check_degeneration(seed=8, samples=1) == (
+        False, "a sampled cochain is not a cocycle on Cone(Finite(1))")
+    code = main(["equiv", "--samples", "4", "--seed", "2", "--trivial-check"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trivial_degeneration"] == "mismatch" and doc["status"] == "fail"
+
+
 def test_criterion_8_catches_a_differential_that_returns_zero(monkeypatch):
     """d of a cocycle is zero on both sides, so criterion 8 compares d on
     random cochains: a differential that returns the zero cochain fails."""

@@ -13,10 +13,16 @@ the stalk complex read off `sign_pos`.  The library must agree with them by
 * the stalk complexes at `iter_points(s, 3)` over spaces of rank 0 to 3,
   a root `Sum` among them;
 * every extension, edge and limit vertex of `to_standard` on seeded
-  sheaves, and `tau` of their rank-1 completions;
+  sheaves, and `kappa` and `tau` of their rank-1 completions;
 * pullbacks with zero-dimensional sides;
 * `_random_rep` draws of dimension 0 to 6 over four groups, which must also
   leave the generator in the same state.
+
+The references find image bases and coordinates in them by
+`reference_image_basis` and `reference_coords_in_span` of
+`tests/test_sparse_rref_properties.py`, and identify an extension with its
+vertex by `reference_mod_identification` of `tests/test_models.py`, so that
+`linalg.image` is not checked against itself.
 """
 
 import random
@@ -28,16 +34,18 @@ from stonesheaf import weyl
 from stonesheaf.adelic import FlagError, _is_zero_ring, check_flag, flags_of_size, insert_height
 from stonesheaf.cube import _cube_stalk_complex, _shared_cube
 from stonesheaf.linalg import (
-    ONE, ZERO, FDComplex, LinMap, VectQ, coords_in_span, direct_sum_space, image_basis,
-    invert, is_iso, kernel_basis, pullback, rat)
+    ONE, ZERO, FDComplex, LinMap, VectQ, direct_sum_space, invert, is_iso, kernel_basis,
+    pullback, rat)
 from stonesheaf.models import (
-    CMod, _mod_identification, el_space, kappa, limit_vertex, loc_extend, section_localize,
+    CMod, el_space, kappa, limit_vertex, loc_extend, section_localize,
     standard_of_sheaf, tau, to_standard, zero_mod)
 from stonesheaf.sheaf import (
     _subspace, canonical, make_cone_sheaf, make_fin_sheaf, make_sum_sheaf, random_csheaf,
     sec_space, stalk, stalk_map)
 from stonesheaf.space import Cone, Finite, Sum, cb_rank, iter_points, parse_space
 from stonesheaf.weyl import cyclic_group, direct_product, regular_rep, trivial_group
+from test_models import reference_mod_identification
+from test_sparse_rref_properties import reference_coords_in_span, reference_image_basis
 
 CUBE_SPACES = ["Finite(2)", "Cone(Finite(1))", "Cone(Sum(Finite(2),Finite(1)))",
                "Sum(Cone(Finite(1)),Finite(1))", "Cone(Cone(Finite(1)))",
@@ -129,9 +137,9 @@ def reference_loc_extend(M, b):
         else:
             amb2, pi = reference_loc_extend(ambient, b)
         comp = emb.then(pi)
-        basis = image_basis(comp)
+        basis = reference_image_basis(comp)
         V2, emb2 = _subspace(el_space(amb2), basis, "g")
-        cols = [coords_in_span(basis, comp.apply(V.basis_vec(i))) for i in range(V.dim)]
+        cols = [reference_coords_in_span(basis, comp.apply(V.basis_vec(i))) for i in range(V.dim)]
         struct = LinMap.from_cols(V, V2, cols)
         return CMod(M.space, new_flag, ("apex", V2, amb2, emb2)), struct
     _, exc, generic, W, iota = M.payload
@@ -146,9 +154,9 @@ def reference_loc_extend(M, b):
     parts = [reference_loc_extend(m, b) for _, m in exc]
     gen2, pi = reference_loc_extend(generic, b)
     comp = iota.then(pi)
-    basis = image_basis(comp)
+    basis = reference_image_basis(comp)
     W2, iota2 = _subspace(el_space(gen2), basis, "w")
-    wcols = [coords_in_span(basis, comp.apply(W.basis_vec(i))) for i in range(W.dim)]
+    wcols = [reference_coords_in_span(basis, comp.apply(W.basis_vec(i))) for i in range(W.dim)]
     wmap = LinMap.from_cols(W, W2, wcols)
     N = CMod(M.space, new_flag,
              ("low", tuple((k, p[0]) for (k, _), p in zip(exc, parts)), gen2, W2, iota2))
@@ -213,6 +221,21 @@ def reference_tau_data(space, data):
     P, pV, pW = reference_pullback(sigma_bar, LinMap.identity(Wp))
     assert P.dim == vertex.dim and is_iso(pV)
     return make_cone_sheaf(space, dict(exc), tail, vertex, invert(pV).then(pW).then(incl))
+
+
+def reference_kappa_data(F):
+    """`models._kappa_data` with the germ image's basis and the coordinates
+    in it found by the reference helpers."""
+    if isinstance(F.space, Finite):
+        return ("fin", tuple(F.data))
+    if isinstance(F.space, Sum):
+        return ("sum", reference_kappa_data(F.data[0]), reference_kappa_data(F.data[1]))
+    basis = reference_image_basis(F.germ)
+    Wp = VectQ.make(len(basis), "p")
+    cols = [reference_coords_in_span(basis, F.germ.apply(F.apex.basis_vec(i)))
+            for i in range(F.apex.dim)]
+    return ("cone", F.data[1], F.tail, tuple(tuple(b) for b in basis), F.apex,
+            LinMap.from_cols(F.apex, Wp, cols))
 
 
 def reference_random_rep(G, d, rng):
@@ -281,7 +304,7 @@ def test_loc_extend_and_edges_match_reference(expr):
                 tops += M.payload[0] == "low" and b == r
         for (A, b), edge in D.edges.items():
             N, struct = reference_loc_extend(D.vertices[A], b)
-            want = struct.then(_mod_identification(N, D.vertices[insert_height(A, b)]))
+            want = struct.then(reference_mod_identification(N, D.vertices[insert_height(A, b)]))
             assert repr(edge) == repr(want), (expr, seed, A, b)
     if isinstance(parse_space(expr), Cone):
         assert tops > 0, expr
@@ -292,6 +315,13 @@ def test_limit_vertex_matches_reference(expr):
     for _, seed, F in _sheaves([expr]):
         D = to_standard(F)
         assert repr(limit_vertex(D)) == repr(reference_limit_vertex(D)), (expr, seed)
+
+
+@pytest.mark.parametrize("expr", RANK1_SPACES)
+def test_kappa_matches_reference(expr):
+    for _, seed, F in _sheaves([expr]):
+        X = standard_of_sheaf(F)
+        assert repr(kappa(X).data) == repr(reference_kappa_data(X.record)), (expr, seed)
 
 
 @pytest.mark.parametrize("expr", RANK1_SPACES)

@@ -155,7 +155,7 @@ def test_model_command(capsys):
 
 
 def test_model_command_checks_each_diagram_once(capsys, monkeypatch):
-    from stonesheaf import cli, models
+    from stonesheaf import models
     checked = []
     check = models.is_cocartesian
 
@@ -163,7 +163,6 @@ def test_model_command_checks_each_diagram_once(capsys, monkeypatch):
         checked.append(D)
         return check(D)
     monkeypatch.setattr(models, "is_cocartesian", counted)
-    monkeypatch.setattr(cli, "is_cocartesian", counted)
     code, out = run_cli(capsys, ["model", "--space", "Cone(Cone(Finite(1)))",
                                  "--roundtrips", "6", "--seed", "3"])
     assert code == 0

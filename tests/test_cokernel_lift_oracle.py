@@ -16,12 +16,13 @@ import random
 import pytest
 
 from stonesheaf.homalg import hom_basis, random_hom
-from stonesheaf.linalg import LinMap, image_basis, solve
+from stonesheaf.linalg import LinMap, solve
 from stonesheaf.sheaf import (
     _quotient, check_sheaf_map, cokernel, direct_sum, identity_map, kernel, make_cone_map,
     make_cone_sheaf, make_fin_map, make_fin_sheaf, make_sum_map, make_sum_sheaf,
     random_csheaf, sec_functor, sec_space, zero_map)
 from stonesheaf.space import Finite, Sum, cb_rank, parse_space
+from test_sparse_rref_properties import reference_image_basis
 
 SPACES = ["Cone(Finite(1))", "Cone(Sum(Finite(2),Finite(1)))", "Sum(Cone(Finite(1)),Finite(2))",
           "Cone(Cone(Finite(1)))", "Cone(Sum(Finite(2),Cone(Finite(1))))"]
@@ -33,7 +34,7 @@ def reference_cokernel(f):
     if isinstance(G.space, Finite):
         stalks, projs = [], []
         for m in f.data:
-            Q, pr = _quotient(m.target, image_basis(m))[:2]
+            Q, pr = _quotient(m.target, reference_image_basis(m))[:2]
             stalks.append(Q)
             projs.append(pr)
         QF = make_fin_sheaf(G.space, stalks)
@@ -45,7 +46,7 @@ def reference_cokernel(f):
         return QF, make_sum_map(G, QF, lp, rp)
     qt, pt = reference_cokernel(f.tail_map)
     exc = {k: reference_cokernel(m) for k, m in f.data[1]}
-    Qa, pa = _quotient(G.apex, image_basis(f.apex_map))[:2]
+    Qa, pa = _quotient(G.apex, reference_image_basis(f.apex_map))[:2]
     sec_proj = sec_functor(pt)
     cols = [sec_proj.apply(G.germ.apply(solve(pa, Qa.basis_vec(i)))) for i in range(Qa.dim)]
     germ = LinMap.from_cols(Qa, sec_space(qt), cols)

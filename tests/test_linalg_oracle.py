@@ -10,14 +10,15 @@ sparse ±1/2 matrices (group-ring leaves on the dihedral block) and dense
 random rationals, plus the empty, all-zero and already-reduced shapes.
 
 `linalg.sparse_rref` is the package's one elimination, and `solve`, `rank`,
-`image_basis`, `coords_in_span` and `invert` read its pivot rows.  They are
-checked on seeded matrices of `int`, `Fraction` and mixed entries, the 0×n
-and n×0 shapes among them: `solve` against the product m·x for a
-right-hand side in the image, and against `None` for one outside it (a
-vector of the left null space from `Matrix.nullspace`); `rank` against
-`Matrix.rank`; `image_basis` against the nonzero rows of `m.T.rref()`;
-`coords_in_span` against the coordinates a vector was built from; `invert`
-against `Matrix.inv`.  Every entry they return must be a `Fraction`.
+`image` and `invert` read its pivot rows.  They are checked on seeded
+matrices of `int`, `Fraction` and mixed entries, the 0×n and n×0 shapes
+among them: `solve` against the product m·x for a right-hand side in the
+image, and against `None` for one outside it (a vector of the left null
+space from `Matrix.nullspace`); `rank` against `Matrix.rank`; `image`
+against sympy: its space has the rank's dimension, its inclusion's columns
+are the nonzero rows of `m.T.rref()`, and the inclusion times the
+corestriction is m; `invert` against `Matrix.inv`.  Every entry they return
+must be a `Fraction`.
 
 The products are also compared, by `repr`, with a test-local copy of the
 plain sum of products on the matrices of the equivariant layer: regular
@@ -34,8 +35,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from stonesheaf.linalg import (  # noqa: E402
-    ZERO, DimensionError, LinMap, VectQ, coords_in_span, image_basis, invert, kernel_basis,
-    rank, rat, rref, solve)
+    ZERO, DimensionError, LinMap, VectQ, image, invert, kernel_basis, rank, rat, rref, solve)
 from stonesheaf.verify import _s3_group  # noqa: E402
 from stonesheaf.weyl import (  # noqa: E402
     _random_rep, cyclic_group, direct_product, regular_rep)
@@ -272,31 +272,29 @@ def test_solve_matches_sympy(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_rank_and_image_basis_match_sympy(seed):
+def test_rank_and_image_match_sympy(seed):
+    shapes = set()
     for _name, _pool, m in pool_maps(seed):
         mat = to_sympy(m)
         assert rank(m) == mat.rank()
+        V, incl, cores = image(m, "v")
+        assert V == VectQ.make(mat.rank(), "v")
+        assert (incl.source, incl.target, cores.source, cores.target) == (V, m.target, m.source, V)
         red, pivots = mat.T.rref()
-        want = [tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
-                for i in range(len(pivots))]
-        got = image_basis(m)
-        assert got == want
-        for v in got:
-            assert_exact(v)
+        assert incl.cols() == [tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
+                               for i in range(len(pivots))]
+        assert to_sympy(incl) * to_sympy(cores) == mat
+        for row in incl.matrix + cores.matrix:
+            assert_exact(row)
+        shapes.add((m.source.dim == 0, m.target.dim == 0))
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_coords_in_span_and_invert_match_sympy(seed):
-    rng = random.Random(900 + seed)
+def test_invert_matches_sympy(seed):
     inverted = 0
-    for _name, pool, m in pool_maps(seed):
+    for _name, _pool, m in pool_maps(seed):
         mat = to_sympy(m)
-        if mat.rank() == m.source.dim:
-            # independent columns: the coordinates of m·x are x
-            x = tuple(rng.choice(pool) for _ in range(m.source.dim))
-            got = coords_in_span(m.cols(), product(m, x))
-            assert got == x
-            assert_exact(got)
         if m.source.dim != m.target.dim:
             continue
         if mat.rank() < m.source.dim:
@@ -312,21 +310,18 @@ def test_coords_in_span_and_invert_match_sympy(seed):
     assert inverted >= 3
 
 
-def test_coords_in_span_of_an_image_basis_and_outside_it():
+def test_image_corestricts_onto_coordinates_in_its_basis():
     rng = random.Random(950)
     for name, pool in POOLS.items():
         m = pool_map(rng, pool, 4, 5)
-        basis = image_basis(m)
+        V, incl, cores = image(m, "v")
         x = tuple(rng.choice(pool) for _ in range(4))
-        c = coords_in_span(basis, product(m, x))
-        assert c is not None and len(c) == len(basis)
+        c = cores.apply(x)
         assert_exact(c)
-        assert tuple(sum((a * b[i] for a, b in zip(c, basis)), ZERO)
+        assert tuple(sum((a * b[i] for a, b in zip(c, incl.cols())), ZERO)
                      for i in range(5)) == product(m, x), name
         for w in left_null(m):
-            assert coords_in_span(basis, w) is None
-    assert coords_in_span([], (ZERO, 0)) == ()
-    assert coords_in_span([], (ZERO, 1)) is None
+            assert solve(incl, w) is None
 
 
 # -- the products on representation matrices -----------------------------

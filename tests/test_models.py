@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from stonesheaf.linalg import LinMap, VectQ
+from fractions import Fraction
+
+from stonesheaf.linalg import DimensionError, LinMap, VectQ, is_iso, kernel_basis, solve
 from stonesheaf.space import (
     cb_rank,
     Cone, Finite, apex_point, copy_point, fin_point, parse_space)
@@ -101,6 +103,117 @@ def test_ring_diagram_is_cocartesian():
     # the diagram of the splicing rings themselves (the generator)
     for space in [X1, X2]:
         assert is_cocartesian(to_standard(constant(space, 1)))
+
+
+# -- the rank test against the solve route -----------------------------------
+#
+# `is_cocartesian` decides an edge by ranks alone, and `_sheaf_edge` reads
+# the localization into the vertex.  The references keep both as they were
+# first written: the comparison map built from a kernel basis of the
+# localization and one `solve` per coordinate, and the edge as the
+# localization followed by an identity.
+
+def reference_mod_identification(N, M):
+    if el_space(N).dim != el_space(M).dim:
+        raise AssertionError("canonical chain mismatch: element spaces differ")
+    return LinMap(el_space(N), el_space(M), LinMap.identity(el_space(N)).matrix)
+
+
+def reference_sheaf_edge(b, MA, MB):
+    N, struct = loc_extend(MA, b)
+    return struct.then(reference_mod_identification(N, MB))
+
+
+def reference_edge_holds(D, A, b, edge):
+    """Whether the edge's comparison map is an isomorphism: the edge kills
+    the kernel of the localization, and the map it induces on the
+    localization's target, read through one preimage per basis vector, is
+    invertible."""
+    MB = D.vertices[insert_height(A, b)]
+    N, struct = loc_extend(D.vertices[A], b)
+    for kvec in kernel_basis(struct):
+        if not all(c == 0 for c in edge.apply(kvec)):
+            return False
+    if el_space(N).dim != el_space(MB).dim:
+        return False
+    cols = []
+    for i in range(el_space(N).dim):
+        pre = solve(struct, el_space(N).basis_vec(i))
+        if pre is None:
+            return False
+        cols.append(edge.apply(pre))
+    return is_iso(LinMap.from_cols(el_space(N), el_space(MB), cols))
+
+
+VERDICT_SPACES = {"Cone(Finite(1))": 60, "Cone(Finite(2))": 60,
+                  "Sum(Cone(Finite(1)),Finite(1))": 40, "Cone(Cone(Finite(1)))": 50,
+                  "Cone(Cone(Cone(Finite(1))))": 25}
+
+
+def _edge_variants(edge, rng):
+    """The edge, zeroed, doubled, replaced by a random map, and plus a
+    random map of rank at most one; an edge from or to a zero space has
+    only itself."""
+    src, tgt = edge.source, edge.target
+    if not (src.dim and tgt.dim):
+        return [edge]
+    draw = [Fraction(0)] * 3 + [Fraction(1), Fraction(-1), Fraction(2)]
+    rand = LinMap.from_rows(src, tgt, [[rng.choice(draw) for _ in range(src.dim)]
+                                       for _ in range(tgt.dim)])
+    u = [rng.choice(draw) for _ in range(tgt.dim)]
+    w = [rng.choice(draw) for _ in range(src.dim)]
+    rank_one = LinMap.from_rows(src, tgt, [[a * c for c in w] for a in u])
+    return [edge, LinMap.zero(src, tgt), edge.scale(2), rand, edge.add(rank_one)]
+
+
+def _verdict_diagrams():
+    for expr, count in VERDICT_SPACES.items():
+        space = parse_space(expr)
+        rng = random.Random(4400 + len(expr))
+        for _ in range(count):
+            yield expr, rng, to_standard(random_csheaf(space, rng, 2, 1))
+
+
+def test_sheaf_edges_match_the_identity_reference():
+    for expr, _, D in _verdict_diagrams():
+        for (A, b), edge in D.edges.items():
+            want = reference_sheaf_edge(b, D.vertices[A], D.vertices[insert_height(A, b)])
+            assert repr(edge) == repr(want), (expr, A, b)
+
+
+def test_rank_verdicts_match_the_solve_reference():
+    verdicts = []
+    for expr, rng, D in _verdict_diagrams():
+        for (A, b), edge in sorted(D.edges.items()):
+            for e in _edge_variants(edge, rng):
+                got = is_cocartesian(DiagMod(D.space, D.vertices, {(A, b): e}))
+                assert got == reference_edge_holds(D, A, b, e), (expr, A, b, e)
+                verdicts.append(got)
+    assert len(verdicts) >= 3000
+    assert verdicts.count(False) >= 500 and verdicts.count(True) >= 1000
+
+
+def test_an_edge_of_the_wrong_source_dimension_raises_in_both():
+    checked = 0
+    for expr, _, D in _verdict_diagrams():
+        for (A, b), edge in D.edges.items():
+            if edge.source.dim == 0:
+                continue
+            wrong = LinMap.zero(VectQ.make(edge.source.dim + 1), edge.target)
+            with pytest.raises(DimensionError):
+                reference_edge_holds(D, A, b, wrong)
+            with pytest.raises(DimensionError):
+                is_cocartesian(DiagMod(D.space, D.vertices, {(A, b): wrong}))
+            checked += 1
+    assert checked >= 100
+
+
+def test_an_edge_of_the_wrong_target_dimension_raises():
+    D = to_standard(random_csheaf(X2, random.Random(4), 2, 1))
+    for (A, b), edge in D.edges.items():
+        wrong = LinMap.zero(edge.source, VectQ.make(edge.target.dim + 1))
+        with pytest.raises(DimensionError):
+            is_cocartesian(DiagMod(D.space, D.vertices, {(A, b): wrong}))
 
 
 # -- conversions --------------------------------------------------------------

@@ -85,8 +85,8 @@ TEST_FACING = {
     # the initial vertex of a punctured diagram, as a finite limit
     "models.limit_vertex",
     # operations that the benchmark workloads under `perfbench/` call: the
-    # cube map of ring data, stalkwise averaging, and the sheaf of a diagram
-    "adelic.dmap", "weyl.average", "models.from_standard",
+    # cube map of ring data and stalkwise averaging
+    "adelic.dmap", "weyl.average",
     # the idempotent of a clopen, as a ring element
     "adelic.indicator",
     # restriction to an open union of strata, and its pushforward back

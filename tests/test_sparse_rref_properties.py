@@ -5,7 +5,11 @@ its dense view, so the dense reference here is `dense_rref`, a test-local
 copy of the dense Gaussian elimination the package had before: it swaps
 rows, divides each pivot row by its pivot and clears the pivot column from
 every other row.  The kernel, sampler and stalkwise oracles take their
-dense elimination from it too.
+dense elimination from it too, and the block-layout, cokernel-lift,
+stalkwise and twist oracles take from it their image bases,
+`reference_row_space_basis` and `reference_image_basis`, beside
+`reference_coords_in_span`: test-local copies of the helpers that
+`linalg.image` replaced, so that no oracle checks `image` against itself.
 
 A matrix of 0-7 rows and 0-7 columns is drawn row by row: a row is empty, a
 copy of an earlier row, an earlier row scaled or added to another (so
@@ -33,7 +37,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stonesheaf.linalg import ONE, ZERO, rref, sparse_rref  # noqa: E402
+from stonesheaf.linalg import ONE, ZERO, LinMap, VectQ, rref, solve, sparse_rref  # noqa: E402
 
 SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -77,6 +81,25 @@ def dense_rref(rows):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def reference_row_space_basis(vectors):
+    """The echelon basis of the span of vectors."""
+    red, pivots = dense_rref(vectors)
+    return [tuple(row) for row in red[:len(pivots)]]
+
+
+def reference_image_basis(m):
+    """The echelon basis of im(m), as vectors in the target space."""
+    return reference_row_space_basis(m.cols())
+
+
+def reference_coords_in_span(basis, v):
+    """The coordinates of v in an independent spanning set, or None."""
+    if not basis:
+        return () if all(x == 0 for x in v) else None
+    m = LinMap.from_cols(VectQ.make(len(basis), "c"), VectQ.make(len(basis[0]), "a"), basis)
+    return solve(m, tuple(v))
 
 
 def combine(a, b, c):
