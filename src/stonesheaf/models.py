@@ -17,12 +17,21 @@ diagram has these localizations, read into the vertices, as edges, so it is
 cocartesian (every comparison map, which `is_cocartesian` tests by ranks, is
 an isomorphism) and `from_standard` inverts `to_standard` on it.
 
+One recursion, `_vertex`, builds a sheaf's vertex at a flag together with a
+builder of the localization map onto it from the finite-data sections: the
+identity on finite stalks, the parts' maps block-diagonal over a sum and
+over the stored copies, and at a germ-level part the apex coordinates,
+followed below the top flag by the corestriction that `linalg.image` gives.
+`mod_of_sheaf` takes only the module, and `section_localize` builds the map,
+so a map is built only for a tail that is localized.  Both refuse a flag
+that names no vertex of the punctured cube.
+
 Two memos keep built data with the object it was built from, never looked
 up by equality: a module keeps its element space and its extensions by
-height (`CMod._extended`), and a sheaf keeps its section localizations by
-flag (`CSheaf._localized`, filled by `section_localize`).  So the vertices
-of one diagram and the extensions between them localize each tail at each
-flag once.
+height (`CMod._extended`), and a sheaf keeps its section localizations,
+module and map, by flag (`CSheaf._localized`, filled by
+`section_localize`).  So the vertices of one diagram and the extensions
+between them localize each tail at each flag once.
 
 In rank one, the standard and completed presentations share one record; the
 completion stores the idempotent slices (the image of the germ map), while
@@ -38,12 +47,13 @@ from dataclasses import dataclass
 
 from .linalg import (
     DimensionError, LinMap, VectQ, block_map, direct_sum_space, image, is_iso, kernel_basis,
-    pullback, rank, solve, invert)
+    pullback, rank, invert)
 from .space import Finite, SpaceExpr, Sum, cb_rank
-from .adelic import Flag, _is_zero_ring, check_flag, insert_height, all_flags, flags_of_size
+from .adelic import (
+    Flag, FlagError, _is_zero_ring, check_flag, insert_height, all_flags, flags_of_size)
 from .sheaf import (
-    CSheaf, canonical, germ_section, make_cone_sheaf, make_fin_sheaf,
-    make_sum_sheaf, sec_from_coords, sec_space, _copy_default, _onto, _subspace)
+    CSheaf, canonical, make_cone_sheaf, make_fin_sheaf, make_sum_sheaf, sec_space, _onto,
+    _subspace)
 from .homalg import _require_rank1, gamma, recon_e
 
 
@@ -88,16 +98,25 @@ def el_space(M: CMod) -> VectQ:
     return M._el_space
 
 
-def _sec_ambient(T: CSheaf):
-    return ("sec", T)
-
-
 def zero_mod(space: SpaceExpr, flag: Flag) -> CMod:
     return CMod(space, flag, ("zero",))
 
 
 # ---------------------------------------------------------------------------
-# localization of section spaces and modules
+# vertices of sheaves and their localization maps
+
+
+def _check_vertex_flag(space: SpaceExpr, flag: Flag):
+    """Refuse a flag that names no vertex of the space's punctured cube."""
+    if not flag:
+        raise FlagError("the punctured cube has no vertex at the empty flag")
+    check_flag(space, flag)
+
+
+def mod_of_sheaf(F: CSheaf, flag: Flag) -> CMod:
+    """The flag-vertex of the standard-model diagram of a sheaf."""
+    _check_vertex_flag(F.space, flag)
+    return _vertex(F, flag)[0]
 
 
 def section_localize(T: CSheaf, flag: Flag):
@@ -110,89 +129,53 @@ def section_localize(T: CSheaf, flag: Flag):
     at one flag share a single localization."""
     memo = T._localized
     if flag not in memo:
-        memo[flag] = _section_localize(T, flag)
+        _check_vertex_flag(T.space, flag)
+        M, localization = _vertex(T, flag)
+        memo[flag] = M, localization()
     return memo[flag]
 
 
-def _section_localize(T, flag):
-    M = mod_of_sheaf(T, flag)
-    return M, LinMap.of(sec_space(T), el_space(M),
-                        lambda v: _localize_section(T, flag, M, sec_from_coords(T, v).data))
-
-
-def _localize_section(T, flag, M, data):
-    """Coordinates of a section's image in the flag-localized module."""
-    kind = M.payload[0]
-    if kind == "zero":
-        return ()
-    if kind == "fin":
-        out = []
-        for v in data:
-            out.extend(v)
-        return tuple(out)
-    if kind == "sum":
-        l = _localize_section(T.data[0], flag, M.payload[1], data[0])
-        r = _localize_section(T.data[1], flag, M.payload[2], data[1])
-        return tuple(l) + tuple(r)
-    _, exc, apexv = data
-    if kind == "apex":
-        # germ class of the section at this cone's apex
-        ambient, emb = M.payload[2], M.payload[3]
-        if isinstance(ambient, tuple) and ambient[0] == "sec":
-            return tuple(apexv)
-        w = solve(emb, _apply_pi_sigma(T, M.flag[1:], ambient, apexv))
-        if w is None:
-            raise AssertionError("germ class left the stored germ image")
-        return tuple(w)
-    _, mexc, generic, W, iota = M.payload
-    out = []
-    excd = dict(exc)
-    for k, mk in mexc:
-        sub = excd.get(k)
-        if sub is None:
-            sub = _copy_default(T, k, apexv)
-        out.extend(_localize_section(T.copy_sheaf(k), flag, mk, sub))
-    # uniform part: image of the apex value in the generic-copy module
-    w = solve(iota, _apply_pi_sigma(T, flag, generic, apexv))
-    if w is None:
-        raise AssertionError("uniform image left the stored uniform part")
-    out.extend(w)
-    return tuple(out)
-
-
-def _apply_pi_sigma(T, flag, generic, apexv):
-    """pi_flag(sigma(v)) in the generic-copy module of the tail."""
-    s = germ_section(T, apexv)
-    return _localize_section(T.tail, flag, generic, s.data)
-
-
-# ---------------------------------------------------------------------------
-# modules of sheaves
-
-
-def mod_of_sheaf(F: CSheaf, flag: Flag) -> CMod:
-    """The flag-vertex of the standard-model diagram of a sheaf."""
+def _vertex(F, flag):
+    """The flag-vertex M of F's diagram and a zero-argument builder of the
+    localization map from F's finite-data sections onto el_space(M)."""
     space = F.space
     if _is_zero_ring(space, flag):
-        return zero_mod(space, flag)
-    check_flag(space, flag)
+        M = zero_mod(space, flag)
+        return M, lambda: LinMap.zero(sec_space(F), el_space(M))
     if isinstance(space, Finite):
-        return CMod(space, flag, ("fin", tuple(F.data)))
+        M = CMod(space, flag, ("fin", tuple(F.data)))
+        return M, lambda: LinMap(sec_space(F), el_space(M), LinMap.identity(el_space(M)).matrix)
     if isinstance(space, Sum):
-        return CMod(space, flag, ("sum", mod_of_sheaf(F.data[0], flag),
-                                  mod_of_sheaf(F.data[1], flag)))
-    r = cb_rank(space)
-    if flag[0] == r:
-        rest = flag[1:]
-        if not rest:
-            return CMod(space, flag, ("apex", F.apex, _sec_ambient(F.tail), F.germ))
-        ambient, pi = section_localize(F.tail, rest)
-        V, emb, _ = image(F.germ.then(pi), "g")
-        return CMod(space, flag, ("apex", V, ambient, emb))
+        parts = [_vertex(G, flag) for G in F.data]
+        M = CMod(space, flag, ("sum", *(N for N, _ in parts)))
+        return M, lambda: _block_diagonal(sec_space(F), el_space(M), [b() for _, b in parts])
+    if flag[0] == cb_rank(space):
+        if len(flag) == 1:
+            M = CMod(space, flag, ("apex", F.apex, ("sec", F.tail), F.germ))
+            return M, lambda: _apex_coords(F)
+        ambient, pi = section_localize(F.tail, flag[1:])
+        V, emb, cores = image(F.germ.then(pi), "g")
+        return CMod(space, flag, ("apex", V, ambient, emb)), lambda: _apex_coords(F).then(cores)
     generic, pi = section_localize(F.tail, flag)
-    W, iota, _ = image(F.germ.then(pi), "w")
-    exc = tuple((k, mod_of_sheaf(G, flag)) for k, G in F.data[1])
-    return CMod(space, flag, ("low", exc, generic, W, iota))
+    W, iota, cores = image(F.germ.then(pi), "w")
+    copies = [(k, *_vertex(G, flag)) for k, G in F.data[1]]
+    M = CMod(space, flag, ("low", tuple((k, N) for k, N, _ in copies), generic, W, iota))
+    return M, lambda: _block_diagonal(sec_space(F), el_space(M),
+                                      [b() for _, _, b in copies] + [cores])
+
+
+def _apex_coords(F):
+    """The projection of a cone sheaf's finite-data sections onto their apex
+    coordinates, which come after the stored copies'."""
+    S = sec_space(F)
+    return _onto(S, F.apex, S.dim - F.apex.dim)
+
+
+def _block_diagonal(source: VectQ, target: VectQ, maps) -> LinMap:
+    """The map between direct sums with the given maps down its diagonal."""
+    return block_map(source, target, dict(enumerate(m.target.dim for m in maps)),
+                     dict(enumerate(m.source.dim for m in maps)),
+                     [(i, i, m) for i, m in enumerate(maps)])
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +214,16 @@ def _loc_extend(M, b):
     if kind == "sum":
         parts = [loc_extend(m, b) for m in M.payload[1:]]
         N = CMod(M.space, new_flag, ("sum", *(n for n, _ in parts)))
-        maps = [m for _, m in parts]
-    else:
-        _, exc, generic, W, iota = M.payload
-        if b == cb_rank(M.space):
-            N, E = CMod(M.space, new_flag, ("apex", W, generic, iota)), el_space(M)
-            return N, _onto(E, W, E.dim - W.dim)
-        parts = [loc_extend(m, b) for _, m in exc]
-        gen2, pi = loc_extend(generic, b)
-        W2, iota2, wmap = image(iota.then(pi), "w")
-        N = CMod(M.space, new_flag,
-                 ("low", tuple((k, p[0]) for (k, _), p in zip(exc, parts)), gen2, W2, iota2))
-        maps = [p[1] for p in parts] + [wmap]
-    blocks = [(i, i, m) for i, m in enumerate(maps)]
-    return N, block_map(el_space(M), el_space(N), {i: m.target.dim for i, _, m in blocks},
-                        {i: m.source.dim for i, _, m in blocks}, blocks)
+        return N, _block_diagonal(el_space(M), el_space(N), [m for _, m in parts])
+    _, exc, generic, W, iota = M.payload
+    if b == cb_rank(M.space):
+        N, E = CMod(M.space, new_flag, ("apex", W, generic, iota)), el_space(M)
+        return N, _onto(E, W, E.dim - W.dim)
+    parts = [(k, *loc_extend(m, b)) for k, m in exc]
+    gen2, pi = loc_extend(generic, b)
+    W2, iota2, wmap = image(iota.then(pi), "w")
+    N = CMod(M.space, new_flag, ("low", tuple((k, n) for k, n, _ in parts), gen2, W2, iota2))
+    return N, _block_diagonal(el_space(M), el_space(N), [m for _, _, m in parts] + [wmap])
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +239,14 @@ class DiagMod:
     vertices: dict
     edges: dict
 
-    def rank(self):
-        return cb_rank(self.space)
-
 
 def to_standard(F: CSheaf) -> DiagMod:
     """The cocartesian diagram of a sheaf."""
     F = canonical(F)
     r = cb_rank(F.space)
-    vertices = {}
-    for A in all_flags(r):
-        vertices[A] = mod_of_sheaf(F, A)
-    edges = {}
-    for A in all_flags(r):
-        for b in range(r + 1):
-            if b in A or len(A) == r + 1:
-                continue
-            edges[(A, b)] = _sheaf_edge(b, vertices[A], vertices[insert_height(A, b)])
+    vertices = {A: mod_of_sheaf(F, A) for A in all_flags(r)}
+    edges = {(A, b): _sheaf_edge(b, vertices[A], vertices[insert_height(A, b)])
+             for A in all_flags(r) for b in range(r + 1) if b not in A}
     return DiagMod(F.space, vertices, edges)
 
 

@@ -110,9 +110,10 @@ class CSheaf:
 
     @functools.cached_property
     def _localized(self) -> dict:
-        """`models.section_localize(self, flag)` by flag, computed on first
-        use and then kept.  It belongs to the object and is never looked up
-        by equality; the localizations hold no reference back to it."""
+        """`models.section_localize(self, flag)` by flag: the vertex module
+        and the localization map onto it, built together on first use and
+        then kept.  It belongs to the object and is never looked up by
+        equality; the localizations hold no reference back to it."""
         return {}
 
     @functools.cached_property

@@ -119,6 +119,13 @@ def _warm(F):
             section_localize(G, flag)
 
 
+def _fresh_localization(T, flag):
+    """`section_localize` with no memo: the module and the map of the one
+    recursion `models._vertex`, built afresh on every call."""
+    M, localization = models._vertex(T, flag)
+    return M, localization()
+
+
 def test_to_standard_of_a_warm_sheaf_equals_a_cold_one(monkeypatch):
     warmed = 0
     for expr, F in _diagrams():
@@ -130,7 +137,7 @@ def test_to_standard_of_a_warm_sheaf_equals_a_cold_one(monkeypatch):
         warmed += sum(len(G._localized) for G in _subsheaves(canonical(F)))
         with monkeypatch.context() as m:
             # nothing kept anywhere: every call localizes afresh
-            m.setattr(models, "section_localize", models._section_localize)
+            m.setattr(models, "section_localize", _fresh_localization)
             assert to_standard(cold) == warm_diagram, expr
     assert warmed > 0  # canonical(F) shares its finite sheaves with F
 

@@ -4,18 +4,20 @@ import pytest
 
 from fractions import Fraction
 
-from stonesheaf.linalg import DimensionError, LinMap, VectQ, is_iso, kernel_basis, solve
+from stonesheaf.linalg import DimensionError, LinMap, VectQ, image, is_iso, kernel_basis, solve
 from stonesheaf.space import (
     cb_rank,
-    Cone, Finite, apex_point, copy_point, fin_point, parse_space)
-from stonesheaf.adelic import insert_height
+    Cone, Finite, Sum, apex_point, copy_point, fin_point, parse_space)
+from stonesheaf.adelic import FlagError, _is_zero_ring, all_flags, check_flag, insert_height
 from stonesheaf.sheaf import (
-    canonical, constant, make_cone_sheaf, random_csheaf, sec_dim, sec_space, sheaves_equal,
-    skyscraper, zero_sheaf, direct_sum)
+    canonical, constant, germ_section, make_cone_sheaf, random_csheaf, sec_dim,
+    sec_from_coords, sec_space, sheaves_equal, skyscraper, zero_sheaf, direct_sum,
+    _copy_default)
 from stonesheaf.models import (
     CMod, DiagMod, StandardObj, coreflect, el_space, five_model_roundtrip, from_standard,
-    is_cocartesian, kappa, limit_vertex, loc_extend, mod_of_sheaf, standard_of_sheaf,
-    support_detect, tau, to_standard)
+    is_cocartesian, kappa, limit_vertex, loc_extend, mod_of_sheaf, section_localize,
+    standard_of_sheaf, support_detect, tau, to_standard, zero_mod)
+from test_memos import _subsheaves
 
 X1 = Cone(Finite(1))
 X2 = Cone(Cone(Finite(1)))
@@ -214,6 +216,142 @@ def test_an_edge_of_the_wrong_target_dimension_raises():
         wrong = LinMap.zero(edge.source, VectQ.make(edge.target.dim + 1))
         with pytest.raises(DimensionError):
             is_cocartesian(DiagMod(D.space, D.vertices, {(A, b): wrong}))
+
+
+# -- the one vertex recursion against the two it replaced ---------------------
+#
+# `mod_of_sheaf` and `section_localize` take the vertex module and its
+# localization map from one recursion, which reads the map off the
+# corestriction that `linalg.image` returns.  The references keep the two
+# recursions as they were first written: the module with the corestriction
+# thrown away, and the map probed one section at a time, its germ classes
+# landed in the stored images by `solve`.  Their localizations of tails are
+# not kept, so they share nothing with the code under test.
+
+def reference_section_localize(T, flag):
+    M = reference_mod_of_sheaf(T, flag)
+    return M, LinMap.of(sec_space(T), el_space(M),
+                        lambda v: reference_localize_section(T, flag, M, sec_from_coords(T, v).data))
+
+
+def reference_localize_section(T, flag, M, data):
+    kind = M.payload[0]
+    if kind == "zero":
+        return ()
+    if kind == "fin":
+        return tuple(x for v in data for x in v)
+    if kind == "sum":
+        return (reference_localize_section(T.data[0], flag, M.payload[1], data[0]) +
+                reference_localize_section(T.data[1], flag, M.payload[2], data[1]))
+    _, exc, apexv = data
+    if kind == "apex":
+        ambient, emb = M.payload[2], M.payload[3]
+        if isinstance(ambient, tuple) and ambient[0] == "sec":
+            return tuple(apexv)
+        w = solve(emb, reference_apply_pi_sigma(T, M.flag[1:], ambient, apexv))
+        assert w is not None, "germ class left the stored germ image"
+        return tuple(w)
+    _, mexc, generic, W, iota = M.payload
+    out = []
+    excd = dict(exc)
+    for k, mk in mexc:
+        sub = excd.get(k)
+        if sub is None:
+            sub = _copy_default(T, k, apexv)
+        out.extend(reference_localize_section(T.copy_sheaf(k), flag, mk, sub))
+    w = solve(iota, reference_apply_pi_sigma(T, flag, generic, apexv))
+    assert w is not None, "uniform image left the stored uniform part"
+    return tuple(out) + tuple(w)
+
+
+def reference_apply_pi_sigma(T, flag, generic, apexv):
+    return reference_localize_section(T.tail, flag, generic, germ_section(T, apexv).data)
+
+
+def reference_mod_of_sheaf(F, flag):
+    space = F.space
+    if _is_zero_ring(space, flag):
+        return zero_mod(space, flag)
+    check_flag(space, flag)
+    if isinstance(space, Finite):
+        return CMod(space, flag, ("fin", tuple(F.data)))
+    if isinstance(space, Sum):
+        return CMod(space, flag, ("sum", reference_mod_of_sheaf(F.data[0], flag),
+                                  reference_mod_of_sheaf(F.data[1], flag)))
+    r = cb_rank(space)
+    if flag[0] == r:
+        rest = flag[1:]
+        if not rest:
+            return CMod(space, flag, ("apex", F.apex, ("sec", F.tail), F.germ))
+        ambient, pi = reference_section_localize(F.tail, rest)
+        V, emb, _ = image(F.germ.then(pi), "g")
+        return CMod(space, flag, ("apex", V, ambient, emb))
+    generic, pi = reference_section_localize(F.tail, flag)
+    W, iota, _ = image(F.germ.then(pi), "w")
+    exc = tuple((k, reference_mod_of_sheaf(G, flag)) for k, G in F.data[1])
+    return CMod(space, flag, ("low", exc, generic, W, iota))
+
+
+ORACLE_SPACES = {"Cone(Finite(1))": 12, "Cone(Finite(2))": 8,
+                 "Sum(Cone(Finite(1)),Finite(1))": 8, "Cone(Cone(Finite(1)))": 8,
+                 "Cone(Sum(Finite(2),Cone(Finite(1))))": 6, "Cone(Cone(Cone(Finite(1))))": 5,
+                 "Cone(Sum(Finite(1),Cone(Cone(Finite(1)))))": 5}
+
+
+def _oracle_sheaves():
+    """Seeded sheaves over rank 1-3 spaces, as drawn and canonical."""
+    for expr, count in ORACLE_SPACES.items():
+        space = parse_space(expr)
+        rng = random.Random(4500 + len(expr))
+        for _ in range(count):
+            F = random_csheaf(space, rng, 2 if cb_rank(space) == 1 else 1, 2)
+            yield expr, F
+            yield expr, canonical(F)
+
+
+def test_vertices_and_localizations_match_the_two_recursion_reference():
+    held = [0, 0]  # held cones whose stored copies have sections, below and at the apex level
+    for expr, F in _oracle_sheaves():
+        for G in _subsheaves(F):
+            for flag in all_flags(cb_rank(G.space)):
+                want_M, want_pi = reference_section_localize(G, flag)
+                M = mod_of_sheaf(G, flag)
+                got_M, got_pi = section_localize(G, flag)
+                assert M == want_M and repr(M) == repr(want_M), (expr, flag)
+                assert got_M == want_M and repr(got_M) == repr(want_M), (expr, flag)
+                assert got_pi == want_pi and repr(got_pi) == repr(want_pi), (expr, flag)
+                if G is not F and isinstance(G.space, Cone) and sec_dim(G) > G.apex.dim:
+                    held[flag[0] == cb_rank(G.space)] += 1
+    assert min(held) >= 100, held
+
+
+def test_diagram_vertices_over_stored_copy_tails_match_the_reference():
+    """Over rank-3 spaces whose tails store copies, every vertex of a
+    sheaf's diagram is the reference's, and the diagram rebuilds the sheaf."""
+    for expr in ["Cone(Cone(Cone(Finite(1))))", "Cone(Sum(Finite(1),Cone(Cone(Finite(1)))))"]:
+        rng = random.Random(4600 + len(expr))
+        for _ in range(4):
+            F = canonical(random_csheaf(parse_space(expr), rng, 1, 2))
+            D = to_standard(F)
+            for A, M in D.vertices.items():
+                want = reference_mod_of_sheaf(F, A)
+                assert M == want and repr(M) == repr(want), (expr, A)
+            assert is_cocartesian(D) and sheaves_equal(from_standard(D), F), expr
+
+
+BAD_FLAGS = [("Cone(Finite(1))", ()), ("Cone(Finite(1))", (3,)), ("Cone(Finite(1))", (2, 0)),
+             ("Cone(Finite(1))", (0, 1)), ("Finite(2)", ()), ("Finite(2)", (1,)),
+             ("Sum(Cone(Finite(1)),Finite(1))", ()), ("Cone(Cone(Finite(1)))", (3, 1))]
+
+
+@pytest.mark.parametrize("expr, flag", BAD_FLAGS)
+def test_a_flag_off_the_punctured_cube_raises(expr, flag):
+    F = random_csheaf(parse_space(expr), random.Random(1), 1, 1)
+    with pytest.raises(FlagError):
+        mod_of_sheaf(F, flag)
+    with pytest.raises(FlagError):
+        section_localize(F, flag)
+    assert flag not in F._localized
 
 
 # -- conversions --------------------------------------------------------------

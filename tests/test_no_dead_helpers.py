@@ -250,8 +250,6 @@ SAME_BODY = {
     # a sheaf and a map between sheaves store their cone parts alike
     frozenset({"sheaf.CSheaf.tail", "sheaf.SheafMap.tail_map"}),
     frozenset({"sheaf.CSheaf.apex", "sheaf.SheafMap.apex_map"}),
-    # the rank of the space of two unrelated records
-    frozenset({"adelic.AdelicComplex.rank", "models.DiagMod.rank"}),
     # per-object memos, each an empty dict filled by its own function
     frozenset({"models.CMod._extended", "sheaf.CSheaf._localized",
                "weyl.ComponentStructure.kept"}),
