@@ -5,13 +5,14 @@ reports are diffable; randomized commands take a seed (flag or the
 STONESHEAF_SEED variable) and are reproducible from it.  Exit status is
 zero exactly when all requested checks pass, one when a check fails, two
 when the input is malformed (a space or point that does not parse or
-names no point of its space, `sheaf --resolution` on a space whose rank is
-not 1, `sheaf --const-dim` without `--resolution`, or a count that is out
-of range), and three when a command raises an unexpected error, as
-`verify-all` does when a criterion raises.  Malformed input prints the
-document `{"error": message, "schema": ...}` with an `error:` line on
-stderr, or, for arguments that argparse refuses (a count out of range among
-them), with usage and argparse's error line on stderr.  An unexpected error
+names no point of its space, a STONESHEAF_SEED that is not an integer,
+`sheaf --resolution` on a space whose rank is not 1, `sheaf --const-dim`
+without `--resolution`, or a count that is out of range), and three when
+a command raises an unexpected error, as `verify-all` does when a
+criterion raises.  Malformed input prints the document
+`{"error": message, "schema": ...}` with an `error:` line on stderr, or,
+for arguments that argparse refuses (a count out of range among them),
+with usage and argparse's error line on stderr.  An unexpected error
 prints the document `{"error": "<type>: <message>", "schema": ...}` with
 its traceback on stderr, so it is never read as a failed check.
 `verify-all --stats` prints each criterion's seconds after the transcript.
@@ -38,12 +39,6 @@ from .space import (cb_rank, height, iter_points, parse_point, parse_space, top_
 from .verify import run_all, _witness_samples
 from .weyl import degeneration_mismatch, equivariant_adelic, eq_random_cocycle
 from .serialize import SCHEMA
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("STONESHEAF_SEED", "1"))
 
 
 def _positive(text: str) -> int:
@@ -94,8 +89,8 @@ def cmd_space(args):
 def cmd_adelic(args):
     s = parse_space(args.space)
     cx = build_complex(s)
-    rng = random.Random(_seed(args))
-    doc = {"space": str(s), "rank": cx.rank, "seed": _seed(args),
+    rng = random.Random(args.seed)
+    doc = {"space": str(s), "rank": cx.rank, "seed": args.seed,
            "flags_by_degree": {str(d): [list(A) for A in cx.flags(d)]
                                for d in cx.degrees()}}
     ok = True
@@ -142,7 +137,7 @@ def cmd_sheaf(args):
 
 def cmd_model(args):
     s = parse_space(args.space)
-    rng = random.Random(_seed(args))
+    rng = random.Random(args.seed)
     ok = True
     trips = 0
     for _ in range(args.roundtrips):
@@ -157,18 +152,18 @@ def cmd_model(args):
             ok = False
             break
         trips += 1
-    doc = {"space": str(s), "seed": _seed(args), "roundtrips": trips,
+    doc = {"space": str(s), "seed": args.seed, "roundtrips": trips,
            "status": "pass" if ok else "fail"}
     return _emit(doc, 0 if ok else 1)
 
 
 def cmd_equiv(args):
     space, labels, cs = o2_dihedral_block(args.nmax)
-    rng = random.Random(_seed(args))
+    rng = random.Random(args.seed)
     cx = equivariant_adelic(space, cs)
     witnessed, ok = _witness_samples(cx, lambda deg: eq_random_cocycle(cx, deg, rng),
                                      args.samples)
-    doc = {"block": "dihedral O(2)", "seed": _seed(args), "witnessed_cocycles": witnessed}
+    doc = {"block": "dihedral O(2)", "seed": args.seed, "witnessed_cocycles": witnessed}
     if args.trivial_check:
         match = degeneration_mismatch(space, rng, 1) is None
         doc["trivial_degeneration"] = "bit-identical" if match else "mismatch"
@@ -204,7 +199,7 @@ def cmd_catalog(args):
 
 def cmd_verify_all(args):
     seconds = [] if args.stats else None
-    status = run_all(seed=_seed(args), fast=args.fast, seconds=seconds)
+    status = run_all(seed=args.seed, fast=args.fast, seconds=seconds)
     print("verify-all:", status)
     for name, s in seconds or ():
         print(f"[seconds] {name}: {s:.3f}")
@@ -281,6 +276,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    # a command with a --seed flag that was not given reads STONESHEAF_SEED
+    if getattr(args, "seed", 0) is None:
+        text = os.environ.get("STONESHEAF_SEED", "1")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            return _malformed(f"STONESHEAF_SEED: invalid int value: {text!r}")
     try:
         return args.fn(args)
     except (ParseError, MalformedPoint) as exc:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .linalg import (
     DimensionError, LinMap, VectQ, ZERO, band_starts, direct_sum_space, kernel_basis,
     rank as map_rank, solve, is_iso, _quotient)
-from .space import Cone, SpaceMismatch, Sum, cb_rank, iter_points, Point
+from .space import Cone, SpaceMismatch, Sum, cb_rank, iter_points
 from .adelic import CFun
 from .sheaf import (
     CSheaf, GermSquareError, Section, SheafMap, apex_squares, canonical,
@@ -64,15 +64,6 @@ class GammaModule:
             raise ValueError("scalar lives over a different space")
         return sec_canonical(Section(self.record,
                                      _scale_by_locconst(self.record, f.data, s.data)))
-
-    def isolated_stalk(self, x: Point) -> VectQ:
-        return stalk(self.record, x)
-
-    def germ_stalk_dim(self, x: Point) -> int:
-        """Dimension of the stabilized slice colim over the neighbourhood
-        basis at x: once the stored copies are excluded, what remains at an
-        apex is the apex-coupled part, so it is the stalk's dimension."""
-        return stalk(self.record, x).dim
 
 
 def gamma(F: CSheaf) -> GammaModule:

@@ -50,7 +50,7 @@ from .linalg import (
     pullback, rank, invert)
 from .space import Finite, SpaceExpr, Sum, cb_rank
 from .adelic import (
-    Flag, FlagError, _is_zero_ring, check_flag, insert_height, all_flags, flags_of_size)
+    Flag, FlagError, _is_zero_ring, check_flag, insert_height, all_flags)
 from .sheaf import (
     CSheaf, canonical, make_cone_sheaf, make_fin_sheaf, make_sum_sheaf, sec_space, _onto,
     _subspace)
@@ -310,18 +310,6 @@ def _rebuild_sheaf(space, vertices):
                if vertices[A].payload[0] == "low" and k in dict(vertices[A].payload[1])}
         exc[k] = _rebuild_sheaf(space.base, sub)
     return make_cone_sheaf(space, exc, T, V, sigma)
-
-
-def coreflect(D: DiagMod) -> tuple[DiagMod, dict]:
-    """The cocartesian coreflection: rebuilt from the singleton vertices,
-    with the counit identifications on the singletons."""
-    r = cb_rank(D.space)
-    singles = {A: D.vertices[A] for A in flags_of_size(r, 1)}
-    sub = dict(singles)
-    F = _rebuild_sheaf(D.space, sub)
-    Q = to_standard(F)
-    counit = {A: LinMap.identity(el_space(Q.vertices[A])) for A in singles}
-    return Q, counit
 
 
 # ---------------------------------------------------------------------------

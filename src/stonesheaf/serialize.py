@@ -1,15 +1,17 @@
-"""JSON-style serialization for the public types.
+"""JSON-style serialization for the engine's data.
 
-One textual format for everything, with a schema version field on
-top-level documents; round trips are exact (rationals travel as "p/q"
-strings).  Every deserialization failure raises `SerializeError` carrying
-the path to the offending component (`_reading`).
+One textual format for spaces, clopen sets, ring elements, linear algebra,
+sheaves and their maps, sections and exact sequences, groups, structures,
+equivariant sheaves, diagram modules and lattices, with a schema version
+field on top-level documents; round trips are exact (rationals travel as
+"p/q" strings).  Every deserialization failure raises `SerializeError`
+carrying the path to the offending component (`_reading`).
 
 Sheaves, sheaf maps, sections, component structures and equivariant stalk
 actions mirror the space grammar and share one codec, `_tree_to_json` and
 `_tree_from_json`, with one `_Tree` spec each.  Outside it stay ring-element
 data (`_data_*`: bare pairs at sums, bare leaves at the germ flag) and, not
-read against a space, module payloads, clopen sets and point addresses.
+read against a space, module payloads and clopen sets.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from operator import attrgetter
 
 from .linalg import LinMap, VectQ
 from .space import (
-    ClopenSet, ConeSet, FinSet, Finite, ParseError, Point, SpaceExpr, Sum, SumSet, cb_rank,
-    parse_space)
+    ClopenSet, ConeSet, FinSet, Finite, ParseError, SpaceExpr, Sum, SumSet, cb_rank, parse_space)
 from .adelic import RATIONAL, CFun
 from .sheaf import (
     CSheaf, Section, SheafMap, make_cone_map, make_cone_sheaf, make_fin_map, make_fin_sheaf,
@@ -32,7 +33,7 @@ from .models import CMod, DiagMod
 from .weyl import (
     GROUP_RING, ComponentStructure, EqCFun, FinGroup, GrpHom, cone_structure, fin_structure,
     make_equiv, require_uniform_levels, sum_structure)
-from .catalog import Lattice2, SubgroupLabel
+from .catalog import Lattice2
 
 SCHEMA = "stonesheaf/1"
 
@@ -93,37 +94,6 @@ def space_from_json(text, path="$") -> SpaceExpr:
         return parse_space(text)
     except ParseError as exc:
         raise SerializeError(str(exc), path)
-
-
-def point_to_json(p: Point):
-    return {"addr": _addr_to_json(p.addr), "label": p.label}
-
-
-def _addr_to_json(addr):
-    kind = addr[0]
-    if kind == "fin":
-        return ["fin", addr[1]]
-    if kind == "apex":
-        return ["apex"]
-    if kind == "copy":
-        return ["copy", addr[1], _addr_to_json(addr[2])]
-    return [kind, _addr_to_json(addr[1])]
-
-
-def point_from_json(d, path="$") -> Point:
-    with _reading("point", path):
-        return Point(_addr_from_json(d["addr"]), d.get("label"))
-
-
-def _addr_from_json(a):
-    kind = a[0]
-    if kind == "fin":
-        return ("fin", int(a[1]))
-    if kind == "apex":
-        return ("apex",)
-    if kind == "copy":
-        return ("copy", int(a[1]), _addr_from_json(a[2]))
-    return (kind, _addr_from_json(a[1]))
 
 
 def clopen_to_json(u: ClopenSet):
@@ -388,18 +358,6 @@ def lattice_from_json(d, path="$") -> Lattice2:
         if d["kind"] == "full":
             return Lattice2("full", a=d["a"], b=d["b"], d=d["d"])
         return Lattice2("line", vec=tuple(d["vec"]), mult=d["mult"])
-
-
-def label_to_json(s: SubgroupLabel):
-    return {"kind": s.kind,
-            "lattice": None if s.lattice is None else lattice_to_json(s.lattice)}
-
-
-def label_from_json(d, path="$") -> SubgroupLabel:
-    with _reading("subgroup label", path):
-        lat = d.get("lattice")
-        return SubgroupLabel(d["kind"], None if lat is None else
-                             lattice_from_json(lat, path + ".lattice"))
 
 
 def loads_document(text: str, path="$"):

@@ -96,6 +96,12 @@ def cb_rank(s: SpaceExpr) -> int:
     return s.rank
 
 
+def _skip_ws(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
 def parse_space(text: str) -> SpaceExpr:
     """Parse expressions like ``Cone(Sum(Finite(2),Finite(1)))``.
 
@@ -108,28 +114,22 @@ def parse_space(text: str) -> SpaceExpr:
     """
     pos = 0
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
     def expect(ch):
         nonlocal pos
-        skip_ws()
+        pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ch:
             raise ParseError(f"expected {ch!r}", pos)
         pos += 1
 
     def parse_expr() -> SpaceExpr:
         nonlocal pos
-        skip_ws()
+        pos = _skip_ws(text, pos)
         for name in ("Finite", "Sum", "Cone"):
             if text.startswith(name, pos):
                 pos += len(name)
                 expect("(")
                 if name == "Finite":
-                    skip_ws()
-                    start = pos
+                    pos = start = _skip_ws(text, pos)
                     while pos < len(text) and text[pos].isdigit():
                         pos += 1
                     if start == pos:
@@ -151,7 +151,7 @@ def parse_space(text: str) -> SpaceExpr:
         raise ParseError("expected Finite, Sum or Cone", pos)
 
     out = parse_expr()
-    skip_ws()
+    pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError("trailing input", pos)
     return out
@@ -468,10 +468,10 @@ def find_isolated(s: SpaceExpr, u: ClopenSet) -> Point | None:
 
 def parse_point(s: SpaceExpr, text: str) -> Point:
     """Parse the textual address form produced by printing a point:
-    ``Apex``, ``3``, ``(2,Apex)``, ``L.0``, ``(1,(0,R.2))`` and so on."""
+    ``Apex``, ``3``, ``(2,Apex)``, ``L.0``, ``(1,(0,R.2))`` and so on, with
+    whitespace allowed before every token, as in a space expression."""
     addr, pos = _parse_addr(s, text, 0)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
+    pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError("trailing input in point address", pos)
     p = Point(addr)
@@ -480,8 +480,7 @@ def parse_point(s: SpaceExpr, text: str) -> Point:
 
 
 def _parse_addr(s, text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
+    pos = _skip_ws(text, pos)
     if pos >= len(text):
         raise ParseError("empty point address", pos)
     if isinstance(s, Sum):
@@ -503,16 +502,17 @@ def _parse_addr(s, text, pos):
         return ("apex",), pos + 4
     if text[pos] != "(":
         raise ParseError("expected Apex or (copy,...) for a cone", pos)
-    pos += 1
-    start = pos
+    pos = start = _skip_ws(text, pos + 1)
     while pos < len(text) and text[pos].isdigit():
         pos += 1
     if start == pos:
         raise ParseError("expected a copy index", pos)
     k = int(text[start:pos])
+    pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != ",":
         raise ParseError("expected ',' after the copy index", pos)
     sub, pos = _parse_addr(s.base, text, pos + 1)
+    pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != ")":
         raise ParseError("expected ')'", pos)
     return ("copy", k, sub), pos + 1

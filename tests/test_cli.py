@@ -11,10 +11,10 @@ import pytest
 import stonesheaf.serialize as ser
 import stonesheaf.verify as verify
 from stonesheaf.cli import cube_report, main, o2_catalog_report
-from stonesheaf.space import parse_space, ParseError, apex_point, copy_point
+from stonesheaf.space import parse_space, ParseError
 from stonesheaf.adelic import random_cfun
 from stonesheaf.sheaf import canonical, random_csheaf
-from stonesheaf.catalog import Lattice2, SubgroupLabel, line_lattice, o2_dihedral_block
+from stonesheaf.catalog import Lattice2, line_lattice, o2_dihedral_block
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -264,17 +264,9 @@ def test_clopen_round_trip():
             assert ser.clopen_from_json(json.loads(ser.dumps(ser.clopen_to_json(u)))) == u
 
 
-def test_lattice_and_label_round_trip():
-    L = Lattice2("full", a=3, b=2, d=4)
-    assert ser.lattice_from_json(ser.lattice_to_json(L)) == L
-    S = SubgroupLabel("circle", line_lattice(2, 4))
-    assert ser.label_from_json(ser.label_to_json(S)) == S
-
-
-def test_point_round_trip():
-    p = copy_point(3, apex_point(), label="S")
-    q = ser.point_from_json(ser.point_to_json(p))
-    assert q == p and q.label == "S"
+def test_lattice_round_trip():
+    for L in [Lattice2("full", a=3, b=2, d=4), line_lattice(2, 4)]:
+        assert ser.lattice_from_json(ser.lattice_to_json(L)) == L
 
 
 def test_truncated_document_reports_position():
@@ -378,6 +370,9 @@ def test_space_point_flag(capsys):
     assert code == 0
     assert json.loads(out)["point"]["height"] == 1
     assert main(["space", "--expr", "Cone(Finite(1))", "--point", "(3,0"]) == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, ["space", "--expr", "Cone(Finite(1))", "--point", "( 1 , 0 )"])
+    assert code == 0 and json.loads(out)["point"]["address"] == "(1,0)"
 
 
 def test_sheafmap_round_trip():
@@ -420,6 +415,23 @@ def test_seed_from_environment(capsys, monkeypatch):
     _c, out2 = run_cli(capsys, ["adelic", "--space", "Cone(Finite(1))",
                                 "--check-exactness", "--samples", "3", "--seed", "9"])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["adelic", "--space", "Cone(Finite(1))"],
+    ["model", "--space", "Cone(Finite(1))"],
+    ["equiv"],
+    ["verify-all", "--fast"],
+])
+def test_malformed_seed_from_environment_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("STONESHEAF_SEED", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: STONESHEAF_SEED: invalid int value: 'abc'\n"
+    assert json.loads(captured.out) == {"error": "STONESHEAF_SEED: invalid int value: 'abc'",
+                                        "schema": ser.SCHEMA}
+    # a seed given on the command line is read instead of the variable
+    assert main(argv + ["--seed", "1"]) == 0
 
 
 def test_section_round_trip():

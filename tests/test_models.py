@@ -14,7 +14,7 @@ from stonesheaf.sheaf import (
     sec_from_coords, sec_space, sheaves_equal, skyscraper, zero_sheaf, direct_sum,
     _copy_default)
 from stonesheaf.models import (
-    CMod, DiagMod, StandardObj, coreflect, el_space, five_model_roundtrip, from_standard,
+    CMod, DiagMod, StandardObj, el_space, five_model_roundtrip, from_standard,
     is_cocartesian, kappa, limit_vertex, loc_extend, mod_of_sheaf, section_localize,
     standard_of_sheaf, support_detect, tau, to_standard, zero_mod)
 from test_memos import _subsheaves
@@ -400,35 +400,6 @@ def test_from_standard_rejects_non_cocartesian():
     Dbad = DiagMod(X1, D.vertices, bad)
     with pytest.raises(ValueError):
         from_standard(Dbad)
-
-
-# -- coreflection -------------------------------------------------------------
-
-def test_coreflect_fixes_cocartesian():
-    D = to_standard(constant(X1, 1))
-    Q, counit = coreflect(D)
-    assert is_cocartesian(Q)
-    for A in D.vertices:
-        assert el_space(Q.vertices[A]).dim == el_space(D.vertices[A]).dim
-
-
-def test_coreflect_restores_zeroed_edge_target():
-    D = to_standard(constant(X1, 1))
-    vertices = dict(D.vertices)
-    vertices[(1, 0)] = CMod(X1, (1, 0), ("zero",))
-    edges = dict(D.edges)
-    for (A, b) in list(edges):
-        if insert_height(A, b) == (1, 0):
-            edges[(A, b)] = LinMap.zero(el_space(D.vertices[A]), VectQ.make(0))
-    Dz = DiagMod(X1, vertices, edges)
-    Q, _ = coreflect(Dz)
-    assert el_space(Q.vertices[(1, 0)]).dim == 1  # replaced by the extension
-
-
-def test_coreflect_zero_diagram():
-    D = to_standard(zero_sheaf(X1))
-    Q, _ = coreflect(D)
-    assert all(el_space(M).dim == 0 for M in Q.vertices.values())
 
 
 # -- dimension one ------------------------------------------------------------

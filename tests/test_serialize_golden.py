@@ -9,7 +9,7 @@ reported for corrupted documents.
     exact sequences at rank <= 1, `trivial_structure` and the structures of
     `o2_dihedral_block(6)` and `t2_block()`, equivariant sheaves over
     `o2_dihedral_block(6)`, ring elements at every flag, a standard diagram
-    with its modules, and points, clopen sets, lattices and labels;
+    with its modules, and clopen sets and lattices;
   * `corrupted`: for sheaf, map, section, structure and equivariant
     documents (`CORRUPTED`), the `SerializeError` path and message when one
     leaf of the document is replaced by a value of the wrong JSON type
@@ -30,13 +30,13 @@ import re
 
 from stonesheaf import serialize as ser
 from stonesheaf.adelic import all_flags, random_cfun
-from stonesheaf.catalog import Lattice2, SubgroupLabel, line_lattice, o2_dihedral_block, t2_block
+from stonesheaf.catalog import Lattice2, line_lattice, o2_dihedral_block, t2_block
 from stonesheaf.homalg import random_hom, split_ses
 from stonesheaf.models import to_standard
 from stonesheaf.sheaf import (
     align_pair, identity_map, random_csheaf, random_section, zero_map)
 from stonesheaf.space import (
-    Cone, cb_rank, complement, copy_point, full_set, iter_points, nbhd_basis, parse_space)
+    Cone, cb_rank, complement, full_set, iter_points, nbhd_basis, parse_space)
 from stonesheaf.weyl import (
     EqCFun, eq_random_cocycle, equivariant_adelic, group_ring_sheaf, random_equiv_sheaf,
     trivial_structure)
@@ -74,9 +74,7 @@ def _instances():
         for flag in [()] + all_flags(cb_rank(space)):
             out["cfun"].append(random_cfun(space, flag, rng))
             out["eqcfun"].append(EqCFun.unit(space, flag, trivial_structure(space)))
-        points = list(iter_points(space, 2))
-        out["point"] += points
-        u = nbhd_basis(space, points[-1], 1)
+        u = nbhd_basis(space, list(iter_points(space, 2))[-1], 1)
         out["clopen"] += [u, complement(space, u), full_set(space)]
     out["structure"] += [o2, t2_block()[2]]
     rng = random.Random(7)
@@ -94,9 +92,6 @@ def _instances():
     out["group"] += [g for cs in out["structure"][-2:] for g in _groups(cs)]
     out["hom"] += [cs.data[4] for cs in out["structure"] if cs.data[0] == "cone"]
     out["lattice"] += [Lattice2("full", a=3, b=2, d=4), line_lattice(2, 4), line_lattice(-3, 1)]
-    out["label"] += [SubgroupLabel("finite", Lattice2("full", a=1, b=0, d=2)),
-                     SubgroupLabel("circle", line_lattice(2, 4)), SubgroupLabel("full", None)]
-    out["point"].append(copy_point(3, points[0], label="S"))
     return out
 
 

@@ -301,9 +301,9 @@ def test_softness_random():
 def test_gamma_of_isolated_skyscraper():
     F = skyscraper(X1, copy_point(3, fin_point(0)), 1)
     M = gamma(F)
-    assert M.isolated_stalk(copy_point(3, fin_point(0))).dim == 1
-    assert M.isolated_stalk(copy_point(2, fin_point(0))).dim == 0
-    assert M.germ_stalk_dim(apex_point()) == 0
+    assert stalk(M.record, copy_point(3, fin_point(0))).dim == 1
+    assert stalk(M.record, copy_point(2, fin_point(0))).dim == 0
+    assert stalk(M.record, apex_point()).dim == 0
 
 
 def test_counit_iso_constant():

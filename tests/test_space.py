@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from stonesheaf.space import (
@@ -185,3 +187,24 @@ def test_parse_point_errors():
         parse_point(s, "(3,0")
     with pytest.raises(ParseError):
         parse_point(s, "Apex junk")
+
+
+def test_parse_point_skips_whitespace_before_every_token():
+    from stonesheaf.space import parse_point
+    s = parse_space("Cone(Finite(1))")
+    for text in ["( 1,0)", "(1 ,0)", "(1, 0)", "(1,0 )", " ( 1 , 0 ) ", "(\t1,\n0)"]:
+        assert parse_point(s, text) == parse_point(s, "(1,0)")
+    s = parse_space("Cone(Sum(Finite(2),Cone(Finite(1))))")
+    for p in iter_points(s, 2):
+        spaced = re.sub(r"(\(|\)|,|Apex|L\.|R\.|\d+)", r" \1 ", str(p))
+        assert parse_point(s, spaced) == p
+    # whitespace inside a token is still refused, with the same messages
+    s = parse_space("Cone(Finite(1))")
+    for text, message, pos in [("( x,0)", "expected a copy index", 2),
+                               ("(1 0)", "expected ',' after the copy index", 3),
+                               ("(1, 0 0)", "expected ')'", 6),
+                               ("(1,0) junk", "trailing input in point address", 6),
+                               ("Ap ex", "expected Apex or (copy,...) for a cone", 0)]:
+        with pytest.raises(ParseError) as err:
+            parse_point(s, text)
+        assert err.value.pos == pos and message in str(err.value)
